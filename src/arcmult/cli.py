@@ -43,11 +43,21 @@ _INPUT_ERRORS = (
 )
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common_flags(parser):
     parser.add_argument("--precision", type=int, help="series precision (coefficients)")
-    parser.add_argument("--max-steps", type=int, help="blow-up step budget")
+    parser.add_argument("--max-steps", type=_nonnegative_int, help="blow-up step budget")
     parser.add_argument("--seed", type=int, help="sampling seed")
-    parser.add_argument("--budget", type=int, help="random arc budget")
+    parser.add_argument("--budget", type=_nonnegative_int, help="random arc budget")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--trace", action="store_true", help="include blow-up traces")
 

@@ -9,6 +9,7 @@ part is the persistence computed independently by the blow-up oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,8 +20,9 @@ from .errors import (
     EmptySample,
     NotInSingularLocus,
     PrecisionExhausted,
+    VariableMismatch,
 )
-from .fields import INF
+from .fields import INF, ensure_same_field
 from .poly import Point
 from .rees import ReesAlgebra
 from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute
@@ -34,7 +36,7 @@ class ContactResult:
     nu: int
     r_bar: object  # Fraction or INF
     rho: object  # int or INF
-    generator_orders: tuple  # of (generator index, order or INF)
+    generator_orders: tuple  # of (generator index, order, INF or ">=N" beyond precision)
 
     def to_json(self) -> dict:
         return {
@@ -71,10 +73,10 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
             raise PrecisionExhausted(
                 f"order of generator {i} indeterminate at this precision"
             )
-    # Indeterminate orders provably exceed the minimum; report their bound as unknown-high.
+    # Indeterminate orders provably exceed the minimum; report their lower bound.
     orders = {i: o for i, _, o in known}
     for i, _, lower_bound in pending:
-        orders[i] = INF
+        orders[i] = f">={lower_bound}"
     return best, tuple(sorted(orders.items()))
 
 
@@ -102,6 +104,61 @@ class SampleBudget:
     seed: int = 0
 
 
+def _monomial_grid(field, width: int, exponent_bound: int):
+    """Assignments of the monomial arc grid, one (u, a) or None per variable.
+
+    (u, a) stands for x_i -> u t^a and None for x_i -> 0; the all-None
+    assignment is skipped.  Units and exponents are small, and the exponent
+    bound shrinks in higher dimension to keep the grid tractable.
+    """
+    units = field.units(6)
+    bound = exponent_bound
+    while bound > 1 and (1 + len(units) * bound) ** width > 20000:
+        bound -= 1
+    choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
+    for assignment in itertools.product(choices, repeat=width):
+        if any(c is not None for c in assignment):
+            yield assignment
+
+
+def _monomial_arc(variables, field, assignment) -> Arc:
+    """The arc x_i -> u_i t^(a_i) of a grid assignment."""
+    return Arc(
+        variables,
+        tuple(
+            TruncatedSeries.zero(field)
+            if choice is None
+            else TruncatedSeries.t_power(field, choice[1], choice[0])
+            for choice in assignment
+        ),
+        field,
+    )
+
+
+def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
+    """Whether f maps to exactly zero along the monomial arc of a grid assignment.
+
+    `terms` are the (exponents, coefficient) pairs of f.  A term c x^e maps
+    to c * prod u_i^(e_i) * t^(<a, e>), or to 0 when it uses a variable set
+    to 0, so f vanishes exactly when the coefficients cancel at every power
+    of t.  This is arc_substitute(f, arc).is_exactly_zero() without series
+    products.
+    """
+    sums = {}
+    for exps, coeff in terms:
+        degree = 0
+        for choice, e in zip(assignment, exps):
+            if e:
+                if choice is None:
+                    break
+                u, a = choice
+                coeff = field.mul(coeff, u**e)
+                degree += a * e
+        else:
+            sums[degree] = field.add(sums.get(degree, field.zero), coeff)
+    return all(field.is_zero(s) for s in sums.values())
+
+
 def sample_arcs(
     algebra: ReesAlgebra,
     center: Point,
@@ -113,47 +170,41 @@ def sample_arcs(
 
     Arcs are recentered at the given center (the algebra and constraints are
     translated instead, so arcs keep zero constant terms).  Monomial arcs
-    must satisfy every constraint exactly; arcs composed through the
-    parametrization satisfy them by construction.
+    must satisfy every constraint exactly, which is decided by exponent
+    arithmetic; arcs composed through the parametrization are checked by
+    substitution.  Duplicate arcs are dropped.
     """
     field = algebra.field
     variables = algebra.variables
     shifted = [c.translate(center) for c in constraints]
+    for constraint in shifted:
+        ensure_same_field(constraint.field, field)
+        if constraint.variables != variables:
+            raise VariableMismatch(
+                f"constraint variables {constraint.variables} vs arc variables {variables}"
+            )
+    shifted_terms = [list(c.terms.items()) for c in shifted]
     arcs = []
     seen = set()
 
     def admit(arc: Arc):
-        key = str(arc)
-        if key in seen:
+        if arc.components in seen:
             return
         for constraint in shifted:
             image = arc_substitute(constraint, arc)
             if not image.is_exactly_zero():
                 return
-        seen.add(key)
+        seen.add(arc.components)
         arcs.append(arc)
 
-    units = field.units(6)
-    width = len(variables)
-    bound = budget.exponent_bound
-    # Keep the monomial grid tractable in higher ambient dimension.
-    while bound > 1 and (1 + len(units) * bound) ** width > 20000:
-        bound -= 1
-    choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
-    stack = [()]
-    for _ in range(width):
-        stack = [prefix + (c,) for prefix in stack for c in choices]
-    for assignment in stack:
-        if all(c is None for c in assignment):
-            continue
-        components = []
-        for choice in assignment:
-            if choice is None:
-                components.append(TruncatedSeries.zero(field))
-            else:
-                u, a = choice
-                components.append(TruncatedSeries.t_power(field, a, u))
-        admit(Arc(variables, tuple(components), field))
+    for assignment in _monomial_grid(field, len(variables), budget.exponent_bound):
+        if all(
+            _vanishes_on_monomial_arc(terms, field, assignment) for terms in shifted_terms
+        ):
+            # Distinct assignments give distinct arcs: the grid needs no dedup.
+            arc = _monomial_arc(variables, field, assignment)
+            seen.add(arc.components)
+            arcs.append(arc)
 
     if parametrization is not None:
         rng = random.Random(budget.seed)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import fnmatch
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .problems import ProblemFile, parse_problem, run
@@ -24,7 +23,7 @@ def load_problem(name: str) -> ProblemFile:
     return parse_problem(text, name_hint=name)
 
 
-def run_corpus(pattern: str = "*", max_workers: int = 4, overrides: dict | None = None) -> list:
+def run_corpus(pattern: str = "*", overrides: dict | None = None) -> list:
     """Run every bundled problem matching the glob; deterministic order.
 
     `overrides` may replace per-problem options (precision, max_steps,
@@ -35,9 +34,7 @@ def run_corpus(pattern: str = "*", max_workers: int = 4, overrides: dict | None 
     for problem in problems:
         for key, value in (overrides or {}).items():
             setattr(problem.options, key, value)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        reports = list(pool.map(run, problems))
-    return list(zip(names, reports))
+    return [(name, run(problem)) for name, problem in zip(names, problems)]
 
 
 def summarize(results) -> dict:

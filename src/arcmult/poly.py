@@ -491,4 +491,7 @@ class _PolyParser:
 
 def parse_poly(text: str, variables, field: FieldSpec) -> MultiPoly:
     """Parse integer-coefficient polynomial text over the given variables."""
-    return _PolyParser(text, variables, field).parse()
+    try:
+        return _PolyParser(text, variables, field).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

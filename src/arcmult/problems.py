@@ -188,17 +188,20 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         if analysis not in ANALYSES:
             raise ParseError(f"unknown analysis {analysis!r}", line=1)
 
-    def integer_option(key, default):
+    def integer_option(key, default, minimum=None):
         raw = take(key, default=default)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ParseError(f"option {key!r} must be an integer, got {raw!r}", line=1)
+        if minimum is not None and value < minimum:
+            raise ParseError(f"option {key!r} must be at least {minimum}, got {value}", line=1)
+        return value
 
     options = Options(
         precision=integer_option("precision", str(DEFAULT_PRECISION)),
-        max_steps=integer_option("max_steps", "32"),
-        budget=integer_option("budget", "100"),
+        max_steps=integer_option("max_steps", "32", minimum=0),
+        budget=integer_option("budget", "100", minimum=0),
         seed=integer_option("seed", "0"),
     )
     if data:

@@ -1,19 +1,26 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from arcmult.contact import (
     SampleBudget,
+    _monomial_arc,
+    _monomial_grid,
+    _vanishes_on_monomial_arc,
     contact_order,
     integral_invariance_check,
     normalized_contact,
     phi_sample,
+    sample_arcs,
 )
-from arcmult.errors import DependenceInvalid, EmptySample
+from arcmult.corpus import corpus_names, load_problem
+from arcmult.errors import DependenceInvalid, EmptySample, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
-from arcmult.poly import parse_poly
+from arcmult.poly import origin, parse_poly
+from arcmult.problems import presentation_of
 from arcmult.rees import ReesAlgebra
-from arcmult.series import Arc, parse_series
+from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -74,6 +81,15 @@ class TestNormalizedContact:
         result = normalized_contact(G_CHAR0, arc(Q, "t^2", "t^3"))
         assert result.generator_orders == ((0, 3), (1, 4), (2, 6))
 
+    def test_order_beyond_precision_reported_as_lower_bound(self):
+        # y -> O(t^5): the image of y is indeterminate, but its order is at
+        # least 5, above the minimum 1 that x attains.
+        beyond = Arc(XY, (parse_series("t", Q), TruncatedSeries.truncated(Q, (), 5)), Q)
+        result = normalized_contact(algebra([("x", 1), ("y", 1)]), beyond)
+        assert result.r == 1
+        assert result.generator_orders == ((0, 1), (1, ">=5"))
+        assert result.to_json()["generator_orders"] == [[0, 1], [1, ">=5"]]
+
 
 class TestPhiSample:
     def test_cusp_char0_minimum(self):
@@ -129,6 +145,78 @@ class TestPhiSample:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def _verify_sampler_inputs(problem):
+    """The arguments `verify` passes to sample_arcs for a problem."""
+    presentation = presentation_of(problem)
+    budget = SampleBudget(
+        exponent_bound=8,
+        random_arcs=problem.options.budget,
+        degree_bound=8,
+        seed=problem.options.seed,
+    )
+    return (
+        presentation.presenting_algebra(),
+        origin(problem.variables, problem.field),
+        budget,
+        (presentation.poly,),
+        problem.parametrization,
+    )
+
+
+SURFACE_CONSTRAINTS = [
+    (f"z2_x3_y4_f{p}", parse_poly("z^2 - x^3 - y^4", ("x", "y", "z"), field))
+    for p, field in ((0, Q), (2, F2), (3, prime_field(3)))
+]
+BUNDLED_CONSTRAINTS = [(name, load_problem(name).poly) for name in corpus_names()]
+
+#: Sampled arc list of each bundled problem's verify run: (length, SHA-256 of
+#: the newline-joined str of each arc).  Witness names sample_<i> index it.
+SAMPLED_ARCS = {
+    "cusp_char0": (110, "6cef9913d73b964343333ade5433affb10da093e7e86e9cc787f2c2731c876c8"),
+    "cusp_char2": (105, "0cd0cc101894ad40b56f45335401dab7e6c352c2234028df7f43896a53dd679d"),
+    "cusp_char3": (107, "da3e303685b62f645969671692befbc7b42842ea8944241bbb543ed4e346176c"),
+    "e25_char0": (109, "817844e2009ed54eabf52cccd8804c32eafb7763386cdbf756983e68012e0cae"),
+    "e25_char2": (104, "355a227251c7ad989087173167a7de122583b906f5780d9198b09bc7a8d754ed"),
+    "e25_char3": (105, "9f835300f8ee08ec8f3e913f63462eb51e6b57b7610664219e8a009ab1180622"),
+    "e34_char0": (110, "18c34d43e635c228abc2e30501cd36790bbe2f786df1011995ef4d41449911a1"),
+    "e34_char2": (105, "9ace8684c8189531477e70c7d3849f1f1712778718bbdd0b884fbd56e23107a7"),
+    "e34_char3": (107, "72db3d41a8fdeabaf6820e21481fd953c2055949262f5f8a3e99c7a67b0b382f"),
+    "e35_char0": (109, "dc012706adab9a76444357c3edf88926088b6ed0df1f951ab23decd6b4692bb0"),
+    "e35_char2": (104, "afebef100ab7d7d2eabbf940d74456de74b67ed6adbf9a13d4b1fcbb512c5d36"),
+    "e35_char3": (105, "d1cb539787645bde19d3c58ab57231c08022879fc0ad125a387784e9722c1ce7"),
+}
+
+
+class TestSampleArcs:
+    @pytest.mark.parametrize(
+        "constraint",
+        [poly for _, poly in BUNDLED_CONSTRAINTS + SURFACE_CONSTRAINTS],
+        ids=[name for name, _ in BUNDLED_CONSTRAINTS + SURFACE_CONSTRAINTS],
+    )
+    def test_exponent_rule_matches_substitution_on_the_grid(self, constraint):
+        field, variables = constraint.field, constraint.variables
+        terms = list(constraint.terms.items())
+        admitted = 0
+        for assignment in _monomial_grid(field, len(variables), 8):
+            by_rule = _vanishes_on_monomial_arc(terms, field, assignment)
+            monomial = _monomial_arc(variables, field, assignment)
+            assert by_rule == arc_substitute(constraint, monomial).is_exactly_zero(), monomial
+            admitted += by_rule
+        assert admitted > 0
+
+    def test_constraint_over_other_variables_rejected(self):
+        constraint = parse_poly("y^2 - x^3", ("x", "y", "z"), Q)
+        with pytest.raises(VariableMismatch):
+            sample_arcs(G_CHAR0, (Fraction(0), Fraction(0)), SampleBudget(), (constraint,))
+
+    def test_sampled_arc_lists_are_pinned(self):
+        assert set(SAMPLED_ARCS) == set(corpus_names())
+        for name, (length, digest) in SAMPLED_ARCS.items():
+            arcs = sample_arcs(*_verify_sampler_inputs(load_problem(name)))
+            text = "\n".join(str(a) for a in arcs)
+            assert (len(arcs), hashlib.sha256(text.encode()).hexdigest()) == (length, digest), name
 
 
 GRID_ARCS = [arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]

@@ -56,6 +56,11 @@ class TestProblemFormat:
         with pytest.raises(ParseError):
             parse_problem(CUSP_PROBLEM + "mystery: 1\n")
 
+    @pytest.mark.parametrize("key, value", [("max_steps", "-3"), ("budget", "-5")])
+    def test_negative_option_rejected(self, key, value):
+        with pytest.raises(ParseError):
+            parse_problem(CUSP_PROBLEM + f"{key}: {value}\n")
+
     def test_wrong_arity_arc_rejected(self):
         with pytest.raises(ParseError):
             parse_problem(CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^2"))
@@ -135,6 +140,21 @@ class TestCli:
         path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", "y^^2"))
         assert main(["nash", path]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--max-steps", "-3"), ("--budget", "-5")])
+    def test_negative_budget_flag_exit_code(self, tmp_path, capsys, flag, value):
+        path = self.write(tmp_path, CUSP_PROBLEM)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, flag, value])
+        assert exit_info.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_deeply_nested_poly_exit_code(self, tmp_path, capsys):
+        nested = "(" * 2000 + "x" + ")" * 2000
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", nested))
+        assert main(["nash", path]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["nash", "/no/such/file.problem"]) == 2
