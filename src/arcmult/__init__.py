@@ -37,8 +37,8 @@ from .elimination import (
 from .errors import EngineError
 from .fields import INF, RATIONALS, FieldSpec, prime_field
 from .poly import MultiPoly, parse_poly
-from .rees import ReesAlgebra, diff_closure, odot, ord_at, parse_rees, sing_member
-from .series import Arc, TruncatedSeries, arc_order, arc_substitute, parse_series, reparametrize
+from .rees import ReesAlgebra, parse_rees
+from .series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 __version__ = "0.1.0"
 
@@ -59,19 +59,15 @@ __all__ = [
     "TheoremReport",
     "TruncatedSeries",
     "__version__",
-    "arc_order",
     "arc_substitute",
     "blowup_lift",
     "coefficient_algebra",
     "contact_order",
-    "diff_closure",
     "graph_arc",
     "integral_invariance_check",
     "minimizing_arc",
     "nash_sequence",
     "normalized_contact",
-    "odot",
-    "ord_at",
     "ord_d",
     "parse_poly",
     "parse_rees",
@@ -79,8 +75,6 @@ __all__ = [
     "persistence_oracle",
     "phi_sample",
     "prime_field",
-    "reparametrize",
-    "sing_member",
     "strict_transform",
     "tschirnhausen",
     "verify_main_theorem",

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     VariableMismatch,
 )
+from .fields import format_order
 from .problems import parse_problem, run
 
 EXIT_OK = 0
@@ -43,21 +44,27 @@ _INPUT_ERRORS = (
 )
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than minimum, else a usage error (exit 2)."""
+    bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return convert
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--precision", type=int, help="series precision (coefficients)")
-    parser.add_argument("--max-steps", type=_nonnegative_int, help="blow-up step budget")
+    parser.add_argument("--precision", type=_int_at_least(1), help="series precision (coefficients)")
+    parser.add_argument("--max-steps", type=_int_at_least(0), help="blow-up step budget")
     parser.add_argument("--seed", type=int, help="sampling seed")
-    parser.add_argument("--budget", type=_nonnegative_int, help="random arc budget")
+    parser.add_argument("--budget", type=_int_at_least(0), help="random arc budget")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--trace", action="store_true", help="include blow-up traces")
 
@@ -147,14 +154,15 @@ def _print_human(problem, report, analysis, trace):
     elif analysis == "contact":
         for arc_name, result in data.items():
             print(
-                f"  contact {arc_name}: r={_fmt(result.r)} nu={result.nu} "
-                f"r_bar={_fmt(result.r_bar)} rho={_fmt(result.rho)}"
+                f"  contact {arc_name}: r={format_order(result.r)} nu={result.nu} "
+                f"r_bar={format_order(result.r_bar)} rho={format_order(result.rho)}"
             )
     elif analysis == "ord_d":
         print(f"  ord_d = {data.ord_d} via {data.method}; algebra {data.algebra}")
     elif analysis == "verify":
         print(
-            f"  verify: {data.verdict} (ord_d={data.ord_d}, min r_bar={_fmt(data.min_r_bar)}, "
+            f"  verify: {data.verdict} (ord_d={data.ord_d}, "
+            f"min r_bar={format_order(data.min_r_bar)}, "
             f"arcs={data.arcs_checked}, witness={data.witness_name})"
         )
     for expectation in report.expectations:
@@ -164,10 +172,6 @@ def _print_human(problem, report, analysis, trace):
             f"-> {expectation['computed']} [{mark}]"
         )
     print(f"verdict: {report.verdict}")
-
-
-def _fmt(value):
-    return "inf" if value == float("inf") else str(value)
 
 
 def _run_corpus(args) -> int:

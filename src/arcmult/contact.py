@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhausted,
     VariableMismatch,
 )
-from .fields import INF, ensure_same_field
+from .fields import INF, ensure_same_field, format_order
 from .poly import Point
 from .rees import ReesAlgebra
 from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute
@@ -40,18 +40,14 @@ class ContactResult:
 
     def to_json(self) -> dict:
         return {
-            "r": _rational_str(self.r),
+            "r": format_order(self.r),
             "nu": self.nu,
-            "r_bar": _rational_str(self.r_bar),
+            "r_bar": format_order(self.r_bar),
             "rho": self.rho if self.rho != INF else "inf",
             "generator_orders": [
                 [i, "inf" if o == INF else o] for i, o in self.generator_orders
             ],
         }
-
-
-def _rational_str(value) -> str:
-    return "inf" if value == INF else str(Fraction(value))
 
 
 def _generator_orders(algebra: ReesAlgebra, arc: Arc):

@@ -32,7 +32,7 @@ from .errors import (
     EngineError,
     NoRationalUnit,
 )
-from .fields import INF, FieldSpec
+from .fields import INF, FieldSpec, format_order
 from .poly import MultiPoly, Point, origin
 from .rees import ReesAlgebra
 from .series import Arc, TruncatedSeries, arc_substitute
@@ -367,7 +367,7 @@ class TheoremReport:
             "ord_d": str(self.ord_d),
             "method": self.method,
             "arcs_checked": self.arcs_checked,
-            "min_r_bar": "inf" if self.min_r_bar == INF else str(self.min_r_bar),
+            "min_r_bar": format_order(self.min_r_bar),
             "checks": {
                 "no_sample_below_ord_d": self.lower_bound_holds,
                 "witness_achieves_ord_d": self.witness_name is not None,

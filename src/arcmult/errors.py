@@ -73,7 +73,3 @@ class CharDividesDegree(EngineError):
 
 class NoRationalUnit(EngineError):
     """No unit tuple over the base field avoids the initial form's zero set."""
-
-
-class NoWitness(EngineError):
-    """No sampled arc achieves the candidate minimum (inconclusive, not a refutation)."""

@@ -17,8 +17,9 @@ from .errors import EngineError, FieldMismatch
 INF = float("inf")
 
 
-def is_infinite(value) -> bool:
-    return value == INF
+def format_order(value) -> str:
+    """An order or rational as report text: "inf", or "p/q" in lowest terms."""
+    return "inf" if value == INF else str(Fraction(value))
 
 
 def _is_prime(n: int) -> bool:

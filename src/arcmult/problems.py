@@ -17,7 +17,7 @@ from .blowup import nash_sequence
 from .contact import SampleBudget, normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
-from .fields import INF, FieldSpec
+from .fields import INF, FieldSpec, format_order
 from .poly import MultiPoly, parse_poly
 from .rees import ReesAlgebra
 from .series import DEFAULT_PRECISION, Arc, parse_series
@@ -35,20 +35,22 @@ class Options:
 
 @dataclass
 class ProblemFile:
+    """A parsed problem; equality ignores the text echoes and comments."""
+
     name: str
     field: FieldSpec
     variables: tuple
-    poly_text: str
+    poly_text: str = dataclass_field(compare=False)
     poly: MultiPoly
     fiber: str | None
-    arc_texts: dict
+    arc_texts: dict = dataclass_field(compare=False)
     arcs: dict
-    parametrization_text: str | None
+    parametrization_text: str | None = dataclass_field(compare=False)
     parametrization: Arc | None
     analyses: tuple
     options: Options
     expects: dict
-    comments: tuple = dataclass_field(default=())
+    comments: tuple = dataclass_field(default=(), compare=False)
 
     def render(self) -> str:
         lines = list(self.comments)
@@ -70,33 +72,6 @@ class ProblemFile:
         for key, value in self.expects.items():
             lines.append(f"expect {key}: {value}")
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (
-            self.name,
-            self.field,
-            self.variables,
-            self.poly,
-            self.fiber,
-            self.arcs,
-            self.parametrization,
-            self.analyses,
-            self.options,
-            self.expects,
-        ) == (
-            other.name,
-            other.field,
-            other.variables,
-            other.poly,
-            other.fiber,
-            other.arcs,
-            other.parametrization,
-            other.analyses,
-            other.options,
-            other.expects,
-        )
 
 
 def _parse_arc(text: str, variables, field: FieldSpec, line_number: int) -> Arc:
@@ -166,6 +141,8 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         poly = parse_poly(poly_text, variables, field)
     except ParseError as exc:
         raise ParseError(f"in poly: {exc}", line=poly_line)
+    if poly.is_zero():
+        raise ParseError("problem polynomial is zero", line=poly_line)
     fiber = take("fiber")
     if fiber is not None and fiber not in variables:
         raise ParseError(f"fiber variable {fiber!r} not among variables", line=1)
@@ -199,7 +176,7 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         return value
 
     options = Options(
-        precision=integer_option("precision", str(DEFAULT_PRECISION)),
+        precision=integer_option("precision", str(DEFAULT_PRECISION), minimum=1),
         max_steps=integer_option("max_steps", "32", minimum=0),
         budget=integer_option("budget", "100", minimum=0),
         seed=integer_option("seed", "0"),
@@ -226,10 +203,6 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
 
 
 # -- running ---------------------------------------------------------------------------
-
-
-def _rational(value) -> str:
-    return "inf" if value == INF else str(Fraction(value))
 
 
 @dataclass
@@ -291,7 +264,10 @@ def presentation_of(problem: ProblemFile) -> MonicPresentation:
             f"problem {problem.name} has no 'fiber:' line; ord_d and verify need a monic presentation"
         )
     base = tuple(v for v in problem.variables if v != problem.fiber)
-    return MonicPresentation(base, problem.fiber, problem.poly)
+    try:
+        return MonicPresentation(base, problem.fiber, problem.poly)
+    except EngineError as exc:
+        raise ParseError(f"fiber {problem.fiber!r} of problem {problem.name}: {exc}")
 
 
 def run(problem: ProblemFile) -> Report:
@@ -369,7 +345,7 @@ def _check_expectations(problem: ProblemFile, analyses: dict) -> list:
         if kind == "ord_d":
             if "ord_d" not in analyses:
                 continue
-            record(key, str(Fraction(raw)), _rational(analyses["ord_d"].ord_d))
+            record(key, str(Fraction(raw)), format_order(analyses["ord_d"].ord_d))
         elif kind == "verify":
             if "verify" not in analyses:
                 continue
@@ -400,7 +376,7 @@ def _check_expectations(problem: ProblemFile, analyses: dict) -> list:
             if "contact" not in analyses:
                 continue
             computed = (
-                _rational(analyses["contact"][arc].r_bar)
+                format_order(analyses["contact"][arc].r_bar)
                 if arc in analyses["contact"]
                 else "missing arc"
             )

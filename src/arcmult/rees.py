@@ -207,29 +207,6 @@ def parse_rees(text: str, variables, field: FieldSpec) -> ReesAlgebra:
     return ReesAlgebra.of(variables, gens, field)
 
 
-# -- module-level operation aliases (the public verbs) --------------------------------
-
-
-def sing_member(algebra: ReesAlgebra, point: Point) -> bool:
-    return algebra.sing_member(point)
-
-
-def ord_at(algebra: ReesAlgebra, point: Point) -> Fraction:
-    return algebra.ord_at(point)
-
-
-def odot(a: ReesAlgebra, b: ReesAlgebra) -> ReesAlgebra:
-    return a.odot(b)
-
-
-def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
-    return algebra.diff_closure()
-
-
-def weighted_transform(algebra: ReesAlgebra, chart, center: Point) -> ReesAlgebra:
-    return algebra.weighted_transform(chart, center)
-
-
 def observers_agree(a: ReesAlgebra, b: ReesAlgebra, points) -> bool:
     """Same sing_member everywhere and same ord_at on the common singular locus."""
     for point in points:

@@ -153,46 +153,19 @@ class TruncatedSeries:
         if self.is_exactly_zero() or other.is_exactly_zero():
             return TruncatedSeries.zero(field)
         if self.exact and other.exact:
-            if field.characteristic == 0:
-                # Clear denominators once: integer convolution avoids per-op gcd.
-                da = math.lcm(*(c.denominator for c in self.coeffs))
-                db = math.lcm(*(c.denominator for c in other.coeffs))
-                ints_a = [c.numerator * (da // c.denominator) for c in self.coeffs]
-                ints_b = [c.numerator * (db // c.denominator) for c in other.coeffs]
-                n = len(ints_a) + len(ints_b) - 1
-                raw = [0] * n
-                for i, a in enumerate(ints_a):
-                    if a:
-                        for j, b in enumerate(ints_b):
-                            if b:
-                                raw[i + j] += a * b
-                scale = da * db
-                coeffs = [Fraction(v, scale) for v in raw]
-                return TruncatedSeries._exact_trusted(field, coeffs)
             n = len(self.coeffs) + len(other.coeffs) - 1
-            coeffs = [field.zero] * n
-            for i, a in enumerate(self.coeffs):
-                if field.is_zero(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        coeffs[i + j] = field.add(coeffs[i + j], field.mul(a, b))
-            return TruncatedSeries._exact_trusted(field, coeffs)
+            return TruncatedSeries._exact_trusted(
+                field, _convolve(field, self.coeffs, other.coeffs, n)
+            )
         # Known coefficients of the product reach min(prec_a + ord_b, prec_b + ord_a).
         prec = min(
             self.effective_precision() + other.order_lower_bound(),
             other.effective_precision() + self.order_lower_bound(),
         )
         prec = max(int(prec), 1)
-        coeffs = [field.zero] * prec
-        for i, a in enumerate(self.coeffs):
-            if field.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= prec:
-                    break
-                coeffs[i + j] = field.add(coeffs[i + j], field.mul(a, b))
-        return TruncatedSeries.truncated(field, coeffs, prec)
+        return TruncatedSeries.truncated(
+            field, _convolve(field, self.coeffs, other.coeffs, prec), prec
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -235,7 +208,7 @@ class TruncatedSeries:
             quotient = _series_quotient(field, a, b, max(len(a), 1))
             while quotient and field.is_zero(quotient[-1]):
                 quotient.pop()
-            product = _poly_mul(field, quotient, b)
+            product = _convolve(field, quotient, b, len(quotient) + len(b) - 1)
             n = max(len(product), len(a))
             if _pad(field, product, n) == _pad(field, a, n):
                 return TruncatedSeries.exact_series(field, quotient)
@@ -316,16 +289,28 @@ def _pad(field, values, n):
     return list(values) + [field.zero] * max(0, n - len(values))
 
 
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
+def _convolve(field, a, b, n):
+    """First n coefficients of (sum a_i t^i) * (sum b_j t^j).
+
+    Over Q denominators are cleared once so the loop runs on ints; over F_p
+    each output coefficient is reduced once.
+    """
+    p = field.characteristic
+    if p == 0:
+        da = math.lcm(*(c.denominator for c in a))
+        db = math.lcm(*(c.denominator for c in b))
+        a = [c.numerator * (da // c.denominator) for c in a]
+        b = [c.numerator * (db // c.denominator) for c in b]
+    raw = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                if y:
+                    raw[j] += x * y
+    if p == 0:
+        scale = da * db
+        return [Fraction(v, scale) for v in raw]
+    return [v % p for v in raw]
 
 
 def _series_quotient(field, a, b, n):
@@ -418,14 +403,6 @@ class Arc:
         )
 
 
-def arc_order(arc: Arc) -> int:
-    return arc.order()
-
-
-def reparametrize(arc: Arc, n: int) -> Arc:
-    return arc.reparametrize(n)
-
-
 class ArcPowers:
     """Cache of component powers, shareable across generator evaluations."""
 
@@ -466,7 +443,3 @@ def arc_substitute(poly: MultiPoly, arc: Arc, powers: ArcPowers | None = None) -
                 term = term * powers.power(i, e)
         total = total + term
     return total
-
-
-def series_order(series: TruncatedSeries):
-    return series.order()

@@ -13,7 +13,7 @@ from arcmult.blowup import (
 from arcmult.errors import ArcNotOnVariety, SequenceTruncated
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
-from arcmult.series import Arc, arc_order, parse_series
+from arcmult.series import Arc, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -41,7 +41,7 @@ class TestGraphArc:
 
     def test_graph_order_is_one(self):
         for texts in (("t^2", "t^3"), ("t", "0"), ("t^5", "t^9")):
-            assert arc_order(graph_arc(arc(Q, *texts))) == 1
+            assert graph_arc(arc(Q, *texts)).order() == 1
 
 
 class TestBlowupLift:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,15 @@ expect nash phi: 2,2,2,1
 expect rho phi: 3
 expect r_bar phi: 3/2
 expect verify: PASS
+"""
+
+NODE_PROBLEM = """\
+name: node
+field: 0
+variables: x y
+poly: y^2 - x^2 - x^3
+arc a: 2*t + t^2, 2*t + 3*t^2 + t^3
+analyses: nash
 """
 
 
@@ -56,14 +66,27 @@ class TestProblemFormat:
         with pytest.raises(ParseError):
             parse_problem(CUSP_PROBLEM + "mystery: 1\n")
 
-    @pytest.mark.parametrize("key, value", [("max_steps", "-3"), ("budget", "-5")])
+    @pytest.mark.parametrize(
+        "key, value", [("max_steps", "-3"), ("budget", "-5"), ("precision", "0")]
+    )
     def test_negative_option_rejected(self, key, value):
         with pytest.raises(ParseError):
             parse_problem(CUSP_PROBLEM + f"{key}: {value}\n")
 
+    def test_zero_poly_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_problem(CUSP_PROBLEM.replace("y^2 - x^3", "0"))
+        assert err.value.line == 4
+
     def test_wrong_arity_arc_rejected(self):
         with pytest.raises(ParseError):
             parse_problem(CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^2"))
+
+    def test_equality_ignores_comments_and_spacing(self):
+        problem = parse_problem(CUSP_PROBLEM)
+        respaced = "# a comment\n" + CUSP_PROBLEM.replace("y^2 - x^3", "y^2-x^3")
+        assert parse_problem(respaced) == problem
+        assert parse_problem(CUSP_PROBLEM + "seed: 9\n") != problem
 
     def test_rationals_serialized_in_lowest_terms(self):
         problem = parse_problem(CUSP_PROBLEM)
@@ -149,6 +172,37 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_precision_flag_exit_code(self, tmp_path, capsys, value):
+        path = self.write(tmp_path, NODE_PROBLEM)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["nash", path, "--precision", value])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_nonpositive_precision_option_exit_code(self, tmp_path, capsys):
+        path = self.write(tmp_path, NODE_PROBLEM + "precision: 0\n")
+        assert main(["nash", path]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_zero_poly_exit_code(self, tmp_path, capsys):
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", "0"))
+        assert main(["ord-d", path]) == 2
+        assert "polynomial is zero" in capsys.readouterr().err
+
+    def test_fiber_of_degree_one_exit_code(self, tmp_path, capsys):
+        text = CUSP_PROBLEM.replace("y^2 - x^3", "y - x^2").replace("arc phi: t^2, t^3", "")
+        path = self.write(tmp_path, text)
+        assert main(["ord-d", path]) == 2
+        assert "fiber degree >= 2" in capsys.readouterr().err
+
+    def test_non_monic_fiber_exit_code(self, tmp_path, capsys):
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", "2*y^2 - x^3"))
+        assert main(["verify", path]) == 2
+        assert "not monic" in capsys.readouterr().err
+        # analyses that need no monic presentation still accept the file
+        assert main(["contact", path]) == 0
+
     def test_deeply_nested_poly_exit_code(self, tmp_path, capsys):
         nested = "(" * 2000 + "x" + ")" * 2000
         path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", nested))
@@ -197,6 +251,22 @@ analyses: verify
         assert main(["corpus", "cusp_char0"]) == 0
         out = capsys.readouterr().out
         assert "cusp_char0" in out and "1/1 problems PASS" in out
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--json"], "c63b3baee2ea59d36f7325db37da7af7f1ebb89c9b6ab135c3b92e3adb54f53a"),
+            (
+                ["--json", "--trace"],
+                "c583280e2d46ffcea72620c2c85654071ae3e8d8448a9b081f10ec2dba3c8704",
+            ),
+        ],
+    )
+    def test_corpus_json_is_byte_identical(self, capsys, flags, digest):
+        # Pins the whole bundled-corpus report; any change to it must be deliberate.
+        assert main(["corpus", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_corpus_no_match_warns(self, capsys):
         assert main(["corpus", "nomatch"]) == 0

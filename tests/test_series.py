@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from arcmult.errors import (
@@ -10,14 +13,13 @@ from arcmult.poly import parse_poly
 from arcmult.series import (
     Arc,
     TruncatedSeries,
-    arc_order,
     arc_substitute,
     parse_series,
-    reparametrize,
 )
 
 Q = RATIONALS
 F2 = prime_field(2)
+F3 = prime_field(3)
 
 
 def S(text, field=Q):
@@ -68,6 +70,63 @@ class TestArithmetic:
         assert (a * b).order() == a.order() + b.order()
 
 
+def random_coeffs(rng, field, length):
+    """Random coefficients with a run of zeros at one or both ends."""
+    if field.characteristic == 0:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length)]
+    else:
+        values = [rng.randrange(field.characteristic) for _ in range(length)]
+    head = rng.choice((0, 0, rng.randint(1, length)))
+    tail = rng.choice((0, 0, rng.randint(0, length - head)))
+    return [field.zero] * head + values[head : length - tail] + [field.zero] * tail
+
+
+def random_series(rng, field, exact):
+    coeffs = random_coeffs(rng, field, rng.randint(1, 40))
+    if exact:
+        return TruncatedSeries.exact_series(field, coeffs)
+    return TruncatedSeries.truncated(field, coeffs, len(coeffs))
+
+
+def reference_product(a, b):
+    """Schoolbook convolution through the field operations, with the precision rule."""
+    field = a.field
+    full = [field.zero] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            full[i + j] = field.add(full[i + j], field.mul(x, y))
+    if a.is_exactly_zero() or b.is_exactly_zero() or (a.exact and b.exact):
+        return TruncatedSeries.exact_series(field, full)
+    prec = max(
+        int(
+            min(
+                a.effective_precision() + b.order_lower_bound(),
+                b.effective_precision() + a.order_lower_bound(),
+            )
+        ),
+        1,
+    )
+    return TruncatedSeries.truncated(field, full[:prec], prec)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize(
+    "exact_a, exact_b",
+    [(True, True), (True, False), (False, True), (False, False)],
+    ids=["exact*exact", "exact*truncated", "truncated*exact", "truncated*truncated"],
+)
+def test_product_matches_reference_convolution(field, exact_a, exact_b):
+    rng = random.Random(f"{field.characteristic}-{exact_a}-{exact_b}")
+    for _ in range(60):
+        a = random_series(rng, field, exact_a)
+        b = random_series(rng, field, exact_b)
+        product = a * b
+        expected = reference_product(a, b)
+        assert product.coeffs == expected.coeffs
+        assert product.precision == expected.precision
+        assert product.exact == expected.exact
+
+
 class TestDivide:
     def test_exact_monomials(self):
         q = S("t^3").divide(S("t^2"))
@@ -98,25 +157,42 @@ class TestDivide:
     def test_zero_dividend(self):
         assert S("0").divide(S("t")).is_exactly_zero()
 
+    @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+    def test_exact_quotient_iff_zero_remainder(self, field):
+        rng = random.Random(field.characteristic)
+        for _ in range(30):
+            quotient = TruncatedSeries.exact_series(field, random_coeffs(rng, field, 8))
+            shift = rng.randint(0, 3)
+            unit = [field.one] + random_coeffs(rng, field, 5) + [field.one]
+            divisor = TruncatedSeries.exact_series(field, [field.zero] * shift + unit)
+            if quotient.is_exactly_zero():
+                continue
+            exact = (quotient * divisor).divide(divisor)
+            assert exact.exact and exact == quotient
+            # a nonconstant divisor does not divide q * divisor + t^shift
+            remainder = TruncatedSeries.t_power(field, shift)
+            blurred = (quotient * divisor + remainder).divide(divisor, fallback_precision=12)
+            assert not blurred.exact and blurred.precision == 12
+
 
 class TestReparametrize:
     def test_identity(self):
         phi = arc(Q, "t^2", "t^3")
-        assert reparametrize(phi, 1) == phi
+        assert phi.reparametrize(1) == phi
 
     def test_exponent_scaling(self):
-        assert reparametrize(arc(Q, "t^2", "t^3"), 3) == arc(Q, "t^6", "t^9")
+        assert arc(Q, "t^2", "t^3").reparametrize(3) == arc(Q, "t^6", "t^9")
 
     def test_order_scales(self):
         phi = arc(Q, "t^2", "t^3")
-        assert arc_order(reparametrize(phi, 5)) == 5 * arc_order(phi)
+        assert phi.reparametrize(5).order() == 5 * phi.order()
 
 
 class TestArc:
     def test_order_examples(self):
-        assert arc_order(arc(Q, "t^2", "t^3")) == 2
-        assert arc_order(arc(Q, "t", "0")) == 1
-        assert arc_order(arc(Q, "3*t^5 + t^7", "t^6")) == 5
+        assert arc(Q, "t^2", "t^3").order() == 2
+        assert arc(Q, "t", "0").order() == 1
+        assert arc(Q, "3*t^5 + t^7", "t^6").order() == 5
 
     def test_requires_zero_constant_term(self):
         with pytest.raises(InvalidArc):
@@ -151,7 +227,7 @@ class TestArc:
         phi = arc(Q, "t^2", "t^3")
         projected = phi.project(("x",))
         assert projected.variables == ("x",)
-        assert arc_order(projected) == 2
+        assert projected.order() == 2
 
 
 def test_series_str_and_parse_round_trip():
