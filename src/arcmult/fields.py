@@ -16,6 +16,9 @@ from .errors import EngineError, FieldMismatch
 #: Shared infinity marker for orders (compares correctly against Fraction/int).
 INF = float("inf")
 
+#: Characteristics from here on are refused: the primality check is trial division.
+MAX_CHARACTERISTIC = 1 << 40
+
 
 def format_order(value) -> str:
     """An order or rational as report text: "inf", or "p/q" in lowest terms."""
@@ -45,6 +48,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= MAX_CHARACTERISTIC:
+            raise EngineError(f"characteristic must be below 2^40, got {p}")
         if p != 0 and not _is_prime(p):
             raise EngineError(f"characteristic must be 0 or prime, got {p}")
 

@@ -402,6 +402,24 @@ def _tokenize(text: str):
     return tokens
 
 
+#: Caps on one power `base^e` in input text, checked before it is computed: its
+#: total degree, and over Q a bound on the bit size of its coefficients.
+MAX_POWER_DEGREE = 1000
+MAX_POWER_BITS = 1 << 16
+
+
+def _check_power(base: MultiPoly, exponent: int, column: int):
+    if base.total_degree() * exponent > MAX_POWER_DEGREE:
+        raise ParseError(f"power of total degree above {MAX_POWER_DEGREE}", column=column)
+    if base.field.characteristic == 0:
+        # Parsed coefficients are integers, and |coefficients of base^e| <= (sum |c|)^e.
+        height = int(sum(abs(c) for c in base.terms.values())).bit_length()
+        if exponent * height > MAX_POWER_BITS:
+            raise ParseError(
+                f"power whose coefficients may exceed {MAX_POWER_BITS} bits", column=column
+            )
+
+
 class _PolyParser:
     """Recursive-descent parser for `y^2 - x^3` style expressions."""
 
@@ -471,6 +489,7 @@ class _PolyParser:
             kind, exponent, col = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", column=col)
+            _check_power(base, exponent, col)
             return base**exponent
         return base
 

@@ -286,8 +286,10 @@ def run(problem: ProblemFile) -> Report:
             name: normalized_contact(algebra, arc)
             for name, arc in problem.arcs.items()
         }
+    if "ord_d" in problem.analyses or "verify" in problem.analyses:
+        presentation = presentation_of(problem)
     if "ord_d" in problem.analyses:
-        analyses["ord_d"] = ord_d(presentation_of(problem))
+        analyses["ord_d"] = ord_d(presentation)
     if "verify" in problem.analyses:
         budget = SampleBudget(
             exponent_bound=8,
@@ -296,7 +298,7 @@ def run(problem: ProblemFile) -> Report:
             seed=problem.options.seed,
         )
         analyses["verify"] = verify_main_theorem(
-            presentation_of(problem),
+            presentation,
             problem.arcs,
             budget,
             parametrization=problem.parametrization,

@@ -1,8 +1,9 @@
 """Truncated univariate power series in t, and arcs.
 
-A TruncatedSeries stores coefficients 0..precision-1 plus an `exact` flag:
-exact means every omitted coefficient is genuinely zero (the series is a
-polynomial, fully stored).  The distinction is load-bearing: order INF
+A TruncatedSeries stores its known coefficients, without trailing zeros, and
+`precision`, the first power of t whose coefficient is unknown.  Precision INF
+marks a polynomial: every coefficient past the stored ones is genuinely zero,
+and the series is `exact`.  The distinction is load-bearing: order INF
 requires exactness, while an all-zero truncated series has *indeterminate*
 order and raises PrecisionExhausted instead of silently passing for zero.
 
@@ -34,8 +35,7 @@ DEFAULT_PRECISION = 64
 class TruncatedSeries:
     field: FieldSpec
     coeffs: tuple
-    precision: int
-    exact: bool
+    precision: int | float
 
     def __post_init__(self):
         if self.precision < 1:
@@ -44,28 +44,24 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def exact_series(cls, field: FieldSpec, coeffs) -> "TruncatedSeries":
-        values = [field.coerce(c) for c in coeffs]
-        while values and field.is_zero(values[-1]):
-            values.pop()
-        return cls(field, tuple(values), max(len(values), 1), True)
+    def _of(cls, field: FieldSpec, values: list, precision=INF) -> "TruncatedSeries":
+        # Internal: values are field elements; cut at a finite precision, trim zeros.
+        n = min(len(values), precision)
+        while n and values[n - 1] == 0:
+            n -= 1
+        return cls(field, tuple(values[:n]), precision)
 
     @classmethod
-    def _exact_trusted(cls, field: FieldSpec, values: list) -> "TruncatedSeries":
-        # Internal: values are already field elements.
-        while values and values[-1] == 0:
-            values.pop()
-        return cls(field, tuple(values), max(len(values), 1), True)
+    def exact_series(cls, field: FieldSpec, coeffs) -> "TruncatedSeries":
+        return cls._of(field, [field.coerce(c) for c in coeffs])
 
     @classmethod
     def truncated(cls, field: FieldSpec, coeffs, precision: int) -> "TruncatedSeries":
-        values = [field.coerce(c) for c in coeffs][:precision]
-        values += [field.zero] * (precision - len(values))
-        return cls(field, tuple(values), precision, False)
+        return cls._of(field, [field.coerce(c) for c in coeffs], precision)
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "TruncatedSeries":
-        return cls.exact_series(field, ())
+        return cls(field, (), INF)
 
     @classmethod
     def t_power(cls, field: FieldSpec, k: int, coeff=1) -> "TruncatedSeries":
@@ -73,15 +69,16 @@ class TruncatedSeries:
 
     # -- queries -----------------------------------------------------------------
 
+    @property
+    def exact(self) -> bool:
+        return self.precision == INF
+
     def coefficient(self, i: int):
         if i < len(self.coeffs):
             return self.coeffs[i]
-        if self.exact:
+        if i < self.precision:
             return self.field.zero
         raise PrecisionExhausted(f"coefficient {i} beyond precision {self.precision}")
-
-    def effective_precision(self):
-        return INF if self.exact else self.precision
 
     def is_exactly_zero(self) -> bool:
         return self.exact and not self.coeffs
@@ -108,31 +105,20 @@ class TruncatedSeries:
 
     # -- arithmetic -----------------------------------------------------------------
 
-    def _check(self, other: "TruncatedSeries"):
-        ensure_same_field(self.field, other.field)
-
     def __add__(self, other):
-        self._check(other)
+        ensure_same_field(self.field, other.field)
         field = self.field
-        if self.exact and other.exact:
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            coeffs = list(a)
-            for i, c in enumerate(b):
-                coeffs[i] = field.add(coeffs[i], c)
-            return TruncatedSeries._exact_trusted(field, coeffs)
-        prec = min(self.effective_precision(), other.effective_precision())
-        prec = int(prec)
-        coeffs = [
-            field.add(self.coefficient(i), other.coefficient(i)) for i in range(prec)
-        ]
-        return TruncatedSeries.truncated(field, coeffs, prec)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        coeffs = list(a)
+        for i, c in enumerate(b):
+            coeffs[i] = field.add(coeffs[i], c)
+        return TruncatedSeries._of(field, coeffs, min(self.precision, other.precision))
 
     def __neg__(self):
         field = self.field
-        coeffs = tuple(field.neg(c) for c in self.coeffs)
-        return TruncatedSeries(field, coeffs, self.precision, self.exact)
+        return TruncatedSeries(field, tuple(field.neg(c) for c in self.coeffs), self.precision)
 
     def __sub__(self, other):
         return self + (-other)
@@ -141,36 +127,29 @@ class TruncatedSeries:
         field = self.field
         value = field.coerce(value)
         if field.is_zero(value):
-            if self.exact:
-                return TruncatedSeries.zero(field)
-            return TruncatedSeries.truncated(field, (), self.precision)
+            return TruncatedSeries(field, (), self.precision)
         coeffs = tuple(field.mul(c, value) for c in self.coeffs)
-        return TruncatedSeries(field, coeffs, self.precision, self.exact)
+        return TruncatedSeries(field, coeffs, self.precision)
 
     def __mul__(self, other):
-        self._check(other)
-        field = self.field
-        if self.is_exactly_zero() or other.is_exactly_zero():
-            return TruncatedSeries.zero(field)
+        ensure_same_field(self.field, other.field)
+        a, b = self.coeffs, other.coeffs
+        # Known coefficients of the product reach min(prec_a + ord_b, prec_b + ord_a);
+        # for two polynomials that is INF, and the order scan is skipped.
         if self.exact and other.exact:
-            n = len(self.coeffs) + len(other.coeffs) - 1
-            return TruncatedSeries._exact_trusted(
-                field, _convolve(field, self.coeffs, other.coeffs, n)
+            prec = INF
+        else:
+            prec = min(
+                self.precision + other.order_lower_bound(),
+                other.precision + self.order_lower_bound(),
             )
-        # Known coefficients of the product reach min(prec_a + ord_b, prec_b + ord_a).
-        prec = min(
-            self.effective_precision() + other.order_lower_bound(),
-            other.effective_precision() + self.order_lower_bound(),
-        )
-        prec = max(int(prec), 1)
-        return TruncatedSeries.truncated(
-            field, _convolve(field, self.coeffs, other.coeffs, prec), prec
-        )
+        n = min(prec, len(a) + len(b) - 1)
+        return TruncatedSeries._of(self.field, _convolve(self.field, a, b, n), prec)
 
     def __pow__(self, n: int):
         if n < 0:
             raise EngineError("negative series power")
-        result = TruncatedSeries.exact_series(self.field, (self.field.one,))
+        result = TruncatedSeries.t_power(self.field, 0)
         base = self
         while n:
             if n & 1:
@@ -182,7 +161,7 @@ class TruncatedSeries:
 
     def divide(self, other: "TruncatedSeries", fallback_precision: int = DEFAULT_PRECISION):
         """Series division; requires order(divisor) <= order(dividend)."""
-        self._check(other)
+        ensure_same_field(self.field, other.field)
         field = self.field
         if other.is_exactly_zero():
             raise DivisionOrderError("division by the zero series")
@@ -195,65 +174,46 @@ class TruncatedSeries:
             prec = self.precision - divisor_order
             if prec < 1:
                 raise PrecisionExhausted("no precision left after division")
-            return TruncatedSeries.truncated(field, (), prec)
+            return TruncatedSeries(field, (), prec)
         if dividend_order < divisor_order:
             raise DivisionOrderError(
                 f"divisor order {divisor_order} exceeds dividend order {dividend_order}"
             )
-        prec = min(self.effective_precision(), other.effective_precision())
+        a = list(self.coeffs[divisor_order:])
+        b = list(other.coeffs[divisor_order:])
+        prec = min(self.precision, other.precision) - divisor_order
         if prec == INF:
             # Exact inputs: polynomial division, exact result only on zero remainder.
-            a = list(self.coeffs[divisor_order:])
-            b = list(other.coeffs[divisor_order:])
-            quotient = _series_quotient(field, a, b, max(len(a), 1))
-            while quotient and field.is_zero(quotient[-1]):
-                quotient.pop()
-            product = _convolve(field, quotient, b, len(quotient) + len(b) - 1)
-            n = max(len(product), len(a))
-            if _pad(field, product, n) == _pad(field, a, n):
-                return TruncatedSeries.exact_series(field, quotient)
-            out = int(fallback_precision)
-            return TruncatedSeries.truncated(
-                field, _series_quotient(field, a, b, out), out
-            )
-        out = int(prec) - divisor_order
-        if out < 1:
+            quotient = TruncatedSeries._of(field, _series_quotient(field, a, b, len(a)))
+            q = quotient.coeffs
+            if _convolve(field, q, b, len(q) + len(b) - 1) == a:
+                return quotient
+            prec = fallback_precision
+        elif prec < 1:
             raise PrecisionExhausted("no precision left after division")
-        a = [self.coefficient(i + divisor_order) for i in range(out)]
-        b = [other.coefficient(i + divisor_order) for i in range(out)]
-        return TruncatedSeries.truncated(field, _series_quotient(field, a, b, out), out)
+        return TruncatedSeries._of(field, _series_quotient(field, a, b, prec), prec)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term."""
-        self._check(inner)
+        ensure_same_field(self.field, inner.field)
         field = self.field
         if not field.is_zero(inner.coefficient(0)):
             raise EngineError("composition requires inner series with zero constant term")
-        if self.exact and inner.exact:
-            result = TruncatedSeries.zero(field)
-            for c in reversed(self.coeffs):
-                result = result * inner + TruncatedSeries.exact_series(field, (c,))
-            return result
-        prec = int(min(self.effective_precision(), inner.effective_precision()))
-        result = TruncatedSeries.truncated(field, (), prec)
+        prec = min(self.precision, inner.precision)
+        result = TruncatedSeries(field, (), prec)
         for c in reversed(self.coeffs):
-            result = result * inner + TruncatedSeries.truncated(field, (c,), prec)
-        coeffs = [result.coefficient(i) for i in range(min(prec, len(result.coeffs)))]
-        return TruncatedSeries.truncated(field, coeffs, prec)
+            result = result * inner + TruncatedSeries._of(field, [c], prec)
+        return result
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
         if n < 1:
             raise EngineError("reparametrization requires n >= 1")
-        if n == 1:
-            return self
         field = self.field
         coeffs = [field.zero] * (len(self.coeffs) * n)
         for i, c in enumerate(self.coeffs):
             coeffs[i * n] = c
-        if self.exact:
-            return TruncatedSeries.exact_series(field, coeffs)
-        return TruncatedSeries.truncated(field, coeffs, self.precision * n)
+        return TruncatedSeries._of(field, coeffs, self.precision * n)
 
     # -- display -----------------------------------------------------------------------
 

@@ -210,6 +210,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nested too deeply" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, old, new, message",
+        [
+            ("nash", "y^2 - x^3", "y^2 - x^99999999", "total degree above 1000"),
+            ("contact", "y^2 - x^3", "y^2 - x^99999999", "total degree above 1000"),
+            ("verify", "y^2 - x^3", "y^2 - x^99999999", "total degree above 1000"),
+            ("contact", "phi: t^2, t^3", "phi: t^99999999, t^3", "total degree above 1000"),
+            ("nash", "y^2 - x^3", "y^2 - ((3^999)^999)^999*x^3", "exceed 65536 bits"),
+            ("nash", "field: 0", "field: 1000000000000000003", "below 2^40"),
+        ],
+    )
+    def test_unbounded_input_exit_code(self, tmp_path, capsys, command, old, new, message):
+        # Each input used to run without bound; it is now refused before any work.
+        path = self.write(tmp_path, CUSP_PROBLEM.replace(old, new))
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["nash", "/no/such/file.problem"]) == 2
 

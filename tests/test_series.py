@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from arcmult.errors import (
     DivisionOrderError,
+    EngineError,
     InvalidArc,
     PrecisionExhausted,
 )
@@ -100,8 +102,8 @@ def reference_product(a, b):
     prec = max(
         int(
             min(
-                a.effective_precision() + b.order_lower_bound(),
-                b.effective_precision() + a.order_lower_bound(),
+                a.precision + b.order_lower_bound(),
+                b.precision + a.order_lower_bound(),
             )
         ),
         1,
@@ -234,3 +236,66 @@ def test_series_str_and_parse_round_trip():
     for text in ("t^2", "t^3 + 2*t^5", "0", "t - t^4"):
         s = S(text)
         assert parse_series(str(s), Q) == s
+
+
+def golden_operands(field):
+    """Exact and truncated series with leading zeros, trailing zeros and all-zero cases."""
+    rng = random.Random(f"golden-{field.characteristic}")
+    exact = TruncatedSeries.exact_series
+    truncated = TruncatedSeries.truncated
+    return [
+        TruncatedSeries.zero(field),
+        TruncatedSeries.t_power(field, 2, 2),
+        exact(field, [1, 1]),
+        exact(field, random_coeffs(rng, field, 5)),
+        exact(field, [0, 0] + random_coeffs(rng, field, 4)),
+        truncated(field, (), 6),
+        truncated(field, [0, 1], 3),
+        truncated(field, [0, 0, 1, 0], 7),
+        truncated(field, [1] + random_coeffs(rng, field, 4), 5),
+    ]
+
+
+def golden_record():
+    """Per operation: str, exact, known_order, order_lower_bound, or the error class."""
+    lines = []
+
+    def record(label, thunk):
+        try:
+            s = thunk()
+            lines.append(f"{label} {s} {s.exact} {s.known_order()!r} {s.order_lower_bound()!r}")
+        except EngineError as error:
+            lines.append(f"{label} {type(error).__name__}")
+
+    for field in (Q, F2, F3):
+        operands = golden_operands(field)
+        for i, a in enumerate(operands):
+            tag = f"{field.characteristic}:{i}"
+            record(f"{tag} id", lambda: a)
+            record(f"{tag} neg", lambda: -a)
+            for value in (0, 1, 2, -1):
+                record(f"{tag} scale {value}", lambda: a.scale(value))
+            for n in range(4):
+                record(f"{tag} pow {n}", lambda: a**n)
+            for n in (1, 2, 3):
+                record(f"{tag} reparametrize {n}", lambda: a.reparametrize(n))
+            for j, b in enumerate(operands):
+                pair = f"{tag},{j}"
+                record(f"{pair} add", lambda: a + b)
+                record(f"{pair} sub", lambda: a - b)
+                record(f"{pair} mul", lambda: a * b)
+                record(f"{pair} compose", lambda: a.compose(b))
+                record(f"{pair} divide", lambda: a.divide(b, fallback_precision=12))
+                record(f"{pair} divide-product", lambda: (a * b).divide(b, fallback_precision=12))
+    return "\n".join(lines)
+
+
+def test_series_operations_golden_digest():
+    # Pins every operation on exact, truncated and all-zero operands.  The
+    # precision of an exact series is left out; order_lower_bound shows the
+    # precision of an all-zero truncated one, which prints as "0".
+    text = golden_record()
+    assert len(text.splitlines()) == 3 * 9 * (2 + 4 + 4 + 3 + 9 * 6)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fd617a8d864b34b6ad5c5d84a732ad1db34186e138c50fdfc45316d402b0b961"
+    )
