@@ -37,7 +37,7 @@ from .elimination import (
 from .errors import EngineError
 from .fields import INF, RATIONALS, FieldSpec, prime_field
 from .poly import MultiPoly, parse_poly
-from .rees import ReesAlgebra, parse_rees
+from .rees import ReesAlgebra, parse_rees, presenting_algebra
 from .series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 __version__ = "0.1.0"
@@ -74,6 +74,7 @@ __all__ = [
     "parse_series",
     "persistence_oracle",
     "phi_sample",
+    "presenting_algebra",
     "prime_field",
     "strict_transform",
     "tschirnhausen",

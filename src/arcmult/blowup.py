@@ -6,7 +6,8 @@ driven by exact polynomial and series arithmetic.  The machinery: append a
 graph coordinate mapped to t, then repeatedly blow up the arc's center,
 lift the arc by dividing components, and take the strict transform of the
 defining polynomial, until the multiplicity first drops below its initial
-value.
+value.  Both transforms of a point blow-up, the strict one here and the
+weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     EngineError,
     PrecisionExhausted,
     SequenceTruncated,
+    VariableMismatch,
 )
 from .fields import INF
 from .poly import MultiPoly, Point
@@ -30,10 +32,12 @@ DEFAULT_MAX_STEPS = 32
 class ChartMap:
     """The j-th affine chart of the blow-up of the origin.
 
-    Substitution: x_j -> x_j and x_i -> x_i * x_j for i != j; x_j is the
-    exceptional coordinate.  `translation` records where the lifted arc
-    landed (the next center, in chart coordinates); blow-ups themselves
-    always happen at the origin of the current chart.
+    The chart sends x_i -> x_i * x_j for i != j and fixes the exceptional
+    coordinate x_j, so it pulls a monomial x^e back to x^e with e_j
+    replaced by |e|.  That exponent map is injective, so no two terms
+    merge.  `translation` records where the lifted arc landed (the next
+    center, in chart coordinates); blow-ups themselves always happen at the
+    origin of the current chart.
     """
 
     variables: tuple
@@ -44,14 +48,15 @@ class ChartMap:
     def exceptional(self) -> str:
         return self.variables[self.index]
 
-    def substitution(self, field) -> dict:
-        exceptional = MultiPoly.variable(self.exceptional, self.variables, field)
-        values = {}
-        for i, name in enumerate(self.variables):
-            if i == self.index:
-                continue
-            values[name] = MultiPoly.variable(name, self.variables, field) * exceptional
-        return values
+    def transform(self, poly: MultiPoly, k: int) -> MultiPoly:
+        """Pull back, divide by x_j^k, recenter; EngineError if a term has degree < k."""
+        if poly.variables != self.variables:
+            raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
+        if poly.order_at_origin() < k:
+            raise EngineError(f"pull-back of {poly} is not divisible by {self.exceptional}^{k}")
+        j = self.index
+        terms = {e[:j] + (sum(e) - k,) + e[j + 1 :]: c for e, c in poly.terms.items()}
+        return MultiPoly(self.variables, terms, poly.field).translate(self.translation)
 
 
 @dataclass(frozen=True)
@@ -159,20 +164,15 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
 def strict_transform(poly: MultiPoly, chart: ChartMap) -> MultiPoly:
     """Strict transform of a hypersurface under a point blow-up chart.
 
-    Pull back through the chart substitution, divide by the exceptional
-    coordinate to the exact power of the multiplicity at the blown-up
-    center, then recenter at the chart's recorded translation.
+    The chart transform divides by the exceptional coordinate to the exact
+    power of the multiplicity at the blown-up center.
     """
     if poly.is_zero():
         raise EngineError("strict transform of the zero polynomial")
-    multiplicity = poly.order_at_origin()
-    pulled = poly.substitute(chart.substitution(poly.field))
-    transformed = pulled.divide_by_power(chart.exceptional, int(multiplicity))
-    if transformed.degree_in(chart.exceptional) >= 0 and all(
-        exps[chart.index] for exps in transformed.terms
-    ):
+    transformed = chart.transform(poly, poly.order_at_origin())
+    if all(exps[chart.index] for exps in transformed.terms):
         raise EngineError("strict transform still divisible by the exceptional coordinate")
-    return transformed.translate(chart.translation)
+    return transformed
 
 
 def nash_sequence(
@@ -197,9 +197,6 @@ def nash_sequence(
     if not image.is_exactly_zero():
         raise ArcNotOnVariety(f"substitution along the arc is {image}, not 0")
     m0 = poly.order_at_origin()
-    if m0 is INF:
-        raise EngineError("hypersurface polynomial must be nonzero")
-    m0 = int(m0)
     if m0 < 2:
         return NashReport((m0,), 0, (), False, below_threshold=True)
     extra = fresh_variable(arc.variables)
@@ -211,10 +208,7 @@ def nash_sequence(
     for _ in range(max_steps):
         chart, current_arc = blowup_lift(current_arc, precision)
         current_poly = strict_transform(current_poly, chart)
-        m = current_poly.order_at_origin()
-        if m is INF:
-            raise EngineError("strict transform vanished; input was not reduced")
-        m = int(m)
+        m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
         if m > sequence[-1]:
             raise EngineError("Nash multiplicity increased; this is a bug")
         sequence.append(m)

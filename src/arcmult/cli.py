@@ -25,7 +25,7 @@ from .errors import (
     VariableMismatch,
 )
 from .fields import format_order
-from .problems import parse_problem, run
+from .problems import MAX_OPTION, parse_problem, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -45,7 +45,7 @@ _INPUT_ERRORS = (
 
 
 def _int_at_least(minimum: int):
-    """argparse type: an int no smaller than minimum, else a usage error (exit 2)."""
+    """argparse type: an int from minimum to MAX_OPTION, else a usage error (exit 2)."""
     bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
 
     def convert(text: str) -> int:
@@ -55,6 +55,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        if value > MAX_OPTION:
+            raise argparse.ArgumentTypeError(f"must be at most {MAX_OPTION}, got {value}")
         return value
 
     return convert

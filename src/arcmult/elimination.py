@@ -31,10 +31,11 @@ from .errors import (
     CharDividesDegree,
     EngineError,
     NoRationalUnit,
+    NotInSingularLocus,
 )
 from .fields import INF, FieldSpec, format_order
-from .poly import MultiPoly, Point, origin
-from .rees import ReesAlgebra
+from .poly import MultiPoly, origin
+from .rees import ReesAlgebra, presenting_algebra
 from .series import Arc, TruncatedSeries, arc_substitute
 
 
@@ -43,8 +44,7 @@ class MonicPresentation:
     """A hypersurface f, monic of degree >= 2 in one fiber variable.
 
     `realizes_multiplicity` says whether the fiber degree equals the order
-    of f at the origin; the theorem verifier requires it, while degenerate
-    inputs (a coefficient of low order) flow to trivial algebras instead.
+    of f at the origin; ord_d, and so the theorem verifier, require it.
     """
 
     base_variables: tuple
@@ -81,10 +81,8 @@ class MonicPresentation:
         return self.poly.order_at_origin() == self.degree
 
     def presenting_algebra(self) -> ReesAlgebra:
-        """Diff-closed algebra R[f W^m] presenting the maximal multiplicity locus."""
-        return ReesAlgebra.of(
-            self.poly.variables, [(self.poly, self.degree)], self.field
-        ).diff_closure()
+        """`rees.presenting_algebra` of the polynomial; bench/kernels.py calls it."""
+        return presenting_algebra(self.poly)
 
 
 @dataclass(frozen=True)
@@ -278,11 +276,16 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     return result.diff_closure()
 
 
-def ord_d(presentation: MonicPresentation, center: Point | None = None) -> EliminationResult:
-    """Hironaka's order function in base dimension at the projected center."""
+def ord_d(presentation: MonicPresentation) -> EliminationResult:
+    """Hironaka's order function in base dimension at the projected origin.
+
+    NotInSingularLocus unless the fiber degree is the multiplicity of f.
+    """
+    if not presentation.realizes_multiplicity:
+        raise NotInSingularLocus(
+            "presentation does not realize the maximal multiplicity at the origin"
+        )
     field = presentation.field
-    if center is None:
-        center = origin(presentation.base_variables, field)
     m = presentation.degree
     if field.characteristic == 0 or m % field.characteristic != 0:
         reduced = tschirnhausen(presentation)
@@ -290,14 +293,14 @@ def ord_d(presentation: MonicPresentation, center: Point | None = None) -> Elimi
         method = "Tschirnhausen"
     else:
         algebra = visible_elimination(
-            presentation.presenting_algebra(), {presentation.fiber_variable}
+            presenting_algebra(presentation.poly), {presentation.fiber_variable}
         )
         method = "VisibleIntersection"
-    value = algebra.ord_at(center)  # NotInSingularLocus if the center escapes
+    value = algebra.ord_at(origin(presentation.base_variables, field))
     return EliminationResult(algebra, value, method)
 
 
-def minimizing_arc(result: EliminationResult, center: Point | None = None) -> Arc:
+def minimizing_arc(result: EliminationResult) -> Arc:
     """Arc on the base achieving r_bar = ord_d, built from an achieving generator.
 
     Picks a generator g W^l with ord(g)/l = ord_d, sets alpha = l (clearing
@@ -306,19 +309,17 @@ def minimizing_arc(result: EliminationResult, center: Point | None = None) -> Ar
     """
     algebra = result.algebra
     field = algebra.field
-    if center is None:
-        center = origin(algebra.variables, field)
     if result.ord_d == INF:
         raise EngineError("minimizing arc requires finite ord_d")
     achievers = [
         (weight, poly)
         for poly, weight in algebra.generators
-        if Fraction(poly.order_at(center)) / weight == result.ord_d
+        if Fraction(poly.order_at_origin()) / weight == result.ord_d
     ]
     if not achievers:
         raise EngineError("no generator achieves ord_d; inconsistent result")
     weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
-    initial = poly.translate(center).initial_form()
+    initial = poly.initial_form()
     units = field.units(6)
     width = len(algebra.variables)
     tuples = [()]
@@ -337,7 +338,7 @@ def minimizing_arc(result: EliminationResult, center: Point | None = None) -> Ar
         TruncatedSeries.t_power(field, weight, u) for u in chosen
     )
     arc = Arc(algebra.variables, components, field)
-    achieved = normalized_contact(algebra.translate(center), arc)
+    achieved = normalized_contact(algebra, arc)
     if achieved.r_bar != result.ord_d:
         raise EngineError(
             f"minimizing arc achieves {achieved.r_bar}, expected {result.ord_d}"
@@ -395,13 +396,8 @@ def verify_main_theorem(
     """
     field = presentation.field
     poly = presentation.poly
-    if not presentation.realizes_multiplicity:
-        raise EngineError(
-            "presentation does not realize the maximal multiplicity at the origin"
-        )
-    ambient = poly.variables
-    algebra = presentation.presenting_algebra()
-    elimination = ord_d(presentation)
+    elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
+    algebra = presenting_algebra(poly)
 
     named = []
     for name, arc in candidates.items():
@@ -411,7 +407,7 @@ def verify_main_theorem(
         named.append((name, arc))
     sampled = sample_arcs(
         algebra,
-        origin(ambient, field),
+        origin(poly.variables, field),
         budget,
         constraints=(poly,),
         parametrization=parametrization,

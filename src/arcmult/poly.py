@@ -320,20 +320,6 @@ class MultiPoly:
             buckets.setdefault(k, {})[rest] = coeff
         return {k: self._new(t) for k, t in buckets.items()}
 
-    def divide_by_power(self, name: str, k: int) -> "MultiPoly":
-        """Exact division by x^k; raises if any term has a smaller exponent."""
-        if k == 0:
-            return self
-        i = self._index(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] < k:
-                raise EngineError(
-                    f"{self} is not divisible by {name}^{k}"
-                )
-            terms[exps[:i] + (exps[i] - k,) + exps[i + 1 :]] = coeff
-        return self._new(terms)
-
     def normalized(self) -> "MultiPoly":
         """Scale so the coefficient of the minimal term (deglex) is one."""
         if not self.terms:
@@ -402,22 +388,40 @@ def _tokenize(text: str):
     return tokens
 
 
-#: Caps on one power `base^e` in input text, checked before it is computed: its
-#: total degree, and over Q a bound on the bit size of its coefficients.
+#: Caps on each power and product in input text, checked before it is computed:
+#: its total degree, over Q the bit size of its coefficients, and its term count.
 MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = 1 << 16
+MAX_TERMS = 1000
+
+
+def _height_bits(poly: MultiPoly) -> int:
+    # Parsed coefficients are integers, and |coefficients of a*b| <= |a|_1 * |b|_1.
+    return int(sum(abs(c) for c in poly.terms.values())).bit_length()
+
+
+def _check_size(kind: str, poly: MultiPoly, degree: int, bits: int, terms: int, column: int):
+    """Refuse a power or product of polynomials in the ring of `poly` before it is computed."""
+    if degree > MAX_POWER_DEGREE:
+        raise ParseError(f"{kind} of total degree above {MAX_POWER_DEGREE}", column=column)
+    if poly.field.characteristic == 0 and bits > MAX_POWER_BITS:
+        raise ParseError(f"{kind} whose coefficients may exceed {MAX_POWER_BITS} bits", column=column)
+    width = len(poly.variables)
+    if min(terms, math.comb(width + max(degree, 0), width)) > MAX_TERMS:
+        raise ParseError(f"{kind} of possibly more than {MAX_TERMS} terms", column=column)
 
 
 def _check_power(base: MultiPoly, exponent: int, column: int):
-    if base.total_degree() * exponent > MAX_POWER_DEGREE:
-        raise ParseError(f"power of total degree above {MAX_POWER_DEGREE}", column=column)
-    if base.field.characteristic == 0:
-        # Parsed coefficients are integers, and |coefficients of base^e| <= (sum |c|)^e.
-        height = int(sum(abs(c) for c in base.terms.values())).bit_length()
-        if exponent * height > MAX_POWER_BITS:
-            raise ParseError(
-                f"power whose coefficients may exceed {MAX_POWER_BITS} bits", column=column
-            )
+    # base^e has at most as many terms as there are degree-e monomials in len(base) symbols.
+    terms = math.comb(len(base.terms) + exponent - 1, exponent) if exponent else 1
+    bits = exponent * _height_bits(base)
+    _check_size("power", base, base.total_degree() * exponent, bits, terms, column)
+
+
+def _check_product(left: MultiPoly, right: MultiPoly, column: int):
+    degree = left.total_degree() + right.total_degree()
+    bits = _height_bits(left) + _height_bits(right)
+    _check_size("product", left, degree, bits, len(left.terms) * len(right.terms), column)
 
 
 class _PolyParser:
@@ -473,7 +477,10 @@ class _PolyParser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                poly = poly * self.factor()
+                _, _, col = self.peek()
+                factor = self.factor()
+                _check_product(poly, factor, col)
+                poly = poly * factor
             else:
                 return poly
 

@@ -17,12 +17,14 @@ from .blowup import nash_sequence
 from .contact import SampleBudget, normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
-from .fields import INF, FieldSpec, format_order
+from .fields import FieldSpec, format_order
 from .poly import MultiPoly, parse_poly
-from .rees import ReesAlgebra
+from .rees import presenting_algebra
 from .series import DEFAULT_PRECISION, Arc, parse_series
 
 ANALYSES = ("nash", "contact", "ord_d", "verify")
+#: Upper bound of the precision, max_steps and budget options, which size the work.
+MAX_OPTION = 10_000
 
 
 @dataclass
@@ -173,6 +175,8 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
             raise ParseError(f"option {key!r} must be an integer, got {raw!r}", line=1)
         if minimum is not None and value < minimum:
             raise ParseError(f"option {key!r} must be at least {minimum}, got {value}", line=1)
+        if minimum is not None and value > MAX_OPTION:
+            raise ParseError(f"option {key!r} must be at most {MAX_OPTION}, got {value}", line=1)
         return value
 
     options = Options(
@@ -249,15 +253,6 @@ class Report:
         }
 
 
-def presenting_algebra(problem: ProblemFile) -> ReesAlgebra:
-    multiplicity = problem.poly.order_at_origin()
-    if multiplicity == INF:
-        raise EngineError("problem polynomial is zero")
-    return ReesAlgebra.of(
-        problem.variables, [(problem.poly, int(multiplicity))], problem.field
-    ).diff_closure()
-
-
 def presentation_of(problem: ProblemFile) -> MonicPresentation:
     if problem.fiber is None:
         raise ParseError(
@@ -281,7 +276,7 @@ def run(problem: ProblemFile) -> Report:
             for name, arc in problem.arcs.items()
         }
     if "contact" in problem.analyses:
-        algebra = presenting_algebra(problem)
+        algebra = presenting_algebra(problem.poly)
         analyses["contact"] = {
             name: normalized_contact(algebra, arc)
             for name, arc in problem.arcs.items()

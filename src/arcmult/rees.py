@@ -150,21 +150,16 @@ class ReesAlgebra:
         NotPermissible.
         """
         center = check_point(center, self.variables, self.field)
-        substitution = chart.substitution(self.field)
-        exceptional = chart.exceptional
         gens = []
         trivial = self.trivial
         for poly, weight in self.generators:
-            pulled = poly.translate(center).substitute(substitution)
-            try:
-                transformed = pulled.divide_by_power(exceptional, weight)
-            except EngineError:
+            shifted = poly.translate(center)
+            if shifted.order_at_origin() < weight:
                 raise NotPermissible(
                     f"center {center} is not in Sing: {poly} W^{weight} does not transform"
                 )
-            transformed = transformed.translate(chart.translation)
-            if transformed.is_constant() and not transformed.is_zero():
-                trivial = True
+            transformed = chart.transform(shifted, weight)
+            trivial = trivial or transformed.is_constant()  # transforms are nonzero
             gens.append((transformed, weight))
         return ReesAlgebra.of(self.variables, gens, self.field, trivial=trivial)
 
@@ -178,6 +173,13 @@ class ReesAlgebra:
 
     def __repr__(self):
         return f"ReesAlgebra({self})"
+
+
+def presenting_algebra(poly: MultiPoly) -> ReesAlgebra:
+    """Diff closure of R[f W^m], m = ord_0(f): it presents the locus of multiplicity m."""
+    if poly.is_zero():
+        raise EngineError("polynomial is zero")
+    return ReesAlgebra.of(poly.variables, [(poly, poly.order_at_origin())], poly.field).diff_closure()
 
 
 def _multi_indices(width: int, total: int):

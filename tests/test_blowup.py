@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,14 @@ from arcmult.blowup import (
     persistence_oracle,
     strict_transform,
 )
-from arcmult.errors import ArcNotOnVariety, SequenceTruncated
+from arcmult.errors import (
+    ArcNotOnVariety,
+    EngineError,
+    SequenceTruncated,
+    VariableMismatch,
+)
 from arcmult.fields import RATIONALS, prime_field
-from arcmult.poly import parse_poly
+from arcmult.poly import MultiPoly, parse_poly
 from arcmult.series import Arc, parse_series
 
 Q = RATIONALS
@@ -89,6 +95,62 @@ class TestStrictTransform:
         assert strict_transform(f, self.x_chart()) == parse_poly(
             "y - x", ("x", "y"), Q
         )
+
+
+def reference_transform(poly, chart, k):
+    """Generic pull-back x_i -> x_i*x_j, exact division by x_j^k, recentering."""
+    field, j = poly.field, chart.index
+    exceptional = MultiPoly.variable(chart.exceptional, poly.variables, field)
+    pulled = poly.substitute(
+        {
+            name: MultiPoly.variable(name, poly.variables, field) * exceptional
+            for i, name in enumerate(poly.variables)
+            if i != j
+        }
+    )
+    if any(exps[j] < k for exps in pulled.terms):
+        raise EngineError(f"{pulled} is not divisible by {chart.exceptional}^{k}")
+    divided = MultiPoly(
+        poly.variables,
+        {exps[:j] + (exps[j] - k,) + exps[j + 1 :]: c for exps, c in pulled.terms.items()},
+        field,
+    )
+    return divided.translate(chart.translation)
+
+
+class TestChartTransform:
+    @pytest.mark.parametrize("field", [Q, F2, prime_field(3)], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("variables", [("x", "y"), ("x", "y", "z")])
+    def test_matches_the_generic_pull_back(self, field, variables):
+        rng = random.Random(f"{field.characteristic}-{len(variables)}")
+        width = len(variables)
+        for _ in range(25):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in variables): rng.randint(-3, 3)
+                for _ in range(rng.randint(0, 5))
+            }
+            poly = MultiPoly(variables, terms, field)
+            order = poly.order_at_origin()
+            top = 2 if poly.is_zero() else order + 1
+            for index in range(width):
+                for translation in (
+                    (0,) * width,
+                    tuple(rng.randint(-2, 2) for _ in variables),
+                ):
+                    chart = ChartMap(variables, index, tuple(map(field.coerce, translation)))
+                    for k in range(top + 1):
+                        try:
+                            expected = reference_transform(poly, chart, k)
+                        except EngineError:
+                            with pytest.raises(EngineError):
+                                chart.transform(poly, k)
+                            continue
+                        assert chart.transform(poly, k) == expected
+
+    def test_rejects_a_polynomial_over_other_variables(self):
+        chart = ChartMap(("x", "z"), 0, (0, 0))
+        with pytest.raises(VariableMismatch):
+            chart.transform(cusp(), 2)
 
 
 class TestNashSequence:

@@ -19,7 +19,7 @@ from arcmult.errors import DependenceInvalid, EmptySample, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import origin, parse_poly
 from arcmult.problems import presentation_of
-from arcmult.rees import ReesAlgebra
+from arcmult.rees import ReesAlgebra, presenting_algebra
 from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 Q = RATIONALS
@@ -157,7 +157,7 @@ def _verify_sampler_inputs(problem):
         seed=problem.options.seed,
     )
     return (
-        presentation.presenting_algebra(),
+        presenting_algebra(presentation.poly),
         origin(problem.variables, problem.field),
         budget,
         (presentation.poly,),

@@ -172,6 +172,14 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--precision", "--max-steps", "--budget"])
+    def test_unbounded_flag_exit_code(self, tmp_path, capsys, flag):
+        path = self.write(tmp_path, CUSP_PROBLEM)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, flag, "99999999999"])
+        assert exit_info.value.code == 2
+        assert "must be at most 10000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_precision_flag_exit_code(self, tmp_path, capsys, value):
         path = self.write(tmp_path, NODE_PROBLEM)
@@ -203,6 +211,16 @@ class TestCli:
         # analyses that need no monic presentation still accept the file
         assert main(["contact", path]) == 0
 
+    def test_fiber_not_realizing_the_multiplicity_exit_code(self, tmp_path, capsys):
+        # y^2 - x has order 1 at the origin but fiber degree 2: the origin is
+        # not in the singular locus, which is an input error, not an engine one.
+        text = CUSP_PROBLEM.replace("y^2 - x^3", "y^2 - x").replace("t^2, t^3", "t^2, t")
+        path = self.write(tmp_path, text)
+        for command in ("ord-d", "verify"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert "does not realize the maximal multiplicity" in err
+
     def test_deeply_nested_poly_exit_code(self, tmp_path, capsys):
         nested = "(" * 2000 + "x" + ")" * 2000
         path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", nested))
@@ -219,6 +237,14 @@ class TestCli:
             ("contact", "phi: t^2, t^3", "phi: t^99999999, t^3", "total degree above 1000"),
             ("nash", "y^2 - x^3", "y^2 - ((3^999)^999)^999*x^3", "exceed 65536 bits"),
             ("nash", "field: 0", "field: 1000000000000000003", "below 2^40"),
+            ("ord-d", "y^2 - x^3", "y^2 - (x + y + 1)^1000", "more than 1000 terms"),
+            pytest.param(
+                "contact", "x^3", "*".join(["x^999"] * 100), "product of total degree above 1000",
+                id="contact-chain-of-100-x^999",
+            ),
+            ("verify", "fiber: y", "fiber: y\nbudget: 99999999999", "at most 10000"),
+            ("nash", "fiber: y", "fiber: y\nprecision: 99999999999", "at most 10000"),
+            ("nash", "fiber: y", "fiber: y\nmax_steps: 99999999999", "at most 10000"),
         ],
     )
     def test_unbounded_input_exit_code(self, tmp_path, capsys, command, old, new, message):
@@ -283,6 +309,29 @@ analyses: verify
     def test_corpus_json_is_byte_identical(self, capsys, flags, digest):
         # Pins the whole bundled-corpus report; any change to it must be deliberate.
         assert main(["corpus", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                "name: deep_chain\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
+                "arc phi: t^8, t^84\nmax_steps: 100\n",
+                "eaddce1089851c83f0e2d5906edc138cecf2dedfad38248b9c902f1c2f7a710f",
+            ),
+            (
+                "name: surface_char3\nfield: 3\nvariables: x y z\n"
+                "poly: z^3 - x^4 - y^5\narc phi: t^3, 0, t^4\n",
+                "337106f199f1bca27bbb81ba1cfcd743f9b6b6249d0946240b0c5f5ee2b10b26",
+            ),
+        ],
+        ids=["y2-x21-84-blowups", "surface-char3"],
+    )
+    def test_nash_trace_is_byte_identical(self, tmp_path, capsys, text, digest):
+        # Pins every chart, center and strict transform of a long blow-up chain.
+        path = self.write(tmp_path, text)
+        assert main(["nash", path, "--json", "--trace"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
