@@ -21,7 +21,6 @@ from .contact import (
     contact_order,
     integral_invariance_check,
     normalized_contact,
-    phi_sample,
 )
 from .elimination import (
     EliminationResult,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_rees",
     "parse_series",
     "persistence_oracle",
-    "phi_sample",
     "presenting_algebra",
     "prime_field",
     "strict_transform",

@@ -21,7 +21,6 @@ from .errors import (
     SequenceTruncated,
     VariableMismatch,
 )
-from .fields import INF
 from .poly import MultiPoly, Point
 from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, arc_substitute
 
@@ -129,20 +128,8 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
     centered at the origin.  `precision` bounds non-terminating divisions.
     """
     field = arc.field
-    orders = []
-    best = INF
-    best_index = None
-    for i, comp in enumerate(arc.components):
-        known = comp.known_order()
-        orders.append(known)
-        if known is not None and known != INF and known < best:
-            best = known
-            best_index = i
-    if best_index is None:
-        raise PrecisionExhausted("no component with determinate finite order")
-    for i, comp in enumerate(arc.components):
-        if orders[i] is None and comp.order_lower_bound() < best:
-            raise PrecisionExhausted("chart choice indeterminate at this precision")
+    nu = arc.order()  # PrecisionExhausted when the chart choice is indeterminate
+    best_index = next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu)
     divisor = arc.components[best_index]
     lifted = []
     constants = []

@@ -15,15 +15,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DependenceInvalid,
-    EmptySample,
-    NotInSingularLocus,
-    PrecisionExhausted,
-    VariableMismatch,
-)
-from .fields import INF, ensure_same_field, format_order
-from .poly import Point
+from .errors import ArcNotOnVariety, DependenceInvalid, PrecisionExhausted
+from .fields import INF, format_order
+from .poly import MultiPoly
 from .rees import ReesAlgebra
 from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute
 
@@ -90,13 +84,17 @@ def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
     return ContactResult(best, nu, best / nu, math.floor(best), orders)
 
 
+#: Largest exponent of a monomial grid arc, and largest degree of a random
+#: series composed with the parametrization.
+EXPONENT_BOUND = 8
+DEGREE_BOUND = 8
+
+
 @dataclass(frozen=True)
 class SampleBudget:
-    """Arc-sampling budget: monomial exponent bound, random count, degrees, seed."""
+    """Arc-sampling budget: arcs composed through the parametrization, and their seed."""
 
-    exponent_bound: int = 8
     random_arcs: int = 100
-    degree_bound: int = 8
     seed: int = 0
 
 
@@ -155,99 +153,55 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     return all(field.is_zero(s) for s in sums.values())
 
 
-def sample_arcs(
-    algebra: ReesAlgebra,
-    center: Point,
-    budget: SampleBudget,
-    constraints=(),
-    parametrization: Arc | None = None,
-) -> list:
-    """Deterministic arc pool: monomial arcs plus reparametrized parametrizations.
+def sample_arcs(poly: MultiPoly, budget: SampleBudget, parametrization: Arc | None = None) -> list:
+    """Deterministic pool of arcs at the origin on which f vanishes exactly.
 
-    Arcs are recentered at the given center (the algebra and constraints are
-    translated instead, so arcs keep zero constant terms).  Monomial arcs
-    must satisfy every constraint exactly, which is decided by exponent
-    arithmetic; arcs composed through the parametrization are checked by
-    substitution.  Duplicate arcs are dropped.
+    Monomial grid arcs are admitted by exponent arithmetic.  The
+    parametrization is checked once: f(phi) must be exactly zero
+    (ArcNotOnVariety otherwise, PrecisionExhausted when its order is
+    unknown).  Then f(phi o s) = f(phi) o s vanishes for every series s with
+    zero constant term, so arcs composed through phi and reparametrizations
+    of phi are admitted without substitution.  Duplicate arcs are dropped.
     """
-    field = algebra.field
-    variables = algebra.variables
-    shifted = [c.translate(center) for c in constraints]
-    for constraint in shifted:
-        ensure_same_field(constraint.field, field)
-        if constraint.variables != variables:
-            raise VariableMismatch(
-                f"constraint variables {constraint.variables} vs arc variables {variables}"
-            )
-    shifted_terms = [list(c.terms.items()) for c in shifted]
+    field = poly.field
+    terms = list(poly.terms.items())
     arcs = []
-    seen = set()
+    for assignment in _monomial_grid(field, len(poly.variables), EXPONENT_BOUND):
+        if _vanishes_on_monomial_arc(terms, field, assignment):
+            # Distinct assignments give distinct arcs: the grid needs no dedup.
+            arcs.append(_monomial_arc(poly.variables, field, assignment))
+    if parametrization is None:
+        return arcs
 
-    def admit(arc: Arc):
+    image = arc_substitute(poly, parametrization)
+    if image.known_order() is None:
+        raise PrecisionExhausted(
+            f"the parametrization maps f to zero up to t^{image.precision}; membership undecided"
+        )
+    if not image.is_exactly_zero():
+        raise ArcNotOnVariety("the parametrization does not lie on the hypersurface")
+    seen = {arc.components for arc in arcs}
+
+    def admit(arc: Arc) -> bool:
         if arc.components in seen:
-            return
-        for constraint in shifted:
-            image = arc_substitute(constraint, arc)
-            if not image.is_exactly_zero():
-                return
+            return False
         seen.add(arc.components)
         arcs.append(arc)
+        return True
 
-    for assignment in _monomial_grid(field, len(variables), budget.exponent_bound):
-        if all(
-            _vanishes_on_monomial_arc(terms, field, assignment) for terms in shifted_terms
-        ):
-            # Distinct assignments give distinct arcs: the grid needs no dedup.
-            arc = _monomial_arc(variables, field, assignment)
-            seen.add(arc.components)
-            arcs.append(arc)
-
-    if parametrization is not None:
-        rng = random.Random(budget.seed)
-        produced = 0
-        attempts = 0
-        while produced < budget.random_arcs and attempts < budget.random_arcs * 20:
-            attempts += 1
-            degree = rng.randint(1, budget.degree_bound)
-            coeffs = [field.zero] + [
-                field.random_element(rng, bound=3) for _ in range(degree)
-            ]
-            if all(field.is_zero(c) for c in coeffs):
-                continue
-            inner = TruncatedSeries.exact_series(field, coeffs)
-            if inner.is_exactly_zero():
-                continue
-            arc = parametrization.compose(inner)
-            before = len(arcs)
-            admit(arc)
-            produced += 1 if len(arcs) > before else 0
-        # Reparametrizations of the parametrization itself are always included.
-        for n in range(1, 9):
-            admit(parametrization.reparametrize(n))
-    return arcs
-
-
-def phi_sample(
-    algebra: ReesAlgebra,
-    center: Point,
-    budget: SampleBudget,
-    constraints=(),
-    parametrization: Arc | None = None,
-) -> list:
-    """Sampled normalized contact orders: deduplicated by r_bar, sorted, finite only."""
-    if not algebra.sing_member(center):
-        raise NotInSingularLocus(f"sampling center {center} is not in Sing")
-    recentered = algebra.translate(center)
-    arcs = sample_arcs(algebra, center, budget, constraints, parametrization)
-    by_value = {}
-    for arc in arcs:
-        result = normalized_contact(recentered, arc)
-        if result.r == INF:
+    rng = random.Random(budget.seed)
+    produced = 0
+    attempts = 0
+    while produced < budget.random_arcs and attempts < budget.random_arcs * 20:
+        attempts += 1
+        degree = rng.randint(1, DEGREE_BOUND)
+        coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]
+        if all(field.is_zero(c) for c in coeffs):
             continue
-        by_value.setdefault(result.r_bar, result)
-    if not by_value:
-        raise EmptySample("no arc with finite contact order within the budget")
-    return [by_value[value] for value in sorted(by_value)]
+        produced += admit(parametrization.compose(TruncatedSeries.exact_series(field, coeffs)))
+    for n in range(1, 9):
+        admit(parametrization.reparametrize(n))
+    return arcs
 
 
 def integral_invariance_check(

@@ -394,7 +394,6 @@ def verify_main_theorem(
     survive projection to the base.  A missing witness is reported as
     INCONCLUSIVE, never as a refutation.
     """
-    field = presentation.field
     poly = presentation.poly
     elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
     algebra = presenting_algebra(poly)
@@ -405,13 +404,7 @@ def verify_main_theorem(
         if not image.is_exactly_zero():
             raise ArcNotOnVariety(f"candidate {name} does not lie on the hypersurface")
         named.append((name, arc))
-    sampled = sample_arcs(
-        algebra,
-        origin(poly.variables, field),
-        budget,
-        constraints=(poly,),
-        parametrization=parametrization,
-    )
+    sampled = sample_arcs(poly, budget, parametrization)
     named.extend((f"sample_{i}", arc) for i, arc in enumerate(sampled))
 
     min_r_bar = INF

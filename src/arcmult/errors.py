@@ -63,10 +63,6 @@ class DependenceInvalid(EngineError):
     """Supplied integral-dependence relation does not vanish identically."""
 
 
-class EmptySample(EngineError):
-    """No admissible arc found within the sampling budget."""
-
-
 class CharDividesDegree(EngineError):
     """Tschirnhausen transformation unavailable: characteristic divides the degree."""
 

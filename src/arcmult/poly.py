@@ -366,6 +366,10 @@ _TOKEN = re.compile(
 )
 
 
+#: Digits of one integer literal in input text (int() refuses more than 4,300).
+MAX_LITERAL_DIGITS = 1000
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -378,7 +382,10 @@ def _tokenize(text: str):
             column = len(text) - len(stripped) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", column=column)
         if match.group("int") is not None:
-            tokens.append(("int", int(match.group("int")), match.start("int") + 1))
+            digits, column = match.group("int"), match.start("int") + 1
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"literal of more than {MAX_LITERAL_DIGITS} digits", column=column)
+            tokens.append(("int", int(digits), column))
         elif match.group("name") is not None:
             tokens.append(("name", match.group("name"), match.start("name") + 1))
         else:

@@ -286,12 +286,7 @@ def run(problem: ProblemFile) -> Report:
     if "ord_d" in problem.analyses:
         analyses["ord_d"] = ord_d(presentation)
     if "verify" in problem.analyses:
-        budget = SampleBudget(
-            exponent_bound=8,
-            random_arcs=problem.options.budget,
-            degree_bound=8,
-            seed=problem.options.seed,
-        )
+        budget = SampleBudget(random_arcs=problem.options.budget, seed=problem.options.seed)
         analyses["verify"] = verify_main_theorem(
             presentation,
             problem.arcs,

@@ -234,12 +234,9 @@ class TruncatedSeries:
                 parts.append(("-" if negative else "") + body)
             else:
                 parts.append(("- " if negative else "+ ") + body)
-        if not parts:
-            return "0"
-        text = " ".join(parts)
         if not self.exact:
-            text += f" + O(t^{self.precision})"
-        return text
+            parts.append(f"+ O(t^{self.precision})" if parts else f"O(t^{self.precision})")
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"TruncatedSeries({self})"

@@ -119,7 +119,7 @@ def test_criterion_4_theorem_on_corpus():
     for name in corpus_names():
         problem = load_problem(name)
         presentation = presentation_of(problem)
-        budget = SampleBudget(exponent_bound=8, random_arcs=100, degree_bound=8, seed=0)
+        budget = SampleBudget(random_arcs=100, seed=0)
         result = verify_main_theorem(
             presentation, problem.arcs, budget, parametrization=problem.parametrization
         )

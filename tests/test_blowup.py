@@ -14,12 +14,13 @@ from arcmult.blowup import (
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
+    PrecisionExhausted,
     SequenceTruncated,
     VariableMismatch,
 )
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import MultiPoly, parse_poly
-from arcmult.series import Arc, parse_series
+from arcmult.series import Arc, TruncatedSeries, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -71,6 +72,13 @@ class TestBlowupLift:
         assert chart.index == 0
         assert chart.translation == (0, 1, 1)
         assert lifted == arc(Q, "t", "t", "0")
+
+    def test_indeterminate_chart_raises(self):
+        # x has order 3, but y is zero up to t^2: y may have order 2 and be the chart.
+        y = TruncatedSeries.truncated(Q, (), 2)
+        truncated = Arc(("x", "y"), (parse_series("t^3", Q), y), Q)
+        with pytest.raises(PrecisionExhausted):
+            blowup_lift(truncated)
 
 
 class TestStrictTransform:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arcmult.contact import (
+    EXPONENT_BOUND,
     SampleBudget,
     _monomial_arc,
     _monomial_grid,
@@ -11,15 +12,19 @@ from arcmult.contact import (
     contact_order,
     integral_invariance_check,
     normalized_contact,
-    phi_sample,
     sample_arcs,
 )
 from arcmult.corpus import corpus_names, load_problem
-from arcmult.errors import DependenceInvalid, EmptySample, VariableMismatch
+from arcmult.errors import (
+    ArcNotOnVariety,
+    DependenceInvalid,
+    PrecisionExhausted,
+    VariableMismatch,
+)
 from arcmult.fields import INF, RATIONALS, prime_field
-from arcmult.poly import origin, parse_poly
+from arcmult.poly import parse_poly
 from arcmult.problems import presentation_of
-from arcmult.rees import ReesAlgebra, presenting_algebra
+from arcmult.rees import ReesAlgebra
 from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 Q = RATIONALS
@@ -91,84 +96,18 @@ class TestNormalizedContact:
         assert result.to_json()["generator_orders"] == [[0, 1], [1, ">=5"]]
 
 
-class TestPhiSample:
-    def test_cusp_char0_minimum(self):
-        f = parse_poly("y^2 - x^3", XY, Q)
-        sample = phi_sample(
-            G_CHAR0,
-            (Fraction(0), Fraction(0)),
-            SampleBudget(exponent_bound=6, random_arcs=20, degree_bound=5, seed=1),
-            constraints=(f,),
-            parametrization=arc(Q, "t^2", "t^3"),
-        )
-        values = [r.r_bar for r in sample]
-        assert Fraction(3, 2) in values
-        assert min(values) == Fraction(3, 2)
-        assert values == sorted(values)
-
-    def test_cusp_char2_minimum(self):
-        f = parse_poly("y^2 - x^3", XY, F2)
-        closed = algebra([("y^2 - x^3", 2)], field=F2).diff_closure()
-        sample = phi_sample(
-            closed,
-            (0, 0),
-            SampleBudget(exponent_bound=6, random_arcs=20, degree_bound=5, seed=1),
-            constraints=(f,),
-            parametrization=arc(F2, "t^2", "t^3"),
-        )
-        assert min(r.r_bar for r in sample) == 2
-
-    def test_line_in_affine_line(self):
-        one_var = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
-        sample = phi_sample(one_var, (Fraction(0),), SampleBudget(exponent_bound=4))
-        assert [r.r_bar for r in sample] == [1]
-
-    def test_empty_sample(self):
-        one_var = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
-        constraint = parse_poly("x", ("x",), Q)
-        with pytest.raises(EmptySample):
-            phi_sample(
-                one_var,
-                (Fraction(0),),
-                SampleBudget(exponent_bound=3),
-                constraints=(constraint,),
-            )
-
-    def test_deterministic_given_seed(self):
-        f = parse_poly("y^2 - x^3", XY, Q)
-        budget = SampleBudget(exponent_bound=5, random_arcs=15, degree_bound=5, seed=7)
-        runs = [
-            [str(r.r_bar) for r in phi_sample(
-                G_CHAR0, (Fraction(0), Fraction(0)), budget,
-                constraints=(f,), parametrization=arc(Q, "t^2", "t^3"),
-            )]
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
-
-
 def _verify_sampler_inputs(problem):
     """The arguments `verify` passes to sample_arcs for a problem."""
     presentation = presentation_of(problem)
-    budget = SampleBudget(
-        exponent_bound=8,
-        random_arcs=problem.options.budget,
-        degree_bound=8,
-        seed=problem.options.seed,
-    )
-    return (
-        presenting_algebra(presentation.poly),
-        origin(problem.variables, problem.field),
-        budget,
-        (presentation.poly,),
-        problem.parametrization,
-    )
+    budget = SampleBudget(random_arcs=problem.options.budget, seed=problem.options.seed)
+    return presentation.poly, budget, problem.parametrization
 
 
 SURFACE_CONSTRAINTS = [
     (f"z2_x3_y4_f{p}", parse_poly("z^2 - x^3 - y^4", ("x", "y", "z"), field))
     for p, field in ((0, Q), (2, F2), (3, prime_field(3)))
 ]
+SURFACES = dict(SURFACE_CONSTRAINTS)
 BUNDLED_CONSTRAINTS = [(name, load_problem(name).poly) for name in corpus_names()]
 
 #: Sampled arc list of each bundled problem's verify run: (length, SHA-256 of
@@ -199,7 +138,7 @@ class TestSampleArcs:
         field, variables = constraint.field, constraint.variables
         terms = list(constraint.terms.items())
         admitted = 0
-        for assignment in _monomial_grid(field, len(variables), 8):
+        for assignment in _monomial_grid(field, len(variables), EXPONENT_BOUND):
             by_rule = _vanishes_on_monomial_arc(terms, field, assignment)
             monomial = _monomial_arc(variables, field, assignment)
             assert by_rule == arc_substitute(constraint, monomial).is_exactly_zero(), monomial
@@ -209,7 +148,38 @@ class TestSampleArcs:
     def test_constraint_over_other_variables_rejected(self):
         constraint = parse_poly("y^2 - x^3", ("x", "y", "z"), Q)
         with pytest.raises(VariableMismatch):
-            sample_arcs(G_CHAR0, (Fraction(0), Fraction(0)), SampleBudget(), (constraint,))
+            sample_arcs(constraint, SampleBudget(), arc(Q, "t^2", "t^3"))
+
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in BUNDLED_CONSTRAINTS + SURFACE_CONSTRAINTS]
+    )
+    def test_every_sampled_arc_lies_on_the_hypersurface(self, name):
+        # The sampler checks the parametrization once and admits its
+        # compositions unchecked; here every returned arc is substituted.
+        if name in SURFACES:
+            poly = SURFACES[name]
+            budget = SampleBudget(random_arcs=20)
+            phi = arc(poly.field, "t^2", "0", "t^3", variables=poly.variables)
+        else:
+            poly, budget, phi = _verify_sampler_inputs(load_problem(name))
+        arcs = sample_arcs(poly, budget, phi)
+        assert len(arcs) > 8
+        for sampled in arcs:
+            assert arc_substitute(poly, sampled).is_exactly_zero(), (name, str(sampled))
+
+    @pytest.mark.parametrize(
+        "phi, error",
+        [
+            (arc(Q, "t^3", "t^2"), ArcNotOnVariety),
+            # With y -> t^3 + O(t^5), y^2 - x^3 maps to O(t^8): its order is unknown.
+            (Arc(XY, (parse_series("t^2", Q), TruncatedSeries.truncated(Q, (0, 0, 0, 1), 5)), Q),
+             PrecisionExhausted),
+        ],
+        ids=["off-the-curve", "undecided"],
+    )
+    def test_parametrization_checked_once(self, phi, error):
+        with pytest.raises(error):
+            sample_arcs(parse_poly("y^2 - x^3", XY, Q), SampleBudget(), phi)
 
     def test_sampled_arc_lists_are_pinned(self):
         assert set(SAMPLED_ARCS) == set(corpus_names())

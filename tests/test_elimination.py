@@ -188,7 +188,7 @@ class TestMinimizingArc:
             minimizing_arc(result)
 
 
-BUDGET = SampleBudget(exponent_bound=6, random_arcs=40, degree_bound=6, seed=0)
+BUDGET = SampleBudget(random_arcs=40, seed=0)
 
 
 class TestVerifyMainTheorem:

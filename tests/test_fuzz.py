@@ -1,13 +1,16 @@
 """Seeded fuzzing of the command line on mutated bundled problems.
 
 Each mutant is a bundled problem with one line dropped, one line
-duplicated, or one key set to a value from a fixed list of hostile values.
+duplicated, one key set to a value from a fixed list of hostile values, or
+one place inside a value changed: a digit, an exponent, a parenthesis or an
+arc component.
 Every command must end with an exit code of the contract (0 pass, 1 fail,
 2 bad input, 3 engine or precision error) within a time limit; an escaping
 exception or a timeout fails the test and names the mutant.
 """
 
 import random
+import re
 import signal
 from importlib import resources
 
@@ -16,6 +19,7 @@ import pytest
 from arcmult.cli import main
 from arcmult.corpus import corpus_names
 
+HUGE_LITERAL = "9" * 5001
 HOSTILE = (
     "0",
     "-1",
@@ -25,6 +29,15 @@ HOSTILE = (
     "y^2 - x",
     "(x + y + 1)^1000",
     "*".join(["x^999"] * 100),
+    HUGE_LITERAL,
+)
+#: Places inside a value, each with its replacements; where a value has no
+#: such place, the replacement is appended to it.
+INSIDE = (
+    ("digit", r"\d", ("0", "7", HUGE_LITERAL)),
+    ("exponent", r"(?<=\^)\d+", ("0", "1", "1001", "99999999")),
+    ("parenthesis", r"[()]", ("", "(", ")", "((")),
+    ("arc component", r"[^,]+", ("0", "t^0", "1 + t", "", HUGE_LITERAL)),
 )
 COMMANDS = ("nash", "contact", "ord-d", "verify")
 MUTANTS_PER_COMMAND = 75
@@ -47,15 +60,23 @@ def mutate(rng, text):
     """One mutant of a problem text, and a description of the mutation."""
     lines = text.splitlines()
     i = rng.randrange(len(lines))
-    kind = rng.choice(("drop", "duplicate", "set"))
+    kind = rng.choice(("drop", "duplicate", "set", "inside"))
     if kind == "drop":
         return "\n".join(lines[:i] + lines[i + 1 :]) + "\n", f"drop line {i + 1}"
     if kind == "duplicate":
         return "\n".join(lines[: i + 1] + lines[i:]) + "\n", f"duplicate line {i + 1}"
-    key = lines[i].split(":", 1)[0]
-    value = rng.choice(HOSTILE)
-    lines[i] = f"{key}: {value}"
-    return "\n".join(lines) + "\n", f"set {key!r} to {value[:40]!r}"
+    key, _, value = lines[i].partition(":")
+    if kind == "set":
+        value = rng.choice(HOSTILE)
+        lines[i] = f"{key}: {value}"
+        return "\n".join(lines) + "\n", f"set {key!r} to {value[:40]!r}"
+    place, pattern, replacements = rng.choice(INSIDE)
+    spans = [m.span() for m in re.finditer(pattern, value)] or [(len(value), len(value))]
+    start, end = rng.choice(spans)
+    new = rng.choice(replacements)
+    lines[i] = f"{key}:{value[:start]}{new}{value[end:]}"
+    description = f"replace {place} {value[start:end]!r} of {key!r} by {new[:40]!r}"
+    return "\n".join(lines) + "\n", description
 
 
 def _alarm(signum, frame):

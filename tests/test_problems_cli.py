@@ -1,5 +1,6 @@
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -268,6 +269,25 @@ class TestCli:
         text = CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^3, t^2")
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 2
+
+    def test_parametrization_off_variety_exit_code(self, tmp_path, capsys):
+        # x -> t^3, y -> t^2 maps y^2 - x^3 to t^4 - t^9, so none of its
+        # compositions lies on the curve either: verify must refuse it.
+        bundled = resources.files("arcmult").joinpath("data", "cusp_char0.problem")
+        text = bundled.read_text(encoding="utf-8").replace(
+            "parametrization: t^2, t^3", "parametrization: t^3, t^2"
+        )
+        path = self.write(tmp_path, text)
+        assert main(["verify", path]) == 2
+        assert "parametrization does not lie on the hypersurface" in capsys.readouterr().err
+
+    def test_huge_literal_exit_code(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits; the parser stops at its own cap first.
+        literal = "9" * 5001
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", f"y^2 - {literal}*x^3"))
+        assert main(["nash", path]) == 2
+        err = capsys.readouterr().err
+        assert "literal of more than 1000 digits at column 7" in err and "Traceback" not in err
 
     def test_expect_mismatch_exit_code(self, tmp_path, capsys):
         text = CUSP_PROBLEM.replace("expect ord_d: 3/2", "expect ord_d: 2")

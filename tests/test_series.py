@@ -292,10 +292,10 @@ def golden_record():
 
 def test_series_operations_golden_digest():
     # Pins every operation on exact, truncated and all-zero operands.  The
-    # precision of an exact series is left out; order_lower_bound shows the
-    # precision of an all-zero truncated one, which prints as "0".
+    # precision of an exact series is left out; an all-zero truncated one
+    # prints as "O(t^N)", and order_lower_bound repeats its precision.
     text = golden_record()
     assert len(text.splitlines()) == 3 * 9 * (2 + 4 + 4 + 3 + 9 * 6)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "fd617a8d864b34b6ad5c5d84a732ad1db34186e138c50fdfc45316d402b0b961"
+        "3a575e873ffdb3b15693c6c8e692f15fd5633a1516a27cc7d298fd3bc2728bdc"
     )
