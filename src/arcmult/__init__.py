@@ -17,7 +17,6 @@ from .blowup import (
 )
 from .contact import (
     ContactResult,
-    SampleBudget,
     contact_order,
     integral_invariance_check,
     normalized_contact,
@@ -54,7 +53,6 @@ __all__ = [
     "NashReport",
     "RATIONALS",
     "ReesAlgebra",
-    "SampleBudget",
     "TheoremReport",
     "TruncatedSeries",
     "__version__",

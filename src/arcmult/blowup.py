@@ -15,14 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
-    ArcNotOnVariety,
     EngineError,
-    PrecisionExhausted,
     SequenceTruncated,
     VariableMismatch,
 )
 from .poly import MultiPoly, Point
-from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, arc_substitute
+from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
 
 DEFAULT_MAX_STEPS = 32
 
@@ -176,13 +174,7 @@ def nash_sequence(
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
-    image = arc_substitute(poly, arc)
-    if image.known_order() is None:
-        raise PrecisionExhausted(
-            "cannot certify the arc lies on the hypersurface at this precision"
-        )
-    if not image.is_exactly_zero():
-        raise ArcNotOnVariety(f"substitution along the arc is {image}, not 0")
+    certify_on_hypersurface(poly, arc, f"arc {arc}")
     m0 = poly.order_at_origin()
     if m0 < 2:
         return NashReport((m0,), 0, (), False, below_threshold=True)

@@ -25,7 +25,7 @@ from .errors import (
     VariableMismatch,
 )
 from .fields import format_order
-from .problems import MAX_OPTION, parse_problem, run
+from .problems import OPTION_MINIMUM, Options, option_value, parse_problem, run
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,29 +44,25 @@ _INPUT_ERRORS = (
 )
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an int from minimum to MAX_OPTION, else a usage error (exit 2)."""
-    bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+def _option_type(key: str):
+    """argparse type of run option `key`: option_value, a ParseError a usage error (exit 2)."""
 
     def convert(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        if value > MAX_OPTION:
-            raise argparse.ArgumentTypeError(f"must be at most {MAX_OPTION}, got {value}")
-        return value
+            return option_value(key, text)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--precision", type=_int_at_least(1), help="series precision (coefficients)")
-    parser.add_argument("--max-steps", type=_int_at_least(0), help="blow-up step budget")
-    parser.add_argument("--seed", type=int, help="sampling seed")
-    parser.add_argument("--budget", type=_int_at_least(0), help="random arc budget")
+    for key in OPTION_MINIMUM:
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=_option_type(key),
+            help=f"overrides the file's {key} (default {getattr(Options(), key)})",
+        )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--trace", action="store_true", help="include blow-up traces")
 
@@ -100,14 +96,7 @@ def _load(args):
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     problem = parse_problem(text, name_hint=path.stem)
-    if args.precision is not None:
-        problem.options.precision = args.precision
-    if args.max_steps is not None:
-        problem.options.max_steps = args.max_steps
-    if args.seed is not None:
-        problem.options.seed = args.seed
-    if args.budget is not None:
-        problem.options.budget = args.budget
+    problem.options = problem.options.overridden(vars(args))
     return problem
 
 
@@ -177,17 +166,7 @@ def _print_human(problem, report, analysis, trace):
 
 
 def _run_corpus(args) -> int:
-    overrides = {
-        key: value
-        for key, value in (
-            ("precision", args.precision),
-            ("max_steps", args.max_steps),
-            ("budget", args.budget),
-            ("seed", args.seed),
-        )
-        if value is not None
-    }
-    results = run_corpus(args.pattern, overrides=overrides)
+    results = run_corpus(args.pattern, overrides=vars(args))
     summary = summarize(results)
     if args.json:
         payload = {

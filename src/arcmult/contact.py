@@ -15,11 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArcNotOnVariety, DependenceInvalid, PrecisionExhausted
+from .errors import DependenceInvalid, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute
+from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute, certify_on_hypersurface
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,6 @@ EXPONENT_BOUND = 8
 DEGREE_BOUND = 8
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Arc-sampling budget: arcs composed through the parametrization, and their seed."""
-
-    random_arcs: int = 100
-    seed: int = 0
-
-
 def _monomial_grid(field, width: int, exponent_bound: int):
     """Assignments of the monomial arc grid, one (u, a) or None per variable.
 
@@ -153,15 +145,16 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     return all(field.is_zero(s) for s in sums.values())
 
 
-def sample_arcs(poly: MultiPoly, budget: SampleBudget, parametrization: Arc | None = None) -> list:
+def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
     """Deterministic pool of arcs at the origin on which f vanishes exactly.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
     (ArcNotOnVariety otherwise, PrecisionExhausted when its order is
     unknown).  Then f(phi o s) = f(phi) o s vanishes for every series s with
-    zero constant term, so arcs composed through phi and reparametrizations
-    of phi are admitted without substitution.  Duplicate arcs are dropped.
+    zero constant term, so `budget` arcs composed through phi with random
+    series drawn from `seed`, and reparametrizations of phi, are admitted
+    without substitution.  Duplicate arcs are dropped.
     """
     field = poly.field
     terms = list(poly.terms.items())
@@ -173,13 +166,7 @@ def sample_arcs(poly: MultiPoly, budget: SampleBudget, parametrization: Arc | No
     if parametrization is None:
         return arcs
 
-    image = arc_substitute(poly, parametrization)
-    if image.known_order() is None:
-        raise PrecisionExhausted(
-            f"the parametrization maps f to zero up to t^{image.precision}; membership undecided"
-        )
-    if not image.is_exactly_zero():
-        raise ArcNotOnVariety("the parametrization does not lie on the hypersurface")
+    certify_on_hypersurface(poly, parametrization, "the parametrization")
     seen = {arc.components for arc in arcs}
 
     def admit(arc: Arc) -> bool:
@@ -189,10 +176,10 @@ def sample_arcs(poly: MultiPoly, budget: SampleBudget, parametrization: Arc | No
         arcs.append(arc)
         return True
 
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     produced = 0
     attempts = 0
-    while produced < budget.random_arcs and attempts < budget.random_arcs * 20:
+    while produced < budget and attempts < budget * 20:
         attempts += 1
         degree = rng.randint(1, DEGREE_BOUND)
         coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]

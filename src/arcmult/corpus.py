@@ -26,14 +26,12 @@ def load_problem(name: str) -> ProblemFile:
 def run_corpus(pattern: str = "*", overrides: dict | None = None) -> list:
     """Run every bundled problem matching the glob; deterministic order.
 
-    `overrides` may replace per-problem options (precision, max_steps,
-    budget, seed) before running.
+    `overrides` replaces per-problem options as `Options.overridden` does.
     """
     names = [n for n in corpus_names() if fnmatch.fnmatch(n, pattern)]
     problems = [load_problem(n) for n in names]
     for problem in problems:
-        for key, value in (overrides or {}).items():
-            setattr(problem.options, key, value)
+        problem.options = problem.options.overridden(overrides or {})
     return [(name, run(problem)) for name, problem in zip(names, problems)]
 
 

@@ -20,14 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contact import (
-    SampleBudget,
-    contact_order,
-    normalized_contact,
-    sample_arcs,
-)
+from .contact import contact_order, normalized_contact, sample_arcs
 from .errors import (
-    ArcNotOnVariety,
     CharDividesDegree,
     EngineError,
     NoRationalUnit,
@@ -36,7 +30,7 @@ from .errors import (
 from .fields import INF, FieldSpec, format_order
 from .poly import MultiPoly, origin
 from .rees import ReesAlgebra, presenting_algebra
-from .series import Arc, TruncatedSeries, arc_substitute
+from .series import Arc, TruncatedSeries, certify_on_hypersurface
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,8 @@ class TheoremReport:
 def verify_main_theorem(
     presentation: MonicPresentation,
     candidates: dict,
-    budget: SampleBudget,
+    budget: int,
+    seed: int,
     parametrization: Arc | None = None,
 ) -> TheoremReport:
     """Check both directions of min(Phi) = ord_d on candidates plus samples.
@@ -398,14 +393,10 @@ def verify_main_theorem(
     elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
     algebra = presenting_algebra(poly)
 
-    named = []
     for name, arc in candidates.items():
-        image = arc_substitute(poly, arc)
-        if not image.is_exactly_zero():
-            raise ArcNotOnVariety(f"candidate {name} does not lie on the hypersurface")
-        named.append((name, arc))
-    sampled = sample_arcs(poly, budget, parametrization)
-    named.extend((f"sample_{i}", arc) for i, arc in enumerate(sampled))
+        certify_on_hypersurface(poly, arc, f"candidate {name}")
+    sampled = sample_arcs(poly, budget, seed, parametrization)
+    named = [*candidates.items(), *((f"sample_{i}", arc) for i, arc in enumerate(sampled))]
 
     min_r_bar = INF
     witness = None

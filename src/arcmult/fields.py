@@ -25,6 +25,27 @@ def format_order(value) -> str:
     return "inf" if value == INF else str(Fraction(value))
 
 
+def format_terms(field, terms) -> str:
+    """Text of a sum of (coefficient, factor) terms, such as "-x + 2*x^2", or "".
+
+    A constant term has factor "", and terms with a zero coefficient are skipped."""
+    parts = []
+    for coeff, factor in terms:
+        if field.is_zero(coeff):
+            continue
+        negative = field.characteristic == 0 and coeff < 0
+        magnitude = -coeff if negative else coeff
+        if not factor:
+            body = field.element_str(magnitude)
+        elif magnitude == field.one:
+            body = factor
+        else:
+            body = f"{field.element_str(magnitude)}*{factor}"
+        sign = ("- " if negative else "+ ") if parts else ("-" if negative else "")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

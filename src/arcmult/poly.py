@@ -15,7 +15,7 @@ import math
 import re
 
 from .errors import EngineError, ParseError, VariableMismatch
-from .fields import INF, FieldSpec, ensure_same_field
+from .fields import INF, FieldSpec, ensure_same_field, format_terms
 
 Point = tuple  # coordinates: one field element per ambient variable
 
@@ -330,30 +330,11 @@ class MultiPoly:
     # -- display ----------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        field = self.field
-        parts = []
+        terms = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.variables, exps)
-                if e
-            ]
-            negative = field.characteristic == 0 and coeff < 0
-            magnitude = -coeff if negative else coeff
-            if not factors:
-                body = field.element_str(magnitude)
-            elif magnitude == field.one:
-                body = "*".join(factors)
-            else:
-                body = field.element_str(magnitude) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+            factors = (name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exps) if e)
+            terms.append((self.terms[exps], "*".join(factors)))
+        return format_terms(self.field, terms) or "0"
 
     def __repr__(self):
         return f"MultiPoly({self})"

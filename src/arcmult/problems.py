@@ -9,30 +9,56 @@ with the same seed are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from . import __version__
-from .blowup import nash_sequence
-from .contact import SampleBudget, normalized_contact
+from .blowup import DEFAULT_MAX_STEPS, nash_sequence
+from .contact import normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
 from .fields import FieldSpec, format_order
-from .poly import MultiPoly, parse_poly
+from .poly import MAX_LITERAL_DIGITS, MultiPoly, parse_poly
 from .rees import presenting_algebra
 from .series import DEFAULT_PRECISION, Arc, parse_series
 
 ANALYSES = ("nash", "contact", "ord_d", "verify")
 #: Upper bound of the precision, max_steps and budget options, which size the work.
 MAX_OPTION = 10_000
+#: Least value of each run option; None admits any integer and no upper bound.
+OPTION_MINIMUM = {"precision": 1, "max_steps": 0, "budget": 0, "seed": None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Options:
+    """Run options, set by the problem-file keys and command-line flags of the same names."""
+
     precision: int = DEFAULT_PRECISION
-    max_steps: int = 32
+    max_steps: int = DEFAULT_MAX_STEPS
     budget: int = 100
     seed: int = 0
+
+    def overridden(self, values) -> "Options":
+        """A copy with each option that `values` maps to other than None; other keys are ignored."""
+        return replace(self, **{k: values[k] for k in OPTION_MINIMUM if values.get(k) is not None})
+
+
+def option_value(key: str, text: str) -> int:
+    """The value of run option `key` written as `text`; ParseError when it is not allowed."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"option {key!r} must be an integer of at most {MAX_LITERAL_DIGITS} digits")
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"option {key!r} must be an integer, got {text!r}") from None
+    minimum = OPTION_MINIMUM[key]
+    if minimum is not None:
+        if value < minimum:
+            bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+            raise ParseError(f"option {key!r} must be {bound}, got {value}")
+        if value > MAX_OPTION:
+            raise ParseError(f"option {key!r} must be at most {MAX_OPTION}, got {value}")
+    return value
 
 
 @dataclass
@@ -67,10 +93,7 @@ class ProblemFile:
         if self.parametrization_text is not None:
             lines.append(f"parametrization: {self.parametrization_text}")
         lines.append("analyses: " + " ".join(self.analyses))
-        lines.append(f"precision: {self.options.precision}")
-        lines.append(f"max_steps: {self.options.max_steps}")
-        lines.append(f"budget: {self.options.budget}")
-        lines.append(f"seed: {self.options.seed}")
+        lines.extend(f"{key}: {value}" for key, value in asdict(self.options).items())
         for key, value in self.expects.items():
             lines.append(f"expect {key}: {value}")
         return "\n".join(lines) + "\n"
@@ -122,32 +145,33 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
             data[key] = (value, line_number)
 
     def take(key, default=None, required=False):
+        """The value of `key` and its line number (None when the key is absent)."""
         if key in data:
-            return data.pop(key)[0]
+            return data.pop(key)
         if required:
             raise ParseError(f"missing required key {key!r}", line=1)
-        return default
+        return default, None
 
-    name = take("name", default=name_hint)
-    characteristic_text = take("field", required=True)
+    name, _ = take("name", default=name_hint)
+    characteristic_text, line = take("field", required=True)
     try:
         field = FieldSpec(int(characteristic_text))
     except (ValueError, EngineError) as exc:
-        raise ParseError(f"bad field characteristic: {exc}", line=1)
-    variables = tuple(take("variables", required=True).split())
+        raise ParseError(f"bad field characteristic: {exc}", line=line)
+    variables_text, line = take("variables", required=True)
+    variables = tuple(variables_text.split())
     if len(set(variables)) != len(variables) or not variables:
-        raise ParseError("variables must be distinct and nonempty", line=1)
-    poly_text = take("poly", required=True)
-    poly_line = next(n for k, v, n in entries if k == "poly")
+        raise ParseError("variables must be distinct and nonempty", line=line)
+    poly_text, poly_line = take("poly", required=True)
     try:
         poly = parse_poly(poly_text, variables, field)
     except ParseError as exc:
         raise ParseError(f"in poly: {exc}", line=poly_line)
     if poly.is_zero():
         raise ParseError("problem polynomial is zero", line=poly_line)
-    fiber = take("fiber")
+    fiber, line = take("fiber")
     if fiber is not None and fiber not in variables:
-        raise ParseError(f"fiber variable {fiber!r} not among variables", line=1)
+        raise ParseError(f"fiber variable {fiber!r} not among variables", line=line)
 
     arc_texts = {}
     arcs = {}
@@ -157,34 +181,26 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         arc_texts[arc_name] = value
         arcs[arc_name] = _parse_arc(value, variables, field, line_number)
 
-    parametrization_text = take("parametrization")
+    parametrization_text, line = take("parametrization")
     parametrization = None
     if parametrization_text is not None:
-        parametrization = _parse_arc(parametrization_text, variables, field, 1)
+        parametrization = _parse_arc(parametrization_text, variables, field, line)
 
-    analyses = tuple(take("analyses", default="nash contact ord_d verify").split())
+    analyses_text, line = take("analyses", default="nash contact ord_d verify")
+    analyses = tuple(analyses_text.split())
     for analysis in analyses:
         if analysis not in ANALYSES:
-            raise ParseError(f"unknown analysis {analysis!r}", line=1)
+            raise ParseError(f"unknown analysis {analysis!r}", line=line)
 
-    def integer_option(key, default, minimum=None):
-        raw = take(key, default=default)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"option {key!r} must be an integer, got {raw!r}", line=1)
-        if minimum is not None and value < minimum:
-            raise ParseError(f"option {key!r} must be at least {minimum}, got {value}", line=1)
-        if minimum is not None and value > MAX_OPTION:
-            raise ParseError(f"option {key!r} must be at most {MAX_OPTION}, got {value}", line=1)
-        return value
-
-    options = Options(
-        precision=integer_option("precision", str(DEFAULT_PRECISION), minimum=1),
-        max_steps=integer_option("max_steps", "32", minimum=0),
-        budget=integer_option("budget", "100", minimum=0),
-        seed=integer_option("seed", "0"),
-    )
+    values = {}
+    for key in OPTION_MINIMUM:
+        text, line = take(key)
+        if text is not None:
+            try:
+                values[key] = option_value(key, text)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line) from None
+    options = Options(**values)
     if data:
         stray = sorted(data)[0]
         raise ParseError(f"unknown key {stray!r}", line=data[stray][1])
@@ -226,12 +242,7 @@ class Report:
             "arcs": dict(self.problem.arc_texts),
             "parametrization": self.problem.parametrization_text,
             "analyses": list(self.problem.analyses),
-            "options": {
-                "precision": self.problem.options.precision,
-                "max_steps": self.problem.options.max_steps,
-                "budget": self.problem.options.budget,
-                "seed": self.problem.options.seed,
-            },
+            "options": asdict(self.problem.options),
         }
         analyses = {}
         for key, value in self.analyses.items():
@@ -286,11 +297,11 @@ def run(problem: ProblemFile) -> Report:
     if "ord_d" in problem.analyses:
         analyses["ord_d"] = ord_d(presentation)
     if "verify" in problem.analyses:
-        budget = SampleBudget(random_arcs=problem.options.budget, seed=problem.options.seed)
         analyses["verify"] = verify_main_theorem(
             presentation,
             problem.arcs,
-            budget,
+            problem.options.budget,
+            problem.options.seed,
             parametrization=problem.parametrization,
         )
     expectations = _check_expectations(problem, analyses)

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import (
+    ArcNotOnVariety,
     DivisionOrderError,
     EngineError,
     InvalidArc,
     PrecisionExhausted,
     VariableMismatch,
 )
-from .fields import INF, FieldSpec, ensure_same_field
+from .fields import INF, FieldSpec, ensure_same_field, format_terms
 from .poly import MultiPoly, parse_poly
 
 #: Default coefficient budget for non-terminating divisions and expansions.
@@ -218,25 +219,11 @@ class TruncatedSeries:
     # -- display -----------------------------------------------------------------------
 
     def __str__(self):
-        field = self.field
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if field.is_zero(c):
-                continue
-            negative = field.characteristic == 0 and c < 0
-            magnitude = -c if negative else c
-            if i == 0:
-                body = field.element_str(magnitude)
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                body = t if magnitude == field.one else f"{field.element_str(magnitude)}*{t}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
+        powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(len(self.coeffs)))
+        text = format_terms(self.field, zip(self.coeffs, powers))
         if not self.exact:
-            parts.append(f"+ O(t^{self.precision})" if parts else f"O(t^{self.precision})")
-        return " ".join(parts) or "0"
+            text = f"{text} + O(t^{self.precision})" if text else f"O(t^{self.precision})"
+        return text or "0"
 
     def __repr__(self):
         return f"TruncatedSeries({self})"
@@ -400,3 +387,16 @@ def arc_substitute(poly: MultiPoly, arc: Arc, powers: ArcPowers | None = None) -
                 term = term * powers.power(i, e)
         total = total + term
     return total
+
+
+def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str) -> None:
+    """Check that f vanishes exactly along the arc, which `name` names in errors:
+    ArcNotOnVariety when it does not, PrecisionExhausted when that is undecided."""
+    image = arc_substitute(poly, arc)
+    if image.known_order() is None:
+        raise PrecisionExhausted(
+            f"{name} maps f to zero up to t^{image.precision}; "
+            "whether it lies on the hypersurface is undecided"
+        )
+    if not image.is_exactly_zero():
+        raise ArcNotOnVariety(f"{name} does not lie on the hypersurface")

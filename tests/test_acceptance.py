@@ -18,7 +18,6 @@ from property_checks import (
 
 from arcmult.blowup import nash_sequence, persistence_oracle
 from arcmult.contact import (
-    SampleBudget,
     contact_order,
     integral_invariance_check,
     normalized_contact,
@@ -119,9 +118,8 @@ def test_criterion_4_theorem_on_corpus():
     for name in corpus_names():
         problem = load_problem(name)
         presentation = presentation_of(problem)
-        budget = SampleBudget(random_arcs=100, seed=0)
         result = verify_main_theorem(
-            presentation, problem.arcs, budget, parametrization=problem.parametrization
+            presentation, problem.arcs, 100, 0, parametrization=problem.parametrization
         )
         assert result.arcs_checked >= 100, (name, result.arcs_checked)
         assert result.lower_bound_holds, name

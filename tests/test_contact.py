@@ -5,7 +5,6 @@ import pytest
 
 from arcmult.contact import (
     EXPONENT_BOUND,
-    SampleBudget,
     _monomial_arc,
     _monomial_grid,
     _vanishes_on_monomial_arc,
@@ -99,8 +98,8 @@ class TestNormalizedContact:
 def _verify_sampler_inputs(problem):
     """The arguments `verify` passes to sample_arcs for a problem."""
     presentation = presentation_of(problem)
-    budget = SampleBudget(random_arcs=problem.options.budget, seed=problem.options.seed)
-    return presentation.poly, budget, problem.parametrization
+    options = problem.options
+    return presentation.poly, options.budget, options.seed, problem.parametrization
 
 
 SURFACE_CONSTRAINTS = [
@@ -148,7 +147,7 @@ class TestSampleArcs:
     def test_constraint_over_other_variables_rejected(self):
         constraint = parse_poly("y^2 - x^3", ("x", "y", "z"), Q)
         with pytest.raises(VariableMismatch):
-            sample_arcs(constraint, SampleBudget(), arc(Q, "t^2", "t^3"))
+            sample_arcs(constraint, 100, 0, arc(Q, "t^2", "t^3"))
 
     @pytest.mark.parametrize(
         "name", [name for name, _ in BUNDLED_CONSTRAINTS + SURFACE_CONSTRAINTS]
@@ -158,11 +157,11 @@ class TestSampleArcs:
         # compositions unchecked; here every returned arc is substituted.
         if name in SURFACES:
             poly = SURFACES[name]
-            budget = SampleBudget(random_arcs=20)
+            budget, seed = 20, 0
             phi = arc(poly.field, "t^2", "0", "t^3", variables=poly.variables)
         else:
-            poly, budget, phi = _verify_sampler_inputs(load_problem(name))
-        arcs = sample_arcs(poly, budget, phi)
+            poly, budget, seed, phi = _verify_sampler_inputs(load_problem(name))
+        arcs = sample_arcs(poly, budget, seed, phi)
         assert len(arcs) > 8
         for sampled in arcs:
             assert arc_substitute(poly, sampled).is_exactly_zero(), (name, str(sampled))
@@ -179,7 +178,7 @@ class TestSampleArcs:
     )
     def test_parametrization_checked_once(self, phi, error):
         with pytest.raises(error):
-            sample_arcs(parse_poly("y^2 - x^3", XY, Q), SampleBudget(), phi)
+            sample_arcs(parse_poly("y^2 - x^3", XY, Q), 100, 0, phi)
 
     def test_sampled_arc_lists_are_pinned(self):
         assert set(SAMPLED_ARCS) == set(corpus_names())

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcmult.contact import SampleBudget, normalized_contact
+from arcmult.contact import normalized_contact
 from arcmult.elimination import (
     EliminationResult,
     MonicPresentation,
@@ -18,11 +18,12 @@ from arcmult.errors import (
     EngineError,
     NoRationalUnit,
     NotInSingularLocus,
+    PrecisionExhausted,
 )
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.rees import ReesAlgebra, observers_agree, presenting_algebra
-from arcmult.series import Arc, parse_series
+from arcmult.series import Arc, TruncatedSeries, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -58,7 +59,7 @@ class TestMonicPresentation:
         p = presentation("y^2 - x")
         assert not p.realizes_multiplicity
         with pytest.raises(EngineError):
-            verify_main_theorem(p, {}, BUDGET)
+            verify_main_theorem(p, {}, BUDGET, SEED)
 
 
 class TestTschirnhausen:
@@ -188,7 +189,7 @@ class TestMinimizingArc:
             minimizing_arc(result)
 
 
-BUDGET = SampleBudget(random_arcs=40, seed=0)
+BUDGET, SEED = 40, 0
 
 
 class TestVerifyMainTheorem:
@@ -201,6 +202,7 @@ class TestVerifyMainTheorem:
             presentation("y^2 - x^3"),
             self.candidates(Q),
             BUDGET,
+            SEED,
             parametrization=arc(Q, "t^2", "t^3"),
         )
         assert report.verdict == "PASS"
@@ -214,11 +216,19 @@ class TestVerifyMainTheorem:
             presentation("y^2 - x^3", field=F2),
             self.candidates(F2),
             BUDGET,
+            SEED,
             parametrization=arc(F2, "t^2", "t^3"),
         )
         assert report.verdict == "PASS"
         assert report.ord_d == 2
         assert report.min_r_bar == 2
+
+    def test_undecided_candidate_is_a_precision_error(self):
+        # With y -> t^3 + O(t^5), y^2 - x^3 maps to O(t^8): whether the
+        # candidate lies on the curve is undecided, which is not a refutation.
+        undecided = Arc(XY, (parse_series("t^2", Q), TruncatedSeries.truncated(Q, (0, 0, 0, 1), 5)), Q)
+        with pytest.raises(PrecisionExhausted):
+            verify_main_theorem(presentation("y^2 - x^3"), {"phi": undecided}, BUDGET, SEED)
 
     def test_smooth_input_rejected(self):
         with pytest.raises(EngineError):
@@ -228,7 +238,7 @@ class TestVerifyMainTheorem:
         # no monomial arc lies on y^2 = x^3 + x^4 and no candidates are given,
         # so nothing achieves the minimum; the verdict must not claim failure
         report = verify_main_theorem(
-            presentation("y^2 - x^3 - x^4"), {}, BUDGET, parametrization=None
+            presentation("y^2 - x^3 - x^4"), {}, BUDGET, SEED, parametrization=None
         )
         assert report.verdict == "INCONCLUSIVE"
         assert report.witness_name is None

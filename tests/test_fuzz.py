@@ -3,7 +3,8 @@
 Each mutant is a bundled problem with one line dropped, one line
 duplicated, one key set to a value from a fixed list of hostile values, or
 one place inside a value changed: a digit, an exponent, a parenthesis or an
-arc component.
+arc component.  Some mutants also get one run-option flag with a hostile
+value.
 Every command must end with an exit code of the contract (0 pass, 1 fail,
 2 bad input, 3 engine or precision error) within a time limit; an escaping
 exception or a timeout fails the test and names the mutant.
@@ -18,6 +19,7 @@ import pytest
 
 from arcmult.cli import main
 from arcmult.corpus import corpus_names
+from arcmult.problems import OPTION_MINIMUM
 
 HUGE_LITERAL = "9" * 5001
 HOSTILE = (
@@ -39,6 +41,8 @@ INSIDE = (
     ("parenthesis", r"[()]", ("", "(", ")", "((")),
     ("arc component", r"[^,]+", ("0", "t^0", "1 + t", "", HUGE_LITERAL)),
 )
+#: The command-line flag of each run option.
+FLAGS = tuple("--" + key.replace("_", "-") for key in OPTION_MINIMUM)
 COMMANDS = ("nash", "contact", "ord-d", "verify")
 MUTANTS_PER_COMMAND = 75
 SECONDS_PER_MUTANT = 5
@@ -95,9 +99,14 @@ def test_mutants_keep_the_exit_code_contract(command, tmp_path, capsys):
             label = f"mutant {n} of {command} on {name}: {description}"
             path = tmp_path / f"mutant{n}.problem"
             path.write_text(mutant, encoding="utf-8")
+            argv = [command, str(path)]
+            if rng.random() < 0.25:
+                flag, value = rng.choice(FLAGS), rng.choice(HOSTILE)
+                argv += [flag, value]
+                label += f", with {flag} {value[:40]!r}"
             signal.setitimer(signal.ITIMER_REAL, SECONDS_PER_MUTANT)
             try:
-                code = main([command, str(path)])
+                code = main(argv)
             except MutantTimeout:
                 pytest.fail(f"{label}: no exit within {SECONDS_PER_MUTANT} s")
             except SystemExit as exc:

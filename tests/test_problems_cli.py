@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -7,7 +8,7 @@ import pytest
 from arcmult.cli import main
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
 from arcmult.errors import ParseError
-from arcmult.problems import parse_problem, run
+from arcmult.problems import Options, parse_problem, run
 
 CUSP_PROBLEM = """\
 name: cusp_demo
@@ -33,6 +34,14 @@ poly: y^2 - x^2 - x^3
 arc a: 2*t + t^2, 2*t + 3*t^2 + t^3
 analyses: nash
 """
+
+
+def exit_code(argv):
+    """What main returns, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestProblemFormat:
@@ -62,6 +71,29 @@ class TestProblemFormat:
         with pytest.raises(ParseError) as err:
             parse_problem(bad)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("field: 0", "field: 4", 2),
+            ("variables: x y", "variables: x x", 3),
+            ("fiber: y", "fiber: w", 5),
+            ("parametrization: t^2, t^3", "parametrization: t^2, t^^3", 7),
+            ("analyses: nash contact ord_d verify", "analyses: nash dance", 8),
+            ("expect verify: PASS", "expect verify: PASS\nprecision: 0", 14),
+            ("expect verify: PASS", "expect verify: PASS\nmax_steps: -1", 14),
+            ("expect verify: PASS", "expect verify: PASS\nbudget: abc", 14),
+            ("expect verify: PASS", "expect verify: PASS\nseed: 1.5", 14),
+        ],
+        ids=[
+            "field", "variables", "fiber", "parametrization", "analyses",
+            "precision", "max_steps", "budget", "seed",
+        ],
+    )
+    def test_bad_key_reported_at_its_line(self, old, new, line):
+        with pytest.raises(ParseError) as err:
+            parse_problem(CUSP_PROBLEM.replace(old, new))
+        assert err.value.line == line
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
@@ -181,6 +213,37 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "must be at most 10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["option", "flag"])
+    def test_huge_option_exit_code(self, tmp_path, capsys, where):
+        # int() refuses more than 4,300 digits; the option reader stops at the literal cap first.
+        digits = "9" * 5001
+        if where == "option":
+            argv = ["verify", self.write(tmp_path, CUSP_PROBLEM + f"budget: {digits}\n")]
+        else:
+            argv = ["verify", self.write(tmp_path, CUSP_PROBLEM), "--budget", digits]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "1000 digits" in err and len(err.encode()) < 1000
+
+    def test_non_integer_seed_flag_exit_code(self, tmp_path, capsys):
+        path = self.write(tmp_path, CUSP_PROBLEM)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, "--seed", "abc"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Options)])
+    @pytest.mark.parametrize("command", ["verify", "corpus"])
+    def test_every_option_has_a_flag(self, tmp_path, capsys, command, key):
+        flag = "--" + key.replace("_", "-")
+        if command == "corpus":
+            argv = ["corpus", "cusp_char0", flag, "20", "--json"]
+        else:
+            argv = ["verify", self.write(tmp_path, CUSP_PROBLEM), flag, "20", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        report = payload["reports"]["cusp_char0"] if command == "corpus" else payload
+        assert report["problem"]["options"][key] == 20
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_precision_flag_exit_code(self, tmp_path, capsys, value):
         path = self.write(tmp_path, NODE_PROBLEM)
@@ -269,6 +332,16 @@ class TestCli:
         text = CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^3, t^2")
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 2
+
+    @pytest.mark.parametrize(
+        "command, name", [("nash", "arc x -> t^3, y -> t^2"), ("verify", "candidate phi")]
+    )
+    def test_arc_off_variety_names_the_arc(self, tmp_path, capsys, command, name):
+        # y^2 - x^3 maps to t^4 - t^9 along the arc; the message names the arc, not the image.
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^3, t^2"))
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} does not lie on the hypersurface" in err and "t^9" not in err
 
     def test_parametrization_off_variety_exit_code(self, tmp_path, capsys):
         # x -> t^3, y -> t^2 maps y^2 - x^3 to t^4 - t^9, so none of its
