@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     VariableMismatch,
 )
-from .fields import format_order
 from .problems import OPTION_MINIMUM, Options, option_value, parse_problem, run
 
 EXIT_OK = 0
@@ -100,69 +99,56 @@ def _load(args):
     return problem
 
 
-_COMMAND_ANALYSIS = {"nash": "nash", "contact": "contact", "ord-d": "ord_d", "verify": "verify"}
-
-
-def _emit(data, as_json: bool):
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
-
-
 def _run_single(args) -> int:
-    analysis = _COMMAND_ANALYSIS[args.command]
+    analysis = args.command.replace("-", "_")
     problem = _load(args)
     problem.analyses = (analysis,)
-    report = run(problem)
-    payload = report.to_json(include_trace=args.trace)
+    payload = run(problem).to_json(include_trace=args.trace)
     if args.json:
-        _emit(payload, True)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        _print_human(problem, report, analysis, args.trace)
-    if report.verdict != "PASS":
-        return EXIT_FAIL
-    return EXIT_OK
+        _print_human(payload, analysis)
+    return EXIT_OK if payload["verdict"] == "PASS" else EXIT_FAIL
 
 
-def _print_human(problem, report, analysis, trace):
-    print(f"problem {problem.name} over "
-          f"{'Q' if problem.field.characteristic == 0 else f'F_{problem.field.characteristic}'}: "
-          f"{problem.poly_text}")
-    data = report.analyses[analysis]
+def _print_human(payload, analysis):
+    """The human lines of a report: the fields of the dictionary that `--json` prints."""
+    problem = payload["problem"]
+    field = "Q" if problem["field"] == 0 else f"F_{problem['field']}"
+    print(f"problem {problem['name']} over {field}: {problem['poly']}")
+    data = payload["analyses"][analysis]
     if analysis == "nash":
         for arc_name, nash in data.items():
-            sequence = ",".join(str(m) for m in nash.sequence)
-            status = "truncated" if nash.truncated else f"rho={nash.rho}"
+            sequence = ",".join(str(m) for m in nash["sequence"])
+            status = "truncated" if nash["truncated"] else f"rho={nash['rho']}"
             print(f"  nash {arc_name}: [{sequence}] {status}")
-            if trace:
-                for step in nash.trace:
-                    center = ",".join(
-                        problem.field.element_str(c) for c in step.center
-                    )
-                    print(
-                        f"    chart {step.chart_variable} center ({center}) "
-                        f"m={step.multiplicity} transform {step.transform}"
-                    )
+            for step in nash.get("trace", ()):
+                print(
+                    f"    chart {step['chart']} center ({','.join(step['center'])}) "
+                    f"m={step['multiplicity']} transform {step['transform']}"
+                )
     elif analysis == "contact":
         for arc_name, result in data.items():
             print(
-                f"  contact {arc_name}: r={format_order(result.r)} nu={result.nu} "
-                f"r_bar={format_order(result.r_bar)} rho={format_order(result.rho)}"
+                f"  contact {arc_name}: r={result['r']} nu={result['nu']} "
+                f"r_bar={result['r_bar']} rho={result['rho']}"
             )
     elif analysis == "ord_d":
-        print(f"  ord_d = {data.ord_d} via {data.method}; algebra {data.algebra}")
+        algebra = ", ".join(data["algebra"])
+        print(f"  ord_d = {data['ord_d']} via {data['method']}; algebra [{algebra}]")
     elif analysis == "verify":
         print(
-            f"  verify: {data.verdict} (ord_d={data.ord_d}, "
-            f"min r_bar={format_order(data.min_r_bar)}, "
-            f"arcs={data.arcs_checked}, witness={data.witness_name})"
+            f"  verify: {data['verdict']} (ord_d={data['ord_d']}, "
+            f"min r_bar={data['min_r_bar']}, "
+            f"arcs={data['arcs_checked']}, witness={data['witness']})"
         )
-    for expectation in report.expectations:
+    for expectation in payload["expectations"]:
         mark = "ok" if expectation["match"] else "MISMATCH"
         print(
             f"  expect {expectation['key']}: {expectation['expected']} "
             f"-> {expectation['computed']} [{mark}]"
         )
-    print(f"verdict: {report.verdict}")
+    print(f"verdict: {payload['verdict']}")
 
 
 def _run_corpus(args) -> int:
@@ -176,7 +162,7 @@ def _run_corpus(args) -> int:
                 for name, report in results
             },
         }
-        _emit(payload, True)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         if not results:
             print(f"warning: no bundled problem matches {args.pattern!r}")
@@ -186,8 +172,6 @@ def _run_corpus(args) -> int:
             for mismatch in row["mismatches"]:
                 print(f"    {mismatch}")
         print(f"{summary['passed']}/{summary['problems']} problems PASS")
-    if summary["problems"] == 0:
-        return EXIT_OK
     return EXIT_OK if summary["passed"] == summary["problems"] else EXIT_FAIL
 
 

@@ -17,10 +17,10 @@ from .blowup import DEFAULT_MAX_STEPS, nash_sequence
 from .contact import normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
-from .fields import FieldSpec, format_order
+from .fields import FieldSpec
 from .poly import MAX_LITERAL_DIGITS, MultiPoly, parse_poly
 from .rees import presenting_algebra
-from .series import DEFAULT_PRECISION, Arc, parse_series
+from .series import DEFAULT_PRECISION, Arc, certify_on_hypersurface, parse_series
 
 ANALYSES = ("nash", "contact", "ord_d", "verify")
 #: Upper bound of the precision, max_steps and budget options, which size the work.
@@ -59,6 +59,25 @@ def option_value(key: str, text: str) -> int:
         if value > MAX_OPTION:
             raise ParseError(f"option {key!r} must be at most {MAX_OPTION}, got {value}")
     return value
+
+
+def _rational_text(raw: str) -> str:
+    """An expected rational in lowest terms; an exponent, whose power has no bound, is refused."""
+    if "e" in raw.lower():
+        raise ValueError(raw)
+    return str(Fraction(raw))
+
+
+#: Each `expect` kind: the analyses that report it, its field in their reports, and the
+#: text of an expected value as they write it (ValueError or ZeroDivisionError when it is
+#: malformed).  A kind that the per-arc analyses, nash and contact, report names one arc.
+_EXPECT = {
+    "nash": (("nash",), "sequence", lambda raw: str([int(x) for x in raw.replace(",", " ").split()])),
+    "rho": (("nash", "contact"), "rho", lambda raw: str(int(raw))),
+    "r_bar": (("contact",), "r_bar", _rational_text),
+    "ord_d": (("ord_d",), "ord_d", _rational_text),
+    "verify": (("verify",), "verdict", str),
+}
 
 
 @dataclass
@@ -115,6 +134,21 @@ def _parse_arc(text: str, variables, field: FieldSpec, line_number: int) -> Arc:
     return Arc(tuple(variables), tuple(components), field)
 
 
+def _check_expect_line(words, value: str, line_number: int) -> None:
+    """ParseError unless `expect WORDS: VALUE` has a kind of `_EXPECT`, its arc and a readable value."""
+    kind = words[0]
+    if kind not in _EXPECT:
+        raise ParseError(f"unknown expectation kind {kind!r}", line=line_number)
+    sources, _, text = _EXPECT[kind]
+    names_arc = sources[0] in ("nash", "contact")
+    if len(words) != 1 + names_arc:
+        raise ParseError(f"expect {kind} names {'one' if names_arc else 'no'} arc", line=line_number)
+    try:
+        text(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed expected value for {kind!r}", line=line_number) from None
+
+
 def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
     """Parse the structured-text problem format; errors carry line numbers."""
     entries = []
@@ -139,6 +173,7 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
             arcs_raw.append((key[4:].strip(), value, line_number))
         elif key.startswith("expect "):
             expects[key[7:].strip()] = value
+            _check_expect_line(key[7:].split(), value, line_number)
         elif key in data:
             raise ParseError(f"duplicate key {key!r}", line=line_number)
         else:
@@ -244,24 +279,26 @@ class Report:
             "analyses": list(self.problem.analyses),
             "options": asdict(self.problem.options),
         }
-        analyses = {}
-        for key, value in self.analyses.items():
-            if key == "nash":
-                analyses[key] = {
-                    arc: report.to_json(self.problem.field, include_trace)
-                    for arc, report in value.items()
-                }
-            elif key == "contact":
-                analyses[key] = {arc: result.to_json() for arc, result in value.items()}
-            else:
-                analyses[key] = value.to_json()
         return {
             "engine": {"name": "arcmult", "version": __version__},
             "problem": problem,
-            "analyses": analyses,
+            "analyses": _analyses_json(self.problem.field, self.analyses, include_trace),
             "expectations": self.expectations,
             "verdict": self.verdict,
         }
+
+
+def _analyses_json(field, analyses: dict, include_trace: bool = False) -> dict:
+    """The report of each analysis that ran, as `Report.to_json` writes it."""
+    data = {}
+    for key, value in analyses.items():
+        if key == "nash":
+            data[key] = {arc: report.to_json(field, include_trace) for arc, report in value.items()}
+        elif key == "contact":
+            data[key] = {arc: result.to_json() for arc, result in value.items()}
+        else:
+            data[key] = value.to_json()
+    return data
 
 
 def presentation_of(problem: ProblemFile) -> MonicPresentation:
@@ -288,10 +325,10 @@ def run(problem: ProblemFile) -> Report:
         }
     if "contact" in problem.analyses:
         algebra = presenting_algebra(problem.poly)
-        analyses["contact"] = {
-            name: normalized_contact(algebra, arc)
-            for name, arc in problem.arcs.items()
-        }
+        analyses["contact"] = {}
+        for name, arc in problem.arcs.items():
+            certify_on_hypersurface(problem.poly, arc, f"arc {name}")
+            analyses["contact"][name] = normalized_contact(algebra, arc)
     if "ord_d" in problem.analyses or "verify" in problem.analyses:
         presentation = presentation_of(problem)
     if "ord_d" in problem.analyses:
@@ -304,86 +341,29 @@ def run(problem: ProblemFile) -> Report:
             problem.options.seed,
             parametrization=problem.parametrization,
         )
-    expectations = _check_expectations(problem, analyses)
+    reports = _analyses_json(problem.field, analyses)
+    expectations = _check_expectations(problem.expects, reports)
     failed = any(not e["match"] for e in expectations)
-    verify_failed = (
-        "verify" in analyses and analyses["verify"].verdict != "PASS"
-    )
+    verify_failed = "verify" in reports and reports["verify"]["verdict"] != "PASS"
     verdict = "FAIL" if failed or verify_failed else "PASS"
     return Report(problem, analyses, expectations, verdict)
 
 
-def _validate_expect_value(kind, raw):
-    if kind in ("ord_d", "r_bar"):
-        Fraction(raw)
-    elif kind == "rho":
-        int(raw)
-    elif kind == "nash":
-        [int(x) for x in raw.replace(",", " ").split()]
-
-
-def _check_expectations(problem: ProblemFile, analyses: dict) -> list:
+def _check_expectations(expects: dict, reports: dict) -> list:
+    """Each golden value against the no-trace reports; skipped when no analysis reporting it ran."""
     checks = []
-
-    def record(key, expected, computed):
-        checks.append(
-            {
-                "key": key,
-                "expected": str(expected),
-                "computed": str(computed),
-                "match": str(expected) == str(computed),
-            }
-        )
-
-    # Expectations are checked only against analyses that actually ran, so a
-    # single-analysis command does not trip golden values for the others.
-    for key, raw in problem.expects.items():
-        parts = key.split()
-        kind = parts[0]
-        try:
-            _validate_expect_value(kind, raw)
-        except (ValueError, ZeroDivisionError):
-            record(key, raw, "malformed expected value")
+    for key, raw in expects.items():
+        kind, *arc = key.split()
+        sources, field, text = _EXPECT[kind]
+        ran = [reports[source] for source in sources if source in reports]
+        if not ran:
             continue
-        if kind == "ord_d":
-            if "ord_d" not in analyses:
-                continue
-            record(key, str(Fraction(raw)), format_order(analyses["ord_d"].ord_d))
-        elif kind == "verify":
-            if "verify" not in analyses:
-                continue
-            record(key, raw, analyses["verify"].verdict)
-        elif kind == "nash" and len(parts) == 2:
-            arc = parts[1]
-            if "nash" not in analyses:
-                continue
-            expected = [int(x) for x in raw.replace(",", " ").split()]
-            computed = (
-                list(analyses["nash"][arc].sequence) if arc in analyses["nash"] else "missing arc"
-            )
-            record(key, expected, computed)
-        elif kind == "rho" and len(parts) == 2:
-            arc = parts[1]
-            values = set()
-            if "nash" in analyses and arc in analyses["nash"]:
-                values.add(analyses["nash"][arc].rho)
-            if "contact" in analyses and arc in analyses["contact"]:
-                values.add(analyses["contact"][arc].rho)
-            if not values:
-                continue
-            expected = int(raw)
-            computed = values.pop() if len(values) == 1 else "disagreement"
-            record(key, expected, computed)
-        elif kind == "r_bar" and len(parts) == 2:
-            arc = parts[1]
-            if "contact" not in analyses:
-                continue
-            computed = (
-                format_order(analyses["contact"][arc].r_bar)
-                if arc in analyses["contact"]
-                else "missing arc"
-            )
-            record(key, str(Fraction(raw)), computed)
-        else:
-            record(key, raw, "unknown expectation key")
+        if arc:
+            ran = [report[arc[0]] for report in ran if arc[0] in report]
+        values = {str(report[field]) for report in ran} or {"missing arc"}
+        computed = values.pop() if len(values) == 1 else "disagreement"
+        expected = text(raw)
+        checks.append(
+            {"key": key, "expected": expected, "computed": computed, "match": expected == computed}
+        )
     return checks

@@ -1,10 +1,10 @@
 """Seeded fuzzing of the command line on mutated bundled problems.
 
 Each mutant is a bundled problem with one line dropped, one line
-duplicated, one key set to a value from a fixed list of hostile values, or
-one place inside a value changed: a digit, an exponent, a parenthesis or an
-arc component.  Some mutants also get one run-option flag with a hostile
-value.
+duplicated, one key set to a value from a fixed list of hostile values, one
+key replaced by a near-miss from a fixed list, or one place inside a value
+changed: a digit, an exponent, a parenthesis or an arc component.  Some
+mutants also get one run-option flag with a hostile value.
 Every command must end with an exit code of the contract (0 pass, 1 fail,
 2 bad input, 3 engine or precision error) within a time limit; an escaping
 exception or a timeout fails the test and names the mutant.
@@ -33,6 +33,8 @@ HOSTILE = (
     "*".join(["x^999"] * 100),
     HUGE_LITERAL,
 )
+#: Keys close to valid ones: a misspelt kind or key, or the wrong number of words.
+NEAR_MISS_KEYS = ("expect rbar phi", "expect nash", "expect ord_d x", "arcs phi", "budgets")
 #: Places inside a value, each with its replacements; where a value has no
 #: such place, the replacement is appended to it.
 INSIDE = (
@@ -64,7 +66,7 @@ def mutate(rng, text):
     """One mutant of a problem text, and a description of the mutation."""
     lines = text.splitlines()
     i = rng.randrange(len(lines))
-    kind = rng.choice(("drop", "duplicate", "set", "inside"))
+    kind = rng.choice(("drop", "duplicate", "set", "key", "inside"))
     if kind == "drop":
         return "\n".join(lines[:i] + lines[i + 1 :]) + "\n", f"drop line {i + 1}"
     if kind == "duplicate":
@@ -74,6 +76,10 @@ def mutate(rng, text):
         value = rng.choice(HOSTILE)
         lines[i] = f"{key}: {value}"
         return "\n".join(lines) + "\n", f"set {key!r} to {value[:40]!r}"
+    if kind == "key":
+        new_key = rng.choice(NEAR_MISS_KEYS)
+        lines[i] = f"{new_key}:{value}"
+        return "\n".join(lines) + "\n", f"replace key {key!r} by {new_key!r}"
     place, pattern, replacements = rng.choice(INSIDE)
     spans = [m.span() for m in re.finditer(pattern, value)] or [(len(value), len(value))]
     start, end = rng.choice(spans)

@@ -84,10 +84,20 @@ class TestProblemFormat:
             ("expect verify: PASS", "expect verify: PASS\nmax_steps: -1", 14),
             ("expect verify: PASS", "expect verify: PASS\nbudget: abc", 14),
             ("expect verify: PASS", "expect verify: PASS\nseed: 1.5", 14),
+            ("expect r_bar phi: 3/2", "expect rbar phi: 3/2", 12),
+            ("expect nash phi: 2,2,2,1", "expect nash: 2,2", 10),
+            ("expect ord_d: 3/2", "expect ord_d foo: 3/2", 9),
+            ("expect ord_d: 3/2", "expect ord_d: abc", 9),
+            ("expect r_bar phi: 3/2", "expect r_bar phi: 1/0", 12),
+            ("expect rho phi: 3", "expect rho phi: 1.5", 11),
+            ("expect ord_d: 3/2", "expect ord_d: 1e999999999", 9),
         ],
         ids=[
             "field", "variables", "fiber", "parametrization", "analyses",
             "precision", "max_steps", "budget", "seed",
+            "expect-unknown-kind", "expect-nash-without-arc", "expect-ord_d-with-arc",
+            "expect-ord_d-value", "expect-r_bar-value", "expect-rho-value",
+            "expect-ord_d-exponent",
         ],
     )
     def test_bad_key_reported_at_its_line(self, old, new, line):
@@ -269,7 +279,9 @@ class TestCli:
         assert "fiber degree >= 2" in capsys.readouterr().err
 
     def test_non_monic_fiber_exit_code(self, tmp_path, capsys):
-        path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", "2*y^2 - x^3"))
+        # x -> 2*t^2, y -> 2*t^3 lies on 2*y^2 - x^3, so only the fiber is at fault.
+        text = CUSP_PROBLEM.replace("y^2 - x^3", "2*y^2 - x^3")
+        path = self.write(tmp_path, text.replace("arc phi: t^2, t^3", "arc phi: 2*t^2, 2*t^3"))
         assert main(["verify", path]) == 2
         assert "not monic" in capsys.readouterr().err
         # analyses that need no monic presentation still accept the file
@@ -334,7 +346,8 @@ class TestCli:
         assert main(["nash", path]) == 2
 
     @pytest.mark.parametrize(
-        "command, name", [("nash", "arc x -> t^3, y -> t^2"), ("verify", "candidate phi")]
+        "command, name",
+        [("nash", "arc x -> t^3, y -> t^2"), ("contact", "arc phi"), ("verify", "candidate phi")],
     )
     def test_arc_off_variety_names_the_arc(self, tmp_path, capsys, command, name):
         # y^2 - x^3 maps to t^4 - t^9 along the arc; the message names the arc, not the image.
@@ -367,6 +380,12 @@ class TestCli:
         path = self.write(tmp_path, text)
         assert main(["ord-d", path]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["nash", "contact"])
+    def test_expect_rho_of_a_missing_arc_fails(self, tmp_path, capsys, command):
+        path = self.write(tmp_path, CUSP_PROBLEM.replace("expect rho phi: 3", "expect rho psi: 3"))
+        assert main([command, path]) == 1
+        assert "expect rho psi: 3 -> missing arc [MISMATCH]" in capsys.readouterr().out
 
     def test_engine_error_exit_code(self, tmp_path, capsys):
         # over F_2 the initial form (u+v)^2 vanishes at the only unit tuple,
@@ -427,6 +446,26 @@ analyses: verify
         assert main(["nash", path, "--json", "--trace"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, flag_sets, digest",
+        [
+            ("nash", ([], ["--trace"]), "77586d5cf25fd611693c74fb2d2d9146cc1cd8906c103845d1fdb5b7847749c2"),
+            ("contact", ([], ["--trace"]), "1f397b9843ab8556bb9163b8e9c2dbe34b8e0dd0a3de4b9901b044946af4c93d"),
+            ("ord-d", ([], ["--trace"]), "ccde1a4ad41dadfd46c6fe525cb7ff547f1f75a60a7fea58eaf2e88d77c89368"),
+            ("verify", ([],), "78208abac97889e375400794bd00692f38b31ab4edcbdc7c26048c19a9cf4fb1"),
+        ],
+        ids=["nash", "contact", "ord-d", "verify"],
+    )
+    def test_human_text_is_byte_identical(self, capsys, command, flag_sets, digest):
+        # Pins the text, exit code included, that each command prints for every bundled problem.
+        data = resources.files("arcmult").joinpath("data")
+        outputs = []
+        for name in corpus_names():
+            for flags in flag_sets:
+                code = main([command, str(data.joinpath(f"{name}.problem")), *flags])
+                outputs.append(f"{code}\n{capsys.readouterr().out}")
+        assert hashlib.sha256("".join(outputs).encode("utf-8")).hexdigest() == digest
 
     def test_corpus_no_match_warns(self, capsys):
         assert main(["corpus", "nomatch"]) == 0
