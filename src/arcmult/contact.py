@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import DependenceInvalid, PrecisionExhausted
 from .fields import INF, format_order
-from .poly import MultiPoly
+from .poly import MultiPoly, Powers
 from .rees import ReesAlgebra
-from .series import Arc, ArcPowers, TruncatedSeries, arc_substitute, certify_on_hypersurface
+from .series import Arc, TruncatedSeries, arc_substitute, certify_on_hypersurface
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """t-order of each generator image; PrecisionExhausted when one is needed but unknown."""
     known = []
     pending = []
-    powers = ArcPowers(arc)
+    powers = Powers(arc.components, TruncatedSeries.t_power(arc.field, 0))
     for i, (poly, weight) in enumerate(algebra.generators):
         image = arc_substitute(poly, arc, powers)
         order = image.known_order()

@@ -8,6 +8,7 @@ through it so reductions mod p happen exactly once per operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,8 +132,20 @@ class FieldSpec:
         p = self.characteristic
         return 1 / Fraction(a) if p == 0 else pow(a, p - 2, p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def cleared(self, values):
+        """(integers, scale) with values = integers / scale: over Q the lcm of the
+        denominators clears them once; over F_p the values themselves and 1."""
+        if self.characteristic:
+            return values, 1
+        scale = math.lcm(*(c.denominator for c in values))
+        return [c.numerator * (scale // c.denominator) for c in values], scale
+
+    def uncleared(self, integers, scale) -> list:
+        """The field elements integers / scale, for scale a product of scales from `cleared`."""
+        p = self.characteristic
+        if p:
+            return [v % p for v in integers]
+        return [Fraction(v, scale) for v in integers]
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -152,11 +165,8 @@ class FieldSpec:
         p = self.characteristic
         return tuple(range(1, min(p, limit + 1)))
 
-    def random_element(self, rng, bound: int = 3, nonzero: bool = False):
-        while True:
-            value = self.coerce(rng.randint(-bound, bound))
-            if not (nonzero and self.is_zero(value)):
-                return value
+    def random_element(self, rng, bound: int = 3):
+        return self.coerce(rng.randint(-bound, bound))
 
 
 #: The rationals, shared instance.

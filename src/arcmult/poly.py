@@ -142,28 +142,20 @@ class MultiPoly:
     def __mul__(self, other):
         self._check_compatible(other)
         field = self.field
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(terms.get(e, field.zero), field.mul(c1, c2))
-                if field.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return self._new(terms)
+        a, da = field.cleared(self.terms.values())
+        b, db = field.cleared(other.terms.values())
+        raw = {}
+        for e1, x in zip(self.terms, a):
+            for e2, y in zip(other.terms, b):
+                e = tuple(i + j for i, j in zip(e1, e2))
+                raw[e] = raw.get(e, 0) + x * y
+        return self._new(dict(zip(raw, field.uncleared(raw.values(), da * db))))
 
     def __pow__(self, n: int):
         if n < 0:
             raise EngineError("negative polynomial power")
-        result = MultiPoly.constant(self.field.one, self.variables, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = MultiPoly.constant(self.field.one, self.variables, self.field)
+        return Powers((self,), one).power(0, n)
 
     def scale(self, value):
         field = self.field
@@ -209,19 +201,21 @@ class MultiPoly:
                 images.append(values[name])
             else:
                 images.append(MultiPoly.variable(name, target.variables, self.field))
-        result = MultiPoly.zero(target.variables, self.field)
-        power_cache = {}
+        one = MultiPoly.constant(self.field.one, target.variables, self.field)
+        return self.image(Powers(images, one), MultiPoly.zero(target.variables, self.field))
+
+    def image(self, powers: "Powers", zero):
+        """f under the ring map sending variable i to powers.images[i], summed from `zero`.
+
+        Each term starts from its coefficient times powers.one, the shortest factor to scale."""
+        total = zero
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, target.variables, self.field)
+            term = powers.one.scale(coeff)
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = images[i] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+                if e:
+                    term = term * powers.power(i, e)
+            total = total + term
+        return total
 
     def translate(self, point) -> "MultiPoly":
         """f(x + p): moves the point p to the origin."""
@@ -237,15 +231,10 @@ class MultiPoly:
 
     def evaluate(self, point):
         point = check_point(point, self.variables, self.field)
-        field = self.field
-        total = field.zero
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for c, e in zip(point, exps):
-                if e:
-                    value = field.mul(value, field.coerce(c**e))
-            total = field.add(total, value)
-        return total
+        values = {
+            name: MultiPoly.constant(c, (), self.field) for name, c in zip(self.variables, point)
+        }
+        return self.substitute(values).constant_value()
 
     def order_at(self, point):
         """Order of f in the local ring at a rational point; INF iff f = 0."""
@@ -338,6 +327,30 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+class Powers:
+    """images[i]^e (polynomials or series) by repeated squaring, every power cached for reuse."""
+
+    def __init__(self, images, one):
+        self.images = tuple(images)
+        self.one = one
+        self._cache: dict = {}
+
+    def power(self, index: int, exponent: int):
+        if exponent == 0:
+            return self.one
+        if exponent == 1:
+            return self.images[index]
+        key = (index, exponent)
+        cached = self._cache.get(key)
+        if cached is None:
+            half = self.power(index, exponent // 2)
+            cached = half * half
+            if exponent & 1:
+                cached = cached * self.images[index]
+            self._cache[key] = cached
+        return cached
 
 
 # -- parsing ---------------------------------------------------------------------------

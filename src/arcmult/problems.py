@@ -172,8 +172,12 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         if key.startswith("arc "):
             arcs_raw.append((key[4:].strip(), value, line_number))
         elif key.startswith("expect "):
-            expects[key[7:].strip()] = value
-            _check_expect_line(key[7:].split(), value, line_number)
+            words = key[7:].split()
+            _check_expect_line(words, value, line_number)
+            key = " ".join(words)
+            if key in expects:
+                raise ParseError(f"duplicate expectation {key!r}", line=line_number)
+            expects[key] = value
         elif key in data:
             raise ParseError(f"duplicate key {key!r}", line=line_number)
         else:

@@ -132,16 +132,6 @@ class ReesAlgebra:
                         gens.append((derived.normalized(), weight - total))
         return ReesAlgebra.of(self.variables, gens, self.field, trivial=self.trivial)
 
-    def translate(self, point: Point) -> "ReesAlgebra":
-        """Recenter: move the given point to the origin in every generator."""
-        point = check_point(point, self.variables, self.field)
-        return ReesAlgebra.of(
-            self.variables,
-            [(g.translate(point), w) for g, w in self.generators],
-            self.field,
-            trivial=self.trivial,
-        )
-
     def weighted_transform(self, chart, center: Point) -> "ReesAlgebra":
         """Transform under a point blow-up chart: pull back, divide by e^weight.
 

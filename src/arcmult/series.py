@@ -13,9 +13,7 @@ zero constant term (arcs are stored recentered at the current chart origin).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .errors import (
     ArcNotOnVariety,
@@ -26,7 +24,7 @@ from .errors import (
     VariableMismatch,
 )
 from .fields import INF, FieldSpec, ensure_same_field, format_terms
-from .poly import MultiPoly, parse_poly
+from .poly import MultiPoly, Powers, parse_poly
 
 #: Default coefficient budget for non-terminating divisions and expansions.
 DEFAULT_PRECISION = 64
@@ -150,15 +148,7 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise EngineError("negative series power")
-        result = TruncatedSeries.t_power(self.field, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return Powers((self,), TruncatedSeries.t_power(self.field, 0)).power(0, n)
 
     def divide(self, other: "TruncatedSeries", fallback_precision: int = DEFAULT_PRECISION):
         """Series division; requires order(divisor) <= order(dividend)."""
@@ -236,25 +226,18 @@ def _pad(field, values, n):
 def _convolve(field, a, b, n):
     """First n coefficients of (sum a_i t^i) * (sum b_j t^j).
 
-    Over Q denominators are cleared once so the loop runs on ints; over F_p
-    each output coefficient is reduced once.
+    The loop runs on the integers of `field.cleared`, and each output
+    coefficient is brought back into the field once.
     """
-    p = field.characteristic
-    if p == 0:
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        a = [c.numerator * (da // c.denominator) for c in a]
-        b = [c.numerator * (db // c.denominator) for c in b]
+    a, da = field.cleared(a)
+    b, db = field.cleared(b)
     raw = [0] * n
     for i, x in enumerate(a[:n]):
         if x:
             for j, y in enumerate(b[: n - i], i):
                 if y:
                     raw[j] += x * y
-    if p == 0:
-        scale = da * db
-        return [Fraction(v, scale) for v in raw]
-    return [v % p for v in raw]
+    return field.uncleared(raw, da * db)
 
 
 def _series_quotient(field, a, b, n):
@@ -347,46 +330,16 @@ class Arc:
         )
 
 
-class ArcPowers:
-    """Cache of component powers, shareable across generator evaluations."""
-
-    def __init__(self, arc: Arc):
-        self.arc = arc
-        self._cache: dict = {}
-
-    def power(self, index: int, exponent: int) -> TruncatedSeries:
-        key = (index, exponent)
-        cached = self._cache.get(key)
-        if cached is None:
-            if exponent == 1:
-                cached = self.arc.components[index]
-            else:
-                half = self.power(index, exponent // 2)
-                cached = half * half
-                if exponent & 1:
-                    cached = cached * self.arc.components[index]
-            self._cache[key] = cached
-        return cached
-
-
-def arc_substitute(poly: MultiPoly, arc: Arc, powers: ArcPowers | None = None) -> TruncatedSeries:
-    """Evaluate a polynomial along an arc: phi(f) in K[[t]]."""
+def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> TruncatedSeries:
+    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` of the arc may be shared."""
     ensure_same_field(poly.field, arc.field)
     if poly.variables != arc.variables:
         raise VariableMismatch(
             f"polynomial variables {poly.variables} vs arc variables {arc.variables}"
         )
-    field = poly.field
     if powers is None:
-        powers = ArcPowers(arc)
-    total = TruncatedSeries.zero(field)
-    for exps, coeff in poly.terms.items():
-        term = TruncatedSeries.exact_series(field, (coeff,))
-        for i, e in enumerate(exps):
-            if e:
-                term = term * powers.power(i, e)
-        total = total + term
-    return total
+        powers = Powers(arc.components, TruncatedSeries.t_power(arc.field, 0))
+    return poly.image(powers, TruncatedSeries.zero(arc.field))
 
 
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str) -> None:

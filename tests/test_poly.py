@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from property_checks import random_point, random_poly
 
 from arcmult.errors import ParseError, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import MultiPoly, origin, parse_poly
 
 XY = ("x", "y")
+FIELDS = (RATIONALS, prime_field(2), prime_field(3))
+FIELD_IDS = ("Q", "F2", "F3")
 
 
 def P(text, variables=XY, field=RATIONALS):
@@ -134,6 +138,57 @@ def test_str_round_trips_through_parser():
 def test_str_of_prime_field_polys():
     f2 = prime_field(2)
     assert str(P("y^2 - x^3", field=f2)) == "y^2 + x^3"
+
+
+def reference_product(f, g):
+    """Term-by-term product through the field operations."""
+    field = f.field
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = field.add(terms.get(e, field.zero), field.mul(c1, c2))
+    return MultiPoly(f.variables, terms, field)
+
+
+def product_operands(rng, field):
+    """A random polynomial, the zero polynomial, a constant and, over Q, non-integer scalings."""
+    f = random_poly(rng, field)
+    operands = [f, MultiPoly.zero(XY, field), MultiPoly.constant(rng.randint(-3, 3), XY, field)]
+    if field.characteristic == 0:
+        operands += [f.scale(Fraction(1, 3)), f.normalized()]
+    return operands
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_product_matches_term_by_term_reference(field):
+    rng = random.Random(f"product-{field.characteristic}")
+    for _ in range(40):
+        for f in product_operands(rng, field):
+            for g in product_operands(rng, field):
+                assert f * g == reference_product(f, g), f"{f} times {g}"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_power_matches_repeated_products(field):
+    rng = random.Random(f"power-{field.characteristic}")
+    for _ in range(4):
+        f = random_poly(rng, field)
+        if field.characteristic == 0:
+            f = f.scale(Fraction(1, 3))
+        expected = MultiPoly.constant(1, XY, field)
+        for n in range(13):
+            assert f**n == expected, f"({f})^{n}"
+            expected = expected * f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_evaluate_is_the_constant_term_of_the_translate(field):
+    rng = random.Random(f"evaluate-{field.characteristic}")
+    for _ in range(60):
+        f = random_poly(rng, field)
+        point = random_point(rng, field)
+        assert f.evaluate(point) == f.translate(point).constant_value(), f"{f} at {point}"
 
 
 class TestParser:

@@ -91,13 +91,14 @@ class TestProblemFormat:
             ("expect r_bar phi: 3/2", "expect r_bar phi: 1/0", 12),
             ("expect rho phi: 3", "expect rho phi: 1.5", 11),
             ("expect ord_d: 3/2", "expect ord_d: 1e999999999", 9),
+            ("expect ord_d: 3/2", "expect ord_d: 3/2\nexpect ord_d: 2", 10),
         ],
         ids=[
             "field", "variables", "fiber", "parametrization", "analyses",
             "precision", "max_steps", "budget", "seed",
             "expect-unknown-kind", "expect-nash-without-arc", "expect-ord_d-with-arc",
             "expect-ord_d-value", "expect-r_bar-value", "expect-rho-value",
-            "expect-ord_d-exponent",
+            "expect-ord_d-exponent", "expect-duplicate",
         ],
     )
     def test_bad_key_reported_at_its_line(self, old, new, line):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from property_checks import XY, random_poly
 
 from arcmult.errors import (
     DivisionOrderError,
@@ -11,7 +12,8 @@ from arcmult.errors import (
     PrecisionExhausted,
 )
 from arcmult.fields import INF, RATIONALS, prime_field
-from arcmult.poly import parse_poly
+from arcmult.poly import Powers, parse_poly
+from arcmult.rees import presenting_algebra
 from arcmult.series import (
     Arc,
     TruncatedSeries,
@@ -230,6 +232,31 @@ class TestArc:
         projected = phi.project(("x",))
         assert projected.variables == ("x",)
         assert projected.order() == 2
+
+
+def random_arc(rng, field):
+    """An arc in x, y whose components are exact or truncated, of up to 8 coefficients."""
+    components = []
+    for _ in XY:
+        coeffs = [field.zero] + random_coeffs(rng, field, rng.randint(1, 7))
+        if rng.random() < 0.5:
+            components.append(TruncatedSeries.exact_series(field, coeffs))
+        else:
+            components.append(TruncatedSeries.truncated(field, coeffs, len(coeffs)))
+    if all(c.known_order() is INF for c in components):
+        return random_arc(rng, field)
+    return Arc(XY, tuple(components), field)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_shared_powers_give_the_same_images(field):
+    rng = random.Random(f"shared-powers-{field.characteristic}")
+    for _ in range(20):
+        f = random_poly(rng, field, nonzero=True)
+        phi = random_arc(rng, field)
+        shared = Powers(phi.components, TruncatedSeries.t_power(field, 0))
+        for poly, _ in presenting_algebra(f).generators:
+            assert arc_substitute(poly, phi, shared) == arc_substitute(poly, phi), f"{poly} along {phi}"
 
 
 def test_series_str_and_parse_round_trip():
