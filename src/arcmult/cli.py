@@ -92,7 +92,7 @@ def _load(args):
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     problem = parse_problem(text, name_hint=path.stem)
     problem.options = problem.options.overridden(vars(args))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DependenceInvalid, PrecisionExhausted
+from .errors import DependenceInvalid, ParseError, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly, Powers
 from .rees import ReesAlgebra
@@ -88,6 +88,8 @@ def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
 #: series composed with the parametrization.
 EXPONENT_BOUND = 8
 DEGREE_BOUND = 8
+#: Most assignments in the monomial grid.
+GRID_CAP = 20000
 
 
 def _monomial_grid(field, width: int, exponent_bound: int):
@@ -95,12 +97,15 @@ def _monomial_grid(field, width: int, exponent_bound: int):
 
     (u, a) stands for x_i -> u t^a and None for x_i -> 0; the all-None
     assignment is skipped.  Units and exponents are small, and the exponent
-    bound shrinks in higher dimension to keep the grid tractable.
+    bound shrinks in higher dimension to keep the grid within GRID_CAP arcs; a
+    grid still above the cap at bound 1 is an input error.
     """
     units = field.units(6)
     bound = exponent_bound
-    while bound > 1 and (1 + len(units) * bound) ** width > 20000:
+    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
         bound -= 1
+    if (1 + len(units)) ** width > GRID_CAP:
+        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
     choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
     for assignment in itertools.product(choices, repeat=width):
         if any(c is not None for c in assignment):

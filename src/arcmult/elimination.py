@@ -17,6 +17,7 @@ established by the arc-side verifier, which also exhibits a minimizing arc.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -314,16 +315,8 @@ def minimizing_arc(result: EliminationResult) -> Arc:
         raise EngineError("no generator achieves ord_d; inconsistent result")
     weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
     initial = poly.initial_form()
-    units = field.units(6)
-    width = len(algebra.variables)
-    tuples = [()]
-    for _ in range(width):
-        tuples = [prefix + (u,) for prefix in tuples for u in units]
-    chosen = None
-    for candidate in tuples:
-        if not field.is_zero(initial.evaluate(candidate)):
-            chosen = candidate
-            break
+    candidates = itertools.product(field.units(6), repeat=len(algebra.variables))
+    chosen = next((u for u in candidates if not field.is_zero(initial.evaluate(u))), None)
     if chosen is None:
         raise NoRationalUnit(
             "no unit tuple over the base field avoids the initial form's zero set"

@@ -174,11 +174,11 @@ class TruncatedSeries:
         b = list(other.coeffs[divisor_order:])
         prec = min(self.precision, other.precision) - divisor_order
         if prec == INF:
-            # Exact inputs: polynomial division, exact result only on zero remainder.
-            quotient = TruncatedSeries._of(field, _series_quotient(field, a, b, len(a)))
-            q = quotient.coeffs
-            if _convolve(field, q, b, len(q) + len(b) - 1) == a:
-                return quotient
+            # Exact inputs.  Past len(a) the recurrence has order len(b) - 1, so a/b is a
+            # polynomial exactly when q vanishes on the len(b) - 1 indices below len(a).
+            q = _series_quotient(field, a, b, len(a))
+            if all(field.is_zero(c) for c in q[max(0, len(a) - len(b) + 1) :]):
+                return TruncatedSeries._of(field, q)
             prec = fallback_precision
         elif prec < 1:
             raise PrecisionExhausted("no precision left after division")
@@ -219,10 +219,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-def _pad(field, values, n):
-    return list(values) + [field.zero] * max(0, n - len(values))
-
-
 def _convolve(field, a, b, n):
     """First n coefficients of (sum a_i t^i) * (sum b_j t^j).
 
@@ -241,15 +237,14 @@ def _convolve(field, a, b, n):
 
 
 def _series_quotient(field, a, b, n):
-    """First n coefficients of (sum a_i t^i) / (sum b_i t^i) with b_0 a unit."""
-    a = _pad(field, a, n)
-    b = _pad(field, b, n)
+    """First n coefficients of (sum a_i t^i) / (sum b_j t^j) with b_0 a unit:
+    q_k = (a_k - sum_{j=1}^{min(k, len(b)-1)} b_j q_{k-j}) / b_0, a_k zero past len(a)."""
     inverse_lead = field.inv(b[0])
     q = []
     for k in range(n):
-        acc = a[k]
-        for i in range(k):
-            acc = field.sub(acc, field.mul(q[i], b[k - i]))
+        acc = a[k] if k < len(a) else field.zero
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc = field.sub(acc, field.mul(q[k - j], b[j]))
         q.append(field.mul(acc, inverse_lead))
     return q
 

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
+import signal
 from importlib import resources
 
 import pytest
@@ -34,6 +36,41 @@ poly: y^2 - x^2 - x^3
 arc a: 2*t + t^2, 2*t + 3*t^2 + t^3
 analyses: nash
 """
+
+
+CUSP_ARC_PROBLEM = """\
+name: cusp_arc
+field: 0
+variables: x y
+poly: y^2 - x^3
+arc a: t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6
+analyses: nash
+"""
+
+WIDE_PROBLEM = """\
+name: wide
+field: 0
+variables: a b c d e f g z
+poly: z^2 - a^3
+fiber: z
+analyses: verify
+"""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test when the block runs longer than `seconds` (SIGALRM)."""
+
+    def expire(signum, frame):
+        pytest.fail(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def exit_code(argv):
@@ -330,6 +367,37 @@ class TestCli:
         assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, sequence",
+        [(NODE_PROBLEM, "[2,1] rho=1"), (CUSP_ARC_PROBLEM, "[2,2,2,1] rho=3")],
+        ids=["node", "cusp"],
+    )
+    def test_precision_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
+        # Each blow-up lift divides by a monomial, which costs O(precision), so
+        # the largest precision allowed still answers at once, with the same text.
+        path = self.write(tmp_path, text)
+        assert main(["nash", path]) == 0
+        expected = capsys.readouterr().out
+        assert sequence in expected
+        with time_limit(5):
+            assert main(["nash", path, "--precision", "10000"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_wide_grid_exit_code(self, tmp_path, capsys):
+        # (1 + 6)^8 grid arcs at exponent bound 1 are far above the 20000 cap.
+        path = self.write(tmp_path, WIDE_PROBLEM)
+        with time_limit(5):
+            assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "8 variables" in err and "20000" in err and "Traceback" not in err
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "binary.problem"
+        path.write_bytes(b"name: x\xff\n")
+        assert main(["nash", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "Traceback" not in err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["nash", "/no/such/file.problem"]) == 2

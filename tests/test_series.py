@@ -179,6 +179,122 @@ class TestDivide:
             assert not blurred.exact and blurred.precision == 12
 
 
+def padded_quotient(field, a, b, n):
+    """First n coefficients of a / b with both operands zero-padded to length n."""
+    a = list(a) + [field.zero] * max(0, n - len(a))
+    b = list(b) + [field.zero] * max(0, n - len(b))
+    q = []
+    for k in range(n):
+        acc = a[k]
+        for i in range(k):
+            acc = field.sub(acc, field.mul(q[i], b[k - i]))
+        q.append(field.mul(acc, field.inv(b[0])))
+    return q
+
+
+def reference_divide(a, b, fallback_precision):
+    """Division through the padded quotient; exact iff the quotient times the
+    shifted divisor gives back the shifted dividend."""
+    field = a.field
+    if b.is_exactly_zero():
+        raise DivisionOrderError("division by the zero series")
+    shift = b.order()
+    order = a.known_order()
+    if order == INF:
+        return TruncatedSeries.zero(field)
+    if order is None:
+        if a.precision - shift < 1:
+            raise PrecisionExhausted("no precision left")
+        return TruncatedSeries(field, (), a.precision - shift)
+    if order < shift:
+        raise DivisionOrderError("divisor order exceeds dividend order")
+    num, den = a.coeffs[shift:], b.coeffs[shift:]
+    prec = min(a.precision, b.precision) - shift
+    if prec == INF:
+        quotient = TruncatedSeries.exact_series(field, padded_quotient(field, num, den, len(num)))
+        if quotient * TruncatedSeries.exact_series(field, den) == TruncatedSeries.exact_series(
+            field, num
+        ):
+            return quotient
+        prec = fallback_precision
+    elif prec < 1:
+        raise PrecisionExhausted("no precision left")
+    return TruncatedSeries.truncated(field, padded_quotient(field, num, den, prec), prec)
+
+
+def division_operands(rng, field):
+    """A dividend and a divisor: monomial, short, or longer than the dividend;
+    exact or truncated; sometimes a product with the divisor."""
+    shift = rng.randint(0, 4)
+    unit = rng.choice(field.units(6))
+    tail = random_coeffs(rng, field, rng.choice((1, rng.randint(1, 6), rng.randint(20, 30))))
+    if rng.random() < 0.3:
+        tail = []  # the monomial unit * t^shift
+    divisor = TruncatedSeries.exact_series(field, [field.zero] * shift + [unit] + tail)
+    if rng.random() < 0.4:
+        dividend = divisor * random_series(rng, field, True)
+    else:
+        dividend = TruncatedSeries.exact_series(
+            field, [field.zero] * rng.randint(0, 6) + random_coeffs(rng, field, rng.randint(1, 15))
+        )
+    if rng.random() < 0.3:
+        dividend = TruncatedSeries.truncated(field, dividend.coeffs, rng.randint(1, 45))
+    if rng.random() < 0.2:
+        divisor = TruncatedSeries.truncated(field, divisor.coeffs, rng.randint(1, 35))
+    return dividend, divisor
+
+
+def division_outcome(thunk):
+    try:
+        q = thunk()
+    except EngineError as error:
+        return type(error).__name__
+    return (q.coeffs, q.exact, q.precision)
+
+
+def division_shapes(a, b, fallback, outcome):
+    """The shapes of one division that the reference test must cover."""
+    if isinstance(outcome, str):
+        return {outcome}
+    shift = b.order()
+    if not (a.exact and b.exact):
+        shapes = {"truncated operand"}
+    else:
+        shapes = {"exact quotient" if outcome[1] else "fallback"}
+    if len(b.coeffs) == shift + 1:
+        shapes.add("monomial divisor")
+    if len(b.coeffs) > len(a.coeffs):
+        shapes.add("divisor longer than dividend")
+    if a.coeffs and a.known_order() > shift:
+        shapes.add("dividend of higher order")
+    if "fallback" in shapes and fallback < len(a.coeffs) - shift:
+        shapes.add("fallback below len(a)")
+    return shapes
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_divide_matches_padded_reference(field):
+    rng = random.Random(f"divide-{field.characteristic}")
+    seen = set()
+    for _ in range(400):
+        a, b = division_operands(rng, field)
+        fallback = rng.randint(1, 30)
+        expected = division_outcome(lambda: reference_divide(a, b, fallback))
+        assert division_outcome(lambda: a.divide(b, fallback)) == expected, (a, b, fallback)
+        seen |= division_shapes(a, b, fallback, expected)
+    assert seen == {
+        "exact quotient",
+        "fallback",
+        "truncated operand",
+        "monomial divisor",
+        "divisor longer than dividend",
+        "dividend of higher order",
+        "fallback below len(a)",
+        "DivisionOrderError",
+        "PrecisionExhausted",
+    }
+
+
 class TestReparametrize:
     def test_identity(self):
         phi = arc(Q, "t^2", "t^3")
