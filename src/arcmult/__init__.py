@@ -12,15 +12,9 @@ from .blowup import (
     blowup_lift,
     graph_arc,
     nash_sequence,
-    persistence_oracle,
     strict_transform,
 )
-from .contact import (
-    ContactResult,
-    contact_order,
-    integral_invariance_check,
-    normalized_contact,
-)
+from .contact import ContactResult, contact_order, normalized_contact
 from .elimination import (
     EliminationResult,
     MonicPresentation,
@@ -35,7 +29,7 @@ from .elimination import (
 from .errors import EngineError
 from .fields import INF, RATIONALS, FieldSpec, prime_field
 from .poly import MultiPoly, parse_poly
-from .rees import ReesAlgebra, parse_rees, presenting_algebra
+from .rees import ReesAlgebra, presenting_algebra
 from .series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 __version__ = "0.1.0"
@@ -61,15 +55,12 @@ __all__ = [
     "coefficient_algebra",
     "contact_order",
     "graph_arc",
-    "integral_invariance_check",
     "minimizing_arc",
     "nash_sequence",
     "normalized_contact",
     "ord_d",
     "parse_poly",
-    "parse_rees",
     "parse_series",
-    "persistence_oracle",
     "presenting_algebra",
     "prime_field",
     "strict_transform",

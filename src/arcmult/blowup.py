@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (
-    EngineError,
-    SequenceTruncated,
-    VariableMismatch,
-)
+from .errors import EngineError, VariableMismatch
 from .poly import MultiPoly, Point
 from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
 
@@ -198,17 +194,3 @@ def nash_sequence(
             return NashReport(tuple(sequence), len(sequence) - 1, tuple(trace), False)
     return NashReport(tuple(sequence), None, tuple(trace), True)
 
-
-def persistence_oracle(
-    poly: MultiPoly,
-    arc: Arc,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    precision: int = DEFAULT_PRECISION,
-) -> int:
-    """Number of directed blow-ups before the multiplicity first drops."""
-    report = nash_sequence(poly, arc, max_steps, precision)
-    if report.truncated:
-        raise SequenceTruncated(
-            f"no multiplicity drop within {max_steps} blow-ups; raise max_steps"
-        )
-    return report.rho

@@ -16,7 +16,6 @@ from .corpus import run_corpus, summarize
 from .errors import (
     ArcNotOnVariety,
     CharDividesDegree,
-    DependenceInvalid,
     EngineError,
     FieldMismatch,
     InvalidArc,
@@ -38,7 +37,6 @@ _INPUT_ERRORS = (
     InvalidArc,
     ArcNotOnVariety,
     CharDividesDegree,
-    DependenceInvalid,
     NotInSingularLocus,
 )
 

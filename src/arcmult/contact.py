@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DependenceInvalid, ParseError, PrecisionExhausted
+from .errors import ParseError, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly, Powers
 from .rees import ReesAlgebra
@@ -195,34 +195,3 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
         admit(parametrization.reparametrize(n))
     return arcs
 
-
-def integral_invariance_check(
-    algebra: ReesAlgebra,
-    extra: tuple,
-    relation,
-    arcs,
-) -> bool:
-    """Contact orders are unchanged by adjoining an integral element.
-
-    `extra` is (h, n); `relation` lists the coefficients a_1 ... a_l of a
-    monic dependence h^l + a_1 h^(l-1) + ... + a_l = 0 whose i-th entry is
-    understood to carry weight n*i.  The identity is verified by polynomial
-    arithmetic (DependenceInvalid otherwise); membership of the a_i in the
-    algebra is the caller's assertion.
-    """
-    h, weight = extra
-    relation = list(relation)
-    if not relation:
-        raise DependenceInvalid("empty dependence relation")
-    length = len(relation)
-    total = h**length
-    for i, coefficient in enumerate(relation, start=1):
-        total = total + coefficient * h ** (length - i)
-    if not total.is_zero():
-        raise DependenceInvalid(f"dependence relation sums to {total}, not 0")
-    joined = algebra.odot(
-        ReesAlgebra.of(algebra.variables, [(h, weight)], algebra.field)
-    )
-    return all(
-        contact_order(algebra, arc) == contact_order(joined, arc) for arc in arcs
-    )

@@ -267,7 +267,7 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
                 )
             if not combined.is_zero():
                 found.append((combined.restrict(remaining), weight))
-    result = ReesAlgebra.of(remaining, found, field, trivial=algebra.trivial)
+    result = ReesAlgebra.of(remaining, found, field)
     return result.diff_closure()
 
 

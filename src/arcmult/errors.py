@@ -55,14 +55,6 @@ class ArcNotOnVariety(EngineError):
     """An arc required to lie on the hypersurface does not."""
 
 
-class SequenceTruncated(EngineError):
-    """Nash sequence hit max_steps before the multiplicity dropped."""
-
-
-class DependenceInvalid(EngineError):
-    """Supplied integral-dependence relation does not vanish identically."""
-
-
 class CharDividesDegree(EngineError):
     """Tschirnhausen transformation unavailable: characteristic divides the degree."""
 

@@ -17,7 +17,7 @@ from .blowup import DEFAULT_MAX_STEPS, nash_sequence
 from .contact import normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
-from .fields import FieldSpec
+from .fields import INF, FieldSpec, format_order
 from .poly import MAX_LITERAL_DIGITS, MultiPoly, parse_poly
 from .rees import presenting_algebra
 from .series import DEFAULT_PRECISION, Arc, certify_on_hypersurface, parse_series
@@ -62,10 +62,10 @@ def option_value(key: str, text: str) -> int:
 
 
 def _rational_text(raw: str) -> str:
-    """An expected rational in lowest terms; an exponent, whose power has no bound, is refused."""
+    """An expected order, written as format_order writes it; an exponent (unbounded) is refused."""
     if "e" in raw.lower():
         raise ValueError(raw)
-    return str(Fraction(raw))
+    return format_order(INF if raw == "inf" else Fraction(raw))
 
 
 #: Each `expect` kind: the analyses that report it, its field in their reports, and the

@@ -20,7 +20,7 @@ from .errors import (
     VariableMismatch,
 )
 from .fields import FieldSpec, ensure_same_field
-from .poly import MultiPoly, Point, check_point, parse_poly
+from .poly import MultiPoly, Point, check_point
 
 
 def _generator_key(poly: MultiPoly, weight: int):
@@ -33,11 +33,10 @@ class ReesAlgebra:
     variables: tuple
     generators: tuple  # of (MultiPoly, weight >= 1) pairs
     field: FieldSpec
-    trivial: bool = False  # a unit acquired weight 0 in some construction
 
     @classmethod
-    def of(cls, variables, generators, field: FieldSpec, trivial: bool = False) -> "ReesAlgebra":
-        """Build with cleanup: drop zero polynomials and weight-0 entries, dedupe."""
+    def of(cls, variables, generators, field: FieldSpec) -> "ReesAlgebra":
+        """Build with cleanup: drop zero polynomials and entries of weight below 1, dedupe."""
         variables = tuple(variables)
         seen = set()
         kept = []
@@ -47,11 +46,7 @@ class ReesAlgebra:
                 raise VariableMismatch(
                     f"generator variables {poly.variables} vs ambient {variables}"
                 )
-            if poly.is_zero():
-                continue
-            if weight < 1:
-                if poly.is_constant():
-                    trivial = True
+            if poly.is_zero() or weight < 1:
                 continue
             key = (poly, weight)
             if key in seen:
@@ -59,29 +54,17 @@ class ReesAlgebra:
             seen.add(key)
             kept.append(key)
         kept.sort(key=lambda g: _generator_key(*g))
-        return cls(variables, tuple(kept), field, trivial)
-
-    @classmethod
-    def from_weighted(cls, variables, weighted, field: FieldSpec) -> "ReesAlgebra":
-        """Convenience: weighted is an iterable of (polynomial text or MultiPoly, weight)."""
-        gens = []
-        for poly, weight in weighted:
-            if isinstance(poly, str):
-                poly = parse_poly(poly, variables, field)
-            gens.append((poly, weight))
-        return cls.of(variables, gens, field)
+        return cls(variables, tuple(kept), field)
 
     # -- basic facts -----------------------------------------------------------------
 
     @property
     def is_trivial(self) -> bool:
-        """True when the singular locus is empty for structural reasons."""
-        if self.trivial:
-            return True
+        """True when the singular locus is empty because a generator is a unit."""
         return any(g.is_constant() for g, _ in self.generators)
 
     def _require_generators(self):
-        if not self.generators and not self.trivial:
+        if not self.generators:
             raise EngineError("Rees algebra with empty generator list has no observers")
 
     def sing_member(self, point: Point) -> bool:
@@ -101,20 +84,6 @@ class ReesAlgebra:
 
     # -- algebra operations -----------------------------------------------------------
 
-    def odot(self, other: "ReesAlgebra") -> "ReesAlgebra":
-        """Smallest Rees algebra containing both: concatenated generators."""
-        ensure_same_field(self.field, other.field)
-        if self.variables != other.variables:
-            raise VariableMismatch(
-                f"ambient mismatch: {self.variables} vs {other.variables}"
-            )
-        return ReesAlgebra.of(
-            self.variables,
-            self.generators + other.generators,
-            self.field,
-            trivial=self.trivial or other.trivial,
-        )
-
     def diff_closure(self) -> "ReesAlgebra":
         """Differential closure via divided-power derivatives.
 
@@ -125,12 +94,14 @@ class ReesAlgebra:
         gens = []
         for poly, weight in self.generators:
             gens.append((poly.normalized(), weight))
-            for total in range(1, weight):
-                for alpha in _multi_indices(len(self.variables), total):
-                    derived = poly.hasse_derivative(alpha)
-                    if not derived.is_zero():
-                        gens.append((derived.normalized(), weight - total))
-        return ReesAlgebra.of(self.variables, gens, self.field, trivial=self.trivial)
+            # The derivative by alpha is zero unless alpha <= e for some term
+            # exponent e: enumerate those, not every alpha with |alpha| < weight.
+            alphas = {a for e in poly.terms for a in _indices_below(e, weight - 1) if any(a)}
+            for alpha in alphas:
+                derived = poly.hasse_derivative(alpha)
+                if not derived.is_zero():
+                    gens.append((derived.normalized(), weight - sum(alpha)))
+        return ReesAlgebra.of(self.variables, gens, self.field)
 
     def weighted_transform(self, chart, center: Point) -> "ReesAlgebra":
         """Transform under a point blow-up chart: pull back, divide by e^weight.
@@ -141,17 +112,14 @@ class ReesAlgebra:
         """
         center = check_point(center, self.variables, self.field)
         gens = []
-        trivial = self.trivial
         for poly, weight in self.generators:
             shifted = poly.translate(center)
             if shifted.order_at_origin() < weight:
                 raise NotPermissible(
                     f"center {center} is not in Sing: {poly} W^{weight} does not transform"
                 )
-            transformed = chart.transform(shifted, weight)
-            trivial = trivial or transformed.is_constant()  # transforms are nonzero
-            gens.append((transformed, weight))
-        return ReesAlgebra.of(self.variables, gens, self.field, trivial=trivial)
+            gens.append((chart.transform(shifted, weight), weight))
+        return ReesAlgebra.of(self.variables, gens, self.field)
 
     # -- display ----------------------------------------------------------------------
 
@@ -172,39 +140,11 @@ def presenting_algebra(poly: MultiPoly) -> ReesAlgebra:
     return ReesAlgebra.of(poly.variables, [(poly, poly.order_at_origin())], poly.field).diff_closure()
 
 
-def _multi_indices(width: int, total: int):
-    """All exponent tuples of the given width summing to total."""
-    if width == 1:
-        yield (total,)
+def _indices_below(exps, budget: int):
+    """Exponent tuples alpha <= exps entry by entry with |alpha| <= budget."""
+    if not exps:
+        yield ()
         return
-    for head in range(total + 1):
-        for rest in _multi_indices(width - 1, total - head):
+    for head in range(min(exps[0], budget) + 1):
+        for rest in _indices_below(exps[1:], budget - head):
             yield (head,) + rest
-
-
-def parse_rees(text: str, variables, field: FieldSpec) -> ReesAlgebra:
-    """Parse "[y^2-x^3 @ 2, x^2 @ 1]" style algebra text."""
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    gens = []
-    for chunk in body.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "@" not in chunk:
-            raise EngineError(f"generator {chunk!r} missing '@ weight'")
-        poly_text, weight_text = chunk.rsplit("@", 1)
-        gens.append((parse_poly(poly_text.strip(), variables, field), int(weight_text)))
-    return ReesAlgebra.of(variables, gens, field)
-
-
-def observers_agree(a: ReesAlgebra, b: ReesAlgebra, points) -> bool:
-    """Same sing_member everywhere and same ord_at on the common singular locus."""
-    for point in points:
-        in_a = a.sing_member(point)
-        if in_a != b.sing_member(point):
-            return False
-        if in_a and a.ord_at(point) != b.ord_at(point):
-            return False
-    return True

@@ -1,4 +1,10 @@
-"""Randomized property checks shared by the property suite and acceptance.
+"""Helpers and randomized property checks shared by the test suites.
+
+The helpers build and compare Rees algebras and derive invariants by
+routes that no run of the engine takes: `from_weighted` and `parse_rees`
+build algebras from text, `odot` joins two, `observers_agree` compares
+them at points, `integral_invariance_check` adjoins an integral element,
+and `persistence_oracle` counts blow-ups to the first multiplicity drop.
 
 Each check_* function draws one random case from a seeded Random and
 asserts the property; the suites run them a few hundred times.  Everything
@@ -7,11 +13,103 @@ is exact arithmetic, so any failure is a real counterexample.
 
 import random
 
-from arcmult.blowup import nash_sequence
-from arcmult.fields import RATIONALS, prime_field
-from arcmult.poly import MultiPoly
-from arcmult.rees import ReesAlgebra, observers_agree
-from arcmult.series import Arc, TruncatedSeries
+from arcmult.blowup import DEFAULT_MAX_STEPS, nash_sequence
+from arcmult.contact import contact_order
+from arcmult.errors import EngineError, VariableMismatch
+from arcmult.fields import RATIONALS, ensure_same_field, prime_field
+from arcmult.poly import MultiPoly, parse_poly
+from arcmult.rees import ReesAlgebra
+from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries
+
+
+class SequenceTruncated(EngineError):
+    """Nash sequence hit max_steps before the multiplicity dropped."""
+
+
+class DependenceInvalid(EngineError):
+    """Supplied integral-dependence relation does not vanish identically."""
+
+
+def from_weighted(variables, weighted, field):
+    """ReesAlgebra.of from (polynomial text or MultiPoly, weight) pairs."""
+    gens = []
+    for poly, weight in weighted:
+        if isinstance(poly, str):
+            poly = parse_poly(poly, variables, field)
+        gens.append((poly, weight))
+    return ReesAlgebra.of(variables, gens, field)
+
+
+def parse_rees(text, variables, field):
+    """Parse "[y^2-x^3 @ 2, x^2 @ 1]" style algebra text."""
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    gens = []
+    for chunk in body.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "@" not in chunk:
+            raise EngineError(f"generator {chunk!r} missing '@ weight'")
+        poly_text, weight_text = chunk.rsplit("@", 1)
+        gens.append((parse_poly(poly_text.strip(), variables, field), int(weight_text)))
+    return ReesAlgebra.of(variables, gens, field)
+
+
+def odot(a, b):
+    """Smallest Rees algebra containing both: concatenated generators."""
+    ensure_same_field(a.field, b.field)
+    if a.variables != b.variables:
+        raise VariableMismatch(f"ambient mismatch: {a.variables} vs {b.variables}")
+    return ReesAlgebra.of(a.variables, a.generators + b.generators, a.field)
+
+
+def observers_agree(a, b, points):
+    """Same sing_member everywhere and same ord_at on the common singular locus."""
+    for point in points:
+        in_a = a.sing_member(point)
+        if in_a != b.sing_member(point):
+            return False
+        if in_a and a.ord_at(point) != b.ord_at(point):
+            return False
+    return True
+
+
+def integral_invariance_check(algebra, extra, relation, arcs):
+    """Contact orders are unchanged by adjoining an integral element.
+
+    `extra` is (h, n); `relation` lists the coefficients a_1 ... a_l of a
+    monic dependence h^l + a_1 h^(l-1) + ... + a_l = 0 whose i-th entry is
+    understood to carry weight n*i.  The identity is verified by polynomial
+    arithmetic (DependenceInvalid otherwise); membership of the a_i in the
+    algebra is the caller's assertion.
+    """
+    h, weight = extra
+    relation = list(relation)
+    if not relation:
+        raise DependenceInvalid("empty dependence relation")
+    length = len(relation)
+    total = h**length
+    for i, coefficient in enumerate(relation, start=1):
+        total = total + coefficient * h ** (length - i)
+    if not total.is_zero():
+        raise DependenceInvalid(f"dependence relation sums to {total}, not 0")
+    joined = odot(algebra, ReesAlgebra.of(algebra.variables, [(h, weight)], algebra.field))
+    return all(
+        contact_order(algebra, arc) == contact_order(joined, arc) for arc in arcs
+    )
+
+
+def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+    """Number of directed blow-ups before the multiplicity first drops."""
+    report = nash_sequence(poly, arc, max_steps, precision)
+    if report.truncated:
+        raise SequenceTruncated(
+            f"no multiplicity drop within {max_steps} blow-ups; raise max_steps"
+        )
+    return report.rho
+
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))
 XY = ("x", "y")

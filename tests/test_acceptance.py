@@ -13,21 +13,21 @@ from property_checks import (
     check_nash_monotonicity,
     check_order_multiplicativity,
     check_translation_composition,
+    from_weighted,
+    integral_invariance_check,
+    observers_agree,
+    persistence_oracle,
     run_many,
 )
 
-from arcmult.blowup import nash_sequence, persistence_oracle
-from arcmult.contact import (
-    contact_order,
-    integral_invariance_check,
-    normalized_contact,
-)
+from arcmult.blowup import nash_sequence
+from arcmult.contact import contact_order, normalized_contact
 from arcmult.corpus import corpus_names, load_problem
 from arcmult.elimination import minimizing_arc, ord_d, verify_main_theorem
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.problems import presentation_of
-from arcmult.rees import ReesAlgebra, observers_agree, presenting_algebra
+from arcmult.rees import presenting_algebra
 from arcmult.series import Arc, parse_series
 
 Q = RATIONALS
@@ -53,7 +53,7 @@ def test_criterion_1_cusp_over_q():
     problem = load_problem("cusp_char0")
     f = problem.poly
     closure = presenting_algebra(problem.poly)
-    reference = ReesAlgebra.from_weighted(XY, [("y", 1), ("x^2", 1), ("x^3", 2)], Q)
+    reference = from_weighted(XY, [("y", 1), ("x^2", 1), ("x^3", 2)], Q)
 
     points = rational_grid(Q)
     assert len(points) >= 20
@@ -75,7 +75,7 @@ def test_criterion_2_cusp_over_f2():
     problem = load_problem("cusp_char2")
     f = problem.poly
     closure = presenting_algebra(problem.poly)
-    printed = ReesAlgebra.from_weighted(XY, [("x^2", 1), ("y^2 - x^3", 2)], F2)
+    printed = from_weighted(XY, [("x^2", 1), ("y^2 - x^3", 2)], F2)
 
     assert closure.generators == printed.generators
     all_points = [(a, b) for a in (0, 1) for b in (0, 1)]
@@ -153,17 +153,17 @@ def test_criterion_6_integral_invariance():
     ]
     assert len(arcs) >= 10
 
-    cusp_closure = ReesAlgebra.from_weighted(XY, [("y^2 - x^3", 2)], Q).diff_closure()
+    cusp_closure = from_weighted(XY, [("y^2 - x^3", 2)], Q).diff_closure()
     # x^6 = f^2 - 2 f y^2 + y^4 lies in the weight-4 piece of the closure,
     # witnessing that x^3 W^2 is integral over it.
     triples = [
         (
-            ReesAlgebra.from_weighted(XY, [("x^2", 2), ("y^2", 2)], Q),
+            from_weighted(XY, [("x^2", 2), ("y^2", 2)], Q),
             (polys("x*y"), 1),
             [polys("0"), polys("-x^2*y^2")],
         ),
         (
-            ReesAlgebra.from_weighted(XY, [("x^2", 2)], Q),
+            from_weighted(XY, [("x^2", 2)], Q),
             (polys("x"), 1),
             [polys("0"), polys("-x^2")],
         ),
@@ -173,7 +173,7 @@ def test_criterion_6_integral_invariance():
             [polys("0"), polys("-x^6")],
         ),
         (
-            ReesAlgebra.from_weighted(XY, [("x", 1), ("y", 1)], Q),
+            from_weighted(XY, [("x", 1), ("y", 1)], Q),
             (polys("x"), 1),
             [polys("-x")],
         ),

@@ -2,20 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from property_checks import SequenceTruncated, persistence_oracle
 
 from arcmult.blowup import (
     ChartMap,
     blowup_lift,
     graph_arc,
     nash_sequence,
-    persistence_oracle,
     strict_transform,
 )
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
     PrecisionExhausted,
-    SequenceTruncated,
     VariableMismatch,
 )
 from arcmult.fields import RATIONALS, prime_field

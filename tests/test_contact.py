@@ -1,7 +1,9 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from property_checks import DependenceInvalid, from_weighted, integral_invariance_check
 
 from arcmult.contact import (
     EXPONENT_BOUND,
@@ -9,21 +11,19 @@ from arcmult.contact import (
     _monomial_grid,
     _vanishes_on_monomial_arc,
     contact_order,
-    integral_invariance_check,
     normalized_contact,
     sample_arcs,
 )
 from arcmult.corpus import corpus_names, load_problem
 from arcmult.errors import (
     ArcNotOnVariety,
-    DependenceInvalid,
     PrecisionExhausted,
     VariableMismatch,
 )
 from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.problems import presentation_of
-from arcmult.rees import ReesAlgebra
+from arcmult.rees import presenting_algebra
 from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 Q = RATIONALS
@@ -36,7 +36,7 @@ def arc(field, *texts, variables=XY):
 
 
 def algebra(weighted, field=Q, variables=XY):
-    return ReesAlgebra.from_weighted(variables, weighted, field)
+    return from_weighted(variables, weighted, field)
 
 
 G_CHAR0 = algebra([("y", 1), ("x^2", 1), ("x^3", 2)])
@@ -80,6 +80,28 @@ class TestNormalizedContact:
         expected = normalized_contact(G_CHAR0, base).r_bar
         for n in range(1, 7):
             assert normalized_contact(G_CHAR0, base.reparametrize(n)).r_bar == expected
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_composed_arcs_repeat_the_parametrization_r_bar(self, name):
+        # g(phi(s)) = g(phi)(s) has order ord(g(phi)) * ord(s), and so has each
+        # arc component: r and nu scale by ord(s), and r_bar stays.
+        problem = load_problem(name)
+        field, phi = problem.field, problem.parametrization
+        algebra = presenting_algebra(problem.poly)
+        base = normalized_contact(algebra, phi)
+        rng = random.Random(f"compose-{name}")
+        for _ in range(20):
+            coeffs = [field.random_element(rng) for _ in range(rng.randint(1, 4))]
+            s = TruncatedSeries.exact_series(field, [field.zero] + coeffs)
+            if s.is_exactly_zero():
+                continue
+            composed = normalized_contact(algebra, phi.compose(s))
+            k = s.order()
+            assert (composed.r, composed.nu, composed.r_bar) == (
+                base.r * k,
+                base.nu * k,
+                base.r_bar,
+            ), (name, str(s))
 
     def test_generator_orders_reported(self):
         result = normalized_contact(G_CHAR0, arc(Q, "t^2", "t^3"))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from property_checks import from_weighted, observers_agree, odot
 
 from arcmult.contact import normalized_contact
 from arcmult.elimination import (
@@ -22,7 +23,7 @@ from arcmult.errors import (
 )
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
-from arcmult.rees import ReesAlgebra, observers_agree, presenting_algebra
+from arcmult.rees import presenting_algebra
 from arcmult.series import Arc, TruncatedSeries, parse_series
 
 Q = RATIONALS
@@ -97,19 +98,19 @@ class TestCoefficientAlgebra:
 
 class TestVisibleElimination:
     def test_char2_cusp(self):
-        closed = ReesAlgebra.from_weighted(XY, [("y^2 - x^3", 2)], F2).diff_closure()
+        closed = from_weighted(XY, [("y^2 - x^3", 2)], F2).diff_closure()
         eliminated = visible_elimination(closed, {"y"})
         assert eliminated.generator_texts() == ["x^2 @ 1"]
 
     def test_char0_cusp_recovers_weight_two_generator(self):
-        closed = ReesAlgebra.from_weighted(XY, [("y^2 - x^3", 2)], Q).diff_closure()
+        closed = from_weighted(XY, [("y^2 - x^3", 2)], Q).diff_closure()
         eliminated = visible_elimination(closed, {"y"})
         assert eliminated.generator_texts() == ["x^2 @ 1", "x^3 @ 2"]
 
     def test_opening_example(self):
-        g = ReesAlgebra.from_weighted(XY, [("x", 1), ("y^3", 2)], Q)
+        g = from_weighted(XY, [("x", 1), ("y^3", 2)], Q)
         eliminated = visible_elimination(g, {"x"})
-        expected = ReesAlgebra.from_weighted(("y",), [("y^3", 2)], Q)
+        expected = from_weighted(("y",), [("y^3", 2)], Q)
         points = [(Fraction(c),) for c in (0, 1, -1, 2, -2)]
         assert observers_agree(eliminated, expected, points)
 
@@ -152,7 +153,7 @@ class TestOrdD:
         # base combine by odot; the order is the minimum of the factors
         first = ord_d(presentation("y^2 - x^3")).algebra
         second = ord_d(presentation("y^2 - x^5")).algebra
-        joined = first.odot(second)
+        joined = odot(first, second)
         origin = (Fraction(0),)
         assert joined.ord_at(origin) == min(
             first.ord_at(origin), second.ord_at(origin)
@@ -174,7 +175,7 @@ class TestMinimizingArc:
         assert normalized_contact(result.algebra, built).r_bar == 2
 
     def test_coordinate_algebra(self):
-        algebra = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
+        algebra = from_weighted(("x",), [("x", 1)], Q)
         result = EliminationResult(algebra, Fraction(1), "Tschirnhausen")
         built = minimizing_arc(result)
         assert normalized_contact(algebra, built).r_bar == 1

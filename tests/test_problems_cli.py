@@ -456,6 +456,16 @@ class TestCli:
         assert main([command, path]) == 1
         assert "expect rho psi: 3 -> missing arc [MISMATCH]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value, code", [("inf", 0), ("1", 1)])
+    def test_expect_infinite_r_bar(self, tmp_path, capsys, value, code):
+        # over F_2 the arc (0, t, t^2) lies in the singular locus: r_bar = inf
+        text = (
+            "field: 2\nvariables: x y z\npoly: z^2 - x^3 - y^4\narc phi: 0, t, t^2\n"
+            f"analyses: contact\nexpect r_bar phi: {value}\n"
+        )
+        assert main(["contact", self.write(tmp_path, text)]) == code
+        assert f"expect r_bar phi: {value} -> inf" in capsys.readouterr().out
+
     def test_engine_error_exit_code(self, tmp_path, capsys):
         # over F_2 the initial form (u+v)^2 vanishes at the only unit tuple,
         # so the minimizing-arc search fails with a rational-witness error

@@ -1,19 +1,25 @@
+import itertools
+import random
+import signal
 from fractions import Fraction
 
 import pytest
+from property_checks import from_weighted, observers_agree, odot, parse_rees, random_poly
 
 from arcmult.blowup import ChartMap
 from arcmult.errors import NotInSingularLocus, NotPermissible
 from arcmult.fields import RATIONALS, prime_field
-from arcmult.rees import ReesAlgebra, observers_agree, parse_rees
+from arcmult.poly import parse_poly
+from arcmult.rees import ReesAlgebra, presenting_algebra
 
 Q = RATIONALS
 F2 = prime_field(2)
+F3 = prime_field(3)
 XY = ("x", "y")
 
 
 def algebra(weighted, field=Q, variables=XY):
-    return ReesAlgebra.from_weighted(variables, weighted, field)
+    return from_weighted(variables, weighted, field)
 
 
 def grid(field, span=(0, 1, -1, 2, -2)):
@@ -32,22 +38,22 @@ class TestSingMember:
         assert not algebra(REFERENCE_CHAR0).sing_member((1, 1))
 
     def test_single_coordinate(self):
-        one_var = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
+        one_var = from_weighted(("x",), [("x", 1)], Q)
         assert one_var.sing_member((0,))
         assert not one_var.sing_member((1,))
 
 
 class TestOrdAt:
     def test_char0_elimination_order(self):
-        e = ReesAlgebra.from_weighted(("x",), [("x^2", 1), ("x^3", 2)], Q)
+        e = from_weighted(("x",), [("x^2", 1), ("x^3", 2)], Q)
         assert e.ord_at((0,)) == Fraction(3, 2)
 
     def test_char2_elimination_order(self):
-        e = ReesAlgebra.from_weighted(("x",), [("x^2", 1)], F2)
+        e = from_weighted(("x",), [("x^2", 1)], F2)
         assert e.ord_at((0,)) == 2
 
     def test_coordinate_has_order_one(self):
-        e = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
+        e = from_weighted(("x",), [("x", 1)], Q)
         assert e.ord_at((0,)) == 1
 
     def test_outside_singular_locus_raises(self):
@@ -57,12 +63,12 @@ class TestOrdAt:
 
 class TestOdot:
     def test_concatenates_generators(self):
-        joined = algebra([("x", 1)]).odot(algebra([("y", 1)]))
+        joined = odot(algebra([("x", 1)]), algebra([("y", 1)]))
         assert joined == algebra([("x", 1), ("y", 1)])
 
     def test_intersection_law(self):
         a, b = algebra([("x", 1)]), algebra([("y^2 - x^3", 2)])
-        joined = a.odot(b)
+        joined = odot(a, b)
         assert joined.sing_member((0, 0))
         assert not joined.sing_member((1, 0))
         for point in grid(Q):
@@ -72,13 +78,13 @@ class TestOdot:
 
     def test_idempotent_for_observers(self):
         g = algebra(CUSP)
-        doubled = g.odot(g)
+        doubled = odot(g, g)
         assert observers_agree(g, doubled, grid(Q))
 
     def test_associative_commutative_for_observers(self):
         a, b, c = algebra([("x", 1)]), algebra([("y", 1)]), algebra(CUSP)
-        left = a.odot(b).odot(c)
-        right = c.odot(b.odot(a))
+        left = odot(odot(a, b), c)
+        right = odot(c, odot(b, a))
         assert observers_agree(left, right, grid(Q))
 
 
@@ -105,6 +111,46 @@ class TestDiffClosure:
         closed = algebra(CUSP).diff_closure()
         assert observers_agree(closed, algebra(REFERENCE_CHAR0), grid(Q))
 
+    @pytest.mark.parametrize("field", (Q, F2, F3), ids=("Q", "F2", "F3"))
+    def test_matches_the_closure_over_every_multi_index(self, field):
+        rng = random.Random(f"closure-{field.characteristic}")
+        for _ in range(60):
+            variables = ("x", "y", "z")[: rng.randint(1, 3)]
+            generators = [
+                (random_poly(rng, field, variables, max_degree=4, nonzero=True), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 3))
+            ]
+            g = ReesAlgebra.of(variables, generators, field)
+            assert g.diff_closure() == _box_closure(g), str(g)
+
+    def test_high_multiplicity_closure_is_fast(self):
+        f = parse_poly("z^120 - x^121 - y^123", ("x", "y", "z"), Q)
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            closed = presenting_algebra(f)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(closed.generators) == 358
+
+
+def _box_closure(g):
+    """Reference closure: the derivative by every alpha with 1 <= |alpha| < weight."""
+    gens = []
+    for poly, weight in g.generators:
+        gens.append((poly.normalized(), weight))
+        for alpha in itertools.product(range(weight), repeat=len(g.variables)):
+            if 1 <= sum(alpha) < weight:
+                derived = poly.hasse_derivative(alpha)
+                if not derived.is_zero():
+                    gens.append((derived.normalized(), weight - sum(alpha)))
+    return ReesAlgebra.of(g.variables, gens, g.field)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("closure took over 5 s")
+
 
 class TestWeightedTransform:
     def x_chart(self, variables=XY):
@@ -126,7 +172,7 @@ class TestWeightedTransform:
             g.weighted_transform(self.x_chart(), (1, 1))
 
     def test_degenerate_line_chart_flags_trivial(self):
-        line = ReesAlgebra.from_weighted(("x",), [("x", 1)], Q)
+        line = from_weighted(("x",), [("x", 1)], Q)
         chart = ChartMap(("x",), 0, (Fraction(0),))
         transformed = line.weighted_transform(chart, (0,))
         assert transformed.is_trivial
