@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,26 +93,6 @@ DEGREE_BOUND = 8
 GRID_CAP = 20000
 
 
-def _monomial_grid(field, width: int, exponent_bound: int):
-    """Assignments of the monomial arc grid, one (u, a) or None per variable.
-
-    (u, a) stands for x_i -> u t^a and None for x_i -> 0; the all-None
-    assignment is skipped.  Units and exponents are small, and the exponent
-    bound shrinks in higher dimension to keep the grid within GRID_CAP arcs; a
-    grid still above the cap at bound 1 is an input error.
-    """
-    units = field.units(6)
-    bound = exponent_bound
-    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
-        bound -= 1
-    if (1 + len(units)) ** width > GRID_CAP:
-        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
-    choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
-    for assignment in itertools.product(choices, repeat=width):
-        if any(c is not None for c in assignment):
-            yield assignment
-
-
 def _monomial_arc(variables, field, assignment) -> Arc:
     """The arc x_i -> u_i t^(a_i) of a grid assignment."""
     return Arc(
@@ -126,6 +107,17 @@ def _monomial_arc(variables, field, assignment) -> Arc:
     )
 
 
+def _term_degree(exps, pattern):
+    """The t-degree <a, e> of x^e along x_i -> u_i t^(a_i), or None when it uses an x_i -> 0."""
+    degree = 0
+    for a, e in zip(pattern, exps):
+        if e:
+            if a is None:
+                return None
+            degree += a * e
+    return degree
+
+
 def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     """Whether f maps to exactly zero along the monomial arc of a grid assignment.
 
@@ -135,19 +127,61 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     of t.  This is arc_substitute(f, arc).is_exactly_zero() without series
     products.
     """
+    pattern = tuple(None if choice is None else choice[1] for choice in assignment)
     sums = {}
     for exps, coeff in terms:
-        degree = 0
+        degree = _term_degree(exps, pattern)
+        if degree is None:
+            continue
         for choice, e in zip(assignment, exps):
             if e:
-                if choice is None:
-                    break
-                u, a = choice
-                coeff = field.mul(coeff, u**e)
-                degree += a * e
-        else:
-            sums[degree] = field.add(sums.get(degree, field.zero), coeff)
+                coeff = field.mul(coeff, choice[0] ** e)
+        sums[degree] = field.add(sums.get(degree, field.zero), coeff)
     return all(field.is_zero(s) for s in sums.values())
+
+
+def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
+    """Monomial grid assignments on which f vanishes, in grid order.
+
+    An assignment gives each variable (u, a), for x_i -> u t^a, or None, for
+    x_i -> 0; the all-None assignment is skipped.  Units and exponents are
+    small, and the exponent bound shrinks in higher dimension to keep the grid
+    within GRID_CAP arcs; a grid still above the cap at bound 1 is an input
+    error.
+
+    The exponent pattern decides most assignments alone: each surviving term
+    maps to a nonzero multiple of one power of t, so a power that only one
+    term reaches cannot cancel, whatever the units.  Units are tried only on
+    the other patterns, and the admitted assignments are sorted by their
+    index in itertools.product(choices), the order of the full grid.
+    """
+    units = field.units(6)
+    bound = exponent_bound
+    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
+        bound -= 1
+    if (1 + len(units)) ** width > GRID_CAP:
+        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    admitted = []
+    for pattern in itertools.product([None, *range(1, bound + 1)], repeat=width):
+        if all(a is None for a in pattern):
+            continue
+        degrees = Counter(_term_degree(exps, pattern) for exps, _ in terms)
+        degrees.pop(None, None)
+        if 1 in degrees.values():
+            continue
+        # (index in choices, choice) per variable, where
+        # choices = [None] + [(u, a) for a in 1..bound for u in units].
+        options = [
+            [(0, None)] if a is None
+            else [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)]
+            for a in pattern
+        ]
+        for indexed in itertools.product(*options):
+            index, assignment = zip(*indexed)
+            if _vanishes_on_monomial_arc(terms, field, assignment):
+                admitted.append((index, assignment))
+    admitted.sort(key=lambda pair: pair[0])
+    return [assignment for _, assignment in admitted]
 
 
 def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
@@ -163,11 +197,11 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     """
     field = poly.field
     terms = list(poly.terms.items())
-    arcs = []
-    for assignment in _monomial_grid(field, len(poly.variables), EXPONENT_BOUND):
-        if _vanishes_on_monomial_arc(terms, field, assignment):
-            # Distinct assignments give distinct arcs: the grid needs no dedup.
-            arcs.append(_monomial_arc(poly.variables, field, assignment))
+    # Distinct assignments give distinct arcs: the grid needs no dedup.
+    arcs = [
+        _monomial_arc(poly.variables, field, assignment)
+        for assignment in _vanishing_grid(terms, field, len(poly.variables), EXPONENT_BOUND)
+    ]
     if parametrization is None:
         return arcs
 

@@ -291,6 +291,10 @@ def ord_d(presentation: MonicPresentation) -> EliminationResult:
             presenting_algebra(presentation.poly), {presentation.fiber_variable}
         )
         method = "VisibleIntersection"
+    if not algebra.generators:
+        # Nothing survives elimination (f = z^m): the whole hypersurface has
+        # multiplicity m, so no order bounds the base algebra.
+        return EliminationResult(algebra, INF, method)
     value = algebra.ord_at(origin(presentation.base_variables, field))
     return EliminationResult(algebra, value, method)
 

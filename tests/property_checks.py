@@ -4,18 +4,20 @@ The helpers build and compare Rees algebras and derive invariants by
 routes that no run of the engine takes: `from_weighted` and `parse_rees`
 build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
-and `persistence_oracle` counts blow-ups to the first multiplicity drop.
+`reference_grid` lists the whole monomial arc grid, and
+`persistence_oracle` counts blow-ups to the first multiplicity drop.
 
 Each check_* function draws one random case from a seeded Random and
 asserts the property; the suites run them a few hundred times.  Everything
 is exact arithmetic, so any failure is a real counterexample.
 """
 
+import itertools
 import random
 
 from arcmult.blowup import DEFAULT_MAX_STEPS, nash_sequence
-from arcmult.contact import contact_order
-from arcmult.errors import EngineError, VariableMismatch
+from arcmult.contact import GRID_CAP, contact_order
+from arcmult.errors import EngineError, ParseError, VariableMismatch
 from arcmult.fields import RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra
@@ -99,6 +101,26 @@ def integral_invariance_check(algebra, extra, relation, arcs):
     return all(
         contact_order(algebra, arc) == contact_order(joined, arc) for arc in arcs
     )
+
+
+def reference_grid(field, width, exponent_bound):
+    """Every assignment of the monomial arc grid, one (u, a) or None per variable.
+
+    (u, a) stands for x_i -> u t^a and None for x_i -> 0; the all-None
+    assignment is skipped.  This is the sampler's grid before pattern-first
+    filtering, in the order the sampler must keep: itertools.product of the
+    choices, with the same exponent bound shrinking and GRID_CAP error.
+    """
+    units = field.units(6)
+    bound = exponent_bound
+    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
+        bound -= 1
+    if (1 + len(units)) ** width > GRID_CAP:
+        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
+    for assignment in itertools.product(choices, repeat=width):
+        if any(c is not None for c in assignment):
+            yield assignment
 
 
 def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

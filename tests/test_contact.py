@@ -3,13 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import DependenceInvalid, from_weighted, integral_invariance_check
+from property_checks import (
+    DependenceInvalid,
+    from_weighted,
+    integral_invariance_check,
+    random_poly,
+    reference_grid,
+)
 
+from arcmult import contact
 from arcmult.contact import (
     EXPONENT_BOUND,
     _monomial_arc,
-    _monomial_grid,
     _vanishes_on_monomial_arc,
+    _vanishing_grid,
     contact_order,
     normalized_contact,
     sample_arcs,
@@ -28,7 +35,9 @@ from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
+F3 = prime_field(3)
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def arc(field, *texts, variables=XY):
@@ -126,7 +135,7 @@ def _verify_sampler_inputs(problem):
 
 SURFACE_CONSTRAINTS = [
     (f"z2_x3_y4_f{p}", parse_poly("z^2 - x^3 - y^4", ("x", "y", "z"), field))
-    for p, field in ((0, Q), (2, F2), (3, prime_field(3)))
+    for p, field in ((0, Q), (2, F2), (3, F3))
 ]
 SURFACES = dict(SURFACE_CONSTRAINTS)
 BUNDLED_CONSTRAINTS = [(name, load_problem(name).poly) for name in corpus_names()]
@@ -149,6 +158,18 @@ SAMPLED_ARCS = {
 }
 
 
+#: Shapes whose terms cancel along some monomial arcs: the node, x*y (y -> 0
+#: kills every term), x^2 + y^2 (cancels over F_2, not over Q or F_3), a
+#: binomial in three variables and a trinomial.
+GRID_CANCELLING_SHAPES = (
+    "y^2 - x^2 - x^3",
+    "x*y",
+    "x^2 + y^2",
+    "z^2 - x*y",
+    "z^2 - x^2*y - y^3",
+)
+
+
 class TestSampleArcs:
     @pytest.mark.parametrize(
         "constraint",
@@ -159,12 +180,57 @@ class TestSampleArcs:
         field, variables = constraint.field, constraint.variables
         terms = list(constraint.terms.items())
         admitted = 0
-        for assignment in _monomial_grid(field, len(variables), EXPONENT_BOUND):
+        for assignment in reference_grid(field, len(variables), EXPONENT_BOUND):
             by_rule = _vanishes_on_monomial_arc(terms, field, assignment)
             monomial = _monomial_arc(variables, field, assignment)
             assert by_rule == arc_substitute(constraint, monomial).is_exactly_zero(), monomial
             admitted += by_rule
         assert admitted > 0
+
+    def test_pattern_first_grid_matches_the_full_grid(self):
+        # The shapes whose terms cancel along some monomial arcs, then random
+        # polynomials in 1-3 variables: the sampler's grid must admit exactly
+        # the full grid's vanishing assignments, in the full grid's order.
+        constraints = [
+            parse_poly(text, XYZ if "z" in text else XY, field)
+            for text in GRID_CANCELLING_SHAPES
+            for field in (Q, F2, F3)
+        ]
+        rng = random.Random("pattern-first-grid")
+        for _ in range(60):
+            field = (Q, F2, F3)[rng.randrange(3)]
+            variables = XYZ[: rng.randint(1, 3)]
+            constraints.append(random_poly(rng, field, variables, nonzero=True))
+        for constraint in constraints:
+            field, width = constraint.field, len(constraint.variables)
+            terms = list(constraint.terms.items())
+            expected = [
+                assignment
+                for assignment in reference_grid(field, width, EXPONENT_BOUND)
+                if _vanishes_on_monomial_arc(terms, field, assignment)
+            ]
+            assert _vanishing_grid(terms, field, width, EXPONENT_BOUND) == expected, (
+                str(constraint),
+                field.characteristic,
+            )
+
+    @pytest.mark.parametrize(
+        "text, field, most",
+        # The full grid applies the rule 15,624 and 4,912 times.
+        [("z^2 - x^3 - y^4", Q, 144), ("z^3 - x^4 - y^5", F3, 16)],
+        ids=["q", "f3"],
+    )
+    def test_grid_tries_units_only_on_feasible_patterns(self, monkeypatch, text, field, most):
+        rule = contact._vanishes_on_monomial_arc
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", counted)
+        assert sample_arcs(parse_poly(text, XYZ, field), 0, 0)
+        assert len(calls) <= most
 
     def test_constraint_over_other_variables_rejected(self):
         constraint = parse_poly("y^2 - x^3", ("x", "y", "z"), Q)

@@ -482,6 +482,27 @@ analyses: verify
         assert main(["verify", path]) == 3
         assert "engine error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "poly, field",
+        [("z^2", 0), ("z^2", 2), ("z^3", 3)],
+        ids=["tschirnhausen-q", "visible-f2", "visible-f3"],
+    )
+    def test_pure_fiber_power_has_infinite_ord_d(self, tmp_path, capsys, poly, field):
+        # f = z^m has multiplicity m everywhere: elimination leaves no
+        # generator, so ord_d is inf.  verify then has no minimizing arc to
+        # build and stops with an engine error, not a traceback.
+        text = (
+            f"field: {field}\nvariables: x y z\npoly: {poly}\nfiber: z\n"
+            "analyses: ord_d verify\nexpect ord_d: inf\n"
+        )
+        path = self.write(tmp_path, text)
+        assert main(["ord-d", path]) == 0
+        out = capsys.readouterr().out
+        assert "ord_d = inf" in out and "expect ord_d: inf -> inf [ok]" in out
+        assert main(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert "minimizing arc requires finite ord_d" in err and "Traceback" not in err
+
     def test_corpus_command(self, capsys):
         assert main(["corpus", "cusp_char0"]) == 0
         out = capsys.readouterr().out
