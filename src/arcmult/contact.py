@@ -71,9 +71,66 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     return best, tuple(sorted(orders.items()))
 
 
+def _lower_bound(poly: MultiPoly, component_orders) -> object:
+    """min over terms x^e of <e, component orders>: no power of t below it survives in
+    the image; INF when every term uses an exactly zero component."""
+    return min(
+        (sum(e * o for e, o in zip(exps, component_orders) if e) for exps in poly.terms),
+        default=INF,
+    )
+
+
 def contact_order(algebra: ReesAlgebra, arc: Arc):
-    """r = ord_t(phi(G)); INF when the arc sits inside the singular locus."""
-    best, _ = _generator_orders(algebra, arc)
+    """r = ord_t(phi(G)); INF when the arc sits inside the singular locus.
+
+    On an exact arc only r is computed.  Generators are visited by their lower
+    bound L(g)/w, stopping once it reaches the best order so far, and each is
+    evaluated on the arc cut at t^ceil(best*w): an order the cut leaves unknown
+    is at least that power, so it cannot lower best.  Until some order is
+    found, the cut is at t^(L(g)+1), with the exact image as fallback, so INF
+    means every exact image is zero.  Arcs with a truncated component take the
+    exact per-generator path and its PrecisionExhausted.
+    """
+    if not all(component.exact for component in arc.components):
+        best, _ = _generator_orders(algebra, arc)
+        return best
+    orders = [component.known_order() for component in arc.components]
+    visits = []
+    for poly, weight in algebra.generators:
+        bound = _lower_bound(poly, orders)
+        if bound != INF:
+            visits.append((Fraction(bound) / weight, bound, poly, weight))
+    visits.sort(key=lambda visit: visit[0])
+    field = arc.field
+    one = TruncatedSeries.t_power(field, 0)
+    cuts = {}
+
+    def order_below(poly, n):
+        """ord_t(poly(arc)) when it is below t^n (n = INF: the exact order), else None."""
+        if n not in cuts:
+            cut = arc if n == INF else Arc(
+                arc.variables,
+                tuple(
+                    c if c.is_exactly_zero() else TruncatedSeries.truncated(field, c.coeffs[:n], n)
+                    for c in arc.components
+                ),
+                field,
+            )
+            cuts[n] = cut, Powers(cut.components, one)
+        return arc_substitute(poly, *cuts[n]).known_order()
+
+    best = INF
+    for key, bound, poly, weight in visits:
+        if key >= best:
+            break
+        if best == INF:
+            order = order_below(poly, bound + 1)
+            if order is None:  # the terms of t-order L(g) cancel
+                order = order_below(poly, INF)
+        else:
+            order = order_below(poly, math.ceil(best * weight))
+        if order is not None and order != INF:
+            best = min(best, Fraction(order) / weight)
     return best
 
 

@@ -400,27 +400,28 @@ def verify_main_theorem(
     lower_bound_holds = True
     evaluated = 0
     for name, arc in named:
-        result = normalized_contact(algebra, arc)
-        if result.r == INF:
+        r = contact_order(algebra, arc)
+        nu = arc.order()
+        r_bar = INF if r == INF else r / nu
+        # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
+        if r_bar == elimination.ord_d and witness is None:
+            witness = (name, arc, r)
+        if r == INF:
             continue
         evaluated += 1
-        if result.r_bar < min_r_bar:
-            min_r_bar = result.r_bar
-        if result.r_bar < elimination.ord_d:
+        min_r_bar = min(min_r_bar, r_bar)
+        if r_bar < elimination.ord_d:
             lower_bound_holds = False
-        if result.r_bar == elimination.ord_d and witness is None:
-            witness = (name, arc, result)
 
-    constructed = minimizing_arc(elimination)  # raises unless its r_bar is ord_d
+    # minimizing_arc raises unless its r_bar is ord_d; no arc has a finite one at INF.
+    constructed = None if elimination.ord_d == INF else minimizing_arc(elimination)
 
     witness_matches = None
     if witness is not None:
-        _, arc, result = witness
+        _, arc, r = witness
         projected = arc.project(presentation.base_variables)
         base_contact = contact_order(elimination.algebra, projected)
-        witness_matches = (
-            base_contact == result.r and projected.order() == arc.order()
-        )
+        witness_matches = base_contact == r and projected.order() == arc.order()
 
     if not lower_bound_holds:
         verdict = "FAIL"
@@ -432,7 +433,7 @@ def verify_main_theorem(
         verdict = "PASS"
 
     details = {
-        "constructed_arc": str(constructed),
+        "constructed_arc": None if constructed is None else str(constructed),
         "constructed_r_bar": str(elimination.ord_d),
         "witness_arc": str(witness[1]) if witness else None,
     }

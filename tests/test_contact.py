@@ -14,6 +14,7 @@ from property_checks import (
 from arcmult import contact
 from arcmult.contact import (
     EXPONENT_BOUND,
+    _generator_orders,
     _monomial_arc,
     _vanishes_on_monomial_arc,
     _vanishing_grid,
@@ -276,7 +277,125 @@ class TestSampleArcs:
             assert (len(arcs), hashlib.sha256(text.encode()).hexdigest()) == (length, digest), name
 
 
-GRID_ARCS = [arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]
+#: Surfaces of the order-only property test, each with a parametrization,
+#: over Q, F_2 and F_3.
+ORDER_SURFACES = {
+    f"{text}_f{field.characteristic}": (parse_poly(text, XYZ, field), phi)
+    for text, phi in (
+        ("z^2 - x^3 - y^4", ("t^2", "0", "t^3")),
+        ("z^3 - x^4 - y^5", ("t^3", "0", "t^4")),
+        ("z^2 - x^2*y - y^3", ("0", "t^2", "t^3")),
+    )
+    for field in (Q, F2, F3)
+}
+
+
+def _sampled_with_algebra(name):
+    """The presenting algebra and sampled arcs of a bundled problem or an ORDER_SURFACES entry."""
+    if name in ORDER_SURFACES:
+        poly, phi = ORDER_SURFACES[name]
+        arcs = sample_arcs(poly, 20, 13, arc(poly.field, *phi, variables=XYZ))
+    else:
+        poly, *sampler_inputs = _verify_sampler_inputs(load_problem(name))
+        arcs = sample_arcs(poly, *sampler_inputs)
+    return presenting_algebra(poly), arcs
+
+
+def _cut(sampled, n):
+    """The arc with every nonzero component known only below t^n."""
+    field = sampled.field
+    return Arc(
+        sampled.variables,
+        tuple(
+            c if c.is_exactly_zero() else TruncatedSeries.truncated(field, c.coeffs[:n], n)
+            for c in sampled.components
+        ),
+        field,
+    )
+
+
+class TestOrderOnlyContact:
+    """contact_order computes r alone; _generator_orders evaluates every generator in full."""
+
+    @pytest.mark.parametrize("name", [*corpus_names(), *ORDER_SURFACES])
+    def test_same_r_as_full_evaluation(self, name):
+        algebra, arcs = _sampled_with_algebra(name)
+        for sampled in arcs:
+            expected, _ = _generator_orders(algebra, sampled)
+            assert contact_order(algebra, sampled) == expected, (name, str(sampled))
+
+    def test_arc_inside_the_locus_is_infinite_over_f2(self):
+        # Over F_2 every generator of z^2 - x^3 - y^4 vanishes along (0, t, t^2),
+        # which the grid samples; over Q the derivative 2z does not.
+        for field, expected in ((F2, INF), (Q, 2)):
+            algebra, arcs = _sampled_with_algebra(f"z^2 - x^3 - y^4_f{field.characteristic}")
+            inside = arc(field, "0", "t", "t^2", variables=XYZ)
+            assert inside.components in {sampled.components for sampled in arcs}
+            assert contact_order(algebra, inside) == expected
+            assert _generator_orders(algebra, inside)[0] == expected
+
+    @pytest.mark.parametrize(
+        "weighted, components, r",
+        [
+            # y - x has L = 1 along (t, t + t^2), but its image is t^2.
+            ([("y - x", 1), ("x^3", 1)], ("t", "t + t^2"), 2),
+            # y - x vanishes along (t, t): the exact image is zero, x^3 W^2 gives 3/2.
+            ([("y - x", 1), ("x^3", 2)], ("t", "t"), Fraction(3, 2)),
+            # After y - x gives best = 3, y^2 - x^2 (L = 2) is cut at t^3, which
+            # leaves its image 2t^4 + t^6 unknown: it cannot lower best.
+            ([("y - x", 1), ("y^2 - x^2", 1), ("x^4", 1)], ("t", "t + t^3"), 3),
+            # After best = 3, y^3 - x^3 W^2 (L = 3) is cut at t^6: its image
+            # 3t^5 + ... gives 5/2.
+            ([("y - x", 1), ("y^3 - x^3", 2)], ("t", "t + t^3"), Fraction(5, 2)),
+        ],
+        ids=["not-attained", "exact-zero", "cut-leaves-unknown", "cut-lowers-best"],
+    )
+    def test_lowest_terms_cancel(self, weighted, components, r):
+        g = algebra(weighted)
+        along = arc(Q, *components)
+        assert contact_order(g, along) == _generator_orders(g, along)[0] == r
+
+    def test_random_algebras_and_arcs(self):
+        # Arcs with coefficients in {-1, 0, 1} make the lowest terms of random
+        # generators cancel often; a generator with a constant term gives r = 0.
+        rng = random.Random("order-only-contact")
+        for _ in range(300):
+            field = (Q, F2, F3)[rng.randrange(3)]
+            weighted = [
+                (random_poly(rng, field, nonzero=True), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            components = [
+                TruncatedSeries.exact_series(field, [0] + [rng.randint(-1, 1) for _ in range(4)])
+                for _ in XY
+            ]
+            if all(c.is_exactly_zero() for c in components):
+                continue
+            g = algebra(weighted, field)
+            along = Arc(XY, tuple(components), field)
+            expected, _ = _generator_orders(g, along)
+            assert contact_order(g, along) == expected, (weighted, str(along))
+
+    @pytest.mark.parametrize("name", ["cusp_char0", "e35_char2", "z^2 - x^3 - y^4_f2"])
+    def test_truncated_arcs_raise_when_full_evaluation_does(self, name):
+        algebra, arcs = _sampled_with_algebra(name)
+        rng = random.Random(f"cut-{name}")
+        outcomes = set()
+        for sampled in arcs:
+            cut = _cut(sampled, rng.randint(1, 8))
+            try:
+                expected, _ = _generator_orders(algebra, cut)
+            except PrecisionExhausted:
+                outcomes.add("raised")
+                with pytest.raises(PrecisionExhausted):
+                    contact_order(algebra, cut)
+            else:
+                outcomes.add("known")
+                assert contact_order(algebra, cut) == expected, (name, str(cut))
+        assert outcomes == {"raised", "known"}
+
+
+GRID_ARCS =[arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]
 
 
 class TestIntegralInvariance:

@@ -489,8 +489,8 @@ analyses: verify
     )
     def test_pure_fiber_power_has_infinite_ord_d(self, tmp_path, capsys, poly, field):
         # f = z^m has multiplicity m everywhere: elimination leaves no
-        # generator, so ord_d is inf.  verify then has no minimizing arc to
-        # build and stops with an engine error, not a traceback.
+        # generator, so ord_d is inf.  Every arc on z^m = 0 has z = 0, so
+        # r = inf = ord_d: verify passes with no minimizing arc to build.
         text = (
             f"field: {field}\nvariables: x y z\npoly: {poly}\nfiber: z\n"
             "analyses: ord_d verify\nexpect ord_d: inf\n"
@@ -499,9 +499,13 @@ analyses: verify
         assert main(["ord-d", path]) == 0
         out = capsys.readouterr().out
         assert "ord_d = inf" in out and "expect ord_d: inf -> inf [ok]" in out
-        assert main(["verify", path]) == 3
-        err = capsys.readouterr().err
-        assert "minimizing arc requires finite ord_d" in err and "Traceback" not in err
+        assert main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "verify: PASS (ord_d=inf, min r_bar=inf, arcs=0, witness=sample_0)" in out
+        assert main(["verify", "--json", path]) == 0
+        report = json.loads(capsys.readouterr().out)["analyses"]["verify"]
+        assert report["min_r_bar"] == "inf" and report["constructed_arc"] is None
+        assert all(report["checks"].values())
 
     def test_corpus_command(self, capsys):
         assert main(["corpus", "cusp_char0"]) == 0
