@@ -218,16 +218,34 @@ class MultiPoly:
         return total
 
     def translate(self, point) -> "MultiPoly":
-        """f(x + p): moves the point p to the origin."""
+        """f(x + p), by a Taylor shift per coordinate: x_i^e -> sum_k binom(e, k) p_i^(e-k) x_i^k.
+
+        Each binomial is coerced into the field, as in `hasse_derivative`, so those vanishing
+        mod p drop out; the sums are taken in ints through `FieldSpec.cleared`, as in `__mul__`."""
         point = check_point(point, self.variables, self.field)
-        if all(self.field.is_zero(c) for c in point):
-            return self
-        values = {}
-        for name, c in zip(self.variables, point):
-            if not self.field.is_zero(c):
-                var = MultiPoly.variable(name, self.variables, self.field)
-                values[name] = var + MultiPoly.constant(c, self.variables, self.field)
-        return self.substitute(values)
+        field = self.field
+        shifted = self
+        rows = {}  # e -> the (k, binom(e, k)) whose binomial is nonzero in the field
+        for i, c in enumerate(point):
+            if field.is_zero(c):
+                continue
+            terms = shifted.terms
+            c_powers = [field.one]
+            for _ in range(max((e[i] for e in terms), default=0)):
+                c_powers.append(field.mul(c_powers[-1], c))
+            c_powers, power_scale = field.cleared(c_powers)
+            coeffs, scale = field.cleared(terms.values())
+            raw = {}
+            for exps, a in zip(terms, coeffs):
+                e = exps[i]
+                if e not in rows:
+                    binoms = (math.comb(e, k) for k in range(e + 1))
+                    rows[e] = [(k, b) for k, b in enumerate(binoms) if not field.is_zero(field.coerce(b))]
+                for k, b in rows[e]:
+                    key = exps[:i] + (k,) + exps[i + 1 :]
+                    raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
+            shifted = self._new(dict(zip(raw, field.uncleared(raw.values(), scale * power_scale))))
+        return shifted
 
     def evaluate(self, point):
         point = check_point(point, self.variables, self.field)

@@ -331,7 +331,8 @@ def run(problem: ProblemFile) -> Report:
         algebra = presenting_algebra(problem.poly)
         analyses["contact"] = {}
         for name, arc in problem.arcs.items():
-            certify_on_hypersurface(problem.poly, arc, f"arc {name}")
+            if "nash" not in analyses:  # nash_sequence has certified every arc
+                certify_on_hypersurface(problem.poly, arc, f"arc {name}")
             analyses["contact"][name] = normalized_contact(algebra, arc)
     if "ord_d" in problem.analyses or "verify" in problem.analyses:
         presentation = presentation_of(problem)

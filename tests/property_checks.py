@@ -4,7 +4,8 @@ The helpers build and compare Rees algebras and derive invariants by
 routes that no run of the engine takes: `from_weighted` and `parse_rees`
 build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
-`reference_grid` lists the whole monomial arc grid, and
+`reference_grid` lists the whole monomial arc grid,
+`ring_map_translate` shifts a polynomial through the ring map, and
 `persistence_oracle` counts blow-ups to the first multiplicity drop.
 
 Each check_* function draws one random case from a seeded Random and
@@ -121,6 +122,18 @@ def reference_grid(field, width, exponent_bound):
     for assignment in itertools.product(choices, repeat=width):
         if any(c is not None for c in assignment):
             yield assignment
+
+
+def ring_map_translate(poly, point):
+    """f(x + p) through the general ring map `substitute`, a route `translate` does not take."""
+    field = poly.field
+    return poly.substitute(
+        {
+            name: MultiPoly.variable(name, poly.variables, field)
+            + MultiPoly.constant(c, poly.variables, field)
+            for name, c in zip(poly.variables, point)
+        }
+    )
 
 
 def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

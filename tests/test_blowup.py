@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import SequenceTruncated, persistence_oracle
+from property_checks import SequenceTruncated, persistence_oracle, ring_map_translate
 
 from arcmult.blowup import (
     ChartMap,
@@ -122,7 +122,7 @@ def reference_transform(poly, chart, k):
         {exps[:j] + (exps[j] - k,) + exps[j + 1 :]: c for exps, c in pulled.terms.items()},
         field,
     )
-    return divided.translate(chart.translation)
+    return ring_map_translate(divided, chart.translation)
 
 
 class TestChartTransform:
@@ -201,6 +201,20 @@ class TestNashSequence:
             persistence_oracle(
                 cusp(F2), arc(F2, "t^2", "t^3", variables=("x", "y")), max_steps=2
             )
+
+    def test_long_chain_makes_no_polynomial_products(self, monkeypatch):
+        # y^2 - x^21 along (t^8, t^84) takes 84 blow-ups, two of them at a
+        # shifted center.  Each strict transform is a map on exponents and a
+        # Taylor shift, so the chain never multiplies two polynomials.
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
+        products = []
+        multiply = MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+        report = nash_sequence(f, phi, max_steps=100)
+        assert report.rho == 84 and len(report.trace) == 84
+        assert sum(1 for step in report.trace if any(step.center)) == 2
+        assert products == []
 
     def test_trace_records_steps(self):
         report = nash_sequence(cusp(), arc(Q, "t^2", "t^3", variables=("x", "y")))

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from property_checks import random_point, random_poly
+from property_checks import random_point, random_poly, ring_map_translate
 
 from arcmult.errors import ParseError, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
@@ -189,6 +190,49 @@ def test_evaluate_is_the_constant_term_of_the_translate(field):
         f = random_poly(rng, field)
         point = random_point(rng, field)
         assert f.evaluate(point) == f.translate(point).constant_value(), f"{f} at {point}"
+
+
+SHIFT_FIELDS = (*FIELDS, prime_field(5))
+SHIFT_IDS = (*FIELD_IDS, "F5")
+
+
+def shift_point(rng, field, width=3):
+    """A point with at least two nonzero coordinates; halves and integers over Q."""
+    units = field.units(4)
+    coords = [rng.choice(units) for _ in range(2)]
+    coords += [rng.choice((field.zero, *units)) for _ in range(width - 2)]
+    rng.shuffle(coords)
+    if field.characteristic == 0:
+        coords = [c / rng.choice((1, 2)) for c in coords]
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+def test_taylor_shift_matches_the_ring_map(field):
+    rng = random.Random(f"shift-{field.characteristic}")
+    xyz = ("x", "y", "z")
+    for _ in range(40):
+        f = random_poly(rng, field, xyz, max_degree=7, max_terms=6)
+        point = shift_point(rng, field)
+        assert f.translate(point) == ring_map_translate(f, point), f"{f} at {point}"
+
+
+@pytest.mark.parametrize("field, c", [(RATIONALS, Fraction(-2, 3)), (prime_field(5), 3)], ids=["Q", "F5"])
+def test_taylor_shift_of_degree_999_is_the_binomial_expansion(field, c):
+    f = P("x^999", ("x",), field)
+    expected = {(k,): math.comb(999, k) * field.coerce(c) ** (999 - k) for k in range(1000)}
+    assert f.translate((c,)) == MultiPoly(("x",), expected, field)
+
+
+@pytest.mark.parametrize("p, k", [(2, 9), (3, 6), (5, 4)])
+def test_taylor_shift_stays_sparse_in_characteristic_p(p, k):
+    # Over F_p, (x + 1)^(p^k) = x^(p^k) + 1: every other binomial vanishes mod p.
+    field, q = prime_field(p), p**k
+    x, y = (MultiPoly.variable(v, XY, field) for v in XY)
+    one = MultiPoly.constant(1, XY, field)
+    f = (x + one) ** q * (y - one) ** q
+    assert len(f.terms) == 4
+    assert f.translate((-1, 1)) == (x * y) ** q
 
 
 class TestParser:

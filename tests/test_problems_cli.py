@@ -7,7 +7,9 @@ from importlib import resources
 
 import pytest
 
+from arcmult import blowup, problems
 from arcmult.cli import main
+from arcmult.contact import sample_arcs
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
 from arcmult.errors import ParseError
 from arcmult.problems import Options, parse_problem, run
@@ -425,6 +427,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{name} does not lie on the hypersurface" in err and "t^9" not in err
 
+    @pytest.mark.parametrize("analyses", ["nash contact", "contact"])
+    def test_each_arc_is_certified_once(self, monkeypatch, analyses):
+        certified = []
+        for module in (blowup, problems):
+            original = module.certify_on_hypersurface
+            monkeypatch.setattr(
+                module,
+                "certify_on_hypersurface",
+                lambda poly, arc, what, original=original: certified.append(arc) or original(poly, arc, what),
+            )
+        text = CUSP_PROBLEM.replace("analyses: nash contact ord_d verify", f"analyses: {analyses}")
+        text += "arc psi: t^4, t^6\n"
+        problem = parse_problem(text)
+        assert run(problem).verdict == "PASS"
+        assert certified == list(problem.arcs.values())
+
     def test_parametrization_off_variety_exit_code(self, tmp_path, capsys):
         # x -> t^3, y -> t^2 maps y^2 - x^3 to t^4 - t^9, so none of its
         # compositions lies on the curve either: verify must refuse it.
@@ -483,14 +501,15 @@ analyses: verify
         assert "engine error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "poly, field",
-        [("z^2", 0), ("z^2", 2), ("z^3", 3)],
+        "poly, field, arcs",
+        [("z^2", 0, 624), ("z^2", 2, 80), ("z^3", 3, 288)],
         ids=["tschirnhausen-q", "visible-f2", "visible-f3"],
     )
-    def test_pure_fiber_power_has_infinite_ord_d(self, tmp_path, capsys, poly, field):
+    def test_pure_fiber_power_has_infinite_ord_d(self, tmp_path, capsys, poly, field, arcs):
         # f = z^m has multiplicity m everywhere: elimination leaves no
         # generator, so ord_d is inf.  Every arc on z^m = 0 has z = 0, so
         # r = inf = ord_d: verify passes with no minimizing arc to build.
+        # Each of those arcs is evaluated, so each counts in arcs_checked.
         text = (
             f"field: {field}\nvariables: x y z\npoly: {poly}\nfiber: z\n"
             "analyses: ord_d verify\nexpect ord_d: inf\n"
@@ -501,9 +520,12 @@ analyses: verify
         assert "ord_d = inf" in out and "expect ord_d: inf -> inf [ok]" in out
         assert main(["verify", path]) == 0
         out = capsys.readouterr().out
-        assert "verify: PASS (ord_d=inf, min r_bar=inf, arcs=0, witness=sample_0)" in out
+        assert f"verify: PASS (ord_d=inf, min r_bar=inf, arcs={arcs}, witness=sample_0)" in out
         assert main(["verify", "--json", path]) == 0
         report = json.loads(capsys.readouterr().out)["analyses"]["verify"]
+        problem = parse_problem(text)
+        sampled = sample_arcs(problem.poly, problem.options.budget, problem.options.seed)
+        assert report["arcs_checked"] == len(sampled) == arcs
         assert report["min_r_bar"] == "inf" and report["constructed_arc"] is None
         assert all(report["checks"].values())
 
