@@ -20,7 +20,7 @@ from .errors import ParseError, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly, Powers
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, arc_substitute, certify_on_hypersurface
+from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,12 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """t-order of each generator image; PrecisionExhausted when one is needed but unknown."""
     known = []
     pending = []
-    powers = Powers(arc.components, TruncatedSeries.t_power(arc.field, 0))
+    powers = arc.powers()
     for i, (poly, weight) in enumerate(algebra.generators):
-        image = arc_substitute(poly, arc, powers)
+        image = arc_image(poly, arc, powers)
         order = image.known_order()
         if order is None:
-            pending.append((i, weight, image.order_lower_bound()))
+            pending.append((i, weight, image.bound))
         else:
             known.append((i, weight, order))
     finite = [Fraction(o) / w for _, w, o in known if o != INF]
@@ -94,30 +94,21 @@ def contact_order(algebra: ReesAlgebra, arc: Arc):
     if not all(component.exact for component in arc.components):
         best, _ = _generator_orders(algebra, arc)
         return best
-    orders = [component.known_order() for component in arc.components]
+    exact = arc.powers()
+    orders = [component.bound for component in exact.images]
     visits = []
     for poly, weight in algebra.generators:
         bound = _lower_bound(poly, orders)
         if bound != INF:
             visits.append((Fraction(bound) / weight, bound, poly, weight))
     visits.sort(key=lambda visit: visit[0])
-    field = arc.field
-    one = TruncatedSeries.t_power(field, 0)
-    cuts = {}
+    cuts = {INF: exact}
 
     def order_below(poly, n):
         """ord_t(poly(arc)) when it is below t^n (n = INF: the exact order), else None."""
         if n not in cuts:
-            cut = arc if n == INF else Arc(
-                arc.variables,
-                tuple(
-                    c if c.is_exactly_zero() else TruncatedSeries.truncated(field, c.coeffs[:n], n)
-                    for c in arc.components
-                ),
-                field,
-            )
-            cuts[n] = cut, Powers(cut.components, one)
-        return arc_substitute(poly, *cuts[n]).known_order()
+            cuts[n] = Powers(tuple(c.cut(n) for c in exact.images), exact.one)
+        return arc_image(poly, arc, cuts[n]).known_order()
 
     best = INF
     for key, bound, poly, weight in visits:

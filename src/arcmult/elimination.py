@@ -378,19 +378,21 @@ def verify_main_theorem(
     budget: int,
     seed: int,
     parametrization: Arc | None = None,
+    candidates_certified: bool = False,
 ) -> TheoremReport:
     """Check both directions of min(Phi) = ord_d on candidates plus samples.
 
     (a) no arc's normalized contact order falls below ord_d, (b) some arc
     achieves it, and (c) for the achiever the contact order and arc order
     survive projection to the base.  A missing witness is reported as
-    INCONCLUSIVE, never as a refutation.
+    INCONCLUSIVE, never as a refutation.  Each candidate is certified to lie
+    on the hypersurface unless `candidates_certified` says the caller has.
     """
     poly = presentation.poly
     elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
     algebra = presenting_algebra(poly)
 
-    for name, arc in candidates.items():
+    for name, arc in () if candidates_certified else candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
     sampled = sample_arcs(poly, budget, seed, parametrization)
     named = [*candidates.items(), *((f"sample_{i}", arc) for i, arc in enumerate(sampled))]

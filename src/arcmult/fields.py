@@ -138,6 +138,8 @@ class FieldSpec:
         if self.characteristic:
             return values, 1
         scale = math.lcm(*(c.denominator for c in values))
+        if scale == 1:
+            return [c.numerator for c in values], 1
         return [c.numerator * (scale // c.denominator) for c in values], scale
 
     def uncleared(self, integers, scale) -> list:
@@ -145,6 +147,8 @@ class FieldSpec:
         p = self.characteristic
         if p:
             return [v % p for v in integers]
+        if scale == 1:
+            return list(map(Fraction, integers))
         return [Fraction(v, scale) for v in integers]
 
     def is_zero(self, a) -> bool:

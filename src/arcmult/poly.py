@@ -35,7 +35,7 @@ def check_point(point, variables, field: FieldSpec) -> Point:
 class MultiPoly:
     """Sparse exact polynomial in an ordered tuple of variables."""
 
-    __slots__ = ("variables", "terms", "field", "_hash")
+    __slots__ = ("variables", "terms", "field", "_hash", "_order")
 
     def __init__(self, variables, terms, field: FieldSpec):
         self.variables = tuple(variables)
@@ -52,6 +52,7 @@ class MultiPoly:
         self.terms = clean
         self.field = field
         self._hash = None
+        self._order = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -93,10 +94,13 @@ class MultiPoly:
         return max((e[i] for e in self.terms), default=-1)
 
     def order_at_origin(self):
-        """Minimal total degree of a nonzero term; INF for the zero polynomial."""
-        if not self.terms:
-            return INF
-        return min(sum(e) for e in self.terms)
+        """Minimal total degree of a nonzero term; INF for the zero polynomial.
+
+        Computed once: a blow-up step asks for it in the strict transform, in
+        the chart's divisibility check and for the next multiplicity."""
+        if self._order is None:
+            self._order = min((sum(e) for e in self.terms), default=INF)
+        return self._order
 
     def initial_form(self) -> "MultiPoly":
         """Lowest-degree homogeneous part (the initial form at the origin)."""
@@ -348,7 +352,10 @@ class MultiPoly:
 
 
 class Powers:
-    """images[i]^e (polynomials or series) by repeated squaring, every power cached for reuse."""
+    """images[i]^e (polynomials or series) by repeated squaring, every power cached for reuse.
+
+    An odd power is the even one below it times the image, so the squares that
+    odd powers pass through are cached too."""
 
     def __init__(self, images, one):
         self.images = tuple(images)
@@ -363,10 +370,11 @@ class Powers:
         key = (index, exponent)
         cached = self._cache.get(key)
         if cached is None:
-            half = self.power(index, exponent // 2)
-            cached = half * half
             if exponent & 1:
-                cached = cached * self.images[index]
+                cached = self.power(index, exponent - 1) * self.images[index]
+            else:
+                half = self.power(index, exponent // 2)
+                cached = half * half
             self._cache[key] = cached
         return cached
 

@@ -345,6 +345,8 @@ def run(problem: ProblemFile) -> Report:
             problem.options.budget,
             problem.options.seed,
             parametrization=problem.parametrization,
+            # nash_sequence or the contact branch has certified every arc
+            candidates_certified="nash" in analyses or "contact" in analyses,
         )
     reports = _analyses_json(problem.field, analyses)
     expectations = _check_expectations(problem.expects, reports)

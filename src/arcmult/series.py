@@ -13,7 +13,11 @@ zero constant term (arcs are stored recentered at the current chart origin).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
+from operator import mul
 
 from .errors import (
     ArcNotOnVariety,
@@ -132,23 +136,12 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         ensure_same_field(self.field, other.field)
-        a, b = self.coeffs, other.coeffs
-        # Known coefficients of the product reach min(prec_a + ord_b, prec_b + ord_a);
-        # for two polynomials that is INF, and the order scan is skipped.
-        if self.exact and other.exact:
-            prec = INF
-        else:
-            prec = min(
-                self.precision + other.order_lower_bound(),
-                other.precision + self.order_lower_bound(),
-            )
-        n = min(prec, len(a) + len(b) - 1)
-        return TruncatedSeries._of(self.field, _convolve(self.field, a, b, n), prec)
+        return (ClearedSeries.of(self) * ClearedSeries.of(other)).series(self.field)
 
     def __pow__(self, n: int):
         if n < 0:
             raise EngineError("negative series power")
-        return Powers((self,), TruncatedSeries.t_power(self.field, 0)).power(0, n)
+        return _powers((self,), self.field).power(0, n).series(self.field)
 
     def divide(self, other: "TruncatedSeries", fallback_precision: int = DEFAULT_PRECISION):
         """Series division; requires order(divisor) <= order(dividend)."""
@@ -184,17 +177,20 @@ class TruncatedSeries:
             raise PrecisionExhausted("no precision left after division")
         return TruncatedSeries._of(field, _series_quotient(field, a, b, prec), prec)
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute t -> inner(t); inner must have zero constant term."""
+    def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
+        """Substitute t -> inner(t); inner must have zero constant term.
+
+        The image is the ring map sending t to inner, cut at the lesser of the two
+        precisions; `powers` of inner may be shared, as `Arc.compose` shares them."""
         ensure_same_field(self.field, inner.field)
         field = self.field
         if not field.is_zero(inner.coefficient(0)):
             raise EngineError("composition requires inner series with zero constant term")
-        prec = min(self.precision, inner.precision)
-        result = TruncatedSeries(field, (), prec)
-        for c in reversed(self.coeffs):
-            result = result * inner + TruncatedSeries._of(field, [c], prec)
-        return result
+        if powers is None:
+            powers = _powers((inner,), field)
+        terms = (((k,), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c))
+        cut = min(self.precision, inner.precision)
+        return _image(field, terms, powers, cut).series(field)
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
@@ -219,21 +215,95 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-def _convolve(field, a, b, n):
-    """First n coefficients of (sum a_i t^i) * (sum b_j t^j).
+class ClearedSeries:
+    """A series on integers: coefficient i is ints[i] / scale (over F_p the scale is 1).
 
-    The loop runs on the integers of `field.cleared`, and each output
-    coefficient is brought back into the field once.
+    `precision` and `bound` are the precision and order_lower_bound of the
+    TruncatedSeries it stands for, and `*` applies the product rule to them:
+    lb(ab) = lb_a + lb_b and prec(ab) = min(p_a + lb_b, p_b + lb_a), which is
+    INF for two polynomials.  Over F_p the integers are reduced mod p after
+    each product.  Arcs are evaluated on these, so an image is brought back
+    into its field once.
     """
-    a, da = field.cleared(a)
-    b, db = field.cleared(b)
+
+    __slots__ = ("ints", "scale", "precision", "bound", "p")
+
+    def __init__(self, ints: list, scale: int, precision, p: int, bound=None):
+        """`ints` stop below `precision`; `bound` defaults to the first nonzero index."""
+        self.ints = ints
+        self.scale = scale
+        self.precision = precision
+        self.p = p
+        self.bound = next((i for i, v in enumerate(ints) if v), precision) if bound is None else bound
+
+    @classmethod
+    def of(cls, series: TruncatedSeries) -> "ClearedSeries":
+        ints, scale = series.field.cleared(series.coeffs)
+        return cls(list(ints), scale, series.precision, series.field.characteristic)
+
+    def cut(self, n: int) -> "ClearedSeries":
+        """The series known below t^n only; an exact zero stays exact."""
+        if self.bound == INF:
+            return self
+        return ClearedSeries(self.ints[:n], self.scale, min(self.precision, n), self.p, min(self.bound, n))
+
+    def __mul__(self, other: "ClearedSeries") -> "ClearedSeries":
+        precision = min(self.precision + other.bound, other.precision + self.bound)
+        ints = _convolve(self.ints, other.ints, max(0, min(precision, len(self.ints) + len(other.ints) - 1)))
+        if self.p:
+            ints = [v % self.p for v in ints]
+        return ClearedSeries(ints, self.scale * other.scale, precision, self.p, self.bound + other.bound)
+
+    def known_order(self):
+        """First nonzero index, INF for exact zero, None when indeterminate."""
+        if self.bound < self.precision:
+            return self.bound
+        return INF if self.precision == INF else None
+
+    def series(self, field: FieldSpec) -> TruncatedSeries:
+        return TruncatedSeries._of(field, field.uncleared(self.ints, self.scale), self.precision)
+
+
+def _powers(series, field: FieldSpec) -> Powers:
+    """A cache of the powers of each series, on integers."""
+    return Powers(tuple(ClearedSeries.of(s) for s in series), ClearedSeries([1], 1, INF, field.characteristic))
+
+
+def _convolve(a, b, n):
+    """First n coefficients of (sum a_i t^i) * (sum b_j t^j), on integers."""
     raw = [0] * n
+    b = [(j, y) for j, y in enumerate(b[:n]) if y]
+    js = [j for j, _ in b]
     for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b[: n - i], i):
-                if y:
-                    raw[j] += x * y
-    return field.uncleared(raw, da * db)
+            for j, y in b[: bisect_left(js, n - i)]:
+                raw[i + j] += x * y
+    return raw
+
+
+def _image(field: FieldSpec, terms, powers: Powers, cut=INF) -> ClearedSeries:
+    """The sum of c * prod_i images[i]^(e_i) over `terms`, pairs (e, c) with c nonzero, cut at t^cut.
+
+    `powers` caches the images as ClearedSeries.  Every term is summed at one
+    common scale, and the sum is known below the least precision of a term."""
+    terms = list(terms)
+    coeffs, scale = field.cleared([c for _, c in terms])
+    products = []
+    for exps, _ in terms:
+        factors = [powers.power(i, e) for i, e in enumerate(exps) if e]
+        products.append(reduce(mul, factors) if factors else powers.one)
+    precision = min([cut] + [term.precision for term in products])
+    common = math.lcm(*(term.scale for term in products))
+    raw = [0] * min(precision, max([0] + [len(term.ints) for term in products]))
+    for c, term in zip(coeffs, products):
+        c *= common // term.scale
+        for k, v in enumerate(term.ints[: len(raw)]):
+            if v:
+                raw[k] += c * v
+    p = field.characteristic
+    if p:
+        raw = [v % p for v in raw]
+    return ClearedSeries(raw, scale * common, precision, p)
 
 
 def _series_quotient(field, a, b, n):
@@ -309,7 +379,13 @@ class Arc:
         return Arc(self.variables, tuple(c.reparametrize(n) for c in self.components), self.field)
 
     def compose(self, inner: TruncatedSeries) -> "Arc":
-        return Arc(self.variables, tuple(c.compose(inner) for c in self.components), self.field)
+        """Each component composed with inner, one cache of inner's powers for all."""
+        powers = _powers((inner,), self.field)
+        return Arc(self.variables, tuple(c.compose(inner, powers) for c in self.components), self.field)
+
+    def powers(self) -> Powers:
+        """A cache of the components' powers, on integers, that `arc_substitute` may share."""
+        return _powers(self.components, self.field)
 
     def project(self, variables) -> "Arc":
         """Arc induced on a coordinate subspace (a smooth projection)."""
@@ -325,16 +401,23 @@ class Arc:
         )
 
 
-def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> TruncatedSeries:
-    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` of the arc may be shared."""
+def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> ClearedSeries:
+    """phi(f) on integers: `arc_substitute` before the image is brought back into the field.
+
+    `powers` (`Arc.powers`, or a cut of its images) may be shared between calls."""
     ensure_same_field(poly.field, arc.field)
     if poly.variables != arc.variables:
         raise VariableMismatch(
             f"polynomial variables {poly.variables} vs arc variables {arc.variables}"
         )
     if powers is None:
-        powers = Powers(arc.components, TruncatedSeries.t_power(arc.field, 0))
-    return poly.image(powers, TruncatedSeries.zero(arc.field))
+        powers = arc.powers()
+    return _image(arc.field, poly.terms.items(), powers)
+
+
+def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> TruncatedSeries:
+    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` as in `arc_image`."""
+    return arc_image(poly, arc, powers).series(arc.field)
 
 
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str) -> None:

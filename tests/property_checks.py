@@ -5,7 +5,8 @@ routes that no run of the engine takes: `from_weighted` and `parse_rees`
 build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
-`ring_map_translate` shifts a polynomial through the ring map, and
+`ring_map_translate` shifts a polynomial through the ring map,
+`horner_compose` composes two series by Horner's rule, and
 `persistence_oracle` counts blow-ups to the first multiplicity drop.
 
 Each check_* function draws one random case from a seeded Random and
@@ -134,6 +135,20 @@ def ring_map_translate(poly, point):
             for name, c in zip(poly.variables, point)
         }
     )
+
+
+def horner_compose(outer, inner):
+    """outer(inner(t)) by Horner's rule on TruncatedSeries, cut at the lesser precision.
+
+    A route `TruncatedSeries.compose`, a ring map on integers, does not take."""
+    field = outer.field
+    if not field.is_zero(inner.coefficient(0)):
+        raise EngineError("composition requires inner series with zero constant term")
+    prec = min(outer.precision, inner.precision)
+    result = TruncatedSeries(field, (), prec)
+    for c in reversed(outer.coeffs):
+        result = result * inner + TruncatedSeries.truncated(field, [c], prec)
+    return result
 
 
 def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

@@ -216,6 +216,19 @@ class TestNashSequence:
         assert sum(1 for step in report.trace if any(step.center)) == 2
         assert products == []
 
+    def test_each_step_computes_its_order_once(self, monkeypatch):
+        # The orders of f and of f on the graph's ambient space, then one per
+        # strict transform, whose order is the next step's multiplicity and
+        # divisibility check.  Each step computed it three times.
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
+        computed = []
+        order = MultiPoly.order_at_origin
+        monkeypatch.setattr(MultiPoly, "order_at_origin", lambda g: computed.append(g._order is None) or order(g))
+        report = nash_sequence(f, phi, max_steps=100)
+        assert len(report.trace) == 84
+        assert sum(computed) == 86
+
     def test_trace_records_steps(self):
         report = nash_sequence(cusp(), arc(Q, "t^2", "t^3", variables=("x", "y")))
         assert len(report.trace) == 3

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from arcmult import blowup, problems
+from arcmult import blowup, elimination, problems
 from arcmult.cli import main
 from arcmult.contact import sample_arcs
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
@@ -427,10 +427,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{name} does not lie on the hypersurface" in err and "t^9" not in err
 
-    @pytest.mark.parametrize("analyses", ["nash contact", "contact"])
+    @pytest.mark.parametrize(
+        "analyses", ["nash contact", "contact", "nash contact ord_d verify", "contact verify", "verify"]
+    )
     def test_each_arc_is_certified_once(self, monkeypatch, analyses):
         certified = []
-        for module in (blowup, problems):
+        for module in (blowup, problems, elimination):
             original = module.certify_on_hypersurface
             monkeypatch.setattr(
                 module,

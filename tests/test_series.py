@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import XY, random_poly
+from property_checks import XY, horner_compose, random_poly
 
 from arcmult.errors import (
     DivisionOrderError,
@@ -11,11 +11,13 @@ from arcmult.errors import (
     InvalidArc,
     PrecisionExhausted,
 )
-from arcmult.fields import INF, RATIONALS, prime_field
+from arcmult import series
+from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
 from arcmult.poly import Powers, parse_poly
 from arcmult.rees import presenting_algebra
 from arcmult.series import (
     Arc,
+    ClearedSeries,
     TruncatedSeries,
     arc_substitute,
     parse_series,
@@ -24,6 +26,7 @@ from arcmult.series import (
 Q = RATIONALS
 F2 = prime_field(2)
 F3 = prime_field(3)
+F5 = prime_field(5)
 
 
 def S(text, field=Q):
@@ -370,9 +373,120 @@ def test_shared_powers_give_the_same_images(field):
     for _ in range(20):
         f = random_poly(rng, field, nonzero=True)
         phi = random_arc(rng, field)
-        shared = Powers(phi.components, TruncatedSeries.t_power(field, 0))
+        shared = phi.powers()
         for poly, _ in presenting_algebra(f).generators:
             assert arc_substitute(poly, phi, shared) == arc_substitute(poly, phi), f"{poly} along {phi}"
+
+
+def varied_series(rng, field, constant=False):
+    """An exact, truncated, all-zero truncated or exactly zero series; the first two
+    have a zero constant term unless `constant`, and runs of zeros at either end."""
+    kind = rng.choice(("exact", "truncated", "all-zero", "zero"))
+    coeffs = ([] if constant else [field.zero]) + random_coeffs(rng, field, rng.randint(1, 6))
+    if kind == "exact":
+        return TruncatedSeries.exact_series(field, coeffs)
+    if kind == "truncated":
+        return TruncatedSeries.truncated(field, coeffs, len(coeffs) + rng.randint(0, 2))
+    if kind == "all-zero":
+        return TruncatedSeries.truncated(field, (), rng.randint(1, 6))
+    return TruncatedSeries.zero(field)
+
+
+def described(s):
+    return s.coeffs, s.precision, str(s), s.known_order(), s.order_lower_bound()
+
+
+FIELDS = pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+
+
+@FIELDS
+def test_arc_substitute_matches_the_generic_ring_map(field):
+    # The integer kernel against MultiPoly.image over TruncatedSeries products and sums.
+    rng = random.Random(f"cleared-image-{field.characteristic}")
+    outcomes = set()
+    for _ in range(400):
+        components = (varied_series(rng, field), varied_series(rng, field))
+        if all(c.is_exactly_zero() for c in components):
+            continue
+        phi = Arc(XY, components, field)
+        f = random_poly(rng, field, max_degree=4, max_terms=5)
+        if field.characteristic == 0:
+            f = f + random_poly(rng, field).scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        one = TruncatedSeries.t_power(field, 0)
+        expected = f.image(Powers(phi.components, one), TruncatedSeries.zero(field))
+        image = arc_substitute(f, phi)
+        assert described(image) == described(expected), f"{f} along {phi}"
+        outcomes.add((image.exact, image.known_order() is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@FIELDS
+def test_cut_is_the_truncated_series(field):
+    # contact_order cuts cleared components; a cut stands for the series truncated there.
+    rng = random.Random(f"cut-{field.characteristic}")
+    for _ in range(200):
+        s = varied_series(rng, field)
+        n = rng.randint(1, 9)
+        cut = ClearedSeries.of(s).cut(n)
+        expected = s if s.is_exactly_zero() else TruncatedSeries.truncated(field, s.coeffs[:n], min(n, s.precision))
+        assert (cut.series(field), cut.bound) == (expected, expected.order_lower_bound()), f"{s} cut at {n}"
+
+
+@FIELDS
+def test_compose_matches_horner(field):
+    rng = random.Random(f"compose-horner-{field.characteristic}")
+    for _ in range(400):
+        outer = varied_series(rng, field, constant=True)
+        inner = varied_series(rng, field, constant=rng.random() < 0.1)
+        try:
+            expected = described(horner_compose(outer, inner))
+        except EngineError as error:
+            expected = type(error)
+        try:
+            composed = described(outer.compose(inner))
+        except EngineError as error:
+            composed = type(error)
+        assert composed == expected, f"{outer} o {inner}"
+
+
+@FIELDS
+def test_arc_compose_matches_horner_per_component(field):
+    rng = random.Random(f"arc-compose-horner-{field.characteristic}")
+    for _ in range(100):
+        phi = random_arc(rng, field)
+        inner = varied_series(rng, field)
+        if inner.is_exactly_zero():  # every component would be zero: not an arc
+            continue
+        composed = [described(c) for c in phi.compose(inner).components]
+        assert composed == [described(horner_compose(c, inner)) for c in phi.components]
+
+
+def test_arc_compose_computes_each_power_of_inner_once(monkeypatch):
+    # The components need inner^2..inner^5, and each takes one product from a
+    # power already cached: 4 products.  A cache per component would take 7.
+    calls = []
+    convolve = series._convolve
+    monkeypatch.setattr(series, "_convolve", lambda *args: calls.append(1) or convolve(*args))
+    phi = arc(Q, "t^2 + t^5", "t^3 + t^4 + t^5")
+    composed = phi.compose(S("t + 2*t^2 - t^3"))
+    assert len(calls) == 4
+    assert composed.component("y") == horner_compose(S("t^3 + t^4 + t^5"), S("t + 2*t^2 - t^3"))
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_each_image_is_brought_back_into_the_field_once(monkeypatch, field):
+    phi = arc(field, "t^2 + t^3", "t^3 - t^7")
+    f = parse_poly("y^2 - x^3 + 2*x^2*y^3 - x*y", XY, field)
+    inner = S("t - t^2", field)
+    calls = []
+    uncleared = FieldSpec.uncleared
+    monkeypatch.setattr(
+        FieldSpec, "uncleared", lambda self, *args: calls.append(1) or uncleared(self, *args)
+    )
+    arc_substitute(f, phi)
+    assert len(calls) == 1
+    phi.compose(inner)
+    assert len(calls) == 3
 
 
 def test_series_str_and_parse_round_trip():
