@@ -29,8 +29,8 @@ class ChartMap:
     coordinate x_j, so it pulls a monomial x^e back to x^e with e_j
     replaced by |e|.  That exponent map is injective, so no two terms
     merge.  `translation` records where the lifted arc landed (the next
-    center, in chart coordinates); blow-ups themselves always happen at the
-    origin of the current chart.
+    center, in chart coordinates, as field elements); blow-ups themselves
+    always happen at the origin of the current chart.
     """
 
     variables: tuple
@@ -47,9 +47,12 @@ class ChartMap:
             raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
         if poly.order_at_origin() < k:
             raise EngineError(f"pull-back of {poly} is not divisible by {self.exceptional}^{k}")
-        j = self.index
-        terms = {e[:j] + (sum(e) - k,) + e[j + 1 :]: c for e, c in poly.terms.items()}
-        return MultiPoly(self.variables, terms, poly.field).translate(self.translation)
+        terms = {}  # the exponent map is injective: no terms merge, no coefficient vanishes
+        for e, c in poly.terms.items():
+            pulled = list(e)
+            pulled[self.index] = sum(e) - k
+            terms[tuple(pulled)] = c
+        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation)
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
     The chart is the component of minimal t-order (ties to the lowest
     index); the lifted components are quotients by that component.  The
     constant terms that appear are the next center: they are recorded in
-    the ChartMap translation and subtracted so the lifted arc is again
+    the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  `precision` bounds non-terminating divisions.
     """
     field = arc.field
@@ -135,8 +138,8 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
         quotient = comp.divide(divisor, fallback_precision=precision)
         constant = quotient.coefficient(0)
         constants.append(constant)
-        if not field.is_zero(constant):
-            quotient = quotient - TruncatedSeries.exact_series(field, (constant,))
+        if constant:
+            quotient = TruncatedSeries._of(field, [field.zero, *quotient.coeffs[1:]], quotient.precision)
         lifted.append(quotient)
     chart = ChartMap(arc.variables, best_index, tuple(constants))
     return chart, Arc(arc.variables, tuple(lifted), field)

@@ -241,7 +241,8 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     unknown).  Then f(phi o s) = f(phi) o s vanishes for every series s with
     zero constant term, so `budget` arcs composed through phi with random
     series drawn from `seed`, and reparametrizations of phi, are admitted
-    without substitution.  Duplicate arcs are dropped.
+    without substitution.  A series drawn again is skipped before it is
+    composed, and duplicate arcs are dropped.
     """
     field = poly.field
     terms = list(poly.terms.items())
@@ -264,6 +265,7 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
         return True
 
     rng = random.Random(seed)
+    drawn = set()
     produced = 0
     attempts = 0
     while produced < budget and attempts < budget * 20:
@@ -272,7 +274,11 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
         coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]
         if all(field.is_zero(c) for c in coeffs):
             continue
-        produced += admit(parametrization.compose(TruncatedSeries.exact_series(field, coeffs)))
+        series = TruncatedSeries.exact_series(field, coeffs)
+        if series.coeffs in drawn:
+            continue  # its composed arc was seen when it was first drawn
+        drawn.add(series.coeffs)
+        produced += admit(parametrization.compose(series))
     for n in range(1, 9):
         admit(parametrization.reparametrize(n))
     return arcs

@@ -57,6 +57,17 @@ class MultiPoly:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
+    def _of(cls, variables: tuple, terms: dict, field: FieldSpec) -> "MultiPoly":
+        # Internal: terms map exponent tuples of the right width to nonzero field elements.
+        poly = cls.__new__(cls)
+        poly.variables = variables
+        poly.terms = terms
+        poly.field = field
+        poly._hash = None
+        poly._order = None
+        return poly
+
+    @classmethod
     def zero(cls, variables, field):
         return cls(variables, {}, field)
 
@@ -224,10 +235,14 @@ class MultiPoly:
     def translate(self, point) -> "MultiPoly":
         """f(x + p), by a Taylor shift per coordinate: x_i^e -> sum_k binom(e, k) p_i^(e-k) x_i^k.
 
-        Each binomial is coerced into the field, as in `hasse_derivative`, so those vanishing
-        mod p drop out; the sums are taken in ints through `FieldSpec.cleared`, as in `__mul__`."""
-        point = check_point(point, self.variables, self.field)
+        Binomials vanishing mod p drop out, as in `hasse_derivative`; the sums are taken in
+        ints through `FieldSpec.cleared`, as in `__mul__`, and those that vanish are dropped."""
+        return self._shift(check_point(point, self.variables, self.field))
+
+    def _shift(self, point) -> "MultiPoly":
+        # Internal: `translate` by a point whose coordinates are already field elements.
         field = self.field
+        p = field.characteristic
         shifted = self
         rows = {}  # e -> the (k, binom(e, k)) whose binomial is nonzero in the field
         for i, c in enumerate(point):
@@ -244,11 +259,12 @@ class MultiPoly:
                 e = exps[i]
                 if e not in rows:
                     binoms = (math.comb(e, k) for k in range(e + 1))
-                    rows[e] = [(k, b) for k, b in enumerate(binoms) if not field.is_zero(field.coerce(b))]
+                    rows[e] = [(k, b) for k, b in enumerate(binoms) if not p or b % p]
                 for k, b in rows[e]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
-            shifted = self._new(dict(zip(raw, field.uncleared(raw.values(), scale * power_scale))))
+            values = field.uncleared(raw.values(), scale * power_scale)
+            shifted = MultiPoly._of(self.variables, {e: v for e, v in zip(raw, values) if v}, field)
         return shifted
 
     def evaluate(self, point):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -89,7 +90,7 @@ class TruncatedSeries:
     def known_order(self):
         """First nonzero index, INF for exact zero, None when indeterminate."""
         for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
+            if c:  # the field's zeros are exactly its falsy elements
                 return i
         return INF if self.exact else None
 
@@ -170,7 +171,7 @@ class TruncatedSeries:
             # Exact inputs.  Past len(a) the recurrence has order len(b) - 1, so a/b is a
             # polynomial exactly when q vanishes on the len(b) - 1 indices below len(a).
             q = _series_quotient(field, a, b, len(a))
-            if all(field.is_zero(c) for c in q[max(0, len(a) - len(b) + 1) :]):
+            if not any(q[max(0, len(a) - len(b) + 1) :]):
                 return TruncatedSeries._of(field, q)
             prec = fallback_precision
         elif prec < 1:
@@ -307,16 +308,48 @@ def _image(field: FieldSpec, terms, powers: Powers, cut=INF) -> ClearedSeries:
 
 
 def _series_quotient(field, a, b, n):
-    """First n coefficients of (sum a_i t^i) / (sum b_j t^j) with b_0 a unit:
-    q_k = (a_k - sum_{j=1}^{min(k, len(b)-1)} b_j q_{k-j}) / b_0, a_k zero past len(a)."""
-    inverse_lead = field.inv(b[0])
-    q = []
-    for k in range(n):
-        acc = a[k] if k < len(a) else field.zero
-        for j in range(1, min(k, len(b) - 1) + 1):
-            acc = field.sub(acc, field.mul(q[k - j], b[j]))
-        q.append(field.mul(acc, inverse_lead))
-    return q
+    """First n coefficients of (sum a_i t^i) / (sum b_j t^j) with b_0 a unit, a_k zero past len(a).
+
+    Both operands are cleared once, so a / b = (scale_b / scale_a) * A / B on
+    integers.  With c = B_0 the recurrence carries R_k = c^(k+1) (A / B)_k,
+    which stays integral:
+    R_k = c^k A_k - sum_{j=1}^{min(k, len(B)-1)} B_j c^(j-1) R_{k-j}.
+    Over F_p, A and B are first multiplied by the inverse of B_0, so c = 1 and
+    R is reduced mod p.  Over Q a negative B_0 is negated with A; then
+    B_0 = 1 leaves the quotient integral, and otherwise each coefficient is
+    one Fraction."""
+    p = field.characteristic
+    A, scale_a = field.cleared(a[:n])
+    B, scale_b = field.cleared(b[:n])
+    c = B[0]
+    if p:
+        inverse = pow(c, p - 2, p)
+        A = [v * inverse for v in A]
+        B = [v * inverse for v in B]
+        c = 1
+    elif c < 0:
+        A = [-v for v in A]
+        B = [-v for v in B]
+        c = -c
+    if c != 1:
+        A = [v * c**k for k, v in enumerate(A)]
+    R = A + [0] * (n - len(A))
+    if len(B) > 1:
+        # weights[-j] = B_j c^(j-1), so weights[-m:] pairs with R_{k-m}, ..., R_{k-1}.
+        weights = [v * c ** (j - 1) for j, v in enumerate(B) if j][::-1]
+        for k in range(1, n):
+            m = min(k, len(weights))
+            v = R[k] - sum(map(mul, weights[-m:], R[k - m : k]))
+            R[k] = v % p if p else v
+    if scale_b != 1:
+        R = [v * scale_b for v in R]
+    if c == 1:
+        return field.uncleared(R, scale_a)
+    quotient = []
+    for v in R:
+        scale_a *= c
+        quotient.append(Fraction(v, scale_a))
+    return quotient
 
 
 def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
@@ -363,15 +396,12 @@ class Arc:
 
     def order(self) -> int:
         """nu_t: minimal t-order over the components."""
-        best = INF
-        for comp in self.components:
-            known = comp.known_order()
-            if known is not None and known < best:
-                best = known
-        for comp in self.components:
-            if comp.known_order() is None and comp.order_lower_bound() < best:
+        known = [comp.known_order() for comp in self.components]
+        best = min((order for order in known if order is not None), default=INF)
+        for comp, order in zip(self.components, known):
+            if order is None and comp.precision < best:  # its order_lower_bound
                 raise PrecisionExhausted("arc order indeterminate at this precision")
-        if best is INF:
+        if best == INF:
             raise InvalidArc("arc must have at least one nonzero component")
         return best
 

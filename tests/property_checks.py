@@ -6,8 +6,9 @@ build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
 `ring_map_translate` shifts a polynomial through the ring map,
-`horner_compose` composes two series by Horner's rule, and
-`persistence_oracle` counts blow-ups to the first multiplicity drop.
+`horner_compose` composes two series by Horner's rule,
+`persistence_oracle` counts blow-ups to the first multiplicity drop, and
+`assert_well_formed` checks what `MultiPoly.__init__` would have ensured.
 
 Each check_* function draws one random case from a seeded Random and
 asserts the property; the suites run them a few hundred times.  Everything
@@ -16,6 +17,7 @@ is exact arithmetic, so any failure is a real counterexample.
 
 import itertools
 import random
+from fractions import Fraction
 
 from arcmult.blowup import DEFAULT_MAX_STEPS, nash_sequence
 from arcmult.contact import GRID_CAP, contact_order
@@ -135,6 +137,18 @@ def ring_map_translate(poly, point):
             for name, c in zip(poly.variables, point)
         }
     )
+
+
+def assert_well_formed(poly):
+    """Every key is an exponent tuple of the polynomial's width, and every coefficient a
+    nonzero element of its field: a Fraction over Q, an int in range(p) over F_p."""
+    p = poly.field.characteristic
+    for exps, coeff in poly.terms.items():
+        assert type(exps) is tuple and len(exps) == len(poly.variables), (poly, exps)
+        if p:
+            assert type(coeff) is int and 0 < coeff < p, (poly, exps, coeff)
+        else:
+            assert type(coeff) is Fraction and coeff != 0, (poly, exps, coeff)
 
 
 def horner_compose(outer, inner):

@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import SequenceTruncated, persistence_oracle, ring_map_translate
+from property_checks import (
+    SequenceTruncated,
+    assert_well_formed,
+    persistence_oracle,
+    ring_map_translate,
+)
+
+from arcmult import series
 
 from arcmult.blowup import (
     ChartMap,
@@ -17,7 +24,7 @@ from arcmult.errors import (
     PrecisionExhausted,
     VariableMismatch,
 )
-from arcmult.fields import RATIONALS, prime_field
+from arcmult.fields import RATIONALS, FieldSpec, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.series import Arc, TruncatedSeries, parse_series
 
@@ -152,7 +159,9 @@ class TestChartTransform:
                             with pytest.raises(EngineError):
                                 chart.transform(poly, k)
                             continue
-                        assert chart.transform(poly, k) == expected
+                        transformed = chart.transform(poly, k)
+                        assert transformed == expected
+                        assert_well_formed(transformed)
 
     def test_rejects_a_polynomial_over_other_variables(self):
         chart = ChartMap(("x", "z"), 0, (0, 0))
@@ -215,6 +224,45 @@ class TestNashSequence:
         assert report.rho == 84 and len(report.trace) == 84
         assert sum(1 for step in report.trace if any(step.center)) == 2
         assert products == []
+
+    @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
+    def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
+        # The quotient rule works on cleared integers, and the chart transform
+        # builds its result without re-coercing each coefficient.
+        watched = {"quotient": {"mul", "sub", "inv"}, "transform": {"coerce"}}
+        running = []
+        entered = []
+        calls = []
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                if running and name in watched[running[-1]]:
+                    calls.append((running[-1], name))
+                return method(self, *args)
+
+            return wrapper
+
+        def tagged(label, function):
+            def wrapper(*args):
+                running.append(label)
+                entered.append(label)
+                try:
+                    return function(*args)
+                finally:
+                    running.pop()
+
+            return wrapper
+
+        for name in ("mul", "sub", "inv", "coerce"):
+            monkeypatch.setattr(FieldSpec, name, counted(name, getattr(FieldSpec, name)))
+        monkeypatch.setattr(series, "_series_quotient", tagged("quotient", series._series_quotient))
+        monkeypatch.setattr(ChartMap, "transform", tagged("transform", ChartMap.transform))
+        f = parse_poly("y^2 - x^21", ("x", "y"), field)
+        phi = arc(field, "t^8", "t^84", variables=("x", "y"))
+        report = nash_sequence(f, phi, max_steps=100)
+        assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
+        assert entered.count("transform") == 84 and "quotient" in entered
+        assert calls == []
 
     def test_each_step_computes_its_order_once(self, monkeypatch):
         # The orders of f and of f on the graph's ambient space, then one per

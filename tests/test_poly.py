@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import random_point, random_poly, ring_map_translate
+from property_checks import assert_well_formed, random_point, random_poly, ring_map_translate
 
 from arcmult.errors import ParseError, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
@@ -214,7 +214,9 @@ def test_taylor_shift_matches_the_ring_map(field):
     for _ in range(40):
         f = random_poly(rng, field, xyz, max_degree=7, max_terms=6)
         point = shift_point(rng, field)
-        assert f.translate(point) == ring_map_translate(f, point), f"{f} at {point}"
+        shifted = f.translate(point)
+        assert shifted == ring_map_translate(f, point), f"{f} at {point}"
+        assert_well_formed(shifted)
 
 
 @pytest.mark.parametrize("field, c", [(RATIONALS, Fraction(-2, 3)), (prime_field(5), 3)], ids=["Q", "F5"])
