@@ -10,7 +10,6 @@ from property_checks import (
 )
 
 from arcmult import series
-
 from arcmult.blowup import (
     ChartMap,
     blowup_lift,
