@@ -8,13 +8,17 @@ lift the arc by dividing components, and take the strict transform of the
 defining polynomial, until the multiplicity first drops below its initial
 value.  Both transforms of a point blow-up, the strict one here and the
 weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
+Blow-ups that stay in one chart at the origin are made a run at a time
+(`run_length`): one division of the arc and one exponent map of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .errors import EngineError, VariableMismatch
+from .fields import INF
 from .poly import MultiPoly, Point
 from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
 
@@ -41,27 +45,47 @@ class ChartMap:
     def exceptional(self) -> str:
         return self.variables[self.index]
 
-    def transform(self, poly: MultiPoly, k: int) -> MultiPoly:
-        """Pull back, divide by x_j^k, recenter; EngineError if a term has degree < k."""
+    def transform(self, poly: MultiPoly, k: int, steps: int = 1) -> MultiPoly:
+        """Pull back, divide by x_j^k, recenter; EngineError if a term has degree < k.
+
+        `steps` > 1 first pulls back and divides `steps` - 1 times at the origin.
+        Each time e_j grows by |e| - e_j - k while the other exponents stay, so
+        all of it is one map e_j -> e_j + steps * (|e| - e_j - k); EngineError
+        if it leaves an exponent negative."""
         if poly.variables != self.variables:
             raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
         if poly.order_at_origin() < k:
             raise EngineError(f"pull-back of {poly} is not divisible by {self.exceptional}^{k}")
+        j = self.index
         terms = {}  # the exponent map is injective: no terms merge, no coefficient vanishes
         for e, c in poly.terms.items():
             pulled = list(e)
-            pulled[self.index] = sum(e) - k
+            pulled[j] += steps * (sum(e) - e[j] - k)
             terms[tuple(pulled)] = c
+        if steps > 1 and any(e[j] < 0 for e in terms):
+            raise EngineError(f"{steps} pull-backs of {poly} are not each divisible by {self.exceptional}^{k}")
         return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation)
 
 
 @dataclass(frozen=True)
 class NashStep:
+    """One blow-up of the chain.  Its strict transform is `source` when `steps`
+    is 0; a step inside a run keeps the run's first polynomial and the number
+    of blow-ups from it, and builds `transform` when it is first read."""
+
     chart_index: int
     chart_variable: str
     center: Point
     multiplicity: int
-    transform: MultiPoly
+    source: MultiPoly = dataclass_field(repr=False)
+    steps: int = dataclass_field(default=0, repr=False)
+
+    @cached_property
+    def transform(self) -> MultiPoly:
+        if not self.steps:
+            return self.source
+        chart = ChartMap(self.source.variables, self.chart_index, self.center)
+        return chart.transform(self.source, self.multiplicity, self.steps)
 
     def to_json(self, field) -> dict:
         return {
@@ -115,7 +139,13 @@ def graph_arc(arc: Arc, extra_variable: str | None = None) -> Arc:
     return Arc(arc.variables + (name,), arc.components + (t,), arc.field)
 
 
-def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
+def _chart(arc: Arc) -> tuple:
+    """(index, nu): the chart component has the least t-order nu, ties to the lowest index."""
+    nu = arc.order()  # PrecisionExhausted when the chart choice is indeterminate
+    return next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu), nu
+
+
+def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) -> tuple:
     """Lift an arc through the blow-up of its center (the origin).
 
     The chart is the component of minimal t-order (ties to the lowest
@@ -123,11 +153,19 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
     constant terms that appear are the next center: they are recorded in
     the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  `precision` bounds non-terminating divisions.
+
+    `steps` > 1 lifts through a run of that many blow-ups (`run_length`): the
+    arc is exact, its chart component a monomial c t^nu, and each lift divides
+    by c t^nu again, so all of them are one division by (c t^nu)^steps.
+    EngineError if the arc admits no such run.
     """
     field = arc.field
-    nu = arc.order()  # PrecisionExhausted when the chart choice is indeterminate
-    best_index = next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu)
+    best_index, nu = _chart(arc)
     divisor = arc.components[best_index]
+    if steps > 1:
+        if not all(comp.exact for comp in arc.components) or len(divisor.coeffs) != nu + 1:
+            raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
+        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[nu] ** steps)
     lifted = []
     constants = []
     for i, comp in enumerate(arc.components):
@@ -141,22 +179,71 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION) -> tuple:
         if constant:
             quotient = TruncatedSeries._of(field, [field.zero, *quotient.coeffs[1:]], quotient.precision)
         lifted.append(quotient)
+    if steps > 1 and any(constants):
+        raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
     chart = ChartMap(arc.variables, best_index, tuple(constants))
-    return chart, Arc(arc.variables, tuple(lifted), field)
+    # Each quotient has its constant term dropped, and the chart component stays nonzero.
+    return chart, Arc._of(arc.variables, tuple(lifted), field)
 
 
-def strict_transform(poly: MultiPoly, chart: ChartMap) -> MultiPoly:
+def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1) -> MultiPoly:
     """Strict transform of a hypersurface under a point blow-up chart.
 
     The chart transform divides by the exceptional coordinate to the exact
-    power of the multiplicity at the blown-up center.
+    power of the multiplicity at the blown-up center.  `steps` > 1 is a run
+    (`run_length`): that many blow-ups in the chart at the origin, each of
+    which keeps the multiplicity, so each divides by the same power.
     """
     if poly.is_zero():
         raise EngineError("strict transform of the zero polynomial")
-    transformed = chart.transform(poly, poly.order_at_origin())
-    if all(exps[chart.index] for exps in transformed.terms):
+    transformed = chart.transform(poly, poly.order_at_origin(), steps)
+    # Inside a run this holds at every step without a check: the pull-back of g is divisible
+    # by x_j exactly to the power ord(g), and each step divides by that power, its order m.
+    if steps == 1 and all(exps[chart.index] for exps in transformed.terms):
         raise EngineError("strict transform still divisible by the exceptional coordinate")
     return transformed
+
+
+def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
+    """How many blow-ups, at most `limit`, the next iteration of `nash_sequence` makes.
+
+    More than one (a run) only when the arc is exact and its chart component
+    x_j is a monomial c t^nu.  While every other component has order above
+    l * nu, the l-th lift divides it by c t^nu once more: the chart stays j
+    and no constant term appears, so every center is the origin.  That bounds
+    the run by ceil(ord_i / nu) - 1 for each other nonzero component.
+
+    `multiplicity` is m, the order of `poly`.  After l blow-ups of the run a
+    term x^e with r = |e| - e_j has degree |e| + l (r - m), so the order
+    o_l, the least of these, is concave in l with o_0 = m.  A term with r < m
+    first falls below m at l = (|e| - m) // (m - r) + 1, and the run ends at
+    the first such drop.  Otherwise the iteration is a single blow-up.  By
+    concavity o_1 <= m shows that no step of the run raises the multiplicity;
+    if it fails, the same EngineError as `nash_sequence`'s.
+    """
+    if limit < 2 or not all(comp.exact for comp in arc.components):
+        return 1
+    j, nu = _chart(arc)
+    if len(arc.components[j].coeffs) != nu + 1:
+        return 1
+    steps = limit
+    for i, comp in enumerate(arc.components):
+        order = comp.known_order()
+        if i != j and order != INF:
+            steps = min(steps, -(-order // nu) - 1)
+    if steps < 2:
+        return 1
+    m = multiplicity
+    lowest = INF  # o_1
+    for e in poly.terms:
+        degree = sum(e)
+        rest = degree - e[j]
+        lowest = min(lowest, degree + rest - m)
+        if rest < m:
+            steps = min(steps, (degree - m) // (m - rest) + 1)
+    if lowest > m:
+        raise EngineError("Nash multiplicity increased; this is a bug")
+    return steps
 
 
 def nash_sequence(
@@ -169,7 +256,8 @@ def nash_sequence(
 
     The arc must lie on the hypersurface exactly; the sequence stops at the
     first multiplicity strictly below the initial one, or truncates at
-    max_steps (reported, never silent).
+    max_steps (reported, never silent).  Each iteration makes the blow-ups
+    of one run (`run_length`), a single one when no run applies.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
@@ -183,16 +271,20 @@ def nash_sequence(
     current_arc = graph_arc(arc, extra)
     sequence = [m0]
     trace = []
-    for _ in range(max_steps):
-        chart, current_arc = blowup_lift(current_arc, precision)
-        current_poly = strict_transform(current_poly, chart)
+    while len(sequence) <= max_steps:
+        previous = sequence[-1]
+        steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
+        start = current_poly
+        chart, current_arc = blowup_lift(current_arc, precision, steps)
+        current_poly = strict_transform(current_poly, chart, steps)
         m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
-        if m > sequence[-1]:
+        if m > previous:
             raise EngineError("Nash multiplicity increased; this is a bug")
-        sequence.append(m)
-        trace.append(
-            NashStep(chart.index, chart.exceptional, chart.translation, m, current_poly)
-        )
+        # The steps inside a run keep the multiplicity and build their transforms when read.
+        for l in range(1, steps):
+            trace.append(NashStep(chart.index, chart.exceptional, chart.translation, previous, start, l))
+        trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, current_poly))
+        sequence += [previous] * (steps - 1) + [m]
         if m < m0:
             return NashReport(tuple(sequence), len(sequence) - 1, tuple(trace), False)
     return NashReport(tuple(sequence), None, tuple(trace), True)

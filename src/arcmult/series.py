@@ -391,6 +391,15 @@ class Arc:
         if all(comp.known_order() is INF for comp in self.components):
             raise InvalidArc("arc must have at least one nonzero component")
 
+    @classmethod
+    def _of(cls, variables: tuple, components: tuple, field: FieldSpec) -> "Arc":
+        # Internal: components are series over field with zero constant term, not all exactly zero.
+        arc = cls.__new__(cls)
+        object.__setattr__(arc, "variables", variables)
+        object.__setattr__(arc, "components", components)
+        object.__setattr__(arc, "field", field)
+        return arc
+
     def component(self, name: str) -> TruncatedSeries:
         return self.components[self.variables.index(name)]
 

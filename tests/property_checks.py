@@ -7,6 +7,7 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
+`stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop, and
 `assert_well_formed` checks what `MultiPoly.__init__` would have ensured.
 
@@ -19,13 +20,22 @@ import itertools
 import random
 from fractions import Fraction
 
-from arcmult.blowup import DEFAULT_MAX_STEPS, nash_sequence
+from arcmult.blowup import (
+    DEFAULT_MAX_STEPS,
+    NashReport,
+    NashStep,
+    blowup_lift,
+    fresh_variable,
+    graph_arc,
+    nash_sequence,
+    strict_transform,
+)
 from arcmult.contact import GRID_CAP, contact_order
 from arcmult.errors import EngineError, ParseError, VariableMismatch
 from arcmult.fields import RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra
-from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries
+from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
 
 
 class SequenceTruncated(EngineError):
@@ -163,6 +173,47 @@ def horner_compose(outer, inner):
     for c in reversed(outer.coeffs):
         result = result * inner + TruncatedSeries.truncated(field, [c], prec)
     return result
+
+
+def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+    """`nash_sequence` one blow-up per iteration, every transform built when its step is made.
+
+    A route `nash_sequence`, which makes a run of blow-ups in one chart at once, does not take."""
+    if poly.is_zero():
+        raise EngineError("hypersurface polynomial must be nonzero")
+    certify_on_hypersurface(poly, arc, f"arc {arc}")
+    m0 = poly.order_at_origin()
+    if m0 < 2:
+        return NashReport((m0,), 0, (), False, below_threshold=True)
+    extra = fresh_variable(arc.variables)
+    current_poly = poly.extend(arc.variables + (extra,))
+    current_arc = graph_arc(arc, extra)
+    sequence = [m0]
+    trace = []
+    for _ in range(max_steps):
+        chart, current_arc = blowup_lift(current_arc, precision)
+        current_poly = strict_transform(current_poly, chart)
+        m = current_poly.order_at_origin()
+        if m > sequence[-1]:
+            raise EngineError("Nash multiplicity increased; this is a bug")
+        sequence.append(m)
+        trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, current_poly))
+        if m < m0:
+            return NashReport(tuple(sequence), len(sequence) - 1, tuple(trace), False)
+    return NashReport(tuple(sequence), None, tuple(trace), True)
+
+
+def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+    """`nash_sequence` and `stepwise_nash_sequence` give the same report, traces and
+    transforms included, or raise the same error."""
+
+    def outcome(chain):
+        try:
+            return chain(poly, arc, max_steps, precision).to_json(arc.field, include_trace=True)
+        except EngineError as error:
+            return type(error), str(error)
+
+    assert outcome(nash_sequence) == outcome(stepwise_nash_sequence), (poly, arc, max_steps)
 
 
 def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

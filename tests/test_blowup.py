@@ -3,20 +3,24 @@ from fractions import Fraction
 
 import pytest
 from property_checks import (
+    FIELDS,
     SequenceTruncated,
+    assert_chain_matches_stepwise,
     assert_well_formed,
     persistence_oracle,
     ring_map_translate,
 )
 
-from arcmult import series
+from arcmult import blowup, series
 from arcmult.blowup import (
     ChartMap,
     blowup_lift,
     graph_arc,
     nash_sequence,
+    run_length,
     strict_transform,
 )
+from arcmult.corpus import load_problem
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
@@ -29,6 +33,7 @@ from arcmult.series import Arc, TruncatedSeries, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
+FIELD_IDS = ["Q", "F2", "F3", "F5"]
 
 
 def arc(field, *texts, variables=("x", "y", "w")):
@@ -77,6 +82,27 @@ class TestBlowupLift:
         assert chart.index == 0
         assert chart.translation == (0, 1, 1)
         assert lifted == arc(Q, "t", "t", "0")
+
+    def test_steps_divide_by_a_power_of_the_monomial(self):
+        chart, lifted = blowup_lift(arc(Q, "2*t^2", "t^9 + t^11", "0"), steps=3)
+        assert chart.index == 0 and chart.translation == (0, 0, 0)
+        eighth = Fraction(1, 8)
+        y = TruncatedSeries.exact_series(Q, [0, 0, 0, eighth, 0, eighth])
+        assert lifted == Arc(("x", "y", "w"), (parse_series("2*t^2", Q), y, parse_series("0", Q)), Q)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [("t^2 + t^3", "t^9"), ("t^2", "t^6"), ("t^2", "t^5")],
+        ids=["not-a-monomial", "center-off-the-origin", "order-below-the-run"],
+    )
+    def test_steps_reject_an_arc_without_that_run(self, texts):
+        with pytest.raises(EngineError):
+            blowup_lift(arc(Q, *texts), steps=3)
+
+    def test_steps_reject_a_truncated_arc(self):
+        truncated = Arc(("x", "y"), (parse_series("t^2", Q), TruncatedSeries.truncated(Q, [0] * 9 + [1], 12)), Q)
+        with pytest.raises(EngineError):
+            blowup_lift(truncated, steps=2)
 
     def test_indeterminate_chart_raises(self):
         # x has order 3, but y is zero up to t^2: y may have order 2 and be the chart.
@@ -162,6 +188,30 @@ class TestChartTransform:
                         assert transformed == expected
                         assert_well_formed(transformed)
 
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_steps_compose_single_transforms(self, field):
+        # A run's exponent map equals the blow-ups one by one, while each divides by x_j^k.
+        rng = random.Random(f"steps-{field.characteristic}")
+        variables = ("x", "y", "z")
+        for _ in range(40):
+            terms = {tuple(rng.randint(0, 5) for _ in variables): rng.randint(1, 3) for _ in range(4)}
+            poly = MultiPoly(variables, terms, field)
+            if poly.is_zero():
+                continue
+            k = poly.order_at_origin()
+            chart = ChartMap(variables, rng.randrange(3), (field.zero,) * 3)
+            single = poly
+            for steps in range(1, 6):
+                try:
+                    single = chart.transform(single, k)
+                except EngineError:
+                    with pytest.raises(EngineError):
+                        chart.transform(poly, k, steps)
+                    break
+                transformed = chart.transform(poly, k, steps)
+                assert transformed == single
+                assert_well_formed(transformed)
+
     def test_rejects_a_polynomial_over_other_variables(self):
         chart = ChartMap(("x", "z"), 0, (0, 0))
         with pytest.raises(VariableMismatch):
@@ -227,7 +277,8 @@ class TestNashSequence:
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
     def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
         # The quotient rule works on cleared integers, and the chart transform
-        # builds its result without re-coercing each coefficient.
+        # builds its result without re-coercing each coefficient.  The 84
+        # blow-ups come in runs of 7, 1, 75 and 1, one chart transform each.
         watched = {"quotient": {"mul", "sub", "inv"}, "transform": {"coerce"}}
         running = []
         entered = []
@@ -260,13 +311,14 @@ class TestNashSequence:
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
         assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
-        assert entered.count("transform") == 84 and "quotient" in entered
+        assert entered.count("transform") == 4 and "quotient" in entered
         assert calls == []
 
     def test_each_step_computes_its_order_once(self, monkeypatch):
         # The orders of f and of f on the graph's ambient space, then one per
-        # strict transform, whose order is the next step's multiplicity and
-        # divisibility check.  Each step computed it three times.
+        # run's strict transform, whose order is the next multiplicity and
+        # divisibility check: 4 runs make the 84 steps.  Each step once
+        # computed it three times, and then once.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
         phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
         computed = []
@@ -274,7 +326,18 @@ class TestNashSequence:
         monkeypatch.setattr(MultiPoly, "order_at_origin", lambda g: computed.append(g._order is None) or order(g))
         report = nash_sequence(f, phi, max_steps=100)
         assert len(report.trace) == 84
-        assert sum(computed) == 86
+        assert sum(computed) == 6
+
+    @pytest.mark.parametrize("field, rho", zip(FIELDS, (999, 1996, 999, 999)), ids=FIELD_IDS)
+    def test_a_chain_of_a_thousand_steps_makes_a_few_transforms(self, monkeypatch, field, rho):
+        f = parse_poly("y^2 - x^999", ("x", "y"), field)
+        phi = arc(field, "t^2", "t^999", variables=("x", "y"))
+        transforms = []
+        transform = ChartMap.transform
+        monkeypatch.setattr(ChartMap, "transform", lambda *args: transforms.append(1) or transform(*args))
+        report = nash_sequence(f, phi, max_steps=3000)
+        assert report.rho == rho and not report.truncated
+        assert len(transforms) <= 5
 
     def test_trace_records_steps(self):
         report = nash_sequence(cusp(), arc(Q, "t^2", "t^3", variables=("x", "y")))
@@ -332,3 +395,100 @@ class TestPersistence:
 
     def test_reparametrized(self):
         assert persistence_oracle(cusp(), arc(Q, "t^4", "t^6", variables=("x", "y"))) == 6
+
+
+class TestRuns:
+    def test_run_length_reads_the_arc_and_the_polynomial(self):
+        # Chart x = t^8; y = t^84 lets ceil(84/8) - 1 = 10 lifts stay at the origin,
+        # and y^2 - x^21 (r = 2, 0 against m = 2) drops at l = (21-2) // 2 + 1 = 10.
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        assert run_length(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 2, 100) == 10
+        assert run_length(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 2, 4) == 4
+        assert run_length(f, arc(Q, "t^8", "t^60", variables=("x", "y")), 2, 100) == 7
+        assert run_length(f, arc(Q, "t^8 + t^9", "t^84", variables=("x", "y")), 2, 100) == 1
+        assert run_length(f, arc(Q, "t^8", "t^16", variables=("x", "y")), 2, 100) == 1
+
+    def test_run_length_raises_the_chains_bug_error(self):
+        # y^3 + x^6 has order 3, above the multiplicity 2 it is given: the first blow-up
+        # in the x-chart would read order 3, and the step path raises this same error.
+        f = parse_poly("y^3 + x^6", ("x", "y"), Q)
+        phi = arc(Q, "t", "t^5", variables=("x", "y"))
+        chart, _ = blowup_lift(phi)
+        assert strict_transform(f, chart).order_at_origin() > 2
+        with pytest.raises(EngineError, match="^Nash multiplicity increased; this is a bug$"):
+            run_length(f, phi, 2, 10)
+
+    def test_steps_inside_a_run_build_their_transforms_when_read(self):
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
+        step = report.trace[40]
+        assert "transform" not in vars(step)
+        assert str(step.transform) == step.to_json(Q)["transform"]
+        assert vars(step)["transform"] is step.transform
+
+
+def _spy_runs(monkeypatch):
+    runs = []
+    measure = blowup.run_length
+    monkeypatch.setattr(blowup, "run_length", lambda *args: runs.append(measure(*args)) or runs[-1])
+    return runs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestRunsMatchStepwise:
+    """The chain, a run per iteration, against one blow-up per iteration."""
+
+    def test_monomial_arcs_with_unit_scales(self, monkeypatch, field):
+        runs = _spy_runs(monkeypatch)
+        rng = random.Random(f"monomial-{field.characteristic}")
+        for a, b in ((2, 3), (2, 9), (3, 5), (3, 7), (4, 9), (5, 6), (2, 21)):
+            f = parse_poly(f"y^{a} - x^{b}", ("x", "y"), field)
+            for n in (1, 2, 3):
+                unit = rng.choice(field.units())
+                phi = Arc(
+                    ("x", "y"),
+                    (TruncatedSeries.t_power(field, n * a, unit**a), TruncatedSeries.t_power(field, n * b, unit**b)),
+                    field,
+                )
+                assert_chain_matches_stepwise(f, phi, max_steps=200)
+        assert max(runs) > 1
+
+    def test_surfaces_with_an_exactly_zero_component(self, monkeypatch, field):
+        runs = _spy_runs(monkeypatch)
+        for a, b, c in ((2, 3, 5), (2, 7, 3), (3, 4, 5), (3, 8, 4)):
+            f = parse_poly(f"z^{a} - x^{b} - y^{c}", ("x", "y", "z"), field)
+            for n in (1, 2):
+                phi = arc(field, f"t^{n * a}", "0", f"t^{n * b}", variables=("x", "y", "z"))
+                assert_chain_matches_stepwise(f, phi, max_steps=200)
+        assert max(runs) > 1
+
+    def test_corpus_phi3_arcs(self, field):
+        # (t + t^2)^a, (t + t^2)^b: once the chart leaves the graph coordinate its
+        # component is not a monomial, the lifts stop terminating, and no run applies.
+        for name in ("cusp_char0", "e25_char0", "e34_char0"):
+            problem = load_problem(name)
+            f = parse_poly(problem.poly_text, problem.variables, field)
+            phi = Arc(
+                problem.variables,
+                tuple(parse_series(text, field) for text in problem.arc_texts["phi3"].split(",")),
+                field,
+            )
+            assert_chain_matches_stepwise(f, phi, max_steps=100)
+
+    def test_a_truncated_component(self, field):
+        # z is known only below t^P; the chain runs on single blow-ups and may
+        # exhaust that precision, in which case both raise PrecisionExhausted.
+        f = parse_poly("y^2 - x^9", ("x", "y", "z"), field)
+        for top in (6, 12, 20, 40):
+            z = TruncatedSeries.truncated(field, [0, 0, 0, 1, 1], top)
+            phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
+            for precision in (8, 64):
+                assert_chain_matches_stepwise(f, phi, max_steps=40, precision=precision)
+
+    def test_max_steps_ending_inside_a_run(self, monkeypatch, field):
+        runs = _spy_runs(monkeypatch)
+        f = parse_poly("y^2 - x^21", ("x", "y"), field)
+        phi = arc(field, "t^8", "t^84", variables=("x", "y"))
+        for max_steps in (0, 1, 2, 5, 8, 9, 40, 83, 84, 85):
+            assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
+        assert max(runs) > 1
