@@ -287,9 +287,9 @@ def ord_d(presentation: MonicPresentation) -> EliminationResult:
         algebra = coefficient_algebra(reduced)
         method = "Tschirnhausen"
     else:
-        algebra = visible_elimination(
-            presenting_algebra(presentation.poly), {presentation.fiber_variable}
-        )
+        # R[f W^m] unclosed: visible_elimination closes it.
+        generator = ReesAlgebra.of(presentation.poly.variables, [(presentation.poly, m)], field)
+        algebra = visible_elimination(generator, {presentation.fiber_variable})
         method = "VisibleIntersection"
     if not algebra.generators:
         # Nothing survives elimination (f = z^m): the whole hypersurface has
@@ -374,6 +374,8 @@ class TheoremReport:
 
 def verify_main_theorem(
     presentation: MonicPresentation,
+    elimination: EliminationResult,
+    algebra: ReesAlgebra,
     candidates: dict,
     budget: int,
     seed: int,
@@ -385,12 +387,11 @@ def verify_main_theorem(
     (a) no arc's normalized contact order falls below ord_d, (b) some arc
     achieves it, and (c) for the achiever the contact order and arc order
     survive projection to the base.  A missing witness is reported as
-    INCONCLUSIVE, never as a refutation.  Each candidate is certified to lie
-    on the hypersurface unless `candidates_certified` says the caller has.
+    INCONCLUSIVE, never as a refutation.  The caller builds `elimination`, the
+    `ord_d` of the presentation, and `algebra`, its presenting algebra G.
+    Each candidate is certified unless `candidates_certified` says the caller has.
     """
     poly = presentation.poly
-    elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
-    algebra = presenting_algebra(poly)
 
     for name, arc in () if candidates_certified else candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
@@ -417,7 +418,7 @@ def verify_main_theorem(
     witness_matches = None
     if witness is not None:
         _, arc, r = witness
-        projected = arc.project(presentation.base_variables)
+        projected = arc.project(elimination.algebra.variables)
         base_contact = contact_order(elimination.algebra, projected)
         witness_matches = base_contact == r and projected.order() == arc.order()
 

@@ -327,8 +327,9 @@ def run(problem: ProblemFile) -> Report:
             )
             for name, arc in problem.arcs.items()
         }
-    if "contact" in problem.analyses:
+    if "contact" in problem.analyses or "verify" in problem.analyses:
         algebra = presenting_algebra(problem.poly)
+    if "contact" in problem.analyses:
         analyses["contact"] = {}
         for name, arc in problem.arcs.items():
             if "nash" not in analyses:  # nash_sequence has certified every arc
@@ -336,11 +337,14 @@ def run(problem: ProblemFile) -> Report:
             analyses["contact"][name] = normalized_contact(algebra, arc)
     if "ord_d" in problem.analyses or "verify" in problem.analyses:
         presentation = presentation_of(problem)
+        elimination = ord_d(presentation)
     if "ord_d" in problem.analyses:
-        analyses["ord_d"] = ord_d(presentation)
+        analyses["ord_d"] = elimination
     if "verify" in problem.analyses:
         analyses["verify"] = verify_main_theorem(
             presentation,
+            elimination,
+            algebra,
             problem.arcs,
             problem.options.budget,
             problem.options.seed,

@@ -8,8 +8,10 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
-`persistence_oracle` counts blow-ups to the first multiplicity drop, and
-`assert_well_formed` checks what `MultiPoly.__init__` would have ensured.
+`persistence_oracle` counts blow-ups to the first multiplicity drop,
+`verify_presentation` calls `verify_main_theorem` with the `ord_d` and
+presenting algebra it takes, and `assert_well_formed` checks what
+`MultiPoly.__init__` would have ensured.
 
 Each check_* function draws one random case from a seeded Random and
 asserts the property; the suites run them a few hundred times.  Everything
@@ -31,10 +33,11 @@ from arcmult.blowup import (
     strict_transform,
 )
 from arcmult.contact import GRID_CAP, contact_order
+from arcmult.elimination import ord_d, verify_main_theorem
 from arcmult.errors import EngineError, ParseError, VariableMismatch
 from arcmult.fields import RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
-from arcmult.rees import ReesAlgebra
+from arcmult.rees import ReesAlgebra, presenting_algebra
 from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
 
 
@@ -224,6 +227,13 @@ def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT
             f"no multiplicity drop within {max_steps} blow-ups; raise max_steps"
         )
     return report.rho
+
+
+def verify_presentation(presentation, candidates, budget, seed, **options):
+    """`verify_main_theorem` given its `ord_d` and presenting algebra, built as `problems.run` does."""
+    elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
+    algebra = presenting_algebra(presentation.poly)
+    return verify_main_theorem(presentation, elimination, algebra, candidates, budget, seed, **options)
 
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))

@@ -18,12 +18,13 @@ from property_checks import (
     observers_agree,
     persistence_oracle,
     run_many,
+    verify_presentation,
 )
 
 from arcmult.blowup import nash_sequence
 from arcmult.contact import contact_order, normalized_contact
 from arcmult.corpus import corpus_names, load_problem
-from arcmult.elimination import minimizing_arc, ord_d, verify_main_theorem
+from arcmult.elimination import minimizing_arc, ord_d
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.problems import presentation_of
@@ -118,15 +119,16 @@ def test_criterion_4_theorem_on_corpus():
     for name in corpus_names():
         problem = load_problem(name)
         presentation = presentation_of(problem)
-        result = verify_main_theorem(
+        result = verify_presentation(
             presentation, problem.arcs, 100, 0, parametrization=problem.parametrization
         )
         assert result.arcs_checked >= 100, (name, result.arcs_checked)
         assert result.lower_bound_holds, name
         assert result.min_r_bar == result.ord_d, name
         assert result.verdict == "PASS", name
-        constructed = minimizing_arc(ord_d(presentation))
-        achieved = normalized_contact(ord_d(presentation).algebra, constructed)
+        elimination = ord_d(presentation)
+        constructed = minimizing_arc(elimination)
+        achieved = normalized_contact(elimination.algebra, constructed)
         assert achieved.r_bar == result.ord_d, name
     report(4, "sampled min of r_bar equals ord_d with >= 100 arcs per presentation")
 

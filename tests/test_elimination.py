@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from property_checks import from_weighted, observers_agree, odot
+from property_checks import from_weighted, observers_agree, odot, verify_presentation
 
 from arcmult import series
 from arcmult.contact import normalized_contact
@@ -13,7 +13,6 @@ from arcmult.elimination import (
     minimizing_arc,
     ord_d,
     tschirnhausen,
-    verify_main_theorem,
     visible_elimination,
 )
 from arcmult.errors import (
@@ -63,7 +62,7 @@ class TestMonicPresentation:
         p = presentation("y^2 - x")
         assert not p.realizes_multiplicity
         with pytest.raises(EngineError):
-            verify_main_theorem(p, {}, BUDGET, SEED)
+            verify_presentation(p, {}, BUDGET, SEED)
 
 
 class TestTschirnhausen:
@@ -202,7 +201,7 @@ class TestVerifyMainTheorem:
         return {"phi": base, "phi2": base.reparametrize(2), "phi3": base.reparametrize(3)}
 
     def test_cusp_char0_passes(self):
-        report = verify_main_theorem(
+        report = verify_presentation(
             presentation("y^2 - x^3"),
             self.candidates(Q),
             BUDGET,
@@ -216,7 +215,7 @@ class TestVerifyMainTheorem:
         assert report.witness_matches_projection
 
     def test_cusp_char2_passes(self):
-        report = verify_main_theorem(
+        report = verify_presentation(
             presentation("y^2 - x^3", field=F2),
             self.candidates(F2),
             BUDGET,
@@ -232,7 +231,20 @@ class TestVerifyMainTheorem:
         # candidate lies on the curve is undecided, which is not a refutation.
         undecided = Arc(XY, (parse_series("t^2", Q), TruncatedSeries.truncated(Q, (0, 0, 0, 1), 5)), Q)
         with pytest.raises(PrecisionExhausted):
-            verify_main_theorem(presentation("y^2 - x^3"), {"phi": undecided}, BUDGET, SEED)
+            verify_presentation(presentation("y^2 - x^3"), {"phi": undecided}, BUDGET, SEED)
+
+    @pytest.mark.parametrize("field", [Q, F2], ids=["tschirnhausen-q", "visible-f2"])
+    @pytest.mark.parametrize("base", [("x", "y"), ("y", "x")], ids=["xy", "yx"])
+    def test_base_variables_in_any_order(self, field, base):
+        # The witness is projected onto the elimination algebra's variables,
+        # which the visible route lists in the polynomial's order, not in base's.
+        xyz = ("x", "y", "z")
+        p = MonicPresentation(base, "z", parse_poly("z^2 - x^3 - y^5", xyz, field))
+        phi = arc(field, "t^2", "0", "t^3", variables=xyz)
+        report = verify_presentation(p, {"phi": phi}, BUDGET, SEED)
+        assert report.verdict == "PASS"
+        assert report.witness_name == "phi"
+        assert report.ord_d == (Fraction(3, 2) if field is Q else 2)
 
     def test_smooth_input_rejected(self):
         with pytest.raises(EngineError):
@@ -241,7 +253,7 @@ class TestVerifyMainTheorem:
     def test_no_witness_is_inconclusive_not_refutation(self):
         # no monomial arc lies on y^2 = x^3 + x^4 and no candidates are given,
         # so nothing achieves the minimum; the verdict must not claim failure
-        report = verify_main_theorem(
+        report = verify_presentation(
             presentation("y^2 - x^3 - x^4"), {}, BUDGET, SEED, parametrization=None
         )
         assert report.verdict == "INCONCLUSIVE"
@@ -282,7 +294,7 @@ class TestVerifyMainTheorem:
 
         monkeypatch.setattr(series, "_convolve", counted)
         problem = load_problem(name)
-        report = verify_main_theorem(
+        report = verify_presentation(
             presentation_of(problem),
             problem.arcs,
             problem.options.budget,

@@ -7,11 +7,11 @@ from importlib import resources
 
 import pytest
 
-from arcmult import blowup, elimination, problems
+from arcmult import blowup, elimination, problems, rees
 from arcmult.cli import main
 from arcmult.contact import sample_arcs
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
-from arcmult.errors import ParseError
+from arcmult.errors import NotInSingularLocus, ParseError
 from arcmult.problems import Options, parse_problem, run
 
 CUSP_PROBLEM = """\
@@ -48,6 +48,10 @@ poly: y^2 - x^3
 arc a: t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6
 analyses: nash
 """
+
+MISSING_FIBER = (
+    "problem cusp_demo has no 'fiber:' line; ord_d and verify need a monic presentation"
+)
 
 WIDE_PROBLEM = """\
 name: wide
@@ -404,12 +408,39 @@ class TestCli:
     def test_missing_file_exit_code(self, capsys):
         assert main(["nash", "/no/such/file.problem"]) == 2
 
-    def test_missing_fiber_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ord-d", "verify"])
+    def test_missing_fiber_exit_code(self, tmp_path, capsys, command):
         text = "\n".join(
             line for line in CUSP_PROBLEM.splitlines() if not line.startswith("fiber")
         )
         path = self.write(tmp_path, text)
-        assert main(["ord-d", path]) == 2
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"input error: {MISSING_FIBER}\n"
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                CUSP_PROBLEM.replace("fiber: y\n", "").replace(
+                    "analyses: nash contact ord_d verify", "analyses: contact verify"
+                ),
+                ParseError,
+                MISSING_FIBER,
+            ),
+            (
+                "name: smooth\nfield: 0\nvariables: x y\npoly: y^2 - x\nfiber: y\n"
+                "arc phi: t^2, t\nanalyses: verify\n",
+                NotInSingularLocus,
+                "presentation does not realize the maximal multiplicity at the origin",
+            ),
+        ],
+        ids=["fiberless-contact-verify", "verify-off-singular-locus"],
+    )
+    def test_run_error_of_a_shared_artefact(self, text, error, message):
+        # The presentation and ord_d are built once, after contact and before verify.
+        with pytest.raises(error) as raised:
+            run(parse_problem(text))
+        assert str(raised.value) == message
 
     def test_arc_off_variety_exit_code(self, tmp_path, capsys):
         text = CUSP_PROBLEM.replace("arc phi: t^2, t^3", "arc phi: t^3, t^2")
@@ -444,6 +475,31 @@ class TestCli:
         problem = parse_problem(text)
         assert run(problem).verdict == "PASS"
         assert certified == list(problem.arcs.values())
+
+    def test_each_artefact_is_built_once_per_run(self, monkeypatch):
+        # One G and one ord_d per problem.  The closures are each G, the 8
+        # Tschirnhausen coefficient algebras and the visible route's two for
+        # each of the 4 problems whose degree the characteristic divides.
+        calls = dict.fromkeys(("presenting_algebra", "ord_d", "diff_closure"), 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (problems, elimination, rees):
+            for name in ("presenting_algebra", "ord_d"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        diff_closure = rees.ReesAlgebra.diff_closure
+        monkeypatch.setattr(rees.ReesAlgebra, "diff_closure", counted("diff_closure", diff_closure))
+        for name in corpus_names():
+            problem = load_problem(name)
+            assert problem.analyses == ("nash", "contact", "ord_d", "verify")
+            assert run(problem).verdict == "PASS"
+        assert calls == {"presenting_algebra": 12, "ord_d": 12, "diff_closure": 28}
 
     def test_parametrization_off_variety_exit_code(self, tmp_path, capsys):
         # x -> t^3, y -> t^2 maps y^2 - x^3 to t^4 - t^9, so none of its
@@ -574,6 +630,25 @@ analyses: verify
         assert main(["nash", path, "--json", "--trace"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "field, poly, arc, digest",
+        [
+            (2, "z^2 - x^3 - y^4", "t^2, 0, t^3", "99fe2789722c97336c04be09c66780433eea500b047889a35c3addf3a428e2c0"),
+            (3, "z^3 - x^4 - y^5", "t^3, 0, t^4", "b65fb412ec633f459725893201ec989260031af6f27af5cb059f9b3a378f0e2a"),
+        ],
+        ids=["visible-f2", "visible-f3"],
+    )
+    def test_surface_report_is_byte_identical(self, field, poly, arc, digest):
+        # Pins all four analyses, traces included, on the three-variable visible route.
+        text = (
+            f"name: surface\nfield: {field}\nvariables: x y z\npoly: {poly}\nfiber: z\n"
+            f"arc phi: {arc}\nanalyses: nash contact ord_d verify\n"
+        )
+        report = run(parse_problem(text)).to_json(include_trace=True)
+        assert report["verdict"] == "PASS"
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "command, flag_sets, digest",
