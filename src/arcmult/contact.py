@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PrecisionExhausted
-from .fields import INF, format_order
+from .errors import ParseError, PrecisionExhausted, VariableMismatch
+from .fields import INF, ensure_same_field, format_order
 from .poly import MultiPoly, Powers
 from .rees import ReesAlgebra
 from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface
@@ -45,12 +45,60 @@ class ContactResult:
         }
 
 
+def _leading_terms(algebra: ReesAlgebra, arc: Arc):
+    """(pattern, leads) of an exact arc: each component's t-order and lowest
+    coefficient, None for a zero component."""
+    ensure_same_field(algebra.field, arc.field)
+    if algebra.variables != arc.variables:
+        raise VariableMismatch(f"algebra variables {algebra.variables} vs arc variables {arc.variables}")
+    pattern = tuple(None if c.is_exactly_zero() else c.known_order() for c in arc.components)
+    return pattern, tuple(None if o is None else c.coeffs[o] for c, o in zip(arc.components, pattern))
+
+
+def _initial_form(poly: MultiPoly, pattern, leads):
+    """(L, c) for a generator along an exact arc with `_leading_terms` (pattern, leads).
+
+    A term c x^e maps to t-order at least <e, pattern>, with c * prod lead_i^(e_i)
+    as its coefficient there.  L is the least such order (INF when every term
+    uses a zero component, and then the image is 0), and c is the numerator of
+    the sum at degree L: ord_t(g(arc)) = L when c is nonzero, else at least L + 1.
+    """
+    p = poly.field.characteristic
+    low, num, den = INF, 0, 1
+    for exps, coeff in poly.terms.items():
+        degree = _term_degree(exps, pattern)
+        if degree is None or degree > low:
+            continue
+        n, d = coeff.numerator, coeff.denominator
+        for lead, e in zip(leads, exps):
+            if e:
+                n *= pow(lead.numerator, e, p or None)
+                d *= lead.denominator ** e
+        if degree < low:
+            low, num, den = degree, n, d
+        else:
+            num, den = num * d + n * den, den * d
+    return low, num % p if p else num
+
+
 def _generator_orders(algebra: ReesAlgebra, arc: Arc):
-    """t-order of each generator image; PrecisionExhausted when one is needed but unknown."""
+    """t-order of each generator image; PrecisionExhausted when one is needed but unknown.
+
+    On an exact arc a generator's image is built only when its initial form
+    vanishes at the leading coefficients (`_initial_form`)."""
+    exact = all(component.exact for component in arc.components)
+    if exact:
+        pattern, leads = _leading_terms(algebra, arc)
     known = []
     pending = []
-    powers = arc.powers()
+    powers = None
     for i, (poly, weight) in enumerate(algebra.generators):
+        if exact:
+            low, initial = _initial_form(poly, pattern, leads)
+            if initial or low == INF:
+                known.append((i, weight, low))
+                continue
+        powers = powers or arc.powers()
         image = arc_image(poly, arc, powers)
         order = image.known_order()
         if order is None:
@@ -71,58 +119,46 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     return best, tuple(sorted(orders.items()))
 
 
-def _lower_bound(poly: MultiPoly, component_orders) -> object:
-    """min over terms x^e of <e, component orders>: no power of t below it survives in
-    the image; INF when every term uses an exactly zero component."""
-    return min(
-        (sum(e * o for e, o in zip(exps, component_orders) if e) for exps in poly.terms),
-        default=INF,
-    )
-
-
 def contact_order(algebra: ReesAlgebra, arc: Arc):
     """r = ord_t(phi(G)); INF when the arc sits inside the singular locus.
 
-    On an exact arc only r is computed.  Generators are visited by their lower
-    bound L(g)/w, stopping once it reaches the best order so far, and each is
-    evaluated on the arc cut at t^ceil(best*w): an order the cut leaves unknown
-    is at least that power, so it cannot lower best.  Until some order is
-    found, the cut is at t^(L(g)+1), with the exact image as fallback, so INF
-    means every exact image is zero.  Arcs with a truncated component take the
-    exact per-generator path and its PrecisionExhausted.
+    On an exact arc only r is computed, as the integer pair best = num/den
+    (1/0 for INF) compared by cross-multiplication.  A generator whose initial
+    form does not vanish has order L(g) exactly and costs no series product.
+    One whose initial form vanishes has order at least L(g) + 1: it is
+    deferred, and the deferred ones are evaluated by (L(g)+1)/w, stopping once
+    that reaches best, each on the arc cut at t^ceil(best*w).  An order the
+    cut leaves unknown is at least that power, so it cannot lower best; while
+    best is INF the image is exact, so INF means every exact image is zero.
+    Arcs with a truncated component take the exact per-generator path and its
+    PrecisionExhausted.
     """
     if not all(component.exact for component in arc.components):
         best, _ = _generator_orders(algebra, arc)
         return best
-    exact = arc.powers()
-    orders = [component.bound for component in exact.images]
-    visits = []
+    pattern, leads = _leading_terms(algebra, arc)
+    num, den = 1, 0
+    deferred = []
     for poly, weight in algebra.generators:
-        bound = _lower_bound(poly, orders)
-        if bound != INF:
-            visits.append((Fraction(bound) / weight, bound, poly, weight))
-    visits.sort(key=lambda visit: visit[0])
-    cuts = {INF: exact}
-
-    def order_below(poly, n):
-        """ord_t(poly(arc)) when it is below t^n (n = INF: the exact order), else None."""
-        if n not in cuts:
-            cuts[n] = Powers(tuple(c.cut(n) for c in exact.images), exact.one)
-        return arc_image(poly, arc, cuts[n]).known_order()
-
-    best = INF
-    for key, bound, poly, weight in visits:
-        if key >= best:
+        low, initial = _initial_form(poly, pattern, leads)
+        if initial:
+            if low * den < num * weight:
+                num, den = low, weight
+        elif low != INF:
+            deferred.append((Fraction(low + 1, weight), poly, weight))
+    cuts = {}
+    for bound, poly, weight in sorted(deferred, key=lambda visit: visit[0]):
+        if bound.numerator * den >= num * bound.denominator:
             break
-        if best == INF:
-            order = order_below(poly, bound + 1)
-            if order is None:  # the terms of t-order L(g) cancel
-                order = order_below(poly, INF)
-        else:
-            order = order_below(poly, math.ceil(best * weight))
-        if order is not None and order != INF:
-            best = min(best, Fraction(order) / weight)
-    return best
+        if not cuts:
+            cuts[INF] = arc.powers()
+        n = -(-num * weight // den) if den else INF  # ceil(best * w)
+        if n not in cuts:
+            cuts[n] = Powers(tuple(c.cut(n) for c in cuts[INF].images), cuts[INF].one)
+        order = arc_image(poly, arc, cuts[n]).known_order()
+        if order is not None and order != INF and order * den < num * weight:
+            num, den = order, weight
+    return Fraction(num, den) if den else INF
 
 
 def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:

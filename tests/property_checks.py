@@ -7,6 +7,7 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
+`reference_generator_orders` builds every generator's exact image along an arc,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
@@ -34,11 +35,11 @@ from arcmult.blowup import (
 )
 from arcmult.contact import GRID_CAP, contact_order
 from arcmult.elimination import ord_d, verify_main_theorem
-from arcmult.errors import EngineError, ParseError, VariableMismatch
-from arcmult.fields import RATIONALS, ensure_same_field, prime_field
+from arcmult.errors import EngineError, ParseError, PrecisionExhausted, VariableMismatch
+from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
-from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
+from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries, arc_substitute, certify_on_hypersurface
 
 
 class SequenceTruncated(EngineError):
@@ -176,6 +177,29 @@ def horner_compose(outer, inner):
     for c in reversed(outer.coeffs):
         result = result * inner + TruncatedSeries.truncated(field, [c], prec)
     return result
+
+
+def reference_generator_orders(algebra, arc):
+    """(r, orders) as `contact._generator_orders` reports them, from every generator's image.
+
+    Each image is built in full through `arc_substitute`, a route the engine,
+    which reads most orders from initial forms, does not take.  An order that
+    the image leaves unknown is reported as its lower bound ">=N", and
+    PrecisionExhausted is raised when that bound does not exceed r."""
+    known, pending = {}, {}
+    for i, (poly, weight) in enumerate(algebra.generators):
+        image = arc_substitute(poly, arc)
+        if image.known_order() is None:
+            pending[i] = (weight, image.order_lower_bound())
+        else:
+            known[i] = (weight, image.known_order())
+    r = min((Fraction(o, w) for w, o in known.values() if o != INF), default=INF)
+    for i, (weight, bound) in pending.items():
+        if Fraction(bound, weight) <= r:
+            raise PrecisionExhausted(f"order of generator {i} indeterminate at this precision")
+    orders = {i: o for i, (_, o) in known.items()}
+    orders.update({i: f">={bound}" for i, (_, bound) in pending.items()})
+    return r, tuple(sorted(orders.items()))
 
 
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

@@ -8,6 +8,7 @@ from property_checks import (
     from_weighted,
     integral_invariance_check,
     random_poly,
+    reference_generator_orders,
     reference_grid,
 )
 
@@ -37,6 +38,7 @@ from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 Q = RATIONALS
 F2 = prime_field(2)
 F3 = prime_field(3)
+F5 = prime_field(5)
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
@@ -314,15 +316,51 @@ def _cut(sampled, n):
     )
 
 
+def _assert_orders_match_reference(g, along):
+    """contact_order gives the reference r, and _generator_orders the reference r and
+    every order, or all three raise PrecisionExhausted.  Returns r, or None when they raise."""
+    try:
+        expected = reference_generator_orders(g, along)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            _generator_orders(g, along)
+        with pytest.raises(PrecisionExhausted):
+            contact_order(g, along)
+        return None
+    assert _generator_orders(g, along) == expected, str(along)
+    assert contact_order(g, along) == expected[0], str(along)
+    return expected[0]
+
+
+#: Generators whose initial forms cancel at an arc's leading coefficients, and
+#: r over Q, F_2, F_3 and F_5.
+INITIAL_FORM_CANCELLATIONS = {
+    # (t^3 + t^4)^2 - (t^2)^3 = 2t^7 + t^8; over F_2 the t^7 term vanishes too.
+    "cusp-order-7": ([("y^2 - x^3", 1)], ("t^2", "t^3 + t^4"), (7, 8, 7, 7)),
+    # x -> 0 drops x*y and makes x's image exactly zero; z^2 - y^2 maps to 2t^3 + t^4.
+    "zero-component": (
+        [("z^2 - y^2 + x*y", 1), ("x", 1)], ("0", "t", "t + t^2"), (3, 4, 3, 3)
+    ),
+    # The leads of y + x cancel over F_3 only (over F_2 the lead of y is t^3).
+    "cancel-mod-3": ([("y + x", 1)], ("t", "2*t + t^3"), (1, 1, 3, 1)),
+    # ... and then x^2 gives best = 2 before y + x, bounded below by 2, is evaluated.
+    "deferred-skipped": ([("y + x", 1), ("x^2", 1)], ("t", "2*t + t^3"), (1, 1, 2, 1)),
+    # 16 - 1 = 15 vanishes over F_3 and F_5, and over F_2 the lead of y is t^2.
+    "cancel-mod-15": (
+        [("y^2 - x^2", 2)], ("t", "4*t + t^2"), (1, 1, Fraction(3, 2), Fraction(3, 2))
+    ),
+}
+
+
 class TestOrderOnlyContact:
-    """contact_order computes r alone; _generator_orders evaluates every generator in full."""
+    """contact_order computes r alone and _generator_orders every order, both from
+    initial forms where they do not vanish; the reference builds every image in full."""
 
     @pytest.mark.parametrize("name", [*corpus_names(), *ORDER_SURFACES])
-    def test_same_r_as_full_evaluation(self, name):
+    def test_same_orders_as_full_evaluation(self, name):
         algebra, arcs = _sampled_with_algebra(name)
         for sampled in arcs:
-            expected, _ = _generator_orders(algebra, sampled)
-            assert contact_order(algebra, sampled) == expected, (name, str(sampled))
+            _assert_orders_match_reference(algebra, sampled)
 
     def test_arc_inside_the_locus_is_infinite_over_f2(self):
         # Over F_2 every generator of z^2 - x^3 - y^4 vanishes along (0, t, t^2),
@@ -331,8 +369,7 @@ class TestOrderOnlyContact:
             algebra, arcs = _sampled_with_algebra(f"z^2 - x^3 - y^4_f{field.characteristic}")
             inside = arc(field, "0", "t", "t^2", variables=XYZ)
             assert inside.components in {sampled.components for sampled in arcs}
-            assert contact_order(algebra, inside) == expected
-            assert _generator_orders(algebra, inside)[0] == expected
+            assert _assert_orders_match_reference(algebra, inside) == expected
 
     @pytest.mark.parametrize(
         "weighted, components, r",
@@ -341,26 +378,41 @@ class TestOrderOnlyContact:
             ([("y - x", 1), ("x^3", 1)], ("t", "t + t^2"), 2),
             # y - x vanishes along (t, t): the exact image is zero, x^3 W^2 gives 3/2.
             ([("y - x", 1), ("x^3", 2)], ("t", "t"), Fraction(3, 2)),
-            # After y - x gives best = 3, y^2 - x^2 (L = 2) is cut at t^3, which
+            # After x^4 gives best = 4, y - x (L = 1) is cut at t^4: its image
+            # t^3 gives 3, and y^2 - x^2 (L = 2) is then cut at t^3, which
             # leaves its image 2t^4 + t^6 unknown: it cannot lower best.
             ([("y - x", 1), ("y^2 - x^2", 1), ("x^4", 1)], ("t", "t + t^3"), 3),
-            # After best = 3, y^3 - x^3 W^2 (L = 3) is cut at t^6: its image
-            # 3t^5 + ... gives 5/2.
+            # y - x is deferred and evaluated exactly (best is INF): 3; then
+            # y^3 - x^3 W^2 (L = 3) is cut at t^6: its image 3t^5 + ... gives 5/2.
             ([("y - x", 1), ("y^3 - x^3", 2)], ("t", "t + t^3"), Fraction(5, 2)),
         ],
         ids=["not-attained", "exact-zero", "cut-leaves-unknown", "cut-lowers-best"],
     )
     def test_lowest_terms_cancel(self, weighted, components, r):
-        g = algebra(weighted)
-        along = arc(Q, *components)
-        assert contact_order(g, along) == _generator_orders(g, along)[0] == r
+        assert _assert_orders_match_reference(algebra(weighted), arc(Q, *components)) == r
+
+    @pytest.mark.parametrize("name", INITIAL_FORM_CANCELLATIONS)
+    @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["q", "f2", "f3", "f5"])
+    def test_initial_form_cancels(self, name, field):
+        weighted, components, rs = INITIAL_FORM_CANCELLATIONS[name]
+        variables = XYZ if len(components) == 3 else XY
+        g = algebra(weighted, field, variables)
+        along = arc(field, *components, variables=variables)
+        expected = rs[[Q, F2, F3, F5].index(field)]
+        assert _assert_orders_match_reference(g, along) == expected
+
+    def test_leads_with_denominators(self):
+        # y^2 - 2x along (t^2/2 + t^3, t): 1 - 2 * (1/2) cancels, and the image is -2t^3;
+        # the numerators of the leads alone would give 1 - 2.
+        along = Arc(XY, (TruncatedSeries.exact_series(Q, [0, 0, Fraction(1, 2), 1]), parse_series("t", Q)), Q)
+        assert _assert_orders_match_reference(algebra([("y^2 - 2*x", 1)]), along) == 3
 
     def test_random_algebras_and_arcs(self):
         # Arcs with coefficients in {-1, 0, 1} make the lowest terms of random
         # generators cancel often; a generator with a constant term gives r = 0.
         rng = random.Random("order-only-contact")
         for _ in range(300):
-            field = (Q, F2, F3)[rng.randrange(3)]
+            field = (Q, F2, F3, F5)[rng.randrange(4)]
             weighted = [
                 (random_poly(rng, field, nonzero=True), rng.randint(1, 3))
                 for _ in range(rng.randint(1, 4))
@@ -371,10 +423,7 @@ class TestOrderOnlyContact:
             ]
             if all(c.is_exactly_zero() for c in components):
                 continue
-            g = algebra(weighted, field)
-            along = Arc(XY, tuple(components), field)
-            expected, _ = _generator_orders(g, along)
-            assert contact_order(g, along) == expected, (weighted, str(along))
+            _assert_orders_match_reference(algebra(weighted, field), Arc(XY, tuple(components), field))
 
     @pytest.mark.parametrize("name", ["cusp_char0", "e35_char2", "z^2 - x^3 - y^4_f2"])
     def test_truncated_arcs_raise_when_full_evaluation_does(self, name):
@@ -382,17 +431,35 @@ class TestOrderOnlyContact:
         rng = random.Random(f"cut-{name}")
         outcomes = set()
         for sampled in arcs:
-            cut = _cut(sampled, rng.randint(1, 8))
-            try:
-                expected, _ = _generator_orders(algebra, cut)
-            except PrecisionExhausted:
-                outcomes.add("raised")
-                with pytest.raises(PrecisionExhausted):
-                    contact_order(algebra, cut)
-            else:
-                outcomes.add("known")
-                assert contact_order(algebra, cut) == expected, (name, str(cut))
+            r = _assert_orders_match_reference(algebra, _cut(sampled, rng.randint(1, 8)))
+            outcomes.add("raised" if r is None else "known")
         assert outcomes == {"raised", "known"}
+
+    def test_no_image_where_no_initial_form_vanishes(self, monkeypatch):
+        # y^2 - x^3 W^2 and its derivatives 2y W, 3x^2 W along arcs off the cusp,
+        # and a zero component: every order is read from the leading coefficients.
+        images = []
+        arc_image = contact.arc_image
+        monkeypatch.setattr(contact, "arc_image", lambda *args: images.append(args) or arc_image(*args))
+        g = presenting_algebra(parse_poly("y^2 - x^3", XY, Q))
+        for along in (arc(Q, "t", "t"), arc(Q, "t^2", "2*t^3"), arc(Q, "t^2", "t^4 + t^5"), arc(Q, "0", "t")):
+            contact_order(g, along)
+            _generator_orders(g, along)
+        assert images == []
+        # On the cusp's arc the initial form of y^2 - x^3 W^2 vanishes.  contact_order
+        # skips it, as its bound 7/2 is not below r = 3 from 2y W; _generator_orders
+        # builds its image alone.
+        cusp = arc(Q, "t^2", "t^3")
+        assert contact_order(g, cusp) == 3 and images == []
+        _generator_orders(g, cusp)
+        assert [poly for poly, *_ in images] == [parse_poly("y^2 - x^3", XY, Q)]
+
+    def test_arc_over_other_variables_rejected(self):
+        # No image is built here, so the variables are checked up front.
+        with pytest.raises(VariableMismatch):
+            contact_order(G_CHAR0, arc(Q, "t", "t^2", variables=("x", "z")))
+        with pytest.raises(VariableMismatch):
+            normalized_contact(G_CHAR0, arc(Q, "t", "t^2", variables=("x", "z")))
 
 
 GRID_ARCS =[arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]
