@@ -269,35 +269,43 @@ def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
 
 
 def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
-    """Deterministic pool of arcs at the origin on which f vanishes exactly.
+    """Deterministic pool of arcs at the origin on which f vanishes exactly, as
+    (arc, composed) pairs; composed says the arc is phi o s for the parametrization phi.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
     (ArcNotOnVariety otherwise, PrecisionExhausted when its order is
-    unknown).  Then f(phi o s) = f(phi) o s vanishes for every series s with
-    zero constant term, so `budget` arcs composed through phi with random
-    series drawn from `seed`, and reparametrizations of phi, are admitted
-    without substitution.  A series drawn again is skipped before it is
-    composed, and duplicate arcs are dropped.
+    unknown), and every component must be exact (PrecisionExhausted
+    otherwise: a composition is cut at phi's precision, so its contact order
+    would not follow phi's).  Then f(phi o s) = f(phi) o s vanishes for
+    every series s with zero constant term, so `budget` arcs composed
+    through phi with random series drawn from `seed`, and reparametrizations
+    phi(t^n), are admitted without substitution.  A series drawn again is
+    skipped before it is composed, and duplicate arcs are dropped.
     """
     field = poly.field
     terms = list(poly.terms.items())
     # Distinct assignments give distinct arcs: the grid needs no dedup.
     arcs = [
-        _monomial_arc(poly.variables, field, assignment)
+        (_monomial_arc(poly.variables, field, assignment), False)
         for assignment in _vanishing_grid(terms, field, len(poly.variables), EXPONENT_BOUND)
     ]
     if parametrization is None:
         return arcs
 
     certify_on_hypersurface(poly, parametrization, "the parametrization")
-    seen = {arc.components for arc in arcs}
+    if not all(component.exact for component in parametrization.components):
+        raise PrecisionExhausted(
+            "the parametrization has a truncated component; arcs composed through it "
+            "need every component exact"
+        )
+    seen = {arc.components for arc, _ in arcs}
 
     def admit(arc: Arc) -> bool:
         if arc.components in seen:
             return False
         seen.add(arc.components)
-        arcs.append(arc)
+        arcs.append((arc, True))
         return True
 
     rng = random.Random(seed)

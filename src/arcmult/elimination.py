@@ -390,24 +390,39 @@ def verify_main_theorem(
     INCONCLUSIVE, never as a refutation.  The caller builds `elimination`, the
     `ord_d` of the presentation, and `algebra`, its presenting algebra G.
     Each candidate is certified unless `candidates_certified` says the caller has.
+
+    Candidates and grid arcs are evaluated one by one.  An arc composed through
+    the parametrization, phi o s, is counted and named like any other but not
+    evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s) and
+    nu(phi o s) = nu(phi) * ord(s), and its r_bar is r_bar(phi), which one
+    contact order on phi gives.
     """
     poly = presentation.poly
 
     for name, arc in () if candidates_certified else candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
     sampled = sample_arcs(poly, budget, seed, parametrization)
-    named = [*candidates.items(), *((f"sample_{i}", arc) for i, arc in enumerate(sampled))]
+    named = [
+        *((name, arc, False) for name, arc in candidates.items()),
+        *((f"sample_{i}", arc, composed) for i, (arc, composed) in enumerate(sampled)),
+    ]
+    composed_r_bar = None
+    if any(composed for _, composed in sampled):
+        r = contact_order(algebra, parametrization)
+        composed_r_bar = INF if r == INF else r / parametrization.order()
 
     min_r_bar = INF
     witness = None
     lower_bound_holds = True
-    for name, arc in named:
-        r = contact_order(algebra, arc)
-        nu = arc.order()
-        r_bar = INF if r == INF else r / nu
+    for name, arc, composed in named:
+        if composed:
+            r_bar = composed_r_bar
+        else:
+            r = contact_order(algebra, arc)
+            r_bar = INF if r == INF else r / arc.order()
         # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
         if r_bar == elimination.ord_d and witness is None:
-            witness = (name, arc, r)
+            witness = (name, arc)
         min_r_bar = min(min_r_bar, r_bar)
         if r_bar < elimination.ord_d:
             lower_bound_holds = False
@@ -417,7 +432,9 @@ def verify_main_theorem(
 
     witness_matches = None
     if witness is not None:
-        _, arc, r = witness
+        _, arc = witness
+        # The witness's r_bar is ord_d, so its r is ord_d * nu.
+        r = INF if elimination.ord_d == INF else elimination.ord_d * arc.order()
         projected = arc.project(elimination.algebra.variables)
         base_contact = contact_order(elimination.algebra, projected)
         witness_matches = base_contact == r and projected.order() == arc.order()

@@ -254,7 +254,7 @@ class TestSampleArcs:
             poly, budget, seed, phi = _verify_sampler_inputs(load_problem(name))
         arcs = sample_arcs(poly, budget, seed, phi)
         assert len(arcs) > 8
-        for sampled in arcs:
+        for sampled, _ in arcs:
             assert arc_substitute(poly, sampled).is_exactly_zero(), (name, str(sampled))
 
     @pytest.mark.parametrize(
@@ -275,7 +275,7 @@ class TestSampleArcs:
         assert set(SAMPLED_ARCS) == set(corpus_names())
         for name, (length, digest) in SAMPLED_ARCS.items():
             arcs = sample_arcs(*_verify_sampler_inputs(load_problem(name)))
-            text = "\n".join(str(a) for a in arcs)
+            text = "\n".join(str(a) for a, _ in arcs)
             assert (len(arcs), hashlib.sha256(text.encode()).hexdigest()) == (length, digest), name
 
 
@@ -300,7 +300,7 @@ def _sampled_with_algebra(name):
     else:
         poly, *sampler_inputs = _verify_sampler_inputs(load_problem(name))
         arcs = sample_arcs(poly, *sampler_inputs)
-    return presenting_algebra(poly), arcs
+    return presenting_algebra(poly), [sampled for sampled, _ in arcs]
 
 
 def _cut(sampled, n):
