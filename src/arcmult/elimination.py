@@ -406,20 +406,17 @@ def verify_main_theorem(
         *((name, arc, False) for name, arc in candidates.items()),
         *((f"sample_{i}", arc, composed) for i, (arc, composed) in enumerate(sampled)),
     ]
-    composed_r_bar = None
-    if any(composed for _, composed in sampled):
-        r = contact_order(algebra, parametrization)
-        composed_r_bar = INF if r == INF else r / parametrization.order()
 
+    def r_bar_of(arc):
+        r = contact_order(algebra, arc)
+        return INF if r == INF else r / arc.order()
+
+    composed_r_bar = r_bar_of(parametrization) if any(composed for _, composed in sampled) else None
     min_r_bar = INF
     witness = None
     lower_bound_holds = True
     for name, arc, composed in named:
-        if composed:
-            r_bar = composed_r_bar
-        else:
-            r = contact_order(algebra, arc)
-            r_bar = INF if r == INF else r / arc.order()
+        r_bar = composed_r_bar if composed else r_bar_of(arc)
         # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
         if r_bar == elimination.ord_d and witness is None:
             witness = (name, arc)

@@ -11,7 +11,8 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
-presenting algebra it takes, and `assert_well_formed` checks what
+presenting algebra it takes, `reference_verify` is `verify_main_theorem`
+evaluating every arc, and `assert_well_formed` checks what
 `MultiPoly.__init__` would have ensured.
 
 Each check_* function draws one random case from a seeded Random and
@@ -33,8 +34,8 @@ from arcmult.blowup import (
     nash_sequence,
     strict_transform,
 )
-from arcmult.contact import GRID_CAP, contact_order
-from arcmult.elimination import ord_d, verify_main_theorem
+from arcmult.contact import GRID_CAP, contact_order, sample_arcs
+from arcmult.elimination import TheoremReport, minimizing_arc, ord_d, verify_main_theorem
 from arcmult.errors import EngineError, ParseError, PrecisionExhausted, VariableMismatch
 from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
@@ -258,6 +259,54 @@ def verify_presentation(presentation, candidates, budget, seed, **options):
     elimination = ord_d(presentation)  # NotInSingularLocus unless f realizes m
     algebra = presenting_algebra(presentation.poly)
     return verify_main_theorem(presentation, elimination, algebra, candidates, budget, seed, **options)
+
+
+def reference_verify(presentation, elimination, algebra, candidates, budget, seed, parametrization=None):
+    """`verify_main_theorem`'s report with `contact_order` run on every arc.
+
+    A route `verify_main_theorem`, which gives each arc composed through the
+    parametrization the parametrization's r_bar, does not take.  The
+    candidates are certified here."""
+    poly = presentation.poly
+    for name, arc in candidates.items():
+        certify_on_hypersurface(poly, arc, f"candidate {name}")
+    sampled = sample_arcs(poly, budget, seed, parametrization)
+    named = [*candidates.items(), *((f"sample_{i}", arc) for i, (arc, _) in enumerate(sampled))]
+    r_bars = []
+    witness = None
+    for name, arc in named:
+        r = contact_order(algebra, arc)
+        r_bars.append(INF if r == INF else r / arc.order())
+        if r_bars[-1] == elimination.ord_d and witness is None:
+            witness = (name, arc, r)
+    lower_bound_holds = all(r_bar >= elimination.ord_d for r_bar in r_bars)
+    witness_matches = None
+    if witness is not None:
+        _, arc, r = witness
+        projected = arc.project(elimination.algebra.variables)
+        witness_matches = (
+            contact_order(elimination.algebra, projected) == r and projected.order() == arc.order()
+        )
+    if not lower_bound_holds or witness_matches is False:
+        verdict = "FAIL"
+    else:
+        verdict = "INCONCLUSIVE" if witness is None else "PASS"
+    constructed = None if elimination.ord_d == INF else minimizing_arc(elimination)
+    return TheoremReport(
+        ord_d=elimination.ord_d,
+        method=elimination.method,
+        arcs_checked=len(named),
+        min_r_bar=min(r_bars, default=INF),
+        lower_bound_holds=lower_bound_holds,
+        witness_name=witness[0] if witness else None,
+        witness_matches_projection=witness_matches,
+        verdict=verdict,
+        details={
+            "constructed_arc": None if constructed is None else str(constructed),
+            "constructed_r_bar": str(elimination.ord_d),
+            "witness_arc": str(witness[1]) if witness else None,
+        },
+    )
 
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))

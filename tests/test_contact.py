@@ -6,13 +6,15 @@ import pytest
 from property_checks import (
     DependenceInvalid,
     from_weighted,
+    horner_compose,
     integral_invariance_check,
     random_poly,
     reference_generator_orders,
     reference_grid,
+    reference_verify,
 )
 
-from arcmult import contact
+from arcmult import contact, elimination
 from arcmult.contact import (
     EXPONENT_BOUND,
     _generator_orders,
@@ -24,8 +26,10 @@ from arcmult.contact import (
     sample_arcs,
 )
 from arcmult.corpus import corpus_names, load_problem
+from arcmult.elimination import MonicPresentation, ord_d, verify_main_theorem
 from arcmult.errors import (
     ArcNotOnVariety,
+    EngineError,
     PrecisionExhausted,
     VariableMismatch,
 )
@@ -274,9 +278,21 @@ class TestSampleArcs:
     def test_sampled_arc_lists_are_pinned(self):
         assert set(SAMPLED_ARCS) == set(corpus_names())
         for name, (length, digest) in SAMPLED_ARCS.items():
-            arcs = sample_arcs(*_verify_sampler_inputs(load_problem(name)))
+            poly, budget, seed, phi = _verify_sampler_inputs(load_problem(name))
+            arcs = sample_arcs(poly, budget, seed, phi)
             text = "\n".join(str(a) for a, _ in arcs)
             assert (len(arcs), hashlib.sha256(text.encode()).hexdigest()) == (length, digest), name
+            # The grid comes first and is not composed; every later arc is composed through phi.
+            grid = len(sample_arcs(poly, budget, seed))
+            assert [composed for _, composed in arcs] == [False] * grid + [True] * (length - grid)
+
+    def test_truncated_parametrization_refused(self):
+        # f does not involve z, so f(phi) is exactly zero; but phi o s would be cut
+        # at phi's precision, and its contact order need not follow phi's.
+        z = TruncatedSeries.truncated(Q, (0, 1), 5)
+        phi = Arc(XYZ, (parse_series("t^2", Q), parse_series("t^3", Q), z), Q)
+        with pytest.raises(PrecisionExhausted, match="truncated component"):
+            sample_arcs(parse_poly("y^2 - x^3", XYZ, Q), 100, 0, phi)
 
 
 #: Surfaces of the order-only property test, each with a parametrization,
@@ -294,13 +310,9 @@ ORDER_SURFACES = {
 
 def _sampled_with_algebra(name):
     """The presenting algebra and sampled arcs of a bundled problem or an ORDER_SURFACES entry."""
-    if name in ORDER_SURFACES:
-        poly, phi = ORDER_SURFACES[name]
-        arcs = sample_arcs(poly, 20, 13, arc(poly.field, *phi, variables=XYZ))
-    else:
-        poly, *sampler_inputs = _verify_sampler_inputs(load_problem(name))
-        arcs = sample_arcs(poly, *sampler_inputs)
-    return presenting_algebra(poly), [sampled for sampled, _ in arcs]
+    presentation, _, budget, seed, phi = _verify_inputs(name)
+    arcs = sample_arcs(presentation.poly, budget, seed, phi)
+    return presenting_algebra(presentation.poly), [sampled for sampled, _ in arcs]
 
 
 def _cut(sampled, n):
@@ -460,6 +472,99 @@ class TestOrderOnlyContact:
             contact_order(G_CHAR0, arc(Q, "t", "t^2", variables=("x", "z")))
         with pytest.raises(VariableMismatch):
             normalized_contact(G_CHAR0, arc(Q, "t", "t^2", variables=("x", "z")))
+
+
+#: The law's edge cases: a parametrization inside the maximal-multiplicity locus
+#: over F_2, so r = INF; (t^4, t^6) = (t^2, t^3) o t^2, through which s and -s
+#: give one arc over Q; and a cusp that no grid arc lies on, where verify's
+#: witness is a composed arc.
+LAW_EDGE_CASES = {
+    "inside_f2": (parse_poly("z^2 - x^3 - y^4", XYZ, F2), ("0", "t", "t^2")),
+    "non_primitive_q": (parse_poly("y^2 - x^3", XY, Q), ("t^4", "t^6")),
+    "no_grid_arc_q": (parse_poly("y^2 - 2*x^2*y - x^3 + x^4", XY, Q), ("t^2", "t^3 + t^4")),
+}
+PARAMETRIZED = [*corpus_names(), *ORDER_SURFACES, *LAW_EDGE_CASES]
+
+
+def _verify_inputs(name):
+    """(presentation, candidates, budget, seed, parametrization) of a bundled problem's
+    verify run, or of an ORDER_SURFACES or LAW_EDGE_CASES entry with no candidates."""
+    if name in SAMPLED_ARCS:
+        problem = load_problem(name)
+        options = problem.options
+        return presentation_of(problem), problem.arcs, options.budget, options.seed, problem.parametrization
+    poly, phi = {**ORDER_SURFACES, **LAW_EDGE_CASES}[name]
+    presentation = MonicPresentation(poly.variables[:-1], poly.variables[-1], poly)
+    return presentation, {}, 20, 13, arc(poly.field, *phi, variables=poly.variables)
+
+
+class TestComposedPool:
+    """G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s) and nu(phi o s) =
+    nu(phi) * ord(s): `verify` gives every arc composed through phi the r_bar of phi."""
+
+    @pytest.mark.parametrize("name", PARAMETRIZED)
+    def test_contact_and_order_scale_by_the_inner_order(self, name):
+        presentation, _, _, _, phi = _verify_inputs(name)
+        g = presenting_algebra(presentation.poly)
+        field = phi.field
+        r, nu = contact_order(g, phi), phi.order()
+        assert (r == INF) == (name == "inside_f2")
+        rng = random.Random(f"law-{name}")
+        for _ in range(20):
+            coeffs = [0] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+            s = TruncatedSeries.exact_series(field, coeffs)
+            if s.is_exactly_zero():
+                continue
+            composed = Arc(phi.variables, tuple(horner_compose(c, s) for c in phi.components), field)
+            k = s.known_order()
+            assert contact_order(g, composed) == (INF if r == INF else r * k), str(s)
+            assert composed.order() == nu * k, str(s)
+
+    def test_one_arc_for_s_and_minus_s_through_a_non_primitive_parametrization(self, monkeypatch):
+        poly, texts = LAW_EDGE_CASES["non_primitive_q"]
+        phi = arc(Q, *texts)
+        inners = []
+        compose = Arc.compose
+        monkeypatch.setattr(Arc, "compose", lambda self, inner: inners.append(inner) or compose(self, inner))
+        arcs = sample_arcs(poly, 100, 0, phi)
+        negated = {tuple(-c for c in s.coeffs) for s in inners}
+        assert any(s.coeffs in negated for s in inners)
+        pool = [sampled.components for sampled, composed in arcs if composed]
+        grid = {sampled.components for sampled, composed in arcs if not composed}
+        reached = {compose(phi, s).components for s in inners}
+        reached |= {phi.reparametrize(n).components for n in range(1, 9)}
+        assert len(pool) == len(set(pool)) and set(pool) == reached - grid
+
+    @pytest.mark.parametrize("name", PARAMETRIZED)
+    def test_report_matches_evaluating_every_arc(self, name):
+        # Or the same error: over F_2, x^2*y + y^3 = y*(x + y)^2 vanishes at every
+        # unit pair, so no minimizing arc is built on z^2 - x^2*y - y^3.
+        presentation, candidates, budget, seed, phi = _verify_inputs(name)
+        args = (presentation, ord_d(presentation), presenting_algebra(presentation.poly), candidates, budget, seed)
+
+        def outcome(verify):
+            try:
+                return verify(*args, parametrization=phi).to_json()
+            except EngineError as error:
+                return type(error), str(error)
+
+        assert outcome(verify_main_theorem) == outcome(reference_verify)
+
+    def test_contact_evaluations_do_not_grow_with_the_budget(self, monkeypatch):
+        presentation, candidates, _, seed, phi = _verify_inputs("cusp_char0")
+        algebra = presenting_algebra(presentation.poly)
+        calls = []
+        evaluate = elimination.contact_order
+        monkeypatch.setattr(elimination, "contact_order", lambda *args: calls.append(args) or evaluate(*args))
+        counts = []
+        for budget in (100, 1000):
+            calls.clear()
+            report = verify_main_theorem(presentation, ord_d(presentation), algebra, candidates, budget, seed, phi)
+            assert report.verdict == "PASS"
+            counts.append(len(calls))
+        # Each candidate and grid arc, phi once, and the witness's projection.
+        grid = len(sample_arcs(presentation.poly, 0, seed))
+        assert counts == [len(candidates) + grid + 2] * 2
 
 
 GRID_ARCS =[arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]
