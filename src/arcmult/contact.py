@@ -268,9 +268,30 @@ def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
     return [assignment for _, assignment in admitted]
 
 
+def _separates(parametrization: Arc) -> bool:
+    """Whether phi o s = phi o s' forces s = s' for the exact parametrization phi.
+
+    Let k_i be the orders of phi's nonzero components, g their gcd and p the
+    characteristic.  If phi o s = phi o s' with s != s', then ord s = ord s',
+    and zeta = lead(s) / lead(s') has zeta^(k_i) = 1 for every i, so zeta^g = 1.
+    For a component c = a t^k + ..., c(s) - c(s') = (s - s') Q(s, s'), and the
+    lowest term of Q is a (u^(k-1) + u^(k-2) v + ... + v^(k-1)) at u = lead s,
+    v = lead s', which is k a u^(k-1) when zeta = 1: so zeta != 1 unless p
+    divides every k_i.  phi separates when some k_i is prime to p and the
+    field has no g-th root of unity but 1: over Q when g is odd, over F_p
+    when gcd(g, p - 1) = 1.
+    """
+    orders = [c.known_order() for c in parametrization.components if not c.is_exactly_zero()]
+    p = parametrization.field.characteristic
+    prime_to_p = p == 0 or any(k % p for k in orders)
+    return prime_to_p and math.gcd(*orders, p - 1 if p else 2) == 1
+
+
 def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
-    """Deterministic pool of arcs at the origin on which f vanishes exactly, as
-    (arc, composed) pairs; composed says the arc is phi o s for the parametrization phi.
+    """Deterministic pool of arcs at the origin on which f vanishes exactly, one
+    (arc, inner) entry per arc: (arc, None) for a grid arc, and (None, s) for the
+    arc phi o s composed through the parametrization phi, which
+    `parametrization.compose(s)` builds.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
@@ -280,14 +301,18 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     would not follow phi's).  Then f(phi o s) = f(phi) o s vanishes for
     every series s with zero constant term, so `budget` arcs composed
     through phi with random series drawn from `seed`, and reparametrizations
-    phi(t^n), are admitted without substitution.  A series drawn again is
-    skipped before it is composed, and duplicate arcs are dropped.
+    phi(t^n) = phi o t^n, are admitted without substitution.  A series drawn
+    again is skipped, and an arc equal to an earlier one is dropped.  When
+    phi separates (`_separates`), distinct series give distinct arcs, and
+    phi o s is a monomial arc only when s is a monomial (its degree exceeds
+    its order otherwise), so only monomial s are composed to be compared
+    with the grid and with each other; through any other phi every s is.
     """
     field = poly.field
     terms = list(poly.terms.items())
     # Distinct assignments give distinct arcs: the grid needs no dedup.
     arcs = [
-        (_monomial_arc(poly.variables, field, assignment), False)
+        (_monomial_arc(poly.variables, field, assignment), None)
         for assignment in _vanishing_grid(terms, field, len(poly.variables), EXPONENT_BOUND)
     ]
     if parametrization is None:
@@ -300,12 +325,15 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
             "need every component exact"
         )
     seen = {arc.components for arc, _ in arcs}
+    separates = _separates(parametrization)
 
-    def admit(arc: Arc) -> bool:
-        if arc.components in seen:
-            return False
-        seen.add(arc.components)
-        arcs.append((arc, True))
+    def admit(inner: TruncatedSeries) -> bool:
+        if not separates or sum(map(bool, inner.coeffs)) == 1:
+            components = parametrization.compose(inner).components
+            if components in seen:
+                return False
+            seen.add(components)
+        arcs.append((None, inner))
         return True
 
     rng = random.Random(seed)
@@ -320,10 +348,9 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
             continue
         series = TruncatedSeries.exact_series(field, coeffs)
         if series.coeffs in drawn:
-            continue  # its composed arc was seen when it was first drawn
+            continue  # its arc was seen when it was first drawn
         drawn.add(series.coeffs)
-        produced += admit(parametrization.compose(series))
+        produced += admit(series)
     for n in range(1, 9):
-        admit(parametrization.reparametrize(n))
+        admit(TruncatedSeries.t_power(field, n))
     return arcs
-

@@ -392,10 +392,11 @@ def verify_main_theorem(
     Each candidate is certified unless `candidates_certified` says the caller has.
 
     Candidates and grid arcs are evaluated one by one.  An arc composed through
-    the parametrization, phi o s, is counted and named like any other but not
-    evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s) and
-    nu(phi o s) = nu(phi) * ord(s), and its r_bar is r_bar(phi), which one
-    contact order on phi gives.
+    the parametrization, phi o s, is counted and named like any other but
+    neither built nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) =
+    r(phi) * ord(s) and nu(phi o s) = nu(phi) * ord(s), and its r_bar is
+    r_bar(phi), which one contact order on phi gives.  It is built only when
+    it is the witness.
     """
     poly = presentation.poly
 
@@ -403,23 +404,23 @@ def verify_main_theorem(
         certify_on_hypersurface(poly, arc, f"candidate {name}")
     sampled = sample_arcs(poly, budget, seed, parametrization)
     named = [
-        *((name, arc, False) for name, arc in candidates.items()),
-        *((f"sample_{i}", arc, composed) for i, (arc, composed) in enumerate(sampled)),
+        *((name, arc, None) for name, arc in candidates.items()),
+        *((f"sample_{i}", arc, inner) for i, (arc, inner) in enumerate(sampled)),
     ]
 
     def r_bar_of(arc):
         r = contact_order(algebra, arc)
         return INF if r == INF else r / arc.order()
 
-    composed_r_bar = r_bar_of(parametrization) if any(composed for _, composed in sampled) else None
+    composed_r_bar = r_bar_of(parametrization) if any(inner is not None for _, inner in sampled) else None
     min_r_bar = INF
     witness = None
     lower_bound_holds = True
-    for name, arc, composed in named:
-        r_bar = composed_r_bar if composed else r_bar_of(arc)
+    for name, arc, inner in named:
+        r_bar = r_bar_of(arc) if inner is None else composed_r_bar
         # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
         if r_bar == elimination.ord_d and witness is None:
-            witness = (name, arc)
+            witness = (name, arc if inner is None else parametrization.compose(inner))
         min_r_bar = min(min_r_bar, r_bar)
         if r_bar < elimination.ord_d:
             lower_bound_holds = False

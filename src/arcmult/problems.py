@@ -100,6 +100,7 @@ class ProblemFile:
     comments: tuple = dataclass_field(default=(), compare=False)
 
     def render(self) -> str:
+        """Problem-file text that `parse_problem` reads back to an equal ProblemFile."""
         lines = list(self.comments)
         lines.append(f"name: {self.name}")
         lines.append(f"field: {self.field.characteristic}")

@@ -11,9 +11,11 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
-presenting algebra it takes, `reference_verify` is `verify_main_theorem`
-evaluating every arc, and `assert_well_formed` checks what
-`MultiPoly.__init__` would have ensured.
+presenting algebra it takes, `sampled_arcs` builds the entries of
+`sample_arcs`, `reference_sample_arcs` builds them by composing every
+draw, `reference_verify` is `verify_main_theorem` evaluating every arc,
+and `assert_well_formed` checks what `MultiPoly.__init__` would have
+ensured.
 
 Each check_* function draws one random case from a seeded Random and
 asserts the property; the suites run them a few hundred times.  Everything
@@ -34,7 +36,7 @@ from arcmult.blowup import (
     nash_sequence,
     strict_transform,
 )
-from arcmult.contact import GRID_CAP, contact_order, sample_arcs
+from arcmult.contact import DEGREE_BOUND, GRID_CAP, contact_order, sample_arcs
 from arcmult.elimination import TheoremReport, minimizing_arc, ord_d, verify_main_theorem
 from arcmult.errors import EngineError, ParseError, PrecisionExhausted, VariableMismatch
 from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
@@ -261,6 +263,52 @@ def verify_presentation(presentation, candidates, budget, seed, **options):
     return verify_main_theorem(presentation, elimination, algebra, candidates, budget, seed, **options)
 
 
+def sampled_arcs(poly, budget, seed, parametrization=None):
+    """`sample_arcs` with each entry built: (arc, composed) pairs, where composed
+    marks an arc phi o s built from its inner series s."""
+    return [
+        (arc, False) if inner is None else (parametrization.compose(inner), True)
+        for arc, inner in sample_arcs(poly, budget, seed, parametrization)
+    ]
+
+
+def reference_sample_arcs(poly, budget, seed, parametrization=None):
+    """`sampled_arcs` by composing every draw and every phi(t^n) and
+    deduplicating the built arcs, which `sample_arcs` does only where the
+    separation rule cannot prove an arc new."""
+    field = poly.field
+    arcs = [(arc, False) for arc, _ in sample_arcs(poly, 0, seed)]
+    if parametrization is None:
+        return arcs
+    seen = {arc.components for arc, _ in arcs}
+
+    def admit(arc):
+        if arc.components in seen:
+            return False
+        seen.add(arc.components)
+        arcs.append((arc, True))
+        return True
+
+    rng = random.Random(seed)
+    drawn = set()
+    produced = 0
+    attempts = 0
+    while produced < budget and attempts < budget * 20:
+        attempts += 1
+        degree = rng.randint(1, DEGREE_BOUND)
+        coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]
+        if all(field.is_zero(c) for c in coeffs):
+            continue
+        series = TruncatedSeries.exact_series(field, coeffs)
+        if series.coeffs in drawn:
+            continue
+        drawn.add(series.coeffs)
+        produced += admit(parametrization.compose(series))
+    for n in range(1, 9):
+        admit(parametrization.reparametrize(n))
+    return arcs
+
+
 def reference_verify(presentation, elimination, algebra, candidates, budget, seed, parametrization=None):
     """`verify_main_theorem`'s report with `contact_order` run on every arc.
 
@@ -270,7 +318,7 @@ def reference_verify(presentation, elimination, algebra, candidates, budget, see
     poly = presentation.poly
     for name, arc in candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
-    sampled = sample_arcs(poly, budget, seed, parametrization)
+    sampled = sampled_arcs(poly, budget, seed, parametrization)
     named = [*candidates.items(), *((f"sample_{i}", arc) for i, (arc, _) in enumerate(sampled))]
     r_bars = []
     witness = None

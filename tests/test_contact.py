@@ -11,7 +11,9 @@ from property_checks import (
     random_poly,
     reference_generator_orders,
     reference_grid,
+    reference_sample_arcs,
     reference_verify,
+    sampled_arcs,
 )
 
 from arcmult import contact, elimination
@@ -19,6 +21,7 @@ from arcmult.contact import (
     EXPONENT_BOUND,
     _generator_orders,
     _monomial_arc,
+    _separates,
     _vanishes_on_monomial_arc,
     _vanishing_grid,
     contact_order,
@@ -256,7 +259,7 @@ class TestSampleArcs:
             phi = arc(poly.field, "t^2", "0", "t^3", variables=poly.variables)
         else:
             poly, budget, seed, phi = _verify_sampler_inputs(load_problem(name))
-        arcs = sample_arcs(poly, budget, seed, phi)
+        arcs = sampled_arcs(poly, budget, seed, phi)
         assert len(arcs) > 8
         for sampled, _ in arcs:
             assert arc_substitute(poly, sampled).is_exactly_zero(), (name, str(sampled))
@@ -279,7 +282,7 @@ class TestSampleArcs:
         assert set(SAMPLED_ARCS) == set(corpus_names())
         for name, (length, digest) in SAMPLED_ARCS.items():
             poly, budget, seed, phi = _verify_sampler_inputs(load_problem(name))
-            arcs = sample_arcs(poly, budget, seed, phi)
+            arcs = sampled_arcs(poly, budget, seed, phi)
             text = "\n".join(str(a) for a, _ in arcs)
             assert (len(arcs), hashlib.sha256(text.encode()).hexdigest()) == (length, digest), name
             # The grid comes first and is not composed; every later arc is composed through phi.
@@ -311,7 +314,7 @@ ORDER_SURFACES = {
 def _sampled_with_algebra(name):
     """The presenting algebra and sampled arcs of a bundled problem or an ORDER_SURFACES entry."""
     presentation, _, budget, seed, phi = _verify_inputs(name)
-    arcs = sample_arcs(presentation.poly, budget, seed, phi)
+    arcs = sampled_arcs(presentation.poly, budget, seed, phi)
     return presenting_algebra(presentation.poly), [sampled for sampled, _ in arcs]
 
 
@@ -526,7 +529,9 @@ class TestComposedPool:
         inners = []
         compose = Arc.compose
         monkeypatch.setattr(Arc, "compose", lambda self, inner: inners.append(inner) or compose(self, inner))
-        arcs = sample_arcs(poly, 100, 0, phi)
+        sample_arcs(poly, 100, 0, phi)
+        monkeypatch.undo()
+        arcs = sampled_arcs(poly, 100, 0, phi)
         negated = {tuple(-c for c in s.coeffs) for s in inners}
         assert any(s.coeffs in negated for s in inners)
         pool = [sampled.components for sampled, composed in arcs if composed]
@@ -565,6 +570,103 @@ class TestComposedPool:
         # Each candidate and grid arc, phi once, and the witness's projection.
         grid = len(sample_arcs(presentation.poly, 0, seed))
         assert counts == [len(candidates) + grid + 2] * 2
+
+
+F7 = prime_field(7)
+
+#: Parametrizations through which the rule cannot prove distinct series give
+#: distinct arcs: g = 2 over Q (s and -s give one arc), p dividing every order
+#: over F_2, and gcd(g, p - 1) = 2 over F_5.
+NOT_SEPARATING = {
+    "even_gcd_q": (parse_poly("y^2 - x^3", XY, Q), ("t^4", "t^6")),
+    "even_gcd_subleading_q": (parse_poly("y^2 - 2*x^2*y + x^4 - x^5", XY, Q), ("t^2", "t^4 + t^5")),
+    "p_divides_f2": (parse_poly("y^2 + x^4 + x^6", XY, F2), ("t^2", "t^4 + t^6")),
+    "root_of_unity_f5": (parse_poly("y^2 - x^6", XY, F5), ("t^2", "t^6")),
+}
+
+
+class TestSkippedCompositions:
+    """`sample_arcs` composes a draw only when the separation rule cannot prove its arc new;
+    built, its entries are the arcs that composing every draw gives."""
+
+    @pytest.mark.parametrize(
+        "field, components, separates",
+        [
+            (Q, ("t^2", "t^3"), True),
+            (Q, ("t^3", "t^6"), True),  # g = 3 is odd
+            (Q, ("t^4", "t^6"), False),  # g = 2: zeta = -1
+            (Q, ("0", "t", "t^2"), True),  # the zero component has no order
+            (F2, ("t^2", "t^3"), True),
+            (F2, ("t^3", "t^6"), True),  # F_2 has no root of unity but 1
+            (F2, ("t^2", "t^4 + t^6"), False),  # 2 divides every order
+            (F3, ("t^3", "t^4"), True),
+            (F3, ("t^2", "t^4"), False),  # -1 is a square root of unity
+            (F3, ("t^3", "t^6"), False),  # 3 divides every order
+            (F5, ("t^3", "t^6"), True),  # gcd(3, 4) = 1
+            (F5, ("t^2", "t^6"), False),  # gcd(2, 4) = 2
+            (F5, ("t^5", "t^7"), True),
+            (F5, ("t^5", "0", "t^10"), False),
+            (F7, ("t^3", "t^6"), False),  # gcd(3, 6) = 3
+            (F7, ("t^5", "t^10"), True),  # gcd(5, 6) = 1
+        ],
+        ids=lambda value: ",".join(value) if isinstance(value, tuple) else getattr(value, "characteristic", None),
+    )
+    def test_separation_truth_table(self, field, components, separates):
+        assert _separates(arc(field, *components, variables=XYZ)) is separates
+
+    def test_same_arcs_as_composing_every_draw(self):
+        # phi = (w^a, w^b) lies on y^a - x^b for every series w, and on
+        # y^a - x^b in x, y, z with any third component v; orders a * ord w,
+        # b * ord w and ord v make every kind of gcd.
+        cases = [(poly, arc(poly.field, *texts), 40, 0) for poly, texts in NOT_SEPARATING.values()]
+        rng = random.Random("skipped-compositions")
+        for _ in range(70):
+            field = (Q, F2, F3, F5, F7)[rng.randrange(5)]
+            a, b = rng.randint(2, 3), rng.randint(2, 5)
+            w = TruncatedSeries.exact_series(field, [0] + [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))])
+            if w.is_exactly_zero():
+                continue
+            components = [w**a, w**b]
+            variables = XY
+            if rng.random() < 0.3:
+                variables = XYZ
+                components.append(TruncatedSeries.exact_series(field, [0] + [rng.randint(-1, 1) for _ in range(3)]))
+            poly = parse_poly(f"y^{a} - x^{b}", variables, field)
+            cases.append((poly, Arc(variables, tuple(components), field), rng.randint(5, 80), rng.randrange(100)))
+        for poly, phi, budget, seed in cases:
+            built = [(str(built), composed) for built, composed in sampled_arcs(poly, budget, seed, phi)]
+            expected = [(str(built), composed) for built, composed in reference_sample_arcs(poly, budget, seed, phi)]
+            assert built == expected, (str(poly), str(phi), budget)
+
+    def test_compositions_do_not_grow_with_the_budget(self, monkeypatch):
+        # cusp_char0's (t^2, t^3) separates: only monomial draws and the eight t^n are
+        # composed, and there are at most 8 * 6 monomials of degree <= 8 over Q.
+        # Its witness is the candidate phi; no_grid_arc_q's is a composed arc,
+        # which verify builds once more.
+        inners = []
+        compose, sample = Arc.compose, elimination.sample_arcs
+        monkeypatch.setattr(Arc, "compose", lambda self, inner: inners.append(inner) or compose(self, inner))
+        in_sampler = []
+
+        def counted(*args):
+            entries = sample(*args)
+            in_sampler.append(len(inners))
+            return entries
+
+        monkeypatch.setattr(elimination, "sample_arcs", counted)
+        by_verify = []
+        for name, budget in (("cusp_char0", 100), ("cusp_char0", 1000), ("no_grid_arc_q", 20)):
+            presentation, candidates, _, seed, phi = _verify_inputs(name)
+            inners.clear()
+            report = verify_main_theorem(
+                presentation, ord_d(presentation), presenting_algebra(presentation.poly), candidates, budget, seed, phi
+            )
+            assert report.verdict == "PASS"
+            assert all(sum(map(bool, inner.coeffs)) == 1 for inner in inners[: in_sampler[-1]])
+            by_verify.append(len(inners) - in_sampler[-1])
+        # Composing every draw made 102 and 1,004 on cusp_char0.
+        assert in_sampler[:2] == [14, 20]
+        assert by_verify == [0, 0, 1]
 
 
 GRID_ARCS =[arc(Q, f"t^{i}", f"t^{j}") for i in range(1, 5) for j in range(1, 5)]

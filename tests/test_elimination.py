@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from arcmult.series import Arc, TruncatedSeries, parse_series
 Q = RATIONALS
 F2 = prime_field(2)
 F3 = prime_field(3)
+F5 = prime_field(5)
 XY = ("x", "y")
 
 
@@ -117,12 +119,28 @@ class TestVisibleElimination:
         assert observers_agree(eliminated, expected, points)
 
     def test_agrees_with_coefficient_route_when_both_apply(self):
-        for text in ("y^2 - x^3", "y^3 - x^4", "y^3 - x^5"):
-            p = presentation(text)
+        # Where p does not divide m both routes apply and give one order at the
+        # origin: random curves y^a - u x^b and surfaces z^a - u x^b - v y^c with
+        # units u, v, and y^3 + 3x^2 y^2 - x^5, whose subleading term Tschirnhausen removes.
+        rng = random.Random("route-agreement")
+        cases = [("y^3 + 3*x^2*y^2 - x^5", field, ("x",), "y") for field in (Q, F2, F5)]
+        while len(cases) < 80:
+            field = (Q, F2, F3, F5)[rng.randrange(4)]
+            a = rng.randint(2, 5)
+            if field.characteristic and a % field.characteristic == 0:
+                continue
+            u, v = (rng.choice(field.units(4)) for _ in range(2))
+            b, c = rng.randint(a + 1, 9), rng.randint(a + 1, 9)
+            if rng.random() < 0.5:
+                cases.append((f"y^{a} - {u}*x^{b}", field, ("x",), "y"))
+            else:
+                cases.append((f"z^{a} - {u}*x^{b} - {v}*y^{c}", field, ("x", "y"), "z"))
+        for text, field, base, fiber in cases:
+            p = presentation(text, field, base, fiber)
             coefficient_route = coefficient_algebra(tschirnhausen(p))
-            visible_route = visible_elimination(presenting_algebra(p.poly), {"y"})
-            origin = (Fraction(0),)
-            assert coefficient_route.ord_at(origin) == visible_route.ord_at(origin)
+            visible_route = visible_elimination(presenting_algebra(p.poly), {fiber})
+            origin = tuple(field.zero for _ in base)
+            assert coefficient_route.ord_at(origin) == visible_route.ord_at(origin), (text, field)
 
 
 class TestOrdD:
