@@ -45,120 +45,101 @@ class ContactResult:
         }
 
 
-def _leading_terms(algebra: ReesAlgebra, arc: Arc):
-    """(pattern, leads) of an exact arc: each component's t-order and lowest
-    coefficient, None for a zero component."""
-    ensure_same_field(algebra.field, arc.field)
-    if algebra.variables != arc.variables:
-        raise VariableMismatch(f"algebra variables {algebra.variables} vs arc variables {arc.variables}")
-    pattern = tuple(None if c.is_exactly_zero() else c.known_order() for c in arc.components)
-    return pattern, tuple(None if o is None else c.coeffs[o] for c, o in zip(arc.components, pattern))
+def lead_sums(terms, pattern, leads, p) -> dict:
+    """{d: numerator of the sum of c * prod lead_i^(e_i) over the terms c x^e of t-degree d}.
 
-
-def _initial_form(poly: MultiPoly, pattern, leads):
-    """(L, c) for a generator along an exact arc with `_leading_terms` (pattern, leads).
-
-    A term c x^e maps to t-order at least <e, pattern>, with c * prod lead_i^(e_i)
-    as its coefficient there.  L is the least such order (INF when every term
-    uses a zero component, and then the image is 0), and c is the numerator of
-    the sum at degree L: ord_t(g(arc)) = L when c is nonzero, else at least L + 1.
+    Along an arc with component t-orders `pattern` (None for a zero
+    component) and lowest coefficients `leads`, a term c x^e maps to t-order
+    at least d = <e, pattern>, with that product as its coefficient there, or
+    to 0 when it uses a zero component.  The sums are taken on cleared
+    integers, mod p when p > 0.  At L = min d the sum is the initial form at
+    the leads: ord_t(f(arc)) = L when it is nonzero, else at least L + 1.
+    Along a monomial arc x_i -> lead_i t^(pattern_i) they are the whole image.
     """
-    p = poly.field.characteristic
-    low, num, den = INF, 0, 1
-    for exps, coeff in poly.terms.items():
+    sums = {}
+    for exps, coeff in terms:
         degree = _term_degree(exps, pattern)
-        if degree is None or degree > low:
+        if degree is None:
             continue
         n, d = coeff.numerator, coeff.denominator
         for lead, e in zip(leads, exps):
             if e:
                 n *= pow(lead.numerator, e, p or None)
                 d *= lead.denominator ** e
-        if degree < low:
-            low, num, den = degree, n, d
-        else:
-            num, den = num * d + n * den, den * d
-    return low, num % p if p else num
+        num, den = sums.get(degree, (0, 1))
+        sums[degree] = num * d + n * den, den * d
+    return {degree: num % p if p else num for degree, (num, _) in sums.items()}
 
 
-def _generator_orders(algebra: ReesAlgebra, arc: Arc):
-    """t-order of each generator image; PrecisionExhausted when one is needed but unknown.
+def _generator_orders(algebra: ReesAlgebra, arc: Arc, every: bool = True):
+    """(r, orders): r = min ord_t(phi(g))/w over the generators g W^w, and the
+    sorted (index, order) pairs, ">=N" for an order beyond the arc's precision.
 
-    On an exact arc a generator's image is built only when its initial form
-    vanishes at the leading coefficients (`_initial_form`)."""
+    On an exact arc a generator whose initial form (`lead_sums`) does not
+    vanish has order L(g) and costs no series product; one whose initial
+    form vanishes has order at least L(g) + 1 and is deferred.  r is kept as
+    the integer pair num/den (1/0 for INF), compared by cross-multiplication.
+    With every=False only r is computed: the deferred generators are visited
+    by (L(g)+1)/w, stopping once that reaches r, each on the arc cut at
+    t^ceil(r*w).  An order the cut leaves unknown is at least that power, so
+    it cannot lower r and is not reported; while r is INF the image is exact.
+    Otherwise every deferred image is built, and on an arc with a truncated
+    component every image: PrecisionExhausted when an unknown order's lower
+    bound does not exceed r.
+    """
     exact = all(component.exact for component in arc.components)
     if exact:
-        pattern, leads = _leading_terms(algebra, arc)
-    known = []
-    pending = []
-    powers = None
+        ensure_same_field(algebra.field, arc.field)
+        if algebra.variables != arc.variables:
+            raise VariableMismatch(f"algebra variables {algebra.variables} vs arc variables {arc.variables}")
+        pattern = tuple(None if c.is_exactly_zero() else c.known_order() for c in arc.components)
+        leads = tuple(None if o is None else c.coeffs[o] for c, o in zip(arc.components, pattern))
+    every = every or not exact
+    num, den = 1, 0
+    orders = {}
+    deferred = []
     for i, (poly, weight) in enumerate(algebra.generators):
         if exact:
-            low, initial = _initial_form(poly, pattern, leads)
-            if initial or low == INF:
-                known.append((i, weight, low))
+            sums = lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic)
+            low = min(sums, default=INF)
+            if low == INF or sums[low]:
+                orders[i] = low
+                if low != INF and low * den < num * weight:
+                    num, den = low, weight
                 continue
-        powers = powers or arc.powers()
-        image = arc_image(poly, arc, powers)
+            deferred.append((Fraction(low + 1, weight), i, poly, weight))
+        else:
+            deferred.append((0, i, poly, weight))
+    cuts = {}
+    pending = []
+    for bound, i, poly, weight in sorted(deferred):  # i breaks ties: no poly is compared
+        if not every and bound.numerator * den >= num * bound.denominator:
+            break
+        if not cuts:
+            cuts[INF] = arc.powers()
+        n = -(-num * weight // den) if den and not every else INF  # ceil(r * w)
+        if n not in cuts:
+            cuts[n] = Powers(tuple(c.cut(n) for c in cuts[INF].images), cuts[INF].one)
+        image = arc_image(poly, arc, cuts[n])
         order = image.known_order()
         if order is None:
-            pending.append((i, weight, image.bound))
-        else:
-            known.append((i, weight, order))
-    finite = [Fraction(o) / w for _, w, o in known if o != INF]
-    best = min(finite) if finite else INF
+            if every:
+                pending.append((i, weight, image.bound))
+            continue
+        orders[i] = order
+        if order != INF and order * den < num * weight:
+            num, den = order, weight
+    best = Fraction(num, den) if den else INF
     for i, weight, lower_bound in pending:
-        if Fraction(lower_bound) / weight <= best:
-            raise PrecisionExhausted(
-                f"order of generator {i} indeterminate at this precision"
-            )
-    # Indeterminate orders provably exceed the minimum; report their lower bound.
-    orders = {i: o for i, _, o in known}
-    for i, _, lower_bound in pending:
+        if Fraction(lower_bound, weight) <= best:
+            raise PrecisionExhausted(f"order of generator {i} indeterminate at this precision")
         orders[i] = f">={lower_bound}"
     return best, tuple(sorted(orders.items()))
 
 
 def contact_order(algebra: ReesAlgebra, arc: Arc):
-    """r = ord_t(phi(G)); INF when the arc sits inside the singular locus.
-
-    On an exact arc only r is computed, as the integer pair best = num/den
-    (1/0 for INF) compared by cross-multiplication.  A generator whose initial
-    form does not vanish has order L(g) exactly and costs no series product.
-    One whose initial form vanishes has order at least L(g) + 1: it is
-    deferred, and the deferred ones are evaluated by (L(g)+1)/w, stopping once
-    that reaches best, each on the arc cut at t^ceil(best*w).  An order the
-    cut leaves unknown is at least that power, so it cannot lower best; while
-    best is INF the image is exact, so INF means every exact image is zero.
-    Arcs with a truncated component take the exact per-generator path and its
-    PrecisionExhausted.
-    """
-    if not all(component.exact for component in arc.components):
-        best, _ = _generator_orders(algebra, arc)
-        return best
-    pattern, leads = _leading_terms(algebra, arc)
-    num, den = 1, 0
-    deferred = []
-    for poly, weight in algebra.generators:
-        low, initial = _initial_form(poly, pattern, leads)
-        if initial:
-            if low * den < num * weight:
-                num, den = low, weight
-        elif low != INF:
-            deferred.append((Fraction(low + 1, weight), poly, weight))
-    cuts = {}
-    for bound, poly, weight in sorted(deferred, key=lambda visit: visit[0]):
-        if bound.numerator * den >= num * bound.denominator:
-            break
-        if not cuts:
-            cuts[INF] = arc.powers()
-        n = -(-num * weight // den) if den else INF  # ceil(best * w)
-        if n not in cuts:
-            cuts[n] = Powers(tuple(c.cut(n) for c in cuts[INF].images), cuts[INF].one)
-        order = arc_image(poly, arc, cuts[n]).known_order()
-        if order is not None and order != INF and order * den < num * weight:
-            num, den = order, weight
-    return Fraction(num, den) if den else INF
+    """r = ord_t(phi(G)); INF when the arc sits inside the singular locus."""
+    return _generator_orders(algebra, arc, every=False)[0]
 
 
 def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
@@ -203,25 +184,14 @@ def _term_degree(exps, pattern):
 
 
 def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
-    """Whether f maps to exactly zero along the monomial arc of a grid assignment.
-
-    `terms` are the (exponents, coefficient) pairs of f.  A term c x^e maps
-    to c * prod u_i^(e_i) * t^(<a, e>), or to 0 when it uses a variable set
-    to 0, so f vanishes exactly when the coefficients cancel at every power
-    of t.  This is arc_substitute(f, arc).is_exactly_zero() without series
-    products.
+    """Whether f, given by its (exponents, coefficient) `terms`, maps to exactly
+    zero along the monomial arc of a grid assignment: whether every one of
+    its `lead_sums` vanishes.  This is arc_substitute(f, arc).is_exactly_zero()
+    without series products.
     """
     pattern = tuple(None if choice is None else choice[1] for choice in assignment)
-    sums = {}
-    for exps, coeff in terms:
-        degree = _term_degree(exps, pattern)
-        if degree is None:
-            continue
-        for choice, e in zip(assignment, exps):
-            if e:
-                coeff = field.mul(coeff, choice[0] ** e)
-        sums[degree] = field.add(sums.get(degree, field.zero), coeff)
-    return all(field.is_zero(s) for s in sums.values())
+    leads = tuple(None if choice is None else choice[0] for choice in assignment)
+    return not any(lead_sums(terms, pattern, leads, field.characteristic).values())
 
 
 def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
@@ -343,10 +313,9 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     while produced < budget and attempts < budget * 20:
         attempts += 1
         degree = rng.randint(1, DEGREE_BOUND)
-        coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]
-        if all(field.is_zero(c) for c in coeffs):
+        series = TruncatedSeries.exact_series(field, [0] + [rng.randint(-3, 3) for _ in range(degree)])
+        if series.is_exactly_zero():
             continue
-        series = TruncatedSeries.exact_series(field, coeffs)
         if series.coeffs in drawn:
             continue  # its arc was seen when it was first drawn
         drawn.add(series.coeffs)

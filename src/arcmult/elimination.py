@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contact import contact_order, normalized_contact, sample_arcs
+from .contact import contact_order, lead_sums, normalized_contact, sample_arcs
 from .errors import (
     CharDividesDegree,
     EngineError,
@@ -304,7 +304,8 @@ def minimizing_arc(result: EliminationResult) -> Arc:
 
     Picks a generator g W^l with ord(g)/l = ord_d, sets alpha = l (clearing
     the denominator) and searches small field units u with the initial form
-    of g nonvanishing at u; the arc is y_i -> u_i t^alpha.
+    of g nonvanishing at u; the arc is y_i -> u_i t^alpha.  Along it the
+    `lead_sums` sum at t-degree alpha * ord(g) is that initial form at u.
     """
     algebra = result.algebra
     field = algebra.field
@@ -318,16 +319,16 @@ def minimizing_arc(result: EliminationResult) -> Arc:
     if not achievers:
         raise EngineError("no generator achieves ord_d; inconsistent result")
     weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
-    initial = poly.initial_form()
-    candidates = itertools.product(field.units(6), repeat=len(algebra.variables))
-    chosen = next((u for u in candidates if not field.is_zero(initial.evaluate(u))), None)
+    pattern = (weight,) * len(algebra.variables)
+    low = weight * poly.order_at_origin()
+    terms, p = poly.terms.items(), field.characteristic
+    candidates = itertools.product(field.units(6), repeat=len(pattern))
+    chosen = next((u for u in candidates if lead_sums(terms, pattern, u, p)[low]), None)
     if chosen is None:
         raise NoRationalUnit(
             "no unit tuple over the base field avoids the initial form's zero set"
         )
-    components = tuple(
-        TruncatedSeries.t_power(field, weight, u) for u in chosen
-    )
+    components = tuple(TruncatedSeries.t_power(field, weight, u) for u in chosen)
     arc = Arc(algebra.variables, components, field)
     achieved = normalized_contact(algebra, arc)
     if achieved.r_bar != result.ord_d:

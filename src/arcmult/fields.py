@@ -169,9 +169,6 @@ class FieldSpec:
         p = self.characteristic
         return tuple(range(1, min(p, limit + 1)))
 
-    def random_element(self, rng, bound: int = 3):
-        return self.coerce(rng.randint(-bound, bound))
-
 
 #: The rationals, shared instance.
 RATIONALS = FieldSpec(0)

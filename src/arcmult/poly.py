@@ -113,13 +113,6 @@ class MultiPoly:
             self._order = min((sum(e) for e in self.terms), default=INF)
         return self._order
 
-    def initial_form(self) -> "MultiPoly":
-        """Lowest-degree homogeneous part (the initial form at the origin)."""
-        if not self.terms:
-            return self
-        low = min(sum(e) for e in self.terms)
-        return self._new({e: c for e, c in self.terms.items() if sum(e) == low})
-
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)

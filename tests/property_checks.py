@@ -8,6 +8,7 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
 `reference_generator_orders` builds every generator's exact image along an arc,
+`reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
@@ -205,6 +206,28 @@ def reference_generator_orders(algebra, arc):
     return r, tuple(sorted(orders.items()))
 
 
+def reference_unit_choice(elimination):
+    """(weight, units) that `minimizing_arc` builds its arc y_i -> u_i t^weight from.
+
+    The generator is the achieving one of least weight, as there; its
+    lowest-degree homogeneous part is built from its terms and evaluated with
+    `MultiPoly.evaluate`, a route the engine, which reads it from
+    `contact.lead_sums`, does not take.  units is the first `field.units(6)`
+    tuple where that part is nonzero, or None when there is none."""
+    algebra = elimination.algebra
+    field = algebra.field
+    achievers = [
+        (weight, poly)
+        for poly, weight in algebra.generators
+        if Fraction(poly.order_at_origin(), weight) == elimination.ord_d
+    ]
+    weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
+    low = poly.order_at_origin()
+    initial = MultiPoly(poly.variables, {e: c for e, c in poly.terms.items() if sum(e) == low}, field)
+    candidates = itertools.product(field.units(6), repeat=len(poly.variables))
+    return weight, next((u for u in candidates if not field.is_zero(initial.evaluate(u))), None)
+
+
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
     """`nash_sequence` one blow-up per iteration, every transform built when its step is made.
 
@@ -296,7 +319,7 @@ def reference_sample_arcs(poly, budget, seed, parametrization=None):
     while produced < budget and attempts < budget * 20:
         attempts += 1
         degree = rng.randint(1, DEGREE_BOUND)
-        coeffs = [field.zero] + [field.random_element(rng, bound=3) for _ in range(degree)]
+        coeffs = [field.zero] + [field.coerce(rng.randint(-3, 3)) for _ in range(degree)]
         if all(field.is_zero(c) for c in coeffs):
             continue
         series = TruncatedSeries.exact_series(field, coeffs)

@@ -12,6 +12,7 @@ from property_checks import (
     reference_generator_orders,
     reference_grid,
     reference_sample_arcs,
+    reference_unit_choice,
     reference_verify,
     sampled_arcs,
 )
@@ -29,10 +30,17 @@ from arcmult.contact import (
     sample_arcs,
 )
 from arcmult.corpus import corpus_names, load_problem
-from arcmult.elimination import MonicPresentation, ord_d, verify_main_theorem
+from arcmult.elimination import (
+    EliminationResult,
+    MonicPresentation,
+    minimizing_arc,
+    ord_d,
+    verify_main_theorem,
+)
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
+    NoRationalUnit,
     PrecisionExhausted,
     VariableMismatch,
 )
@@ -110,7 +118,7 @@ class TestNormalizedContact:
         base = normalized_contact(algebra, phi)
         rng = random.Random(f"compose-{name}")
         for _ in range(20):
-            coeffs = [field.random_element(rng) for _ in range(rng.randint(1, 4))]
+            coeffs = [field.coerce(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
             s = TruncatedSeries.exact_series(field, [field.zero] + coeffs)
             if s.is_exactly_zero():
                 continue
@@ -499,6 +507,29 @@ def _verify_inputs(name):
     poly, phi = {**ORDER_SURFACES, **LAW_EDGE_CASES}[name]
     presentation = MonicPresentation(poly.variables[:-1], poly.variables[-1], poly)
     return presentation, {}, 20, 13, arc(poly.field, *phi, variables=poly.variables)
+
+
+class TestMinimizingArcUnits:
+    """minimizing_arc reads the achieving generator's initial form at each unit
+    tuple from `lead_sums`; the reference evaluates it as a polynomial."""
+
+    @pytest.mark.parametrize("name", [*corpus_names(), *ORDER_SURFACES])
+    def test_first_unit_tuple_off_the_initial_form(self, name):
+        elimination = ord_d(_verify_inputs(name)[0])
+        weight, units = reference_unit_choice(elimination)
+        if units is None:  # over F_2, x^2 + y^2 = (x + y)^2 vanishes at (1, 1)
+            with pytest.raises(NoRationalUnit):
+                minimizing_arc(elimination)
+            return
+        field = elimination.algebra.field
+        expected = tuple(TruncatedSeries.t_power(field, weight, u) for u in units)
+        assert minimizing_arc(elimination).components == expected
+
+    def test_first_tuples_skipped(self):
+        # x^2 - y^2 vanishes at (1, 1) and (1, -1), the first unit tuples over Q.
+        weighted = from_weighted(XY, [("x^2 - y^2", 2)], Q)
+        built = minimizing_arc(EliminationResult(weighted, Fraction(1), "Tschirnhausen"))
+        assert built.components == (parse_series("t^2", Q), parse_series("2*t^2", Q))
 
 
 class TestComposedPool:

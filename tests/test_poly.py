@@ -118,11 +118,6 @@ def test_extend_keeps_values():
     assert g.restrict(XY) == f
 
 
-def test_initial_form():
-    f = P("2*y + y^2 - x^3")
-    assert f.initial_form() == P("2*y")
-
-
 def test_normalized_scales_lowest_term_to_one():
     f = P("2*y + 4*x^2")
     assert f.normalized() == P("y + 2*x^2")
