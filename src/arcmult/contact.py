@@ -307,19 +307,24 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
         return True
 
     rng = random.Random(seed)
+    p = field.characteristic
     drawn = set()
     produced = 0
     attempts = 0
     while produced < budget and attempts < budget * 20:
         attempts += 1
         degree = rng.randint(1, DEGREE_BOUND)
-        series = TruncatedSeries.exact_series(field, [0] + [rng.randint(-3, 3) for _ in range(degree)])
-        if series.is_exactly_zero():
-            continue
-        if series.coeffs in drawn:
-            continue  # its arc was seen when it was first drawn
-        drawn.add(series.coeffs)
-        produced += admit(series)
+        # Dedupe on the draw's integers, mod p over F_p, with trailing zeros dropped.
+        draw = [0] + [rng.randint(-3, 3) for _ in range(degree)]
+        if p:
+            draw = [c % p for c in draw]
+        while draw and not draw[-1]:
+            draw.pop()
+        key = tuple(draw)
+        if not key or key in drawn:
+            continue  # the zero series, or one whose arc was seen when it was first drawn
+        drawn.add(key)
+        produced += admit(TruncatedSeries.exact_series(field, key))
     for n in range(1, 9):
         admit(TruncatedSeries.t_power(field, n))
     return arcs

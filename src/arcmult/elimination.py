@@ -27,9 +27,10 @@ from .errors import (
     EngineError,
     NoRationalUnit,
     NotInSingularLocus,
+    ParseError,
 )
 from .fields import INF, FieldSpec, format_order
-from .poly import MultiPoly, origin
+from .poly import MultiPoly, Powers, origin
 from .rees import ReesAlgebra, presenting_algebra
 from .series import Arc, TruncatedSeries, certify_on_hypersurface
 
@@ -143,75 +144,50 @@ def coefficient_algebra(presentation: MonicPresentation) -> ReesAlgebra:
 # -- visible elimination -----------------------------------------------------------------
 
 
-def _nullspace(matrix, field: FieldSpec):
-    """Basis of the right nullspace of a small exact matrix (rows of field elements)."""
-    if not matrix:
-        return []
-    rows = [list(row) for row in matrix]
-    n_cols = len(rows[0])
-    pivots = {}
-    row_index = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row_index, len(rows)):
-            if not field.is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[row_index], rows[pivot_row] = rows[pivot_row], rows[row_index]
-        inv = field.inv(rows[row_index][col])
-        rows[row_index] = [field.mul(v, inv) for v in rows[row_index]]
-        for r in range(len(rows)):
-            if r != row_index and not field.is_zero(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(rows[r], rows[row_index])
-                ]
-        pivots[col] = row_index
-        row_index += 1
-    basis = []
-    free_columns = [c for c in range(n_cols) if c not in pivots]
-    for free in free_columns:
-        vector = [field.zero] * n_cols
-        vector[free] = field.one
-        for col, r in pivots.items():
-            vector[col] = field.neg(rows[r][free])
-        basis.append(vector)
-    return basis
+#: Most generator products the visible route builds; a pool above it is an input error.
+POOL_CAP = 50000
 
 
-def _weighted_products(generators, max_weight: int):
-    """All products of generators with total weight <= max_weight, by weight."""
-    pool = {w: [] for w in range(1, max_weight + 1)}
-    state = [((), 0)]
+def _pool_size(weights, max_weight: int) -> int:
+    """How many products _weighted_products builds: the coin-change count of
+    nonempty generator multisets of total weight <= max_weight."""
+    ways = [1] + [0] * max_weight
+    for weight in weights:
+        for total in range(weight, max_weight + 1):
+            ways[total] += ways[total - weight]
+    return sum(ways) - 1
+
+
+def _weighted_products(generators, max_weight: int) -> list:
+    """(product, weight) for every product of generators of weight <= max_weight.
+
+    Each product is built once, as the product before it in the enumeration
+    (its prefix) times one cached power of the next generator.
+    """
+    powers = Powers([poly for poly, _ in generators], None)
+    state = [(None, 0)]
     for idx, (_, weight) in enumerate(generators):
-        new_state = list(state)
-        for chosen, total in state:
-            count = 1
-            while total + count * weight <= max_weight:
-                new_state.append((chosen + ((idx, count),), total + count * weight))
-                count += 1
-        state = new_state
-    for chosen, total in state:
-        if not chosen:
-            continue
-        product = None
-        for idx, count in chosen:
-            factor = generators[idx][0] ** count
-            product = factor if product is None else product * factor
-        pool[total].append(product)
-    return pool
+        for prefix, total in state[:]:
+            for count in range(1, (max_weight - total) // weight + 1):
+                factor = powers.power(idx, count)
+                state.append((factor if prefix is None else prefix * factor, total + count * weight))
+    return state[1:]
 
 
 def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     """Constructive trace of the algebra on the coordinate subspace.
 
-    Differential closure first, then per-weight k-linear elimination of
-    every monomial containing an eliminated variable, over the pool of
-    generator products.  The result is (a subalgebra of) the elimination
-    algebra, diff-closed over the remaining variables.
+    Differential closure first, then per-weight k-linear elimination of the
+    bad monomials, those containing an eliminated variable, over the pool of
+    generator products; a pool above POOL_CAP products is refused before any
+    is built.  The result is (a subalgebra of) the elimination algebra,
+    diff-closed over the remaining variables.
+
+    Each weight keeps an echelon basis of the bad parts met so far, keyed by
+    leading bad monomial.  A product whose bad part reduces to zero against
+    it is a combination of the earlier independent products, a unique one,
+    so its reduced good part is, up to a scalar that the closure normalizes
+    away, the one a nullspace of the matrix of bad parts would give.
     """
     eliminated = set(eliminated)
     closed = algebra.diff_closure()
@@ -219,9 +195,7 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     if not remaining:
         raise EngineError("cannot eliminate every ambient variable")
     drop_indices = [i for i, v in enumerate(algebra.variables) if v in eliminated]
-
-    def is_visible(poly: MultiPoly) -> bool:
-        return all(not any(e[i] for i in drop_indices) for e in poly.terms)
+    field = algebra.field
 
     def bad_split(poly: MultiPoly):
         good, bad = {}, {}
@@ -229,46 +203,36 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
             (bad if any(exps[i] for i in drop_indices) else good)[exps] = coeff
         return good, bad
 
-    max_weight = max((w for _, w in closed.generators), default=0)
-    pool = _weighted_products(closed.generators, max_weight)
-    found = []
-    for poly, weight in closed.generators:
-        if is_visible(poly):
-            found.append((poly.restrict(remaining), weight))
-    field = algebra.field
-    for weight, entries in pool.items():
-        # Deduplicate normalized pool members; keep only columns with a bad part.
-        columns = []
-        seen = set()
-        for poly in entries:
-            if poly.is_zero():
-                continue
-            normal = poly.normalized()
-            if normal in seen:
-                continue
-            seen.add(normal)
-            good, bad = bad_split(normal)
-            if bad:
-                columns.append((good, bad))
-        if len(columns) < 2:
+    weights = [w for _, w in closed.generators]
+    max_weight = max(weights, default=0)
+    if _pool_size(weights, max_weight) > POOL_CAP:
+        raise ParseError(f"{len(weights)} generators make more than {POOL_CAP} elimination products")
+    found = [(poly.restrict(remaining), w) for poly, w in closed.generators if not bad_split(poly)[1]]
+    pivots = {}  # (weight, leading bad monomial) -> (good, bad) term maps, that coefficient 1
+    for product, weight in _weighted_products(closed.generators, max_weight):
+        good, bad = bad_split(product)
+        if not bad:
             continue
-        bad_monomials = sorted({e for _, bad in columns for e in bad})
-        matrix = [
-            [bad.get(monomial, field.zero) for _, bad in columns]
-            for monomial in bad_monomials
-        ]
-        for vector in _nullspace(matrix, field):
-            combined = MultiPoly.zero(algebra.variables, field)
-            for coefficient, (good, _) in zip(vector, columns):
-                if field.is_zero(coefficient):
-                    continue
-                combined = combined + MultiPoly(algebra.variables, good, field).scale(
-                    coefficient
-                )
-            if not combined.is_zero():
-                found.append((combined.restrict(remaining), weight))
-    result = ReesAlgebra.of(remaining, found, field)
-    return result.diff_closure()
+        while bad:
+            lead = max(bad)
+            pivot = pivots.get((weight, lead))
+            if pivot is None:
+                inverse = field.inv(bad[lead])
+                scaled = ({e: field.mul(c, inverse) for e, c in part.items()} for part in (good, bad))
+                pivots[weight, lead] = tuple(scaled)
+                break
+            factor = bad[lead]
+            for part, pivot_part in zip((good, bad), pivot):
+                for e, c in pivot_part.items():
+                    value = field.sub(part.get(e, field.zero), field.mul(factor, c))
+                    if field.is_zero(value):
+                        del part[e]
+                    else:
+                        part[e] = value
+        else:
+            if good:
+                found.append((MultiPoly._of(algebra.variables, good, field).restrict(remaining), weight))
+    return ReesAlgebra.of(remaining, found, field).diff_closure()
 
 
 def ord_d(presentation: MonicPresentation) -> EliminationResult:

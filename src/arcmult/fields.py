@@ -75,10 +75,6 @@ class FieldSpec:
         if p != 0 and not _is_prime(p):
             raise EngineError(f"characteristic must be 0 or prime, got {p}")
 
-    @property
-    def kind(self) -> str:
-        return "Rationals" if self.characteristic == 0 else "PrimeField"
-
     # -- element construction -------------------------------------------------
 
     def coerce(self, value):

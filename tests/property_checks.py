@@ -9,6 +9,7 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `horner_compose` composes two series by Horner's rule,
 `reference_generator_orders` builds every generator's exact image along an arc,
 `reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
+`reference_visible_elimination` eliminates through a dense nullspace,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
@@ -226,6 +227,121 @@ def reference_unit_choice(elimination):
     initial = MultiPoly(poly.variables, {e: c for e, c in poly.terms.items() if sum(e) == low}, field)
     candidates = itertools.product(field.units(6), repeat=len(poly.variables))
     return weight, next((u for u in candidates if not field.is_zero(initial.evaluate(u))), None)
+
+
+def _nullspace(matrix, field):
+    """Basis of the right nullspace of a small exact matrix (rows of field elements)."""
+    if not matrix:
+        return []
+    rows = [list(row) for row in matrix]
+    n_cols = len(rows[0])
+    pivots = {}
+    row_index = 0
+    for col in range(n_cols):
+        pivot_row = None
+        for r in range(row_index, len(rows)):
+            if not field.is_zero(rows[r][col]):
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[row_index], rows[pivot_row] = rows[pivot_row], rows[row_index]
+        inv = field.inv(rows[row_index][col])
+        rows[row_index] = [field.mul(v, inv) for v in rows[row_index]]
+        for r in range(len(rows)):
+            if r != row_index and not field.is_zero(rows[r][col]):
+                factor = rows[r][col]
+                rows[r] = [
+                    field.sub(v, field.mul(factor, w))
+                    for v, w in zip(rows[r], rows[row_index])
+                ]
+        pivots[col] = row_index
+        row_index += 1
+    basis = []
+    free_columns = [c for c in range(n_cols) if c not in pivots]
+    for free in free_columns:
+        vector = [field.zero] * n_cols
+        vector[free] = field.one
+        for col, r in pivots.items():
+            vector[col] = field.neg(rows[r][free])
+        basis.append(vector)
+    return basis
+
+
+def _reference_weighted_products(generators, max_weight):
+    """All products of generators with total weight <= max_weight, by weight, each built from scratch."""
+    pool = {w: [] for w in range(1, max_weight + 1)}
+    state = [((), 0)]
+    for idx, (_, weight) in enumerate(generators):
+        new_state = list(state)
+        for chosen, total in state:
+            count = 1
+            while total + count * weight <= max_weight:
+                new_state.append((chosen + ((idx, count),), total + count * weight))
+                count += 1
+        state = new_state
+    for chosen, total in state:
+        if not chosen:
+            continue
+        product = None
+        for idx, count in chosen:
+            factor = generators[idx][0] ** count
+            product = factor if product is None else product * factor
+        pool[total].append(product)
+    return pool
+
+
+def reference_visible_elimination(algebra, eliminated):
+    """`elimination.visible_elimination` through one dense matrix per weight.
+
+    The pool's products are built from scratch, each weight's distinct
+    normalized products with a bad part (a monomial in an eliminated
+    variable) are the columns of a dense matrix over the bad monomials, and
+    every vector of its nullspace, from a row reduction, combines the good
+    parts into one visible polynomial.  The engine reduces each product
+    against the earlier ones instead and has no pool cap."""
+    eliminated = set(eliminated)
+    closed = algebra.diff_closure()
+    remaining = tuple(v for v in algebra.variables if v not in eliminated)
+    drop_indices = [i for i, v in enumerate(algebra.variables) if v in eliminated]
+
+    def bad_split(poly):
+        good, bad = {}, {}
+        for exps, coeff in poly.terms.items():
+            (bad if any(exps[i] for i in drop_indices) else good)[exps] = coeff
+        return good, bad
+
+    max_weight = max((w for _, w in closed.generators), default=0)
+    pool = _reference_weighted_products(closed.generators, max_weight)
+    found = [
+        (poly.restrict(remaining), weight) for poly, weight in closed.generators if not bad_split(poly)[1]
+    ]
+    field = algebra.field
+    for weight, entries in pool.items():
+        columns = []
+        seen = set()
+        for poly in entries:
+            if poly.is_zero():
+                continue
+            normal = poly.normalized()
+            if normal in seen:
+                continue
+            seen.add(normal)
+            good, bad = bad_split(normal)
+            if bad:
+                columns.append((good, bad))
+        if len(columns) < 2:
+            continue
+        bad_monomials = sorted({e for _, bad in columns for e in bad})
+        matrix = [[bad.get(monomial, field.zero) for _, bad in columns] for monomial in bad_monomials]
+        for vector in _nullspace(matrix, field):
+            combined = MultiPoly.zero(algebra.variables, field)
+            for coefficient, (good, _) in zip(vector, columns):
+                if not field.is_zero(coefficient):
+                    combined = combined + MultiPoly(algebra.variables, good, field).scale(coefficient)
+            if not combined.is_zero():
+                found.append((combined.restrict(remaining), weight))
+    return ReesAlgebra.of(remaining, found, field).diff_closure()
 
 
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

@@ -1,9 +1,11 @@
 """Every function, method and class defined in src/arcmult is used in src/arcmult.
 
-A definition counts as used when its name appears anywhere in the package as
-a Name, an Attribute or an import alias.  The check is by name only, so it
-misses an orphan that shares its name with a used definition, but it catches
-code that only tests reach."""
+A function or class counts as used when its name appears anywhere in the
+package as a Name, an Attribute or an import alias.  A method counts as used
+only where its name appears as an Attribute or an import alias: a bare Name
+of the same spelling is a local variable or another function, never the
+method.  The check is by name only, so it misses an orphan that shares its
+name with a used definition, but it catches code that only tests reach."""
 
 import ast
 from pathlib import Path
@@ -19,32 +21,41 @@ UNCALLED = {
 }
 
 
-def _definitions_and_uses():
-    defined, used = {}, set()
+def _unused_definitions():
+    """{name: file} of the definitions that no use in the package reaches."""
+    defined, functions, names, attributes = {}, set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, path.name)
+                if id(node) not in methods:
+                    functions.add(node.name)
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.update((node.name, node.asname))
-    return defined, used
+                attributes.update((node.name, node.asname))
+    used = attributes | (names & functions)
+    return {name: path for name, path in defined.items() if name not in used}
 
 
 def test_every_definition_is_used_in_the_package():
-    defined, used = _definitions_and_uses()
     orphans = {
         name: path
-        for name, path in defined.items()
-        if name not in used and name not in UNCALLED
-        and not (name.startswith("__") and name.endswith("__"))
+        for name, path in _unused_definitions().items()
+        if name not in UNCALLED and not (name.startswith("__") and name.endswith("__"))
     }
     assert orphans == {}
 
 
 def test_every_exception_is_still_defined_and_uncalled():
-    defined, used = _definitions_and_uses()
-    assert {name for name in UNCALLED if name in defined and name not in used} == set(UNCALLED)
+    assert {name for name in UNCALLED if name in _unused_definitions()} == set(UNCALLED)

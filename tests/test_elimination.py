@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import from_weighted, observers_agree, odot, verify_presentation
+from property_checks import (
+    from_weighted,
+    observers_agree,
+    odot,
+    reference_visible_elimination,
+    verify_presentation,
+)
 
 from arcmult import series
 from arcmult.contact import normalized_contact
@@ -142,6 +148,30 @@ class TestVisibleElimination:
             origin = tuple(field.zero for _ in base)
             assert coefficient_route.ord_at(origin) == visible_route.ord_at(origin), (text, field)
 
+
+    def test_same_generators_as_the_dense_nullspace(self):
+        # Reducing each product against the earlier ones of its weight finds the
+        # generators that the dense nullspace of all of them gives: surfaces
+        # z^a - x^b - y^c with and without a mixed term, and curves
+        # y^a - x^b + x^a y, over all four fields and whether or not p divides a.
+        rng = random.Random("visible-reduction")
+        cases = []
+        for i in range(96):
+            field = (Q, F2, F3, F5)[i % 4]
+            if rng.random() < 0.5:
+                a = rng.randint(2, 4)
+                b, c = rng.randint(a, a + 3), rng.randint(a, a + 4)
+                mixed = rng.choice(["", " + x*y*z", " + x^2*z", f" + x*z^{a - 1}"])
+                cases.append((f"z^{a} - x^{b} - y^{c}{mixed}", field, ("x", "y", "z"), "z"))
+            else:
+                a = rng.randint(2, 5)
+                b = rng.randint(a + 1, a + 5)
+                cases.append((f"y^{a} - x^{b} + x^{a}*y", field, XY, "y"))
+        for text, field, variables, fiber in cases:
+            algebra = presenting_algebra(parse_poly(text, variables, field))
+            engine = visible_elimination(algebra, {fiber}).generator_texts()
+            reference = reference_visible_elimination(algebra, {fiber}).generator_texts()
+            assert engine == reference, (text, field)
 
 class TestOrdD:
     def test_cusp_char0(self):

@@ -6,11 +6,6 @@ from arcmult.errors import EngineError, FieldMismatch
 from arcmult.fields import RATIONALS, FieldSpec, prime_field
 
 
-def test_kinds():
-    assert RATIONALS.kind == "Rationals"
-    assert prime_field(7).kind == "PrimeField"
-
-
 def test_characteristic_must_be_prime():
     with pytest.raises(EngineError):
         FieldSpec(4)

@@ -33,6 +33,7 @@ HOSTILE = (
     "*".join(["x^999"] * 100),
     HUGE_LITERAL,
     "(1 + x)^999",
+    "y^250 - x^251",
 )
 #: Keys close to valid ones: a misspelt kind or key, or the wrong number of words.
 NEAR_MISS_KEYS = ("expect rbar phi", "expect nash", "expect ord_d x", "arcs phi", "budgets")

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import signal
+import time
 from importlib import resources
 
 import pytest
@@ -321,6 +322,16 @@ class TestCli:
         path = self.write(tmp_path, text)
         assert main(["ord-d", path]) == 2
         assert "fiber degree >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ord-d", "verify"])
+    def test_oversized_elimination_pool_exit_code(self, tmp_path, capsys, command):
+        # Over F_2 the visible route would build 38,593,250,294,337 products;
+        # counting them from the generator weights refuses the input first.
+        text = "name: big\nfield: 2\nvariables: x y\npoly: y^250 - x^251\nfiber: y\n"
+        start = time.perf_counter()
+        assert main([command, self.write(tmp_path, text)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"more than {elimination.POOL_CAP} elimination products" in capsys.readouterr().err
 
     def test_non_monic_fiber_exit_code(self, tmp_path, capsys):
         # x -> 2*t^2, y -> 2*t^3 lies on 2*y^2 - x^3, so only the fiber is at fault.
