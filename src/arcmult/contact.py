@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ParseError, PrecisionExhausted, VariableMismatch
 from .fields import INF, ensure_same_field, format_order
-from .poly import MultiPoly, Powers
+from .poly import MultiPoly
 from .rees import ReesAlgebra
 from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface
 
@@ -71,21 +71,16 @@ def lead_sums(terms, pattern, leads, p) -> dict:
     return {degree: num % p if p else num for degree, (num, _) in sums.items()}
 
 
-def _generator_orders(algebra: ReesAlgebra, arc: Arc, every: bool = True):
+def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """(r, orders): r = min ord_t(phi(g))/w over the generators g W^w, and the
     sorted (index, order) pairs, ">=N" for an order beyond the arc's precision.
 
     On an exact arc a generator whose initial form (`lead_sums`) does not
-    vanish has order L(g) and costs no series product; one whose initial
-    form vanishes has order at least L(g) + 1 and is deferred.  r is kept as
-    the integer pair num/den (1/0 for INF), compared by cross-multiplication.
-    With every=False only r is computed: the deferred generators are visited
-    by (L(g)+1)/w, stopping once that reaches r, each on the arc cut at
-    t^ceil(r*w).  An order the cut leaves unknown is at least that power, so
-    it cannot lower r and is not reported; while r is INF the image is exact.
-    Otherwise every deferred image is built, and on an arc with a truncated
-    component every image: PrecisionExhausted when an unknown order's lower
-    bound does not exceed r.
+    vanish has order L(g) and costs no series product.  Every other
+    generator, and on an arc with a truncated component every generator, is
+    evaluated on one power cache of the arc, built at the first need.
+    PrecisionExhausted when an unknown order's lower bound, over its weight,
+    does not exceed r.
     """
     exact = all(component.exact for component in arc.components)
     if exact:
@@ -94,42 +89,25 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc, every: bool = True):
             raise VariableMismatch(f"algebra variables {algebra.variables} vs arc variables {arc.variables}")
         pattern = tuple(None if c.is_exactly_zero() else c.known_order() for c in arc.components)
         leads = tuple(None if o is None else c.coeffs[o] for c, o in zip(arc.components, pattern))
-    every = every or not exact
-    num, den = 1, 0
     orders = {}
-    deferred = []
+    pending = []
+    powers = None
     for i, (poly, weight) in enumerate(algebra.generators):
         if exact:
             sums = lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic)
             low = min(sums, default=INF)
             if low == INF or sums[low]:
                 orders[i] = low
-                if low != INF and low * den < num * weight:
-                    num, den = low, weight
                 continue
-            deferred.append((Fraction(low + 1, weight), i, poly, weight))
-        else:
-            deferred.append((0, i, poly, weight))
-    cuts = {}
-    pending = []
-    for bound, i, poly, weight in sorted(deferred):  # i breaks ties: no poly is compared
-        if not every and bound.numerator * den >= num * bound.denominator:
-            break
-        if not cuts:
-            cuts[INF] = arc.powers()
-        n = -(-num * weight // den) if den and not every else INF  # ceil(r * w)
-        if n not in cuts:
-            cuts[n] = Powers(tuple(c.cut(n) for c in cuts[INF].images), cuts[INF].one)
-        image = arc_image(poly, arc, cuts[n])
+        if powers is None:
+            powers = arc.powers()
+        image = arc_image(poly, arc, powers)
         order = image.known_order()
         if order is None:
-            if every:
-                pending.append((i, weight, image.bound))
-            continue
-        orders[i] = order
-        if order != INF and order * den < num * weight:
-            num, den = order, weight
-    best = Fraction(num, den) if den else INF
+            pending.append((i, weight, image.bound))
+        else:
+            orders[i] = order
+    best = min((Fraction(o, algebra.generators[i][1]) for i, o in orders.items() if o != INF), default=INF)
     for i, weight, lower_bound in pending:
         if Fraction(lower_bound, weight) <= best:
             raise PrecisionExhausted(f"order of generator {i} indeterminate at this precision")
@@ -138,8 +116,8 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc, every: bool = True):
 
 
 def contact_order(algebra: ReesAlgebra, arc: Arc):
-    """r = ord_t(phi(G)); INF when the arc sits inside the singular locus."""
-    return _generator_orders(algebra, arc, every=False)[0]
+    """r = ord_t(phi(G)), as `_generator_orders` walks it; INF when the arc lies in the singular locus."""
+    return _generator_orders(algebra, arc)[0]
 
 
 def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:

@@ -354,16 +354,24 @@ def verify_main_theorem(
     survive projection to the base.  A missing witness is reported as
     INCONCLUSIVE, never as a refutation.  The caller builds `elimination`, the
     `ord_d` of the presentation, and `algebra`, its presenting algebra G.
-    Each candidate is certified unless `candidates_certified` says the caller has.
+    Each candidate is certified unless `candidates_certified` says the caller
+    has: the contact orders rely on every candidate lying on f.
 
-    Candidates and grid arcs are evaluated one by one.  An arc composed through
-    the parametrization, phi o s, is counted and named like any other but
-    neither built nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) =
+    Every arc checked lies on f (a certified candidate, a grid arc, or an arc
+    through the certified parametrization), so f W^m, which `diff_closure`
+    keeps as (f.normalized(), m), maps to 0 and never attains r: arcs are
+    evaluated on G without it, on the derivatives of f.
+
+    Candidates and grid arcs are evaluated one by one.  An arc composed
+    through the parametrization, phi o s, is counted and named like any other
+    but neither built nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) =
     r(phi) * ord(s) and nu(phi o s) = nu(phi) * ord(s), and its r_bar is
     r_bar(phi), which one contact order on phi gives.  It is built only when
     it is the witness.
     """
     poly = presentation.poly
+    top = (poly.normalized(), poly.order_at_origin())
+    derivatives = ReesAlgebra(algebra.variables, tuple(g for g in algebra.generators if g != top), algebra.field)
 
     for name, arc in () if candidates_certified else candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
@@ -374,7 +382,7 @@ def verify_main_theorem(
     ]
 
     def r_bar_of(arc):
-        r = contact_order(algebra, arc)
+        r = contact_order(derivatives, arc)
         return INF if r == INF else r / arc.order()
 
     composed_r_bar = r_bar_of(parametrization) if any(inner is not None for _, inner in sampled) else None

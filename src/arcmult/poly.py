@@ -289,15 +289,10 @@ class MultiPoly:
             for e, a in zip(exps, alpha):
                 scale *= math.comb(e, a)
             value = field.mul(coeff, field.coerce(scale))
-            if field.is_zero(value):
-                continue
-            e_new = tuple(e - a for e, a in zip(exps, alpha))
-            s = field.add(terms.get(e_new, field.zero), value)
-            if field.is_zero(s):
-                terms.pop(e_new, None)
-            else:
-                terms[e_new] = s
-        return self._new(terms)
+            if not field.is_zero(value):  # binomials vanish mod p
+                # e -> e - alpha is injective: no two terms merge.
+                terms[tuple(e - a for e, a in zip(exps, alpha))] = value
+        return MultiPoly._of(self.variables, terms, field)
 
     # -- variable bookkeeping -----------------------------------------------------------
 

@@ -242,12 +242,6 @@ class ClearedSeries:
         ints, scale = series.field.cleared(series.coeffs)
         return cls(list(ints), scale, series.precision, series.field.characteristic)
 
-    def cut(self, n: int) -> "ClearedSeries":
-        """The series known below t^n only; an exact zero stays exact."""
-        if self.bound == INF:
-            return self
-        return ClearedSeries(self.ints[:n], self.scale, min(self.precision, n), self.p, min(self.bound, n))
-
     def __mul__(self, other: "ClearedSeries") -> "ClearedSeries":
         precision = min(self.precision + other.bound, other.precision + self.bound)
         ints = _convolve(self.ints, other.ints, max(0, min(precision, len(self.ints) + len(other.ints) - 1)))
@@ -443,7 +437,7 @@ class Arc:
 def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> ClearedSeries:
     """phi(f) on integers: `arc_substitute` before the image is brought back into the field.
 
-    `powers` (`Arc.powers`, or a cut of its images) may be shared between calls."""
+    `powers` (`Arc.powers`) may be shared between calls."""
     ensure_same_field(poly.field, arc.field)
     if poly.variables != arc.variables:
         raise VariableMismatch(

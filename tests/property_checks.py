@@ -532,12 +532,16 @@ def check_hasse_leibniz(rng):
     g = random_poly(rng, field)
     alpha = random_multi_index(rng)
     left = (f * g).hasse_derivative(alpha)
+    assert_well_formed(left)
     right = MultiPoly.zero(XY, field)
     for b0 in range(alpha[0] + 1):
         for b1 in range(alpha[1] + 1):
             beta = (b0, b1)
             gamma = (alpha[0] - b0, alpha[1] - b1)
-            right = right + f.hasse_derivative(beta) * g.hasse_derivative(gamma)
+            df, dg = f.hasse_derivative(beta), g.hasse_derivative(gamma)
+            assert_well_formed(df)
+            assert_well_formed(dg)
+            right = right + df * dg
     assert left == right, f"Leibniz fails for {f}, {g}, alpha={alpha}"
 
 
@@ -574,6 +578,17 @@ def random_curve_and_arc(rng):
     f = MultiPoly(XY, {(p, 0): field.coerce(-1), (0, q): field.one}, field)
     arc = Arc(XY, (inner**q, inner**p), field)
     return f, arc
+
+
+def check_contact_without_f(rng):
+    """Along an arc on f, contact_order of G = Diff(f W^m) equals that of G without f W^m:
+    f maps to 0, so only its derivatives can attain r."""
+    f, arc = random_curve_and_arc(rng)
+    g = presenting_algebra(f)
+    top = (f.normalized(), f.order_at_origin())
+    derivatives = ReesAlgebra.of(g.variables, [gen for gen in g.generators if gen != top], g.field)
+    assert len(derivatives.generators) == len(g.generators) - 1, f
+    assert contact_order(g, arc) == contact_order(derivatives, arc), f"{f} along {arc}"
 
 
 def check_nash_monotonicity(rng):

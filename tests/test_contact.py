@@ -306,7 +306,7 @@ class TestSampleArcs:
             sample_arcs(parse_poly("y^2 - x^3", XYZ, Q), 100, 0, phi)
 
 
-#: Surfaces of the order-only property test, each with a parametrization,
+#: Surfaces of the contact-walk tests, each with a parametrization,
 #: over Q, F_2 and F_3.
 ORDER_SURFACES = {
     f"{text}_f{field.characteristic}": (parse_poly(text, XYZ, field), phi)
@@ -366,8 +366,8 @@ INITIAL_FORM_CANCELLATIONS = {
     ),
     # The leads of y + x cancel over F_3 only (over F_2 the lead of y is t^3).
     "cancel-mod-3": ([("y + x", 1)], ("t", "2*t + t^3"), (1, 1, 3, 1)),
-    # ... and then x^2 gives best = 2 before y + x, bounded below by 2, is evaluated.
-    "deferred-skipped": ([("y + x", 1), ("x^2", 1)], ("t", "2*t + t^3"), (1, 1, 2, 1)),
+    # ... and then x^2 gives r = 2, below the order 3 of y + x over F_3.
+    "cancels-above-r": ([("y + x", 1), ("x^2", 1)], ("t", "2*t + t^3"), (1, 1, 2, 1)),
     # 16 - 1 = 15 vanishes over F_3 and F_5, and over F_2 the lead of y is t^2.
     "cancel-mod-15": (
         [("y^2 - x^2", 2)], ("t", "4*t + t^2"), (1, 1, Fraction(3, 2), Fraction(3, 2))
@@ -375,9 +375,10 @@ INITIAL_FORM_CANCELLATIONS = {
 }
 
 
-class TestOrderOnlyContact:
-    """contact_order computes r alone and _generator_orders every order, both from
-    initial forms where they do not vanish; the reference builds every image in full."""
+class TestContactWalk:
+    """_generator_orders reads each order from its initial form where that does not
+    vanish and from one exact image otherwise, and contact_order returns its r; the
+    reference builds every image in full."""
 
     @pytest.mark.parametrize("name", [*corpus_names(), *ORDER_SURFACES])
     def test_same_orders_as_full_evaluation(self, name):
@@ -401,15 +402,14 @@ class TestOrderOnlyContact:
             ([("y - x", 1), ("x^3", 1)], ("t", "t + t^2"), 2),
             # y - x vanishes along (t, t): the exact image is zero, x^3 W^2 gives 3/2.
             ([("y - x", 1), ("x^3", 2)], ("t", "t"), Fraction(3, 2)),
-            # After x^4 gives best = 4, y - x (L = 1) is cut at t^4: its image
-            # t^3 gives 3, and y^2 - x^2 (L = 2) is then cut at t^3, which
-            # leaves its image 2t^4 + t^6 unknown: it cannot lower best.
+            # x^4 gives 4 from its initial form; the images of y - x (L = 1) and
+            # y^2 - x^2 (L = 2) are t^3 and 2t^4 + t^6: r = 3, and 4 is kept too.
             ([("y - x", 1), ("y^2 - x^2", 1), ("x^4", 1)], ("t", "t + t^3"), 3),
-            # y - x is deferred and evaluated exactly (best is INF): 3; then
-            # y^3 - x^3 W^2 (L = 3) is cut at t^6: its image 3t^5 + ... gives 5/2.
+            # y - x gives 3, and y^3 - x^3 W^2 (L = 3), whose image is
+            # 3t^5 + ..., gives 5/2.
             ([("y - x", 1), ("y^3 - x^3", 2)], ("t", "t + t^3"), Fraction(5, 2)),
         ],
-        ids=["not-attained", "exact-zero", "cut-leaves-unknown", "cut-lowers-best"],
+        ids=["not-attained", "exact-zero", "cancels-above-r", "cancels-sets-r"],
     )
     def test_lowest_terms_cancel(self, weighted, components, r):
         assert _assert_orders_match_reference(algebra(weighted), arc(Q, *components)) == r
@@ -469,13 +469,15 @@ class TestOrderOnlyContact:
             contact_order(g, along)
             _generator_orders(g, along)
         assert images == []
-        # On the cusp's arc the initial form of y^2 - x^3 W^2 vanishes.  contact_order
-        # skips it, as its bound 7/2 is not below r = 3 from 2y W; _generator_orders
-        # builds its image alone.
+        # On the cusp's arc the initial form of y^2 - x^3 W^2 vanishes: contact_order,
+        # as _generator_orders, builds its image alone.
         cusp = arc(Q, "t^2", "t^3")
-        assert contact_order(g, cusp) == 3 and images == []
+        f = parse_poly("y^2 - x^3", XY, Q)
+        assert contact_order(g, cusp) == 3
+        assert [poly for poly, *_ in images] == [f]
+        images.clear()
         _generator_orders(g, cusp)
-        assert [poly for poly, *_ in images] == [parse_poly("y^2 - x^3", XY, Q)]
+        assert [poly for poly, *_ in images] == [f]
 
     def test_arc_over_other_variables_rejected(self):
         # No image is built here, so the variables are checked up front.
@@ -585,6 +587,20 @@ class TestComposedPool:
                 return type(error), str(error)
 
         assert outcome(verify_main_theorem) == outcome(reference_verify)
+
+    @pytest.mark.parametrize("name", PARAMETRIZED)
+    def test_verify_builds_no_image_of_f(self, monkeypatch, name):
+        # Every arc that verify checks lies on f, so it evaluates only f's derivatives.
+        presentation, candidates, budget, seed, phi = _verify_inputs(name)
+        elimination, g = ord_d(presentation), presenting_algebra(presentation.poly)
+        images = []
+        arc_image = contact.arc_image
+        monkeypatch.setattr(contact, "arc_image", lambda poly, *rest: images.append(poly) or arc_image(poly, *rest))
+        try:
+            verify_main_theorem(presentation, elimination, g, candidates, budget, seed, phi)
+        except NoRationalUnit:  # z^2 - x^2*y - y^3 over F_2, once every arc is evaluated
+            pass
+        assert presentation.poly.normalized() not in images
 
     def test_contact_evaluations_do_not_grow_with_the_budget(self, monkeypatch):
         presentation, candidates, _, seed, phi = _verify_inputs("cusp_char0")

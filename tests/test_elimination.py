@@ -329,15 +329,14 @@ class TestVerifyMainTheorem:
             assert phi.order() == projected.order()
 
     @pytest.mark.parametrize(
-        "name, most", [("cusp_char0", 216), ("e35_char0", 428), ("e35_char3", 968)]
+        "name, most", [("cusp_char0", 40), ("e35_char0", 76), ("e35_char3", 88)]
     )
-    def test_contact_evaluation_stays_cut(self, monkeypatch, name, most):
-        # Series products in one verify run, sampler included.  Evaluating
-        # every generator's exact image took 1,732 and 2,866 on the first two;
-        # composing by Horner's rule, 939 and 1,293.  Cutting every visited
-        # generator's image, without initial forms, took 220, 435 and 1,729:
-        # on e35_char3 the characteristic divides the fiber degree, and f, zero
-        # on every sampled arc, had the least L(f)/w and was evaluated exactly.
+    def test_verify_builds_few_series_products(self, monkeypatch, name, most):
+        # Series products in one verify run, sampler and certification included;
+        # the bounds are the measured counts.  Orders read from initial forms
+        # cost none, and verify evaluates only the derivatives of f: on
+        # e35_char3 the characteristic divides the fiber degree, so f's initial
+        # form vanishes on every sampled arc, and its zero image cost 30 more.
         convolve = series._convolve
         calls = []
 

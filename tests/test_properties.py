@@ -5,6 +5,7 @@ Runnable in isolation, e.g.:
 """
 
 from property_checks import (
+    check_contact_without_f,
     check_diff_closure_idempotence,
     check_hasse_leibniz,
     check_nash_monotonicity,
@@ -34,3 +35,7 @@ def test_nash_sequence_monotonicity():
 
 def test_diff_closure_idempotence():
     run_many(check_diff_closure_idempotence, CASES, seed=105)
+
+
+def test_contact_without_f():
+    run_many(check_contact_without_f, CASES, seed=106)

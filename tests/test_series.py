@@ -17,7 +17,6 @@ from arcmult.poly import Powers, parse_poly
 from arcmult.rees import presenting_algebra
 from arcmult.series import (
     Arc,
-    ClearedSeries,
     TruncatedSeries,
     arc_substitute,
     parse_series,
@@ -420,18 +419,6 @@ def test_arc_substitute_matches_the_generic_ring_map(field):
         assert described(image) == described(expected), f"{f} along {phi}"
         outcomes.add((image.exact, image.known_order() is None))
     assert outcomes == {(True, False), (False, False), (False, True)}
-
-
-@FIELDS
-def test_cut_is_the_truncated_series(field):
-    # contact_order cuts cleared components; a cut stands for the series truncated there.
-    rng = random.Random(f"cut-{field.characteristic}")
-    for _ in range(200):
-        s = varied_series(rng, field)
-        n = rng.randint(1, 9)
-        cut = ClearedSeries.of(s).cut(n)
-        expected = s if s.is_exactly_zero() else TruncatedSeries.truncated(field, s.coeffs[:n], min(n, s.precision))
-        assert (cut.series(field), cut.bound) == (expected, expected.order_lower_bound()), f"{s} cut at {n}"
 
 
 @FIELDS
