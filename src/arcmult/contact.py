@@ -183,9 +183,14 @@ def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
 
     The exponent pattern decides most assignments alone: each surviving term
     maps to a nonzero multiple of one power of t, so a power that only one
-    term reaches cannot cancel, whatever the units.  Units are tried only on
-    the other patterns, and the admitted assignments are sorted by their
-    index in itertools.product(choices), the order of the full grid.
+    term reaches cannot cancel, whatever the units.  The last exponent is
+    solved, not scanned: for each prefix of the other exponents, a term it
+    keeps has partial degree d and last exponent e, and a last exponent a
+    gives the first kept term's degree to another term only when their
+    (d, e) are equal (every a, then) or when a = (d' - d) / (e - e').  Only
+    None and those a are checked, and units are tried only on the patterns
+    whose every power is reached twice.  The admitted assignments are sorted
+    by their index in itertools.product(choices), the order of the full grid.
     """
     units = field.units(6)
     bound = exponent_bound
@@ -193,25 +198,34 @@ def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
         bound -= 1
     if (1 + len(units)) ** width > GRID_CAP:
         raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    exponents = [None, *range(1, bound + 1)]
     admitted = []
-    for pattern in itertools.product([None, *range(1, bound + 1)], repeat=width):
-        if all(a is None for a in pattern):
-            continue
-        degrees = Counter(_term_degree(exps, pattern) for exps, _ in terms)
-        degrees.pop(None, None)
-        if 1 in degrees.values():
-            continue
-        # (index in choices, choice) per variable, where
-        # choices = [None] + [(u, a) for a in 1..bound for u in units].
-        options = [
-            [(0, None)] if a is None
-            else [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)]
-            for a in pattern
-        ]
-        for indexed in itertools.product(*options):
-            index, assignment = zip(*indexed)
-            if _vanishes_on_monomial_arc(terms, field, assignment):
-                admitted.append((index, assignment))
+    for prefix in itertools.product(exponents, repeat=width - 1) if width else ():
+        # (d, e) of each term the prefix keeps; zip in _term_degree stops before the last exponent.
+        kept = [(d, exps[-1]) for exps, _ in terms if (d := _term_degree(exps, prefix)) is not None]
+        lasts = exponents
+        if kept and kept[0] not in kept[1:]:
+            d0, e0 = kept[0]
+            solved = {(d - d0) // (e0 - e) for d, e in kept[1:] if e != e0 and (d - d0) % (e0 - e) == 0}
+            lasts = [a for a in exponents if a is None or a in solved]
+        for last in lasts:
+            pattern = (*prefix, last)
+            if last is None and all(a is None for a in prefix):
+                continue
+            degrees = Counter(d + (last or 0) * e for d, e in kept if last or not e)
+            if 1 in degrees.values():
+                continue
+            # (index in choices, choice) per variable, where
+            # choices = [None] + [(u, a) for a in 1..bound for u in units].
+            options = [
+                [(0, None)] if a is None
+                else [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)]
+                for a in pattern
+            ]
+            for indexed in itertools.product(*options):
+                index, assignment = zip(*indexed)
+                if _vanishes_on_monomial_arc(terms, field, assignment):
+                    admitted.append((index, assignment))
     admitted.sort(key=lambda pair: pair[0])
     return [assignment for _, assignment in admitted]
 

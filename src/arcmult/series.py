@@ -182,26 +182,30 @@ class TruncatedSeries:
         """Substitute t -> inner(t); inner must have zero constant term.
 
         The image is the ring map sending t to inner, cut at the lesser of the two
-        precisions; `powers` of inner may be shared, as `Arc.compose` shares them."""
+        precisions; `powers` of inner may be shared, as `Arc.compose` shares them.
+        An exact monomial inner c t^k is an exponent map, a_j t^j -> a_j c^j t^(jk),
+        as `reparametrize` is; every other inner goes through the `_image` kernel."""
         ensure_same_field(self.field, inner.field)
         field = self.field
         if not field.is_zero(inner.coefficient(0)):
             raise EngineError("composition requires inner series with zero constant term")
+        cut = min(self.precision, inner.precision)
+        if inner.exact and sum(map(bool, inner.coeffs)) == 1:
+            c, scaled, power = inner.coeffs[-1], [], field.one
+            for a in self.coeffs:
+                scaled.append(field.mul(a, power))
+                power = field.mul(power, c)
+            return TruncatedSeries._of(field, _spread(field, scaled, len(inner.coeffs) - 1), cut)
         if powers is None:
             powers = _powers((inner,), field)
         terms = (((k,), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c))
-        cut = min(self.precision, inner.precision)
         return _image(field, terms, powers, cut).series(field)
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
         if n < 1:
             raise EngineError("reparametrization requires n >= 1")
-        field = self.field
-        coeffs = [field.zero] * (len(self.coeffs) * n)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * n] = c
-        return TruncatedSeries._of(field, coeffs, self.precision * n)
+        return TruncatedSeries._of(self.field, _spread(self.field, self.coeffs, n), self.precision * n)
 
     # -- display -----------------------------------------------------------------------
 
@@ -257,6 +261,13 @@ class ClearedSeries:
 
     def series(self, field: FieldSpec) -> TruncatedSeries:
         return TruncatedSeries._of(field, field.uncleared(self.ints, self.scale), self.precision)
+
+
+def _spread(field: FieldSpec, coeffs, n: int) -> list:
+    """The coefficients of sum c_i t^(i n): each exponent multiplied by n."""
+    spread = [field.zero] * (len(coeffs) * n)
+    spread[::n] = coeffs
+    return spread
 
 
 def _powers(series, field: FieldSpec) -> Powers:

@@ -5,6 +5,7 @@ routes that no run of the engine takes: `from_weighted` and `parse_rees`
 build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
+`reference_feasible_patterns` scans its exponent patterns for the ones that need unit tries,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
 `reference_generator_orders` builds every generator's exact image along an arc,
@@ -26,6 +27,7 @@ is exact arithmetic, so any failure is a real counterexample.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from arcmult.blowup import (
@@ -126,6 +128,18 @@ def integral_invariance_check(algebra, extra, relation, arcs):
     )
 
 
+def _grid_box(field, width, exponent_bound):
+    """(units, bound) of the sampler's grid: the exponent bound shrinks to keep the
+    grid within GRID_CAP, and a grid still above the cap at bound 1 is a ParseError."""
+    units = field.units(6)
+    bound = exponent_bound
+    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
+        bound -= 1
+    if (1 + len(units)) ** width > GRID_CAP:
+        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    return units, bound
+
+
 def reference_grid(field, width, exponent_bound):
     """Every assignment of the monomial arc grid, one (u, a) or None per variable.
 
@@ -134,16 +148,33 @@ def reference_grid(field, width, exponent_bound):
     filtering, in the order the sampler must keep: itertools.product of the
     choices, with the same exponent bound shrinking and GRID_CAP error.
     """
-    units = field.units(6)
-    bound = exponent_bound
-    while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
-        bound -= 1
-    if (1 + len(units)) ** width > GRID_CAP:
-        raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    units, bound = _grid_box(field, width, exponent_bound)
     choices = [None] + [(u, a) for a in range(1, bound + 1) for u in units]
     for assignment in itertools.product(choices, repeat=width):
         if any(c is not None for c in assignment):
             yield assignment
+
+
+def reference_feasible_patterns(terms, field, width, exponent_bound):
+    """The exponent patterns on which the sampler's grid must try units, by scanning the box.
+
+    A pattern gives each variable an exponent in 1..bound or None, the
+    all-None pattern skipped, with the bound of `reference_grid`.  It is
+    feasible when every t-degree that a term of `terms` reaches along it is
+    reached by two or more terms; a term using a None variable reaches none.
+    Every pattern of the box gets its own count, a route the sampler, which
+    solves the last exponent, does not take."""
+    _, bound = _grid_box(field, width, exponent_bound)
+    for pattern in itertools.product([None, *range(1, bound + 1)], repeat=width):
+        if all(a is None for a in pattern):
+            continue
+        degrees = Counter(
+            sum(a * e for a, e in zip(pattern, exps) if e)
+            for exps, _ in terms
+            if not any(e and a is None for a, e in zip(pattern, exps))
+        )
+        if 1 not in degrees.values():
+            yield pattern
 
 
 def ring_map_translate(poly, point):

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from property_checks import (
     horner_compose,
     integral_invariance_check,
     random_poly,
+    reference_feasible_patterns,
     reference_generator_orders,
     reference_grid,
     reference_sample_arcs,
@@ -188,6 +191,34 @@ GRID_CANCELLING_SHAPES = (
 )
 
 
+#: Shapes at the edges of the last-exponent solve: one term (every pattern that
+#: kills it is feasible), ties of terms with the same z exponent and the same
+#: degree in x, y (they tie whatever z's exponent), and a term, z^3, that only
+#: z -> 0 kills.
+GRID_EDGE_SHAPES = {
+    "one-term": "x*y^2*z",
+    "tie-square": "x^2*z - y^2*z",
+    "tie-linear": "x*z + y*z",
+    "last-only-kills": "x^2 - y^2 + z^3",
+}
+XYZUV = ("x", "y", "z", "u", "v")
+
+
+def _grid_with_tries(monkeypatch, terms, field, width):
+    """`_vanishing_grid`'s list, and {pattern: unit tuples tried} for each exponent pattern it tries."""
+    tried = Counter()
+    rule = contact._vanishes_on_monomial_arc
+
+    def counted(terms, field, assignment):
+        tried[tuple(None if choice is None else choice[1] for choice in assignment)] += 1
+        return rule(terms, field, assignment)
+
+    monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", counted)
+    grid = _vanishing_grid(terms, field, width, EXPONENT_BOUND)
+    monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", rule)
+    return grid, dict(tried)
+
+
 class TestSampleArcs:
     @pytest.mark.parametrize(
         "constraint",
@@ -205,20 +236,21 @@ class TestSampleArcs:
             admitted += by_rule
         assert admitted > 0
 
-    def test_pattern_first_grid_matches_the_full_grid(self):
-        # The shapes whose terms cancel along some monomial arcs, then random
-        # polynomials in 1-3 variables: the sampler's grid must admit exactly
-        # the full grid's vanishing assignments, in the full grid's order.
+    def test_pattern_first_grid_matches_the_full_grid(self, monkeypatch):
+        # The shapes whose terms cancel along some monomial arcs, the edge
+        # shapes of the last-exponent solve, then two random polynomials in
+        # each of 1-5 variables over each field: the sampler's grid must
+        # admit exactly the full grid's vanishing assignments, in the full
+        # grid's order, and try units on exactly the patterns that scanning
+        # the whole box finds feasible.
         constraints = [
             parse_poly(text, XYZ if "z" in text else XY, field)
-            for text in GRID_CANCELLING_SHAPES
-            for field in (Q, F2, F3)
+            for text in GRID_CANCELLING_SHAPES + tuple(GRID_EDGE_SHAPES.values())
+            for field in (Q, F2, F3, F5)
         ]
         rng = random.Random("pattern-first-grid")
-        for _ in range(60):
-            field = (Q, F2, F3)[rng.randrange(3)]
-            variables = XYZ[: rng.randint(1, 3)]
-            constraints.append(random_poly(rng, field, variables, nonzero=True))
+        for field, width, _ in itertools.product((Q, F2, F3, F5), range(1, 6), range(2)):
+            constraints.append(random_poly(rng, field, XYZUV[:width], nonzero=True))
         for constraint in constraints:
             field, width = constraint.field, len(constraint.variables)
             terms = list(constraint.terms.items())
@@ -227,28 +259,56 @@ class TestSampleArcs:
                 for assignment in reference_grid(field, width, EXPONENT_BOUND)
                 if _vanishes_on_monomial_arc(terms, field, assignment)
             ]
-            assert _vanishing_grid(terms, field, width, EXPONENT_BOUND) == expected, (
-                str(constraint),
-                field.characteristic,
-            )
+            grid, tried = _grid_with_tries(monkeypatch, terms, field, width)
+            assert grid == expected, (str(constraint), field.characteristic)
+            units = len(field.units(6))
+            feasible = {
+                pattern: units ** sum(a is not None for a in pattern)
+                for pattern in reference_feasible_patterns(terms, field, width, EXPONENT_BOUND)
+            }
+            assert tried == feasible, (str(constraint), field.characteristic)
+
+    @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+    @pytest.mark.parametrize("text", ["x*y^2", "z^3", "x^2*y*z^4"])
+    def test_one_term_vanishes_where_a_variable_of_it_is_zero(self, field, text):
+        # No power of t has two terms, so the grid is every assignment that
+        # sends a variable of the term to zero, whatever its other exponents.
+        constraint = parse_poly(text, XYZ, field)
+        (exps,) = constraint.terms
+        killing = [
+            assignment
+            for assignment in reference_grid(field, 3, EXPONENT_BOUND)
+            if any(e and choice is None for e, choice in zip(exps, assignment))
+        ]
+        assert _vanishing_grid(list(constraint.terms.items()), field, 3, EXPONENT_BOUND) == killing
+
+    def test_filter_runs_on_few_of_the_box_patterns(self, monkeypatch):
+        # Over F_3 the box is {None, 1..8}^3, 729 patterns, and scanning it
+        # counts degrees on the 728 that are not all None.  Solving z's
+        # exponent counts them on 107: for each of the 80 prefixes (x, y)
+        # other than (None, None), once with z -> 0, and 27 times with the z
+        # exponent that gives z^3, the first term, the degree of x^4
+        # (x = 3 or 6, 18 prefixes: z = 4 or 8) or of y^5 (y = 3, 9 prefixes:
+        # z = 5).
+        counts = []
+        count = contact.Counter
+        monkeypatch.setattr(contact, "Counter", lambda degrees: counts.append(1) or count(degrees))
+        constraint = parse_poly("z^3 - x^4 - y^5", XYZ, F3)
+        assert _vanishing_grid(list(constraint.terms.items()), F3, 3, EXPONENT_BOUND)
+        assert len(counts) == 107
 
     @pytest.mark.parametrize(
-        "text, field, most",
-        # The full grid applies the rule 15,624 and 4,912 times.
+        "text, field, calls",
+        # The full grid applies the rule 15,624 and 4,912 times; scanning every
+        # pattern of the box for feasible ones gives these counts too.
         [("z^2 - x^3 - y^4", Q, 144), ("z^3 - x^4 - y^5", F3, 16)],
         ids=["q", "f3"],
     )
-    def test_grid_tries_units_only_on_feasible_patterns(self, monkeypatch, text, field, most):
-        rule = contact._vanishes_on_monomial_arc
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return rule(*args)
-
-        monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", counted)
-        assert sample_arcs(parse_poly(text, XYZ, field), 0, 0)
-        assert len(calls) <= most
+    def test_grid_tries_units_only_on_feasible_patterns(self, monkeypatch, text, field, calls):
+        constraint = parse_poly(text, XYZ, field)
+        _, tried = _grid_with_tries(monkeypatch, list(constraint.terms.items()), field, 3)
+        assert sum(tried.values()) == calls
+        assert sample_arcs(constraint, 0, 0)
 
     def test_constraint_over_other_variables_rejected(self):
         constraint = parse_poly("y^2 - x^3", ("x", "y", "z"), Q)

@@ -438,6 +438,31 @@ def test_compose_matches_horner(field):
         assert composed == expected, f"{outer} o {inner}"
 
 
+#: The c of a monomial inner c t^k: small integers and 1/2 over Q, every unit over F_p.
+MONOMIAL_COEFFICIENTS = {0: (1, -1, 2, -3, Fraction(1, 2)), 2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
+
+
+@FIELDS
+def test_monomial_inner_is_an_exponent_map(field, monkeypatch):
+    # t -> c t^k puts a_j c^j at t^(jk) with no ring-map kernel; the result is
+    # Horner's, coefficient types included, cut at the lesser precision.
+    monkeypatch.setattr(series, "_image", lambda *args: pytest.fail("monomial inner went through _image"))
+    rng = random.Random(f"monomial-compose-{field.characteristic}")
+    kinds = set()
+    for c in MONOMIAL_COEFFICIENTS[field.characteristic]:
+        for k in range(1, 5):
+            inner = TruncatedSeries.t_power(field, k, c)
+            for _ in range(12):
+                outer = varied_series(rng, field, constant=True)
+                composed = outer.compose(inner)
+                expected = horner_compose(outer, inner)
+                assert described(composed) == described(expected), f"{outer} o {inner}"
+                assert list(map(type, composed.coeffs)) == list(map(type, expected.coeffs))
+                assert composed.precision == min(outer.precision, inner.precision)
+                kinds.add(outer.exact)
+    assert kinds == {True, False}
+
+
 @FIELDS
 def test_arc_compose_matches_horner_per_component(field):
     rng = random.Random(f"arc-compose-horner-{field.characteristic}")
