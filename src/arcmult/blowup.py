@@ -261,7 +261,7 @@ def nash_sequence(
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
-    certify_on_hypersurface(poly, arc, f"arc {arc}")
+    certify_on_hypersurface(poly, arc, None)
     m0 = poly.order_at_origin()
     if m0 < 2:
         return NashReport((m0,), 0, (), False, below_threshold=True)

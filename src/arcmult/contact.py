@@ -16,11 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PrecisionExhausted, VariableMismatch
-from .fields import INF, ensure_same_field, format_order
+from .errors import ParseError, PrecisionExhausted
+from .fields import INF, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface
+from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring
+from .series import exact_leads, lead_sums
 
 
 @dataclass(frozen=True)
@@ -45,58 +46,31 @@ class ContactResult:
         }
 
 
-def lead_sums(terms, pattern, leads, p) -> dict:
-    """{d: numerator of the sum of c * prod lead_i^(e_i) over the terms c x^e of t-degree d}.
-
-    Along an arc with component t-orders `pattern` (None for a zero
-    component) and lowest coefficients `leads`, a term c x^e maps to t-order
-    at least d = <e, pattern>, with that product as its coefficient there, or
-    to 0 when it uses a zero component.  The sums are taken on cleared
-    integers, mod p when p > 0.  At L = min d the sum is the initial form at
-    the leads: ord_t(f(arc)) = L when it is nonzero, else at least L + 1.
-    Along a monomial arc x_i -> lead_i t^(pattern_i) they are the whole image.
-    """
-    sums = {}
-    for exps, coeff in terms:
-        degree = _term_degree(exps, pattern)
-        if degree is None:
-            continue
-        n, d = coeff.numerator, coeff.denominator
-        for lead, e in zip(leads, exps):
-            if e:
-                n *= pow(lead.numerator, e, p or None)
-                d *= lead.denominator ** e
-        num, den = sums.get(degree, (0, 1))
-        sums[degree] = num * d + n * den, den * d
-    return {degree: num % p if p else num for degree, (num, _) in sums.items()}
-
-
 def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """(r, orders): r = min ord_t(phi(g))/w over the generators g W^w, and the
     sorted (index, order) pairs, ">=N" for an order beyond the arc's precision.
 
-    On an exact arc a generator whose initial form (`lead_sums`) does not
-    vanish has order L(g) and costs no series product.  Every other
-    generator, and on an arc with a truncated component every generator, is
-    evaluated on one power cache of the arc, built at the first need.
-    PrecisionExhausted when an unknown order's lower bound, over its weight,
-    does not exceed r.
+    On an exact arc an order is read from the generator's `lead_sums`
+    (`exact_leads`) when they decide it: on a monomial arc always, as the
+    least degree with a nonzero sum (INF when none is), and on any other when
+    the initial form, the sum at the least degree L(g), does not vanish.
+    Every other generator, and on an arc with a truncated component every
+    generator, is evaluated on one power cache of the arc, built at the first
+    need.  PrecisionExhausted when an unknown order's lower bound, over its
+    weight, does not exceed r.
     """
-    exact = all(component.exact for component in arc.components)
+    exact = exact_leads(arc)
     if exact:
-        ensure_same_field(algebra.field, arc.field)
-        if algebra.variables != arc.variables:
-            raise VariableMismatch(f"algebra variables {algebra.variables} vs arc variables {arc.variables}")
-        pattern = tuple(None if c.is_exactly_zero() else c.known_order() for c in arc.components)
-        leads = tuple(None if o is None else c.coeffs[o] for c, o in zip(arc.components, pattern))
+        ensure_arc_ring(algebra, arc, "algebra")
+        pattern, leads, monomial = exact
     orders = {}
     pending = []
     powers = None
     for i, (poly, weight) in enumerate(algebra.generators):
         if exact:
             sums = lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic)
-            low = min(sums, default=INF)
-            if low == INF or sums[low]:
+            low = min((d for d, v in sums.items() if v), default=INF)
+            if monomial or low == min(sums, default=INF):
                 orders[i] = low
                 continue
         if powers is None:
@@ -148,17 +122,6 @@ def _monomial_arc(variables, field, assignment) -> Arc:
         ),
         field,
     )
-
-
-def _term_degree(exps, pattern):
-    """The t-degree <a, e> of x^e along x_i -> u_i t^(a_i), or None when it uses an x_i -> 0."""
-    degree = 0
-    for a, e in zip(pattern, exps):
-        if e:
-            if a is None:
-                return None
-            degree += a * e
-    return degree
 
 
 def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:

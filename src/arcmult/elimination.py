@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contact import contact_order, lead_sums, normalized_contact, sample_arcs
+from .contact import contact_order, normalized_contact, sample_arcs
 from .errors import (
     CharDividesDegree,
     EngineError,
@@ -32,7 +32,7 @@ from .errors import (
 from .fields import INF, FieldSpec, format_order
 from .poly import MultiPoly, Powers, origin
 from .rees import ReesAlgebra, presenting_algebra
-from .series import Arc, TruncatedSeries, certify_on_hypersurface
+from .series import Arc, TruncatedSeries, certify_on_hypersurface, lead_sums
 
 
 @dataclass(frozen=True)

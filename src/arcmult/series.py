@@ -445,15 +445,19 @@ class Arc:
         )
 
 
+def ensure_arc_ring(owner, arc: Arc, kind: str) -> None:
+    """FieldMismatch, then VariableMismatch, unless `owner`, a polynomial or an
+    algebra that `kind` names in the error, has the arc's field and variables."""
+    ensure_same_field(owner.field, arc.field)
+    if owner.variables != arc.variables:
+        raise VariableMismatch(f"{kind} variables {owner.variables} vs arc variables {arc.variables}")
+
+
 def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> ClearedSeries:
     """phi(f) on integers: `arc_substitute` before the image is brought back into the field.
 
     `powers` (`Arc.powers`) may be shared between calls."""
-    ensure_same_field(poly.field, arc.field)
-    if poly.variables != arc.variables:
-        raise VariableMismatch(
-            f"polynomial variables {poly.variables} vs arc variables {arc.variables}"
-        )
+    ensure_arc_ring(poly, arc, "polynomial")
     if powers is None:
         powers = arc.powers()
     return _image(arc.field, poly.terms.items(), powers)
@@ -464,14 +468,72 @@ def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> T
     return arc_image(poly, arc, powers).series(arc.field)
 
 
-def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str) -> None:
-    """Check that f vanishes exactly along the arc, which `name` names in errors:
-    ArcNotOnVariety when it does not, PrecisionExhausted when that is undecided."""
-    image = arc_substitute(poly, arc)
-    if image.known_order() is None:
-        raise PrecisionExhausted(
-            f"{name} maps f to zero up to t^{image.precision}; "
-            "whether it lies on the hypersurface is undecided"
-        )
-    if not image.is_exactly_zero():
-        raise ArcNotOnVariety(f"{name} does not lie on the hypersurface")
+def _term_degree(exps, pattern):
+    """The t-degree <a, e> of x^e along x_i -> u_i t^(a_i), or None when it uses an x_i -> 0."""
+    degree = 0
+    for a, e in zip(pattern, exps):
+        if e:
+            if a is None:
+                return None
+            degree += a * e
+    return degree
+
+
+def lead_sums(terms, pattern, leads, p) -> dict:
+    """{d: numerator of the sum of c * prod lead_i^(e_i) over the terms c x^e of t-degree d}.
+
+    Along an arc with component t-orders `pattern` (None for a zero
+    component) and lowest coefficients `leads`, a term c x^e maps to t-order
+    at least d = <e, pattern>, with that product as its coefficient there, or
+    to 0 when it uses a zero component.  The sums are taken on cleared
+    integers, mod p when p > 0.  At L = min d the sum is the initial form at
+    the leads: ord_t(f(arc)) = L when it is nonzero, else at least L + 1.
+    Along a monomial arc x_i -> lead_i t^(pattern_i) (`exact_leads`) they are
+    the whole image: ord_t(f(arc)) is the least d with a nonzero sum, and f
+    maps to exactly zero when every sum vanishes.
+    """
+    sums = {}
+    for exps, coeff in terms:
+        degree = _term_degree(exps, pattern)
+        if degree is None:
+            continue
+        n, d = coeff.numerator, coeff.denominator
+        for lead, e in zip(leads, exps):
+            if e:
+                n *= pow(lead.numerator, e, p or None)
+                d *= lead.denominator ** e
+        num, den = sums.get(degree, (0, 1))
+        sums[degree] = num * d + n * den, den * d
+    return {degree: num % p if p else num for degree, (num, _) in sums.items()}
+
+
+def exact_leads(arc: Arc):
+    """(pattern, leads, monomial) for `lead_sums` along an exact arc, None along any other:
+    each component's t-order and lowest coefficient, None for a zero component, and
+    whether every component is zero or one term c t^k, so that the sums are the whole image."""
+    if not all(c.exact for c in arc.components):
+        return None
+    pattern = tuple(c.known_order() if c.coeffs else None for c in arc.components)
+    leads = tuple(None if k is None else c.coeffs[k] for c, k in zip(arc.components, pattern))
+    return pattern, leads, all(k is None or k == len(c.coeffs) - 1 for c, k in zip(arc.components, pattern))
+
+
+def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None:
+    """Check that f vanishes exactly along the arc, which `name` names in errors
+    (None: `arc <arc>`, formatted only then): ArcNotOnVariety when it does not,
+    PrecisionExhausted when that is undecided.  On a monomial arc (`exact_leads`)
+    f vanishes when each of its `lead_sums` does; any other arc is evaluated."""
+    pattern, leads, monomial = exact_leads(arc) or (None, None, False)
+    if monomial:
+        ensure_arc_ring(poly, arc, "polynomial")
+        vanishes = not any(lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic).values())
+    else:
+        image = arc_substitute(poly, arc)
+        if image.known_order() is None:
+            raise PrecisionExhausted(
+                f"{name or f'arc {arc}'} maps f to zero up to t^{image.precision}; "
+                "whether it lies on the hypersurface is undecided"
+            )
+        vanishes = image.is_exactly_zero()
+    if not vanishes:
+        raise ArcNotOnVariety(f"{name or f'arc {arc}'} does not lie on the hypersurface")

@@ -9,6 +9,7 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `ring_map_translate` shifts a polynomial through the ring map,
 `horner_compose` composes two series by Horner's rule,
 `reference_generator_orders` builds every generator's exact image along an arc,
+`random_monomial_arc` draws an arc x_i -> u_i t^(a_i) with a polynomial on it,
 `reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
 `reference_visible_elimination` eliminates through a dense nullspace,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
@@ -40,13 +41,27 @@ from arcmult.blowup import (
     nash_sequence,
     strict_transform,
 )
-from arcmult.contact import DEGREE_BOUND, GRID_CAP, contact_order, sample_arcs
+from arcmult.contact import DEGREE_BOUND, GRID_CAP, _generator_orders, contact_order, sample_arcs
 from arcmult.elimination import TheoremReport, minimizing_arc, ord_d, verify_main_theorem
-from arcmult.errors import EngineError, ParseError, PrecisionExhausted, VariableMismatch
+from arcmult.errors import (
+    ArcNotOnVariety,
+    EngineError,
+    FieldMismatch,
+    ParseError,
+    PrecisionExhausted,
+    VariableMismatch,
+)
 from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
-from arcmult.series import DEFAULT_PRECISION, Arc, TruncatedSeries, arc_substitute, certify_on_hypersurface
+from arcmult.series import (
+    DEFAULT_PRECISION,
+    Arc,
+    TruncatedSeries,
+    arc_image,
+    arc_substitute,
+    certify_on_hypersurface,
+)
 
 
 class SequenceTruncated(EngineError):
@@ -244,7 +259,7 @@ def reference_unit_choice(elimination):
     The generator is the achieving one of least weight, as there; its
     lowest-degree homogeneous part is built from its terms and evaluated with
     `MultiPoly.evaluate`, a route the engine, which reads it from
-    `contact.lead_sums`, does not take.  units is the first `field.units(6)`
+    `series.lead_sums`, does not take.  units is the first `field.units(6)`
     tuple where that part is nonzero, or None when there is none."""
     algebra = elimination.algebra
     field = algebra.field
@@ -631,6 +646,90 @@ def check_nash_monotonicity(rng):
     assert sequence[0] == f.order_at_origin()
     if not report.truncated:
         assert sequence[report.rho] < sequence[0]
+
+
+#: Leads of monomial arcs: small units, and over Q two with a denominator.
+_MONOMIAL_LEADS = {0: (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)), 2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
+
+
+def random_monomial_arc(rng, field, width):
+    """(arc, on): a monomial arc x_i -> u_i t^(a_i) over `width` variables, each
+    component zero with chance 1/4 but not all, and a nonzero polynomial that
+    vanishes on it, or None when only 0 does (a single nonzero component).
+
+    The polynomial is a random combination of x_k for each zero component and
+    of the binomial u_j^(a_i) x_i^(a_j) - u_i^(a_j) x_j^(a_i) for each pair of
+    nonzero components, both of which map to exactly 0."""
+    variables = ("x", "y", "z")[:width]
+    leads = _MONOMIAL_LEADS[field.characteristic]
+    choices = [None] * width
+    while not any(choices):
+        choices = [None if rng.random() < 0.25 else (rng.choice(leads), rng.randint(1, 4)) for _ in variables]
+    zero, t_power = TruncatedSeries.zero, TruncatedSeries.t_power
+    arc = Arc(variables, tuple(zero(field) if c is None else t_power(field, c[1], c[0]) for c in choices), field)
+    vanishing = []
+    for i, j in itertools.combinations_with_replacement(range(width), 2):
+        left, right = [0] * width, [0] * width
+        if i == j and choices[i] is None:
+            left[i] = 1
+            vanishing.append(MultiPoly(variables, {tuple(left): field.one}, field))
+        elif i != j and choices[i] and choices[j]:
+            (u, a), (v, b) = choices[i], choices[j]
+            left[i], right[j] = b, a
+            terms = {tuple(left): field.coerce(v**a), tuple(right): field.coerce(-(u**b))}
+            vanishing.append(MultiPoly(variables, terms, field))
+    on = MultiPoly.zero(variables, field)
+    for g in vanishing:
+        on = on + g * random_poly(rng, field, variables, max_degree=2, max_terms=3, nonzero=True)
+    return arc, None if on.is_zero() else on
+
+
+def _outcome(call):
+    """(exception type, message) that call raises, or ("ok", its result)."""
+    try:
+        return "ok", call()
+    except EngineError as error:
+        return type(error), str(error)
+
+
+def check_monomial_leads(rng):
+    """Along a monomial arc, `lead_sums` are the whole image: `_generator_orders`
+    (INF included) and `certify_on_hypersurface` agree with every image built by
+    `arc_image`, on polynomials on and off the arc.  On a mismatched ring the
+    certificate raises what `arc_image` raises, FieldMismatch before
+    VariableMismatch, and `_generator_orders` does likewise."""
+    field = random_field(rng)
+    width = rng.randint(1, 3)
+    arc, on = random_monomial_arc(rng, field, width)
+    variables = arc.variables
+    off = random_poly(rng, field, variables, nonzero=True)
+    weighted = [
+        (random_poly(rng, field, variables, nonzero=True), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+    ]
+    for poly in (on, off):
+        if poly is None:
+            continue
+        weighted.append((poly, rng.randint(1, 3)))
+        expected = arc_substitute(poly, arc).is_exactly_zero()
+        got = _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc"))
+        refused = (ArcNotOnVariety, "the arc does not lie on the hypersurface")
+        assert got == (("ok", None) if expected else refused), (poly, str(arc))
+        if not expected:
+            unnamed = _outcome(lambda: certify_on_hypersurface(poly, arc, None))
+            assert unnamed == (ArcNotOnVariety, f"arc {arc} does not lie on the hypersurface")
+    assert on is None or arc_image(on, arc).known_order() == INF
+    algebra = from_weighted(variables, weighted, field)
+    assert _generator_orders(algebra, arc) == reference_generator_orders(algebra, arc), (algebra, str(arc))
+
+    other_field = FIELDS[(FIELDS.index(field) + 1) % len(FIELDS)]
+    other_variables = ("u", "v", "w")[:width]
+    mismatches = ((other_field, other_variables, FieldMismatch), (field, other_variables, VariableMismatch))
+    for ring, names, error in mismatches:
+        poly = MultiPoly(names, {(1,) * width: ring.one}, ring)
+        reference = _outcome(lambda: arc_image(poly, arc))
+        assert reference[0] is error
+        assert _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc")) == reference
+        assert _outcome(lambda: _generator_orders(ReesAlgebra.of(names, [(poly, 1)], ring), arc))[0] is error
 
 
 def check_diff_closure_idempotence(rng):

@@ -250,6 +250,25 @@ class TestNashSequence:
         with pytest.raises(ArcNotOnVariety):
             nash_sequence(cusp(), arc(Q, "t^3", "t^2", variables=("x", "y")))
 
+    def test_names_the_arc_only_when_its_certificate_fails(self, monkeypatch):
+        # The arc is formatted into the message of a failed certificate, monomial or
+        # evaluated, and never for an arc on the hypersurface.
+        with pytest.raises(ArcNotOnVariety) as off:
+            nash_sequence(cusp(), arc(Q, "t^3", "t^2", variables=("x", "y")))
+        assert str(off.value) == "arc x -> t^3, y -> t^2 does not lie on the hypersurface"
+        truncated = Arc(
+            ("x", "y"), (TruncatedSeries.truncated(Q, [0, 0, 1], 5), TruncatedSeries.truncated(Q, [0, 0, 0, 1], 5))
+        )
+        with pytest.raises(PrecisionExhausted) as undecided:
+            nash_sequence(cusp(), truncated)
+        assert str(undecided.value) == (
+            "arc x -> t^2 + O(t^5), y -> t^3 + O(t^5) maps f to zero up to t^8; "
+            "whether it lies on the hypersurface is undecided"
+        )
+        monkeypatch.setattr(Arc, "__str__", lambda self: pytest.fail(f"formatted {self.components}"))
+        for on in (("t^2", "t^3"), ("t^2 + 2*t^3 + t^4", "t^3 + 3*t^4 + 3*t^5 + t^6")):
+            nash_sequence(cusp(), arc(Q, *on, variables=("x", "y")))
+
     def test_truncation_is_loud(self):
         report = nash_sequence(
             cusp(F2), arc(F2, "t^2", "t^3", variables=("x", "y")), max_steps=2

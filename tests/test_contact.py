@@ -520,23 +520,26 @@ class TestContactWalk:
 
     def test_no_image_where_no_initial_form_vanishes(self, monkeypatch):
         # y^2 - x^3 W^2 and its derivatives 2y W, 3x^2 W along arcs off the cusp,
-        # and a zero component: every order is read from the leading coefficients.
+        # a zero component, and the cusp's monomial arc, along which the leading
+        # terms are the whole image: every order is read from the leading coefficients.
         images = []
         arc_image = contact.arc_image
         monkeypatch.setattr(contact, "arc_image", lambda *args: images.append(args) or arc_image(*args))
         g = presenting_algebra(parse_poly("y^2 - x^3", XY, Q))
-        for along in (arc(Q, "t", "t"), arc(Q, "t^2", "2*t^3"), arc(Q, "t^2", "t^4 + t^5"), arc(Q, "0", "t")):
+        cusp = arc(Q, "t^2", "t^3")
+        for along in (arc(Q, "t", "t"), arc(Q, "t^2", "2*t^3"), arc(Q, "t^2", "t^4 + t^5"), arc(Q, "0", "t"), cusp):
             contact_order(g, along)
             _generator_orders(g, along)
         assert images == []
-        # On the cusp's arc the initial form of y^2 - x^3 W^2 vanishes: contact_order,
-        # as _generator_orders, builds its image alone.
-        cusp = arc(Q, "t^2", "t^3")
-        f = parse_poly("y^2 - x^3", XY, Q)
         assert contact_order(g, cusp) == 3
+        # On (t + t^2)^2, (t + t^2)^3, which is not monomial, the initial form of
+        # y^2 - x^3 W^2 vanishes: contact_order, as _generator_orders, builds its image alone.
+        on_cusp = arc(Q, "t^2 + 2*t^3 + t^4", "t^3 + 3*t^4 + 3*t^5 + t^6")
+        f = parse_poly("y^2 - x^3", XY, Q)
+        assert contact_order(g, on_cusp) == 3
         assert [poly for poly, *_ in images] == [f]
         images.clear()
-        _generator_orders(g, cusp)
+        _generator_orders(g, on_cusp)
         assert [poly for poly, *_ in images] == [f]
 
     def test_arc_over_other_variables_rejected(self):

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from arcmult import blowup, elimination, problems, rees
+from arcmult import blowup, contact, elimination, problems, rees, series
 from arcmult.cli import main
 from arcmult.contact import sample_arcs
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
@@ -486,6 +486,35 @@ class TestCli:
         problem = parse_problem(text)
         assert run(problem).verdict == "PASS"
         assert certified == list(problem.arcs.values())
+
+    def test_monomial_arcs_build_no_series_image(self, monkeypatch):
+        # Along (t^(2n), t^(21n)) f's leading terms are its whole image, both for
+        # the certificate and for the contact walk, where f's initial form vanishes.
+        images = []
+        image = series._image
+        monkeypatch.setattr(series, "_image", lambda *args: images.append(args) or image(*args))
+        arcs = "".join(f"arc n{n}: t^{2 * n}, t^{21 * n}\n" for n in (1, 2, 4))
+        text = f"name: deep\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n{arcs}analyses: nash contact\n"
+        text += "max_steps: 88\n"
+        report = run(parse_problem(text))
+        assert [nash.rho for nash in report.analyses["nash"].values()] == [21, 42, 84]
+        assert images == []
+
+    def test_corpus_builds_images_only_along_phi3(self, monkeypatch):
+        # phi3, the one arc of each bundled problem that is not monomial, has f's
+        # image built twice: for its certificate and in its contact walk.
+        images, along = [], []
+        image, arc_image = series._image, series.arc_image
+        monkeypatch.setattr(series, "_image", lambda *args: images.append(args) or image(*args))
+        for module in (series, contact):
+            monkeypatch.setattr(
+                module, "arc_image", lambda poly, arc, *rest: along.append(arc) or arc_image(poly, arc, *rest)
+            )
+        loaded = [load_problem(name) for name in corpus_names()]
+        for problem in loaded:
+            run(problem)
+        assert len(images) == len(along) == 24
+        assert along == [problem.arcs["phi3"] for problem in loaded for _ in range(2)]
 
     def test_each_artefact_is_built_once_per_run(self, monkeypatch):
         # One G and one ord_d per problem.  The closures are each G, the 8

@@ -8,6 +8,7 @@ from property_checks import (
     check_contact_without_f,
     check_diff_closure_idempotence,
     check_hasse_leibniz,
+    check_monomial_leads,
     check_nash_monotonicity,
     check_order_multiplicativity,
     check_translation_composition,
@@ -39,3 +40,7 @@ def test_diff_closure_idempotence():
 
 def test_contact_without_f():
     run_many(check_contact_without_f, CASES, seed=106)
+
+
+def test_monomial_leads():
+    run_many(check_monomial_leads, CASES, seed=107)
