@@ -464,8 +464,21 @@ def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> Cleare
 
 
 def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> TruncatedSeries:
-    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` as in `arc_image`."""
-    return arc_image(poly, arc, powers).series(arc.field)
+    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` as in `arc_image`.
+
+    Along a monomial arc (`exact_leads`) the image is read whole from the
+    `lead_sums`, with no series product; any other arc is evaluated by `arc_image`."""
+    pattern, leads, monomial = exact_leads(arc) or (None, None, False)
+    if not monomial:
+        return arc_image(poly, arc, powers).series(arc.field)
+    ensure_arc_ring(poly, arc, "polynomial")
+    field = arc.field
+    sums = _lead_fractions(poly.terms.items(), pattern, leads, field.characteristic)
+    values = [field.zero] * (max(sums, default=-1) + 1)
+    for degree, (num, den) in sums.items():
+        if num:
+            values[degree] = field.uncleared([num], den)[0]
+    return TruncatedSeries._of(field, values)
 
 
 def _term_degree(exps, pattern):
@@ -492,6 +505,11 @@ def lead_sums(terms, pattern, leads, p) -> dict:
     the whole image: ord_t(f(arc)) is the least d with a nonzero sum, and f
     maps to exactly zero when every sum vanishes.
     """
+    return {degree: num for degree, (num, _) in _lead_fractions(terms, pattern, leads, p).items()}
+
+
+def _lead_fractions(terms, pattern, leads, p) -> dict:
+    """{d: (num, den)}: the `lead_sums` as cleared fractions, num reduced mod p when p > 0."""
     sums = {}
     for exps, coeff in terms:
         degree = _term_degree(exps, pattern)
@@ -504,7 +522,7 @@ def lead_sums(terms, pattern, leads, p) -> dict:
                 d *= lead.denominator ** e
         num, den = sums.get(degree, (0, 1))
         sums[degree] = num * d + n * den, den * d
-    return {degree: num % p if p else num for degree, (num, _) in sums.items()}
+    return {degree: (num % p if p else num, den) for degree, (num, den) in sums.items()}
 
 
 def exact_leads(arc: Arc):
@@ -521,19 +539,12 @@ def exact_leads(arc: Arc):
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None:
     """Check that f vanishes exactly along the arc, which `name` names in errors
     (None: `arc <arc>`, formatted only then): ArcNotOnVariety when it does not,
-    PrecisionExhausted when that is undecided.  On a monomial arc (`exact_leads`)
-    f vanishes when each of its `lead_sums` does; any other arc is evaluated."""
-    pattern, leads, monomial = exact_leads(arc) or (None, None, False)
-    if monomial:
-        ensure_arc_ring(poly, arc, "polynomial")
-        vanishes = not any(lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic).values())
-    else:
-        image = arc_substitute(poly, arc)
-        if image.known_order() is None:
-            raise PrecisionExhausted(
-                f"{name or f'arc {arc}'} maps f to zero up to t^{image.precision}; "
-                "whether it lies on the hypersurface is undecided"
-            )
-        vanishes = image.is_exactly_zero()
-    if not vanishes:
+    PrecisionExhausted when that is undecided."""
+    image = arc_substitute(poly, arc)
+    if image.known_order() is None:
+        raise PrecisionExhausted(
+            f"{name or f'arc {arc}'} maps f to zero up to t^{image.precision}; "
+            "whether it lies on the hypersurface is undecided"
+        )
+    if not image.is_exactly_zero():
         raise ArcNotOnVariety(f"{name or f'arc {arc}'} does not lie on the hypersurface")

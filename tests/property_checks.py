@@ -693,9 +693,10 @@ def _outcome(call):
 
 
 def check_monomial_leads(rng):
-    """Along a monomial arc, `lead_sums` are the whole image: `_generator_orders`
-    (INF included) and `certify_on_hypersurface` agree with every image built by
-    `arc_image`, on polynomials on and off the arc.  On a mismatched ring the
+    """Along a monomial arc, `lead_sums` are the whole image: `arc_substitute`
+    equals the image that `arc_image` builds, and `_generator_orders` (INF
+    included) and `certify_on_hypersurface` agree with it, on polynomials on
+    and off the arc.  On a mismatched ring the
     certificate raises what `arc_image` raises, FieldMismatch before
     VariableMismatch, and `_generator_orders` does likewise."""
     field = random_field(rng)
@@ -710,7 +711,9 @@ def check_monomial_leads(rng):
         if poly is None:
             continue
         weighted.append((poly, rng.randint(1, 3)))
-        expected = arc_substitute(poly, arc).is_exactly_zero()
+        image = arc_image(poly, arc).series(field)
+        assert arc_substitute(poly, arc) == image, (poly, str(arc))
+        expected = image.is_exactly_zero()
         got = _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc"))
         refused = (ArcNotOnVariety, "the arc does not lie on the hypersurface")
         assert got == (("ok", None) if expected else refused), (poly, str(arc))
@@ -729,6 +732,7 @@ def check_monomial_leads(rng):
         reference = _outcome(lambda: arc_image(poly, arc))
         assert reference[0] is error
         assert _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc")) == reference
+        assert _outcome(lambda: arc_substitute(poly, arc)) == reference
         assert _outcome(lambda: _generator_orders(ReesAlgebra.of(names, [(poly, 1)], ring), arc))[0] is error
 
 
