@@ -9,7 +9,9 @@ defining polynomial, until the multiplicity first drops below its initial
 value.  Both transforms of a point blow-up, the strict one here and the
 weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
 Blow-ups that stay in one chart at the origin are made a run at a time
-(`run_length`): one division of the arc and one exponent map of f.
+(`run_length`): one slice of the arc and one exponent map of f, and the
+report keeps one record per run, from which the per-blow-up trace is built
+when it is read.
 """
 
 from __future__ import annotations
@@ -98,14 +100,40 @@ class NashStep:
 
 
 @dataclass(frozen=True)
+class NashRun:
+    """One iteration of the chain: `steps` blow-ups in `chart` (`run_length`)
+    take `source` to its strict transform `transform`."""
+
+    chart: ChartMap
+    source: MultiPoly
+    steps: int
+    transform: MultiPoly
+
+
+@dataclass(frozen=True)
 class NashReport:
-    """The sequence m_0 >= m_1 >= ..., where it first drops, and how we got there."""
+    """The sequence m_0 >= m_1 >= ..., where it first drops, and how we got there.
+
+    `runs` records the chain one iteration at a time; `trace`, one NashStep
+    per blow-up, is built from them when it is first read."""
 
     sequence: tuple
     rho: int | None
-    trace: tuple
+    runs: tuple
     truncated: bool
     below_threshold: bool = dataclass_field(default=False)
+
+    @cached_property
+    def trace(self) -> tuple:
+        trace = []
+        done = 0  # blow-ups before the run; a step inside it keeps m_done
+        for run in self.runs:
+            index, name, center = run.chart.index, run.chart.exceptional, run.chart.translation
+            for l in range(1, run.steps):
+                trace.append(NashStep(index, name, center, self.sequence[done], run.source, l))
+            done += run.steps
+            trace.append(NashStep(index, name, center, self.sequence[done], run.transform))
+        return tuple(trace)
 
     def to_json(self, field, include_trace: bool = False) -> dict:
         data = {
@@ -154,18 +182,21 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  `precision` bounds non-terminating divisions.
 
-    `steps` > 1 lifts through a run of that many blow-ups (`run_length`): the
-    arc is exact, its chart component a monomial c t^nu, and each lift divides
-    by c t^nu again, so all of them are one division by (c t^nu)^steps.
-    EngineError if the arc admits no such run.
+    When the chart component is an exact monomial c t^nu, each quotient is
+    a slice from t^nu scaled by 1/c (`divide_monomial`); any other goes
+    through `divide`.  `steps` > 1 lifts through a run of that many
+    blow-ups (`run_length`): the arc is exact, its chart component such a
+    monomial, and each lift divides by c t^nu again, so all of them are one
+    slice from t^(steps nu) scaled by c^-steps.  EngineError if the arc
+    admits no such run.
     """
     field = arc.field
     best_index, nu = _chart(arc)
     divisor = arc.components[best_index]
-    if steps > 1:
-        if not all(comp.exact for comp in arc.components) or len(divisor.coeffs) != nu + 1:
-            raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
-        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[nu] ** steps)
+    monomial = divisor.exact and len(divisor.coeffs) == nu + 1
+    if steps > 1 and not (monomial and all(comp.exact for comp in arc.components)):
+        raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
+    scale = field.coerce(divisor.coeffs[-1] ** steps) if monomial else None
     lifted = []
     constants = []
     for i, comp in enumerate(arc.components):
@@ -173,7 +204,10 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
             lifted.append(comp)
             constants.append(field.zero)
             continue
-        quotient = comp.divide(divisor, fallback_precision=precision)
+        if monomial:
+            quotient = comp.divide_monomial(steps * nu, scale)
+        else:
+            quotient = comp.divide(divisor, fallback_precision=precision)
         constant = quotient.coefficient(0)
         constants.append(constant)
         if constant:
@@ -257,7 +291,8 @@ def nash_sequence(
     The arc must lie on the hypersurface exactly; the sequence stops at the
     first multiplicity strictly below the initial one, or truncates at
     max_steps (reported, never silent).  Each iteration makes the blow-ups
-    of one run (`run_length`), a single one when no run applies.
+    of one run (`run_length`), a single one when no run applies, and records
+    it as one NashRun.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
@@ -270,22 +305,18 @@ def nash_sequence(
     current_poly = poly.extend(ambient)
     current_arc = graph_arc(arc, extra)
     sequence = [m0]
-    trace = []
+    runs = []
     while len(sequence) <= max_steps:
         previous = sequence[-1]
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
-        start = current_poly
+        source = current_poly
         chart, current_arc = blowup_lift(current_arc, precision, steps)
         current_poly = strict_transform(current_poly, chart, steps)
         m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
         if m > previous:
             raise EngineError("Nash multiplicity increased; this is a bug")
-        # The steps inside a run keep the multiplicity and build their transforms when read.
-        for l in range(1, steps):
-            trace.append(NashStep(chart.index, chart.exceptional, chart.translation, previous, start, l))
-        trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, current_poly))
+        runs.append(NashRun(chart, source, steps, current_poly))
         sequence += [previous] * (steps - 1) + [m]
         if m < m0:
-            return NashReport(tuple(sequence), len(sequence) - 1, tuple(trace), False)
-    return NashReport(tuple(sequence), None, tuple(trace), True)
-
+            return NashReport(tuple(sequence), len(sequence) - 1, tuple(runs), False)
+    return NashReport(tuple(sequence), None, tuple(runs), True)

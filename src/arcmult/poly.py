@@ -228,8 +228,10 @@ class MultiPoly:
     def translate(self, point) -> "MultiPoly":
         """f(x + p), by a Taylor shift per coordinate: x_i^e -> sum_k binom(e, k) p_i^(e-k) x_i^k.
 
-        Binomials vanishing mod p drop out, as in `hasse_derivative`; the sums are taken in
-        ints through `FieldSpec.cleared`, as in `__mul__`, and those that vanish are dropped."""
+        Terms free of x_i are fixed by the shift and kept as they are.  The others are
+        expanded; binomials vanishing mod p drop out, as in `hasse_derivative`, and the
+        sums are taken in ints through `FieldSpec.cleared`, as in `__mul__`.  They are
+        then merged into the fixed terms, and sums that vanish are dropped."""
         return self._shift(check_point(point, self.variables, self.field))
 
     def _shift(self, point) -> "MultiPoly":
@@ -241,14 +243,27 @@ class MultiPoly:
         for i, c in enumerate(point):
             if field.is_zero(c):
                 continue
-            terms = shifted.terms
-            c_powers = [field.one]
-            for _ in range(max((e[i] for e in terms), default=0)):
-                c_powers.append(field.mul(c_powers[-1], c))
-            c_powers, power_scale = field.cleared(c_powers)
-            coeffs, scale = field.cleared(terms.values())
+            fixed = {}
+            moving = []
+            for exps, a in shifted.terms.items():
+                if exps[i]:
+                    moving.append((exps, a))
+                else:
+                    fixed[exps] = a
+            if not moving:
+                continue
+            # c = u / d, so c^j = u^j d^(n-j) / d^n: the powers on integers, mod p over F_p.
+            (u,), d = field.cleared([c])
+            n = max(exps[i] for exps, _ in moving)
+            c_powers = [1]
+            for _ in range(n):
+                c_powers.append(c_powers[-1] * u % p if p else c_powers[-1] * u)
+            if d != 1:
+                c_powers = [v * d ** (n - j) for j, v in enumerate(c_powers)]
+            power_scale = d**n
+            coeffs, scale = field.cleared([a for _, a in moving])
             raw = {}
-            for exps, a in zip(terms, coeffs):
+            for (exps, _), a in zip(moving, coeffs):
                 e = exps[i]
                 if e not in rows:
                     binoms = (math.comb(e, k) for k in range(e + 1))
@@ -256,8 +271,14 @@ class MultiPoly:
                 for k, b in rows[e]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
-            values = field.uncleared(raw.values(), scale * power_scale)
-            shifted = MultiPoly._of(self.variables, {e: v for e, v in zip(raw, values) if v}, field)
+            for key, v in zip(raw, field.uncleared(raw.values(), scale * power_scale)):
+                if key in fixed:  # only a k = 0 key, free of x_i, can meet a fixed term
+                    v = field.add(fixed[key], v)
+                if v:
+                    fixed[key] = v
+                else:
+                    fixed.pop(key, None)
+            shifted = MultiPoly._of(self.variables, fixed, field)
         return shifted
 
     def evaluate(self, point):

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from .errors import (
@@ -89,6 +89,11 @@ class TruncatedSeries:
 
     def known_order(self):
         """First nonzero index, INF for exact zero, None when indeterminate."""
+        return self._order
+
+    @cached_property
+    def _order(self):
+        # Scanned once per series, as `MultiPoly.order_at_origin` is computed once.
         for i, c in enumerate(self.coeffs):
             if c:  # the field's zeros are exactly its falsy elements
                 return i
@@ -177,6 +182,25 @@ class TruncatedSeries:
         elif prec < 1:
             raise PrecisionExhausted("no precision left after division")
         return TruncatedSeries._of(field, _series_quotient(field, a, b, prec), prec)
+
+    def divide_monomial(self, k: int, c) -> "TruncatedSeries":
+        """self / (c t^k) for a nonzero field element c: the coefficients from t^k on,
+        scaled by 1/c, known to precision - k.  Raises what `divide` by c t^k raises:
+        DivisionOrderError below order k, PrecisionExhausted when nothing stays known."""
+        field = self.field
+        order = self.known_order()
+        if order == INF:
+            return TruncatedSeries.zero(field)
+        if order is not None and order < k:
+            raise DivisionOrderError(f"divisor order {k} exceeds dividend order {order}")
+        precision = self.precision - k
+        if precision < 1:
+            raise PrecisionExhausted("no precision left after division")
+        coeffs = self.coeffs[k:]
+        if c != 1:
+            inverse = field.inv(c)
+            coeffs = tuple(field.mul(a, inverse) for a in coeffs)
+        return TruncatedSeries(field, coeffs, precision)
 
     def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term.
@@ -410,6 +434,11 @@ class Arc:
 
     def order(self) -> int:
         """nu_t: minimal t-order over the components."""
+        return self._order
+
+    @cached_property
+    def _order(self) -> int:
+        # Computed once: a blow-up reads it to pick its chart and to measure its run.
         known = [comp.known_order() for comp in self.components]
         best = min((order for order in known if order is not None), default=INF)
         for comp, order in zip(self.components, known):

@@ -7,11 +7,13 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
 `reference_feasible_patterns` scans its exponent patterns for the ones that need unit tries,
 `ring_map_translate` shifts a polynomial through the ring map,
+`reference_shift` shifts it by the dense Taylor shift,
 `horner_compose` composes two series by Horner's rule,
 `reference_generator_orders` builds every generator's exact image along an arc,
 `random_monomial_arc` draws an arc x_i -> u_i t^(a_i) with a polynomial on it,
 `reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
 `reference_visible_elimination` eliminates through a dense nullspace,
+`reference_lift` lifts an arc through a blow-up by series division,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
@@ -27,15 +29,16 @@ is exact arithmetic, so any failure is a real counterexample.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 from arcmult.blowup import (
     DEFAULT_MAX_STEPS,
+    ChartMap,
     NashReport,
-    NashStep,
-    blowup_lift,
+    NashRun,
     fresh_variable,
     graph_arc,
     nash_sequence,
@@ -202,6 +205,35 @@ def ring_map_translate(poly, point):
             for name, c in zip(poly.variables, point)
         }
     )
+
+
+def reference_shift(poly, point):
+    """f(x + p) by the dense Taylor shift: per coordinate, every term is cleared and
+    expanded, the fixed ones too, and the polynomial is rebuilt from the sums.
+    A route `MultiPoly.translate`, which keeps the terms free of x_i, does not take."""
+    field = poly.field
+    p = field.characteristic
+    shifted = poly
+    for i, c in enumerate(point):
+        if field.is_zero(c):
+            continue
+        terms = shifted.terms
+        c_powers = [field.one]
+        for _ in range(max((e[i] for e in terms), default=0)):
+            c_powers.append(field.mul(c_powers[-1], c))
+        c_powers, power_scale = field.cleared(c_powers)
+        coeffs, scale = field.cleared(terms.values())
+        raw = {}
+        for exps, a in zip(terms, coeffs):
+            e = exps[i]
+            for k in range(e + 1):
+                b = math.comb(e, k)
+                if not p or b % p:
+                    key = exps[:i] + (k,) + exps[i + 1 :]
+                    raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
+        values = field.uncleared(raw.values(), scale * power_scale)
+        shifted = MultiPoly(poly.variables, {e: v for e, v in zip(raw, values) if v}, field)
+    return shifted
 
 
 def assert_well_formed(poly):
@@ -390,10 +422,35 @@ def reference_visible_elimination(algebra, eliminated):
     return ReesAlgebra.of(remaining, found, field).diff_closure()
 
 
-def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
-    """`nash_sequence` one blow-up per iteration, every transform built when its step is made.
+def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
+    """`blowup_lift` with every quotient taken by `divide`, a run's divisor (c t^nu)^steps
+    built as a series.  A route `blowup_lift`, which slices and scales the components
+    when the chart component is a monomial c t^nu, does not take."""
+    field = arc.field
+    nu = arc.order()
+    index = next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu)
+    divisor = arc.components[index]
+    if steps > 1:
+        if not all(comp.exact for comp in arc.components) or len(divisor.coeffs) != nu + 1:
+            raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
+        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[nu] ** steps)
+    lifted, constants = [], []
+    for i, comp in enumerate(arc.components):
+        quotient = comp if i == index else comp.divide(divisor, fallback_precision=precision)
+        constant = field.zero if i == index else quotient.coefficient(0)
+        constants.append(constant)
+        lifted.append(quotient - TruncatedSeries.truncated(field, [constant], quotient.precision))
+    if steps > 1 and any(constants):
+        raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
+    return ChartMap(arc.variables, index, tuple(constants)), Arc(arc.variables, tuple(lifted), field)
 
-    A route `nash_sequence`, which makes a run of blow-ups in one chart at once, does not take."""
+
+def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+    """`nash_sequence` one blow-up per iteration, every transform built when its step is
+    made and every lift taken by `reference_lift`.
+
+    A route `nash_sequence`, which makes a run of blow-ups in one chart at once and lifts
+    along a monomial chart component by slicing, does not take."""
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
     certify_on_hypersurface(poly, arc, f"arc {arc}")
@@ -404,18 +461,19 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEF
     current_poly = poly.extend(arc.variables + (extra,))
     current_arc = graph_arc(arc, extra)
     sequence = [m0]
-    trace = []
+    runs = []
     for _ in range(max_steps):
-        chart, current_arc = blowup_lift(current_arc, precision)
+        source = current_poly
+        chart, current_arc = reference_lift(current_arc, precision)
         current_poly = strict_transform(current_poly, chart)
         m = current_poly.order_at_origin()
         if m > sequence[-1]:
             raise EngineError("Nash multiplicity increased; this is a bug")
         sequence.append(m)
-        trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, current_poly))
+        runs.append(NashRun(chart, source, 1, current_poly))
         if m < m0:
-            return NashReport(tuple(sequence), len(sequence) - 1, tuple(trace), False)
-    return NashReport(tuple(sequence), None, tuple(trace), True)
+            return NashReport(tuple(sequence), len(sequence) - 1, tuple(runs), False)
+    return NashReport(tuple(sequence), None, tuple(runs), True)
 
 
 def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):

@@ -8,12 +8,16 @@ from property_checks import (
     assert_chain_matches_stepwise,
     assert_well_formed,
     persistence_oracle,
+    random_monomial_arc,
+    reference_lift,
     ring_map_translate,
+    stepwise_nash_sequence,
 )
 
 from arcmult import blowup, series
 from arcmult.blowup import (
     ChartMap,
+    NashStep,
     blowup_lift,
     graph_arc,
     nash_sequence,
@@ -27,7 +31,7 @@ from arcmult.errors import (
     PrecisionExhausted,
     VariableMismatch,
 )
-from arcmult.fields import RATIONALS, FieldSpec, prime_field
+from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.series import Arc, TruncatedSeries, parse_series
 
@@ -293,11 +297,10 @@ class TestNashSequence:
         assert sum(1 for step in report.trace if any(step.center)) == 2
         assert products == []
 
-    @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
-    def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
-        # The quotient rule works on cleared integers, and the chart transform
-        # builds its result without re-coercing each coefficient.  The 84
-        # blow-ups come in runs of 7, 1, 75 and 1, one chart transform each.
+    @staticmethod
+    def watch_field_calls(monkeypatch):
+        """(entered, calls): the labels of the quotient rule and chart transform as they
+        are entered, and the FieldSpec calls each makes that it should not."""
         watched = {"quotient": {"mul", "sub", "inv"}, "transform": {"coerce"}}
         running = []
         entered = []
@@ -326,11 +329,33 @@ class TestNashSequence:
             monkeypatch.setattr(FieldSpec, name, counted(name, getattr(FieldSpec, name)))
         monkeypatch.setattr(series, "_series_quotient", tagged("quotient", series._series_quotient))
         monkeypatch.setattr(ChartMap, "transform", tagged("transform", ChartMap.transform))
+        return entered, calls
+
+    @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
+    def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
+        # Every chart component is a monomial, so each lift slices and scales and the
+        # quotient rule is never entered; the chart transform builds its result without
+        # re-coercing each coefficient.  The 84 blow-ups come in runs of 7, 1, 75 and 1,
+        # one chart transform each.
+        entered, calls = self.watch_field_calls(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
         assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
-        assert entered.count("transform") == 4 and "quotient" in entered
+        assert entered.count("transform") == 4 and "quotient" not in entered
+        assert calls == []
+
+    @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
+    def test_lifts_off_a_monomial_chart_take_the_quotient_rule(self, monkeypatch, field):
+        # Along the corpus arc phi3 = ((t + t^2)^2, (t + t^2)^3) of the cusp the chart
+        # component leaves the graph coordinate and stops being a monomial, so its
+        # lifts divide; the quotient rule works on cleared integers.
+        entered, calls = self.watch_field_calls(monkeypatch)
+        problem = load_problem("cusp_char0")
+        f = parse_poly(problem.poly_text, problem.variables, field)
+        phi = Arc(problem.variables, tuple(parse_series(text, field) for text in problem.arc_texts["phi3"].split(",")), field)
+        nash_sequence(f, phi, max_steps=40)
+        assert "quotient" in entered
         assert calls == []
 
     def test_each_step_computes_its_order_once(self, monkeypatch):
@@ -446,6 +471,87 @@ class TestRuns:
         assert vars(step)["transform"] is step.transform
 
 
+def random_lift_arc(rng, field):
+    """An arc of 2 or 3 components, each a monomial c t^k (non-unit leads over Q), a
+    longer exact series, a truncated one, a truncated zero O(t^P) or exactly 0."""
+    leads = field.units(4) + ((Fraction(-1, 2), Fraction(2, 3)) if field.characteristic == 0 else ())
+    components = []
+    while not any(comp.known_order() != INF for comp in components):
+        components = []
+        for _ in range(rng.randint(2, 3)):
+            kind, k = rng.randrange(5), rng.randint(1, 6)
+            tail = [rng.choice((field.zero, *leads)) for _ in range(rng.randint(0, 4))]
+            if kind == 0:
+                components.append(TruncatedSeries.t_power(field, k, rng.choice(leads)))
+            elif kind == 1:
+                components.append(TruncatedSeries.exact_series(field, [0] * k + [rng.choice(leads)] + tail))
+            elif kind == 2:
+                coeffs = [0] * k + [rng.choice(leads)] + tail
+                components.append(TruncatedSeries.truncated(field, coeffs, rng.randint(k + 1, len(coeffs) + 3)))
+            elif kind == 3:
+                components.append(TruncatedSeries.truncated(field, (), k))
+            else:
+                components.append(TruncatedSeries.zero(field))
+    return Arc(("x", "y", "z")[: len(components)], tuple(components), field)
+
+
+def lift_outcome(lift, *args):
+    try:
+        return "ok", lift(*args)
+    except EngineError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestSliceAndScaleLifts:
+    """`blowup_lift` against `reference_lift`, which takes every quotient by `divide`."""
+
+    def test_random_arcs(self, field):
+        rng = random.Random(f"lift-{field.characteristic}")
+        sliced = 0
+        for _ in range(300):
+            phi = random_lift_arc(rng, field)
+            for steps in (1, 2, 3):
+                got = lift_outcome(blowup_lift, phi, 12, steps)
+                assert got == lift_outcome(reference_lift, phi, 12, steps), (str(phi), steps)
+                if got[0] == "ok":
+                    chart, lifted = got[1]
+                    chart_component = phi.components[chart.index]
+                    sliced += chart_component.exact and len(chart_component.coeffs) == chart_component.order() + 1
+                    # A truncated component stays truncated: no lift reads INF off a known prefix.
+                    assert all(old.exact or not new.exact for new, old in zip(lifted.components, phi.components))
+        assert sliced > 100
+
+    def test_exhausted_precision_raises(self, field):
+        # y is zero up to t^2 and the chart x = c t^2 divides by t^2: nothing stays known.
+        c = field.units(4)[-1]
+        phi = Arc(("x", "y"), (TruncatedSeries.t_power(field, 2, c), TruncatedSeries.truncated(field, (), 2)), field)
+        for lift in (blowup_lift, reference_lift):
+            with pytest.raises(PrecisionExhausted, match="^no precision left after division$"):
+                lift(phi)
+        phi = Arc(("x", "y"), (TruncatedSeries.t_power(field, 2, c), TruncatedSeries.truncated(field, (), 3)), field)
+        _, lifted = blowup_lift(phi)
+        assert lifted.components[1] == TruncatedSeries.truncated(field, (), 1) == reference_lift(phi)[1].components[1]
+
+
+def test_trace_is_built_when_first_read(monkeypatch):
+    # The chain records its 4 runs; the 84 NashSteps of the trace wait for a reader,
+    # and then say what the stepwise reference, one blow-up at a time, says.
+    built = []
+    init = NashStep.__init__
+    monkeypatch.setattr(NashStep, "__init__", lambda step, *args: built.append(1) or init(step, *args))
+    f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+    phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
+    report = nash_sequence(f, phi, max_steps=100)
+    assert len(report.runs) == 4 and sum(run.steps for run in report.runs) == 84
+    assert report.to_json(Q) == stepwise_nash_sequence(f, phi, 100).to_json(Q)
+    assert built == []
+    trace = report.trace
+    assert len(built) == 84 and report.trace is trace
+    reference = stepwise_nash_sequence(f, phi, 100).trace
+    assert [step.to_json(Q) for step in trace] == [step.to_json(Q) for step in reference]
+
+
 def _spy_runs(monkeypatch):
     runs = []
     measure = blowup.run_length
@@ -504,6 +610,15 @@ class TestRunsMatchStepwise:
             for precision in (8, 64):
                 assert_chain_matches_stepwise(f, phi, max_steps=40, precision=precision)
 
+    def test_monomial_arcs_with_non_unit_leads(self, field):
+        # Leads 2, -3, 1/2 and -2/3 over Q and every unit of F_p: the chain slices and
+        # scales its lifts where the stepwise reference divides.
+        rng = random.Random(f"leads-{field.characteristic}")
+        for _ in range(40):
+            phi, on = random_monomial_arc(rng, field, rng.randint(2, 3))
+            if on is not None:
+                assert_chain_matches_stepwise(on, phi, max_steps=60)
+
     def test_max_steps_ending_inside_a_run(self, monkeypatch, field):
         runs = _spy_runs(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
@@ -511,3 +626,29 @@ class TestRunsMatchStepwise:
         for max_steps in (0, 1, 2, 5, 8, 9, 40, 83, 84, 85):
             assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
         assert max(runs) > 1
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "poly, leads",
+    [
+        ("y^2 - 3*x^3", ((3, 2), (9, 3))),
+        ("y^2 - 3*x^3", ((3, 4), (9, 6))),
+        # x = -t/2 ties with the graph coordinate w = t, which lifts to the center w = -2.
+        ("y^2 - 64*x^6", ((-HALF, 1), (1, 3))),
+        ("y^2 - 64*x^6", ((-HALF, 2), (1, 6))),
+    ],
+)
+def test_chains_with_non_unit_leads_over_q(poly, leads):
+    # The chain slices and scales by 1/3 or -2, the stepwise reference divides; the
+    # same again with a truncated component z that no chart ever picks.
+    f = parse_poly(poly, ("x", "y"), Q)
+    components = tuple(TruncatedSeries.t_power(Q, k, c) for c, k in leads)
+    phi = Arc(("x", "y"), components, Q)
+    assert_chain_matches_stepwise(f, phi, max_steps=60)
+    z = TruncatedSeries.truncated(Q, [0, 0, 0, 0, 5, 1], 11)
+    assert_chain_matches_stepwise(f.extend(("x", "y", "z")), Arc(("x", "y", "z"), (*components, z), Q), max_steps=60)
+    if leads[0][1] == 1:
+        assert nash_sequence(f, phi).trace[0].center == (0, 0, -2)

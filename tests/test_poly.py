@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import assert_well_formed, random_point, random_poly, ring_map_translate
+from property_checks import assert_well_formed, random_point, random_poly, reference_shift, ring_map_translate
 
 from arcmult.errors import ParseError, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
@@ -212,6 +212,43 @@ def test_taylor_shift_matches_the_ring_map(field):
         shifted = f.translate(point)
         assert shifted == ring_map_translate(f, point), f"{f} at {point}"
         assert_well_formed(shifted)
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+def test_sparse_taylor_shift_matches_the_dense_reference(field):
+    # Widths 1-4, one or more nonzero coordinates.  A third of the polynomials leave
+    # out the moved variables, and a third are h(x - p), so that shifting back by p
+    # cancels expanded terms against the fixed ones.
+    rng = random.Random(f"sparse-shift-{field.characteristic}")
+    units = field.units(4)
+    for width in (1, 2, 3, 4):
+        variables = ("x", "y", "z", "w")[:width]
+        for _ in range(30):
+            moved = rng.sample(range(width), rng.randint(1, width))
+            point = tuple(rng.choice(units) if i in moved else field.zero for i in range(width))
+            kind = rng.randrange(3)
+            f = random_poly(rng, field, variables, max_degree=5, max_terms=6)
+            if kind == 0:
+                f = MultiPoly(variables, {e: c for e, c in f.terms.items() if not any(e[i] for i in moved)}, field)
+            elif kind == 1:
+                f = f.translate(tuple(field.neg(c) for c in point))
+            shifted = f.translate(point)
+            assert shifted == reference_shift(f, point), f"{f} at {point}"
+            assert_well_formed(shifted)
+            if kind == 0:
+                assert shifted == f
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+def test_taylor_shift_cancels_an_expanded_term_against_a_fixed_one(field):
+    # x*y - c*y + z at x -> x + c: the expanded c*y meets the fixed -c*y and vanishes.
+    xyz = ("x", "y", "z")
+    c = field.units(4)[-1]
+    f = MultiPoly(xyz, {(1, 1, 0): 1, (0, 1, 0): field.neg(c), (0, 0, 1): 1}, field)
+    point = (c, field.zero, field.zero)
+    shifted = f.translate(point)
+    assert shifted == P("x*y + z", xyz, field) == reference_shift(f, point)
+    assert_well_formed(shifted)
 
 
 @pytest.mark.parametrize("field, c", [(RATIONALS, Fraction(-2, 3)), (prime_field(5), 3)], ids=["Q", "F5"])
