@@ -9,9 +9,10 @@ defining polynomial, until the multiplicity first drops below its initial
 value.  Both transforms of a point blow-up, the strict one here and the
 weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
 Blow-ups that stay in one chart at the origin are made a run at a time
-(`run_length`): one slice of the arc and one exponent map of f, and the
-report keeps one record per run, from which the per-blow-up trace is built
-when it is read.
+(`run_length`): one slice of the arc and one exponent map of f.  The chain
+carries f modulo x_i^(m_0+1) for each coordinate x_i along which the arc is
+exactly zero, and the report keeps one record per run, from which the
+per-blow-up trace is replayed on the whole of f when it is read.
 """
 
 from __future__ import annotations
@@ -47,13 +48,14 @@ class ChartMap:
     def exceptional(self) -> str:
         return self.variables[self.index]
 
-    def transform(self, poly: MultiPoly, k: int, steps: int = 1) -> MultiPoly:
+    def transform(self, poly: MultiPoly, k: int, steps: int = 1, caps=None) -> MultiPoly:
         """Pull back, divide by x_j^k, recenter; EngineError if a term has degree < k.
 
         `steps` > 1 first pulls back and divides `steps` - 1 times at the origin.
         Each time e_j grows by |e| - e_j - k while the other exponents stay, so
         all of it is one map e_j -> e_j + steps * (|e| - e_j - k); EngineError
-        if it leaves an exponent negative."""
+        if it leaves an exponent negative.  `caps` goes to the recentering
+        `MultiPoly._shift`."""
         if poly.variables != self.variables:
             raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
         if poly.order_at_origin() < k:
@@ -66,7 +68,7 @@ class ChartMap:
             terms[tuple(pulled)] = c
         if steps > 1 and any(e[j] < 0 for e in terms):
             raise EngineError(f"{steps} pull-backs of {poly} are not each divisible by {self.exceptional}^{k}")
-        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation)
+        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation, caps)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,9 @@ class NashStep:
 @dataclass(frozen=True)
 class NashRun:
     """One iteration of the chain: `steps` blow-ups in `chart` (`run_length`)
-    take `source` to its strict transform `transform`."""
+    take `source` to its strict transform `transform`.  Both are the
+    polynomials the chain carries, which drop the terms of degree above m_0
+    in a coordinate along which the arc is exactly zero (`nash_sequence`)."""
 
     chart: ChartMap
     source: MultiPoly
@@ -114,11 +118,15 @@ class NashRun:
 class NashReport:
     """The sequence m_0 >= m_1 >= ..., where it first drops, and how we got there.
 
-    `runs` records the chain one iteration at a time; `trace`, one NashStep
-    per blow-up, is built from them when it is first read."""
+    `runs` records the chain one iteration at a time, from `start`, the whole
+    of f on the graph's ambient space.  `trace`, one NashStep per blow-up, is
+    built when it is first read: it replays the runs' charts on `start`, one
+    strict transform per run, and raises EngineError if a replayed order is
+    not the multiplicity the chain recorded."""
 
     sequence: tuple
     rho: int | None
+    start: MultiPoly = dataclass_field(repr=False)
     runs: tuple
     truncated: bool
     below_threshold: bool = dataclass_field(default=False)
@@ -127,12 +135,17 @@ class NashReport:
     def trace(self) -> tuple:
         trace = []
         done = 0  # blow-ups before the run; a step inside it keeps m_done
+        transform = self.start
         for run in self.runs:
+            source, transform = transform, strict_transform(transform, run.chart, run.steps)
             index, name, center = run.chart.index, run.chart.exceptional, run.chart.translation
             for l in range(1, run.steps):
-                trace.append(NashStep(index, name, center, self.sequence[done], run.source, l))
+                trace.append(NashStep(index, name, center, self.sequence[done], source, l))
             done += run.steps
-            trace.append(NashStep(index, name, center, self.sequence[done], run.transform))
+            m = transform.order_at_origin()
+            if m != self.sequence[done]:
+                raise EngineError(f"trace replay reads multiplicity {m} at blow-up {done}, not {self.sequence[done]}")
+            trace.append(NashStep(index, name, center, m, transform))
         return tuple(trace)
 
     def to_json(self, field, include_trace: bool = False) -> dict:
@@ -220,17 +233,18 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     return chart, Arc._of(arc.variables, tuple(lifted), field)
 
 
-def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1) -> MultiPoly:
+def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None) -> MultiPoly:
     """Strict transform of a hypersurface under a point blow-up chart.
 
     The chart transform divides by the exceptional coordinate to the exact
     power of the multiplicity at the blown-up center.  `steps` > 1 is a run
     (`run_length`): that many blow-ups in the chart at the origin, each of
-    which keeps the multiplicity, so each divides by the same power.
+    which keeps the multiplicity, so each divides by the same power.  `caps`
+    bounds the recentering shift (`MultiPoly._shift`).
     """
     if poly.is_zero():
         raise EngineError("strict transform of the zero polynomial")
-    transformed = chart.transform(poly, poly.order_at_origin(), steps)
+    transformed = chart.transform(poly, poly.order_at_origin(), steps, caps)
     # Inside a run this holds at every step without a check: the pull-back of g is divisible
     # by x_j exactly to the power ord(g), and each step divides by that power, its order m.
     if steps == 1 and all(exps[chart.index] for exps in transformed.terms):
@@ -293,17 +307,31 @@ def nash_sequence(
     max_steps (reported, never silent).  Each iteration makes the blow-ups
     of one run (`run_length`), a single one when no run applies, and records
     it as one NashRun.
+
+    The chain works modulo x_i^(m_0+1) for each coordinate x_i along which
+    the arc is exactly zero.  Such a component stays zero, so x_i is never
+    the chart and its center coordinate is 0 from then on.  A chart
+    transform changes only e_j, and a shift in another coordinate keeps e_i,
+    so a term with e_i > m_0 meets only terms with the same e_i.  Its degree
+    is above every multiplicity of the chain, so it never sets an order nor
+    binds `run_length`.  Such terms are dropped at the start and from the
+    shift that makes a component zero, which builds only its terms of degree
+    at most m_0 in x_i from all of f's.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
     certify_on_hypersurface(poly, arc, None)
     m0 = poly.order_at_origin()
     if m0 < 2:
-        return NashReport((m0,), 0, (), False, below_threshold=True)
+        return NashReport((m0,), 0, poly, (), False, below_threshold=True)
     extra = fresh_variable(arc.variables)
     ambient = arc.variables + (extra,)
-    current_poly = poly.extend(ambient)
+    start = current_poly = poly.extend(ambient)
     current_arc = graph_arc(arc, extra)
+    zero = [i for i, comp in enumerate(arc.components) if comp.is_exactly_zero()]
+    if zero:
+        terms = {e: c for e, c in start.terms.items() if all(e[i] <= m0 for i in zero)}
+        current_poly = MultiPoly._of(ambient, terms, poly.field)
     sequence = [m0]
     runs = []
     while len(sequence) <= max_steps:
@@ -311,12 +339,13 @@ def nash_sequence(
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
         source = current_poly
         chart, current_arc = blowup_lift(current_arc, precision, steps)
-        current_poly = strict_transform(current_poly, chart, steps)
+        caps = {i: m0 for i, comp in enumerate(current_arc.components) if comp.is_exactly_zero()}
+        current_poly = strict_transform(current_poly, chart, steps, caps)
         m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
         if m > previous:
             raise EngineError("Nash multiplicity increased; this is a bug")
         runs.append(NashRun(chart, source, steps, current_poly))
         sequence += [previous] * (steps - 1) + [m]
         if m < m0:
-            return NashReport(tuple(sequence), len(sequence) - 1, tuple(runs), False)
-    return NashReport(tuple(sequence), None, tuple(runs), True)
+            return NashReport(tuple(sequence), len(sequence) - 1, start, tuple(runs), False)
+    return NashReport(tuple(sequence), None, start, tuple(runs), True)

@@ -234,12 +234,14 @@ class MultiPoly:
         then merged into the fixed terms, and sums that vanish are dropped."""
         return self._shift(check_point(point, self.variables, self.field))
 
-    def _shift(self, point) -> "MultiPoly":
+    def _shift(self, point, caps=None) -> "MultiPoly":
         # Internal: `translate` by a point whose coordinates are already field elements.
+        # `caps` maps a coordinate to a degree: its shift builds only the terms of at most
+        # that degree in it, as `nash_sequence` works modulo a power of that coordinate.
         field = self.field
         p = field.characteristic
         shifted = self
-        rows = {}  # e -> the (k, binom(e, k)) whose binomial is nonzero in the field
+        rows = {}  # (e, top) -> the (k, binom(e, k)), k <= top, whose binomial is nonzero in the field
         for i, c in enumerate(point):
             if field.is_zero(c):
                 continue
@@ -255,6 +257,7 @@ class MultiPoly:
             # c = u / d, so c^j = u^j d^(n-j) / d^n: the powers on integers, mod p over F_p.
             (u,), d = field.cleared([c])
             n = max(exps[i] for exps, _ in moving)
+            top = caps.get(i, n) if caps else n
             c_powers = [1]
             for _ in range(n):
                 c_powers.append(c_powers[-1] * u % p if p else c_powers[-1] * u)
@@ -265,10 +268,11 @@ class MultiPoly:
             raw = {}
             for (exps, _), a in zip(moving, coeffs):
                 e = exps[i]
-                if e not in rows:
-                    binoms = (math.comb(e, k) for k in range(e + 1))
-                    rows[e] = [(k, b) for k, b in enumerate(binoms) if not p or b % p]
-                for k, b in rows[e]:
+                row = (e, min(e, top))
+                if row not in rows:
+                    binoms = (math.comb(e, k) for k in range(row[1] + 1))
+                    rows[row] = [(k, b) for k, b in enumerate(binoms) if not p or b % p]
+                for k, b in rows[row]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
             for key, v in zip(raw, field.uncleared(raw.values(), scale * power_scale)):

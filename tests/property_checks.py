@@ -446,19 +446,20 @@ def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
 
 
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
-    """`nash_sequence` one blow-up per iteration, every transform built when its step is
-    made and every lift taken by `reference_lift`.
+    """`nash_sequence` one blow-up per iteration, every transform built whole when its
+    step is made and every lift taken by `reference_lift`.
 
-    A route `nash_sequence`, which makes a run of blow-ups in one chart at once and lifts
-    along a monomial chart component by slicing, does not take."""
+    A route `nash_sequence`, which makes a run of blow-ups in one chart at once, lifts
+    along a monomial chart component by slicing and drops the terms of degree above m_0
+    in a coordinate along which the arc is exactly zero, does not take."""
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
     certify_on_hypersurface(poly, arc, f"arc {arc}")
     m0 = poly.order_at_origin()
     if m0 < 2:
-        return NashReport((m0,), 0, (), False, below_threshold=True)
+        return NashReport((m0,), 0, poly, (), False, below_threshold=True)
     extra = fresh_variable(arc.variables)
-    current_poly = poly.extend(arc.variables + (extra,))
+    start = current_poly = poly.extend(arc.variables + (extra,))
     current_arc = graph_arc(arc, extra)
     sequence = [m0]
     runs = []
@@ -472,8 +473,8 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEF
         sequence.append(m)
         runs.append(NashRun(chart, source, 1, current_poly))
         if m < m0:
-            return NashReport(tuple(sequence), len(sequence) - 1, tuple(runs), False)
-    return NashReport(tuple(sequence), None, tuple(runs), True)
+            return NashReport(tuple(sequence), len(sequence) - 1, start, tuple(runs), False)
+    return NashReport(tuple(sequence), None, start, tuple(runs), True)
 
 
 def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
@@ -710,14 +711,15 @@ def check_nash_monotonicity(rng):
 _MONOMIAL_LEADS = {0: (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)), 2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
 
 
-def random_monomial_arc(rng, field, width):
+def random_monomial_arc(rng, field, width, max_degree=2):
     """(arc, on): a monomial arc x_i -> u_i t^(a_i) over `width` variables, each
     component zero with chance 1/4 but not all, and a nonzero polynomial that
     vanishes on it, or None when only 0 does (a single nonzero component).
 
     The polynomial is a random combination of x_k for each zero component and
     of the binomial u_j^(a_i) x_i^(a_j) - u_i^(a_j) x_j^(a_i) for each pair of
-    nonzero components, both of which map to exactly 0."""
+    nonzero components, both of which map to exactly 0, with factors whose
+    exponents are at most `max_degree`."""
     variables = ("x", "y", "z")[:width]
     leads = _MONOMIAL_LEADS[field.characteristic]
     choices = [None] * width
@@ -738,7 +740,7 @@ def random_monomial_arc(rng, field, width):
             vanishing.append(MultiPoly(variables, terms, field))
     on = MultiPoly.zero(variables, field)
     for g in vanishing:
-        on = on + g * random_poly(rng, field, variables, max_degree=2, max_terms=3, nonzero=True)
+        on = on + g * random_poly(rng, field, variables, max_degree=max_degree, max_terms=3, nonzero=True)
     return arc, None if on.is_zero() else on
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -336,13 +337,14 @@ class TestNashSequence:
         # Every chart component is a monomial, so each lift slices and scales and the
         # quotient rule is never entered; the chart transform builds its result without
         # re-coercing each coefficient.  The 84 blow-ups come in runs of 7, 1, 75 and 1,
-        # one chart transform each.
+        # one chart transform each, and reading the trace replays each run once more.
         entered, calls = self.watch_field_calls(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
-        assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
         assert entered.count("transform") == 4 and "quotient" not in entered
+        assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
+        assert entered.count("transform") == 4 + 4 and "quotient" not in entered
         assert calls == []
 
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
@@ -362,15 +364,18 @@ class TestNashSequence:
         # The orders of f and of f on the graph's ambient space, then one per
         # run's strict transform, whose order is the next multiplicity and
         # divisibility check: 4 runs make the 84 steps.  Each step once
-        # computed it three times, and then once.
+        # computed it three times, and then once.  Reading the trace replays the runs
+        # from f on the graph's ambient space, whose order the chain has computed: one
+        # more per replayed strict transform, which the replay checks.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
         phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
         computed = []
         order = MultiPoly.order_at_origin
         monkeypatch.setattr(MultiPoly, "order_at_origin", lambda g: computed.append(g._order is None) or order(g))
         report = nash_sequence(f, phi, max_steps=100)
-        assert len(report.trace) == 84
         assert sum(computed) == 6
+        assert len(report.trace) == 84
+        assert sum(computed) == 6 + 4
 
     @pytest.mark.parametrize("field, rho", zip(FIELDS, (999, 1996, 999, 999)), ids=FIELD_IDS)
     def test_a_chain_of_a_thousand_steps_makes_a_few_transforms(self, monkeypatch, field, rho):
@@ -382,6 +387,20 @@ class TestNashSequence:
         report = nash_sequence(f, phi, max_steps=3000)
         assert report.rho == rho and not report.truncated
         assert len(transforms) <= 5
+
+    def test_the_chain_carries_few_terms(self):
+        # After the first run w = t ties with the chart x = t, moves to the center 1 and
+        # is exactly zero from then on, so the shift (w + 1)^N keeps only w-degrees <= 2.
+        # The trace, which replays the runs on the whole polynomial, is not read.
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
+        assert [len(run.transform.terms) for run in report.runs] == [2, 4, 4, 4]
+        assert "trace" not in vars(report)
+        for field in FIELDS:
+            f = parse_poly("y^2 - x^999", ("x", "y"), field)
+            report = nash_sequence(f, arc(field, "t^2", "t^999", variables=("x", "y")), max_steps=3000)
+            assert max(len(run.transform.terms) for run in report.runs) <= 4
+            assert "trace" not in vars(report)
 
     def test_trace_records_steps(self):
         report = nash_sequence(cusp(), arc(Q, "t^2", "t^3", variables=("x", "y")))
@@ -552,6 +571,18 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert [step.to_json(Q) for step in trace] == [step.to_json(Q) for step in reference]
 
 
+def test_trace_replay_checks_each_runs_multiplicity():
+    # The trace replays the runs on the whole polynomial and compares each run's order
+    # with the recorded sequence; a report that recorded another value is refused.
+    f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+    report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
+    sequence = list(report.sequence)
+    sequence[8] = 3  # the end of the second run, 7 + 1 blow-ups in
+    forged = dataclasses.replace(report, sequence=tuple(sequence))
+    with pytest.raises(EngineError, match="^trace replay reads multiplicity 2 at blow-up 8, not 3$"):
+        forged.trace
+
+
 def _spy_runs(monkeypatch):
     runs = []
     measure = blowup.run_length
@@ -652,3 +683,34 @@ def test_chains_with_non_unit_leads_over_q(poly, leads):
     assert_chain_matches_stepwise(f.extend(("x", "y", "z")), Arc(("x", "y", "z"), (*components, z), Q), max_steps=60)
     if leads[0][1] == 1:
         assert nash_sequence(f, phi).trace[0].center == (0, 0, -2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestZeroComponents:
+    """The chain drops the terms of degree above m_0 in each coordinate along which
+    the arc is exactly zero; the stepwise reference keeps every term.  Their reports,
+    the trace replayed on the whole polynomial included, must agree."""
+
+    @staticmethod
+    def compare(field, seed, zero_at_start, cases):
+        rng = random.Random(f"{seed}-{field.characteristic}")
+        dropped = 0
+        for _ in range(cases):
+            phi = on = None
+            while on is None or on.order_at_origin() < 2 or zero_at_start != any(
+                comp.is_exactly_zero() for comp in phi.components
+            ):
+                phi, on = random_monomial_arc(rng, field, rng.randint(2, 3), max_degree=4)
+            assert_chain_matches_stepwise(on, phi, max_steps=40)
+            report = nash_sequence(on, phi, max_steps=40)
+            if report.runs:
+                dropped += len(report.runs[-1].transform.terms) < len(report.trace[-1].transform.terms)
+        return dropped
+
+    def test_arcs_with_a_zero_component(self, field):
+        assert self.compare(field, "zero-at-start", True, 60) > 10
+
+    def test_arcs_that_gain_a_zero_component(self, field):
+        # Every component is a monomial, so a center leaves the origin exactly when a
+        # component ties with the chart's order, and that component becomes zero.
+        assert self.compare(field, "zero-gained", False, 60) > 10
