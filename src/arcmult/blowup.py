@@ -11,8 +11,8 @@ weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
 Blow-ups that stay in one chart at the origin are made a run at a time
 (`run_length`): one slice of the arc and one exponent map of f.  The chain
 carries f modulo x_i^(m_0+1) for each coordinate x_i along which the arc is
-exactly zero, and the report keeps one record per run, from which the
-per-blow-up trace is replayed on the whole of f when it is read.
+exactly zero, and the report keeps one (chart, steps) pair per run, from which
+the trace is replayed on the whole of f, one blow-up at a time, when it is read.
 """
 
 from __future__ import annotations
@@ -73,23 +73,13 @@ class ChartMap:
 
 @dataclass(frozen=True)
 class NashStep:
-    """One blow-up of the chain.  Its strict transform is `source` when `steps`
-    is 0; a step inside a run keeps the run's first polynomial and the number
-    of blow-ups from it, and builds `transform` when it is first read."""
+    """One blow-up of the chain: its chart, center, multiplicity and strict transform."""
 
     chart_index: int
     chart_variable: str
     center: Point
     multiplicity: int
-    source: MultiPoly = dataclass_field(repr=False)
-    steps: int = dataclass_field(default=0, repr=False)
-
-    @cached_property
-    def transform(self) -> MultiPoly:
-        if not self.steps:
-            return self.source
-        chart = ChartMap(self.source.variables, self.chart_index, self.center)
-        return chart.transform(self.source, self.multiplicity, self.steps)
+    transform: MultiPoly = dataclass_field(repr=False)
 
     def to_json(self, field) -> dict:
         return {
@@ -102,27 +92,15 @@ class NashStep:
 
 
 @dataclass(frozen=True)
-class NashRun:
-    """One iteration of the chain: `steps` blow-ups in `chart` (`run_length`)
-    take `source` to its strict transform `transform`.  Both are the
-    polynomials the chain carries, which drop the terms of degree above m_0
-    in a coordinate along which the arc is exactly zero (`nash_sequence`)."""
-
-    chart: ChartMap
-    source: MultiPoly
-    steps: int
-    transform: MultiPoly
-
-
-@dataclass(frozen=True)
 class NashReport:
     """The sequence m_0 >= m_1 >= ..., where it first drops, and how we got there.
 
-    `runs` records the chain one iteration at a time, from `start`, the whole
-    of f on the graph's ambient space.  `trace`, one NashStep per blow-up, is
-    built when it is first read: it replays the runs' charts on `start`, one
-    strict transform per run, and raises EngineError if a replayed order is
-    not the multiplicity the chain recorded."""
+    `runs` holds one `(chart, steps)` pair per iteration of the chain: `steps`
+    blow-ups in `chart` (`run_length`), from `start`, the whole of f on the
+    graph's ambient space.  `trace`, one NashStep per blow-up, is built when it
+    is first read: it replays every blow-up on `start`, one strict transform
+    each, and raises EngineError if a replayed order is not the multiplicity
+    the chain recorded."""
 
     sequence: tuple
     rho: int | None
@@ -134,18 +112,14 @@ class NashReport:
     @cached_property
     def trace(self) -> tuple:
         trace = []
-        done = 0  # blow-ups before the run; a step inside it keeps m_done
         transform = self.start
-        for run in self.runs:
-            source, transform = transform, strict_transform(transform, run.chart, run.steps)
-            index, name, center = run.chart.index, run.chart.exceptional, run.chart.translation
-            for l in range(1, run.steps):
-                trace.append(NashStep(index, name, center, self.sequence[done], source, l))
-            done += run.steps
-            m = transform.order_at_origin()
-            if m != self.sequence[done]:
-                raise EngineError(f"trace replay reads multiplicity {m} at blow-up {done}, not {self.sequence[done]}")
-            trace.append(NashStep(index, name, center, m, transform))
+        for chart, steps in self.runs:
+            for _ in range(steps):
+                transform = strict_transform(transform, chart)
+                m, done = transform.order_at_origin(), len(trace) + 1
+                if m != self.sequence[done]:
+                    raise EngineError(f"trace replay reads multiplicity {m} at blow-up {done}, not {self.sequence[done]}")
+                trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, transform))
         return tuple(trace)
 
     def to_json(self, field, include_trace: bool = False) -> dict:
@@ -306,7 +280,7 @@ def nash_sequence(
     first multiplicity strictly below the initial one, or truncates at
     max_steps (reported, never silent).  Each iteration makes the blow-ups
     of one run (`run_length`), a single one when no run applies, and records
-    it as one NashRun.
+    it as one `(chart, steps)` pair.
 
     The chain works modulo x_i^(m_0+1) for each coordinate x_i along which
     the arc is exactly zero.  Such a component stays zero, so x_i is never
@@ -337,14 +311,13 @@ def nash_sequence(
     while len(sequence) <= max_steps:
         previous = sequence[-1]
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
-        source = current_poly
         chart, current_arc = blowup_lift(current_arc, precision, steps)
         caps = {i: m0 for i, comp in enumerate(current_arc.components) if comp.is_exactly_zero()}
         current_poly = strict_transform(current_poly, chart, steps, caps)
         m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
         if m > previous:
             raise EngineError("Nash multiplicity increased; this is a bug")
-        runs.append(NashRun(chart, source, steps, current_poly))
+        runs.append((chart, steps))
         sequence += [previous] * (steps - 1) + [m]
         if m < m0:
             return NashReport(tuple(sequence), len(sequence) - 1, start, tuple(runs), False)

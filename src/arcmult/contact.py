@@ -135,14 +135,14 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     return not any(lead_sums(terms, pattern, leads, field.characteristic).values())
 
 
-def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
+def _vanishing_grid(terms, field, width: int) -> list:
     """Monomial grid assignments on which f vanishes, in grid order.
 
     An assignment gives each variable (u, a), for x_i -> u t^a, or None, for
     x_i -> 0; the all-None assignment is skipped.  Units and exponents are
-    small, and the exponent bound shrinks in higher dimension to keep the grid
-    within GRID_CAP arcs; a grid still above the cap at bound 1 is an input
-    error.
+    small, and the exponent bound, EXPONENT_BOUND, shrinks in higher dimension
+    to keep the grid within GRID_CAP arcs; a grid still above the cap at bound
+    1 is an input error.
 
     The exponent pattern decides most assignments alone: each surviving term
     maps to a nonzero multiple of one power of t, so a power that only one
@@ -156,7 +156,7 @@ def _vanishing_grid(terms, field, width: int, exponent_bound: int) -> list:
     by their index in itertools.product(choices), the order of the full grid.
     """
     units = field.units(6)
-    bound = exponent_bound
+    bound = EXPONENT_BOUND
     while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
         bound -= 1
     if (1 + len(units)) ** width > GRID_CAP:
@@ -238,7 +238,7 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     # Distinct assignments give distinct arcs: the grid needs no dedup.
     arcs = [
         (_monomial_arc(poly.variables, field, assignment), None)
-        for assignment in _vanishing_grid(terms, field, len(poly.variables), EXPONENT_BOUND)
+        for assignment in _vanishing_grid(terms, field, len(poly.variables))
     ]
     if parametrization is None:
         return arcs

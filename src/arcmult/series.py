@@ -457,7 +457,7 @@ class Arc:
         return Arc(self.variables, tuple(c.compose(inner, powers) for c in self.components), self.field)
 
     def powers(self) -> Powers:
-        """A cache of the components' powers, on integers, that `arc_substitute` may share."""
+        """A cache of the components' powers, on integers, that `arc_image` calls may share."""
         return _powers(self.components, self.field)
 
     def project(self, variables) -> "Arc":
@@ -492,14 +492,14 @@ def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> Cleare
     return _image(arc.field, poly.terms.items(), powers)
 
 
-def arc_substitute(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> TruncatedSeries:
-    """Evaluate a polynomial along an arc: phi(f) in K[[t]]; `powers` as in `arc_image`.
+def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
+    """Evaluate a polynomial along an arc: phi(f) in K[[t]].
 
     Along a monomial arc (`exact_leads`) the image is read whole from the
     `lead_sums`, with no series product; any other arc is evaluated by `arc_image`."""
     pattern, leads, monomial = exact_leads(arc) or (None, None, False)
     if not monomial:
-        return arc_image(poly, arc, powers).series(arc.field)
+        return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
     field = arc.field
     sums = _lead_fractions(poly.terms.items(), pattern, leads, field.characteristic)

@@ -38,7 +38,6 @@ from arcmult.blowup import (
     DEFAULT_MAX_STEPS,
     ChartMap,
     NashReport,
-    NashRun,
     fresh_variable,
     graph_arc,
     nash_sequence,
@@ -464,14 +463,13 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEF
     sequence = [m0]
     runs = []
     for _ in range(max_steps):
-        source = current_poly
         chart, current_arc = reference_lift(current_arc, precision)
         current_poly = strict_transform(current_poly, chart)
         m = current_poly.order_at_origin()
         if m > sequence[-1]:
             raise EngineError("Nash multiplicity increased; this is a bug")
         sequence.append(m)
-        runs.append(NashRun(chart, source, 1, current_poly))
+        runs.append((chart, 1))
         if m < m0:
             return NashReport(tuple(sequence), len(sequence) - 1, start, tuple(runs), False)
     return NashReport(tuple(sequence), None, start, tuple(runs), True)

@@ -337,14 +337,15 @@ class TestNashSequence:
         # Every chart component is a monomial, so each lift slices and scales and the
         # quotient rule is never entered; the chart transform builds its result without
         # re-coercing each coefficient.  The 84 blow-ups come in runs of 7, 1, 75 and 1,
-        # one chart transform each, and reading the trace replays each run once more.
+        # one chart transform each, and reading the trace replays each blow-up once more.
         entered, calls = self.watch_field_calls(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
         assert entered.count("transform") == 4 and "quotient" not in entered
+        report.to_json(field, include_trace=True)
         assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
-        assert entered.count("transform") == 4 + 4 and "quotient" not in entered
+        assert entered.count("transform") == 4 + 84 and "quotient" not in entered
         assert calls == []
 
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
@@ -364,9 +365,9 @@ class TestNashSequence:
         # The orders of f and of f on the graph's ambient space, then one per
         # run's strict transform, whose order is the next multiplicity and
         # divisibility check: 4 runs make the 84 steps.  Each step once
-        # computed it three times, and then once.  Reading the trace replays the runs
-        # from f on the graph's ambient space, whose order the chain has computed: one
-        # more per replayed strict transform, which the replay checks.
+        # computed it three times, and then once.  Reading the trace replays every
+        # blow-up from f on the graph's ambient space, whose order the chain has
+        # computed: one more per replayed strict transform, which the replay checks.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
         phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
         computed = []
@@ -374,8 +375,8 @@ class TestNashSequence:
         monkeypatch.setattr(MultiPoly, "order_at_origin", lambda g: computed.append(g._order is None) or order(g))
         report = nash_sequence(f, phi, max_steps=100)
         assert sum(computed) == 6
-        assert len(report.trace) == 84
-        assert sum(computed) == 6 + 4
+        report.to_json(Q, include_trace=True)
+        assert sum(computed) == 6 + 84
 
     @pytest.mark.parametrize("field, rho", zip(FIELDS, (999, 1996, 999, 999)), ids=FIELD_IDS)
     def test_a_chain_of_a_thousand_steps_makes_a_few_transforms(self, monkeypatch, field, rho):
@@ -391,15 +392,15 @@ class TestNashSequence:
     def test_the_chain_carries_few_terms(self):
         # After the first run w = t ties with the chart x = t, moves to the center 1 and
         # is exactly zero from then on, so the shift (w + 1)^N keeps only w-degrees <= 2.
-        # The trace, which replays the runs on the whole polynomial, is not read.
+        # The trace, which replays every blow-up on the whole polynomial, is not read.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
-        report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
-        assert [len(run.transform.terms) for run in report.runs] == [2, 4, 4, 4]
+        report, carried = carried_transforms(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 100)
+        assert [len(g.terms) for g in carried] == [2, 4, 4, 4]
         assert "trace" not in vars(report)
         for field in FIELDS:
             f = parse_poly("y^2 - x^999", ("x", "y"), field)
-            report = nash_sequence(f, arc(field, "t^2", "t^999", variables=("x", "y")), max_steps=3000)
-            assert max(len(run.transform.terms) for run in report.runs) <= 4
+            report, carried = carried_transforms(f, arc(field, "t^2", "t^999", variables=("x", "y")), 3000)
+            assert max(len(g.terms) for g in carried) <= 4
             assert "trace" not in vars(report)
 
     def test_trace_records_steps(self):
@@ -481,14 +482,6 @@ class TestRuns:
         with pytest.raises(EngineError, match="^Nash multiplicity increased; this is a bug$"):
             run_length(f, phi, 2, 10)
 
-    def test_steps_inside_a_run_build_their_transforms_when_read(self):
-        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
-        report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
-        step = report.trace[40]
-        assert "transform" not in vars(step)
-        assert str(step.transform) == step.to_json(Q)["transform"]
-        assert vars(step)["transform"] is step.transform
-
 
 def random_lift_arc(rng, field):
     """An arc of 2 or 3 components, each a monomial c t^k (non-unit leads over Q), a
@@ -562,7 +555,7 @@ def test_trace_is_built_when_first_read(monkeypatch):
     f = parse_poly("y^2 - x^21", ("x", "y"), Q)
     phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
     report = nash_sequence(f, phi, max_steps=100)
-    assert len(report.runs) == 4 and sum(run.steps for run in report.runs) == 84
+    assert len(report.runs) == 4 and sum(steps for _, steps in report.runs) == 84
     assert report.to_json(Q) == stepwise_nash_sequence(f, phi, 100).to_json(Q)
     assert built == []
     trace = report.trace
@@ -571,16 +564,31 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert [step.to_json(Q) for step in trace] == [step.to_json(Q) for step in reference]
 
 
-def test_trace_replay_checks_each_runs_multiplicity():
-    # The trace replays the runs on the whole polynomial and compares each run's order
-    # with the recorded sequence; a report that recorded another value is refused.
+@pytest.mark.parametrize(
+    "blow_up", [pytest.param(3, id="inside-the-first-run"), pytest.param(8, id="end-of-the-second-run")]
+)
+def test_trace_replay_checks_every_blow_up(blow_up):
+    # The runs are 7, 1, 75 and 1 blow-ups long.  The trace replays every blow-up on the
+    # whole polynomial and compares its order with the recorded sequence; a report that
+    # recorded another value, inside a run or at its end, is refused.
     f = parse_poly("y^2 - x^21", ("x", "y"), Q)
     report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
     sequence = list(report.sequence)
-    sequence[8] = 3  # the end of the second run, 7 + 1 blow-ups in
+    sequence[blow_up] = 3
     forged = dataclasses.replace(report, sequence=tuple(sequence))
-    with pytest.raises(EngineError, match="^trace replay reads multiplicity 2 at blow-up 8, not 3$"):
+    with pytest.raises(EngineError, match=f"^trace replay reads multiplicity 2 at blow-up {blow_up}, not 3$"):
         forged.trace
+    assert [steps for _, steps in report.runs] == [7, 1, 75, 1]
+
+
+def carried_transforms(poly, phi, max_steps):
+    """`nash_sequence`'s report and the polynomial its chain carries after each run,
+    read by wrapping `blowup.strict_transform`; the trace is not read."""
+    carried = []
+    transform = blowup.strict_transform
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blowup, "strict_transform", lambda *args: carried.append(transform(*args)) or carried[-1])
+        return nash_sequence(poly, phi, max_steps=max_steps), carried
 
 
 def _spy_runs(monkeypatch):
@@ -702,9 +710,9 @@ class TestZeroComponents:
             ):
                 phi, on = random_monomial_arc(rng, field, rng.randint(2, 3), max_degree=4)
             assert_chain_matches_stepwise(on, phi, max_steps=40)
-            report = nash_sequence(on, phi, max_steps=40)
-            if report.runs:
-                dropped += len(report.runs[-1].transform.terms) < len(report.trace[-1].transform.terms)
+            report, carried = carried_transforms(on, phi, 40)
+            if carried:
+                dropped += len(carried[-1].terms) < len(report.trace[-1].transform.terms)
         return dropped
 
     def test_arcs_with_a_zero_component(self, field):

@@ -214,7 +214,7 @@ def _grid_with_tries(monkeypatch, terms, field, width):
         return rule(terms, field, assignment)
 
     monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", counted)
-    grid = _vanishing_grid(terms, field, width, EXPONENT_BOUND)
+    grid = _vanishing_grid(terms, field, width)
     monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", rule)
     return grid, dict(tried)
 
@@ -280,7 +280,7 @@ class TestSampleArcs:
             for assignment in reference_grid(field, 3, EXPONENT_BOUND)
             if any(e and choice is None for e, choice in zip(exps, assignment))
         ]
-        assert _vanishing_grid(list(constraint.terms.items()), field, 3, EXPONENT_BOUND) == killing
+        assert _vanishing_grid(list(constraint.terms.items()), field, 3) == killing
 
     def test_filter_runs_on_few_of_the_box_patterns(self, monkeypatch):
         # Over F_3 the box is {None, 1..8}^3, 729 patterns, and scanning it
@@ -294,7 +294,7 @@ class TestSampleArcs:
         count = contact.Counter
         monkeypatch.setattr(contact, "Counter", lambda degrees: counts.append(1) or count(degrees))
         constraint = parse_poly("z^3 - x^4 - y^5", XYZ, F3)
-        assert _vanishing_grid(list(constraint.terms.items()), F3, 3, EXPONENT_BOUND)
+        assert _vanishing_grid(list(constraint.terms.items()), F3, 3)
         assert len(counts) == 107
 
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from arcmult.rees import presenting_algebra
 from arcmult.series import (
     Arc,
     TruncatedSeries,
+    arc_image,
     arc_substitute,
     parse_series,
 )
@@ -376,7 +377,7 @@ def test_shared_powers_give_the_same_images(field):
         phi = random_arc(rng, field)
         shared = phi.powers()
         for poly, _ in presenting_algebra(f).generators:
-            assert arc_substitute(poly, phi, shared) == arc_substitute(poly, phi), f"{poly} along {phi}"
+            assert arc_image(poly, phi, shared).series(field) == arc_substitute(poly, phi), f"{poly} along {phi}"
 
 
 def varied_series(rng, field, constant=False):
