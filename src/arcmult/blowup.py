@@ -151,13 +151,7 @@ def graph_arc(arc: Arc, extra_variable: str | None = None) -> Arc:
     if name in arc.variables:
         raise EngineError(f"graph variable {name!r} collides with {arc.variables}")
     t = TruncatedSeries.t_power(arc.field, 1)
-    return Arc(arc.variables + (name,), arc.components + (t,), arc.field)
-
-
-def _chart(arc: Arc) -> tuple:
-    """(index, nu): the chart component has the least t-order nu, ties to the lowest index."""
-    nu = arc.order()  # PrecisionExhausted when the chart choice is indeterminate
-    return next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu), nu
+    return Arc._of(arc.variables + (name,), arc.components + (t,), arc.field)
 
 
 def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) -> tuple:
@@ -178,7 +172,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     admits no such run.
     """
     field = arc.field
-    best_index, nu = _chart(arc)
+    best_index, nu = arc.chart()  # PrecisionExhausted when the chart is indeterminate
     divisor = arc.components[best_index]
     monomial = divisor.exact and len(divisor.coeffs) == nu + 1
     if steps > 1 and not (monomial and all(comp.exact for comp in arc.components)):
@@ -245,7 +239,7 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     """
     if limit < 2 or not all(comp.exact for comp in arc.components):
         return 1
-    j, nu = _chart(arc)
+    j, nu = arc.chart()
     if len(arc.components[j].coeffs) != nu + 1:
         return 1
     steps = limit

@@ -348,7 +348,7 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 e_new[pos] = e
             terms[tuple(e_new)] = coeff
-        return MultiPoly(variables, terms, self.field)
+        return MultiPoly._of(variables, terms, self.field)
 
     def coefficients_in(self, name: str) -> dict:
         """Coefficients of powers of one variable, as polynomials (that variable removed)."""

@@ -9,7 +9,7 @@ with the same seed are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from . import __version__
@@ -113,7 +113,7 @@ class ProblemFile:
         if self.parametrization_text is not None:
             lines.append(f"parametrization: {self.parametrization_text}")
         lines.append("analyses: " + " ".join(self.analyses))
-        lines.extend(f"{key}: {value}" for key, value in asdict(self.options).items())
+        lines.extend(f"{key}: {value}" for key, value in vars(self.options).items())
         for key, value in self.expects.items():
             lines.append(f"expect {key}: {value}")
         return "\n".join(lines) + "\n"
@@ -282,7 +282,7 @@ class Report:
             "arcs": dict(self.problem.arc_texts),
             "parametrization": self.problem.parametrization_text,
             "analyses": list(self.problem.analyses),
-            "options": asdict(self.problem.options),
+            "options": dict(vars(self.problem.options)),
         }
         return {
             "engine": {"name": "arcmult", "version": __version__},
@@ -353,10 +353,11 @@ def run(problem: ProblemFile) -> Report:
             # nash_sequence or the contact branch has certified every arc
             candidates_certified="nash" in analyses or "contact" in analyses,
         )
-    reports = _analyses_json(problem.field, analyses)
-    expectations = _check_expectations(problem.expects, reports)
+    expectations = []
+    if problem.expects:
+        expectations = _check_expectations(problem.expects, _analyses_json(problem.field, analyses))
     failed = any(not e["match"] for e in expectations)
-    verify_failed = "verify" in reports and reports["verify"]["verdict"] != "PASS"
+    verify_failed = "verify" in analyses and analyses["verify"].verdict != "PASS"
     verdict = "FAIL" if failed or verify_failed else "PASS"
     return Report(problem, analyses, expectations, verdict)
 

@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import mul
 
 from .errors import (
@@ -34,12 +34,16 @@ from .poly import MultiPoly, Powers, parse_poly
 #: Default coefficient budget for non-terminating divisions and expansions.
 DEFAULT_PRECISION = 64
 
+#: `TruncatedSeries._order` before its first read (None is a value: an indeterminate order).
+_UNREAD = object()
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
     field: FieldSpec
     coeffs: tuple
     precision: int | float
+    _order = _UNREAD  # not a field: `known_order` fills it on the first read
 
     def __post_init__(self):
         if self.precision < 1:
@@ -69,7 +73,8 @@ class TruncatedSeries:
 
     @classmethod
     def t_power(cls, field: FieldSpec, k: int, coeff=1) -> "TruncatedSeries":
-        return cls.exact_series(field, [field.zero] * k + [field.coerce(coeff)])
+        coeff = field.coerce(coeff)
+        return cls(field, (field.zero,) * k + (coeff,) if coeff else (), INF)
 
     # -- queries -----------------------------------------------------------------
 
@@ -88,16 +93,18 @@ class TruncatedSeries:
         return self.exact and not self.coeffs
 
     def known_order(self):
-        """First nonzero index, INF for exact zero, None when indeterminate."""
-        return self._order
+        """First nonzero index, INF for exact zero, None when indeterminate.
 
-    @cached_property
-    def _order(self):
-        # Scanned once per series, as `MultiPoly.order_at_origin` is computed once.
-        for i, c in enumerate(self.coeffs):
-            if c:  # the field's zeros are exactly its falsy elements
-                return i
-        return INF if self.exact else None
+        Scanned on the first read and kept, as `MultiPoly.order_at_origin` is."""
+        order = self._order
+        if order is _UNREAD:
+            order = INF if self.exact else None
+            for i, c in enumerate(self.coeffs):
+                if c:  # the field's zeros are exactly its falsy elements
+                    order = i
+                    break
+            self.__dict__["_order"] = order
+        return order
 
     def order(self):
         """First nonzero index; raises PrecisionExhausted when indeterminate."""
@@ -401,6 +408,7 @@ class Arc:
     variables: tuple
     components: tuple
     field: FieldSpec = dataclass_field(default=None)
+    _chart = None  # not a field: `chart` fills it on the first read that succeeds
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -434,19 +442,26 @@ class Arc:
 
     def order(self) -> int:
         """nu_t: minimal t-order over the components."""
-        return self._order
+        return self.chart()[1]
 
-    @cached_property
-    def _order(self) -> int:
-        # Computed once: a blow-up reads it to pick its chart and to measure its run.
-        known = [comp.known_order() for comp in self.components]
-        best = min((order for order in known if order is not None), default=INF)
-        for comp, order in zip(self.components, known):
-            if order is None and comp.precision < best:  # its order_lower_bound
-                raise PrecisionExhausted("arc order indeterminate at this precision")
-        if best == INF:
-            raise InvalidArc("arc must have at least one nonzero component")
-        return best
+    def chart(self) -> tuple:
+        """(index, nu): nu = `order`, and index the first component of t-order nu,
+        the chart of the blow-up of the arc's center.
+
+        Scanned on the first read and kept: a blow-up reads it to pick its chart
+        and to measure its run.  PrecisionExhausted when it is indeterminate and
+        InvalidArc when every component is zero, on every read."""
+        chart = self._chart
+        if chart is None:
+            known = [comp.known_order() for comp in self.components]
+            nu = min((order for order in known if order is not None), default=INF)
+            for comp, order in zip(self.components, known):
+                if order is None and comp.precision < nu:  # its order_lower_bound
+                    raise PrecisionExhausted("arc order indeterminate at this precision")
+            if nu == INF:
+                raise InvalidArc("arc must have at least one nonzero component")
+            chart = self.__dict__["_chart"] = (known.index(nu), nu)
+        return chart
 
     def reparametrize(self, n: int) -> "Arc":
         return Arc(self.variables, tuple(c.reparametrize(n) for c in self.components), self.field)
@@ -496,18 +511,21 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     """Evaluate a polynomial along an arc: phi(f) in K[[t]].
 
     Along a monomial arc (`exact_leads`) the image is read whole from the
-    `lead_sums`, with no series product; any other arc is evaluated by `arc_image`."""
+    `lead_sums`, with no series product, up to the last degree whose sum is
+    nonzero; any other arc is evaluated by `arc_image`."""
     pattern, leads, monomial = exact_leads(arc) or (None, None, False)
     if not monomial:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
     field = arc.field
     sums = _lead_fractions(poly.terms.items(), pattern, leads, field.characteristic)
-    values = [field.zero] * (max(sums, default=-1) + 1)
-    for degree, (num, den) in sums.items():
-        if num:
-            values[degree] = field.uncleared([num], den)[0]
-    return TruncatedSeries._of(field, values)
+    nonzero = {degree: (num, den) for degree, (num, den) in sums.items() if num}
+    if not nonzero:
+        return TruncatedSeries.zero(field)
+    values = [field.zero] * (max(nonzero) + 1)
+    for degree, (num, den) in nonzero.items():
+        values[degree] = field.uncleared([num], den)[0]
+    return TruncatedSeries(field, tuple(values), INF)
 
 
 def _term_degree(exps, pattern):

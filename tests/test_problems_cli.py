@@ -500,6 +500,58 @@ class TestCli:
         assert [nash.rho for nash in report.analyses["nash"].values()] == [21, 42, 84]
         assert images == []
 
+    def test_each_arc_and_series_is_scanned_once(self, monkeypatch):
+        # A seed-1 deep-nash problem.  The chain reads its arc's chart in run_length
+        # and in the lift, and scans it once per iteration; contact scans each named
+        # arc once.  No series has its order scanned twice.
+        text = (
+            "name: dn_y2_x21_f0\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
+            "arc n1: 1*t^2, -1*t^21\narc n2: 1*t^4, -1*t^42\narc n4: 1*t^8, -1*t^84\n"
+            "analyses: nash contact\nmax_steps: 88\n"
+        )
+        scans = {"_chart": [], "_order": []}  # the objects whose read scans, by the attribute it fills
+
+        def spied(read, attribute):
+            def spy(value):
+                if attribute not in vars(value):
+                    scans[attribute].append(value)
+                return read(value)
+
+            return spy
+
+        monkeypatch.setattr(series.Arc, "chart", spied(series.Arc.chart, "_chart"))
+        known_order = series.TruncatedSeries.known_order
+        monkeypatch.setattr(series.TruncatedSeries, "known_order", spied(known_order, "_order"))
+        report = run(parse_problem(text))
+        iterations = sum(len(nash.runs) for nash in report.analyses["nash"].values())
+        assert iterations == 12
+        assert len(scans["_chart"]) == iterations + 3
+        assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) > 0
+
+    @pytest.mark.parametrize("expects, builds", [(False, 1), (True, 2)])
+    def test_the_analyses_report_is_built_for_expect_lines_and_output(self, monkeypatch, expects, builds):
+        # run builds it only to check golden values; to_json builds it for the output.
+        text = CUSP_PROBLEM if expects else "".join(
+            line + "\n" for line in CUSP_PROBLEM.splitlines() if not line.startswith("expect ")
+        )
+        built = []
+        analyses_json = problems._analyses_json
+        monkeypatch.setattr(problems, "_analyses_json", lambda *args: built.append(1) or analyses_json(*args))
+        report = run(parse_problem(text))
+        assert len(report.expectations) == 5 * expects
+        assert report.to_json()["verdict"] == "PASS"
+        assert len(built) == builds
+
+    def test_verdict_reads_the_theorem_report(self, monkeypatch):
+        # No arc on y^2 = x^3 + x^4 attains ord_d: verify is INCONCLUSIVE, so the run FAILs.
+        text = "name: no_witness\nfield: 0\nvariables: x y\npoly: y^2 - x^3 - x^4\nfiber: y\nanalyses: verify\n"
+        built = []
+        analyses_json = problems._analyses_json
+        monkeypatch.setattr(problems, "_analyses_json", lambda *args: built.append(1) or analyses_json(*args))
+        report = run(parse_problem(text))
+        assert report.verdict == "FAIL" and built == []
+        assert report.to_json()["analyses"]["verify"]["verdict"] == "INCONCLUSIVE"
+
     def test_corpus_builds_images_only_along_phi3(self, monkeypatch):
         # phi3, the one arc of each bundled problem that is not monomial, has f's
         # image built twice: for its certificate and in its contact walk.

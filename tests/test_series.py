@@ -20,6 +20,7 @@ from arcmult.series import (
     TruncatedSeries,
     arc_image,
     arc_substitute,
+    certify_on_hypersurface,
     parse_series,
 )
 
@@ -54,6 +55,22 @@ class TestSeriesOrder:
         hidden = TruncatedSeries.truncated(Q, (), 8)
         with pytest.raises(PrecisionExhausted):
             hidden.order()
+
+    def test_an_indeterminate_order_raises_on_every_read(self):
+        hidden = TruncatedSeries.truncated(F3, (0, 3, 6), 5)
+        for _ in range(2):
+            assert hidden.known_order() is None
+            assert hidden.order_lower_bound() == 5
+            with pytest.raises(PrecisionExhausted):
+                hidden.order()
+
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    def test_t_power_is_the_padded_exact_series(self, field):
+        for k in (0, 1, 5):
+            for coeff in (1, 2, 3, Fraction(1, 5)):
+                power = TruncatedSeries.t_power(field, k, coeff)
+                assert power == TruncatedSeries.exact_series(field, [0] * k + [coeff])
+                assert power.known_order() == (INF if power.is_exactly_zero() else k)
 
 
 class TestArithmetic:
@@ -327,12 +344,46 @@ class TestArc:
         with pytest.raises(InvalidArc):
             arc(Q, "0", "0")
 
+    def test_chart_is_the_first_component_of_least_order(self):
+        assert arc(Q, "t^3", "t^2 + t^5", "2*t^2", variables=("x", "y", "z")).chart() == (1, 2)
+        assert arc(Q, "0", "t^4").chart() == (1, 4)
+        truncated = Arc(("x", "y"), (S("t^2"), TruncatedSeries.truncated(Q, (0, 0, 1), 5)), Q)
+        assert truncated.chart() == (0, 2)
+
+    def test_a_failed_chart_is_never_kept(self):
+        # A truncated zero below the least known order leaves the chart undecided,
+        # and an all-zero arc (built past the constructor's check) has none.
+        hidden = Arc(("x", "y"), (TruncatedSeries.truncated(Q, (), 3), S("t^5")), Q)
+        zero = Arc._of(("x", "y"), (S("0"), S("0")), Q)
+        for _ in range(2):
+            with pytest.raises(PrecisionExhausted):
+                hidden.chart()
+            with pytest.raises(PrecisionExhausted):
+                hidden.order()
+            with pytest.raises(InvalidArc):
+                zero.order()
+        assert "_chart" not in vars(hidden) and "_chart" not in vars(zero)
+
     def test_substitute_examples(self):
         assert arc_substitute(parse_poly("x^2", ("x", "y"), Q), arc(Q, "t^2", "t^3")) == S("t^4")
         on_curve = arc_substitute(parse_poly("y^2 - x^3", ("x", "y"), Q), arc(Q, "t^2", "t^3"))
         assert on_curve.is_exactly_zero()
         off_curve = arc_substitute(parse_poly("y^2 - x^3", ("x", "y"), Q), arc(Q, "t^3", "t^2"))
         assert off_curve == S("t^4 - t^9")
+
+    def test_certificate_along_a_monomial_arc_builds_no_zero_padding(self, monkeypatch):
+        # y^2 and x^21 both map to t^168 along (t^8, t^84); their sum vanishes, so the
+        # image is the zero series with no list of 169 zeros to trim.
+        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
+        phi = arc(Q, "t^8", "t^84")
+        compared = []
+        eq = Fraction.__eq__
+        monkeypatch.setattr(Fraction, "__eq__", lambda a, b: compared.append(a) or eq(a, b))
+        certify_on_hypersurface(f, phi, None)
+        assert compared == []
+        monkeypatch.undo()
+        off = parse_poly("y^2 - x^21 - 2*x^3", ("x", "y"), Q)
+        assert arc_substitute(off, phi) == arc_image(off, phi).series(Q) == S("-2*t^24")
 
     def test_substitute_is_ring_homomorphism_spot(self):
         phi = arc(Q, "t^2 + t^3", "t^3")
