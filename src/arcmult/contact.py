@@ -214,9 +214,10 @@ def _separates(parametrization: Arc) -> bool:
 
 def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
     """Deterministic pool of arcs at the origin on which f vanishes exactly, one
-    (arc, inner) entry per arc: (arc, None) for a grid arc, and (None, s) for the
-    arc phi o s composed through the parametrization phi, which
-    `parametrization.compose(s)` builds.
+    (arc, key) entry per arc: (arc, None) for a grid arc, and (None, key) for the
+    arc phi o s composed through the parametrization phi, where the key is s's
+    tuple of integer coefficients, which `TruncatedSeries.exact_series(field,
+    key)` builds.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
@@ -226,12 +227,14 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     would not follow phi's).  Then f(phi o s) = f(phi) o s vanishes for
     every series s with zero constant term, so `budget` arcs composed
     through phi with random series drawn from `seed`, and reparametrizations
-    phi(t^n) = phi o t^n, are admitted without substitution.  A series drawn
-    again is skipped, and an arc equal to an earlier one is dropped.  When
-    phi separates (`_separates`), distinct series give distinct arcs, and
-    phi o s is a monomial arc only when s is a monomial (its degree exceeds
-    its order otherwise), so only monomial s are composed to be compared
-    with the grid and with each other; through any other phi every s is.
+    phi(t^n) = phi o t^n, are admitted without substitution.  Each integer is
+    drawn with getrandbits exactly as random.Random.randint draws it.  A
+    series drawn again is skipped, drawing stops once every series has been
+    drawn, and an arc equal to an earlier one is dropped.  When phi separates
+    (`_separates`), distinct series give distinct arcs, and phi o s is a
+    monomial arc only when s is a monomial (its degree exceeds its order
+    otherwise), so only monomial s are composed to be compared with the grid
+    and with each other; through any other phi every s is.
     """
     field = poly.field
     terms = list(poly.terms.items())
@@ -252,34 +255,41 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     seen = {arc.components for arc, _ in arcs}
     separates = _separates(parametrization)
 
-    def admit(inner: TruncatedSeries) -> bool:
-        if not separates or sum(map(bool, inner.coeffs)) == 1:
-            components = parametrization.compose(inner).components
+    def admit(key: tuple) -> bool:
+        if not separates or sum(map(bool, key)) == 1:
+            components = parametrization.compose(TruncatedSeries.exact_series(field, key)).components
             if components in seen:
                 return False
             seen.add(components)
-        arcs.append((None, inner))
+        arcs.append((None, key))
         return True
 
-    rng = random.Random(seed)
+    # randint(a, b) draws getrandbits(k), k the bit length of the width w = b - a + 1,
+    # until the value is below w, and adds a: the degree is randint(1, DEGREE_BOUND),
+    # each coefficient randint(-3, 3), mod p over F_p.
+    bits = random.Random(seed).getrandbits
     p = field.characteristic
+    values = [c % p if p else c for c in range(-3, 4)]
+    space = len(set(values)) ** DEGREE_BOUND - 1  # the nonzero keys
     drawn = set()
     produced = 0
     attempts = 0
-    while produced < budget and attempts < budget * 20:
+    while produced < budget and attempts < budget * 20 and len(drawn) < space:
         attempts += 1
-        degree = rng.randint(1, DEGREE_BOUND)
+        while (degree := 1 + bits(DEGREE_BOUND.bit_length())) > DEGREE_BOUND:
+            pass
         # Dedupe on the draw's integers, mod p over F_p, with trailing zeros dropped.
-        draw = [0] + [rng.randint(-3, 3) for _ in range(degree)]
-        if p:
-            draw = [c % p for c in draw]
+        draw = [0]
+        while len(draw) <= degree:
+            if (c := bits(3)) < 7:  # 7 values, 3 bits
+                draw.append(values[c])
         while draw and not draw[-1]:
             draw.pop()
         key = tuple(draw)
         if not key or key in drawn:
             continue  # the zero series, or one whose arc was seen when it was first drawn
         drawn.add(key)
-        produced += admit(TruncatedSeries.exact_series(field, key))
+        produced += admit(key)
     for n in range(1, 9):
-        admit(TruncatedSeries.t_power(field, n))
+        admit((0,) * n + (1,))
     return arcs

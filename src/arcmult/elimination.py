@@ -362,12 +362,14 @@ def verify_main_theorem(
     keeps as (f.normalized(), m), maps to 0 and never attains r: arcs are
     evaluated on G without it, on the derivatives of f.
 
-    Candidates and grid arcs are evaluated one by one.  An arc composed
-    through the parametrization, phi o s, is counted and named like any other
-    but neither built nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) =
-    r(phi) * ord(s) and nu(phi o s) = nu(phi) * ord(s), and its r_bar is
-    r_bar(phi), which one contact order on phi gives.  It is built only when
-    it is the witness.
+    Candidates and grid arcs are evaluated one by one.  The arcs composed
+    through the parametrization, the (None, key) entries of `sample_arcs`
+    after the grid, are counted and named like any other but neither built
+    nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s)
+    and nu(phi o s) = nu(phi) * ord(s), and every one has the r_bar of phi,
+    which one contact order on phi gives.  They are compared as one group,
+    named by its first index, and its first arc is built only when the group
+    holds the witness.
     """
     poly = presentation.poly
     top = (poly.normalized(), poly.order_at_origin())
@@ -376,27 +378,25 @@ def verify_main_theorem(
     for name, arc in () if candidates_certified else candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
     sampled = sample_arcs(poly, budget, seed, parametrization)
-    named = [
-        *((name, arc, None) for name, arc in candidates.items()),
-        *((f"sample_{i}", arc, inner) for i, (arc, inner) in enumerate(sampled)),
-    ]
+    grid = next((i for i, (arc, _) in enumerate(sampled) if arc is None), len(sampled))
 
     def r_bar_of(arc):
         r = contact_order(derivatives, arc)
         return INF if r == INF else r / arc.order()
 
-    composed_r_bar = r_bar_of(parametrization) if any(inner is not None for _, inner in sampled) else None
-    min_r_bar = INF
-    witness = None
-    lower_bound_holds = True
-    for name, arc, inner in named:
-        r_bar = r_bar_of(arc) if inner is None else composed_r_bar
-        # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
-        if r_bar == elimination.ord_d and witness is None:
-            witness = (name, arc if inner is None else parametrization.compose(inner))
-        min_r_bar = min(min_r_bar, r_bar)
-        if r_bar < elimination.ord_d:
-            lower_bound_holds = False
+    composed = [] if grid == len(sampled) else [(f"sample_{grid}", None, r_bar_of(parametrization))]
+    checked = [
+        *((name, arc, r_bar_of(arc)) for name, arc in candidates.items()),
+        *((f"sample_{i}", arc, r_bar_of(arc)) for i, (arc, _) in enumerate(sampled[:grid])),
+        *composed,
+    ]
+    min_r_bar = min((r_bar for _, _, r_bar in checked), default=INF)
+    lower_bound_holds = min_r_bar >= elimination.ord_d
+    # With ord_d = INF (f = z^m up to a shift) an arc with r = INF achieves it.
+    witness = next(((name, arc) for name, arc, r_bar in checked if r_bar == elimination.ord_d), None)
+    if witness is not None and witness[1] is None:
+        inner = TruncatedSeries.exact_series(poly.field, sampled[grid][1])
+        witness = (witness[0], parametrization.compose(inner))
 
     # minimizing_arc raises unless its r_bar is ord_d; no arc has a finite one at INF.
     constructed = None if elimination.ord_d == INF else minimizing_arc(elimination)
@@ -427,7 +427,7 @@ def verify_main_theorem(
     return TheoremReport(
         ord_d=elimination.ord_d,
         method=elimination.method,
-        arcs_checked=len(named),
+        arcs_checked=len(candidates) + len(sampled),
         min_r_bar=min_r_bar,
         lower_bound_holds=lower_bound_holds,
         witness_name=witness[0] if witness else None,

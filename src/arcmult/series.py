@@ -467,8 +467,9 @@ class Arc:
         return Arc(self.variables, tuple(c.reparametrize(n) for c in self.components), self.field)
 
     def compose(self, inner: TruncatedSeries) -> "Arc":
-        """Each component composed with inner, one cache of inner's powers for all."""
-        powers = _powers((inner,), self.field)
+        """Each component composed with inner, one cache of inner's powers for all;
+        an exact monomial inner, an exponent map, reads none."""
+        powers = None if inner.exact and sum(map(bool, inner.coeffs)) == 1 else _powers((inner,), self.field)
         return Arc(self.variables, tuple(c.compose(inner, powers) for c in self.components), self.field)
 
     def powers(self) -> Powers:

@@ -507,10 +507,10 @@ def verify_presentation(presentation, candidates, budget, seed, **options):
 
 def sampled_arcs(poly, budget, seed, parametrization=None):
     """`sample_arcs` with each entry built: (arc, composed) pairs, where composed
-    marks an arc phi o s built from its inner series s."""
+    marks an arc phi o s built from the integer coefficients of s, its key."""
     return [
-        (arc, False) if inner is None else (parametrization.compose(inner), True)
-        for arc, inner in sample_arcs(poly, budget, seed, parametrization)
+        (arc, False) if key is None else (parametrization.compose(TruncatedSeries.exact_series(poly.field, key)), True)
+        for arc, key in sample_arcs(poly, budget, seed, parametrization)
     ]
 
 

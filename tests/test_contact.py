@@ -748,6 +748,48 @@ class TestSkippedCompositions:
             expected = [(str(built), composed) for built, composed in reference_sample_arcs(poly, budget, seed, phi)]
             assert built == expected, (str(poly), str(phi), budget)
 
+    @pytest.mark.parametrize("name", ["cusp_char0", "even_gcd_q"])
+    def test_series_built_only_for_the_draws_composed(self, monkeypatch, name):
+        # Draws are kept as integer keys, and a series is built only to be composed:
+        # through cusp_char0's separating (t^2, t^3) the monomial draws and the
+        # eight t^n (14; one per admitted draw, about 110, when every draw was
+        # built), through (t^4, t^6) every draw.
+        if name in SAMPLED_ARCS:
+            poly, _, seed, phi = _verify_sampler_inputs(load_problem(name))
+        else:
+            (poly, texts), seed = NOT_SEPARATING[name], 0
+            phi = arc(poly.field, *texts)
+        calls = Counter()
+        exact_series, compose = TruncatedSeries.exact_series.__func__, Arc.compose
+        monkeypatch.setattr(
+            TruncatedSeries, "exact_series", classmethod(lambda *args: calls.update(["series"]) or exact_series(*args))
+        )
+        monkeypatch.setattr(Arc, "compose", lambda *args: calls.update(["compose"]) or compose(*args))
+        entries = sample_arcs(poly, 100, seed, phi)
+        assert calls["series"] == calls["compose"]
+        if name == "cusp_char0":
+            assert calls["compose"] == 14
+        else:
+            assert calls["compose"] > 100
+        keys = [key for built, key in entries if built is None]
+        assert keys and all(type(c) is int for key in keys for c in key)
+
+    def test_drawing_stops_once_every_series_is_drawn(self, monkeypatch):
+        # Over F_2 a draw has 2^8 - 1 nonzero keys.  Once each has been drawn every
+        # later draw would be skipped, so a larger budget adds neither entries nor draws.
+        poly, _, seed, phi = _verify_sampler_inputs(load_problem("cusp_char2"))
+        draws = []
+        getrandbits = random.Random.getrandbits
+        monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: draws.append(k) or getrandbits(self, k))
+        runs = []
+        for budget in (1000, 10000):
+            draws.clear()
+            runs.append((sample_arcs(poly, budget, seed, phi), len(draws)))
+        assert runs[0] == runs[1]  # the same entries from the same number of draws
+        entries = runs[0][0]
+        # The 255 draws, less the two monomial arcs of the grid, (t^2, t^3) and (t^4, t^6).
+        assert len(entries) - len(sample_arcs(poly, 0, seed)) == 2**8 - 1 - 2
+
     def test_compositions_do_not_grow_with_the_budget(self, monkeypatch):
         # cusp_char0's (t^2, t^3) separates: only monomial draws and the eight t^n are
         # composed, and there are at most 8 * 6 monomials of degree <= 8 over Q.

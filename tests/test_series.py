@@ -527,6 +527,19 @@ def test_arc_compose_matches_horner_per_component(field):
         assert composed == [described(horner_compose(c, inner)) for c in phi.components]
 
 
+def test_arc_compose_builds_powers_only_for_a_non_monomial_inner(monkeypatch):
+    # A monomial inner is an exponent map on each component and reads no power cache.
+    built = []
+    powers = series._powers
+    monkeypatch.setattr(series, "_powers", lambda *args: built.append(args) or powers(*args))
+    phi = arc(Q, "t^2 + t^5", "t^3 + t^4 + t^5")
+    for inner, expected in ((S("2*t^3"), 0), (S("t + 2*t^2 - t^3"), 1), (TruncatedSeries.truncated(Q, (0, 1), 4), 1)):
+        built.clear()
+        composed = phi.compose(inner)
+        assert len(built) == expected, str(inner)
+        assert composed.components == tuple(horner_compose(c, inner) for c in phi.components)
+
+
 def test_arc_compose_computes_each_power_of_inner_once(monkeypatch):
     # The components need inner^2..inner^5, and each takes one product from a
     # power already cached: 4 products.  A cache per component would take 7.
