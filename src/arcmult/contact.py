@@ -225,12 +225,12 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     unknown), and every component must be exact (PrecisionExhausted
     otherwise: a composition is cut at phi's precision, so its contact order
     would not follow phi's).  Then f(phi o s) = f(phi) o s vanishes for
-    every series s with zero constant term, so `budget` arcs composed
-    through phi with random series drawn from `seed`, and reparametrizations
-    phi(t^n) = phi o t^n, are admitted without substitution.  Each integer is
-    drawn with getrandbits exactly as random.Random.randint draws it.  A
-    series drawn again is skipped, drawing stops once every series has been
-    drawn, and an arc equal to an earlier one is dropped.  When phi separates
+    every series s with zero constant term, so arcs composed through phi are
+    admitted without substitution: first those of min(budget, space) distinct
+    nonzero series of degree <= DEGREE_BOUND with coefficients in -3..3,
+    drawn without replacement from `seed` by one random.Random.sample over
+    the `space` such series, then the eight reparametrizations phi(t^n) =
+    phi o t^n.  An arc equal to an earlier one is dropped.  When phi separates
     (`_separates`), distinct series give distinct arcs, and phi o s is a
     monomial arc only when s is a monomial (its degree exceeds its order
     otherwise), so only monomial s are composed to be compared with the grid
@@ -255,41 +255,26 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     seen = {arc.components for arc, _ in arcs}
     separates = _separates(parametrization)
 
-    def admit(key: tuple) -> bool:
+    def admit(key: tuple) -> None:
         if not separates or sum(map(bool, key)) == 1:
             components = parametrization.compose(TruncatedSeries.exact_series(field, key)).components
             if components in seen:
-                return False
+                return
             seen.add(components)
         arcs.append((None, key))
-        return True
 
-    # randint(a, b) draws getrandbits(k), k the bit length of the width w = b - a + 1,
-    # until the value is below w, and adds a: the degree is randint(1, DEGREE_BOUND),
-    # each coefficient randint(-3, 3), mod p over F_p.
-    bits = random.Random(seed).getrandbits
+    # Index i >= 1 names the key whose coefficients of t^1, t^2, ... are its base-V
+    # digits, least significant first, V the number of distinct values of -3..3
+    # (mod p over F_p); only digit 0 names 0, so the key ends in a nonzero.
     p = field.characteristic
-    values = [c % p if p else c for c in range(-3, 4)]
-    space = len(set(values)) ** DEGREE_BOUND - 1  # the nonzero keys
-    drawn = set()
-    produced = 0
-    attempts = 0
-    while produced < budget and attempts < budget * 20 and len(drawn) < space:
-        attempts += 1
-        while (degree := 1 + bits(DEGREE_BOUND.bit_length())) > DEGREE_BOUND:
-            pass
-        # Dedupe on the draw's integers, mod p over F_p, with trailing zeros dropped.
-        draw = [0]
-        while len(draw) <= degree:
-            if (c := bits(3)) < 7:  # 7 values, 3 bits
-                draw.append(values[c])
-        while draw and not draw[-1]:
-            draw.pop()
-        key = tuple(draw)
-        if not key or key in drawn:
-            continue  # the zero series, or one whose arc was seen when it was first drawn
-        drawn.add(key)
-        produced += admit(key)
+    values = list(dict.fromkeys(c % p if p else c for c in (0, -3, -2, -1, 1, 2, 3)))
+    space = len(values) ** DEGREE_BOUND - 1  # the nonzero keys
+    for index in random.Random(seed).sample(range(1, space + 1), min(budget, space)):
+        key = [0]
+        while index:
+            index, digit = divmod(index, len(values))
+            key.append(values[digit])
+        admit(tuple(key))
     for n in range(1, 9):
         admit((0,) * n + (1,))
     return arcs

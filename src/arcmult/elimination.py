@@ -11,8 +11,11 @@ projected center is the dimension-d order function:
   free of the eliminated variables.
 
 The visible route produces a subalgebra of the true elimination algebra,
-so its order is an upper bound; on the bundled examples equality is
-established by the arc-side verifier, which also exhibits a minimizing arc.
+so its order is an upper bound.  Equality is shown only on the bundled
+corpus, by the arc-side verifier, which also exhibits a minimizing arc.
+Over F_3 the bound is strictly higher on z^3 + x^3 + 2*y^4*z^2 + 2*y^3 +
+x^2*y^4*z^2 along one of the fibers z and x (4 against 11/3), and on
+z^3 - x^4 - y^7 + x*y^4*z^2 (8/3, where an arc on it has r_bar 3/2).
 """
 
 from __future__ import annotations
@@ -180,8 +183,10 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     Differential closure first, then per-weight k-linear elimination of the
     bad monomials, those containing an eliminated variable, over the pool of
     generator products; a pool above POOL_CAP products is refused before any
-    is built.  The result is (a subalgebra of) the elimination algebra,
-    diff-closed over the remaining variables.
+    is built.  The result is a subalgebra of the elimination algebra,
+    diff-closed over the remaining variables, so its order is an upper
+    bound, shown equal only on the bundled corpus and strictly higher on
+    the two F_3 inputs of the module docstring.
 
     Each weight keeps an echelon basis of the bad parts met so far, keyed by
     leading bad monomial.  A product whose bad part reduces to zero against

@@ -44,7 +44,7 @@ from arcmult.blowup import (
     strict_transform,
 )
 from arcmult.contact import DEGREE_BOUND, GRID_CAP, _generator_orders, contact_order, sample_arcs
-from arcmult.elimination import TheoremReport, minimizing_arc, ord_d, verify_main_theorem
+from arcmult.elimination import MonicPresentation, TheoremReport, minimizing_arc, ord_d, verify_main_theorem
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
@@ -525,27 +525,22 @@ def reference_sample_arcs(poly, budget, seed, parametrization=None):
     seen = {arc.components for arc, _ in arcs}
 
     def admit(arc):
-        if arc.components in seen:
-            return False
-        seen.add(arc.components)
-        arcs.append((arc, True))
-        return True
+        if arc.components not in seen:
+            seen.add(arc.components)
+            arcs.append((arc, True))
 
-    rng = random.Random(seed)
-    drawn = set()
-    produced = 0
-    attempts = 0
-    while produced < budget and attempts < budget * 20:
-        attempts += 1
-        degree = rng.randint(1, DEGREE_BOUND)
-        coeffs = [field.zero] + [field.coerce(rng.randint(-3, 3)) for _ in range(degree)]
-        if all(field.is_zero(c) for c in coeffs):
-            continue
-        series = TruncatedSeries.exact_series(field, coeffs)
-        if series.coeffs in drawn:
-            continue
-        drawn.add(series.coeffs)
-        produced += admit(parametrization.compose(series))
+    # Index i >= 1 of the nonzero series: its base-V digits, least significant
+    # first, name the coefficients of t^1 ... t^DEGREE_BOUND among the V
+    # distinct values of 0, -3, ..., 3 in the field.
+    values = []
+    for c in (0, *range(-3, 4)):
+        if field.coerce(c) not in values:
+            values.append(field.coerce(c))
+    width = len(values)
+    space = width**DEGREE_BOUND - 1
+    for index in random.Random(seed).sample(range(1, space + 1), min(budget, space)):
+        digits = [index // width**j % width for j in range(DEGREE_BOUND)]
+        admit(parametrization.compose(TruncatedSeries.exact_series(field, [field.zero] + [values[d] for d in digits])))
     for n in range(1, 9):
         admit(parametrization.reparametrize(n))
     return arcs
@@ -792,6 +787,46 @@ def check_monomial_leads(rng):
         assert _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc")) == reference
         assert _outcome(lambda: arc_substitute(poly, arc)) == reference
         assert _outcome(lambda: _generator_orders(ReesAlgebra.of(names, [(poly, 1)], ring), arc))[0] is error
+
+
+#: Fields with the fiber degrees m they do not divide: ord_d takes the Tschirnhausen route.
+TSCHIRNHAUSEN_DEGREES = (
+    (RATIONALS, (2, 3, 4)), (prime_field(2), (3,)), (prime_field(3), (2, 4)), (prime_field(5), (2, 3, 4)),
+)
+XYZ = ("x", "y", "z")
+
+
+def random_tschirnhausen_surface(rng):
+    """z^m - x^a - y^b plus up to two terms of order >= m and degree < m in z, over
+    a field whose characteristic does not divide m: monic in z, of order m."""
+    field, degrees = TSCHIRNHAUSEN_DEGREES[rng.randrange(len(TSCHIRNHAUSEN_DEGREES))]
+    m = degrees[rng.randrange(len(degrees))]
+    f = parse_poly(f"z^{m} - x^{rng.randint(m, m + 3)} - y^{rng.randint(m, m + 4)}", XYZ, field)
+    for _ in range(rng.randint(0, 2)):
+        i, k = rng.randint(0, m + 2), rng.randint(0, m - 1)
+        j = rng.randint(max(m - k - i, 0), m + 2)
+        f = f + MultiPoly(XYZ, {(i, j, k): field.coerce(rng.choice((-2, -1, 1, 2)))}, field)
+    return f
+
+
+def check_ord_d_coordinate_invariance(rng):
+    """ord_d is unchanged by x -> a x + b y, y -> c x + d y with ad - bc a unit, and
+    z -> z + h(x, y) with h(0) = 0, on Tschirnhausen-route surfaces."""
+    f = random_tschirnhausen_surface(rng)
+    field = f.field
+    x, y, z = (MultiPoly.variable(v, XYZ, field) for v in XYZ)
+    while True:
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        if not field.is_zero(field.coerce(a * d - b * c)):
+            break
+    shift = MultiPoly.zero(XYZ, field)
+    for monomial in (x, y, x * x, x * y, y * y):
+        shift = shift + monomial.scale(rng.randint(-2, 2))
+    values = {"x": x.scale(a) + y.scale(b), "y": x.scale(c) + y.scale(d), "z": z + shift}
+    moved = f.substitute(values)
+    before = ord_d(MonicPresentation(("x", "y"), "z", f)).ord_d
+    after = ord_d(MonicPresentation(("x", "y"), "z", moved)).ord_d
+    assert before == after, f"{f}: ord_d {before}, but {after} for {moved}"
 
 
 def check_diff_closure_idempotence(rng):

@@ -22,6 +22,7 @@ from property_checks import (
 
 from arcmult import contact, elimination
 from arcmult.contact import (
+    DEGREE_BOUND,
     EXPONENT_BOUND,
     _generator_orders,
     _monomial_arc,
@@ -164,18 +165,18 @@ BUNDLED_CONSTRAINTS = [(name, load_problem(name).poly) for name in corpus_names(
 #: Sampled arc list of each bundled problem's verify run: (length, SHA-256 of
 #: the newline-joined str of each arc).  Witness names sample_<i> index it.
 SAMPLED_ARCS = {
-    "cusp_char0": (110, "6cef9913d73b964343333ade5433affb10da093e7e86e9cc787f2c2731c876c8"),
-    "cusp_char2": (105, "0cd0cc101894ad40b56f45335401dab7e6c352c2234028df7f43896a53dd679d"),
-    "cusp_char3": (107, "da3e303685b62f645969671692befbc7b42842ea8944241bbb543ed4e346176c"),
-    "e25_char0": (109, "817844e2009ed54eabf52cccd8804c32eafb7763386cdbf756983e68012e0cae"),
-    "e25_char2": (104, "355a227251c7ad989087173167a7de122583b906f5780d9198b09bc7a8d754ed"),
-    "e25_char3": (105, "9f835300f8ee08ec8f3e913f63462eb51e6b57b7610664219e8a009ab1180622"),
-    "e34_char0": (110, "18c34d43e635c228abc2e30501cd36790bbe2f786df1011995ef4d41449911a1"),
-    "e34_char2": (105, "9ace8684c8189531477e70c7d3849f1f1712778718bbdd0b884fbd56e23107a7"),
-    "e34_char3": (107, "72db3d41a8fdeabaf6820e21481fd953c2055949262f5f8a3e99c7a67b0b382f"),
-    "e35_char0": (109, "dc012706adab9a76444357c3edf88926088b6ed0df1f951ab23decd6b4692bb0"),
-    "e35_char2": (104, "afebef100ab7d7d2eabbf940d74456de74b67ed6adbf9a13d4b1fcbb512c5d36"),
-    "e35_char3": (105, "d1cb539787645bde19d3c58ab57231c08022879fc0ad125a387784e9722c1ce7"),
+    "cusp_char0": (110, "e326af791ad7154f11949bac1b3854c201ccde0230da11b66421bf2ba822f8ff"),
+    "cusp_char2": (104, "7635fdb404bbd0d3ac1d1980d904a539b8bcfb9106ff4d3ad4d0bfe86565bf30"),
+    "cusp_char3": (110, "b8e23c2602f0c317a5bbaa814d40339f838d16f35350c12aacedeb9c48028118"),
+    "e25_char0": (109, "48ec86d443ecc875e8f004fd9ccfed0041f3d73d6aaa758803facc618af7cb7d"),
+    "e25_char2": (104, "9eb066e10c71d9774827e85ab8b1d32ac4a3837dc488fb74c2fb2be0b4bbf1c9"),
+    "e25_char3": (109, "2d05d8242cdab6777875e1cf8880275e3f9edd725b216a1c3ab6f01b315b48a6"),
+    "e34_char0": (110, "c871f3e85fd1ad98fa249e161c09a039302138455d2da1c275228b2267ad66f2"),
+    "e34_char2": (104, "33c2d4c4a2f1d2f93b0f7074a647d34212a5ca9d7ef86fdceb33973f99ed79d8"),
+    "e34_char3": (110, "1c6085ab87a2a808d09491953b97483fb4fbb641600cf301f5de09bc1625cf70"),
+    "e35_char0": (109, "2d4be18761c7d2cc58f7f795028d62b186d9a1fdd46a98a5a776b645bad44a03"),
+    "e35_char2": (104, "e24a474cd5adef34a309d8d4d23998eb17da584339af73e09169bc29c8b336ce"),
+    "e35_char3": (109, "7174bd7755512e60d96e261b9e427c0cb1c17dc778e98f31876c3ac4aefd856b"),
 }
 
 
@@ -620,19 +621,21 @@ class TestComposedPool:
             assert composed.order() == nu * k, str(s)
 
     def test_one_arc_for_s_and_minus_s_through_a_non_primitive_parametrization(self, monkeypatch):
-        poly, texts = LAW_EDGE_CASES["non_primitive_q"]
-        phi = arc(Q, *texts)
+        # Over F_3 a budget of 3^8 - 1 draws every nonzero key, the eight t^n
+        # among them, so s and -s are both drawn.
+        poly, phi = parse_poly("y^2 - x^4", XY, F3), arc(F3, "t^2", "t^4")
+        budget = 3**8 - 1
         inners = []
         compose = Arc.compose
         monkeypatch.setattr(Arc, "compose", lambda self, inner: inners.append(inner) or compose(self, inner))
-        sample_arcs(poly, 100, 0, phi)
+        arcs = sampled_arcs(poly, budget, 0, phi)
         monkeypatch.undo()
-        arcs = sampled_arcs(poly, 100, 0, phi)
-        negated = {tuple(-c for c in s.coeffs) for s in inners}
-        assert any(s.coeffs in negated for s in inners)
+        inners = {s.coeffs: s for s in inners}
+        assert len(inners) == budget
+        assert any(tuple(-c % 3 for c in coeffs) in inners for coeffs in inners)
         pool = [sampled.components for sampled, composed in arcs if composed]
         grid = {sampled.components for sampled, composed in arcs if not composed}
-        reached = {compose(phi, s).components for s in inners}
+        reached = {compose(phi, s).components for s in inners.values()}
         reached |= {phi.reparametrize(n).components for n in range(1, 9)}
         assert len(pool) == len(set(pool)) and set(pool) == reached - grid
 
@@ -683,6 +686,7 @@ class TestComposedPool:
 
 
 F7 = prime_field(7)
+F11 = prime_field(11)
 
 #: Parametrizations through which the rule cannot prove distinct series give
 #: distinct arcs: g = 2 over Q (s and -s give one arc), p dividing every order
@@ -751,9 +755,9 @@ class TestSkippedCompositions:
     @pytest.mark.parametrize("name", ["cusp_char0", "even_gcd_q"])
     def test_series_built_only_for_the_draws_composed(self, monkeypatch, name):
         # Draws are kept as integer keys, and a series is built only to be composed:
-        # through cusp_char0's separating (t^2, t^3) the monomial draws and the
-        # eight t^n (14; one per admitted draw, about 110, when every draw was
-        # built), through (t^4, t^6) every draw.
+        # through cusp_char0's separating (t^2, t^3) the monomial draws, of which its
+        # 100 draws from 7^8 - 1 keys hold none, and the eight t^n (8; one per admitted
+        # draw, about 110, when every draw was built), through (t^4, t^6) every draw.
         if name in SAMPLED_ARCS:
             poly, _, seed, phi = _verify_sampler_inputs(load_problem(name))
         else:
@@ -768,7 +772,7 @@ class TestSkippedCompositions:
         entries = sample_arcs(poly, 100, seed, phi)
         assert calls["series"] == calls["compose"]
         if name == "cusp_char0":
-            assert calls["compose"] == 14
+            assert calls["compose"] == 8
         else:
             assert calls["compose"] > 100
         keys = [key for built, key in entries if built is None]
@@ -789,6 +793,37 @@ class TestSkippedCompositions:
         entries = runs[0][0]
         # The 255 draws, less the two monomial arcs of the grid, (t^2, t^3) and (t^4, t^6).
         assert len(entries) - len(sample_arcs(poly, 0, seed)) == 2**8 - 1 - 2
+
+    def test_every_key_drawn_in_few_draws(self, monkeypatch):
+        # Over F_3 a draw has 3^8 - 1 = 6,560 nonzero keys.  A budget of 10,000 draws
+        # each of them once, in one sample, and each index takes one getrandbits call
+        # or, when its bits land past the range, a few.
+        poly, _, seed, phi = _verify_sampler_inputs(load_problem("cusp_char3"))
+        draws, samples = [], []
+        getrandbits, sample = random.Random.getrandbits, random.Random.sample
+        monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: draws.append(k) or getrandbits(self, k))
+        monkeypatch.setattr(random.Random, "sample", lambda *args: samples.append(sample(*args)) or samples[-1])
+        sample_arcs(poly, 10000, seed, phi)
+        assert len(draws) < 2 * (3**8 - 1)
+        assert [sorted(indices) for indices in samples] == [list(range(1, 3**8))]
+
+    def test_one_sample_of_distinct_nonzero_keys(self, monkeypatch):
+        # Each field's V distinct values of -3..3 give V^8 - 1 nonzero keys; one sample
+        # draws min(budget, V^8 - 1) of them.  Through the separating (t^2, t^3) every
+        # drawn key that is not a monomial has its own entry.
+        samples = []
+        sample = random.Random.sample
+        monkeypatch.setattr(random.Random, "sample", lambda self, *args: samples.append(args) or sample(self, *args))
+        rng = random.Random("one-sample")
+        for field, width in ((Q, 7), (F2, 2), (F3, 3), (F5, 5), (F7, 7), (F11, 7)):
+            poly, phi = parse_poly("y^2 - x^3", XY, field), arc(field, "t^2", "t^3")
+            space = width**DEGREE_BOUND - 1
+            for budget in (0, 600, *(rng.randint(1, 599) for _ in range(4))):
+                samples.clear()
+                keys = [key for built, key in sample_arcs(poly, budget, rng.randrange(100), phi) if built is None]
+                assert samples == [(range(1, space + 1), min(budget, space))]
+                assert len(keys) == len(set(keys)) >= min(budget, space) - DEGREE_BOUND * (width - 1)
+                assert all(key[0] == 0 and key[-1] and len(key) <= DEGREE_BOUND + 1 for key in keys)
 
     def test_compositions_do_not_grow_with_the_budget(self, monkeypatch):
         # cusp_char0's (t^2, t^3) separates: only monomial draws and the eight t^n are
@@ -816,8 +851,8 @@ class TestSkippedCompositions:
             assert report.verdict == "PASS"
             assert all(sum(map(bool, inner.coeffs)) == 1 for inner in inners[: in_sampler[-1]])
             by_verify.append(len(inners) - in_sampler[-1])
-        # Composing every draw made 102 and 1,004 on cusp_char0.
-        assert in_sampler[:2] == [14, 20]
+        # Composing every draw made 108 and 1,008 on cusp_char0.
+        assert in_sampler[:2] == [8, 8]
         assert by_verify == [0, 0, 1]
 
 

@@ -40,6 +40,7 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def presentation(text, field=Q, base=("x",), fiber="y"):
@@ -209,6 +210,32 @@ class TestOrdD:
             first.ord_at(origin), second.ord_at(origin)
         )
         assert joined.ord_at(origin) == Fraction(3, 2)
+
+
+class TestIntrinsicOrder:
+    """The order function is intrinsic to the hypersurface, so ord_d may depend neither
+    on the transversal fiber nor on the coordinates.  The visible route returns the
+    order of a subalgebra of the elimination algebra, an upper bound that is strictly
+    higher on these inputs over F_3."""
+
+    @pytest.mark.xfail(strict=True, reason="the visible route gives 4 along z and 11/3 along x")
+    def test_same_order_along_two_fibers(self):
+        f = parse_poly("z^3 + x^3 + 2*y^4*z^2 + 2*y^3 + x^2*y^4*z^2", XYZ, F3)
+        along_z = ord_d(MonicPresentation(("x", "y"), "z", f)).ord_d
+        along_x = ord_d(MonicPresentation(("y", "z"), "x", f)).ord_d
+        assert along_z == along_x
+
+    @pytest.mark.xfail(strict=True, reason="the visible route gives 8/3, and 5 after the change")
+    def test_same_order_after_a_coordinate_change(self):
+        # verify already FAILs on f: a sampled arc has r_bar 3/2, below both values.
+        f = parse_poly("z^3 - x^4 - y^7 + x*y^4*z^2", XYZ, F3)
+        values = {
+            "x": parse_poly("2*x + 2*y", XYZ, F3),
+            "y": parse_poly("-2*x - y", XYZ, F3),
+            "z": parse_poly("z + y + x*y", XYZ, F3),
+        }
+        before, after = (ord_d(MonicPresentation(("x", "y"), "z", g)).ord_d for g in (f, f.substitute(values)))
+        assert before == after
 
 
 class TestMinimizingArc:

@@ -687,10 +687,10 @@ analyses: verify
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            (["--json"], "c63b3baee2ea59d36f7325db37da7af7f1ebb89c9b6ab135c3b92e3adb54f53a"),
+            (["--json"], "2bf2c466bc03e202a63a81e361c16bc7226f8de76e1bc875409f33b46026bba0"),
             (
                 ["--json", "--trace"],
-                "c583280e2d46ffcea72620c2c85654071ae3e8d8448a9b081f10ec2dba3c8704",
+                "cd816cb4006c0cbbcbd8fdeca095a923b92753f6137a0743de0d62d5f2f9f2aa",
             ),
         ],
     )
@@ -748,7 +748,7 @@ analyses: verify
             ("nash", ([], ["--trace"]), "77586d5cf25fd611693c74fb2d2d9146cc1cd8906c103845d1fdb5b7847749c2"),
             ("contact", ([], ["--trace"]), "1f397b9843ab8556bb9163b8e9c2dbe34b8e0dd0a3de4b9901b044946af4c93d"),
             ("ord-d", ([], ["--trace"]), "ccde1a4ad41dadfd46c6fe525cb7ff547f1f75a60a7fea58eaf2e88d77c89368"),
-            ("verify", ([],), "78208abac97889e375400794bd00692f38b31ab4edcbdc7c26048c19a9cf4fb1"),
+            ("verify", ([],), "5b0993bf1810fb7d1294432d842a35be855f1e23aab3dd814c8a04ecabbe31fb"),
         ],
         ids=["nash", "contact", "ord-d", "verify"],
     )

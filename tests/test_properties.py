@@ -11,6 +11,7 @@ from property_checks import (
     check_monomial_leads,
     check_nash_monotonicity,
     check_order_multiplicativity,
+    check_ord_d_coordinate_invariance,
     check_translation_composition,
     run_many,
 )
@@ -44,3 +45,7 @@ def test_contact_without_f():
 
 def test_monomial_leads():
     run_many(check_monomial_leads, CASES, seed=107)
+
+
+def test_ord_d_coordinate_invariance():
+    run_many(check_ord_d_coordinate_invariance, 100, seed=108)
