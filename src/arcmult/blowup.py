@@ -163,21 +163,18 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  `precision` bounds non-terminating divisions.
 
-    When the chart component is an exact monomial c t^nu, each quotient is
-    a slice from t^nu scaled by 1/c (`divide_monomial`); any other goes
-    through `divide`.  `steps` > 1 lifts through a run of that many
-    blow-ups (`run_length`): the arc is exact, its chart component such a
-    monomial, and each lift divides by c t^nu again, so all of them are one
-    slice from t^(steps nu) scaled by c^-steps.  EngineError if the arc
-    admits no such run.
+    `steps` > 1 lifts through a run of that many blow-ups (`run_length`):
+    the arc is exact, its chart component an exact monomial c t^nu, and each
+    lift divides by it again, so all of them are one division by
+    c^steps t^(steps nu).  EngineError if the arc admits no such run.
     """
     field = arc.field
     best_index, nu = arc.chart()  # PrecisionExhausted when the chart is indeterminate
     divisor = arc.components[best_index]
-    monomial = divisor.exact and len(divisor.coeffs) == nu + 1
-    if steps > 1 and not (monomial and all(comp.exact for comp in arc.components)):
+    if steps > 1 and not (divisor.monomial and all(comp.exact for comp in arc.components)):
         raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
-    scale = field.coerce(divisor.coeffs[-1] ** steps) if monomial else None
+    if steps > 1:
+        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[-1] ** steps)
     lifted = []
     constants = []
     for i, comp in enumerate(arc.components):
@@ -185,10 +182,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
             lifted.append(comp)
             constants.append(field.zero)
             continue
-        if monomial:
-            quotient = comp.divide_monomial(steps * nu, scale)
-        else:
-            quotient = comp.divide(divisor, fallback_precision=precision)
+        quotient = comp.divide(divisor, fallback_precision=precision)
         constant = quotient.coefficient(0)
         constants.append(constant)
         if constant:
@@ -240,7 +234,7 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     if limit < 2 or not all(comp.exact for comp in arc.components):
         return 1
     j, nu = arc.chart()
-    if len(arc.components[j].coeffs) != nu + 1:
+    if not arc.components[j].monomial:
         return 1
     steps = limit
     for i, comp in enumerate(arc.components):

@@ -20,8 +20,7 @@ from .errors import ParseError, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring
-from .series import exact_leads, lead_sums
+from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     sorted (index, order) pairs, ">=N" for an order beyond the arc's precision.
 
     On an exact arc an order is read from the generator's `lead_sums`
-    (`exact_leads`) when they decide it: on a monomial arc always, as the
+    (`Arc.leads`) when they decide it: on a monomial arc always, as the
     least degree with a nonzero sum (INF when none is), and on any other when
     the initial form, the sum at the least degree L(g), does not vanish.
     Every other generator, and on an arc with a truncated component every
@@ -59,7 +58,7 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     need.  PrecisionExhausted when an unknown order's lower bound, over its
     weight, does not exceed r.
     """
-    exact = exact_leads(arc)
+    exact = arc.leads()
     if exact:
         ensure_arc_ring(algebra, arc, "algebra")
         pattern, leads, monomial = exact

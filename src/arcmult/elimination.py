@@ -350,7 +350,6 @@ def verify_main_theorem(
     budget: int,
     seed: int,
     parametrization: Arc | None = None,
-    candidates_certified: bool = False,
 ) -> TheoremReport:
     """Check both directions of min(Phi) = ord_d on candidates plus samples.
 
@@ -359,8 +358,8 @@ def verify_main_theorem(
     survive projection to the base.  A missing witness is reported as
     INCONCLUSIVE, never as a refutation.  The caller builds `elimination`, the
     `ord_d` of the presentation, and `algebra`, its presenting algebra G.
-    Each candidate is certified unless `candidates_certified` says the caller
-    has: the contact orders rely on every candidate lying on f.
+    Each candidate is certified (a read when the caller has certified it on
+    f): the contact orders rely on every candidate lying on f.
 
     Every arc checked lies on f (a certified candidate, a grid arc, or an arc
     through the certified parametrization), so f W^m, which `diff_closure`
@@ -380,7 +379,7 @@ def verify_main_theorem(
     top = (poly.normalized(), poly.order_at_origin())
     derivatives = ReesAlgebra(algebra.variables, tuple(g for g in algebra.generators if g != top), algebra.field)
 
-    for name, arc in () if candidates_certified else candidates.items():
+    for name, arc in candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
     sampled = sample_arcs(poly, budget, seed, parametrization)
     grid = next((i for i, (arc, _) in enumerate(sampled) if arc is None), len(sampled))

@@ -333,8 +333,7 @@ def run(problem: ProblemFile) -> Report:
     if "contact" in problem.analyses:
         analyses["contact"] = {}
         for name, arc in problem.arcs.items():
-            if "nash" not in analyses:  # nash_sequence has certified every arc
-                certify_on_hypersurface(problem.poly, arc, f"arc {name}")
+            certify_on_hypersurface(problem.poly, arc, f"arc {name}")
             analyses["contact"][name] = normalized_contact(algebra, arc)
     if "ord_d" in problem.analyses or "verify" in problem.analyses:
         presentation = presentation_of(problem)
@@ -350,8 +349,6 @@ def run(problem: ProblemFile) -> Report:
             problem.options.budget,
             problem.options.seed,
             parametrization=problem.parametrization,
-            # nash_sequence or the contact branch has certified every arc
-            candidates_certified="nash" in analyses or "contact" in analyses,
         )
     expectations = []
     if problem.expects:

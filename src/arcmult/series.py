@@ -92,6 +92,11 @@ class TruncatedSeries:
     def is_exactly_zero(self) -> bool:
         return self.exact and not self.coeffs
 
+    @property
+    def monomial(self) -> bool:
+        """Exact and exactly one term c t^k."""
+        return self.exact and self.known_order() == len(self.coeffs) - 1
+
     def known_order(self):
         """First nonzero index, INF for exact zero, None when indeterminate.
 
@@ -176,6 +181,13 @@ class TruncatedSeries:
             raise DivisionOrderError(
                 f"divisor order {divisor_order} exceeds dividend order {dividend_order}"
             )
+        if other.monomial:  # c t^k: the coefficients from t^k on, scaled by 1/c
+            coeffs = self.coeffs[divisor_order:]
+            c = other.coeffs[-1]
+            if c != 1:
+                inverse = field.inv(c)
+                coeffs = tuple(field.mul(a, inverse) for a in coeffs)
+            return TruncatedSeries(field, coeffs, self.precision - divisor_order)
         a = list(self.coeffs[divisor_order:])
         b = list(other.coeffs[divisor_order:])
         prec = min(self.precision, other.precision) - divisor_order
@@ -186,28 +198,7 @@ class TruncatedSeries:
             if not any(q[max(0, len(a) - len(b) + 1) :]):
                 return TruncatedSeries._of(field, q)
             prec = fallback_precision
-        elif prec < 1:
-            raise PrecisionExhausted("no precision left after division")
         return TruncatedSeries._of(field, _series_quotient(field, a, b, prec), prec)
-
-    def divide_monomial(self, k: int, c) -> "TruncatedSeries":
-        """self / (c t^k) for a nonzero field element c: the coefficients from t^k on,
-        scaled by 1/c, known to precision - k.  Raises what `divide` by c t^k raises:
-        DivisionOrderError below order k, PrecisionExhausted when nothing stays known."""
-        field = self.field
-        order = self.known_order()
-        if order == INF:
-            return TruncatedSeries.zero(field)
-        if order is not None and order < k:
-            raise DivisionOrderError(f"divisor order {k} exceeds dividend order {order}")
-        precision = self.precision - k
-        if precision < 1:
-            raise PrecisionExhausted("no precision left after division")
-        coeffs = self.coeffs[k:]
-        if c != 1:
-            inverse = field.inv(c)
-            coeffs = tuple(field.mul(a, inverse) for a in coeffs)
-        return TruncatedSeries(field, coeffs, precision)
 
     def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term.
@@ -221,7 +212,7 @@ class TruncatedSeries:
         if not field.is_zero(inner.coefficient(0)):
             raise EngineError("composition requires inner series with zero constant term")
         cut = min(self.precision, inner.precision)
-        if inner.exact and sum(map(bool, inner.coeffs)) == 1:
+        if inner.monomial:
             c, scaled, power = inner.coeffs[-1], [], field.one
             for a in self.coeffs:
                 scaled.append(field.mul(a, power))
@@ -409,6 +400,8 @@ class Arc:
     components: tuple
     field: FieldSpec = dataclass_field(default=None)
     _chart = None  # not a field: `chart` fills it on the first read that succeeds
+    _leads = _UNREAD  # not a field: `leads` fills it on the first read
+    _certified = None  # not a field: the polynomial `certify_on_hypersurface` last certified it on
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -463,13 +456,28 @@ class Arc:
             chart = self.__dict__["_chart"] = (known.index(nu), nu)
         return chart
 
+    def leads(self):
+        """(pattern, leads, monomial) for `lead_sums` along an exact arc, None along any other:
+        each component's t-order and lowest coefficient, None for a zero component, and
+        whether every component is zero or one term c t^k, so that the sums are the whole image.
+        Scanned on the first read and kept, as `chart` is."""
+        leads = self._leads
+        if leads is _UNREAD:
+            leads = None
+            if all(c.exact for c in self.components):
+                pattern = tuple(c.known_order() if c.coeffs else None for c in self.components)
+                lows = tuple(None if k is None else c.coeffs[k] for c, k in zip(self.components, pattern))
+                leads = pattern, lows, all(c.monomial or not c.coeffs for c in self.components)
+            self.__dict__["_leads"] = leads
+        return leads
+
     def reparametrize(self, n: int) -> "Arc":
         return Arc(self.variables, tuple(c.reparametrize(n) for c in self.components), self.field)
 
     def compose(self, inner: TruncatedSeries) -> "Arc":
         """Each component composed with inner, one cache of inner's powers for all;
         an exact monomial inner, an exponent map, reads none."""
-        powers = None if inner.exact and sum(map(bool, inner.coeffs)) == 1 else _powers((inner,), self.field)
+        powers = None if inner.monomial else _powers((inner,), self.field)
         return Arc(self.variables, tuple(c.compose(inner, powers) for c in self.components), self.field)
 
     def powers(self) -> Powers:
@@ -511,10 +519,10 @@ def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> Cleare
 def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     """Evaluate a polynomial along an arc: phi(f) in K[[t]].
 
-    Along a monomial arc (`exact_leads`) the image is read whole from the
+    Along a monomial arc (`Arc.leads`) the image is read whole from the
     `lead_sums`, with no series product, up to the last degree whose sum is
     nonzero; any other arc is evaluated by `arc_image`."""
-    pattern, leads, monomial = exact_leads(arc) or (None, None, False)
+    pattern, leads, monomial = arc.leads() or (None, None, False)
     if not monomial:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
@@ -549,7 +557,7 @@ def lead_sums(terms, pattern, leads, p) -> dict:
     to 0 when it uses a zero component.  The sums are taken on cleared
     integers, mod p when p > 0.  At L = min d the sum is the initial form at
     the leads: ord_t(f(arc)) = L when it is nonzero, else at least L + 1.
-    Along a monomial arc x_i -> lead_i t^(pattern_i) (`exact_leads`) they are
+    Along a monomial arc x_i -> lead_i t^(pattern_i) (`Arc.leads`) they are
     the whole image: ord_t(f(arc)) is the least d with a nonzero sum, and f
     maps to exactly zero when every sum vanishes.
     """
@@ -573,21 +581,13 @@ def _lead_fractions(terms, pattern, leads, p) -> dict:
     return {degree: (num % p if p else num, den) for degree, (num, den) in sums.items()}
 
 
-def exact_leads(arc: Arc):
-    """(pattern, leads, monomial) for `lead_sums` along an exact arc, None along any other:
-    each component's t-order and lowest coefficient, None for a zero component, and
-    whether every component is zero or one term c t^k, so that the sums are the whole image."""
-    if not all(c.exact for c in arc.components):
-        return None
-    pattern = tuple(c.known_order() if c.coeffs else None for c in arc.components)
-    leads = tuple(None if k is None else c.coeffs[k] for c, k in zip(arc.components, pattern))
-    return pattern, leads, all(k is None or k == len(c.coeffs) - 1 for c, k in zip(arc.components, pattern))
-
-
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None:
     """Check that f vanishes exactly along the arc, which `name` names in errors
     (None: `arc <arc>`, formatted only then): ArcNotOnVariety when it does not,
-    PrecisionExhausted when that is undecided."""
+    PrecisionExhausted when that is undecided.  A success is recorded on the arc,
+    so a second call with the same polynomial object is a read."""
+    if arc._certified is poly:
+        return
     image = arc_substitute(poly, arc)
     if image.known_order() is None:
         raise PrecisionExhausted(
@@ -596,3 +596,4 @@ def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None
         )
     if not image.is_exactly_zero():
         raise ArcNotOnVariety(f"{name or f'arc {arc}'} does not lie on the hypersurface")
+    arc.__dict__["_certified"] = poly

@@ -422,9 +422,9 @@ def reference_visible_elimination(algebra, eliminated):
 
 
 def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
-    """`blowup_lift` with every quotient taken by `divide`, a run's divisor (c t^nu)^steps
-    built as a series.  A route `blowup_lift`, which slices and scales the components
-    when the chart component is a monomial c t^nu, does not take."""
+    """`blowup_lift` written out: the chart found by a scan of the component orders, a
+    run's divisor (c t^nu)^steps built as a series, every quotient taken by `divide`
+    and each constant term subtracted as a series."""
     field = arc.field
     nu = arc.order()
     index = next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu)

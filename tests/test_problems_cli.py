@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from arcmult import blowup, contact, elimination, problems, rees, series
+from arcmult import contact, elimination, problems, rees, series
 from arcmult.cli import main
 from arcmult.contact import sample_arcs
 from arcmult.corpus import corpus_names, load_problem, run_corpus, summarize
@@ -473,19 +473,17 @@ class TestCli:
         "analyses", ["nash contact", "contact", "nash contact ord_d verify", "contact verify", "verify"]
     )
     def test_each_arc_is_certified_once(self, monkeypatch, analyses):
+        # A certificate builds f's image along the arc (`arc_substitute`, called by
+        # certify_on_hypersurface alone); a second one on the same f is a read.
+        # verify's sampler certifies the parametrization.
         certified = []
-        for module in (blowup, problems, elimination):
-            original = module.certify_on_hypersurface
-            monkeypatch.setattr(
-                module,
-                "certify_on_hypersurface",
-                lambda poly, arc, what, original=original: certified.append(arc) or original(poly, arc, what),
-            )
+        substitute = series.arc_substitute
+        monkeypatch.setattr(series, "arc_substitute", lambda poly, arc: certified.append(arc) or substitute(poly, arc))
         text = CUSP_PROBLEM.replace("analyses: nash contact ord_d verify", f"analyses: {analyses}")
         text += "arc psi: t^4, t^6\n"
         problem = parse_problem(text)
         assert run(problem).verdict == "PASS"
-        assert certified == list(problem.arcs.values())
+        assert certified == list(problem.arcs.values()) + [problem.parametrization] * ("verify" in analyses)
 
     def test_monomial_arcs_build_no_series_image(self, monkeypatch):
         # Along (t^(2n), t^(21n)) f's leading terms are its whole image, both for
@@ -503,13 +501,14 @@ class TestCli:
     def test_each_arc_and_series_is_scanned_once(self, monkeypatch):
         # A seed-1 deep-nash problem.  The chain reads its arc's chart in run_length
         # and in the lift, and scans it once per iteration; contact scans each named
-        # arc once.  No series has its order scanned twice.
+        # arc once.  The certificate scans each named arc's leads, and contact reads
+        # them.  No series has its order scanned twice.
         text = (
             "name: dn_y2_x21_f0\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
             "arc n1: 1*t^2, -1*t^21\narc n2: 1*t^4, -1*t^42\narc n4: 1*t^8, -1*t^84\n"
             "analyses: nash contact\nmax_steps: 88\n"
         )
-        scans = {"_chart": [], "_order": []}  # the objects whose read scans, by the attribute it fills
+        scans = {"_chart": [], "_order": [], "_leads": []}  # the objects whose read scans, by the attribute it fills
 
         def spied(read, attribute):
             def spy(value):
@@ -520,12 +519,15 @@ class TestCli:
             return spy
 
         monkeypatch.setattr(series.Arc, "chart", spied(series.Arc.chart, "_chart"))
+        monkeypatch.setattr(series.Arc, "leads", spied(series.Arc.leads, "_leads"))
         known_order = series.TruncatedSeries.known_order
         monkeypatch.setattr(series.TruncatedSeries, "known_order", spied(known_order, "_order"))
-        report = run(parse_problem(text))
+        problem = parse_problem(text)
+        report = run(problem)
         iterations = sum(len(nash.runs) for nash in report.analyses["nash"].values())
         assert iterations == 12
         assert len(scans["_chart"]) == iterations + 3
+        assert [id(arc) for arc in scans["_leads"]] == [id(arc) for arc in problem.arcs.values()]
         assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) > 0
 
     @pytest.mark.parametrize("expects, builds", [(False, 1), (True, 2)])

@@ -6,6 +6,7 @@ import pytest
 from property_checks import XY, horner_compose, random_poly
 
 from arcmult.errors import (
+    ArcNotOnVariety,
     DivisionOrderError,
     EngineError,
     InvalidArc,
@@ -384,6 +385,13 @@ class TestArc:
         monkeypatch.undo()
         off = parse_poly("y^2 - x^21 - 2*x^3", ("x", "y"), Q)
         assert arc_substitute(off, phi) == arc_image(off, phi).series(Q) == S("-2*t^24")
+
+    def test_a_certificate_is_kept_for_its_polynomial_only(self):
+        # The arc keeps the f it was certified on; another f is checked afresh.
+        phi = arc(Q, "t^2", "t^3")
+        certify_on_hypersurface(parse_poly("y^2 - x^3", ("x", "y"), Q), phi, None)
+        with pytest.raises(ArcNotOnVariety):
+            certify_on_hypersurface(parse_poly("y^2 - x^5", ("x", "y"), Q), phi, None)
 
     def test_substitute_is_ring_homomorphism_spot(self):
         phi = arc(Q, "t^2 + t^3", "t^3")
