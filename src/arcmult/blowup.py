@@ -11,8 +11,11 @@ weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
 Blow-ups that stay in one chart at the origin are made a run at a time
 (`run_length`): one slice of the arc and one exponent map of f.  The chain
 carries f modulo x_i^(m_0+1) for each coordinate x_i along which the arc is
-exactly zero, and the report keeps one (chart, steps) pair per run, from which
-the trace is replayed on the whole of f, one blow-up at a time, when it is read.
+exactly zero, and without the terms of degree too high to set a multiplicity
+in the blow-ups left.  A lift whose quotient does not terminate is computed
+only as far as the later blow-ups read it.  The report keeps one (chart,
+steps) pair per run, from which the trace is replayed on the whole of f, one
+blow-up at a time, when it is read.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ class ChartMap:
     def exceptional(self) -> str:
         return self.variables[self.index]
 
-    def transform(self, poly: MultiPoly, k: int, steps: int = 1, caps=None) -> MultiPoly:
+    def transform(self, poly: MultiPoly, k: int, steps: int = 1, caps=None, bound=INF) -> MultiPoly:
         """Pull back, divide by x_j^k, recenter; EngineError if a term has degree < k.
 
         `steps` > 1 first pulls back and divides `steps` - 1 times at the origin.
         Each time e_j grows by |e| - e_j - k while the other exponents stay, so
         all of it is one map e_j -> e_j + steps * (|e| - e_j - k); EngineError
-        if it leaves an exponent negative.  `caps` goes to the recentering
-        `MultiPoly._shift`."""
+        if it leaves an exponent negative.  `caps` and `bound` go to the
+        recentering `MultiPoly._shift`."""
         if poly.variables != self.variables:
             raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
         if poly.order_at_origin() < k:
@@ -68,7 +71,7 @@ class ChartMap:
             terms[tuple(pulled)] = c
         if steps > 1 and any(e[j] < 0 for e in terms):
             raise EngineError(f"{steps} pull-backs of {poly} are not each divisible by {self.exceptional}^{k}")
-        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation, caps)
+        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation, caps, bound)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,10 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     index); the lifted components are quotients by that component.  The
     constant terms that appear are the next center: they are recorded in
     the ChartMap translation and dropped so the lifted arc is again
-    centered at the origin.  `precision` bounds non-terminating divisions.
+    centered at the origin.  A quotient that does not terminate is handed
+    on as an on-demand series (`TruncatedSeries.divide`): the chain computes
+    its coefficients as it reads them, never past `precision` for exact
+    operands or min(P_a, P_b) - nu for truncated ones.
 
     `steps` > 1 lifts through a run of that many blow-ups (`run_length`):
     the arc is exact, its chart component an exact monomial c t^nu, and each
@@ -185,9 +191,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
         quotient = comp.divide(divisor, fallback_precision=precision)
         constant = quotient.coefficient(0)
         constants.append(constant)
-        if constant:
-            quotient = TruncatedSeries._of(field, [field.zero, *quotient.coeffs[1:]], quotient.precision)
-        lifted.append(quotient)
+        lifted.append(quotient.without_constant() if constant else quotient)
     if steps > 1 and any(constants):
         raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
     chart = ChartMap(arc.variables, best_index, tuple(constants))
@@ -195,18 +199,18 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     return chart, Arc._of(arc.variables, tuple(lifted), field)
 
 
-def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None) -> MultiPoly:
+def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None, bound=INF) -> MultiPoly:
     """Strict transform of a hypersurface under a point blow-up chart.
 
     The chart transform divides by the exceptional coordinate to the exact
     power of the multiplicity at the blown-up center.  `steps` > 1 is a run
     (`run_length`): that many blow-ups in the chart at the origin, each of
     which keeps the multiplicity, so each divides by the same power.  `caps`
-    bounds the recentering shift (`MultiPoly._shift`).
+    and `bound` limit the recentering shift (`MultiPoly._shift`).
     """
     if poly.is_zero():
         raise EngineError("strict transform of the zero polynomial")
-    transformed = chart.transform(poly, poly.order_at_origin(), steps, caps)
+    transformed = chart.transform(poly, poly.order_at_origin(), steps, caps, bound)
     # Inside a run this holds at every step without a check: the pull-back of g is divisible
     # by x_j exactly to the power ord(g), and each step divides by that power, its order m.
     if steps == 1 and all(exps[chart.index] for exps in transformed.terms):
@@ -279,6 +283,23 @@ def nash_sequence(
     binds `run_length`.  Such terms are dropped at the start and from the
     shift that makes a component zero, which builds only its terms of degree
     at most m_0 in x_i from all of f's.
+
+    A term of total degree above m_0 (left + 1), with `left` blow-ups left
+    before max_steps, is dropped too.  A term of order D at one center has
+    order at least D - m_0 at the next: its pull-back is divisible by x_j^D,
+    the transform divides by x_j^m with m <= m_0, and every later center
+    lies on x_j = 0.  So such a term never sets an order nor binds
+    `run_length`, and one kept a while longer does no harm.  Terms are made
+    only by a shift to a center off the origin (at the origin a transform is
+    an injective map on exponents), so that shift drops them and does not
+    build them (`MultiPoly._shift`'s `bound`).  Along a composed arc the
+    whole transform grows at every such shift; the carried one does not.
+
+    Every lift divides by a chart component of t-order 1, since the graph
+    coordinate has order 1 and the chart component is kept as it is, so
+    each blow-up reads one more coefficient of each component: a lift whose
+    quotient does not terminate is computed on demand (`blowup_lift`), and a
+    chain with L more blow-ups reads at most L + 1 of its coefficients.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
@@ -301,7 +322,8 @@ def nash_sequence(
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
         chart, current_arc = blowup_lift(current_arc, precision, steps)
         caps = {i: m0 for i, comp in enumerate(current_arc.components) if comp.is_exactly_zero()}
-        current_poly = strict_transform(current_poly, chart, steps, caps)
+        left = max_steps + 1 - len(sequence) - steps  # blow-ups after this run
+        current_poly = strict_transform(current_poly, chart, steps, caps, m0 * (left + 1))
         m = current_poly.order_at_origin()  # nonzero: a chart transform is injective
         if m > previous:
             raise EngineError("Nash multiplicity increased; this is a bug")

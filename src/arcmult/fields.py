@@ -175,5 +175,5 @@ def prime_field(p: int) -> FieldSpec:
 
 
 def ensure_same_field(a: FieldSpec, b: FieldSpec):
-    if a != b:
+    if a is not b and a != b:  # one shared object is the common case, and `is` is cheaper than `==`
         raise FieldMismatch(f"field mismatch: {a} vs {b}")

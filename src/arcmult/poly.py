@@ -234,17 +234,33 @@ class MultiPoly:
         then merged into the fixed terms, and sums that vanish are dropped."""
         return self._shift(check_point(point, self.variables, self.field))
 
-    def _shift(self, point, caps=None) -> "MultiPoly":
+    def _shift(self, point, caps=None, bound=INF) -> "MultiPoly":
         # Internal: `translate` by a point whose coordinates are already field elements.
         # `caps` maps a coordinate to a degree: its shift builds only the terms of at most
         # that degree in it, as `nash_sequence` works modulo a power of that coordinate.
+        # `bound` caps the total degree of a shift that moves a coordinate: a term's degree
+        # in the coordinates that no later shift lowers only grows, so a term past it is
+        # neither kept nor built.  A shift raises no degree, so a bound that no term passes
+        # is left alone.
         field = self.field
         p = field.characteristic
         shifted = self
+        moves = None  # under a bound that some term passes, the coordinates that the shift moves
         rows = {}  # (e, top) -> the (k, binom(e, k)), k <= top, whose binomial is nonzero in the field
         for i, c in enumerate(point):
             if field.is_zero(c):
                 continue
+            if moves is None and bound < INF:
+                moves = ()
+                if max(map(sum, self.terms), default=0) > bound:
+                    moves = [l for l in range(i, len(point)) if not field.is_zero(point[l])]
+                    terms = {
+                        e: a
+                        for e, a in self.terms.items()
+                        if sum(e) <= bound or sum(e) - sum([e[l] for l in moves]) <= bound
+                    }
+                    if len(terms) < len(self.terms):
+                        shifted = MultiPoly._of(self.variables, terms, field)
             fixed = {}
             moving = []
             for exps, a in shifted.terms.items():
@@ -265,10 +281,16 @@ class MultiPoly:
                 c_powers = [v * d ** (n - j) for j, v in enumerate(c_powers)]
             power_scale = d**n
             coeffs, scale = field.cleared([a for _, a in moving])
+            later = [l for l in moves if l > i] if moves else ()
             raw = {}
             for (exps, _), a in zip(moving, coeffs):
                 e = exps[i]
                 row = (e, min(e, top))
+                if moves:  # x_i^k past the room its settled degree leaves is never kept
+                    room = bound - sum(exps) + e
+                    if later:
+                        room += sum([exps[l] for l in later])
+                    row = (e, min(row[1], room))
                 if row not in rows:
                     binoms = (math.comb(e, k) for k in range(row[1] + 1))
                     rows[row] = [(k, b) for k, b in enumerate(binoms) if not p or b % p]

@@ -7,6 +7,10 @@ and the series is `exact`.  The distinction is load-bearing: order INF
 requires exactness, while an all-zero truncated series has *indeterminate*
 order and raises PrecisionExhausted instead of silently passing for zero.
 
+A quotient that does not terminate is an on-demand series: its coefficients
+are computed by a resumable recurrence on integers when they are first read,
+never past its precision, and it reads as the expanded series otherwise.
+
 An Arc assigns one series to each ambient variable; components always have
 zero constant term (arcs are stored recentered at the current chart origin).
 """
@@ -48,6 +52,8 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.precision < 1:
             raise EngineError("series precision must be at least 1")
+        if len(self.coeffs) > self.precision:
+            raise EngineError(f"series has {len(self.coeffs)} coefficients at precision {self.precision}")
 
     # -- constructors ------------------------------------------------------------
 
@@ -162,7 +168,11 @@ class TruncatedSeries:
         return _powers((self,), self.field).power(0, n).series(self.field)
 
     def divide(self, other: "TruncatedSeries", fallback_precision: int = DEFAULT_PRECISION):
-        """Series division; requires order(divisor) <= order(dividend)."""
+        """Series division; requires order(divisor) <= order(dividend).
+
+        A quotient that does not terminate is computed on demand: its
+        coefficients come from `_series_quotient` when first read, never past
+        `fallback_precision` for exact operands and min(P_a, P_b) - d otherwise."""
         ensure_same_field(self.field, other.field)
         field = self.field
         if other.is_exactly_zero():
@@ -181,24 +191,28 @@ class TruncatedSeries:
             raise DivisionOrderError(
                 f"divisor order {divisor_order} exceeds dividend order {dividend_order}"
             )
-        if other.monomial:  # c t^k: the coefficients from t^k on, scaled by 1/c
+        if other.monomial and type(self) is TruncatedSeries:  # c t^k: the coefficients from t^k on, scaled by 1/c
             coeffs = self.coeffs[divisor_order:]
             c = other.coeffs[-1]
             if c != 1:
                 inverse = field.inv(c)
                 coeffs = tuple(field.mul(a, inverse) for a in coeffs)
             return TruncatedSeries(field, coeffs, self.precision - divisor_order)
-        a = list(self.coeffs[divisor_order:])
-        b = list(other.coeffs[divisor_order:])
+        quotient = _Quotient(self, other, divisor_order)
         prec = min(self.precision, other.precision) - divisor_order
         if prec == INF:
             # Exact inputs.  Past len(a) the recurrence has order len(b) - 1, so a/b is a
             # polynomial exactly when q vanishes on the len(b) - 1 indices below len(a).
-            q = _series_quotient(field, a, b, len(a))
-            if not any(q[max(0, len(a) - len(b) + 1) :]):
-                return TruncatedSeries._of(field, q)
+            n, m = len(self.coeffs) - divisor_order, len(other.coeffs) - divisor_order
+            _series_quotient(quotient, n)
+            if not any(quotient.ints[max(0, n - m + 1) : n]):
+                return TruncatedSeries._of(field, quotient.values(0, n))
             prec = fallback_precision
-        return TruncatedSeries._of(field, _series_quotient(field, a, b, prec), prec)
+        return _OnDemandSeries(quotient, prec)
+
+    def without_constant(self) -> "TruncatedSeries":
+        """The series less its constant term."""
+        return TruncatedSeries._of(self.field, [self.field.zero, *self.coeffs[1:]], self.precision)
 
     def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term.
@@ -334,49 +348,162 @@ def _image(field: FieldSpec, terms, powers: Powers, cut=INF) -> ClearedSeries:
     return ClearedSeries(raw, scale * common, precision, p)
 
 
-def _series_quotient(field, a, b, n):
-    """First n coefficients of (sum a_i t^i) / (sum b_j t^j) with b_0 a unit, a_k zero past len(a).
+class _Quotient:
+    """The quotient a / b on integers, extended on demand by `_series_quotient`.
 
-    Both operands are cleared once, so a / b = (scale_b / scale_a) * A / B on
-    integers.  With c = B_0 the recurrence carries R_k = c^(k+1) (A / B)_k,
-    which stays integral:
-    R_k = c^k A_k - sum_{j=1}^{min(k, len(B)-1)} B_j c^(j-1) R_{k-j}.
-    Over F_p, A and B are first multiplied by the inverse of B_0, so c = 1 and
-    R is reduced mod p.  Over Q a negative B_0 is negated with A; then
-    B_0 = 1 leaves the quotient integral, and otherwise each coefficient is
-    one Fraction."""
-    p = field.characteristic
-    A, scale_a = field.cleared(a[:n])
-    B, scale_b = field.cleared(b[:n])
-    c = B[0]
-    if p:
-        inverse = pow(c, p - 2, p)
-        A = [v * inverse for v in A]
-        B = [v * inverse for v in B]
-        c = 1
-    elif c < 0:
-        A = [-v for v in A]
-        B = [-v for v in B]
-        c = -c
-    if c != 1:
-        A = [v * c**k for k, v in enumerate(A)]
-    R = A + [0] * (n - len(A))
-    if len(B) > 1:
-        # weights[-j] = B_j c^(j-1), so weights[-m:] pairs with R_{k-m}, ..., R_{k-1}.
-        weights = [v * c ** (j - 1) for j, v in enumerate(B) if j][::-1]
-        for k in range(1, n):
-            m = min(k, len(weights))
-            v = R[k] - sum(map(mul, weights[-m:], R[k - m : k]))
-            R[k] = v % p if p else v
-    if scale_b != 1:
-        R = [v * scale_b for v in R]
-    if c == 1:
-        return field.uncleared(R, scale_a)
-    quotient = []
-    for v in R:
-        scale_a *= c
-        quotient.append(Fraction(v, scale_a))
-    return quotient
+    A series is read on integers as x_i = num * X_i / (scale * ratio^i): an
+    expanded series as `FieldSpec.cleared` clears it (num = ratio = 1), an
+    on-demand one through its `_Quotient`, whose `ints` are the X_i computed so
+    far.  With d the order of b, u and v the operands' ratios and w their lcm,
+    A_k = A_(k+d) (w/u)^k and B_k = B_(k+d) (w/v)^k make a / b a constant times
+    A(t/w) / B(t/w).  With c = |B_0|, the recurrence's R_k = c^(k+1) (A/B)_k
+    are this quotient's `ints`, at num = num_a scale_b v^d, scale =
+    num_b scale_a u^d c and ratio = c w.  Over F_p every num, scale and ratio
+    is 1, and c is made 1 by the inverse of B_0.
+    """
+
+    __slots__ = (
+        "field", "ints", "num", "scale", "ratio", "shift", "dividend", "divisor",
+        "head", "head_step", "weights", "weight", "weight_step",
+    )
+
+    def __init__(self, a: TruncatedSeries, b: TruncatedSeries, d: int):
+        self.field = field = a.field
+        p = field.characteristic
+        self.shift = d
+        self.ints = []
+        a_ints, a_num, a_scale, u, a_source = _operand(a)
+        b_ints, b_num, b_scale, v, b_source = _operand(b)
+        self.dividend, self.divisor = (a_ints, a_source), (b_ints, b_source)
+        w = math.lcm(u, v)
+        lead = b_ints[d]
+        if p:
+            c, sign = 1, pow(lead, p - 2, p)
+        else:
+            c, sign = abs(lead), (1 if lead > 0 else -1)
+        self.num = a_num * b_scale * v**d
+        self.scale = b_num * a_scale * u**d * c
+        self.ratio = c * w
+        # R_k = head_k A_(k+d) - sum_j weight_j R_(k-j), with head_k = sign (c w/u)^k and
+        # weight_j = sign B_(j+d) (w/v) (c w/v)^(j-1); `head` and `weight` are the next powers.
+        self.head, self.head_step = sign, c * (w // u)
+        self.weights, self.weight, self.weight_step = [], sign * (w // v), c * (w // v)
+        if d == 0 and type(a) is _OnDemandSeries and a._dropped:
+            self.ints.append(0)  # A_0 is the dropped constant
+            self.head *= self.head_step
+
+    def values(self, start: int, stop: int) -> list:
+        """Coefficients start to stop - 1 as field elements; the caller extends first."""
+        ints, field = self.ints[start:stop], self.field
+        if self.num != 1:
+            ints = [self.num * v for v in ints]
+        if self.ratio == 1:
+            return field.uncleared(ints, self.scale)
+        values, scale = [], self.scale * self.ratio**start
+        for v in ints:
+            values.append(Fraction(v, scale))
+            scale *= self.ratio
+        return values
+
+
+def _operand(series: TruncatedSeries) -> tuple:
+    """(ints, num, scale, ratio, source) of an operand of `_Quotient`: an on-demand
+    series reads its quotient's growing `ints`, and `source` is that quotient."""
+    if type(series) is _OnDemandSeries:
+        q = series._quotient
+        return q.ints, q.num, q.scale, q.ratio, q
+    ints, scale = series.field.cleared(series.coeffs)
+    return ints, 1, scale, 1, None
+
+
+def _series_quotient(q: _Quotient, n: int) -> None:
+    """Extend the recurrence of q (`_Quotient`) to its first n coefficients.
+
+    With c = |B_0| each R_k = c^(k+1) (A / B)_k stays integral:
+    R_k = c^k A_k - sum_{j=1}^{k} B_j c^(j-1) R_{k-j}, with A and B negated when
+    B_0 < 0.  Over F_p, A and B are first multiplied by the inverse of B_0, so
+    c = 1 and R is reduced mod p.  An on-demand operand is extended to the
+    n + d coefficients that the new entries read, and no further."""
+    R = q.ints
+    if n <= len(R):
+        return
+    d, p = q.shift, q.field.characteristic
+    (A, a_source), (B, b_source) = q.dividend, q.divisor
+    if a_source is not None:
+        _series_quotient(a_source, n + d)
+    if b_source is not None:
+        _series_quotient(b_source, n + d)
+    weights, power, step = q.weights, q.weight, q.weight_step
+    for j in range(len(weights) + 1, min(n, len(B) - d)):
+        weight = B[j + d] * power
+        weights.append(weight % p if p else weight)
+        power *= step
+    q.weight = power
+    power, step = q.head, q.head_step
+    for k in range(len(R), n):
+        a = A[k + d] * power if k + d < len(A) else 0
+        v = a - sum(map(mul, weights, reversed(R)))
+        R.append(v % p if p else v)
+        power *= step
+    q.head = power
+
+
+class _OnDemandSeries(TruncatedSeries):
+    """A quotient (`TruncatedSeries.divide`) whose coefficients `_series_quotient`
+    computes when first read, never past `precision`; `dropped` reads its
+    constant term as zero.  It equals the series that expands it to its
+    precision, which `coeffs` builds, so every other use reads it as that."""
+
+    def __init__(self, quotient: _Quotient, precision: int, dropped: bool = False):
+        object.__setattr__(self, "field", quotient.field)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "_quotient", quotient)
+        object.__setattr__(self, "_dropped", dropped)
+
+    @property
+    def coeffs(self) -> tuple:
+        expanded = self.__dict__.get("_expanded")
+        if expanded is None:
+            _series_quotient(self._quotient, self.precision)
+            values = self._quotient.values(0, self.precision)
+            if self._dropped:
+                values[0] = self.field.zero
+            expanded = self.__dict__["_expanded"] = TruncatedSeries._of(self.field, values, self.precision).coeffs
+        return expanded
+
+    def coefficient(self, i: int):
+        if i >= self.precision:
+            raise PrecisionExhausted(f"coefficient {i} beyond precision {self.precision}")
+        if i == 0 and self._dropped:
+            return self.field.zero
+        _series_quotient(self._quotient, i + 1)
+        return self._quotient.values(i, i + 1)[0]
+
+    def known_order(self):
+        """First nonzero index below the precision, None when there is none;
+        computed one coefficient at a time and kept."""
+        order = self._order
+        if order is _UNREAD:
+            order = None
+            q = self._quotient
+            for i in range(1 if self._dropped else 0, self.precision):
+                _series_quotient(q, i + 1)
+                if q.ints[i]:
+                    order = i
+                    break
+            self.__dict__["_order"] = order
+        return order
+
+    def without_constant(self) -> "TruncatedSeries":
+        return _OnDemandSeries(self._quotient, self.precision, True)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (self.field, self.coeffs, self.precision) == (other.field, other.coeffs, other.precision)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs, self.precision))
 
 
 def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:

@@ -389,13 +389,35 @@ class TestNashSequence:
         assert report.rho == rho and not report.truncated
         assert len(transforms) <= 5
 
+    def test_a_chain_reads_few_coefficients_of_its_lifts(self, monkeypatch):
+        # Along (t^2, t^3) composed with 2t + 7t^2 (ROADMAP item 8(d)) the chart leaves
+        # the graph coordinate and its lifts stop terminating.  Every chart component has
+        # t-order 1, so each blow-up reads one more coefficient of each component: at
+        # precision 10000 the 3 blow-ups compute at most 5 coefficients of any quotient.
+        quotients = []
+
+        class Kept(series._Quotient):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                quotients.append(self)
+
+        monkeypatch.setattr(series, "_Quotient", Kept)
+        phi = arc(Q, "(2*t + 7*t^2)^2", "(2*t + 7*t^2)^3", variables=("x", "y"))
+        report = nash_sequence(cusp(), phi, precision=10000)
+        assert report.sequence == (2, 2, 2, 1)
+        assert len(quotients) == 4 and max(len(q.ints) for q in quotients) <= 5
+
     def test_the_chain_carries_few_terms(self):
         # After the first run w = t ties with the chart x = t, moves to the center 1 and
         # is exactly zero from then on, so the shift (w + 1)^N keeps only w-degrees <= 2.
-        # The trace, which replays every blow-up on the whole polynomial, is not read.
+        # The last run shifts to x = 1 with 16 of the 100 steps left, so it keeps only the
+        # terms of degree at most 2 * 17: two of the four.  The trace, which replays every
+        # blow-up on the whole polynomial, is not read.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
         report, carried = carried_transforms(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 100)
-        assert [len(g.terms) for g in carried] == [2, 4, 4, 4]
+        assert [len(g.terms) for g in carried] == [2, 4, 4, 2]
         assert "trace" not in vars(report)
         for field in FIELDS:
             f = parse_poly("y^2 - x^999", ("x", "y"), field)
@@ -545,6 +567,24 @@ class TestSliceAndScaleLifts:
         _, lifted = blowup_lift(phi)
         assert lifted.components[1] == TruncatedSeries.truncated(field, (), 1) == reference_lift(phi)[1].components[1]
 
+    def test_an_on_demand_component_read_past_its_precision(self, field):
+        # x = t + t^2 is the chart and w / x = 1 - t + t^2 - ... does not terminate, so the
+        # lifted w is -t + O(t^2), computed on demand; the next lift leaves O(t) and the one
+        # after has no precision left.  A read past a precision raises what the expanded
+        # components of `reference_lift` raise.
+        lifted = expanded = arc(field, "t + t^2", "t", variables=("x", "w"))
+        for _ in range(2):
+            (chart, lifted), (reference_chart, expanded) = blowup_lift(lifted, 2), reference_lift(expanded, 2)
+            assert type(lifted.components[1]) is series._OnDemandSeries
+            for w in (lifted.components[1], expanded.components[1]):
+                top = w.precision
+                with pytest.raises(PrecisionExhausted, match=f"^coefficient {top} beyond precision {top}$"):
+                    w.coefficient(top)
+            assert (chart, lifted) == (reference_chart, expanded)
+        for lift, phi in ((blowup_lift, lifted), (reference_lift, expanded)):
+            with pytest.raises(PrecisionExhausted, match="^no precision left after division$"):
+                lift(phi, 2)
+
 
 def test_trace_is_built_when_first_read(monkeypatch):
     # The chain records its 4 runs; the 84 NashSteps of the trace wait for a reader,
@@ -638,6 +678,20 @@ class TestRunsMatchStepwise:
                 field,
             )
             assert_chain_matches_stepwise(f, phi, max_steps=100)
+
+    def test_composed_arcs(self, field):
+        # (t + t^2)^a, (t + t^2)^b: the shifts to centers off the origin make the whole
+        # transform grow with every blow-up, and the chain's shifts keep only its terms of
+        # degree at most m_0 (left + 1), with `left` blow-ups left before max_steps.
+        dropped = 0
+        for a, b in ((2, 7), (2, 9), (3, 8)):
+            f = parse_poly(f"y^{a} - x^{b}", ("x", "y"), field)
+            phi = arc(field, f"(t + t^2)^{a}", f"(t + t^2)^{b}", variables=("x", "y"))
+            for max_steps in (3, 5, 8, 12):
+                assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
+                report, carried = carried_transforms(f, phi, max_steps)
+                dropped += len(carried[-1].terms) < len(report.trace[-1].transform.terms)
+        assert dropped > 8
 
     def test_a_truncated_component(self, field):
         # z is known only below t^P; the chain runs on single blow-ups and may

@@ -240,6 +240,28 @@ def test_sparse_taylor_shift_matches_the_dense_reference(field):
 
 
 @pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
+def test_a_degree_bound_keeps_the_low_terms_of_the_whole_shift(field):
+    # `nash_sequence` shifts with a total-degree bound: the result is the whole shift's
+    # terms of degree at most the bound, also when a later coordinate's shift lowers
+    # the degree of a term that an earlier one built.
+    rng = random.Random(f"bounded-shift-{field.characteristic}")
+    units = field.units(4)
+    lowered = 0
+    for width in (2, 3, 4):
+        variables = ("x", "y", "z", "w")[:width]
+        for _ in range(30):
+            moved = rng.sample(range(width), rng.randint(1, width))
+            point = tuple(rng.choice(units) if i in moved else field.zero for i in range(width))
+            f = random_poly(rng, field, variables, max_degree=7, max_terms=6)
+            whole = f.translate(point)
+            bound = rng.randint(0, 6)
+            low = {e: c for e, c in whole.terms.items() if sum(e) <= bound}
+            assert f._shift(point, None, bound).terms == low, f"{f} at {point} to degree {bound}"
+            lowered += any(sum(e) > bound for e in f.terms) and bool(low)
+    assert lowered > 20
+
+
+@pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)
 def test_taylor_shift_cancels_an_expanded_term_against_a_fixed_one(field):
     # x*y - c*y + z at x -> x + c: the expanded c*y meets the fixed -c*y and vanishes.
     xyz = ("x", "y", "z")

@@ -50,6 +50,12 @@ arc a: t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6
 analyses: nash
 """
 
+# ROADMAP item 8(d)'s slow quotient: (t^2, t^3) composed with 2t + 7t^2, whose lifts divide
+# by a chart component with lead 4 and do not terminate.
+COMPOSED_ARC_PROBLEM = CUSP_ARC_PROBLEM.replace(
+    "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(2*t + 7*t^2)^2, (2*t + 7*t^2)^3"
+)
+
 MISSING_FIBER = (
     "problem cusp_demo has no 'fiber:' line; ord_d and verify need a monic presentation"
 )
@@ -387,12 +393,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text, sequence",
-        [(NODE_PROBLEM, "[2,1] rho=1"), (CUSP_ARC_PROBLEM, "[2,2,2,1] rho=3")],
-        ids=["node", "cusp"],
+        [
+            (NODE_PROBLEM, "[2,1] rho=1"),
+            (CUSP_ARC_PROBLEM, "[2,2,2,1] rho=3"),
+            (COMPOSED_ARC_PROBLEM, "[2,2,2,1] rho=3"),
+        ],
+        ids=["node", "cusp", "composed-lead-4"],
     )
     def test_precision_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
-        # Each blow-up lift divides by a monomial, which costs O(precision), so
-        # the largest precision allowed still answers at once, with the same text.
+        # A lift whose quotient does not terminate is computed only as far as the chain
+        # reads it, so the largest precision allowed still answers at once, with the same text.
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 0
         expected = capsys.readouterr().out
@@ -400,6 +410,18 @@ class TestCli:
         with time_limit(5):
             assert main(["nash", path, "--precision", "10000"]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_a_long_chain_along_a_composed_arc(self, tmp_path, capsys):
+        # y^2 - x^21 along ((t + t^2)^8, (t + t^2)^84): every shift to a center off the
+        # origin grew the carried transform, and 32 blow-ups took minutes.  The chain drops
+        # the terms of degree above m_0 (left + 1), which never set a multiplicity.
+        text = CUSP_ARC_PROBLEM.replace("y^2 - x^3", "y^2 - x^21").replace(
+            "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(t + t^2)^8, (t + t^2)^84"
+        )
+        path = self.write(tmp_path, text)
+        with time_limit(5):
+            assert main(["nash", path]) == 0
+        assert f"[{','.join(['2'] * 33)}] truncated" in capsys.readouterr().out
 
     def test_wide_grid_exit_code(self, tmp_path, capsys):
         # (1 + 6)^8 grid arcs at exponent bound 1 are far above the 20000 cap.

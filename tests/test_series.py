@@ -65,6 +65,12 @@ class TestSeriesOrder:
             with pytest.raises(PrecisionExhausted):
                 hidden.order()
 
+    def test_no_coefficient_at_or_past_the_precision(self):
+        # The precision is the first unknown power, so t^2 is not known at precision 2.
+        with pytest.raises(EngineError, match="^series has 3 coefficients at precision 2$"):
+            TruncatedSeries(Q, (0, 0, 1), 2)
+        assert TruncatedSeries(Q, (0, 1), 2).known_order() == 1
+
     @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
     def test_t_power_is_the_padded_exact_series(self, field):
         for k in (0, 1, 5):
@@ -182,6 +188,30 @@ class TestDivide:
     def test_zero_dividend(self):
         assert S("0").divide(S("t")).is_exactly_zero()
 
+    def test_an_on_demand_quotient_read_past_its_precision(self):
+        # t / (t + t^2) does not terminate: its coefficients are computed as they are read,
+        # and a read at the precision raises what the expanded series raises.
+        q = S("t").divide(S("t + t^2"), fallback_precision=3)
+        assert q.coefficient(2) == 1 and len(q._quotient.ints) == 3
+        with pytest.raises(PrecisionExhausted, match="^coefficient 3 beyond precision 3$"):
+            q.coefficient(3)
+        expanded = TruncatedSeries.truncated(Q, (1, -1, 1), 3)
+        with pytest.raises(PrecisionExhausted, match="^coefficient 3 beyond precision 3$"):
+            expanded.coefficient(3)
+        assert q == expanded and expanded == q and hash(q) == hash(expanded)
+        assert str(q) == "1 - t + t^2 + O(t^3)" and len(q._quotient.ints) == 3
+
+    def test_an_on_demand_dividend_stays_on_demand(self):
+        # t^3 / (t + t^2) = t^2 - t^3 + ... to 10000 coefficients, divided by the monomial
+        # 2t and then by t + t^2 again, is (1 - 2t + 3t^2 - ...) / 2: reading its order and
+        # one coefficient computes a few coefficients of each quotient, not 10000.
+        q = S("t^3").divide(S("t + t^2"), fallback_precision=10000)
+        for divisor in (S("2*t"), S("t + t^2")):
+            q = q.divide(divisor)
+            assert type(q) is series._OnDemandSeries
+        assert q.order() == 0 and q.coefficient(1) == -1
+        assert q.precision == 9998 and len(q._quotient.ints) == 2
+
     @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
     def test_exact_quotient_iff_zero_remainder(self, field):
         rng = random.Random(field.characteristic)
@@ -265,12 +295,14 @@ def division_operands(rng, field):
     return dividend, divisor
 
 
-def division_outcome(thunk):
+def division_outcome(thunk, keep=False):
+    """The quotient's coefficients, exactness and precision, or the error's type name;
+    `keep` returns the quotient itself."""
     try:
         q = thunk()
     except EngineError as error:
         return type(error).__name__
-    return (q.coeffs, q.exact, q.precision)
+    return q if keep else (q.coeffs, q.exact, q.precision)
 
 
 def division_shapes(a, b, fallback, outcome):
@@ -316,6 +348,43 @@ def test_divide_matches_padded_reference(field):
         "DivisionOrderError",
         "PrecisionExhausted",
     } | ({"lead not ±1"} if field.characteristic == 0 else set())
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+def test_on_demand_operands_match_the_padded_reference(field):
+    # Quotients that do not terminate are divided again: by one another and by monomials,
+    # with or without their constant term, after reads in a random order.  Each result
+    # is the padded reference's quotient of the expanded operands.
+    rng = random.Random(f"on-demand-{field.characteristic}")
+    shapes = set()
+    for _ in range(60):
+        pool = []
+        while len(pool) < 3:
+            a, b = division_operands(rng, field)
+            q = division_outcome(lambda: a.divide(b, rng.randint(4, 20)), keep=True)
+            if type(q) is series._OnDemandSeries:
+                pool.append(q)
+        for _ in range(6):
+            a = rng.choice(pool)
+            if rng.random() < 0.5:
+                a = a.without_constant()
+            b = rng.choice(pool + [TruncatedSeries.t_power(field, rng.randint(0, 2), rng.choice(field.units(6)))])
+            for _ in range(rng.randint(0, 3)):
+                rng.choice((a, b)).coefficient(rng.randrange(min(a.precision, b.precision)))
+            fallback = rng.randint(1, 30)
+            got = division_outcome(lambda: a.divide(b, fallback), keep=True)
+            expanded = [TruncatedSeries(field, x.coeffs, x.precision) for x in (a, b)]
+            expected = division_outcome(lambda: reference_divide(*expanded, fallback))
+            if isinstance(got, str):
+                assert got == expected
+                shapes.add(got)
+                continue
+            assert (got.coeffs, got.exact, got.precision) == expected
+            shapes.add(type(got).__name__)
+            shapes.add("dropped, shift 0" if a._dropped and b.known_order() == 0 else "")
+            if type(got) is series._OnDemandSeries:
+                pool.append(got)
+    assert {"_OnDemandSeries", "DivisionOrderError", "dropped, shift 0"} <= shapes
 
 
 class TestReparametrize:
