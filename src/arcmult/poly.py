@@ -257,7 +257,7 @@ class MultiPoly:
                     terms = {
                         e: a
                         for e, a in self.terms.items()
-                        if sum(e) <= bound or sum(e) - sum([e[l] for l in moves]) <= bound
+                        if sum(e) - sum([e[l] for l in moves]) <= bound
                     }
                     if len(terms) < len(self.terms):
                         shifted = MultiPoly._of(self.variables, terms, field)

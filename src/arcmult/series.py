@@ -422,30 +422,43 @@ def _series_quotient(q: _Quotient, n: int) -> None:
     With c = |B_0| each R_k = c^(k+1) (A / B)_k stays integral:
     R_k = c^k A_k - sum_{j=1}^{k} B_j c^(j-1) R_{k-j}, with A and B negated when
     B_0 < 0.  Over F_p, A and B are first multiplied by the inverse of B_0, so
-    c = 1 and R is reduced mod p.  An on-demand operand is extended to the
-    n + d coefficients that the new entries read, and no further."""
-    R = q.ints
-    if n <= len(R):
+    c = 1 and R is reduced mod p.  An on-demand operand is extended first, to the
+    n + d coefficients that the new entries read, and no further.  Each lift of a
+    Nash chain divides the previous lift, so the operands are walked on an explicit
+    stack: a chain of any length extends without recursion."""
+    if n <= len(q.ints):
         return
-    d, p = q.shift, q.field.characteristic
-    (A, a_source), (B, b_source) = q.dividend, q.divisor
-    if a_source is not None:
-        _series_quotient(a_source, n + d)
-    if b_source is not None:
-        _series_quotient(b_source, n + d)
-    weights, power, step = q.weights, q.weight, q.weight_step
-    for j in range(len(weights) + 1, min(n, len(B) - d)):
-        weight = B[j + d] * power
-        weights.append(weight % p if p else weight)
-        power *= step
-    q.weight = power
-    power, step = q.head, q.head_step
-    for k in range(len(R), n):
-        a = A[k + d] * power if k + d < len(A) else 0
-        v = a - sum(map(mul, weights, reversed(R)))
-        R.append(v % p if p else v)
-        power *= step
-    q.head = power
+    pending = [(q, n, False)]  # (quotient, length, whether its operands are extended)
+    while pending:
+        q, n, ready = pending.pop()
+        R = q.ints
+        if n <= len(R):
+            continue
+        d, p = q.shift, q.field.characteristic
+        (A, a_source), (B, b_source) = q.dividend, q.divisor
+        if not ready:
+            m = n + d
+            short = a_source is not None and len(A) < m, b_source is not None and len(B) < m
+            if any(short):
+                pending.append((q, n, True))  # extended once the operands above it are
+                if short[0]:
+                    pending.append((a_source, m, False))
+                if short[1]:
+                    pending.append((b_source, m, False))
+                continue
+        weights, power, step = q.weights, q.weight, q.weight_step
+        for j in range(len(weights) + 1, min(n, len(B) - d)):
+            weight = B[j + d] * power
+            weights.append(weight % p if p else weight)
+            power *= step
+        q.weight = power
+        power, step = q.head, q.head_step
+        for k in range(len(R), n):
+            a = A[k + d] * power if k + d < len(A) else 0
+            v = a - sum(map(mul, weights, reversed(R)))
+            R.append(v % p if p else v)
+            power *= step
+        q.head = power
 
 
 class _OnDemandSeries(TruncatedSeries):

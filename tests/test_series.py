@@ -212,6 +212,23 @@ class TestDivide:
         assert q.order() == 0 and q.coefficient(1) == -1
         assert q.precision == 9998 and len(q._quotient.ints) == 2
 
+    def test_a_long_chain_of_on_demand_quotients_reads_without_recursion(self):
+        # Each lift of a Nash chain divides the previous lift, as here 1500 times: reading
+        # the last quotient extends every earlier one, and the walk must not recurse.
+        # The reference drops the constant of 1 / (1 + t) and divides by t + t^2 on plain
+        # integer lists, each step consuming one coefficient.
+        q = S("t").divide(S("t + t^2"), fallback_precision=2000)
+        steps = 1500
+        for _ in range(steps):
+            q = q.without_constant().divide(S("t + t^2"))
+        assert type(q) is series._OnDemandSeries and q.precision == 2000 - steps
+        expected = [(-1) ** k for k in range(steps + 1)]
+        for _ in range(steps):
+            expected = expected[1:]
+            for k in range(1, len(expected)):
+                expected[k] -= expected[k - 1]
+        assert q.coefficient(0) == expected[0]
+
     @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
     def test_exact_quotient_iff_zero_remainder(self, field):
         rng = random.Random(field.characteristic)
