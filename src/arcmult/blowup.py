@@ -165,9 +165,10 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     constant terms that appear are the next center: they are recorded in
     the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  A quotient that does not terminate is handed
-    on as an on-demand series (`TruncatedSeries.divide`): the chain computes
-    its coefficients as it reads them, never past `precision` for exact
-    operands or min(P_a, P_b) - nu for truncated ones.
+    on as an on-demand series (`TruncatedSeries.divide`): its coefficients
+    are computed as they are read, never past `precision` for exact
+    operands or min(P_a, P_b) - nu for truncated ones.  `nash_sequence`
+    derives `precision` from its number of blow-ups.
 
     `steps` > 1 lifts through a run of that many blow-ups (`run_length`):
     the arc is exact, its chart component an exact monomial c t^nu, and each
@@ -260,12 +261,7 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     return steps
 
 
-def nash_sequence(
-    poly: MultiPoly,
-    arc: Arc,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    precision: int = DEFAULT_PRECISION,
-) -> NashReport:
+def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS) -> NashReport:
     """Nash multiplicity sequence of the blow-ups directed by an arc on V(f).
 
     The arc must lie on the hypersurface exactly; the sequence stops at the
@@ -295,11 +291,14 @@ def nash_sequence(
     build them (`MultiPoly._shift`'s `bound`).  Along a composed arc the
     whole transform grows at every such shift; the carried one does not.
 
-    Every lift divides by a chart component of t-order 1, since the graph
-    coordinate has order 1 and the chart component is kept as it is, so
-    each blow-up reads one more coefficient of each component: a lift whose
-    quotient does not terminate is computed on demand (`blowup_lift`), and a
-    chain with L more blow-ups reads at most L + 1 of its coefficients.
+    A lift whose exact operands have a quotient that does not terminate is
+    an on-demand series of precision max(1, max_steps) (`blowup_lift`),
+    which the chain never exhausts.  Every chart component has t-order 1:
+    the graph coordinate has order 1, and the chart component is kept as it
+    is.  So each division costs one unit of the lesser precision of its
+    operands, and after blow-up s every component is known to precision at
+    least max_steps + 1 - s.  Each blow-up, the last included, needs only
+    precision 1: the coefficient 0 of each component, the next center.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
@@ -320,7 +319,7 @@ def nash_sequence(
     while len(sequence) <= max_steps:
         previous = sequence[-1]
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
-        chart, current_arc = blowup_lift(current_arc, precision, steps)
+        chart, current_arc = blowup_lift(current_arc, max(1, max_steps), steps)
         caps = {i: m0 for i, comp in enumerate(current_arc.components) if comp.is_exactly_zero()}
         left = max_steps + 1 - len(sequence) - steps  # blow-ups after this run
         current_poly = strict_transform(current_poly, chart, steps, caps, m0 * (left + 1))

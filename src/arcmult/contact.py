@@ -68,7 +68,7 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     for i, (poly, weight) in enumerate(algebra.generators):
         if exact:
             sums = lead_sums(poly.terms.items(), pattern, leads, arc.field.characteristic)
-            low = min((d for d, v in sums.items() if v), default=INF)
+            low = min((d for d, (num, _) in sums.items() if num), default=INF)
             if monomial or low == min(sums, default=INF):
                 orders[i] = low
                 continue
@@ -131,7 +131,7 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     """
     pattern = tuple(None if choice is None else choice[1] for choice in assignment)
     leads = tuple(None if choice is None else choice[0] for choice in assignment)
-    return not any(lead_sums(terms, pattern, leads, field.characteristic).values())
+    return not any(num for num, _ in lead_sums(terms, pattern, leads, field.characteristic).values())
 
 
 def _vanishing_grid(terms, field, width: int) -> list:

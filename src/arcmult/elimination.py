@@ -292,7 +292,7 @@ def minimizing_arc(result: EliminationResult) -> Arc:
     low = weight * poly.order_at_origin()
     terms, p = poly.terms.items(), field.characteristic
     candidates = itertools.product(field.units(6), repeat=len(pattern))
-    chosen = next((u for u in candidates if lead_sums(terms, pattern, u, p)[low]), None)
+    chosen = next((u for u in candidates if lead_sums(terms, pattern, u, p)[low][0]), None)
     if chosen is None:
         raise NoRationalUnit(
             "no unit tuple over the base field avoids the initial form's zero set"

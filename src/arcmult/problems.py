@@ -20,20 +20,19 @@ from .errors import EngineError, ParseError
 from .fields import INF, FieldSpec, format_order
 from .poly import MAX_LITERAL_DIGITS, MultiPoly, parse_poly
 from .rees import presenting_algebra
-from .series import DEFAULT_PRECISION, Arc, certify_on_hypersurface, parse_series
+from .series import Arc, certify_on_hypersurface, parse_series
 
 ANALYSES = ("nash", "contact", "ord_d", "verify")
-#: Upper bound of the precision, max_steps and budget options, which size the work.
+#: Upper bound of the max_steps and budget options, which size the work.
 MAX_OPTION = 10_000
-#: Least value of each run option; None admits any integer and no upper bound.
-OPTION_MINIMUM = {"precision": 1, "max_steps": 0, "budget": 0, "seed": None}
+#: Least value of each run option, 0 for those that size the work; None admits any integer.
+OPTION_MINIMUM = {"max_steps": 0, "budget": 0, "seed": None}
 
 
 @dataclass(frozen=True)
 class Options:
     """Run options, set by the problem-file keys and command-line flags of the same names."""
 
-    precision: int = DEFAULT_PRECISION
     max_steps: int = DEFAULT_MAX_STEPS
     budget: int = 100
     seed: int = 0
@@ -54,8 +53,7 @@ def option_value(key: str, text: str) -> int:
     minimum = OPTION_MINIMUM[key]
     if minimum is not None:
         if value < minimum:
-            bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
-            raise ParseError(f"option {key!r} must be {bound}, got {value}")
+            raise ParseError(f"option {key!r} must be nonnegative, got {value}")
         if value > MAX_OPTION:
             raise ParseError(f"option {key!r} must be at most {MAX_OPTION}, got {value}")
     return value
@@ -323,9 +321,7 @@ def run(problem: ProblemFile) -> Report:
     analyses = {}
     if "nash" in problem.analyses:
         analyses["nash"] = {
-            name: nash_sequence(
-                problem.poly, arc, problem.options.max_steps, problem.options.precision
-            )
+            name: nash_sequence(problem.poly, arc, problem.options.max_steps)
             for name, arc in problem.arcs.items()
         }
     if "contact" in problem.analyses or "verify" in problem.analyses:

@@ -667,7 +667,7 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
     field = arc.field
-    sums = _lead_fractions(poly.terms.items(), pattern, leads, field.characteristic)
+    sums = lead_sums(poly.terms.items(), pattern, leads, field.characteristic)
     nonzero = {degree: (num, den) for degree, (num, den) in sums.items() if num}
     if not nonzero:
         return TruncatedSeries.zero(field)
@@ -689,23 +689,18 @@ def _term_degree(exps, pattern):
 
 
 def lead_sums(terms, pattern, leads, p) -> dict:
-    """{d: numerator of the sum of c * prod lead_i^(e_i) over the terms c x^e of t-degree d}.
+    """{d: (num, den)}: the sum of c * prod lead_i^(e_i) over the terms c x^e of
+    t-degree d, as a cleared fraction, num reduced mod p when p > 0.
 
     Along an arc with component t-orders `pattern` (None for a zero
     component) and lowest coefficients `leads`, a term c x^e maps to t-order
     at least d = <e, pattern>, with that product as its coefficient there, or
-    to 0 when it uses a zero component.  The sums are taken on cleared
-    integers, mod p when p > 0.  At L = min d the sum is the initial form at
-    the leads: ord_t(f(arc)) = L when it is nonzero, else at least L + 1.
-    Along a monomial arc x_i -> lead_i t^(pattern_i) (`Arc.leads`) they are
-    the whole image: ord_t(f(arc)) is the least d with a nonzero sum, and f
-    maps to exactly zero when every sum vanishes.
+    to 0 when it uses a zero component.  At L = min d the sum is the initial
+    form at the leads: ord_t(f(arc)) = L when its num is nonzero, else at
+    least L + 1.  Along a monomial arc x_i -> lead_i t^(pattern_i)
+    (`Arc.leads`) they are the whole image: ord_t(f(arc)) is the least d
+    with a nonzero num, and f maps to exactly zero when every num vanishes.
     """
-    return {degree: num for degree, (num, _) in _lead_fractions(terms, pattern, leads, p).items()}
-
-
-def _lead_fractions(terms, pattern, leads, p) -> dict:
-    """{d: (num, den)}: the `lead_sums` as cleared fractions, num reduced mod p when p > 0."""
     sums = {}
     for exps, coeff in terms:
         degree = _term_degree(exps, pattern)

@@ -444,9 +444,10 @@ def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
     return ChartMap(arc.variables, index, tuple(constants)), Arc(arc.variables, tuple(lifted), field)
 
 
-def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     """`nash_sequence` one blow-up per iteration, every transform built whole when its
-    step is made and every lift taken by `reference_lift`.
+    step is made and every lift taken by `reference_lift` at the chain's precision,
+    max(1, max_steps).
 
     A route `nash_sequence`, which makes a run of blow-ups in one chart at once, lifts
     along a monomial chart component by slicing and drops the terms of degree above m_0
@@ -463,7 +464,7 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEF
     sequence = [m0]
     runs = []
     for _ in range(max_steps):
-        chart, current_arc = reference_lift(current_arc, precision)
+        chart, current_arc = reference_lift(current_arc, max(1, max_steps))
         current_poly = strict_transform(current_poly, chart)
         m = current_poly.order_at_origin()
         if m > sequence[-1]:
@@ -475,22 +476,22 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEF
     return NashReport(tuple(sequence), None, start, tuple(runs), True)
 
 
-def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     """`nash_sequence` and `stepwise_nash_sequence` give the same report, traces and
     transforms included, or raise the same error."""
 
     def outcome(chain):
         try:
-            return chain(poly, arc, max_steps, precision).to_json(arc.field, include_trace=True)
+            return chain(poly, arc, max_steps).to_json(arc.field, include_trace=True)
         except EngineError as error:
             return type(error), str(error)
 
     assert outcome(nash_sequence) == outcome(stepwise_nash_sequence), (poly, arc, max_steps)
 
 
-def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS, precision=DEFAULT_PRECISION):
+def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     """Number of directed blow-ups before the multiplicity first drops."""
-    report = nash_sequence(poly, arc, max_steps, precision)
+    report = nash_sequence(poly, arc, max_steps)
     if report.truncated:
         raise SequenceTruncated(
             f"no multiplicity drop within {max_steps} blow-ups; raise max_steps"
@@ -698,6 +699,48 @@ def check_nash_monotonicity(rng):
     assert sequence[0] == f.order_at_origin()
     if not report.truncated:
         assert sequence[report.rho] < sequence[0]
+
+
+#: Fields and step limits of `check_lift_precision`.
+_LIFT_FIELDS = FIELDS + (prime_field(7),)
+_LIFT_MAX_STEPS = (0, 1, 5, 32, 100)
+#: (f, arc, max_steps, rho) over Q: chains whose lifts stop terminating and read far.  Along
+#: (t + t^2, (t + t^2)^20) a lift precision below max_steps runs out at max_steps 19 and 20;
+#: at max_steps 1 the one blow-up reads coefficient 0 of a lift of precision 1.
+LIFT_PRECISION_CASES = (
+    ("y^2 - x^21", "(t + t^2)^8, (t + t^2)^84", 100, 84),
+    ("y^2 - x^40", "t + t^2, (t + t^2)^20", 0, None),
+    ("y^2 - x^40", "t + t^2, (t + t^2)^20", 1, None),
+    ("y^2 - x^40", "t + t^2, (t + t^2)^20", 19, None),
+    ("y^2 - x^40", "t + t^2, (t + t^2)^20", 20, 20),
+    ("y^2 - x^40", "t + t^2, (t + t^2)^20", 30, 20),
+)
+
+
+def check_lift_precision(rng):
+    """Along a composed exact arc, `nash_sequence` answers at every max_steps of
+    `_LIFT_MAX_STEPS`, its lifts at precision max(1, max_steps) never running out, and
+    gives the report of `stepwise_nash_sequence`.  The arc is (s^q, s^p) on y^q - x^p,
+    or (s, s^k) on y^2 - x^(2k) with k within one of max_steps, whose chain, when s has
+    order 1, ends within one blow-up of max_steps and reads its lifts to the last."""
+    field = _LIFT_FIELDS[rng.randrange(len(_LIFT_FIELDS))]
+    coeffs = [field.zero] + [field.coerce(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+    inner = TruncatedSeries.exact_series(field, coeffs)
+    if inner.is_exactly_zero():
+        return check_lift_precision(rng)
+    max_steps = rng.choice(_LIFT_MAX_STEPS)
+    if rng.random() < 0.5:
+        q = rng.choice((2, 3))
+        p = rng.randint(q + 1, 12)
+        components = (inner**q, inner**p)
+    else:
+        q, k = 2, max(2, max_steps + rng.choice((-1, 0, 1)))
+        p = 2 * k
+        components = (inner, inner**k)
+    f = MultiPoly(XY, {(p, 0): field.coerce(-1), (0, q): field.one}, field)
+    arc = Arc(XY, components, field)
+    nash_sequence(f, arc, max_steps)  # raises nothing
+    assert_chain_matches_stepwise(f, arc, max_steps)
 
 
 #: Leads of monomial arcs: small units, and over Q two with a denominator.

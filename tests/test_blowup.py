@@ -393,7 +393,8 @@ class TestNashSequence:
         # Along (t^2, t^3) composed with 2t + 7t^2 (ROADMAP item 8(d)) the chart leaves
         # the graph coordinate and its lifts stop terminating.  Every chart component has
         # t-order 1, so each blow-up reads one more coefficient of each component: at
-        # precision 10000 the 3 blow-ups compute at most 5 coefficients of any quotient.
+        # max_steps 10000, the lifts' precision, the 3 blow-ups compute at most 5
+        # coefficients of any quotient.
         quotients = []
 
         class Kept(series._Quotient):
@@ -405,7 +406,7 @@ class TestNashSequence:
 
         monkeypatch.setattr(series, "_Quotient", Kept)
         phi = arc(Q, "(2*t + 7*t^2)^2", "(2*t + 7*t^2)^3", variables=("x", "y"))
-        report = nash_sequence(cusp(), phi, precision=10000)
+        report = nash_sequence(cusp(), phi, max_steps=10000)
         assert report.sequence == (2, 2, 2, 1)
         assert len(quotients) == 4 and max(len(q.ints) for q in quotients) <= 5
 
@@ -695,13 +696,14 @@ class TestRunsMatchStepwise:
 
     def test_a_truncated_component(self, field):
         # z is known only below t^P; the chain runs on single blow-ups and may
-        # exhaust that precision, in which case both raise PrecisionExhausted.
+        # exhaust that precision, in which case both raise PrecisionExhausted.  The
+        # lifts of exact operands take their precision from max_steps.
         f = parse_poly("y^2 - x^9", ("x", "y", "z"), field)
         for top in (6, 12, 20, 40):
             z = TruncatedSeries.truncated(field, [0, 0, 0, 1, 1], top)
             phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
-            for precision in (8, 64):
-                assert_chain_matches_stepwise(f, phi, max_steps=40, precision=precision)
+            for max_steps in (8, 40):
+                assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
 
     def test_monomial_arcs_with_non_unit_leads(self, field):
         # Leads 2, -3, 1/2 and -2/3 over Q and every unit of F_p: the chain slices and

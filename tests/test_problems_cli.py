@@ -56,6 +56,12 @@ COMPOSED_ARC_PROBLEM = CUSP_ARC_PROBLEM.replace(
     "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(2*t + 7*t^2)^2, (2*t + 7*t^2)^3"
 )
 
+# y^2 - x^21 along ((t + t^2)^8, (t + t^2)^84): a chain of 84 blow-ups whose lifts do not
+# terminate, and whose shifts to centers off the origin grow the whole transform.
+LONG_COMPOSED_PROBLEM = CUSP_ARC_PROBLEM.replace("y^2 - x^3", "y^2 - x^21").replace(
+    "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(t + t^2)^8, (t + t^2)^84"
+)
+
 MISSING_FIBER = (
     "problem cusp_demo has no 'fiber:' line; ord_d and verify need a monic presentation"
 )
@@ -130,7 +136,7 @@ class TestProblemFormat:
             ("fiber: y", "fiber: w", 5),
             ("parametrization: t^2, t^3", "parametrization: t^2, t^^3", 7),
             ("analyses: nash contact ord_d verify", "analyses: nash dance", 8),
-            ("expect verify: PASS", "expect verify: PASS\nprecision: 0", 14),
+            ("expect verify: PASS", "expect verify: PASS\nprecision: 64", 14),
             ("expect verify: PASS", "expect verify: PASS\nmax_steps: -1", 14),
             ("expect verify: PASS", "expect verify: PASS\nbudget: abc", 14),
             ("expect verify: PASS", "expect verify: PASS\nseed: 1.5", 14),
@@ -161,7 +167,7 @@ class TestProblemFormat:
             parse_problem(CUSP_PROBLEM + "mystery: 1\n")
 
     @pytest.mark.parametrize(
-        "key, value", [("max_steps", "-3"), ("budget", "-5"), ("precision", "0")]
+        "key, value", [("max_steps", "-3"), ("budget", "-5")]
     )
     def test_negative_option_rejected(self, key, value):
         with pytest.raises(ParseError):
@@ -266,7 +272,7 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--precision", "--max-steps", "--budget"])
+    @pytest.mark.parametrize("flag", ["--max-steps", "--budget"])
     def test_unbounded_flag_exit_code(self, tmp_path, capsys, flag):
         path = self.write(tmp_path, CUSP_PROBLEM)
         with pytest.raises(SystemExit) as exit_info:
@@ -305,18 +311,15 @@ class TestCli:
         report = payload["reports"]["cusp_char0"] if command == "corpus" else payload
         assert report["problem"]["options"][key] == 20
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_nonpositive_precision_flag_exit_code(self, tmp_path, capsys, value):
-        path = self.write(tmp_path, NODE_PROBLEM)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["nash", path, "--precision", value])
-        assert exit_info.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
-
-    def test_nonpositive_precision_option_exit_code(self, tmp_path, capsys):
-        path = self.write(tmp_path, NODE_PROBLEM + "precision: 0\n")
+    def test_precision_is_not_an_option(self, tmp_path, capsys):
+        # A Nash chain sizes its lifts from max_steps: a precision key or flag is refused.
+        path = self.write(tmp_path, NODE_PROBLEM + "precision: 64\n")
         assert main(["nash", path]) == 2
-        assert "input error" in capsys.readouterr().err
+        assert "unknown key 'precision' at line 7" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["nash", self.write(tmp_path, NODE_PROBLEM), "--precision", "64"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --precision 64" in capsys.readouterr().err
 
     def test_zero_poly_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, CUSP_PROBLEM.replace("y^2 - x^3", "0"))
@@ -380,7 +383,6 @@ class TestCli:
                 id="contact-chain-of-100-x^999",
             ),
             ("verify", "fiber: y", "fiber: y\nbudget: 99999999999", "at most 10000"),
-            ("nash", "fiber: y", "fiber: y\nprecision: 99999999999", "at most 10000"),
             ("nash", "fiber: y", "fiber: y\nmax_steps: 99999999999", "at most 10000"),
         ],
     )
@@ -400,28 +402,34 @@ class TestCli:
         ],
         ids=["node", "cusp", "composed-lead-4"],
     )
-    def test_precision_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
-        # A lift whose quotient does not terminate is computed only as far as the chain
-        # reads it, so the largest precision allowed still answers at once, with the same text.
+    def test_max_steps_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
+        # A lift whose quotient does not terminate has precision max_steps but is computed
+        # only as far as the chain reads it, so the largest max_steps allowed still answers
+        # at once, with the same text.
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 0
         expected = capsys.readouterr().out
         assert sequence in expected
         with time_limit(5):
-            assert main(["nash", path, "--precision", "10000"]) == 0
+            assert main(["nash", path, "--max-steps", "10000"]) == 0
         assert capsys.readouterr().out == expected
 
     def test_a_long_chain_along_a_composed_arc(self, tmp_path, capsys):
-        # y^2 - x^21 along ((t + t^2)^8, (t + t^2)^84): every shift to a center off the
-        # origin grew the carried transform, and 32 blow-ups took minutes.  The chain drops
-        # the terms of degree above m_0 (left + 1), which never set a multiplicity.
-        text = CUSP_ARC_PROBLEM.replace("y^2 - x^3", "y^2 - x^21").replace(
-            "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(t + t^2)^8, (t + t^2)^84"
-        )
-        path = self.write(tmp_path, text)
+        # Every shift to a center off the origin grew the carried transform, and 32
+        # blow-ups took minutes.  The chain drops the terms of degree above m_0 (left + 1),
+        # which never set a multiplicity.
+        path = self.write(tmp_path, LONG_COMPOSED_PROBLEM)
         with time_limit(5):
             assert main(["nash", path]) == 0
         assert f"[{','.join(['2'] * 33)}] truncated" in capsys.readouterr().out
+
+    def test_a_long_chain_reads_its_lifts_to_the_end(self, tmp_path, capsys):
+        # Blow-up 84 reads a lift made at blow-up 1, so a fixed lift precision of 64 would
+        # run out (exit 3); lifts of precision max_steps reach it.
+        path = self.write(tmp_path, LONG_COMPOSED_PROBLEM)
+        with time_limit(1):
+            assert main(["nash", path, "--max-steps", "100"]) == 0
+        assert f"[{','.join(['2'] * 84)},1] rho=84" in capsys.readouterr().out
 
     def test_wide_grid_exit_code(self, tmp_path, capsys):
         # (1 + 6)^8 grid arcs at exponent bound 1 are far above the 20000 cap.
@@ -711,10 +719,10 @@ analyses: verify
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            (["--json"], "2bf2c466bc03e202a63a81e361c16bc7226f8de76e1bc875409f33b46026bba0"),
+            (["--json"], "aceb2f24609393d33b44689d6c3534a639873fece0220343e1d8d34b8a6aa6b2"),
             (
                 ["--json", "--trace"],
-                "cd816cb4006c0cbbcbd8fdeca095a923b92753f6137a0743de0d62d5f2f9f2aa",
+                "bd449b5425831600fba2a7bae4f25e04c7ddce3a1e9384c9fb9ac6797239c694",
             ),
         ],
     )
@@ -730,12 +738,12 @@ analyses: verify
             (
                 "name: deep_chain\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
                 "arc phi: t^8, t^84\nmax_steps: 100\n",
-                "eaddce1089851c83f0e2d5906edc138cecf2dedfad38248b9c902f1c2f7a710f",
+                "cce0c50210008fcb87f1482bd51bd33c2df70603a3f4d1c608bed0cb392b861e",
             ),
             (
                 "name: surface_char3\nfield: 3\nvariables: x y z\n"
                 "poly: z^3 - x^4 - y^5\narc phi: t^3, 0, t^4\n",
-                "337106f199f1bca27bbb81ba1cfcd743f9b6b6249d0946240b0c5f5ee2b10b26",
+                "15bb5a835f5905362093bcb278bfc2307d392e74e342d54f1a1ca1a490145533",
             ),
         ],
         ids=["y2-x21-84-blowups", "surface-char3"],
@@ -750,8 +758,8 @@ analyses: verify
     @pytest.mark.parametrize(
         "field, poly, arc, digest",
         [
-            (2, "z^2 - x^3 - y^4", "t^2, 0, t^3", "99fe2789722c97336c04be09c66780433eea500b047889a35c3addf3a428e2c0"),
-            (3, "z^3 - x^4 - y^5", "t^3, 0, t^4", "b65fb412ec633f459725893201ec989260031af6f27af5cb059f9b3a378f0e2a"),
+            (2, "z^2 - x^3 - y^4", "t^2, 0, t^3", "fb6abbcb16ebc19cbe8da27c47544b47e7f9e140f1be69cb948031cec0753feb"),
+            (3, "z^3 - x^4 - y^5", "t^3, 0, t^4", "32fd072d8427699abcd80b9503b6384fde55f7e203cd9ebdc35a8384356a84ce"),
         ],
         ids=["visible-f2", "visible-f3"],
     )

@@ -4,10 +4,19 @@ Runnable in isolation, e.g.:
     pytest tests/test_properties.py::test_hasse_leibniz
 """
 
+import pytest
+
+from arcmult.blowup import nash_sequence
+from arcmult.fields import RATIONALS
+from arcmult.poly import parse_poly
+from arcmult.series import Arc, parse_series
 from property_checks import (
+    LIFT_PRECISION_CASES,
+    assert_chain_matches_stepwise,
     check_contact_without_f,
     check_diff_closure_idempotence,
     check_hasse_leibniz,
+    check_lift_precision,
     check_monomial_leads,
     check_nash_monotonicity,
     check_order_multiplicativity,
@@ -49,3 +58,20 @@ def test_monomial_leads():
 
 def test_ord_d_coordinate_invariance():
     run_many(check_ord_d_coordinate_invariance, 100, seed=108)
+
+
+def test_lift_precision():
+    run_many(check_lift_precision, CASES, seed=109)
+
+
+@pytest.mark.parametrize(
+    "poly, components, max_steps, rho",
+    LIFT_PRECISION_CASES,
+    ids=["x21-100", "x40-0", "x40-1", "x40-19", "x40-20", "x40-30"],
+)
+def test_lift_precision_cases(poly, components, max_steps, rho):
+    f = parse_poly(poly, ("x", "y"), RATIONALS)
+    phi = Arc(("x", "y"), tuple(parse_series(text, RATIONALS) for text in components.split(",")), RATIONALS)
+    assert nash_sequence(f, phi, max_steps).rho == rho
+    if max_steps < 100:  # the reference's whole transforms grow at every shift: minutes at 100
+        assert_chain_matches_stepwise(f, phi, max_steps)
