@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .errors import ParseError, PrecisionExhausted
 from .fields import INF, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
+from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,14 @@ def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
     return not any(num for num, _ in lead_sums(terms, pattern, leads, field.characteristic).values())
 
 
+def _every_degree_twice(degrees) -> bool:
+    """Whether every degree in `degrees` occurs at least twice: no power of t has only one term."""
+    once, twice = set(), set()
+    for d in degrees:
+        (twice if d in once else once).add(d)
+    return len(once) == len(twice)
+
+
 def _vanishing_grid(terms, field, width: int) -> list:
     """Monomial grid assignments on which f vanishes, in grid order.
 
@@ -147,12 +154,11 @@ def _vanishing_grid(terms, field, width: int) -> list:
     maps to a nonzero multiple of one power of t, so a power that only one
     term reaches cannot cancel, whatever the units.  The last exponent is
     solved, not scanned: for each prefix of the other exponents, a term it
-    keeps has partial degree d and last exponent e, and a last exponent a
-    gives the first kept term's degree to another term only when their
-    (d, e) are equal (every a, then) or when a = (d' - d) / (e - e').  Only
-    None and those a are checked, and units are tried only on the patterns
-    whose every power is reached twice.  The admitted assignments are sorted
-    by their index in itertools.product(choices), the order of the full grid.
+    keeps has partial degree d, summed over its nonzero exponents alone, and
+    last exponent e.  A last exponent a gives the first kept term's degree to
+    another only when their (d, e) are equal (every a) or a = (d' - d) / (e - e').
+    Only None and those a are checked, units are tried only where every power
+    is reached twice, and admitted assignments are sorted into the grid order.
     """
     units = field.units(6)
     bound = EXPONENT_BOUND
@@ -160,11 +166,21 @@ def _vanishing_grid(terms, field, width: int) -> list:
         bound -= 1
     if (1 + len(units)) ** width > GRID_CAP:
         raise ParseError(f"{width} variables make more than {GRID_CAP} monomial grid arcs")
+    if not width:
+        return []
     exponents = [None, *range(1, bound + 1)]
+    sparse = [([(i, e) for i, e in enumerate(exps[:-1]) if e], exps[-1]) for exps, _ in terms]
     admitted = []
-    for prefix in itertools.product(exponents, repeat=width - 1) if width else ():
-        # (d, e) of each term the prefix keeps; zip in _term_degree stops before the last exponent.
-        kept = [(d, exps[-1]) for exps, _ in terms if (d := _term_degree(exps, prefix)) is not None]
+    for prefix in itertools.product(exponents, repeat=width - 1):
+        kept = []  # (d, e) of each term the prefix keeps
+        for pairs, e in sparse:
+            d = 0
+            for i, ei in pairs:
+                if (a := prefix[i]) is None:
+                    break
+                d += a * ei
+            else:
+                kept.append((d, e))
         lasts = exponents
         if kept and kept[0] not in kept[1:]:
             d0, e0 = kept[0]
@@ -174,8 +190,7 @@ def _vanishing_grid(terms, field, width: int) -> list:
             pattern = (*prefix, last)
             if last is None and all(a is None for a in prefix):
                 continue
-            degrees = Counter(d + (last or 0) * e for d, e in kept if last or not e)
-            if 1 in degrees.values():
+            if not _every_degree_twice(d + (last or 0) * e for d, e in kept if last or not e):
                 continue
             # (index in choices, choice) per variable, where
             # choices = [None] + [(u, a) for a in 1..bound for u in units].

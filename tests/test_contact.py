@@ -292,8 +292,8 @@ class TestSampleArcs:
         # (x = 3 or 6, 18 prefixes: z = 4 or 8) or of y^5 (y = 3, 9 prefixes:
         # z = 5).
         counts = []
-        count = contact.Counter
-        monkeypatch.setattr(contact, "Counter", lambda degrees: counts.append(1) or count(degrees))
+        check = contact._every_degree_twice
+        monkeypatch.setattr(contact, "_every_degree_twice", lambda degrees: counts.append(1) or check(degrees))
         constraint = parse_poly("z^3 - x^4 - y^5", XYZ, F3)
         assert _vanishing_grid(list(constraint.terms.items()), F3, 3)
         assert len(counts) == 107

@@ -17,7 +17,7 @@ UNCALLED = {
     "evaluate": "README names it the reference route for `translate`",
     "order_lower_bound": "a test reference: the precision rules and `reference_generator_orders` read it",
     "render": "public API that README documents and round-trips",
-    "weighted_transform": "waits for ROADMAP item 6's derivation of rho",
+    "weighted_transform": "waits for ROADMAP item 17's derivation of rho",
 }
 
 
