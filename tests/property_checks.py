@@ -17,7 +17,8 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
-presenting algebra it takes, `sampled_arcs` builds the entries of
+presenting algebra it takes, `derivatives_of` drops f W^m from f's
+presenting algebra, as `verify_main_theorem` does, `sampled_arcs` builds the entries of
 `sample_arcs`, `reference_sample_arcs` builds them by composing every
 draw, `reference_verify` is `verify_main_theorem` evaluating every arc,
 and `assert_well_formed` checks what `MultiPoly.__init__` would have
@@ -43,7 +44,15 @@ from arcmult.blowup import (
     nash_sequence,
     strict_transform,
 )
-from arcmult.contact import DEGREE_BOUND, GRID_CAP, _generator_orders, contact_order, sample_arcs
+from arcmult.contact import (
+    DEGREE_BOUND,
+    GRID_CAP,
+    _generator_orders,
+    contact_order,
+    grid_arc,
+    grid_r_bar,
+    sample_arcs,
+)
 from arcmult.elimination import MonicPresentation, TheoremReport, minimizing_arc, ord_d, verify_main_theorem
 from arcmult.errors import (
     ArcNotOnVariety,
@@ -508,10 +517,13 @@ def verify_presentation(presentation, candidates, budget, seed, **options):
 
 def sampled_arcs(poly, budget, seed, parametrization=None):
     """`sample_arcs` with each entry built: (arc, composed) pairs, where composed
-    marks an arc phi o s built from the integer coefficients of s, its key."""
+    marks an arc phi o s built from the integer coefficients of s, its key, and
+    a grid arc is built from its (pattern, leads) by `grid_arc`."""
     return [
-        (arc, False) if key is None else (parametrization.compose(TruncatedSeries.exact_series(poly.field, key)), True)
-        for arc, key in sample_arcs(poly, budget, seed, parametrization)
+        (grid_arc(poly.variables, poly.field, grid), False)
+        if key is None
+        else (parametrization.compose(TruncatedSeries.exact_series(poly.field, key)), True)
+        for grid, key in sample_arcs(poly, budget, seed, parametrization)
     ]
 
 
@@ -520,7 +532,7 @@ def reference_sample_arcs(poly, budget, seed, parametrization=None):
     deduplicating the built arcs, which `sample_arcs` does only where the
     separation rule cannot prove an arc new."""
     field = poly.field
-    arcs = [(arc, False) for arc, _ in sample_arcs(poly, 0, seed)]
+    arcs = sampled_arcs(poly, 0, seed)
     if parametrization is None:
         return arcs
     seen = {arc.components for arc, _ in arcs}
@@ -679,13 +691,19 @@ def random_curve_and_arc(rng):
     return f, arc
 
 
+def derivatives_of(f):
+    """The presenting algebra of f without f W^m: the algebra `verify_main_theorem` evaluates arcs on f on."""
+    g = presenting_algebra(f)
+    top = (f.normalized(), f.order_at_origin())
+    return ReesAlgebra(g.variables, tuple(gen for gen in g.generators if gen != top), g.field)
+
+
 def check_contact_without_f(rng):
     """Along an arc on f, contact_order of G = Diff(f W^m) equals that of G without f W^m:
     f maps to 0, so only its derivatives can attain r."""
     f, arc = random_curve_and_arc(rng)
     g = presenting_algebra(f)
-    top = (f.normalized(), f.order_at_origin())
-    derivatives = ReesAlgebra.of(g.variables, [gen for gen in g.generators if gen != top], g.field)
+    derivatives = derivatives_of(f)
     assert len(derivatives.generators) == len(g.generators) - 1, f
     assert contact_order(g, arc) == contact_order(derivatives, arc), f"{f} along {arc}"
 
@@ -830,6 +848,42 @@ def check_monomial_leads(rng):
         assert _outcome(lambda: certify_on_hypersurface(poly, arc, "the arc")) == reference
         assert _outcome(lambda: arc_substitute(poly, arc)) == reference
         assert _outcome(lambda: _generator_orders(ReesAlgebra.of(names, [(poly, 1)], ring), arc))[0] is error
+
+
+def check_grid_r_bar(rng, field, width):
+    """For every grid entry (pattern, leads) of `sample_arcs` on a random
+    product f of two polynomials without constant term in `width` variables
+    (a square half the time), the r_bar that `verify_main_theorem`
+    reads, `grid_r_bar` on the derivatives of f, is contact_order / arc.order()
+    on the arc that `grid_arc` builds from the entry, INF included, and both
+    are the least ord_t(phi(g))/w of every generator's full image
+    (`reference_generator_orders`) over the least t-order of the entry's
+    components.  Returns the number of entries checked."""
+    variables = ("x", "y", "z", "u")[:width]
+
+    def factor():
+        # A nonzero polynomial with no constant term, of at most three terms.
+        while True:
+            poly = random_poly(rng, field, variables, max_degree=1, max_terms=3)
+            poly = MultiPoly(variables, {e: c for e, c in poly.terms.items() if any(e)}, field)
+            if not poly.is_zero():
+                return poly
+
+    # A product, a square half the time: along an arc on a square factor the
+    # first derivatives vanish or cancel at their least degree.
+    p = factor()
+    f = p * (p if rng.random() < 0.5 else factor())
+    derivatives = derivatives_of(f)
+    grid_entries = [grid for grid, _ in sample_arcs(f, 0, 0)]
+    for grid in grid_entries:
+        arc = grid_arc(variables, field, grid)
+        r = contact_order(derivatives, arc)
+        expected = INF if r == INF else r / arc.order()
+        assert grid_r_bar(derivatives, grid) == expected, (str(f), str(arc))
+        reference, _ = reference_generator_orders(derivatives, arc)
+        nu = min(c.known_order() for c in arc.components)
+        assert expected == (INF if reference == INF else reference / nu), (str(f), str(arc))
+    return len(grid_entries)
 
 
 #: Fields with the fiber degrees m they do not divide: ord_d takes the Tschirnhausen route.

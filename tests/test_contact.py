@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from property_checks import (
     DependenceInvalid,
+    derivatives_of,
     from_weighted,
     horner_compose,
     integral_invariance_check,
@@ -25,11 +26,13 @@ from arcmult.contact import (
     DEGREE_BOUND,
     EXPONENT_BOUND,
     _generator_orders,
-    _monomial_arc,
+    _grid_entry,
     _separates,
     _vanishes_on_monomial_arc,
     _vanishing_grid,
     contact_order,
+    grid_arc,
+    grid_r_bar,
     normalized_contact,
     sample_arcs,
 )
@@ -232,7 +235,7 @@ class TestSampleArcs:
         admitted = 0
         for assignment in reference_grid(field, len(variables), EXPONENT_BOUND):
             by_rule = _vanishes_on_monomial_arc(terms, field, assignment)
-            monomial = _monomial_arc(variables, field, assignment)
+            monomial = grid_arc(variables, field, _grid_entry(assignment))
             assert by_rule == arc_substitute(constraint, monomial).is_exactly_zero(), monomial
             admitted += by_rule
         assert admitted > 0
@@ -456,6 +459,19 @@ class TestContactWalk:
             assert inside.components in {sampled.components for sampled in arcs}
             assert _assert_orders_match_reference(algebra, inside) == expected
 
+    def test_grid_entry_inside_the_locus_reads_infinite_over_f2(self):
+        # The same arc as a grid entry: verify reads r_bar = INF from its lead sums
+        # on the derivatives of f, as contact_order gives on the built arc; over Q, 2z gives 2.
+        entry = ((None, 1, 2), (None, 1, 1))
+        for field, expected in ((F2, INF), (Q, 2)):
+            poly = SURFACES[f"z2_x3_y4_f{field.characteristic}"]
+            coerced = (entry[0], tuple(None if u is None else field.coerce(u) for u in entry[1]))
+            assert (coerced, None) in sample_arcs(poly, 0, 0)
+            derivatives = derivatives_of(poly)
+            built = grid_arc(XYZ, field, coerced)
+            assert built.components == arc(field, "0", "t", "t^2", variables=XYZ).components
+            assert grid_r_bar(derivatives, coerced) == contact_order(derivatives, built) / built.order() == expected
+
     @pytest.mark.parametrize(
         "weighted, components, r",
         [
@@ -671,18 +687,21 @@ class TestComposedPool:
     def test_contact_evaluations_do_not_grow_with_the_budget(self, monkeypatch):
         presentation, candidates, _, seed, phi = _verify_inputs("cusp_char0")
         algebra = presenting_algebra(presentation.poly)
-        calls = []
-        evaluate = elimination.contact_order
+        calls, reads = [], []
+        evaluate, read = elimination.contact_order, elimination.grid_r_bar
         monkeypatch.setattr(elimination, "contact_order", lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(elimination, "grid_r_bar", lambda *args: reads.append(args) or read(*args))
         counts = []
         for budget in (100, 1000):
             calls.clear()
+            reads.clear()
             report = verify_main_theorem(presentation, ord_d(presentation), algebra, candidates, budget, seed, phi)
             assert report.verdict == "PASS"
-            counts.append(len(calls))
-        # Each candidate and grid arc, phi once, and the witness's projection.
+            counts.append((len(calls), len(reads)))
+        # Contact orders: each candidate, phi once, and the witness's projection;
+        # each grid arc's r_bar is read from its entry.
         grid = len(sample_arcs(presentation.poly, 0, seed))
-        assert counts == [len(candidates) + grid + 2] * 2
+        assert counts == [(len(candidates) + 2, grid)] * 2
 
 
 F7 = prime_field(7)

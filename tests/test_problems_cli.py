@@ -75,6 +75,13 @@ fiber: z
 analyses: verify
 """
 
+#: Over F_2 the widest grid under the cap: (1 + 1)^14 = 16,384 assignments at
+#: exponent bound 1, of which 7,167 lie on f.
+WIDEST_F2_PROBLEM = (
+    "name: widest_f2\nfield: 2\nvariables: " + " ".join(f"x{i}" for i in range(14))
+    + "\npoly: " + " + ".join(f"x{i}^2" for i in range(14)) + " + x1*x2*x3\nfiber: x0\nanalyses: verify\n"
+)
+
 
 @contextlib.contextmanager
 def time_limit(seconds):
@@ -438,6 +445,14 @@ class TestCli:
             assert main(["verify", path]) == 2
         err = capsys.readouterr().err
         assert "8 variables" in err and "20000" in err and "Traceback" not in err
+
+    def test_widest_f2_grid_verifies_in_time(self, tmp_path, capsys):
+        # Each of the 7,167 grid arcs is read from its exponent pattern; only the witness is built.
+        path = self.write(tmp_path, WIDEST_F2_PROBLEM)
+        with time_limit(5):
+            assert main(["verify", "--json", path]) == 0
+        report = json.loads(capsys.readouterr().out)["analyses"]["verify"]
+        assert (report["arcs_checked"], report["verdict"]) == (7167, "PASS")
 
     def test_undecodable_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "binary.problem"

@@ -4,6 +4,8 @@ Runnable in isolation, e.g.:
     pytest tests/test_properties.py::test_hasse_leibniz
 """
 
+import random
+
 import pytest
 
 from arcmult.blowup import nash_sequence
@@ -11,10 +13,12 @@ from arcmult.fields import RATIONALS
 from arcmult.poly import parse_poly
 from arcmult.series import Arc, parse_series
 from property_checks import (
+    FIELDS,
     LIFT_PRECISION_CASES,
     assert_chain_matches_stepwise,
     check_contact_without_f,
     check_diff_closure_idempotence,
+    check_grid_r_bar,
     check_hasse_leibniz,
     check_lift_precision,
     check_monomial_leads,
@@ -75,3 +79,16 @@ def test_lift_precision_cases(poly, components, max_steps, rho):
     assert nash_sequence(f, phi, max_steps).rho == rho
     if max_steps < 100:  # the reference's whole transforms grow at every shift: minutes at 100
         assert_chain_matches_stepwise(f, phi, max_steps)
+
+
+#: Random polynomials per width: a width-4 grid holds up to 14,641 assignments.
+GRID_R_BAR_CASES = {1: 12, 2: 12, 3: 2, 4: 1}
+
+
+@pytest.mark.parametrize("width", sorted(GRID_R_BAR_CASES))
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F3", "F5"])
+def test_grid_r_bar(field, width):
+    rng = random.Random(110 + width)
+    checked = sum(check_grid_r_bar(rng, field, width) for _ in range(GRID_R_BAR_CASES[width]))
+    # In one variable f vanishes on no grid arc: x -> u t^a keeps its terms in distinct degrees.
+    assert (checked == 0) if width == 1 else (checked > 0)
