@@ -271,12 +271,35 @@ def _separates(parametrization: Arc) -> bool:
     v = lead s', which is k a u^(k-1) when zeta = 1: so zeta != 1 unless p
     divides every k_i.  phi separates when some k_i is prime to p and the
     field has no g-th root of unity but 1: over Q when g is odd, over F_p
-    when gcd(g, p - 1) = 1.
+    when gcd(g, p - 1) = 1.  Through a separating phi, `sample_arcs` composes
+    no draw: distinct indices are distinct arcs, and only the index of a
+    monomial can name a monomial arc.
     """
     orders = [c.known_order() for c in parametrization.components if not c.is_exactly_zero()]
     p = parametrization.field.characteristic
     prime_to_p = p == 0 or any(k % p for k in orders)
     return prime_to_p and math.gcd(*orders, p - 1 if p else 2) == 1
+
+
+def _draw_values(field) -> list:
+    """The V distinct values of 0, -3, ..., 3 in the field (mod p over F_p), 0 first:
+    the digits of a composed entry's index."""
+    p = field.characteristic
+    return list(dict.fromkeys(c % p if p else c for c in (0, -3, -2, -1, 1, 2, 3)))
+
+
+def draw_key(field, index: int) -> tuple:
+    """The integer coefficients of the series s that a composed entry (None, index)
+    of `sample_arcs` names, constant term 0 first: the coefficients of t^1, t^2, ...
+    are the base-V digits of the index, least significant first, read among
+    `_draw_values`.  Only digit 0 names 0, so the key ends in a nonzero;
+    `TruncatedSeries.exact_series(field, key)` builds s."""
+    values = _draw_values(field)
+    key = [0]
+    while index:
+        index, digit = divmod(index, len(values))
+        key.append(values[digit])
+    return tuple(key)
 
 
 def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | None = None) -> list:
@@ -285,11 +308,10 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     where grid is its (pattern, leads) pair of exponents a_i and units u_i,
     None for x_i -> 0 (the first two items of its `Arc.leads`, which
     `grid_arc` builds it from and `grid_r_bar` reads its r_bar from), and
-    (None, key) for the arc phi o s composed through the parametrization phi,
-    where the key is s's tuple of integer coefficients, which
-    `TruncatedSeries.exact_series(field, key)` builds.  No grid arc is
-    built here, and `verify_main_theorem` builds only its witness: a
-    width-14 F_2 input has 7,167 grid entries.
+    (None, index) for the arc phi o s composed through the parametrization
+    phi, where the integer index names s (`draw_key`).  No arc is built
+    here through a separating phi, and `verify_main_theorem` builds only its
+    witness: a width-14 F_2 input has 7,167 grid entries.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
@@ -301,14 +323,19 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     admitted without substitution: first those of min(budget, space) distinct
     nonzero series of degree <= DEGREE_BOUND with coefficients in -3..3,
     drawn without replacement from `seed` by one random.Random.sample over
-    the `space` such series, then the eight reparametrizations phi(t^n) =
-    phi o t^n.  An arc equal to an earlier one is dropped: a composed arc is
-    compared by its (pattern, leads) when it is monomial, the grid's key,
-    and by its components otherwise.  When phi separates (`_separates`),
-    distinct series give distinct arcs, and phi o s is a monomial arc only
-    when s is a monomial (its degree exceeds its order otherwise), so only
-    monomial s are composed to be compared with the grid and with each
-    other; through any other phi every s is.
+    the indices 1..space of the `space` such series, then the eight
+    reparametrizations phi(t^n) = phi o t^n, whose index is i_1 * V^(n-1),
+    i_1 the digit of 1.  An arc equal to an earlier one is dropped.
+
+    When phi separates (`_separates`), distinct indices give distinct arcs,
+    and phi o s is a monomial arc only when phi is monomial and s is a
+    monomial c t^k, the index d * V^(k-1) with c the value of digit d (its
+    degree exceeds its order otherwise).  So nothing is composed: such an
+    arc, x_i -> u_i c^(a_i) t^(k a_i) for phi's x_i -> u_i t^(a_i), is
+    dropped when its (pattern, leads) is a grid entry's, a t^n that was
+    drawn is dropped, and every other index is admitted.  Through any other
+    phi each index is decoded and composed, and compared by its (pattern,
+    leads) when monomial, the grid's key, and by its components otherwise.
     """
     field = poly.field
     terms = list(poly.terms.items())
@@ -324,30 +351,38 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
             "need every component exact"
         )
     seen = {grid for grid, _ in arcs}
-    separates = _separates(parametrization)
+    values = _draw_values(field)
+    width = len(values)
+    space = width**DEGREE_BOUND - 1  # the nonzero series
+    drawn = random.Random(seed).sample(range(1, space + 1), min(budget, space))
+    t_powers = [values.index(1) * width ** (n - 1) for n in range(1, 9)]  # the indices of t^1 ... t^8
 
-    def admit(key: tuple) -> None:
-        if not separates or sum(map(bool, key)) == 1:
-            composed = parametrization.compose(TruncatedSeries.exact_series(field, key))
+    if not _separates(parametrization):
+        for index in (*drawn, *t_powers):
+            composed = parametrization.compose(TruncatedSeries.exact_series(field, draw_key(field, index)))
             pattern, leads, monomial = composed.leads()
             seen_as = (pattern, leads) if monomial else composed.components
-            if seen_as in seen:
-                return
-            seen.add(seen_as)
-        arcs.append((None, key))
+            if seen_as not in seen:
+                seen.add(seen_as)
+                arcs.append((None, index))
+        return arcs
 
-    # Index i >= 1 names the key whose coefficients of t^1, t^2, ... are its base-V
-    # digits, least significant first, V the number of distinct values of -3..3
-    # (mod p over F_p); only digit 0 names 0, so the key ends in a nonzero.
-    p = field.characteristic
-    values = list(dict.fromkeys(c % p if p else c for c in (0, -3, -2, -1, 1, 2, 3)))
-    space = len(values) ** DEGREE_BOUND - 1  # the nonzero keys
-    for index in random.Random(seed).sample(range(1, space + 1), min(budget, space)):
-        key = [0]
-        while index:
-            index, digit = divmod(index, len(values))
-            key.append(values[digit])
-        admit(tuple(key))
-    for n in range(1, 9):
-        admit((0,) * n + (1,))
+    pattern, leads, monomial = parametrization.leads()
+    # {index of c t^k: (k, c)}, each digit d != 0 at place k - 1, when phi is
+    # monomial: only then can an index name a grid arc.
+    places = range(1, DEGREE_BOUND + 1) if monomial else ()
+    monomials = {d * width ** (k - 1): (k, c) for k in places for d, c in enumerate(values) if d}
+
+    def new(index) -> bool:
+        if index not in monomials:
+            return True
+        k, c = monomials[index]
+        return (
+            tuple(None if a is None else k * a for a in pattern),
+            tuple(None if u is None else field.mul(u, field.coerce(c**a)) for a, u in zip(pattern, leads)),
+        ) not in seen
+
+    arcs.extend((None, index) for index in drawn if new(index))
+    drawn = set(drawn)  # a t^n that was drawn is not admitted twice
+    arcs.extend((None, index) for index in t_powers if index not in drawn and new(index))
     return arcs

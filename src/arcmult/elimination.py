@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contact import contact_order, grid_arc, grid_r_bar, normalized_contact, sample_arcs
+from .contact import contact_order, draw_key, grid_arc, grid_r_bar, normalized_contact, sample_arcs
 from .errors import (
     CharDividesDegree,
     EngineError,
@@ -373,13 +373,13 @@ def verify_main_theorem(
     x0^2 + ... + x13^2 + x1*x2*x3 with fiber x0 has 7,167 grid arcs; reading
     them, not building and walking each, took a run of the problem from
     about 0.9 to 0.5 s (in-process, Python 3.11.7, 2 shared cores).  The
-    arcs composed through the parametrization, the (None, key) entries after
-    the grid, are counted and named like any other but neither built nor
-    evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s) and
-    nu(phi o s) = nu(phi) * ord(s), and every one has the r_bar of phi, which
-    one contact order on phi gives.  They are compared as one group, named
-    by its first index, and its first arc is built only when the group holds
-    the witness.
+    arcs composed through the parametrization, the (None, index) entries
+    after the grid, are counted and named like any other but neither built
+    nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s)
+    and nu(phi o s) = nu(phi) * ord(s), and every one has the r_bar of phi,
+    which one contact order on phi gives.  They are compared as one group,
+    named by its first index, and its first arc is built, from the series
+    that `draw_key` decodes, only when the group holds the witness.
     """
     poly = presentation.poly
     top = (poly.normalized(), poly.order_at_origin())
@@ -412,7 +412,7 @@ def verify_main_theorem(
     elif (i := at - len(candidates)) < grid:
         witness = (f"sample_{i}", grid_arc(poly.variables, poly.field, sampled[i][0]))
     else:
-        inner = TruncatedSeries.exact_series(poly.field, sampled[grid][1])
+        inner = TruncatedSeries.exact_series(poly.field, draw_key(poly.field, sampled[grid][1]))
         witness = (f"sample_{grid}", parametrization.compose(inner))
 
     # minimizing_arc raises unless its r_bar is ord_d; no arc has a finite one at INF.

@@ -49,6 +49,7 @@ from arcmult.contact import (
     GRID_CAP,
     _generator_orders,
     contact_order,
+    draw_key,
     grid_arc,
     grid_r_bar,
     sample_arcs,
@@ -517,13 +518,14 @@ def verify_presentation(presentation, candidates, budget, seed, **options):
 
 def sampled_arcs(poly, budget, seed, parametrization=None):
     """`sample_arcs` with each entry built: (arc, composed) pairs, where composed
-    marks an arc phi o s built from the integer coefficients of s, its key, and
-    a grid arc is built from its (pattern, leads) by `grid_arc`."""
+    marks an arc phi o s built from the integer coefficients of s that its
+    index names (`draw_key`), and a grid arc is built from its (pattern,
+    leads) by `grid_arc`."""
     return [
         (grid_arc(poly.variables, poly.field, grid), False)
-        if key is None
-        else (parametrization.compose(TruncatedSeries.exact_series(poly.field, key)), True)
-        for grid, key in sample_arcs(poly, budget, seed, parametrization)
+        if index is None
+        else (parametrization.compose(TruncatedSeries.exact_series(poly.field, draw_key(poly.field, index))), True)
+        for grid, index in sample_arcs(poly, budget, seed, parametrization)
     ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from arcmult.contact import (
     _vanishes_on_monomial_arc,
     _vanishing_grid,
     contact_order,
+    draw_key,
     grid_arc,
     grid_r_bar,
     normalized_contact,
@@ -53,7 +55,7 @@ from arcmult.errors import (
 )
 from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import parse_poly
-from arcmult.problems import presentation_of
+from arcmult.problems import MAX_OPTION, presentation_of
 from arcmult.rees import presenting_algebra
 from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
 
@@ -766,6 +768,14 @@ class TestSkippedCompositions:
                 components.append(TruncatedSeries.exact_series(field, [0] + [rng.randint(-1, 1) for _ in range(3)]))
             poly = parse_poly(f"y^{a} - x^{b}", variables, field)
             cases.append((poly, Arc(variables, tuple(components), field), rng.randint(5, 80), rng.randrange(100)))
+        # Through the separating monomial (t^2, t^3) the arcs of t and t^2 are grid arcs,
+        # and so are those of other monomials, such as 2t over F_3, where (4, 8) = (1, 2).
+        # Budgets of the whole key space, 2^8 - 1 over F_2 and 3^8 - 1 over F_3, draw
+        # every monomial, each t^n among them.  No grid unit is a lead of (4t^2, 8t^3).
+        cusps = {field: parse_poly("y^2 - x^3", XY, field) for field in (Q, F2, F3, F5)}
+        cases += [(poly, arc(field, "t^2", "t^3"), 40, 0) for field, poly in cusps.items()]
+        cases += [(cusps[F2], arc(F2, "t^2", "t^3"), 2**8 - 1, 0), (cusps[F3], arc(F3, "t^2", "t^3"), 3**8 - 1, 0)]
+        cases.append((cusps[Q], arc(Q, "4*t^2", "8*t^3"), 40, 0))
         for poly, phi, budget, seed in cases:
             built = [(str(built), composed) for built, composed in sampled_arcs(poly, budget, seed, phi)]
             expected = [(str(built), composed) for built, composed in reference_sample_arcs(poly, budget, seed, phi)]
@@ -773,10 +783,8 @@ class TestSkippedCompositions:
 
     @pytest.mark.parametrize("name", ["cusp_char0", "even_gcd_q"])
     def test_series_built_only_for_the_draws_composed(self, monkeypatch, name):
-        # Draws are kept as integer keys, and a series is built only to be composed:
-        # through cusp_char0's separating (t^2, t^3) the monomial draws, of which its
-        # 100 draws from 7^8 - 1 keys hold none, and the eight t^n (8; one per admitted
-        # draw, about 110, when every draw was built), through (t^4, t^6) every draw.
+        # Draws are kept as integer indices, and a series is built only to be composed:
+        # through cusp_char0's separating (t^2, t^3) none, through (t^4, t^6) every draw.
         if name in SAMPLED_ARCS:
             poly, _, seed, phi = _verify_sampler_inputs(load_problem(name))
         else:
@@ -791,11 +799,11 @@ class TestSkippedCompositions:
         entries = sample_arcs(poly, 100, seed, phi)
         assert calls["series"] == calls["compose"]
         if name == "cusp_char0":
-            assert calls["compose"] == 8
+            assert calls["compose"] == 0
         else:
             assert calls["compose"] > 100
-        keys = [key for built, key in entries if built is None]
-        assert keys and all(type(c) is int for key in keys for c in key)
+        indices = [index for built, index in entries if built is None]
+        assert indices and all(type(index) is int for index in indices)
 
     def test_drawing_stops_once_every_series_is_drawn(self, monkeypatch):
         # Over F_2 a draw has 2^8 - 1 nonzero keys.  Once each has been drawn every
@@ -826,6 +834,18 @@ class TestSkippedCompositions:
         assert len(draws) < 2 * (3**8 - 1)
         assert [sorted(indices) for indices in samples] == [list(range(1, 3**8))]
 
+    @pytest.mark.parametrize("name, checked", [("cusp_char0", 10012), ("cusp_char2", 258), ("cusp_char3", 6563)])
+    def test_verify_at_the_largest_budget(self, name, checked):
+        # ROADMAP item 8(d)'s inputs: a budget of MAX_OPTION draws 10,000 of 7^8 - 1
+        # keys over Q, and every one of the 2^8 - 1 over F_2 and 3^8 - 1 over F_3.
+        presentation, candidates, _, seed, phi = _verify_inputs(name)
+        start = time.perf_counter()
+        elimination = ord_d(presentation)
+        algebra = presenting_algebra(presentation.poly)
+        report = verify_main_theorem(presentation, elimination, algebra, candidates, MAX_OPTION, seed, phi)
+        assert time.perf_counter() - start < 1
+        assert (report.arcs_checked, report.verdict) == (checked, "PASS")
+
     def test_one_sample_of_distinct_nonzero_keys(self, monkeypatch):
         # Each field's V distinct values of -3..3 give V^8 - 1 nonzero keys; one sample
         # draws min(budget, V^8 - 1) of them.  Through the separating (t^2, t^3) every
@@ -839,16 +859,16 @@ class TestSkippedCompositions:
             space = width**DEGREE_BOUND - 1
             for budget in (0, 600, *(rng.randint(1, 599) for _ in range(4))):
                 samples.clear()
-                keys = [key for built, key in sample_arcs(poly, budget, rng.randrange(100), phi) if built is None]
+                entries = sample_arcs(poly, budget, rng.randrange(100), phi)
+                keys = [draw_key(field, index) for built, index in entries if built is None]
                 assert samples == [(range(1, space + 1), min(budget, space))]
                 assert len(keys) == len(set(keys)) >= min(budget, space) - DEGREE_BOUND * (width - 1)
                 assert all(key[0] == 0 and key[-1] and len(key) <= DEGREE_BOUND + 1 for key in keys)
 
     def test_compositions_do_not_grow_with_the_budget(self, monkeypatch):
-        # cusp_char0's (t^2, t^3) separates: only monomial draws and the eight t^n are
-        # composed, and there are at most 8 * 6 monomials of degree <= 8 over Q.
-        # Its witness is the candidate phi; no_grid_arc_q's is a composed arc,
-        # which verify builds once more.
+        # cusp_char0's (t^2, t^3) and no_grid_arc_q's (t^2, t^3 + t^4) separate, so the
+        # sampler composes no draw.  cusp_char0's witness is the candidate phi;
+        # no_grid_arc_q's is a composed arc, which verify builds.
         inners = []
         compose, sample = Arc.compose, elimination.sample_arcs
         monkeypatch.setattr(Arc, "compose", lambda self, inner: inners.append(inner) or compose(self, inner))
@@ -868,10 +888,9 @@ class TestSkippedCompositions:
                 presentation, ord_d(presentation), presenting_algebra(presentation.poly), candidates, budget, seed, phi
             )
             assert report.verdict == "PASS"
-            assert all(sum(map(bool, inner.coeffs)) == 1 for inner in inners[: in_sampler[-1]])
             by_verify.append(len(inners) - in_sampler[-1])
         # Composing every draw made 108 and 1,008 on cusp_char0.
-        assert in_sampler[:2] == [8, 8]
+        assert in_sampler == [0, 0, 0]
         assert by_verify == [0, 0, 1]
 
 
