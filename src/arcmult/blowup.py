@@ -26,7 +26,7 @@ from functools import cached_property
 from .errors import EngineError, VariableMismatch
 from .fields import INF
 from .poly import MultiPoly, Point
-from .series import DEFAULT_PRECISION, Arc, TruncatedSeries, certify_on_hypersurface
+from .series import Arc, TruncatedSeries, certify_on_hypersurface
 
 DEFAULT_MAX_STEPS = 32
 
@@ -157,7 +157,7 @@ def graph_arc(arc: Arc, extra_variable: str | None = None) -> Arc:
     return Arc._of(arc.variables + (name,), arc.components + (t,), arc.field)
 
 
-def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) -> tuple:
+def blowup_lift(arc: Arc, steps: int = 1) -> tuple:
     """Lift an arc through the blow-up of its center (the origin).
 
     The chart is the component of minimal t-order (ties to the lowest
@@ -166,9 +166,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     the ChartMap translation and dropped so the lifted arc is again
     centered at the origin.  A quotient that does not terminate is handed
     on as an on-demand series (`TruncatedSeries.divide`): its coefficients
-    are computed as they are read, never past `precision` for exact
-    operands or min(P_a, P_b) - nu for truncated ones.  `nash_sequence`
-    derives `precision` from its number of blow-ups.
+    are exact, and computed as they are read.
 
     `steps` > 1 lifts through a run of that many blow-ups (`run_length`):
     the arc is exact, its chart component an exact monomial c t^nu, and each
@@ -176,7 +174,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
     c^steps t^(steps nu).  EngineError if the arc admits no such run.
     """
     field = arc.field
-    best_index, nu = arc.chart()  # PrecisionExhausted when the chart is indeterminate
+    best_index, nu = arc.chart()
     divisor = arc.components[best_index]
     if steps > 1 and not (divisor.monomial and all(comp.exact for comp in arc.components)):
         raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
@@ -189,7 +187,7 @@ def blowup_lift(arc: Arc, precision: int = DEFAULT_PRECISION, steps: int = 1) ->
             lifted.append(comp)
             constants.append(field.zero)
             continue
-        quotient = comp.divide(divisor, fallback_precision=precision)
+        quotient = comp.divide(divisor)
         constant = quotient.coefficient(0)
         constants.append(constant)
         lifted.append(quotient.without_constant() if constant else quotient)
@@ -243,7 +241,7 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
         return 1
     steps = limit
     for i, comp in enumerate(arc.components):
-        order = comp.known_order()
+        order = comp.order()
         if i != j and order != INF:
             steps = min(steps, -(-order // nu) - 1)
     if steps < 2:
@@ -290,15 +288,6 @@ def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS)
     an injective map on exponents), so that shift drops them and does not
     build them (`MultiPoly._shift`'s `bound`).  Along a composed arc the
     whole transform grows at every such shift; the carried one does not.
-
-    A lift whose exact operands have a quotient that does not terminate is
-    an on-demand series of precision max(1, max_steps) (`blowup_lift`),
-    which the chain never exhausts.  Every chart component has t-order 1:
-    the graph coordinate has order 1, and the chart component is kept as it
-    is.  So each division costs one unit of the lesser precision of its
-    operands, and after blow-up s every component is known to precision at
-    least max_steps + 1 - s.  Each blow-up, the last included, needs only
-    precision 1: the coefficient 0 of each component, the next center.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
@@ -319,7 +308,7 @@ def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS)
     while len(sequence) <= max_steps:
         previous = sequence[-1]
         steps = run_length(current_poly, current_arc, previous, max_steps + 1 - len(sequence))
-        chart, current_arc = blowup_lift(current_arc, max(1, max_steps), steps)
+        chart, current_arc = blowup_lift(current_arc, steps)
         caps = {i: m0 for i, comp in enumerate(current_arc.components) if comp.is_exactly_zero()}
         left = max_steps + 1 - len(sequence) - steps  # blow-ups after this run
         current_poly = strict_transform(current_poly, chart, steps, caps, m0 * (left + 1))

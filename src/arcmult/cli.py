@@ -2,7 +2,7 @@
 
 Subcommands: nash, contact, ord-d, verify, corpus.  Exit codes: 0 for
 success/PASS, 1 for a verification or expectation FAIL, 2 for input errors,
-3 for precision or engine errors.
+3 for engine errors.
 """
 
 from __future__ import annotations

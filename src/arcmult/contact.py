@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PrecisionExhausted
+from .errors import ParseError
 from .fields import INF, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
@@ -30,7 +30,7 @@ class ContactResult:
     nu: int
     r_bar: object  # Fraction or INF
     rho: object  # int or INF
-    generator_orders: tuple  # of (generator index, order, INF or ">=N" beyond precision)
+    generator_orders: tuple  # of (generator index, order or INF)
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +77,7 @@ def _least_ratio(algebra: ReesAlgebra, orders: dict):
 
 def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """(r, orders): r = min ord_t(phi(g))/w over the generators g W^w, and the
-    sorted (index, order) pairs, ">=N" for an order beyond the arc's precision.
+    sorted (index, order) pairs.
 
     On an exact arc the orders that its `Arc.leads` decide are read by
     `_lead_orders`: on a monomial arc, every one.  A grid entry (pattern,
@@ -85,35 +85,21 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     with no arc built: `verify_main_theorem` builds only a grid arc that is
     its witness (7,167 grid arcs of a width-14 F_2 input in about 0.5 s per
     run, against 0.9 s when each was built and walked here).  Every other
-    generator, and on an arc with a truncated component every generator, is
-    evaluated on one power cache of the arc, built at the first need.
-    PrecisionExhausted when an unknown order's lower bound, over its weight,
-    does not exceed r.
+    generator is evaluated on one power cache of the arc, built at the first
+    need.
     """
     exact = arc.leads()
     orders = {}
     if exact:
         ensure_arc_ring(algebra, arc, "algebra")
         orders = _lead_orders(algebra, *exact)
-    pending = []
     powers = None
-    for i, (poly, weight) in enumerate(algebra.generators):
-        if i in orders:
-            continue
-        if powers is None:
-            powers = arc.powers()
-        image = arc_image(poly, arc, powers)
-        order = image.known_order()
-        if order is None:
-            pending.append((i, weight, image.bound))
-        else:
-            orders[i] = order
-    best = _least_ratio(algebra, orders)
-    for i, weight, lower_bound in pending:
-        if Fraction(lower_bound, weight) <= best:
-            raise PrecisionExhausted(f"order of generator {i} indeterminate at this precision")
-        orders[i] = f">={lower_bound}"
-    return best, tuple(sorted(orders.items()))
+    for i, (poly, _) in enumerate(algebra.generators):
+        if i not in orders:
+            if powers is None:
+                powers = arc.powers()
+            orders[i] = arc_image(poly, arc, powers).order()
+    return _least_ratio(algebra, orders), tuple(sorted(orders.items()))
 
 
 def contact_order(algebra: ReesAlgebra, arc: Arc):
@@ -275,7 +261,7 @@ def _separates(parametrization: Arc) -> bool:
     no draw: distinct indices are distinct arcs, and only the index of a
     monomial can name a monomial arc.
     """
-    orders = [c.known_order() for c in parametrization.components if not c.is_exactly_zero()]
+    orders = [c.order() for c in parametrization.components if not c.is_exactly_zero()]
     p = parametrization.field.characteristic
     prime_to_p = p == 0 or any(k % p for k in orders)
     return prime_to_p and math.gcd(*orders, p - 1 if p else 2) == 1
@@ -315,10 +301,7 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
-    (ArcNotOnVariety otherwise, PrecisionExhausted when its order is
-    unknown), and every component must be exact (PrecisionExhausted
-    otherwise: a composition is cut at phi's precision, so its contact order
-    would not follow phi's).  Then f(phi o s) = f(phi) o s vanishes for
+    (ArcNotOnVariety otherwise).  Then f(phi o s) = f(phi) o s vanishes for
     every series s with zero constant term, so arcs composed through phi are
     admitted without substitution: first those of min(budget, space) distinct
     nonzero series of degree <= DEGREE_BOUND with coefficients in -3..3,
@@ -345,11 +328,6 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
         return arcs
 
     certify_on_hypersurface(poly, parametrization, "the parametrization")
-    if not all(component.exact for component in parametrization.components):
-        raise PrecisionExhausted(
-            "the parametrization has a truncated component; arcs composed through it "
-            "need every component exact"
-        )
     seen = {grid for grid, _ in arcs}
     values = _draw_values(field)
     width = len(values)

@@ -35,10 +35,6 @@ class ParseError(EngineError):
         super().__init__(message + where)
 
 
-class PrecisionExhausted(EngineError):
-    """A needed t-order is indeterminate at the current truncation."""
-
-
 class DivisionOrderError(EngineError):
     """Series division with divisor order exceeding the dividend order."""
 

@@ -1,15 +1,12 @@
-"""Truncated univariate power series in t, and arcs.
+"""Univariate power series in t, and arcs.
 
-A TruncatedSeries stores its known coefficients, without trailing zeros, and
-`precision`, the first power of t whose coefficient is unknown.  Precision INF
-marks a polynomial: every coefficient past the stored ones is genuinely zero,
-and the series is `exact`.  The distinction is load-bearing: order INF
-requires exactness, while an all-zero truncated series has *indeterminate*
-order and raises PrecisionExhausted instead of silently passing for zero.
-
-A quotient that does not terminate is an on-demand series: its coefficients
-are computed by a resumable recurrence on integers when they are first read,
-never past its precision, and it reads as the expanded series otherwise.
+A TruncatedSeries is a polynomial in t: it stores its coefficients, without
+trailing zeros, and every coefficient past them is zero.  So its order is
+exact, INF for the zero series.  A quotient that does not terminate is an
+on-demand series: every coefficient is exact, computed by a resumable
+recurrence on integers when it is first read.  It has no finite expansion:
+it is read one coefficient at a time, divided, and its constant dropped,
+and its order is read only against other series (`_least_order`).
 
 An Arc assigns one series to each ambient variable; components always have
 zero constant term (arcs are stored recentered at the current chart origin).
@@ -17,28 +14,18 @@ zero constant term (arcs are stored recentered at the current chart origin).
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .errors import (
-    ArcNotOnVariety,
-    DivisionOrderError,
-    EngineError,
-    InvalidArc,
-    PrecisionExhausted,
-    VariableMismatch,
-)
+from .errors import ArcNotOnVariety, DivisionOrderError, EngineError, InvalidArc, VariableMismatch
 from .fields import INF, FieldSpec, ensure_same_field, format_terms
 from .poly import MultiPoly, Powers, parse_poly
 
-#: Default coefficient budget for non-terminating divisions and expansions.
-DEFAULT_PRECISION = 64
-
-#: `TruncatedSeries._order` before its first read (None is a value: an indeterminate order).
+#: `TruncatedSeries._order` and `Arc._leads` before their first read.
 _UNREAD = object()
 
 
@@ -46,89 +33,54 @@ _UNREAD = object()
 class TruncatedSeries:
     field: FieldSpec
     coeffs: tuple
-    precision: int | float
-    _order = _UNREAD  # not a field: `known_order` fills it on the first read
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise EngineError("series precision must be at least 1")
-        if len(self.coeffs) > self.precision:
-            raise EngineError(f"series has {len(self.coeffs)} coefficients at precision {self.precision}")
+    exact = True  # not a field: an `_OnDemandSeries` is not
+    _order = _UNREAD  # not a field: `order` fills it on the first read
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def _of(cls, field: FieldSpec, values: list, precision=INF) -> "TruncatedSeries":
-        # Internal: values are field elements; cut at a finite precision, trim zeros.
-        n = min(len(values), precision)
+    def _of(cls, field: FieldSpec, values: list) -> "TruncatedSeries":
+        # Internal: values are field elements; trim zeros.
+        n = len(values)
         while n and values[n - 1] == 0:
             n -= 1
-        return cls(field, tuple(values[:n]), precision)
+        return cls(field, tuple(values[:n]))
 
     @classmethod
     def exact_series(cls, field: FieldSpec, coeffs) -> "TruncatedSeries":
         return cls._of(field, [field.coerce(c) for c in coeffs])
 
     @classmethod
-    def truncated(cls, field: FieldSpec, coeffs, precision: int) -> "TruncatedSeries":
-        return cls._of(field, [field.coerce(c) for c in coeffs], precision)
-
-    @classmethod
     def zero(cls, field: FieldSpec) -> "TruncatedSeries":
-        return cls(field, (), INF)
+        return cls(field, ())
 
     @classmethod
     def t_power(cls, field: FieldSpec, k: int, coeff=1) -> "TruncatedSeries":
         coeff = field.coerce(coeff)
-        return cls(field, (field.zero,) * k + (coeff,) if coeff else (), INF)
+        return cls(field, (field.zero,) * k + (coeff,) if coeff else ())
 
     # -- queries -----------------------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return self.precision == INF
-
     def coefficient(self, i: int):
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        if i < self.precision:
-            return self.field.zero
-        raise PrecisionExhausted(f"coefficient {i} beyond precision {self.precision}")
+        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
 
     def is_exactly_zero(self) -> bool:
-        return self.exact and not self.coeffs
+        return not self.coeffs
 
     @property
     def monomial(self) -> bool:
-        """Exact and exactly one term c t^k."""
-        return self.exact and self.known_order() == len(self.coeffs) - 1
+        """Exactly one term c t^k."""
+        return self.order() == len(self.coeffs) - 1
 
-    def known_order(self):
-        """First nonzero index, INF for exact zero, None when indeterminate.
+    def order(self):
+        """First nonzero index, INF for the zero series.
 
         Scanned on the first read and kept, as `MultiPoly.order_at_origin` is."""
         order = self._order
         if order is _UNREAD:
-            order = INF if self.exact else None
-            for i, c in enumerate(self.coeffs):
-                if c:  # the field's zeros are exactly its falsy elements
-                    order = i
-                    break
-            self.__dict__["_order"] = order
+            # the field's zeros are exactly its falsy elements
+            order = self.__dict__["_order"] = next((i for i, c in enumerate(self.coeffs) if c), INF)
         return order
-
-    def order(self):
-        """First nonzero index; raises PrecisionExhausted when indeterminate."""
-        result = self.known_order()
-        if result is None:
-            raise PrecisionExhausted(
-                f"series is zero up to t^{self.precision}; order indeterminate"
-            )
-        return result
-
-    def order_lower_bound(self):
-        result = self.known_order()
-        return self.precision if result is None else result
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -141,11 +93,11 @@ class TruncatedSeries:
         coeffs = list(a)
         for i, c in enumerate(b):
             coeffs[i] = field.add(coeffs[i], c)
-        return TruncatedSeries._of(field, coeffs, min(self.precision, other.precision))
+        return TruncatedSeries._of(field, coeffs)
 
     def __neg__(self):
         field = self.field
-        return TruncatedSeries(field, tuple(field.neg(c) for c in self.coeffs), self.precision)
+        return TruncatedSeries(field, tuple(field.neg(c) for c in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -154,9 +106,8 @@ class TruncatedSeries:
         field = self.field
         value = field.coerce(value)
         if field.is_zero(value):
-            return TruncatedSeries(field, (), self.precision)
-        coeffs = tuple(field.mul(c, value) for c in self.coeffs)
-        return TruncatedSeries(field, coeffs, self.precision)
+            return TruncatedSeries.zero(field)
+        return TruncatedSeries(field, tuple(field.mul(c, value) for c in self.coeffs))
 
     def __mul__(self, other):
         ensure_same_field(self.field, other.field)
@@ -167,136 +118,114 @@ class TruncatedSeries:
             raise EngineError("negative series power")
         return _powers((self,), self.field).power(0, n).series(self.field)
 
-    def divide(self, other: "TruncatedSeries", fallback_precision: int = DEFAULT_PRECISION):
+    def divide(self, other):
         """Series division; requires order(divisor) <= order(dividend).
 
-        A quotient that does not terminate is computed on demand: its
-        coefficients come from `_series_quotient` when first read, never past
-        `fallback_precision` for exact operands and min(P_a, P_b) - d otherwise."""
+        Either operand may be an on-demand series.  The divisor's order is
+        read against the dividend's coefficients below it (`_least_order`).
+        A quotient of two polynomials that does not terminate, and every
+        quotient with an on-demand operand, is an on-demand series: its
+        coefficients come from `_series_quotient` when first read."""
         ensure_same_field(self.field, other.field)
         field = self.field
         if other.is_exactly_zero():
             raise DivisionOrderError("division by the zero series")
-        divisor_order = other.order()  # PrecisionExhausted if indeterminate
-        dividend_order = self.known_order()
-        if dividend_order == INF:
+        if self.is_exactly_zero():
             return TruncatedSeries.zero(field)
-        if dividend_order is None:
-            # All stored coefficients vanish: quotient is zero to reduced precision.
-            prec = self.precision - divisor_order
-            if prec < 1:
-                raise PrecisionExhausted("no precision left after division")
-            return TruncatedSeries(field, (), prec)
-        if dividend_order < divisor_order:
-            raise DivisionOrderError(
-                f"divisor order {divisor_order} exceeds dividend order {dividend_order}"
-            )
-        if other.monomial and type(self) is TruncatedSeries:  # c t^k: the coefficients from t^k on, scaled by 1/c
+        first, divisor_order = _least_order((other, self))
+        if first:
+            raise DivisionOrderError(f"the dividend has order {divisor_order}, below the divisor's")
+        if not self.exact:
+            return _OnDemandSeries(_Quotient(self, other, divisor_order))
+        if other.monomial:  # c t^k: the coefficients from t^k on, scaled by 1/c
             coeffs = self.coeffs[divisor_order:]
             c = other.coeffs[-1]
             if c != 1:
                 inverse = field.inv(c)
                 coeffs = tuple(field.mul(a, inverse) for a in coeffs)
-            return TruncatedSeries(field, coeffs, self.precision - divisor_order)
+            return TruncatedSeries(field, coeffs)
         quotient = _Quotient(self, other, divisor_order)
-        prec = min(self.precision, other.precision) - divisor_order
-        if prec == INF:
-            # Exact inputs.  Past len(a) the recurrence has order len(b) - 1, so a/b is a
-            # polynomial exactly when q vanishes on the len(b) - 1 indices below len(a).
+        if other.exact:
+            # Past len(a) the recurrence has order len(b) - 1, so a/b is a polynomial
+            # exactly when q vanishes on the len(b) - 1 indices below len(a).
             n, m = len(self.coeffs) - divisor_order, len(other.coeffs) - divisor_order
             _series_quotient(quotient, n)
             if not any(quotient.ints[max(0, n - m + 1) : n]):
                 return TruncatedSeries._of(field, quotient.values(0, n))
-            prec = fallback_precision
-        return _OnDemandSeries(quotient, prec)
+        return _OnDemandSeries(quotient)
 
     def without_constant(self) -> "TruncatedSeries":
         """The series less its constant term."""
-        return TruncatedSeries._of(self.field, [self.field.zero, *self.coeffs[1:]], self.precision)
+        return TruncatedSeries._of(self.field, [self.field.zero, *self.coeffs[1:]])
 
     def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term.
 
-        The image is the ring map sending t to inner, cut at the lesser of the two
-        precisions; `powers` of inner may be shared, as `Arc.compose` shares them.
-        An exact monomial inner c t^k is an exponent map, a_j t^j -> a_j c^j t^(jk),
-        as `reparametrize` is; every other inner goes through the `_image` kernel."""
+        The image is the ring map sending t to inner; `powers` of inner may be
+        shared, as `Arc.compose` shares them.  A monomial inner c t^k is an
+        exponent map, a_j t^j -> a_j c^j t^(jk), as `reparametrize` is; every
+        other inner goes through the `_image` kernel."""
         ensure_same_field(self.field, inner.field)
         field = self.field
         if not field.is_zero(inner.coefficient(0)):
             raise EngineError("composition requires inner series with zero constant term")
-        cut = min(self.precision, inner.precision)
         if inner.monomial:
             c, scaled, power = inner.coeffs[-1], [], field.one
             for a in self.coeffs:
                 scaled.append(field.mul(a, power))
                 power = field.mul(power, c)
-            return TruncatedSeries._of(field, _spread(field, scaled, len(inner.coeffs) - 1), cut)
+            return TruncatedSeries._of(field, _spread(field, scaled, len(inner.coeffs) - 1))
         if powers is None:
             powers = _powers((inner,), field)
         terms = (((k,), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c))
-        return _image(field, terms, powers, cut).series(field)
+        return _image(field, terms, powers).series(field)
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
         if n < 1:
             raise EngineError("reparametrization requires n >= 1")
-        return TruncatedSeries._of(self.field, _spread(self.field, self.coeffs, n), self.precision * n)
+        return TruncatedSeries._of(self.field, _spread(self.field, self.coeffs, n))
 
     # -- display -----------------------------------------------------------------------
 
     def __str__(self):
         powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(len(self.coeffs)))
-        text = format_terms(self.field, zip(self.coeffs, powers))
-        if not self.exact:
-            text = f"{text} + O(t^{self.precision})" if text else f"O(t^{self.precision})"
-        return text or "0"
+        return format_terms(self.field, zip(self.coeffs, powers)) or "0"
 
     def __repr__(self):
         return f"TruncatedSeries({self})"
 
 
 class ClearedSeries:
-    """A series on integers: coefficient i is ints[i] / scale (over F_p the scale is 1).
-
-    `precision` and `bound` are the precision and order_lower_bound of the
-    TruncatedSeries it stands for, and `*` applies the product rule to them:
-    lb(ab) = lb_a + lb_b and prec(ab) = min(p_a + lb_b, p_b + lb_a), which is
-    INF for two polynomials.  Over F_p the integers are reduced mod p after
-    each product.  Arcs are evaluated on these, so an image is brought back
-    into its field once.
+    """A polynomial on integers: coefficient i is ints[i] / scale (over F_p the
+    scale is 1, and the integers are reduced mod p after each product).  Arcs
+    are evaluated on these, so an image is brought back into its field once.
     """
 
-    __slots__ = ("ints", "scale", "precision", "bound", "p")
+    __slots__ = ("ints", "scale", "p")
 
-    def __init__(self, ints: list, scale: int, precision, p: int, bound=None):
-        """`ints` stop below `precision`; `bound` defaults to the first nonzero index."""
+    def __init__(self, ints: list, scale: int, p: int):
         self.ints = ints
         self.scale = scale
-        self.precision = precision
         self.p = p
-        self.bound = next((i for i, v in enumerate(ints) if v), precision) if bound is None else bound
 
     @classmethod
     def of(cls, series: TruncatedSeries) -> "ClearedSeries":
         ints, scale = series.field.cleared(series.coeffs)
-        return cls(list(ints), scale, series.precision, series.field.characteristic)
+        return cls(list(ints), scale, series.field.characteristic)
 
     def __mul__(self, other: "ClearedSeries") -> "ClearedSeries":
-        precision = min(self.precision + other.bound, other.precision + self.bound)
-        ints = _convolve(self.ints, other.ints, max(0, min(precision, len(self.ints) + len(other.ints) - 1)))
+        ints = _convolve(self.ints, other.ints)
         if self.p:
             ints = [v % self.p for v in ints]
-        return ClearedSeries(ints, self.scale * other.scale, precision, self.p, self.bound + other.bound)
+        return ClearedSeries(ints, self.scale * other.scale, self.p)
 
-    def known_order(self):
-        """First nonzero index, INF for exact zero, None when indeterminate."""
-        if self.bound < self.precision:
-            return self.bound
-        return INF if self.precision == INF else None
+    def order(self):
+        """First nonzero index, INF for the zero polynomial."""
+        return next((i for i, v in enumerate(self.ints) if v), INF)
 
     def series(self, field: FieldSpec) -> TruncatedSeries:
-        return TruncatedSeries._of(field, field.uncleared(self.ints, self.scale), self.precision)
+        return TruncatedSeries._of(field, field.uncleared(self.ints, self.scale))
 
 
 def _spread(field: FieldSpec, coeffs, n: int) -> list:
@@ -308,44 +237,61 @@ def _spread(field: FieldSpec, coeffs, n: int) -> list:
 
 def _powers(series, field: FieldSpec) -> Powers:
     """A cache of the powers of each series, on integers."""
-    return Powers(tuple(ClearedSeries.of(s) for s in series), ClearedSeries([1], 1, INF, field.characteristic))
+    return Powers(tuple(ClearedSeries.of(s) for s in series), ClearedSeries([1], 1, field.characteristic))
 
 
-def _convolve(a, b, n):
-    """First n coefficients of (sum a_i t^i) * (sum b_j t^j), on integers."""
-    raw = [0] * n
-    b = [(j, y) for j, y in enumerate(b[:n]) if y]
-    js = [j for j, _ in b]
-    for i, x in enumerate(a[:n]):
+def _convolve(a, b):
+    """The coefficients of (sum a_i t^i) * (sum b_j t^j), on integers."""
+    raw = [0] * max(0, len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
         if x:
-            for j, y in b[: bisect_left(js, n - i)]:
+            for j, y in b:
                 raw[i + j] += x * y
     return raw
 
 
-def _image(field: FieldSpec, terms, powers: Powers, cut=INF) -> ClearedSeries:
-    """The sum of c * prod_i images[i]^(e_i) over `terms`, pairs (e, c) with c nonzero, cut at t^cut.
+def _image(field: FieldSpec, terms, powers: Powers) -> ClearedSeries:
+    """The sum of c * prod_i images[i]^(e_i) over `terms`, pairs (e, c) with c nonzero.
 
     `powers` caches the images as ClearedSeries.  Every term is summed at one
-    common scale, and the sum is known below the least precision of a term."""
+    common scale."""
     terms = list(terms)
     coeffs, scale = field.cleared([c for _, c in terms])
     products = []
     for exps, _ in terms:
         factors = [powers.power(i, e) for i, e in enumerate(exps) if e]
         products.append(reduce(mul, factors) if factors else powers.one)
-    precision = min([cut] + [term.precision for term in products])
     common = math.lcm(*(term.scale for term in products))
-    raw = [0] * min(precision, max([0] + [len(term.ints) for term in products]))
+    raw = [0] * max([0] + [len(term.ints) for term in products])
     for c, term in zip(coeffs, products):
         c *= common // term.scale
-        for k, v in enumerate(term.ints[: len(raw)]):
+        for k, v in enumerate(term.ints):
             if v:
                 raw[k] += c * v
     p = field.characteristic
     if p:
         raw = [v % p for v in raw]
-    return ClearedSeries(raw, scale * common, precision, p)
+    return ClearedSeries(raw, scale * common, p)
+
+
+def _least_order(series) -> tuple:
+    """(index, order) of the first of `series` of least t-order, INF when all are zero.
+
+    A polynomial's order is scanned once and kept, and so is an on-demand
+    series' once a read has found it.  The other on-demand series are read
+    one coefficient at a time, in lockstep, up to the least order: the read
+    ends as soon as one of the series is known to be nonzero there."""
+    known = [s.order() if s.exact else s._order for s in series]
+    if None not in known:
+        least = min(known)
+        return known.index(least), least
+    for i in itertools.count():
+        for j, (s, order) in enumerate(zip(series, known)):
+            if order == i or (order is None and s.coefficient(i)):
+                if order is None:
+                    s._order = i
+                return j, i
 
 
 class _Quotient:
@@ -367,7 +313,7 @@ class _Quotient:
         "head", "head_step", "weights", "weight", "weight_step",
     )
 
-    def __init__(self, a: TruncatedSeries, b: TruncatedSeries, d: int):
+    def __init__(self, a, b, d: int):
         self.field = field = a.field
         p = field.characteristic
         self.shift = d
@@ -406,7 +352,7 @@ class _Quotient:
         return values
 
 
-def _operand(series: TruncatedSeries) -> tuple:
+def _operand(series) -> tuple:
     """(ints, num, scale, ratio, source) of an operand of `_Quotient`: an on-demand
     series reads its quotient's growing `ints`, and `source` is that quotient."""
     if type(series) is _OnDemandSeries:
@@ -461,62 +407,40 @@ def _series_quotient(q: _Quotient, n: int) -> None:
         q.head = power
 
 
-class _OnDemandSeries(TruncatedSeries):
-    """A quotient (`TruncatedSeries.divide`) whose coefficients `_series_quotient`
-    computes when first read, never past `precision`; `dropped` reads its
-    constant term as zero.  It equals the series that expands it to its
-    precision, which `coeffs` builds, so every other use reads it as that."""
+class _OnDemandSeries:
+    """A quotient (`TruncatedSeries.divide`) that does not terminate: coefficient
+    i is exact, computed by `_series_quotient` when first read, and `dropped`
+    reads the constant term as zero.  `_order` is its order once `_least_order`
+    has read it."""
 
-    def __init__(self, quotient: _Quotient, precision: int, dropped: bool = False):
-        object.__setattr__(self, "field", quotient.field)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "_quotient", quotient)
-        object.__setattr__(self, "_dropped", dropped)
+    exact = monomial = False
 
-    @property
-    def coeffs(self) -> tuple:
-        expanded = self.__dict__.get("_expanded")
-        if expanded is None:
-            _series_quotient(self._quotient, self.precision)
-            values = self._quotient.values(0, self.precision)
-            if self._dropped:
-                values[0] = self.field.zero
-            expanded = self.__dict__["_expanded"] = TruncatedSeries._of(self.field, values, self.precision).coeffs
-        return expanded
+    def __init__(self, quotient: _Quotient, dropped: bool = False):
+        self.field = quotient.field
+        self._quotient = quotient
+        self._dropped = dropped
+        self._order = None
+
+    def is_exactly_zero(self) -> bool:
+        return False
 
     def coefficient(self, i: int):
-        if i >= self.precision:
-            raise PrecisionExhausted(f"coefficient {i} beyond precision {self.precision}")
         if i == 0 and self._dropped:
             return self.field.zero
         _series_quotient(self._quotient, i + 1)
         return self._quotient.values(i, i + 1)[0]
 
-    def known_order(self):
-        """First nonzero index below the precision, None when there is none;
-        computed one coefficient at a time and kept."""
-        order = self._order
-        if order is _UNREAD:
-            order = None
-            q = self._quotient
-            for i in range(1 if self._dropped else 0, self.precision):
-                _series_quotient(q, i + 1)
-                if q.ints[i]:
-                    order = i
-                    break
-            self.__dict__["_order"] = order
-        return order
+    divide = TruncatedSeries.divide
 
-    def without_constant(self) -> "TruncatedSeries":
-        return _OnDemandSeries(self._quotient, self.precision, True)
+    def without_constant(self) -> "_OnDemandSeries":
+        return _OnDemandSeries(self._quotient, True)
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.field, self.coeffs, self.precision) == (other.field, other.coeffs, other.precision)
+    @property
+    def coeffs(self):
+        raise EngineError("an on-demand series has no finite expansion: it is read one coefficient at a time")
 
-    def __hash__(self):
-        return hash((self.field, self.coeffs, self.precision))
+    def __str__(self):
+        return "(a quotient read on demand)"
 
 
 def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
@@ -558,7 +482,7 @@ class Arc:
             ensure_same_field(comp.field, self.field)
             if not self.field.is_zero(comp.coefficient(0)):
                 raise InvalidArc("arc components must have zero constant term")
-        if all(comp.known_order() is INF for comp in self.components):
+        if all(comp.is_exactly_zero() for comp in self.components):
             raise InvalidArc("arc must have at least one nonzero component")
 
     @classmethod
@@ -581,23 +505,21 @@ class Arc:
         """(index, nu): nu = `order`, and index the first component of t-order nu,
         the chart of the blow-up of the arc's center.
 
-        Scanned on the first read and kept: a blow-up reads it to pick its chart
-        and to measure its run.  PrecisionExhausted when it is indeterminate and
-        InvalidArc when every component is zero, on every read."""
+        Read on the first call and kept: a blow-up reads it to pick its chart
+        and to measure its run.  `_least_order` reads the on-demand components
+        of a lift (`blowup_lift`) in lockstep up to nu, and a lift keeps its
+        chart component, of known order, so the read ends.  InvalidArc when
+        every component is zero, on every read."""
         chart = self._chart
         if chart is None:
-            known = [comp.known_order() for comp in self.components]
-            nu = min((order for order in known if order is not None), default=INF)
-            for comp, order in zip(self.components, known):
-                if order is None and comp.precision < nu:  # its order_lower_bound
-                    raise PrecisionExhausted("arc order indeterminate at this precision")
-            if nu == INF:
+            chart = _least_order(self.components)
+            if chart[1] == INF:
                 raise InvalidArc("arc must have at least one nonzero component")
-            chart = self.__dict__["_chart"] = (known.index(nu), nu)
+            self.__dict__["_chart"] = chart
         return chart
 
     def leads(self):
-        """(pattern, leads, monomial) for `lead_sums` along an exact arc, None along any other:
+        """(pattern, leads, monomial) for `lead_sums` along an arc of polynomials, None along any other:
         each component's t-order and lowest coefficient, None for a zero component, and
         whether every component is zero or one term c t^k, so that the sums are the whole image.
         Scanned on the first read and kept, as `chart` is."""
@@ -605,7 +527,7 @@ class Arc:
         if leads is _UNREAD:
             leads = None
             if all(c.exact for c in self.components):
-                pattern = tuple(c.known_order() if c.coeffs else None for c in self.components)
+                pattern = tuple(c.order() if c.coeffs else None for c in self.components)
                 lows = tuple(None if k is None else c.coeffs[k] for c, k in zip(self.components, pattern))
                 leads = pattern, lows, all(c.monomial or not c.coeffs for c in self.components)
             self.__dict__["_leads"] = leads
@@ -674,7 +596,7 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     values = [field.zero] * (max(nonzero) + 1)
     for degree, (num, den) in nonzero.items():
         values[degree] = field.uncleared([num], den)[0]
-    return TruncatedSeries(field, tuple(values), INF)
+    return TruncatedSeries(field, tuple(values))
 
 
 def _term_degree(exps, pattern):
@@ -718,17 +640,11 @@ def lead_sums(terms, pattern, leads, p) -> dict:
 
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None:
     """Check that f vanishes exactly along the arc, which `name` names in errors
-    (None: `arc <arc>`, formatted only then): ArcNotOnVariety when it does not,
-    PrecisionExhausted when that is undecided.  A success is recorded on the arc,
-    so a second call with the same polynomial object is a read."""
+    (None: `arc <arc>`, formatted only then): ArcNotOnVariety when it does not.
+    A success is recorded on the arc, so a second call with the same polynomial
+    object is a read."""
     if arc._certified is poly:
         return
-    image = arc_substitute(poly, arc)
-    if image.known_order() is None:
-        raise PrecisionExhausted(
-            f"{name or f'arc {arc}'} maps f to zero up to t^{image.precision}; "
-            "whether it lies on the hypersurface is undecided"
-        )
-    if not image.is_exactly_zero():
+    if not arc_substitute(poly, arc).is_exactly_zero():
         raise ArcNotOnVariety(f"{name or f'arc {arc}'} does not lie on the hypersurface")
     arc.__dict__["_certified"] = poly

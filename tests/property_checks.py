@@ -9,6 +9,8 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `ring_map_translate` shifts a polynomial through the ring map,
 `reference_shift` shifts it by the dense Taylor shift,
 `horner_compose` composes two series by Horner's rule,
+`prefix` reads a series as tests compare it,
+`time_limit` fails a block that runs too long,
 `reference_generator_orders` builds every generator's exact image along an arc,
 `random_monomial_arc` draws an arc x_i -> u_i t^(a_i) with a polynomial on it,
 `reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
@@ -29,11 +31,15 @@ asserts the property; the suites run them a few hundred times.  Everything
 is exact arithmetic, so any failure is a real counterexample.
 """
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from arcmult.blowup import (
     DEFAULT_MAX_STEPS,
@@ -60,14 +66,12 @@ from arcmult.errors import (
     EngineError,
     FieldMismatch,
     ParseError,
-    PrecisionExhausted,
     VariableMismatch,
 )
 from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
 from arcmult.series import (
-    DEFAULT_PRECISION,
     Arc,
     TruncatedSeries,
     arc_image,
@@ -258,39 +262,53 @@ def assert_well_formed(poly):
 
 
 def horner_compose(outer, inner):
-    """outer(inner(t)) by Horner's rule on TruncatedSeries, cut at the lesser precision.
+    """outer(inner(t)) by Horner's rule on TruncatedSeries.
 
     A route `TruncatedSeries.compose`, a ring map on integers, does not take."""
     field = outer.field
     if not field.is_zero(inner.coefficient(0)):
         raise EngineError("composition requires inner series with zero constant term")
-    prec = min(outer.precision, inner.precision)
-    result = TruncatedSeries(field, (), prec)
+    result = TruncatedSeries.zero(field)
     for c in reversed(outer.coeffs):
-        result = result * inner + TruncatedSeries.truncated(field, [c], prec)
+        result = result * inner + TruncatedSeries.exact_series(field, [c])
     return result
+
+
+#: How many coefficients `prefix` reads of an on-demand series.
+PREFIX_LENGTH = 12
+
+
+def prefix(series, n=PREFIX_LENGTH):
+    """A polynomial as itself, and an on-demand series, which has no finite
+    expansion, as the tuple of its first n coefficients: the one way the
+    tests compare series."""
+    return series if series.exact else tuple(series.coefficient(i) for i in range(n))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test when the block runs longer than `seconds` (SIGALRM)."""
+
+    def expire(signum, frame):
+        pytest.fail(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def reference_generator_orders(algebra, arc):
     """(r, orders) as `contact._generator_orders` reports them, from every generator's image.
 
     Each image is built in full through `arc_substitute`, a route the engine,
-    which reads most orders from initial forms, does not take.  An order that
-    the image leaves unknown is reported as its lower bound ">=N", and
-    PrecisionExhausted is raised when that bound does not exceed r."""
-    known, pending = {}, {}
-    for i, (poly, weight) in enumerate(algebra.generators):
-        image = arc_substitute(poly, arc)
-        if image.known_order() is None:
-            pending[i] = (weight, image.order_lower_bound())
-        else:
-            known[i] = (weight, image.known_order())
-    r = min((Fraction(o, w) for w, o in known.values() if o != INF), default=INF)
-    for i, (weight, bound) in pending.items():
-        if Fraction(bound, weight) <= r:
-            raise PrecisionExhausted(f"order of generator {i} indeterminate at this precision")
-    orders = {i: o for i, (_, o) in known.items()}
-    orders.update({i: f">={bound}" for i, (_, bound) in pending.items()})
+    which reads most orders from initial forms, does not take."""
+    orders = {i: arc_substitute(poly, arc).order() for i, (poly, _) in enumerate(algebra.generators)}
+    weights = [weight for _, weight in algebra.generators]
+    r = min((Fraction(o, weights[i]) for i, o in orders.items() if o != INF), default=INF)
     return r, tuple(sorted(orders.items()))
 
 
@@ -431,13 +449,14 @@ def reference_visible_elimination(algebra, eliminated):
     return ReesAlgebra.of(remaining, found, field).diff_closure()
 
 
-def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
-    """`blowup_lift` written out: the chart found by a scan of the component orders, a
-    run's divisor (c t^nu)^steps built as a series, every quotient taken by `divide`
-    and each constant term subtracted as a series."""
+def reference_lift(arc, steps=1):
+    """`blowup_lift` written out: the chart found by a scan of every component's
+    coefficients, one power of t at a time, a run's divisor (c t^nu)^steps built as
+    a series, every quotient taken by `divide` and each constant term subtracted as
+    a series, or dropped from an on-demand quotient."""
     field = arc.field
-    nu = arc.order()
-    index = next(i for i, comp in enumerate(arc.components) if comp.known_order() == nu)
+    nu = next(k for k in itertools.count() if any(comp.coefficient(k) for comp in arc.components))
+    index = next(i for i, comp in enumerate(arc.components) if comp.coefficient(nu))
     divisor = arc.components[index]
     if steps > 1:
         if not all(comp.exact for comp in arc.components) or len(divisor.coeffs) != nu + 1:
@@ -445,10 +464,13 @@ def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
         divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[nu] ** steps)
     lifted, constants = [], []
     for i, comp in enumerate(arc.components):
-        quotient = comp if i == index else comp.divide(divisor, fallback_precision=precision)
+        quotient = comp if i == index else comp.divide(divisor)
         constant = field.zero if i == index else quotient.coefficient(0)
         constants.append(constant)
-        lifted.append(quotient - TruncatedSeries.truncated(field, [constant], quotient.precision))
+        if quotient.exact:
+            lifted.append(quotient - TruncatedSeries.exact_series(field, [constant]))
+        else:
+            lifted.append(quotient.without_constant())
     if steps > 1 and any(constants):
         raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
     return ChartMap(arc.variables, index, tuple(constants)), Arc(arc.variables, tuple(lifted), field)
@@ -456,8 +478,7 @@ def reference_lift(arc, precision=DEFAULT_PRECISION, steps=1):
 
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     """`nash_sequence` one blow-up per iteration, every transform built whole when its
-    step is made and every lift taken by `reference_lift` at the chain's precision,
-    max(1, max_steps).
+    step is made and every lift taken by `reference_lift`.
 
     A route `nash_sequence`, which makes a run of blow-ups in one chart at once, lifts
     along a monomial chart component by slicing and drops the terms of degree above m_0
@@ -474,7 +495,7 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     sequence = [m0]
     runs = []
     for _ in range(max_steps):
-        chart, current_arc = reference_lift(current_arc, max(1, max_steps))
+        chart, current_arc = reference_lift(current_arc)
         current_poly = strict_transform(current_poly, chart)
         m = current_poly.order_at_origin()
         if m > sequence[-1]:
@@ -721,13 +742,13 @@ def check_nash_monotonicity(rng):
         assert sequence[report.rho] < sequence[0]
 
 
-#: Fields and step limits of `check_lift_precision`.
+#: Fields and step limits of `check_lift_chain`.
 _LIFT_FIELDS = FIELDS + (prime_field(7),)
 _LIFT_MAX_STEPS = (0, 1, 5, 32, 100)
 #: (f, arc, max_steps, rho) over Q: chains whose lifts stop terminating and read far.  Along
-#: (t + t^2, (t + t^2)^20) a lift precision below max_steps runs out at max_steps 19 and 20;
-#: at max_steps 1 the one blow-up reads coefficient 0 of a lift of precision 1.
-LIFT_PRECISION_CASES = (
+#: (t + t^2, (t + t^2)^20) the last blow-up before max_steps 19 and 20 reads a lift made at the
+#: first; at max_steps 1 the one blow-up reads coefficient 0 of an on-demand lift.
+LIFT_CHAIN_CASES = (
     ("y^2 - x^21", "(t + t^2)^8, (t + t^2)^84", 100, 84),
     ("y^2 - x^40", "t + t^2, (t + t^2)^20", 0, None),
     ("y^2 - x^40", "t + t^2, (t + t^2)^20", 1, None),
@@ -737,9 +758,9 @@ LIFT_PRECISION_CASES = (
 )
 
 
-def check_lift_precision(rng):
+def check_lift_chain(rng):
     """Along a composed exact arc, `nash_sequence` answers at every max_steps of
-    `_LIFT_MAX_STEPS`, its lifts at precision max(1, max_steps) never running out, and
+    `_LIFT_MAX_STEPS`, its on-demand lifts read as far as the chain needs, and
     gives the report of `stepwise_nash_sequence`.  The arc is (s^q, s^p) on y^q - x^p,
     or (s, s^k) on y^2 - x^(2k) with k within one of max_steps, whose chain, when s has
     order 1, ends within one blow-up of max_steps and reads its lifts to the last."""
@@ -747,7 +768,7 @@ def check_lift_precision(rng):
     coeffs = [field.zero] + [field.coerce(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
     inner = TruncatedSeries.exact_series(field, coeffs)
     if inner.is_exactly_zero():
-        return check_lift_precision(rng)
+        return check_lift_chain(rng)
     max_steps = rng.choice(_LIFT_MAX_STEPS)
     if rng.random() < 0.5:
         q = rng.choice((2, 3))
@@ -836,7 +857,7 @@ def check_monomial_leads(rng):
         if not expected:
             unnamed = _outcome(lambda: certify_on_hypersurface(poly, arc, None))
             assert unnamed == (ArcNotOnVariety, f"arc {arc} does not lie on the hypersurface")
-    assert on is None or arc_image(on, arc).known_order() == INF
+    assert on is None or arc_image(on, arc).order() == INF
     algebra = from_weighted(variables, weighted, field)
     assert _generator_orders(algebra, arc) == reference_generator_orders(algebra, arc), (algebra, str(arc))
 
@@ -883,7 +904,7 @@ def check_grid_r_bar(rng, field, width):
         expected = INF if r == INF else r / arc.order()
         assert grid_r_bar(derivatives, grid) == expected, (str(f), str(arc))
         reference, _ = reference_generator_orders(derivatives, arc)
-        nu = min(c.known_order() for c in arc.components)
+        nu = min(c.order() for c in arc.components)
         assert expected == (INF if reference == INF else reference / nu), (str(f), str(arc))
     return len(grid_entries)
 

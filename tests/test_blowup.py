@@ -9,10 +9,12 @@ from property_checks import (
     assert_chain_matches_stepwise,
     assert_well_formed,
     persistence_oracle,
+    prefix,
     random_monomial_arc,
     reference_lift,
     ring_map_translate,
     stepwise_nash_sequence,
+    time_limit,
 )
 
 from arcmult import blowup, series
@@ -29,7 +31,6 @@ from arcmult.corpus import load_problem
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
-    PrecisionExhausted,
     VariableMismatch,
 )
 from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
@@ -38,6 +39,7 @@ from arcmult.series import Arc, TruncatedSeries, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
+F3 = prime_field(3)
 FIELD_IDS = ["Q", "F2", "F3", "F5"]
 
 
@@ -104,17 +106,11 @@ class TestBlowupLift:
         with pytest.raises(EngineError):
             blowup_lift(arc(Q, *texts), steps=3)
 
-    def test_steps_reject_a_truncated_arc(self):
-        truncated = Arc(("x", "y"), (parse_series("t^2", Q), TruncatedSeries.truncated(Q, [0] * 9 + [1], 12)), Q)
-        with pytest.raises(EngineError):
-            blowup_lift(truncated, steps=2)
-
-    def test_indeterminate_chart_raises(self):
-        # x has order 3, but y is zero up to t^2: y may have order 2 and be the chart.
-        y = TruncatedSeries.truncated(Q, (), 2)
-        truncated = Arc(("x", "y"), (parse_series("t^3", Q), y), Q)
-        with pytest.raises(PrecisionExhausted):
-            blowup_lift(truncated)
+    def test_steps_reject_an_on_demand_arc(self):
+        y = parse_series("t^10", Q).divide(parse_series("t + t^2", Q))  # t^9 - t^10 + ... on demand
+        on_demand = Arc(("x", "y"), (parse_series("t^2", Q), y), Q)
+        with pytest.raises(EngineError, match="its chart component is not an exact monomial$"):
+            blowup_lift(on_demand, steps=2)
 
 
 class TestStrictTransform:
@@ -261,15 +257,6 @@ class TestNashSequence:
         with pytest.raises(ArcNotOnVariety) as off:
             nash_sequence(cusp(), arc(Q, "t^3", "t^2", variables=("x", "y")))
         assert str(off.value) == "arc x -> t^3, y -> t^2 does not lie on the hypersurface"
-        truncated = Arc(
-            ("x", "y"), (TruncatedSeries.truncated(Q, [0, 0, 1], 5), TruncatedSeries.truncated(Q, [0, 0, 0, 1], 5))
-        )
-        with pytest.raises(PrecisionExhausted) as undecided:
-            nash_sequence(cusp(), truncated)
-        assert str(undecided.value) == (
-            "arc x -> t^2 + O(t^5), y -> t^3 + O(t^5) maps f to zero up to t^8; "
-            "whether it lies on the hypersurface is undecided"
-        )
         monkeypatch.setattr(Arc, "__str__", lambda self: pytest.fail(f"formatted {self.components}"))
         for on in (("t^2", "t^3"), ("t^2 + 2*t^3 + t^4", "t^3 + 3*t^4 + 3*t^5 + t^6")):
             nash_sequence(cusp(), arc(Q, *on, variables=("x", "y")))
@@ -393,8 +380,7 @@ class TestNashSequence:
         # Along (t^2, t^3) composed with 2t + 7t^2 (ROADMAP item 8(d)) the chart leaves
         # the graph coordinate and its lifts stop terminating.  Every chart component has
         # t-order 1, so each blow-up reads one more coefficient of each component: at
-        # max_steps 10000, the lifts' precision, the 3 blow-ups compute at most 5
-        # coefficients of any quotient.
+        # max_steps 10000 the 3 blow-ups compute at most 5 coefficients of any quotient.
         quotients = []
 
         class Kept(series._Quotient):
@@ -508,33 +494,40 @@ class TestRuns:
 
 def random_lift_arc(rng, field):
     """An arc of 2 or 3 components, each a monomial c t^k (non-unit leads over Q), a
-    longer exact series, a truncated one, a truncated zero O(t^P) or exactly 0."""
+    longer polynomial, an on-demand quotient of order k, an on-demand zero (a constant
+    quotient less its constant) or exactly 0; at least one is a polynomial or a
+    quotient that is not zero."""
     leads = field.units(4) + ((Fraction(-1, 2), Fraction(2, 3)) if field.characteristic == 0 else ())
-    components = []
-    while not any(comp.known_order() != INF for comp in components):
+    components, nonzero = [], False
+    while not nonzero:
         components = []
         for _ in range(rng.randint(2, 3)):
             kind, k = rng.randrange(5), rng.randint(1, 6)
             tail = [rng.choice((field.zero, *leads)) for _ in range(rng.randint(0, 4))]
+            nonzero |= kind < 3
             if kind == 0:
                 components.append(TruncatedSeries.t_power(field, k, rng.choice(leads)))
             elif kind == 1:
                 components.append(TruncatedSeries.exact_series(field, [0] * k + [rng.choice(leads)] + tail))
             elif kind == 2:
-                coeffs = [0] * k + [rng.choice(leads)] + tail
-                components.append(TruncatedSeries.truncated(field, coeffs, rng.randint(k + 1, len(coeffs) + 3)))
+                # t^(k + 1) (lead + ...) over t (1 + c t): a polynomial when 1 + c t divides
+                dividend = TruncatedSeries.exact_series(field, [0] * (k + 1) + [rng.choice(leads)] + tail)
+                components.append(dividend.divide(TruncatedSeries.exact_series(field, [0, 1, rng.choice(leads)])))
             elif kind == 3:
-                components.append(TruncatedSeries.truncated(field, (), k))
+                q = TruncatedSeries.t_power(field, 1).divide(TruncatedSeries.exact_series(field, [0, 1, 1]))
+                components.append(q.divide(q).without_constant())
             else:
                 components.append(TruncatedSeries.zero(field))
     return Arc(("x", "y", "z")[: len(components)], tuple(components), field)
 
 
 def lift_outcome(lift, *args):
+    """(chart, the lifted components' `prefix`es), or the error's type and message."""
     try:
-        return "ok", lift(*args)
+        chart, lifted = lift(*args)
     except EngineError as error:
         return type(error), str(error)
+    return chart, [prefix(comp) for comp in lifted.components]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -543,48 +536,78 @@ class TestSliceAndScaleLifts:
 
     def test_random_arcs(self, field):
         rng = random.Random(f"lift-{field.characteristic}")
-        sliced = 0
+        sliced = on_demand = 0
         for _ in range(300):
             phi = random_lift_arc(rng, field)
             for steps in (1, 2, 3):
-                got = lift_outcome(blowup_lift, phi, 12, steps)
-                assert got == lift_outcome(reference_lift, phi, 12, steps), (str(phi), steps)
-                if got[0] == "ok":
-                    chart, lifted = got[1]
+                got = lift_outcome(blowup_lift, phi, steps)
+                assert got == lift_outcome(reference_lift, phi, steps), (str(phi), steps)
+                if not isinstance(got[0], type):
+                    chart, lifted = blowup_lift(phi, steps)
                     chart_component = phi.components[chart.index]
                     sliced += chart_component.exact and len(chart_component.coeffs) == chart_component.order() + 1
-                    # A truncated component stays truncated: no lift reads INF off a known prefix.
+                    on_demand += not chart_component.exact
+                    # An on-demand component stays on demand: no lift reads a polynomial off a prefix.
                     assert all(old.exact or not new.exact for new, old in zip(lifted.components, phi.components))
-        assert sliced > 100
+        assert sliced > 100 and on_demand > 20
 
-    def test_exhausted_precision_raises(self, field):
-        # y is zero up to t^2 and the chart x = c t^2 divides by t^2: nothing stays known.
-        c = field.units(4)[-1]
-        phi = Arc(("x", "y"), (TruncatedSeries.t_power(field, 2, c), TruncatedSeries.truncated(field, (), 2)), field)
-        for lift in (blowup_lift, reference_lift):
-            with pytest.raises(PrecisionExhausted, match="^no precision left after division$"):
-                lift(phi)
-        phi = Arc(("x", "y"), (TruncatedSeries.t_power(field, 2, c), TruncatedSeries.truncated(field, (), 3)), field)
-        _, lifted = blowup_lift(phi)
-        assert lifted.components[1] == TruncatedSeries.truncated(field, (), 1) == reference_lift(phi)[1].components[1]
-
-    def test_an_on_demand_component_read_past_its_precision(self, field):
+    def test_on_demand_components_lift_as_the_reference_does(self, field):
         # x = t + t^2 is the chart and w / x = 1 - t + t^2 - ... does not terminate, so the
-        # lifted w is -t + O(t^2), computed on demand; the next lift leaves O(t) and the one
-        # after has no precision left.  A read past a precision raises what the expanded
-        # components of `reference_lift` raise.
-        lifted = expanded = arc(field, "t + t^2", "t", variables=("x", "w"))
-        for _ in range(2):
-            (chart, lifted), (reference_chart, expanded) = blowup_lift(lifted, 2), reference_lift(expanded, 2)
+        # lifted w is -t + t^2 - ..., computed on demand; every later lift divides it again.
+        lifted = arc(field, "t + t^2", "t", variables=("x", "w"))
+        for _ in range(4):
+            assert lift_outcome(blowup_lift, lifted) == lift_outcome(reference_lift, lifted)
+            _, lifted = blowup_lift(lifted)
             assert type(lifted.components[1]) is series._OnDemandSeries
-            for w in (lifted.components[1], expanded.components[1]):
-                top = w.precision
-                with pytest.raises(PrecisionExhausted, match=f"^coefficient {top} beyond precision {top}$"):
-                    w.coefficient(top)
-            assert (chart, lifted) == (reference_chart, expanded)
-        for lift, phi in ((blowup_lift, lifted), (reference_lift, expanded)):
-            with pytest.raises(PrecisionExhausted, match="^no precision left after division$"):
-                lift(phi, 2)
+
+
+#: The arc and f of a chain whose lifts are exactly zero on demand: at the second blow-up
+#: the lifts of z and of the graph coordinate are the chart component's, up to sign.
+ZERO_LIFT_VARIABLES = ("y", "z", "x")
+ZERO_LIFT_ARC = ("t^2", "t^2", "t + t^2")
+ZERO_LIFT_POLY = "(y - z)^2 + ((x - y)^2 - y)^2"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestZeroLifts:
+    """A lift that is exactly zero as an on-demand series is never known to be zero:
+    a chart reads it only to the least order of the arc's other components."""
+
+    def test_the_chain_ends(self, field):
+        f = parse_poly(ZERO_LIFT_POLY, ZERO_LIFT_VARIABLES, field)
+        phi = arc(field, *ZERO_LIFT_ARC, variables=ZERO_LIFT_VARIABLES)
+        with time_limit(1):
+            report = nash_sequence(f, phi, max_steps=40)
+            assert report.sequence == (2,) * 41 and report.truncated
+            assert report.to_json(field, True) == stepwise_nash_sequence(f, phi, 40).to_json(field, True)
+
+    def test_a_third_lift_returns(self, field):
+        lifted = graph_arc(arc(field, *ZERO_LIFT_ARC, variables=ZERO_LIFT_VARIABLES))
+        for _ in range(2):
+            _, lifted = blowup_lift(lifted)
+        zeros = [comp for comp in lifted.components if not comp.exact and not any(prefix(comp))]
+        assert len(zeros) == 2
+        with time_limit(1):
+            chart, lifted = blowup_lift(lifted)
+        assert chart.index == 0 and lifted.order() == 1
+
+    def test_each_lift_reads_at_most_max_steps_coefficients(self, monkeypatch, field):
+        # Three components are lifted at each of the 40 blow-ups, each a quotient on
+        # demand, and the zero lifts never make a read run on: the deepest reads reach
+        # coefficient 39 of the first lifts.
+        quotients = []
+
+        class Kept(series._Quotient):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                quotients.append(self)
+
+        monkeypatch.setattr(series, "_Quotient", Kept)
+        f = parse_poly(ZERO_LIFT_POLY, ZERO_LIFT_VARIABLES, field)
+        nash_sequence(f, arc(field, *ZERO_LIFT_ARC, variables=ZERO_LIFT_VARIABLES), max_steps=40)
+        assert len(quotients) == 3 * 40 and max(len(q.ints) for q in quotients) == 40
 
 
 def test_trace_is_built_when_first_read(monkeypatch):
@@ -694,16 +717,16 @@ class TestRunsMatchStepwise:
                 dropped += len(carried[-1].terms) < len(report.trace[-1].transform.terms)
         assert dropped > 8
 
-    def test_a_truncated_component(self, field):
-        # z is known only below t^P; the chain runs on single blow-ups and may
-        # exhaust that precision, in which case both raise PrecisionExhausted.  The
-        # lifts of exact operands take their precision from max_steps.
+    def test_an_on_demand_component_is_refused(self, field):
+        # f does not involve z, but an on-demand z has no finite expansion to certify
+        # the arc on f with: both chains raise the same EngineError.
         f = parse_poly("y^2 - x^9", ("x", "y", "z"), field)
-        for top in (6, 12, 20, 40):
-            z = TruncatedSeries.truncated(field, [0, 0, 0, 1, 1], top)
-            phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
-            for max_steps in (8, 40):
-                assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
+        z = parse_series("t^4", field).divide(parse_series("t + t^2", field))
+        phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
+        for max_steps in (8, 40):
+            assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
+            with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
+                nash_sequence(f, phi, max_steps)
 
     def test_monomial_arcs_with_non_unit_leads(self, field):
         # Leads 2, -3, 1/2 and -2/3 over Q and every unit of F_p: the chain slices and
@@ -738,12 +761,12 @@ HALF = Fraction(1, 2)
 )
 def test_chains_with_non_unit_leads_over_q(poly, leads):
     # The chain slices and scales by 1/3 or -2, the stepwise reference divides; the
-    # same again with a truncated component z that no chart ever picks.
+    # same again with a component z that no chart ever picks.
     f = parse_poly(poly, ("x", "y"), Q)
     components = tuple(TruncatedSeries.t_power(Q, k, c) for c, k in leads)
     phi = Arc(("x", "y"), components, Q)
     assert_chain_matches_stepwise(f, phi, max_steps=60)
-    z = TruncatedSeries.truncated(Q, [0, 0, 0, 0, 5, 1], 11)
+    z = TruncatedSeries.exact_series(Q, [0, 0, 0, 0, 5, 1])
     assert_chain_matches_stepwise(f.extend(("x", "y", "z")), Arc(("x", "y", "z"), (*components, z), Q), max_steps=60)
     if leads[0][1] == 1:
         assert nash_sequence(f, phi).trace[0].center == (0, 0, -2)

@@ -15,7 +15,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "arcmult"
 #: Definitions kept without a caller in the package, and why.
 UNCALLED = {
     "evaluate": "README names it the reference route for `translate`",
-    "order_lower_bound": "a test reference: the precision rules and `reference_generator_orders` read it",
     "render": "public API that README documents and round-trips",
     "weighted_transform": "waits for ROADMAP item 17's derivation of rho",
 }

@@ -27,13 +27,12 @@ from arcmult.errors import (
     EngineError,
     NoRationalUnit,
     NotInSingularLocus,
-    PrecisionExhausted,
 )
 from arcmult.fields import RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.problems import presentation_of
 from arcmult.rees import presenting_algebra
-from arcmult.series import Arc, TruncatedSeries, parse_series
+from arcmult.series import Arc, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -301,12 +300,12 @@ class TestVerifyMainTheorem:
         assert report.ord_d == 2
         assert report.min_r_bar == 2
 
-    def test_undecided_candidate_is_a_precision_error(self):
-        # With y -> t^3 + O(t^5), y^2 - x^3 maps to O(t^8): whether the
-        # candidate lies on the curve is undecided, which is not a refutation.
-        undecided = Arc(XY, (parse_series("t^2", Q), TruncatedSeries.truncated(Q, (0, 0, 0, 1), 5)), Q)
-        with pytest.raises(PrecisionExhausted):
-            verify_presentation(presentation("y^2 - x^3"), {"phi": undecided}, BUDGET, SEED)
+    def test_on_demand_candidate_is_an_engine_error(self):
+        # y -> t^4 / (t + t^2) = t^3 - t^4 + ... on demand has no finite expansion to
+        # substitute into y^2 - x^3: an engine error, not a refutation.
+        on_demand = Arc(XY, (parse_series("t^2", Q), parse_series("t^4", Q).divide(parse_series("t + t^2", Q))), Q)
+        with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
+            verify_presentation(presentation("y^2 - x^3"), {"phi": on_demand}, BUDGET, SEED)
 
     @pytest.mark.parametrize("field", [Q, F2], ids=["tschirnhausen-q", "visible-f2"])
     @pytest.mark.parametrize("base", [("x", "y"), ("y", "x")], ids=["xy", "yx"])

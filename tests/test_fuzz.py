@@ -6,7 +6,7 @@ key replaced by a near-miss from a fixed list, or one place inside a value
 changed: a digit, an exponent, a parenthesis or an arc component.  Some
 mutants also get one run-option flag with a hostile value.
 Every command must end with an exit code of the contract (0 pass, 1 fail,
-2 bad input, 3 engine or precision error) within a time limit; an escaping
+2 bad input, 3 engine error) within a time limit; an escaping
 exception or a timeout fails the test and names the mutant.
 """
 

@@ -1,12 +1,11 @@
-import contextlib
 import dataclasses
 import hashlib
 import json
-import signal
 import time
 from importlib import resources
 
 import pytest
+from property_checks import time_limit
 
 from arcmult import contact, elimination, problems, rees, series
 from arcmult.cli import main
@@ -81,22 +80,6 @@ WIDEST_F2_PROBLEM = (
     "name: widest_f2\nfield: 2\nvariables: " + " ".join(f"x{i}" for i in range(14))
     + "\npoly: " + " + ".join(f"x{i}^2" for i in range(14)) + " + x1*x2*x3\nfiber: x0\nanalyses: verify\n"
 )
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the test when the block runs longer than `seconds` (SIGALRM)."""
-
-    def expire(signum, frame):
-        pytest.fail(f"no exit within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def exit_code(argv):
@@ -319,7 +302,7 @@ class TestCli:
         assert report["problem"]["options"][key] == 20
 
     def test_precision_is_not_an_option(self, tmp_path, capsys):
-        # A Nash chain sizes its lifts from max_steps: a precision key or flag is refused.
+        # A Nash chain reads its lifts as far as it needs: a precision key or flag is refused.
         path = self.write(tmp_path, NODE_PROBLEM + "precision: 64\n")
         assert main(["nash", path]) == 2
         assert "unknown key 'precision' at line 7" in capsys.readouterr().err
@@ -410,9 +393,9 @@ class TestCli:
         ids=["node", "cusp", "composed-lead-4"],
     )
     def test_max_steps_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
-        # A lift whose quotient does not terminate has precision max_steps but is computed
-        # only as far as the chain reads it, so the largest max_steps allowed still answers
-        # at once, with the same text.
+        # A lift whose quotient does not terminate is computed only as far as the chain
+        # reads it, so the largest max_steps allowed still answers at once, with the same
+        # text.
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 0
         expected = capsys.readouterr().out
@@ -431,8 +414,8 @@ class TestCli:
         assert f"[{','.join(['2'] * 33)}] truncated" in capsys.readouterr().out
 
     def test_a_long_chain_reads_its_lifts_to_the_end(self, tmp_path, capsys):
-        # Blow-up 84 reads a lift made at blow-up 1, so a fixed lift precision of 64 would
-        # run out (exit 3); lifts of precision max_steps reach it.
+        # Blow-up 84 reads a lift made at blow-up 1: a lift computes every coefficient
+        # that is read, with no precision to run out of.
         path = self.write(tmp_path, LONG_COMPOSED_PROBLEM)
         with time_limit(1):
             assert main(["nash", path, "--max-steps", "100"]) == 0
@@ -565,8 +548,7 @@ class TestCli:
 
         monkeypatch.setattr(series.Arc, "chart", spied(series.Arc.chart, "_chart"))
         monkeypatch.setattr(series.Arc, "leads", spied(series.Arc.leads, "_leads"))
-        known_order = series.TruncatedSeries.known_order
-        monkeypatch.setattr(series.TruncatedSeries, "known_order", spied(known_order, "_order"))
+        monkeypatch.setattr(series.TruncatedSeries, "order", spied(series.TruncatedSeries.order, "_order"))
         problem = parse_problem(text)
         report = run(problem)
         iterations = sum(len(nash.runs) for nash in report.analyses["nash"].values())

@@ -14,13 +14,13 @@ from arcmult.poly import parse_poly
 from arcmult.series import Arc, parse_series
 from property_checks import (
     FIELDS,
-    LIFT_PRECISION_CASES,
+    LIFT_CHAIN_CASES,
     assert_chain_matches_stepwise,
     check_contact_without_f,
     check_diff_closure_idempotence,
     check_grid_r_bar,
     check_hasse_leibniz,
-    check_lift_precision,
+    check_lift_chain,
     check_monomial_leads,
     check_nash_monotonicity,
     check_order_multiplicativity,
@@ -64,16 +64,16 @@ def test_ord_d_coordinate_invariance():
     run_many(check_ord_d_coordinate_invariance, 100, seed=108)
 
 
-def test_lift_precision():
-    run_many(check_lift_precision, CASES, seed=109)
+def test_lift_chain():
+    run_many(check_lift_chain, CASES, seed=109)
 
 
 @pytest.mark.parametrize(
     "poly, components, max_steps, rho",
-    LIFT_PRECISION_CASES,
+    LIFT_CHAIN_CASES,
     ids=["x21-100", "x40-0", "x40-1", "x40-19", "x40-20", "x40-30"],
 )
-def test_lift_precision_cases(poly, components, max_steps, rho):
+def test_lift_chain_cases(poly, components, max_steps, rho):
     f = parse_poly(poly, ("x", "y"), RATIONALS)
     phi = Arc(("x", "y"), tuple(parse_series(text, RATIONALS) for text in components.split(",")), RATIONALS)
     assert nash_sequence(f, phi, max_steps).rho == rho

@@ -1,17 +1,12 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from property_checks import XY, horner_compose, random_poly
+from property_checks import PREFIX_LENGTH, XY, horner_compose, prefix, random_poly
 
-from arcmult.errors import (
-    ArcNotOnVariety,
-    DivisionOrderError,
-    EngineError,
-    InvalidArc,
-    PrecisionExhausted,
-)
+from arcmult.errors import ArcNotOnVariety, DivisionOrderError, EngineError, InvalidArc
 from arcmult import series
 from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
 from arcmult.poly import Powers, parse_poly
@@ -52,24 +47,10 @@ class TestSeriesOrder:
         assert image.is_exactly_zero()
         assert image.order() == INF
 
-    def test_truncated_all_zero_is_indeterminate(self):
-        hidden = TruncatedSeries.truncated(Q, (), 8)
-        with pytest.raises(PrecisionExhausted):
-            hidden.order()
-
-    def test_an_indeterminate_order_raises_on_every_read(self):
-        hidden = TruncatedSeries.truncated(F3, (0, 3, 6), 5)
-        for _ in range(2):
-            assert hidden.known_order() is None
-            assert hidden.order_lower_bound() == 5
-            with pytest.raises(PrecisionExhausted):
-                hidden.order()
-
-    def test_no_coefficient_at_or_past_the_precision(self):
-        # The precision is the first unknown power, so t^2 is not known at precision 2.
-        with pytest.raises(EngineError, match="^series has 3 coefficients at precision 2$"):
-            TruncatedSeries(Q, (0, 0, 1), 2)
-        assert TruncatedSeries(Q, (0, 1), 2).known_order() == 1
+    def test_every_coefficient_past_the_stored_ones_is_zero(self):
+        series = TruncatedSeries.exact_series(F3, (0, 3, 6))  # 3 and 6 vanish in F_3
+        assert series.is_exactly_zero() and series.order() == INF
+        assert S("t^2", F3).coefficient(1000) == 0
 
     @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
     def test_t_power_is_the_padded_exact_series(self, field):
@@ -77,7 +58,7 @@ class TestSeriesOrder:
             for coeff in (1, 2, 3, Fraction(1, 5)):
                 power = TruncatedSeries.t_power(field, k, coeff)
                 assert power == TruncatedSeries.exact_series(field, [0] * k + [coeff])
-                assert power.known_order() == (INF if power.is_exactly_zero() else k)
+                assert power.order() == (INF if power.is_exactly_zero() else k)
 
 
 class TestArithmetic:
@@ -87,13 +68,6 @@ class TestArithmetic:
 
     def test_pow(self):
         assert S("t + t^2") ** 2 == S("t^2 + 2*t^3 + t^4")
-
-    def test_mul_precision_shifts_by_order(self):
-        blur = TruncatedSeries.truncated(Q, (0, 1), 2)  # t + O(t^2)
-        exact = S("t^3")
-        product = blur * exact
-        assert product.precision == 5  # 2 + 3
-        assert product.coeffs[4] == 1
 
     def test_order_additive_under_mul(self):
         a = S("t^2 + t^5")
@@ -112,50 +86,27 @@ def random_coeffs(rng, field, length):
     return [field.zero] * head + values[head : length - tail] + [field.zero] * tail
 
 
-def random_series(rng, field, exact):
-    coeffs = random_coeffs(rng, field, rng.randint(1, 40))
-    if exact:
-        return TruncatedSeries.exact_series(field, coeffs)
-    return TruncatedSeries.truncated(field, coeffs, len(coeffs))
+def random_series(rng, field):
+    return TruncatedSeries.exact_series(field, random_coeffs(rng, field, rng.randint(1, 40)))
 
 
 def reference_product(a, b):
-    """Schoolbook convolution through the field operations, with the precision rule."""
+    """Schoolbook convolution through the field operations."""
     field = a.field
     full = [field.zero] * (len(a.coeffs) + len(b.coeffs))
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
             full[i + j] = field.add(full[i + j], field.mul(x, y))
-    if a.is_exactly_zero() or b.is_exactly_zero() or (a.exact and b.exact):
-        return TruncatedSeries.exact_series(field, full)
-    prec = max(
-        int(
-            min(
-                a.precision + b.order_lower_bound(),
-                b.precision + a.order_lower_bound(),
-            )
-        ),
-        1,
-    )
-    return TruncatedSeries.truncated(field, full[:prec], prec)
+    return TruncatedSeries.exact_series(field, full)
 
 
-@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
-@pytest.mark.parametrize(
-    "exact_a, exact_b",
-    [(True, True), (True, False), (False, True), (False, False)],
-    ids=["exact*exact", "exact*truncated", "truncated*exact", "truncated*truncated"],
-)
-def test_product_matches_reference_convolution(field, exact_a, exact_b):
-    rng = random.Random(f"{field.characteristic}-{exact_a}-{exact_b}")
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_product_matches_reference_convolution(field):
+    rng = random.Random(f"{field.characteristic}-True-True")
     for _ in range(60):
-        a = random_series(rng, field, exact_a)
-        b = random_series(rng, field, exact_b)
-        product = a * b
-        expected = reference_product(a, b)
-        assert product.coeffs == expected.coeffs
-        assert product.precision == expected.precision
-        assert product.exact == expected.exact
+        a = random_series(rng, field)
+        b = random_series(rng, field)
+        assert a * b == reference_product(a, b)
 
 
 class TestDivide:
@@ -167,11 +118,10 @@ class TestDivide:
         q = S("t^2 + t^3").divide(S("t^2"))
         assert q.exact and q == S("1 + t")
 
-    def test_geometric_expansion_is_truncated(self):
-        q = S("t^3").divide(S("t^2 + t^3"), fallback_precision=6)
+    def test_geometric_expansion_is_on_demand(self):
+        q = S("t^3").divide(S("t^2 + t^3"))
         assert not q.exact
-        assert q.precision == 6
-        assert list(q.coeffs) == [0, 1, -1, 1, -1, 1]  # t - t^2 + t^3 - ...
+        assert prefix(q, 6) == (0, 1, -1, 1, -1, 1)  # t - t^2 + t^3 - ...
 
     def test_order_violation(self):
         with pytest.raises(DivisionOrderError):
@@ -179,49 +129,41 @@ class TestDivide:
         with pytest.raises(DivisionOrderError):
             S("t").divide(S("0"))
 
-    def test_precision_rule(self):
-        blur = TruncatedSeries.truncated(Q, (0, 0, 1, 2, 3), 5)  # known mod t^5
-        q = blur.divide(S("t^2"))
-        assert not q.exact and q.precision == 3
-        assert list(q.coeffs) == [1, 2, 3]
-
     def test_zero_dividend(self):
         assert S("0").divide(S("t")).is_exactly_zero()
 
-    def test_an_on_demand_quotient_read_past_its_precision(self):
+    def test_an_on_demand_quotient_computes_what_is_read(self):
         # t / (t + t^2) does not terminate: its coefficients are computed as they are read,
-        # and a read at the precision raises what the expanded series raises.
-        q = S("t").divide(S("t + t^2"), fallback_precision=3)
+        # each one exact, with no end.  It has no finite expansion.
+        q = S("t").divide(S("t + t^2"))
         assert q.coefficient(2) == 1 and len(q._quotient.ints) == 3
-        with pytest.raises(PrecisionExhausted, match="^coefficient 3 beyond precision 3$"):
-            q.coefficient(3)
-        expanded = TruncatedSeries.truncated(Q, (1, -1, 1), 3)
-        with pytest.raises(PrecisionExhausted, match="^coefficient 3 beyond precision 3$"):
-            expanded.coefficient(3)
-        assert q == expanded and expanded == q and hash(q) == hash(expanded)
-        assert str(q) == "1 - t + t^2 + O(t^3)" and len(q._quotient.ints) == 3
+        assert q.coefficient(50) == 1 and len(q._quotient.ints) == 51
+        assert q != S("1 - t + t^2") and q == q
+        for expand in (lambda: q.coeffs, lambda: S("t") * q, lambda: arc_substitute(parse_poly("x*y", XY, Q), Arc(XY, (S("t"), q.without_constant()), Q))):
+            with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
+                expand()
 
     def test_an_on_demand_dividend_stays_on_demand(self):
-        # t^3 / (t + t^2) = t^2 - t^3 + ... to 10000 coefficients, divided by the monomial
-        # 2t and then by t + t^2 again, is (1 - 2t + 3t^2 - ...) / 2: reading its order and
-        # one coefficient computes a few coefficients of each quotient, not 10000.
-        q = S("t^3").divide(S("t + t^2"), fallback_precision=10000)
+        # t^3 / (t + t^2) = t^2 - t^3 + ..., divided by the monomial 2t and then by
+        # t + t^2 again, is (1 - 2t + 3t^2 - ...) / 2: reading two coefficients computes
+        # a few coefficients of each quotient.
+        q = S("t^3").divide(S("t + t^2"))
         for divisor in (S("2*t"), S("t + t^2")):
             q = q.divide(divisor)
             assert type(q) is series._OnDemandSeries
-        assert q.order() == 0 and q.coefficient(1) == -1
-        assert q.precision == 9998 and len(q._quotient.ints) == 2
+        assert q.coefficient(0) == Fraction(1, 2) and q.coefficient(1) == -1
+        assert len(q._quotient.ints) == 2
 
     def test_a_long_chain_of_on_demand_quotients_reads_without_recursion(self):
         # Each lift of a Nash chain divides the previous lift, as here 1500 times: reading
         # the last quotient extends every earlier one, and the walk must not recurse.
         # The reference drops the constant of 1 / (1 + t) and divides by t + t^2 on plain
         # integer lists, each step consuming one coefficient.
-        q = S("t").divide(S("t + t^2"), fallback_precision=2000)
+        q = S("t").divide(S("t + t^2"))
         steps = 1500
         for _ in range(steps):
             q = q.without_constant().divide(S("t + t^2"))
-        assert type(q) is series._OnDemandSeries and q.precision == 2000 - steps
+        assert type(q) is series._OnDemandSeries
         expected = [(-1) ** k for k in range(steps + 1)]
         for _ in range(steps):
             expected = expected[1:]
@@ -229,7 +171,7 @@ class TestDivide:
                 expected[k] -= expected[k - 1]
         assert q.coefficient(0) == expected[0]
 
-    @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+    @pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
     def test_exact_quotient_iff_zero_remainder(self, field):
         rng = random.Random(field.characteristic)
         for _ in range(30):
@@ -243,8 +185,8 @@ class TestDivide:
             assert exact.exact and exact == quotient
             # a nonconstant divisor does not divide q * divisor + t^shift
             remainder = TruncatedSeries.t_power(field, shift)
-            blurred = (quotient * divisor + remainder).divide(divisor, fallback_precision=12)
-            assert not blurred.exact and blurred.precision == 12
+            blurred = (quotient * divisor + remainder).divide(divisor)
+            assert not blurred.exact
 
 
 def padded_quotient(field, a, b, n):
@@ -260,39 +202,34 @@ def padded_quotient(field, a, b, n):
     return q
 
 
-def reference_divide(a, b, fallback_precision):
-    """Division through the padded quotient; exact iff the quotient times the
-    shifted divisor gives back the shifted dividend."""
+def reference_divide(a, b):
+    """Division through the padded quotient: a polynomial when both operands are and
+    the quotient times the shifted divisor gives back the shifted dividend, and
+    otherwise the first PREFIX_LENGTH coefficients (`prefix`) of the quotient of the
+    operands' coefficients, read one at a time.  Reads no divisor past PREFIX_LENGTH:
+    None when its coefficients vanish there."""
     field = a.field
     if b.is_exactly_zero():
         raise DivisionOrderError("division by the zero series")
-    shift = b.order()
-    order = a.known_order()
-    if order == INF:
+    if a.is_exactly_zero():
         return TruncatedSeries.zero(field)
-    if order is None:
-        if a.precision - shift < 1:
-            raise PrecisionExhausted("no precision left")
-        return TruncatedSeries(field, (), a.precision - shift)
-    if order < shift:
+    shift = next((k for k in range(PREFIX_LENGTH) if b.coefficient(k)), None)
+    if shift is None:
+        return None
+    if any(a.coefficient(k) for k in range(shift)):
         raise DivisionOrderError("divisor order exceeds dividend order")
-    num, den = a.coeffs[shift:], b.coeffs[shift:]
-    prec = min(a.precision, b.precision) - shift
-    if prec == INF:
+    if a.exact and b.exact:
+        num, den = a.coeffs[shift:], b.coeffs[shift:]
         quotient = TruncatedSeries.exact_series(field, padded_quotient(field, num, den, len(num)))
-        if quotient * TruncatedSeries.exact_series(field, den) == TruncatedSeries.exact_series(
-            field, num
-        ):
+        if quotient * TruncatedSeries.exact_series(field, den) == TruncatedSeries.exact_series(field, num):
             return quotient
-        prec = fallback_precision
-    elif prec < 1:
-        raise PrecisionExhausted("no precision left")
-    return TruncatedSeries.truncated(field, padded_quotient(field, num, den, prec), prec)
+    num, den = ([x.coefficient(k) for k in range(shift, shift + PREFIX_LENGTH)] for x in (a, b))
+    return tuple(padded_quotient(field, num, den, PREFIX_LENGTH))
 
 
 def division_operands(rng, field):
     """A dividend and a divisor: monomial, short, or longer than the dividend;
-    exact or truncated; sometimes a product with the divisor."""
+    sometimes a product with the divisor."""
     shift = rng.randint(0, 4)
     unit = rng.choice(field.units(6))
     tail = random_coeffs(rng, field, rng.choice((1, rng.randint(1, 6), rng.randint(20, 30))))
@@ -300,45 +237,38 @@ def division_operands(rng, field):
         tail = []  # the monomial unit * t^shift
     divisor = TruncatedSeries.exact_series(field, [field.zero] * shift + [unit] + tail)
     if rng.random() < 0.4:
-        dividend = divisor * random_series(rng, field, True)
+        dividend = divisor * random_series(rng, field)
     else:
         dividend = TruncatedSeries.exact_series(
             field, [field.zero] * rng.randint(0, 6) + random_coeffs(rng, field, rng.randint(1, 15))
         )
-    if rng.random() < 0.3:
-        dividend = TruncatedSeries.truncated(field, dividend.coeffs, rng.randint(1, 45))
-    if rng.random() < 0.2:
-        divisor = TruncatedSeries.truncated(field, divisor.coeffs, rng.randint(1, 35))
     return dividend, divisor
 
 
 def division_outcome(thunk, keep=False):
-    """The quotient's coefficients, exactness and precision, or the error's type name;
-    `keep` returns the quotient itself."""
+    """The quotient's `prefix`, or the error's type name; `keep` returns the quotient
+    itself, and so does a reference that returns no series."""
     try:
         q = thunk()
     except EngineError as error:
         return type(error).__name__
-    return q if keep else (q.coeffs, q.exact, q.precision)
+    return q if keep or q is None or type(q) is tuple else prefix(q)
 
 
-def division_shapes(a, b, fallback, outcome):
+def division_shapes(a, b, outcome):
     """The shapes of one division that the reference test must cover."""
     if isinstance(outcome, str):
         return {outcome}
     shift = b.order()
-    if not (a.exact and b.exact):
-        shapes = {"truncated operand"}
-    else:
-        shapes = {"exact quotient" if outcome[1] else "fallback"}
+    shapes = {"exact quotient" if type(outcome) is TruncatedSeries else "on demand"}
     if len(b.coeffs) == shift + 1:
         shapes.add("monomial divisor")
     if len(b.coeffs) > len(a.coeffs):
         shapes.add("divisor longer than dividend")
-    if a.coeffs and a.known_order() > shift:
+    if a.coeffs and a.order() > shift:
         shapes.add("dividend of higher order")
-    if "fallback" in shapes and fallback < len(a.coeffs) - shift:
-        shapes.add("fallback below len(a)")
+    if "on demand" in shapes and PREFIX_LENGTH < len(a.coeffs) - shift:
+        shapes.add("prefix below len(a)")
     if b.field.characteristic == 0 and abs(b.coeffs[shift]) != 1:
         shapes.add("lead not ±1")  # the quotient is not integral on the cleared operands
     return shapes
@@ -350,35 +280,33 @@ def test_divide_matches_padded_reference(field):
     seen = set()
     for _ in range(400):
         a, b = division_operands(rng, field)
-        fallback = rng.randint(1, 30)
-        expected = division_outcome(lambda: reference_divide(a, b, fallback))
-        assert division_outcome(lambda: a.divide(b, fallback)) == expected, (a, b, fallback)
-        seen |= division_shapes(a, b, fallback, expected)
+        expected = division_outcome(lambda: reference_divide(a, b))
+        assert division_outcome(lambda: a.divide(b)) == expected, (a, b)
+        seen |= division_shapes(a, b, expected)
     assert seen == {
         "exact quotient",
-        "fallback",
-        "truncated operand",
+        "on demand",
         "monomial divisor",
         "divisor longer than dividend",
         "dividend of higher order",
-        "fallback below len(a)",
+        "prefix below len(a)",
         "DivisionOrderError",
-        "PrecisionExhausted",
     } | ({"lead not ±1"} if field.characteristic == 0 else set())
 
 
-@pytest.mark.parametrize("field", [Q, F3, F5], ids=["Q", "F3", "F5"])
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
 def test_on_demand_operands_match_the_padded_reference(field):
     # Quotients that do not terminate are divided again: by one another and by monomials,
     # with or without their constant term, after reads in a random order.  Each result
-    # is the padded reference's quotient of the expanded operands.
+    # is the padded reference's quotient of the operands' coefficients.  A divisor whose
+    # prefix vanishes (an on-demand constant less its constant term) is not divided by.
     rng = random.Random(f"on-demand-{field.characteristic}")
     shapes = set()
     for _ in range(60):
         pool = []
         while len(pool) < 3:
             a, b = division_operands(rng, field)
-            q = division_outcome(lambda: a.divide(b, rng.randint(4, 20)), keep=True)
+            q = division_outcome(lambda: a.divide(b), keep=True)
             if type(q) is series._OnDemandSeries:
                 pool.append(q)
         for _ in range(6):
@@ -387,21 +315,53 @@ def test_on_demand_operands_match_the_padded_reference(field):
                 a = a.without_constant()
             b = rng.choice(pool + [TruncatedSeries.t_power(field, rng.randint(0, 2), rng.choice(field.units(6)))])
             for _ in range(rng.randint(0, 3)):
-                rng.choice((a, b)).coefficient(rng.randrange(min(a.precision, b.precision)))
-            fallback = rng.randint(1, 30)
-            got = division_outcome(lambda: a.divide(b, fallback), keep=True)
-            expanded = [TruncatedSeries(field, x.coeffs, x.precision) for x in (a, b)]
-            expected = division_outcome(lambda: reference_divide(*expanded, fallback))
+                rng.choice((a, b)).coefficient(rng.randrange(PREFIX_LENGTH))
+            expected = division_outcome(lambda: reference_divide(a, b))
+            if expected is None:
+                continue
+            got = division_outcome(lambda: a.divide(b), keep=True)
             if isinstance(got, str):
                 assert got == expected
                 shapes.add(got)
                 continue
-            assert (got.coeffs, got.exact, got.precision) == expected
+            assert prefix(got) == expected
             shapes.add(type(got).__name__)
-            shapes.add("dropped, shift 0" if a._dropped and b.known_order() == 0 else "")
+            shapes.add("dropped, shift 0" if a._dropped and b.coefficient(0) else "")
             if type(got) is series._OnDemandSeries:
                 pool.append(got)
     assert {"_OnDemandSeries", "DivisionOrderError", "dropped, shift 0"} <= shapes
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_least_order_matches_a_coefficient_scan(field):
+    # Polynomials, zero or not, and quotients t^(k+1) (u + ...) / (t + c t^2) of order k,
+    # on demand unless they terminate, at least one of them nonzero: `_least_order` gives
+    # the first series whose coefficient at the least order is nonzero, as a scan of
+    # every series one power of t at a time does, and keeps the order it read.
+    rng = random.Random(f"least-order-{field.characteristic}")
+    units = field.units(6)
+    kinds = set()
+    for _ in range(100):
+        pool = []
+        while not any(not s.exact or s.coeffs for s in pool):
+            pool = []
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(0, 5)
+                coeffs = [field.zero] * k + [rng.choice(units)] + random_coeffs(rng, field, rng.randint(1, 4))
+                if rng.random() < 0.2:
+                    pool.append(TruncatedSeries.zero(field))
+                elif rng.random() < 0.4:
+                    pool.append(TruncatedSeries.exact_series(field, coeffs))
+                else:
+                    divisor = TruncatedSeries.exact_series(field, [0, 1, rng.choice(units)])
+                    pool.append(TruncatedSeries.exact_series(field, [field.zero, *coeffs]).divide(divisor))
+        index, order = series._least_order(pool)
+        least = next(k for k in itertools.count() if any(s.coefficient(k) for s in pool))
+        assert (index, order) == (next(i for i, s in enumerate(pool) if s.coefficient(least)), least)
+        if not pool[index].exact:
+            assert pool[index]._order == order
+        kinds.add(pool[index].exact)
+    assert kinds == {True, False}
 
 
 class TestReparametrize:
@@ -434,22 +394,30 @@ class TestArc:
     def test_chart_is_the_first_component_of_least_order(self):
         assert arc(Q, "t^3", "t^2 + t^5", "2*t^2", variables=("x", "y", "z")).chart() == (1, 2)
         assert arc(Q, "0", "t^4").chart() == (1, 4)
-        truncated = Arc(("x", "y"), (S("t^2"), TruncatedSeries.truncated(Q, (0, 0, 1), 5)), Q)
-        assert truncated.chart() == (0, 2)
+
+    def test_on_demand_components_are_read_in_lockstep_to_the_least_order(self):
+        # t^3 / (t + t^2) = t^2 - t^3 + ... on demand: a tie goes to the lower index, and
+        # a read stops at the least order, t^2 here, and keeps the order it found.
+        for first in (True, False):
+            lift = S("t^3").divide(S("t + t^2"))
+            components = (lift, S("t^2")) if first else (S("t^2"), lift)
+            assert Arc(XY, components, Q).chart() == (0, 2)
+            assert lift._order == (2 if first else None)
+        # An on-demand zero, 1 - 1 on demand, never ends a read: the other component does.
+        zero = S("t").divide(S("t")).divide(S("t^2").divide(S("t + t^2")).divide(S("t^2").divide(S("t + t^2"))))
+        zero = zero.without_constant()
+        assert type(zero) is series._OnDemandSeries
+        assert Arc(XY, (zero, S("t^5")), Q).chart() == (1, 5)
+        with pytest.raises(DivisionOrderError):
+            S("t^5").divide(zero)
 
     def test_a_failed_chart_is_never_kept(self):
-        # A truncated zero below the least known order leaves the chart undecided,
-        # and an all-zero arc (built past the constructor's check) has none.
-        hidden = Arc(("x", "y"), (TruncatedSeries.truncated(Q, (), 3), S("t^5")), Q)
+        # An all-zero arc (built past the constructor's check) has no chart.
         zero = Arc._of(("x", "y"), (S("0"), S("0")), Q)
         for _ in range(2):
-            with pytest.raises(PrecisionExhausted):
-                hidden.chart()
-            with pytest.raises(PrecisionExhausted):
-                hidden.order()
             with pytest.raises(InvalidArc):
                 zero.order()
-        assert "_chart" not in vars(hidden) and "_chart" not in vars(zero)
+        assert "_chart" not in vars(zero)
 
     def test_substitute_examples(self):
         assert arc_substitute(parse_poly("x^2", ("x", "y"), Q), arc(Q, "t^2", "t^3")) == S("t^4")
@@ -501,17 +469,13 @@ class TestArc:
 
 
 def random_arc(rng, field):
-    """An arc in x, y whose components are exact or truncated, of up to 8 coefficients."""
-    components = []
-    for _ in XY:
-        coeffs = [field.zero] + random_coeffs(rng, field, rng.randint(1, 7))
-        if rng.random() < 0.5:
-            components.append(TruncatedSeries.exact_series(field, coeffs))
-        else:
-            components.append(TruncatedSeries.truncated(field, coeffs, len(coeffs)))
-    if all(c.known_order() is INF for c in components):
+    """An arc in x, y whose components are polynomials of up to 8 coefficients."""
+    components = tuple(
+        TruncatedSeries.exact_series(field, [field.zero] + random_coeffs(rng, field, rng.randint(1, 7))) for _ in XY
+    )
+    if all(c.is_exactly_zero() for c in components):
         return random_arc(rng, field)
-    return Arc(XY, tuple(components), field)
+    return Arc(XY, components, field)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
@@ -526,21 +490,16 @@ def test_shared_powers_give_the_same_images(field):
 
 
 def varied_series(rng, field, constant=False):
-    """An exact, truncated, all-zero truncated or exactly zero series; the first two
-    have a zero constant term unless `constant`, and runs of zeros at either end."""
-    kind = rng.choice(("exact", "truncated", "all-zero", "zero"))
+    """A polynomial, three times in four, or the zero series; the polynomial has a zero
+    constant term unless `constant`, and runs of zeros at either end."""
+    if rng.random() < 0.25:
+        return TruncatedSeries.zero(field)
     coeffs = ([] if constant else [field.zero]) + random_coeffs(rng, field, rng.randint(1, 6))
-    if kind == "exact":
-        return TruncatedSeries.exact_series(field, coeffs)
-    if kind == "truncated":
-        return TruncatedSeries.truncated(field, coeffs, len(coeffs) + rng.randint(0, 2))
-    if kind == "all-zero":
-        return TruncatedSeries.truncated(field, (), rng.randint(1, 6))
-    return TruncatedSeries.zero(field)
+    return TruncatedSeries.exact_series(field, coeffs)
 
 
 def described(s):
-    return s.coeffs, s.precision, str(s), s.known_order(), s.order_lower_bound()
+    return s.coeffs, str(s), s.order()
 
 
 FIELDS = pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
@@ -563,8 +522,8 @@ def test_arc_substitute_matches_the_generic_ring_map(field):
         expected = f.image(Powers(phi.components, one), TruncatedSeries.zero(field))
         image = arc_substitute(f, phi)
         assert described(image) == described(expected), f"{f} along {phi}"
-        outcomes.add((image.exact, image.known_order() is None))
-    assert outcomes == {(True, False), (False, False), (False, True)}
+        outcomes.add(image.is_exactly_zero())
+    assert outcomes == {True, False}
 
 
 @FIELDS
@@ -591,7 +550,7 @@ MONOMIAL_COEFFICIENTS = {0: (1, -1, 2, -3, Fraction(1, 2)), 2: (1,), 3: (1, 2), 
 @FIELDS
 def test_monomial_inner_is_an_exponent_map(field, monkeypatch):
     # t -> c t^k puts a_j c^j at t^(jk) with no ring-map kernel; the result is
-    # Horner's, coefficient types included, cut at the lesser precision.
+    # Horner's, coefficient types included.
     monkeypatch.setattr(series, "_image", lambda *args: pytest.fail("monomial inner went through _image"))
     rng = random.Random(f"monomial-compose-{field.characteristic}")
     kinds = set()
@@ -604,8 +563,7 @@ def test_monomial_inner_is_an_exponent_map(field, monkeypatch):
                 expected = horner_compose(outer, inner)
                 assert described(composed) == described(expected), f"{outer} o {inner}"
                 assert list(map(type, composed.coeffs)) == list(map(type, expected.coeffs))
-                assert composed.precision == min(outer.precision, inner.precision)
-                kinds.add(outer.exact)
+                kinds.add(outer.is_exactly_zero())
     assert kinds == {True, False}
 
 
@@ -627,7 +585,7 @@ def test_arc_compose_builds_powers_only_for_a_non_monomial_inner(monkeypatch):
     powers = series._powers
     monkeypatch.setattr(series, "_powers", lambda *args: built.append(args) or powers(*args))
     phi = arc(Q, "t^2 + t^5", "t^3 + t^4 + t^5")
-    for inner, expected in ((S("2*t^3"), 0), (S("t + 2*t^2 - t^3"), 1), (TruncatedSeries.truncated(Q, (0, 1), 4), 1)):
+    for inner, expected in ((S("2*t^3"), 0), (S("t + 2*t^2 - t^3"), 1)):
         built.clear()
         composed = phi.compose(inner)
         assert len(built) == expected, str(inner)
@@ -669,31 +627,29 @@ def test_series_str_and_parse_round_trip():
 
 
 def golden_operands(field):
-    """Exact and truncated series with leading zeros, trailing zeros and all-zero cases."""
+    """Polynomials with leading zeros, trailing zeros and the zero series."""
     rng = random.Random(f"golden-{field.characteristic}")
     exact = TruncatedSeries.exact_series
-    truncated = TruncatedSeries.truncated
     return [
         TruncatedSeries.zero(field),
         TruncatedSeries.t_power(field, 2, 2),
         exact(field, [1, 1]),
         exact(field, random_coeffs(rng, field, 5)),
         exact(field, [0, 0] + random_coeffs(rng, field, 4)),
-        truncated(field, (), 6),
-        truncated(field, [0, 1], 3),
-        truncated(field, [0, 0, 1, 0], 7),
-        truncated(field, [1] + random_coeffs(rng, field, 4), 5),
     ]
 
 
 def golden_record():
-    """Per operation: str, exact, known_order, order_lower_bound, or the error class."""
+    """Per operation: str and order, an on-demand quotient's `prefix`, or the error class."""
     lines = []
 
     def record(label, thunk):
         try:
             s = thunk()
-            lines.append(f"{label} {s} {s.exact} {s.known_order()!r} {s.order_lower_bound()!r}")
+            if s.exact:
+                lines.append(f"{label} {s} {s.order()!r}")
+            else:
+                lines.append(f"{label} {TruncatedSeries.exact_series(s.field, prefix(s))} + ... on demand")
         except EngineError as error:
             lines.append(f"{label} {type(error).__name__}")
 
@@ -715,17 +671,15 @@ def golden_record():
                 record(f"{pair} sub", lambda: a - b)
                 record(f"{pair} mul", lambda: a * b)
                 record(f"{pair} compose", lambda: a.compose(b))
-                record(f"{pair} divide", lambda: a.divide(b, fallback_precision=12))
-                record(f"{pair} divide-product", lambda: (a * b).divide(b, fallback_precision=12))
+                record(f"{pair} divide", lambda: a.divide(b))
+                record(f"{pair} divide-product", lambda: (a * b).divide(b))
     return "\n".join(lines)
 
 
 def test_series_operations_golden_digest():
-    # Pins every operation on exact, truncated and all-zero operands.  The
-    # precision of an exact series is left out; an all-zero truncated one
-    # prints as "O(t^N)", and order_lower_bound repeats its precision.
+    # Pins every operation on polynomial operands, the zero series included.
     text = golden_record()
-    assert len(text.splitlines()) == 3 * 9 * (2 + 4 + 4 + 3 + 9 * 6)
+    assert len(text.splitlines()) == 3 * 5 * (2 + 4 + 4 + 3 + 5 * 6)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3a575e873ffdb3b15693c6c8e692f15fd5633a1516a27cc7d298fd3bc2728bdc"
+        "ffafb7c2da45a25203917e864a1170715154bf6a820f7dee9dc8f57dbe26391a"
     )
