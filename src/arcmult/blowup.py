@@ -2,19 +2,25 @@
 
 Restricted, loudly, to hypersurfaces: the multiplicity of X = V(f) at a
 rational point is the local order of f there, so the whole sequence can be
-driven by exact polynomial and series arithmetic.  The machinery: append a
-graph coordinate mapped to t, then repeatedly blow up the arc's center,
-lift the arc by dividing components, and take the strict transform of the
-defining polynomial, until the multiplicity first drops below its initial
-value.  Both transforms of a point blow-up, the strict one here and the
-weighted one of `rees`, go through `ChartMap.transform`, a map on exponents.
-Blow-ups that stay in one chart at the origin are made a run at a time
+driven by exact polynomial arithmetic.  The machinery: append a graph
+coordinate mapped to t, then repeatedly blow up the arc's center, lift the
+arc, and take the strict transform of the defining polynomial, until the
+multiplicity first drops below its initial value.
+
+Every blow-up is made in the chart of the graph coordinate.  Its component
+is t, of order 1, and no component has a lower order, so that chart holds
+the lifted arc's point, and the multiplicity there does not depend on the
+chart that computes it.  A lift there is x_i -> (x_i - c_i t) / t: a slice
+of each component's coefficients, whose dropped constant c_i is the next
+center, and the graph component stays t.  Every lift of a polynomial arc is
+a polynomial.  Both transforms of a point blow-up, the strict one here and
+the weighted one of `rees`, go through `ChartMap.transform`, a map on
+exponents.  Blow-ups that stay at the origin are made a run at a time
 (`run_length`): one slice of the arc and one exponent map of f.  The chain
 carries f modulo x_i^(m_0+1) for each coordinate x_i along which the arc is
-exactly zero, and without the terms of degree too high to set a multiplicity
-in the blow-ups left.  A lift whose quotient does not terminate is computed
-only as far as the later blow-ups read it.  The report keeps one (chart,
-steps) pair per run, from which the trace is replayed on the whole of f, one
+exactly zero, and without the terms of degree too high to set a
+multiplicity in the blow-ups left.  The report keeps one (chart, steps)
+pair per run, from which the trace is replayed on the whole of f, one
 blow-up at a time, when it is read.
 """
 
@@ -157,45 +163,40 @@ def graph_arc(arc: Arc, extra_variable: str | None = None) -> Arc:
     return Arc._of(arc.variables + (name,), arc.components + (t,), arc.field)
 
 
+def _graph_index(arc: Arc) -> int:
+    """The index of the graph coordinate, the arc's last component, which must be t."""
+    j = len(arc.components) - 1
+    if arc.components[j].coeffs != (arc.field.zero, arc.field.one):
+        raise EngineError(f"no graph chart along {arc}: its last component is not t")
+    return j
+
+
 def blowup_lift(arc: Arc, steps: int = 1) -> tuple:
-    """Lift an arc through the blow-up of its center (the origin).
+    """Lift a graph arc (`graph_arc`) through the blow-up of its center, the origin.
 
-    The chart is the component of minimal t-order (ties to the lowest
-    index); the lifted components are quotients by that component.  The
-    constant terms that appear are the next center: they are recorded in
-    the ChartMap translation and dropped so the lifted arc is again
-    centered at the origin.  A quotient that does not terminate is handed
-    on as an on-demand series (`TruncatedSeries.divide`): its coefficients
-    are exact, and computed as they are read.
+    The chart is the graph coordinate's, the last component, which is t; an
+    arc whose last component is not t raises EngineError.  Each other
+    component x_i = sum a_k t^k lifts to x_i / t less its constant a_1: the
+    slice of its coefficients from t^2.  The constants are the next center,
+    recorded in the ChartMap translation, so the lifted arc is again centered
+    at the origin, and the graph component stays t.
 
-    `steps` > 1 lifts through a run of that many blow-ups (`run_length`):
-    the arc is exact, its chart component an exact monomial c t^nu, and each
-    lift divides by it again, so all of them are one division by
-    c^steps t^(steps nu).  EngineError if the arc admits no such run.
+    `steps` > 1 lifts through a run of that many blow-ups (`run_length`): the
+    slice from t^(steps + 1), EngineError unless every coefficient up to
+    t^steps is zero, so that every center of the run is the origin.
     """
     field = arc.field
-    best_index, nu = arc.chart()
-    divisor = arc.components[best_index]
-    if steps > 1 and not (divisor.monomial and all(comp.exact for comp in arc.components)):
-        raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
-    if steps > 1:
-        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[-1] ** steps)
-    lifted = []
-    constants = []
-    for i, comp in enumerate(arc.components):
-        if i == best_index:
-            lifted.append(comp)
-            constants.append(field.zero)
-            continue
-        quotient = comp.divide(divisor)
-        constant = quotient.coefficient(0)
-        constants.append(constant)
-        lifted.append(quotient.without_constant() if constant else quotient)
-    if steps > 1 and any(constants):
-        raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
-    chart = ChartMap(arc.variables, best_index, tuple(constants))
-    # Each quotient has its constant term dropped, and the chart component stays nonzero.
-    return chart, Arc._of(arc.variables, tuple(lifted), field)
+    j = _graph_index(arc)
+    lifted, constants = [], []
+    for comp in arc.components[:j]:
+        coeffs = comp.coeffs
+        if steps > 1 and any(coeffs[: steps + 1]):
+            raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
+        constants.append(coeffs[steps] if steps < len(coeffs) else field.zero)
+        rest = coeffs[steps + 1 :]
+        lifted.append(TruncatedSeries(field, (field.zero, *rest)) if rest else TruncatedSeries.zero(field))
+    chart = ChartMap(arc.variables, j, (*constants, field.zero))
+    return chart, Arc._of(arc.variables, (*lifted, arc.components[j]), field)
 
 
 def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None, bound=INF) -> MultiPoly:
@@ -220,11 +221,10 @@ def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None
 def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     """How many blow-ups, at most `limit`, the next iteration of `nash_sequence` makes.
 
-    More than one (a run) only when the arc is exact and its chart component
-    x_j is a monomial c t^nu.  While every other component has order above
-    l * nu, the l-th lift divides it by c t^nu once more: the chart stays j
-    and no constant term appears, so every center is the origin.  That bounds
-    the run by ceil(ord_i / nu) - 1 for each other nonzero component.
+    The chart is the graph coordinate's, x_j = t, as in `blowup_lift`.  While
+    every other component has order above l, its l-th lift is its slice from
+    t^(l + 1) with a zero constant, so every center is the origin.  That
+    bounds the run by ord_i - 1 for each other nonzero component.
 
     `multiplicity` is m, the order of `poly`.  After l blow-ups of the run a
     term x^e with r = |e| - e_j has degree |e| + l (r - m), so the order
@@ -232,18 +232,17 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     first falls below m at l = (|e| - m) // (m - r) + 1, and the run ends at
     the first such drop.  Otherwise the iteration is a single blow-up.  By
     concavity o_1 <= m shows that no step of the run raises the multiplicity;
-    if it fails, the same EngineError as `nash_sequence`'s.
+    if it fails, the same EngineError as `nash_sequence`'s.  EngineError too
+    if the arc's last component is not t.
     """
-    if limit < 2 or not all(comp.exact for comp in arc.components):
-        return 1
-    j, nu = arc.chart()
-    if not arc.components[j].monomial:
+    j = _graph_index(arc)
+    if limit < 2:
         return 1
     steps = limit
-    for i, comp in enumerate(arc.components):
+    for comp in arc.components[:j]:
         order = comp.order()
-        if i != j and order != INF:
-            steps = min(steps, -(-order // nu) - 1)
+        if order != INF:
+            steps = min(steps, order - 1)
     if steps < 2:
         return 1
     m = multiplicity
@@ -267,6 +266,10 @@ def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS)
     max_steps (reported, never silent).  Each iteration makes the blow-ups
     of one run (`run_length`), a single one when no run applies, and records
     it as one `(chart, steps)` pair.
+
+    Every blow-up is made in the chart of the graph coordinate (`blowup_lift`),
+    which holds the lifted arc's point: each lift of a polynomial arc is a
+    slice of its coefficients, and the sequence does not depend on the chart.
 
     The chain works modulo x_i^(m_0+1) for each coordinate x_i along which
     the arc is exactly zero.  Such a component stays zero, so x_i is never

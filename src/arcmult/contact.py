@@ -46,7 +46,7 @@ class ContactResult:
 
 def _lead_orders(algebra: ReesAlgebra, pattern, leads, monomial=True) -> dict:
     """{index: ord_t(phi(g))} for the generators g whose order the `lead_sums`
-    decide along an exact arc with component t-orders `pattern` and lowest
+    decide along an arc with component t-orders `pattern` and lowest
     coefficients `leads` (`Arc.leads`): on a monomial arc every generator's,
     as the least degree with a nonzero sum (INF when none is), and on any
     other those whose initial form, the sum at the least degree L(g), does
@@ -79,7 +79,7 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     """(r, orders): r = min ord_t(phi(g))/w over the generators g W^w, and the
     sorted (index, order) pairs.
 
-    On an exact arc the orders that its `Arc.leads` decide are read by
+    The orders that the arc's `Arc.leads` decide are read by
     `_lead_orders`: on a monomial arc, every one.  A grid entry (pattern,
     leads) of `sample_arcs` is read by the same rule through `grid_r_bar`,
     with no arc built: `verify_main_theorem` builds only a grid arc that is
@@ -88,11 +88,8 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     generator is evaluated on one power cache of the arc, built at the first
     need.
     """
-    exact = arc.leads()
-    orders = {}
-    if exact:
-        ensure_arc_ring(algebra, arc, "algebra")
-        orders = _lead_orders(algebra, *exact)
+    ensure_arc_ring(algebra, arc, "algebra")
+    orders = _lead_orders(algebra, *arc.leads())
     powers = None
     for i, (poly, _) in enumerate(algebra.generators):
         if i not in orders:

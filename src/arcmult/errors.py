@@ -35,10 +35,6 @@ class ParseError(EngineError):
         super().__init__(message + where)
 
 
-class DivisionOrderError(EngineError):
-    """Series division with divisor order exceeding the dividend order."""
-
-
 class NotInSingularLocus(EngineError):
     """Order of a Rees algebra requested at a point outside its singular locus."""
 

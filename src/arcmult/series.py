@@ -1,12 +1,11 @@
-"""Univariate power series in t, and arcs.
+"""Univariate series in t, and arcs.
 
-A TruncatedSeries is a polynomial in t: it stores its coefficients, without
-trailing zeros, and every coefficient past them is zero.  So its order is
-exact, INF for the zero series.  A quotient that does not terminate is an
-on-demand series: every coefficient is exact, computed by a resumable
-recurrence on integers when it is first read.  It has no finite expansion:
-it is read one coefficient at a time, divided, and its constant dropped,
-and its order is read only against other series (`_least_order`).
+Every series is a polynomial in t.  A TruncatedSeries stores its
+coefficients without trailing zeros, and every coefficient past them is
+zero, so its order is exact, INF for the zero series.  Series are added,
+multiplied, raised to powers, composed and reparametrized; none is divided.
+A Nash chain lifts its arc in the chart of the graph coordinate t, where a
+lift is a slice of each component's coefficients (`blowup.blowup_lift`).
 
 An Arc assigns one series to each ambient variable; components always have
 zero constant term (arcs are stored recentered at the current chart origin).
@@ -14,14 +13,12 @@ zero constant term (arcs are stored recentered at the current chart origin).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .errors import ArcNotOnVariety, DivisionOrderError, EngineError, InvalidArc, VariableMismatch
+from .errors import ArcNotOnVariety, EngineError, InvalidArc, VariableMismatch
 from .fields import INF, FieldSpec, ensure_same_field, format_terms
 from .poly import MultiPoly, Powers, parse_poly
 
@@ -33,7 +30,6 @@ _UNREAD = object()
 class TruncatedSeries:
     field: FieldSpec
     coeffs: tuple
-    exact = True  # not a field: an `_OnDemandSeries` is not
     _order = _UNREAD  # not a field: `order` fills it on the first read
 
     # -- constructors ------------------------------------------------------------
@@ -117,46 +113,6 @@ class TruncatedSeries:
         if n < 0:
             raise EngineError("negative series power")
         return _powers((self,), self.field).power(0, n).series(self.field)
-
-    def divide(self, other):
-        """Series division; requires order(divisor) <= order(dividend).
-
-        Either operand may be an on-demand series.  The divisor's order is
-        read against the dividend's coefficients below it (`_least_order`).
-        A quotient of two polynomials that does not terminate, and every
-        quotient with an on-demand operand, is an on-demand series: its
-        coefficients come from `_series_quotient` when first read."""
-        ensure_same_field(self.field, other.field)
-        field = self.field
-        if other.is_exactly_zero():
-            raise DivisionOrderError("division by the zero series")
-        if self.is_exactly_zero():
-            return TruncatedSeries.zero(field)
-        first, divisor_order = _least_order((other, self))
-        if first:
-            raise DivisionOrderError(f"the dividend has order {divisor_order}, below the divisor's")
-        if not self.exact:
-            return _OnDemandSeries(_Quotient(self, other, divisor_order))
-        if other.monomial:  # c t^k: the coefficients from t^k on, scaled by 1/c
-            coeffs = self.coeffs[divisor_order:]
-            c = other.coeffs[-1]
-            if c != 1:
-                inverse = field.inv(c)
-                coeffs = tuple(field.mul(a, inverse) for a in coeffs)
-            return TruncatedSeries(field, coeffs)
-        quotient = _Quotient(self, other, divisor_order)
-        if other.exact:
-            # Past len(a) the recurrence has order len(b) - 1, so a/b is a polynomial
-            # exactly when q vanishes on the len(b) - 1 indices below len(a).
-            n, m = len(self.coeffs) - divisor_order, len(other.coeffs) - divisor_order
-            _series_quotient(quotient, n)
-            if not any(quotient.ints[max(0, n - m + 1) : n]):
-                return TruncatedSeries._of(field, quotient.values(0, n))
-        return _OnDemandSeries(quotient)
-
-    def without_constant(self) -> "TruncatedSeries":
-        """The series less its constant term."""
-        return TruncatedSeries._of(self.field, [self.field.zero, *self.coeffs[1:]])
 
     def compose(self, inner: "TruncatedSeries", powers: Powers | None = None) -> "TruncatedSeries":
         """Substitute t -> inner(t); inner must have zero constant term.
@@ -275,174 +231,6 @@ def _image(field: FieldSpec, terms, powers: Powers) -> ClearedSeries:
     return ClearedSeries(raw, scale * common, p)
 
 
-def _least_order(series) -> tuple:
-    """(index, order) of the first of `series` of least t-order, INF when all are zero.
-
-    A polynomial's order is scanned once and kept, and so is an on-demand
-    series' once a read has found it.  The other on-demand series are read
-    one coefficient at a time, in lockstep, up to the least order: the read
-    ends as soon as one of the series is known to be nonzero there."""
-    known = [s.order() if s.exact else s._order for s in series]
-    if None not in known:
-        least = min(known)
-        return known.index(least), least
-    for i in itertools.count():
-        for j, (s, order) in enumerate(zip(series, known)):
-            if order == i or (order is None and s.coefficient(i)):
-                if order is None:
-                    s._order = i
-                return j, i
-
-
-class _Quotient:
-    """The quotient a / b on integers, extended on demand by `_series_quotient`.
-
-    A series is read on integers as x_i = num * X_i / (scale * ratio^i): an
-    expanded series as `FieldSpec.cleared` clears it (num = ratio = 1), an
-    on-demand one through its `_Quotient`, whose `ints` are the X_i computed so
-    far.  With d the order of b, u and v the operands' ratios and w their lcm,
-    A_k = A_(k+d) (w/u)^k and B_k = B_(k+d) (w/v)^k make a / b a constant times
-    A(t/w) / B(t/w).  With c = |B_0|, the recurrence's R_k = c^(k+1) (A/B)_k
-    are this quotient's `ints`, at num = num_a scale_b v^d, scale =
-    num_b scale_a u^d c and ratio = c w.  Over F_p every num, scale and ratio
-    is 1, and c is made 1 by the inverse of B_0.
-    """
-
-    __slots__ = (
-        "field", "ints", "num", "scale", "ratio", "shift", "dividend", "divisor",
-        "head", "head_step", "weights", "weight", "weight_step",
-    )
-
-    def __init__(self, a, b, d: int):
-        self.field = field = a.field
-        p = field.characteristic
-        self.shift = d
-        self.ints = []
-        a_ints, a_num, a_scale, u, a_source = _operand(a)
-        b_ints, b_num, b_scale, v, b_source = _operand(b)
-        self.dividend, self.divisor = (a_ints, a_source), (b_ints, b_source)
-        w = math.lcm(u, v)
-        lead = b_ints[d]
-        if p:
-            c, sign = 1, pow(lead, p - 2, p)
-        else:
-            c, sign = abs(lead), (1 if lead > 0 else -1)
-        self.num = a_num * b_scale * v**d
-        self.scale = b_num * a_scale * u**d * c
-        self.ratio = c * w
-        # R_k = head_k A_(k+d) - sum_j weight_j R_(k-j), with head_k = sign (c w/u)^k and
-        # weight_j = sign B_(j+d) (w/v) (c w/v)^(j-1); `head` and `weight` are the next powers.
-        self.head, self.head_step = sign, c * (w // u)
-        self.weights, self.weight, self.weight_step = [], sign * (w // v), c * (w // v)
-        if d == 0 and type(a) is _OnDemandSeries and a._dropped:
-            self.ints.append(0)  # A_0 is the dropped constant
-            self.head *= self.head_step
-
-    def values(self, start: int, stop: int) -> list:
-        """Coefficients start to stop - 1 as field elements; the caller extends first."""
-        ints, field = self.ints[start:stop], self.field
-        if self.num != 1:
-            ints = [self.num * v for v in ints]
-        if self.ratio == 1:
-            return field.uncleared(ints, self.scale)
-        values, scale = [], self.scale * self.ratio**start
-        for v in ints:
-            values.append(Fraction(v, scale))
-            scale *= self.ratio
-        return values
-
-
-def _operand(series) -> tuple:
-    """(ints, num, scale, ratio, source) of an operand of `_Quotient`: an on-demand
-    series reads its quotient's growing `ints`, and `source` is that quotient."""
-    if type(series) is _OnDemandSeries:
-        q = series._quotient
-        return q.ints, q.num, q.scale, q.ratio, q
-    ints, scale = series.field.cleared(series.coeffs)
-    return ints, 1, scale, 1, None
-
-
-def _series_quotient(q: _Quotient, n: int) -> None:
-    """Extend the recurrence of q (`_Quotient`) to its first n coefficients.
-
-    With c = |B_0| each R_k = c^(k+1) (A / B)_k stays integral:
-    R_k = c^k A_k - sum_{j=1}^{k} B_j c^(j-1) R_{k-j}, with A and B negated when
-    B_0 < 0.  Over F_p, A and B are first multiplied by the inverse of B_0, so
-    c = 1 and R is reduced mod p.  An on-demand operand is extended first, to the
-    n + d coefficients that the new entries read, and no further.  Each lift of a
-    Nash chain divides the previous lift, so the operands are walked on an explicit
-    stack: a chain of any length extends without recursion."""
-    if n <= len(q.ints):
-        return
-    pending = [(q, n, False)]  # (quotient, length, whether its operands are extended)
-    while pending:
-        q, n, ready = pending.pop()
-        R = q.ints
-        if n <= len(R):
-            continue
-        d, p = q.shift, q.field.characteristic
-        (A, a_source), (B, b_source) = q.dividend, q.divisor
-        if not ready:
-            m = n + d
-            short = a_source is not None and len(A) < m, b_source is not None and len(B) < m
-            if any(short):
-                pending.append((q, n, True))  # extended once the operands above it are
-                if short[0]:
-                    pending.append((a_source, m, False))
-                if short[1]:
-                    pending.append((b_source, m, False))
-                continue
-        weights, power, step = q.weights, q.weight, q.weight_step
-        for j in range(len(weights) + 1, min(n, len(B) - d)):
-            weight = B[j + d] * power
-            weights.append(weight % p if p else weight)
-            power *= step
-        q.weight = power
-        power, step = q.head, q.head_step
-        for k in range(len(R), n):
-            a = A[k + d] * power if k + d < len(A) else 0
-            v = a - sum(map(mul, weights, reversed(R)))
-            R.append(v % p if p else v)
-            power *= step
-        q.head = power
-
-
-class _OnDemandSeries:
-    """A quotient (`TruncatedSeries.divide`) that does not terminate: coefficient
-    i is exact, computed by `_series_quotient` when first read, and `dropped`
-    reads the constant term as zero.  `_order` is its order once `_least_order`
-    has read it."""
-
-    exact = monomial = False
-
-    def __init__(self, quotient: _Quotient, dropped: bool = False):
-        self.field = quotient.field
-        self._quotient = quotient
-        self._dropped = dropped
-        self._order = None
-
-    def is_exactly_zero(self) -> bool:
-        return False
-
-    def coefficient(self, i: int):
-        if i == 0 and self._dropped:
-            return self.field.zero
-        _series_quotient(self._quotient, i + 1)
-        return self._quotient.values(i, i + 1)[0]
-
-    divide = TruncatedSeries.divide
-
-    def without_constant(self) -> "_OnDemandSeries":
-        return _OnDemandSeries(self._quotient, True)
-
-    @property
-    def coeffs(self):
-        raise EngineError("an on-demand series has no finite expansion: it is read one coefficient at a time")
-
-    def __str__(self):
-        return "(a quotient read on demand)"
-
-
 def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
     """Parse polynomial-in-t text like "t^3 + 2*t^5" into an exact series."""
     poly = parse_poly(text, ("t",), field)
@@ -463,7 +251,6 @@ class Arc:
     variables: tuple
     components: tuple
     field: FieldSpec = dataclass_field(default=None)
-    _chart = None  # not a field: `chart` fills it on the first read that succeeds
     _leads = _UNREAD  # not a field: `leads` fills it on the first read
     _certified = None  # not a field: the polynomial `certify_on_hypersurface` last certified it on
 
@@ -498,38 +285,23 @@ class Arc:
         return self.components[self.variables.index(name)]
 
     def order(self) -> int:
-        """nu_t: minimal t-order over the components."""
-        return self.chart()[1]
+        """nu_t: the least t-order of the components.  InvalidArc when every
+        component is zero, as only an arc built past the constructor can be."""
+        order = min(c.order() for c in self.components)
+        if order == INF:
+            raise InvalidArc("arc must have at least one nonzero component")
+        return order
 
-    def chart(self) -> tuple:
-        """(index, nu): nu = `order`, and index the first component of t-order nu,
-        the chart of the blow-up of the arc's center.
-
-        Read on the first call and kept: a blow-up reads it to pick its chart
-        and to measure its run.  `_least_order` reads the on-demand components
-        of a lift (`blowup_lift`) in lockstep up to nu, and a lift keeps its
-        chart component, of known order, so the read ends.  InvalidArc when
-        every component is zero, on every read."""
-        chart = self._chart
-        if chart is None:
-            chart = _least_order(self.components)
-            if chart[1] == INF:
-                raise InvalidArc("arc must have at least one nonzero component")
-            self.__dict__["_chart"] = chart
-        return chart
-
-    def leads(self):
-        """(pattern, leads, monomial) for `lead_sums` along an arc of polynomials, None along any other:
-        each component's t-order and lowest coefficient, None for a zero component, and
-        whether every component is zero or one term c t^k, so that the sums are the whole image.
-        Scanned on the first read and kept, as `chart` is."""
+    def leads(self) -> tuple:
+        """(pattern, leads, monomial) for `lead_sums`: each component's t-order and
+        lowest coefficient, None for a zero component, and whether every component is
+        zero or one term c t^k, so that the sums are the whole image.  Scanned on the
+        first read and kept."""
         leads = self._leads
         if leads is _UNREAD:
-            leads = None
-            if all(c.exact for c in self.components):
-                pattern = tuple(c.order() if c.coeffs else None for c in self.components)
-                lows = tuple(None if k is None else c.coeffs[k] for c, k in zip(self.components, pattern))
-                leads = pattern, lows, all(c.monomial or not c.coeffs for c in self.components)
+            pattern = tuple(c.order() if c.coeffs else None for c in self.components)
+            lows = tuple(None if k is None else c.coeffs[k] for c, k in zip(self.components, pattern))
+            leads = pattern, lows, all(c.monomial or not c.coeffs for c in self.components)
             self.__dict__["_leads"] = leads
         return leads
 
@@ -538,7 +310,7 @@ class Arc:
 
     def compose(self, inner: TruncatedSeries) -> "Arc":
         """Each component composed with inner, one cache of inner's powers for all;
-        an exact monomial inner, an exponent map, reads none."""
+        a monomial inner, an exponent map, reads none."""
         powers = None if inner.monomial else _powers((inner,), self.field)
         return Arc(self.variables, tuple(c.compose(inner, powers) for c in self.components), self.field)
 
@@ -584,7 +356,7 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     Along a monomial arc (`Arc.leads`) the image is read whole from the
     `lead_sums`, with no series product, up to the last degree whose sum is
     nonzero; any other arc is evaluated by `arc_image`."""
-    pattern, leads, monomial = arc.leads() or (None, None, False)
+    pattern, leads, monomial = arc.leads()
     if not monomial:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")

@@ -9,14 +9,15 @@ them at points, `integral_invariance_check` adjoins an integral element,
 `ring_map_translate` shifts a polynomial through the ring map,
 `reference_shift` shifts it by the dense Taylor shift,
 `horner_compose` composes two series by Horner's rule,
-`prefix` reads a series as tests compare it,
+`padded_quotient` divides two coefficient lists by the schoolbook recurrence,
 `time_limit` fails a block that runs too long,
 `reference_generator_orders` builds every generator's exact image along an arc,
 `random_monomial_arc` draws an arc x_i -> u_i t^(a_i) with a polynomial on it,
 `reference_unit_choice` evaluates the initial form `minimizing_arc` reads,
 `reference_visible_elimination` eliminates through a dense nullspace,
-`reference_lift` lifts an arc through a blow-up by series division,
-`stepwise_nash_sequence` makes one blow-up per iteration of the chain,
+`reference_lift` lifts an arc, carried as coefficient prefixes, through a
+blow-up in the chart of its first component of least order,
+`stepwise_nash_sequence` makes one blow-up per iteration of the chain in that chart,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
 presenting algebra it takes, `derivatives_of` drops f W^m from f's
@@ -37,6 +38,7 @@ import math
 import random
 import signal
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -274,15 +276,21 @@ def horner_compose(outer, inner):
     return result
 
 
-#: How many coefficients `prefix` reads of an on-demand series.
-PREFIX_LENGTH = 12
-
-
-def prefix(series, n=PREFIX_LENGTH):
-    """A polynomial as itself, and an on-demand series, which has no finite
-    expansion, as the tuple of its first n coefficients: the one way the
-    tests compare series."""
-    return series if series.exact else tuple(series.coefficient(i) for i in range(n))
+def padded_quotient(field, a, b, n):
+    """First n coefficients of a / b with both operands zero-padded to length n, by the
+    schoolbook recurrence q_k = (a_k - sum_j b_j q_(k-j)) / b_0 over the nonzero b_j."""
+    a = list(a) + [field.zero] * max(0, n - len(a))
+    terms = [(j, c) for j, c in enumerate(b[1:n], 1) if c]
+    inverse = field.inv(b[0])
+    q = []
+    for k in range(n):
+        acc = a[k]
+        for j, c in terms:
+            if j > k:
+                break
+            acc = field.sub(acc, field.mul(q[k - j], c))
+        q.append(field.mul(acc, inverse))
+    return q
 
 
 @contextlib.contextmanager
@@ -449,40 +457,61 @@ def reference_visible_elimination(algebra, eliminated):
     return ReesAlgebra.of(remaining, found, field).diff_closure()
 
 
-def reference_lift(arc, steps=1):
-    """`blowup_lift` written out: the chart found by a scan of every component's
-    coefficients, one power of t at a time, a run's divisor (c t^nu)^steps built as
-    a series, every quotient taken by `divide` and each constant term subtracted as
-    a series, or dropped from an on-demand quotient."""
-    field = arc.field
-    nu = next(k for k in itertools.count() if any(comp.coefficient(k) for comp in arc.components))
-    index = next(i for i, comp in enumerate(arc.components) if comp.coefficient(nu))
-    divisor = arc.components[index]
-    if steps > 1:
-        if not all(comp.exact for comp in arc.components) or len(divisor.coeffs) != nu + 1:
-            raise EngineError(f"no run of {steps} blow-ups along {arc}: its chart component is not an exact monomial")
-        divisor = TruncatedSeries.t_power(field, steps * nu, divisor.coeffs[nu] ** steps)
+class PrefixExhausted(Exception):
+    """`reference_lift` would read a coefficient past the prefixes it carries."""
+
+
+@dataclass(frozen=True)
+class Prefixes:
+    """An arc carried as the first `length` coefficients of each component."""
+
+    variables: tuple
+    field: object
+    components: tuple  # tuples of `length` field elements each
+
+    @classmethod
+    def of(cls, arc, length):
+        return cls(arc.variables, arc.field, tuple(tuple(c.coefficient(k) for k in range(length)) for c in arc.components))
+
+    @property
+    def length(self):
+        return len(self.components[0])
+
+
+def reference_lift(arc):
+    """One blow-up of `Prefixes` in the chart of the first component of least
+    order, the chart rule `blowup_lift` does not take: every other component is
+    divided by the chart component through `padded_quotient` and its constant, the
+    next center, is dropped.  A chart component of order nu leaves nu fewer known
+    coefficients; PrefixExhausted when a read would pass the prefixes."""
+    field, n = arc.field, arc.length
+    nu = next((k for k in range(n) if any(comp[k] for comp in arc.components)), None)
+    if nu is None or nu >= n - 1:
+        raise PrefixExhausted(f"a lift reads past {n} coefficients")
+    index = next(i for i, comp in enumerate(arc.components) if comp[nu])
+    divisor = arc.components[index][nu:]
     lifted, constants = [], []
     for i, comp in enumerate(arc.components):
-        quotient = comp if i == index else comp.divide(divisor)
-        constant = field.zero if i == index else quotient.coefficient(0)
-        constants.append(constant)
-        if quotient.exact:
-            lifted.append(quotient - TruncatedSeries.exact_series(field, [constant]))
-        else:
-            lifted.append(quotient.without_constant())
-    if steps > 1 and any(constants):
-        raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
-    return ChartMap(arc.variables, index, tuple(constants)), Arc(arc.variables, tuple(lifted), field)
+        if i == index:
+            lifted.append(comp[: n - nu])
+            constants.append(field.zero)
+            continue
+        quotient = padded_quotient(field, comp[nu:], divisor, n - nu)
+        constants.append(quotient[0])
+        lifted.append((field.zero, *quotient[1:]))
+    return ChartMap(arc.variables, index, tuple(constants)), Prefixes(arc.variables, field, tuple(lifted))
 
 
 def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
     """`nash_sequence` one blow-up per iteration, every transform built whole when its
     step is made and every lift taken by `reference_lift`.
 
-    A route `nash_sequence`, which makes a run of blow-ups in one chart at once, lifts
-    along a monomial chart component by slicing and drops the terms of degree above m_0
-    in a coordinate along which the arc is exactly zero, does not take."""
+    A route `nash_sequence`, which blows up in the chart of the graph coordinate,
+    makes a run of blow-ups at once, lifts by slicing and drops the terms of degree
+    above m_0 in a coordinate along which the arc is exactly zero, does not take.  The
+    chart component always has order 1 (the graph coordinate starts as t, and a chart
+    component is kept), so each lift consumes one coefficient of the `max_steps` + 2
+    that are carried."""
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")
     certify_on_hypersurface(poly, arc, f"arc {arc}")
@@ -491,7 +520,7 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
         return NashReport((m0,), 0, poly, (), False, below_threshold=True)
     extra = fresh_variable(arc.variables)
     start = current_poly = poly.extend(arc.variables + (extra,))
-    current_arc = graph_arc(arc, extra)
+    current_arc = Prefixes.of(graph_arc(arc, extra), max_steps + 2)
     sequence = [m0]
     runs = []
     for _ in range(max_steps):
@@ -508,12 +537,13 @@ def stepwise_nash_sequence(poly, arc, max_steps=DEFAULT_MAX_STEPS):
 
 
 def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS):
-    """`nash_sequence` and `stepwise_nash_sequence` give the same report, traces and
-    transforms included, or raise the same error."""
+    """`nash_sequence` and `stepwise_nash_sequence`, which blow up in other charts, give
+    the same sequence, rho and truncation, or raise the same error.  Their traces
+    record their charts, so they are not compared."""
 
     def outcome(chain):
         try:
-            return chain(poly, arc, max_steps).to_json(arc.field, include_trace=True)
+            return chain(poly, arc, max_steps).to_json(arc.field)
         except EngineError as error:
             return type(error), str(error)
 
@@ -745,9 +775,10 @@ def check_nash_monotonicity(rng):
 #: Fields and step limits of `check_lift_chain`.
 _LIFT_FIELDS = FIELDS + (prime_field(7),)
 _LIFT_MAX_STEPS = (0, 1, 5, 32, 100)
-#: (f, arc, max_steps, rho) over Q: chains whose lifts stop terminating and read far.  Along
-#: (t + t^2, (t + t^2)^20) the last blow-up before max_steps 19 and 20 reads a lift made at the
-#: first; at max_steps 1 the one blow-up reads coefficient 0 of an on-demand lift.
+#: (f, arc, max_steps, rho) over Q: chains along composed arcs, where the stepwise
+#: reference's chart leaves the graph coordinate and its lifts stop terminating.  Along
+#: (t + t^2, (t + t^2)^20) the reference reads the last of its carried coefficients at
+#: max_steps 19 and 20.
 LIFT_CHAIN_CASES = (
     ("y^2 - x^21", "(t + t^2)^8, (t + t^2)^84", 100, 84),
     ("y^2 - x^40", "t + t^2, (t + t^2)^20", 0, None),
@@ -759,11 +790,11 @@ LIFT_CHAIN_CASES = (
 
 
 def check_lift_chain(rng):
-    """Along a composed exact arc, `nash_sequence` answers at every max_steps of
-    `_LIFT_MAX_STEPS`, its on-demand lifts read as far as the chain needs, and
-    gives the report of `stepwise_nash_sequence`.  The arc is (s^q, s^p) on y^q - x^p,
+    """Along a composed arc, `nash_sequence` answers at every max_steps of
+    `_LIFT_MAX_STEPS` and gives the report of `stepwise_nash_sequence`, whose lifts
+    divide by a chart component that is not t.  The arc is (s^q, s^p) on y^q - x^p,
     or (s, s^k) on y^2 - x^(2k) with k within one of max_steps, whose chain, when s has
-    order 1, ends within one blow-up of max_steps and reads its lifts to the last."""
+    order 1, ends within one blow-up of max_steps and reads its prefixes to the last."""
     field = _LIFT_FIELDS[rng.randrange(len(_LIFT_FIELDS))]
     coeffs = [field.zero] + [field.coerce(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
     inner = TruncatedSeries.exact_series(field, coeffs)
@@ -782,6 +813,44 @@ def check_lift_chain(rng):
     arc = Arc(XY, components, field)
     nash_sequence(f, arc, max_steps)  # raises nothing
     assert_chain_matches_stepwise(f, arc, max_steps)
+
+
+def random_chain_case(rng, field):
+    """(f, arc, in_locus): an arc x -> s, y -> g(s) and, in width 3, z -> h(s), with s
+    of order 1 or 2 and g, h polynomials without constant term, and an f of order at
+    least 2 that vanishes along it, built from A = y - g(x) and B = z - h(x).  Inside
+    the locus f is A^2, or A^2 + c B^2 in width 3, of multiplicity 2 along the whole
+    curve A = B = 0, so the chain never drops; otherwise f = A (A + r) (+ B q in width
+    3), with r and q of order at least 1.  When s has order 1, x has order 1 and the
+    stepwise reference blows up in the chart of x, not of the graph coordinate."""
+    variables = XYZ[: rng.randint(2, 3)]
+    units = field.units(4)
+    tail = [field.coerce(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))]
+    s = TruncatedSeries.exact_series(field, [field.zero] * rng.randint(1, 2) + [rng.choice(units), *tail])
+    x = MultiPoly.variable("x", variables, field)
+    components, curve = [s], []
+    for name in variables[1:]:
+        coeffs = [field.zero] + [field.coerce(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+        components.append(TruncatedSeries.exact_series(field, coeffs).compose(s))
+        g = MultiPoly.zero(variables, field)
+        for k, c in enumerate(coeffs):
+            g = g + (x**k).scale(c)
+        curve.append(MultiPoly.variable(name, variables, field) - g)
+    in_locus = rng.random() < 0.4
+    if in_locus:
+        f = curve[0] ** 2
+        if len(curve) > 1:
+            f = f + (curve[1] ** 2).scale(rng.choice(units))
+    else:
+        def of_order_one_or_more():
+            return random_poly(rng, field, variables, 2, 3) * MultiPoly.variable(rng.choice(variables), variables, field)
+
+        f = curve[0] * (curve[0] + of_order_one_or_more())
+        if len(curve) > 1:
+            f = f + curve[1] * of_order_one_or_more()
+        if f.is_zero():  # r = -A
+            return random_chain_case(rng, field)
+    return f, Arc(variables, tuple(components), field), in_locus
 
 
 #: Leads of monomial arcs: small units, and over Q two with a denominator.

@@ -1,15 +1,17 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from property_checks import (
     FIELDS,
+    Prefixes,
     SequenceTruncated,
     assert_chain_matches_stepwise,
     assert_well_formed,
     persistence_oracle,
-    prefix,
+    random_chain_case,
     random_monomial_arc,
     reference_lift,
     ring_map_translate,
@@ -17,7 +19,7 @@ from property_checks import (
     time_limit,
 )
 
-from arcmult import blowup, series
+from arcmult import blowup
 from arcmult.blowup import (
     ChartMap,
     NashStep,
@@ -27,7 +29,7 @@ from arcmult.blowup import (
     run_length,
     strict_transform,
 )
-from arcmult.corpus import load_problem
+from arcmult.corpus import corpus_names, load_problem
 from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
@@ -69,48 +71,48 @@ class TestGraphArc:
 
 
 class TestBlowupLift:
-    def test_divides_by_minimal_order_component(self):
+    def test_slices_in_the_graph_chart(self):
         chart, lifted = blowup_lift(arc(Q, "t^2", "t^3", "t"))
         assert chart.index == 2
         assert chart.translation == (0, 0, 0)
         assert lifted == arc(Q, "t", "t^2", "t")
 
     def test_second_step(self):
-        # Orders (1, 2, 1): tie between x and w, broken to x.  Dividing the
-        # w-component by the chart component gives t/t = 1, which is the new
-        # center's w-coordinate after recentering.
+        # Orders (1, 2, 1): x = t ties with the graph coordinate, whose chart is taken.
+        # x / t = 1 is the new center's x-coordinate, and x lifts to 0 after recentering.
         chart, lifted = blowup_lift(arc(Q, "t", "t^2", "t"))
-        assert chart.index == 0
-        assert chart.translation == (0, 0, 1)
-        assert lifted == arc(Q, "t", "t", "0")
+        assert chart.index == 2
+        assert chart.translation == (1, 0, 0)
+        assert lifted == arc(Q, "0", "t", "t")
 
-    def test_tie_breaks_to_lowest_index_and_records_center(self):
+    def test_records_the_center_and_keeps_t(self):
         chart, lifted = blowup_lift(arc(Q, "t", "t + t^2", "t"))
-        assert chart.index == 0
-        assert chart.translation == (0, 1, 1)
-        assert lifted == arc(Q, "t", "t", "0")
+        assert chart.index == 2
+        assert chart.translation == (1, 1, 0)
+        assert lifted == arc(Q, "0", "t", "t")
 
-    def test_steps_divide_by_a_power_of_the_monomial(self):
-        chart, lifted = blowup_lift(arc(Q, "2*t^2", "t^9 + t^11", "0"), steps=3)
-        assert chart.index == 0 and chart.translation == (0, 0, 0)
-        eighth = Fraction(1, 8)
-        y = TruncatedSeries.exact_series(Q, [0, 0, 0, eighth, 0, eighth])
-        assert lifted == Arc(("x", "y", "w"), (parse_series("2*t^2", Q), y, parse_series("0", Q)), Q)
+    def test_steps_slice_from_a_power_of_t(self):
+        chart, lifted = blowup_lift(graph_arc(arc(Q, "2*t^5", "t^9 + t^11", "0", variables=("x", "y", "z"))), steps=3)
+        assert chart.index == 3 and chart.translation == (0, 0, 0, 0)
+        assert lifted == arc(Q, "2*t^2", "t^6 + t^8", "0", "t", variables=("x", "y", "z", "w"))
 
     @pytest.mark.parametrize(
         "texts",
-        [("t^2 + t^3", "t^9"), ("t^2", "t^6"), ("t^2", "t^5")],
-        ids=["not-a-monomial", "center-off-the-origin", "order-below-the-run"],
+        [("t^3", "t^9"), ("t^2", "t^5")],
+        ids=["center-off-the-origin", "order-below-the-run"],
     )
     def test_steps_reject_an_arc_without_that_run(self, texts):
-        with pytest.raises(EngineError):
-            blowup_lift(arc(Q, *texts), steps=3)
+        with pytest.raises(EngineError, match="a center leaves the origin$"):
+            blowup_lift(graph_arc(arc(Q, *texts)), steps=3)
 
-    def test_steps_reject_an_on_demand_arc(self):
-        y = parse_series("t^10", Q).divide(parse_series("t + t^2", Q))  # t^9 - t^10 + ... on demand
-        on_demand = Arc(("x", "y"), (parse_series("t^2", Q), y), Q)
-        with pytest.raises(EngineError, match="its chart component is not an exact monomial$"):
-            blowup_lift(on_demand, steps=2)
+    @pytest.mark.parametrize("texts", [("t", "t^2"), ("t^2", "2*t"), ("t", "t + t^2")])
+    def test_rejects_an_arc_whose_last_component_is_not_t(self, texts):
+        phi = arc(Q, *texts, variables=("x", "y"))
+        for steps in (1, 2):
+            with pytest.raises(EngineError, match="its last component is not t$"):
+                blowup_lift(phi, steps)
+        with pytest.raises(EngineError, match="its last component is not t$"):
+            run_length(cusp(), phi, 2, 10)
 
 
 class TestStrictTransform:
@@ -287,9 +289,9 @@ class TestNashSequence:
 
     @staticmethod
     def watch_field_calls(monkeypatch):
-        """(entered, calls): the labels of the quotient rule and chart transform as they
-        are entered, and the FieldSpec calls each makes that it should not."""
-        watched = {"quotient": {"mul", "sub", "inv"}, "transform": {"coerce"}}
+        """(entered, calls): the labels of the lift and chart transform as they are
+        entered, and the FieldSpec calls each makes that it should not."""
+        watched = {"lift": {"mul", "sub", "inv", "coerce"}, "transform": {"coerce"}}
         running = []
         entered = []
         calls = []
@@ -315,37 +317,36 @@ class TestNashSequence:
 
         for name in ("mul", "sub", "inv", "coerce"):
             monkeypatch.setattr(FieldSpec, name, counted(name, getattr(FieldSpec, name)))
-        monkeypatch.setattr(series, "_series_quotient", tagged("quotient", series._series_quotient))
+        monkeypatch.setattr(blowup, "blowup_lift", tagged("lift", blowup.blowup_lift))
         monkeypatch.setattr(ChartMap, "transform", tagged("transform", ChartMap.transform))
         return entered, calls
 
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
     def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
-        # Every chart component is a monomial, so each lift slices and scales and the
-        # quotient rule is never entered; the chart transform builds its result without
-        # re-coercing each coefficient.  The 84 blow-ups come in runs of 7, 1, 75 and 1,
-        # one chart transform each, and reading the trace replays each blow-up once more.
+        # Each lift slices its components' coefficients, with no field arithmetic; the
+        # chart transform builds its result without re-coercing each coefficient.  The 84
+        # blow-ups come in runs of 7, 1, 75 and 1, one lift and one chart transform each,
+        # and reading the trace replays each blow-up once more.
         entered, calls = self.watch_field_calls(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
-        assert entered.count("transform") == 4 and "quotient" not in entered
+        assert entered.count("transform") == entered.count("lift") == 4
         report.to_json(field, include_trace=True)
         assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
-        assert entered.count("transform") == 4 + 84 and "quotient" not in entered
+        assert entered.count("transform") == 4 + 84 and entered.count("lift") == 4
         assert calls == []
 
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
-    def test_lifts_off_a_monomial_chart_take_the_quotient_rule(self, monkeypatch, field):
-        # Along the corpus arc phi3 = ((t + t^2)^2, (t + t^2)^3) of the cusp the chart
-        # component leaves the graph coordinate and stops being a monomial, so its
-        # lifts divide; the quotient rule works on cleared integers.
+    def test_lifts_along_a_composed_arc_make_no_field_calls(self, monkeypatch, field):
+        # Along the corpus arc phi3 = ((t + t^2)^2, (t + t^2)^3) of the cusp the centers
+        # leave the origin and every component has order 1, yet each lift is still a slice.
         entered, calls = self.watch_field_calls(monkeypatch)
         problem = load_problem("cusp_char0")
         f = parse_poly(problem.poly_text, problem.variables, field)
         phi = Arc(problem.variables, tuple(parse_series(text, field) for text in problem.arc_texts["phi3"].split(",")), field)
         nash_sequence(f, phi, max_steps=40)
-        assert "quotient" in entered
+        assert "lift" in entered
         assert calls == []
 
     def test_each_step_computes_its_order_once(self, monkeypatch):
@@ -376,30 +377,11 @@ class TestNashSequence:
         assert report.rho == rho and not report.truncated
         assert len(transforms) <= 5
 
-    def test_a_chain_reads_few_coefficients_of_its_lifts(self, monkeypatch):
-        # Along (t^2, t^3) composed with 2t + 7t^2 (ROADMAP item 8(d)) the chart leaves
-        # the graph coordinate and its lifts stop terminating.  Every chart component has
-        # t-order 1, so each blow-up reads one more coefficient of each component: at
-        # max_steps 10000 the 3 blow-ups compute at most 5 coefficients of any quotient.
-        quotients = []
-
-        class Kept(series._Quotient):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                quotients.append(self)
-
-        monkeypatch.setattr(series, "_Quotient", Kept)
-        phi = arc(Q, "(2*t + 7*t^2)^2", "(2*t + 7*t^2)^3", variables=("x", "y"))
-        report = nash_sequence(cusp(), phi, max_steps=10000)
-        assert report.sequence == (2, 2, 2, 1)
-        assert len(quotients) == 4 and max(len(q.ints) for q in quotients) <= 5
-
     def test_the_chain_carries_few_terms(self):
-        # After the first run w = t ties with the chart x = t, moves to the center 1 and
-        # is exactly zero from then on, so the shift (w + 1)^N keeps only w-degrees <= 2.
-        # The last run shifts to x = 1 with 16 of the 100 steps left, so it keeps only the
+        # After the first run x = t ties with the graph coordinate w = t, moves to the
+        # center 1 and is exactly zero from then on, so the shift (x + 1)^N keeps only
+        # x-degrees <= 2.
+        # The last run shifts to y = 1 with 16 of the 100 steps left, so it keeps only the
         # terms of degree at most 2 * 17: two of the four.  The trace, which replays every
         # blow-up on the whole polynomial, is not read.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
@@ -431,27 +413,28 @@ GOLDEN_CUSP_TRACE = {
             "transform": "y^2 - x^3*w",
         },
         {
-            "chart": "x",
-            "chart_index": 0,
-            "center": ["0", "0", "1"],
+            "chart": "w",
+            "chart_index": 2,
+            "center": ["1", "0", "0"],
             "multiplicity": 2,
-            "transform": "y^2 - x^2 - x^2*w",
+            "transform": "-w^2 + y^2 - 3*x*w^2 - 3*x^2*w^2 - x^3*w^2",
         },
         {
-            "chart": "x",
-            "chart_index": 0,
+            "chart": "w",
+            "chart_index": 2,
             "center": ["0", "1", "0"],
             "multiplicity": 1,
-            "transform": "2*y + y^2 - x*w",
+            "transform": "2*y + y^2 - 3*x*w - 3*x^2*w^2 - x^3*w^3",
         },
     ],
 }
 
 
 def test_trace_json_matches_golden():
-    # Hand-derived chain: the w-chart absorbs the graph coordinate, then two
-    # x-charts; the final transform has a linear term 2y, which is why the
-    # characteristic-2 sequence is one step longer.
+    # Hand-derived chain, every blow-up in the graph chart w: the arc lifts to
+    # (t, t^2, t), then to the center x = 1 with y^2 - (x + 1)^3 w^2, then to the
+    # center y = 1 with (y + 1)^2 - (x w + 1)^3.  The final transform has a linear
+    # term 2y, which is why the characteristic-2 sequence is one step longer.
     report = nash_sequence(cusp(), arc(Q, "t^2", "t^3", variables=("x", "y")))
     assert report.to_json(Q, include_trace=True) == GOLDEN_CUSP_TRACE
 
@@ -472,20 +455,23 @@ class TestPersistence:
 
 class TestRuns:
     def test_run_length_reads_the_arc_and_the_polynomial(self):
-        # Chart x = t^8; y = t^84 lets ceil(84/8) - 1 = 10 lifts stay at the origin,
-        # and y^2 - x^21 (r = 2, 0 against m = 2) drops at l = (21-2) // 2 + 1 = 10.
-        f = parse_poly("y^2 - x^21", ("x", "y"), Q)
-        assert run_length(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 2, 100) == 10
-        assert run_length(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 2, 4) == 4
-        assert run_length(f, arc(Q, "t^8", "t^60", variables=("x", "y")), 2, 100) == 7
-        assert run_length(f, arc(Q, "t^8 + t^9", "t^84", variables=("x", "y")), 2, 100) == 1
-        assert run_length(f, arc(Q, "t^8", "t^16", variables=("x", "y")), 2, 100) == 1
+        # The chart is w = t.  x = t^8 lets 8 - 1 = 7 lifts stay at the origin, whatever
+        # follows its lowest term, and y^2 - x^21 (r = 2 and 21 against m = 2) sets no bound.
+        f = parse_poly("y^2 - x^21", ("x", "y", "w"), Q)
+        assert run_length(f, graph_arc(arc(Q, "t^8", "t^84")), 2, 100) == 7
+        assert run_length(f, graph_arc(arc(Q, "t^8", "t^84")), 2, 4) == 4
+        assert run_length(f, graph_arc(arc(Q, "t^8 + t^9", "t^84")), 2, 100) == 7
+        assert run_length(f, graph_arc(arc(Q, "t^30", "t^6")), 2, 100) == 5
+        assert run_length(f, graph_arc(arc(Q, "t^2", "t^84")), 2, 100) == 1
+        # A term w^21 (r = 0 against m = 2) drops below m at l = (21 - 2) // 2 + 1 = 10.
+        g = parse_poly("y^2 - x^21 + w^21", ("x", "y", "w"), Q)
+        assert run_length(g, graph_arc(arc(Q, "t^30", "t^84")), 2, 100) == 10
 
     def test_run_length_raises_the_chains_bug_error(self):
         # y^3 + x^6 has order 3, above the multiplicity 2 it is given: the first blow-up
-        # in the x-chart would read order 3, and the step path raises this same error.
-        f = parse_poly("y^3 + x^6", ("x", "y"), Q)
-        phi = arc(Q, "t", "t^5", variables=("x", "y"))
+        # in the w-chart would read order 4, and the step path raises this same error.
+        f = parse_poly("y^3 + x^6", ("x", "y", "w"), Q)
+        phi = graph_arc(arc(Q, "t^3", "t^5"))
         chart, _ = blowup_lift(phi)
         assert strict_transform(f, chart).order_at_origin() > 2
         with pytest.raises(EngineError, match="^Nash multiplicity increased; this is a bug$"):
@@ -493,76 +479,63 @@ class TestRuns:
 
 
 def random_lift_arc(rng, field):
-    """An arc of 2 or 3 components, each a monomial c t^k (non-unit leads over Q), a
-    longer polynomial, an on-demand quotient of order k, an on-demand zero (a constant
-    quotient less its constant) or exactly 0; at least one is a polynomial or a
-    quotient that is not zero."""
+    """A graph arc (`graph_arc`) over x and y or x, y and z, each component a monomial
+    c t^k (non-unit leads over Q), a longer polynomial or exactly 0."""
     leads = field.units(4) + ((Fraction(-1, 2), Fraction(2, 3)) if field.characteristic == 0 else ())
-    components, nonzero = [], False
-    while not nonzero:
-        components = []
-        for _ in range(rng.randint(2, 3)):
-            kind, k = rng.randrange(5), rng.randint(1, 6)
-            tail = [rng.choice((field.zero, *leads)) for _ in range(rng.randint(0, 4))]
-            nonzero |= kind < 3
-            if kind == 0:
-                components.append(TruncatedSeries.t_power(field, k, rng.choice(leads)))
-            elif kind == 1:
-                components.append(TruncatedSeries.exact_series(field, [0] * k + [rng.choice(leads)] + tail))
-            elif kind == 2:
-                # t^(k + 1) (lead + ...) over t (1 + c t): a polynomial when 1 + c t divides
-                dividend = TruncatedSeries.exact_series(field, [0] * (k + 1) + [rng.choice(leads)] + tail)
-                components.append(dividend.divide(TruncatedSeries.exact_series(field, [0, 1, rng.choice(leads)])))
-            elif kind == 3:
-                q = TruncatedSeries.t_power(field, 1).divide(TruncatedSeries.exact_series(field, [0, 1, 1]))
-                components.append(q.divide(q).without_constant())
-            else:
-                components.append(TruncatedSeries.zero(field))
-    return Arc(("x", "y", "z")[: len(components)], tuple(components), field)
-
-
-def lift_outcome(lift, *args):
-    """(chart, the lifted components' `prefix`es), or the error's type and message."""
-    try:
-        chart, lifted = lift(*args)
-    except EngineError as error:
-        return type(error), str(error)
-    return chart, [prefix(comp) for comp in lifted.components]
+    components = []
+    for _ in range(rng.randint(2, 3)):
+        kind, k = rng.randrange(3), rng.randint(1, 6)
+        tail = [rng.choice((field.zero, *leads)) for _ in range(rng.randint(0, 4))]
+        if kind == 0:
+            components.append(TruncatedSeries.t_power(field, k, rng.choice(leads)))
+        elif kind == 1:
+            components.append(TruncatedSeries.exact_series(field, [0] * k + [rng.choice(leads)] + tail))
+        else:
+            components.append(TruncatedSeries.zero(field))
+    variables = ("x", "y", "z")[: len(components)] + ("w",)
+    return Arc(variables, (*components, TruncatedSeries.t_power(field, 1)), field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-class TestSliceAndScaleLifts:
-    """`blowup_lift` against `reference_lift`, which takes every quotient by `divide`."""
+class TestSliceLifts:
+    """`blowup_lift` against the blow-up it inverts, and against `reference_lift`."""
 
     def test_random_arcs(self, field):
+        # Each lifted component x' gives back the component as t^steps (x' + c), with c
+        # its center coordinate; a run's centers are all the origin, and the arcs it
+        # refuses have a nonzero coefficient at t^1 ... t^steps.  A single lift whose
+        # reference chart is the graph coordinate, every other component of order 2 or
+        # more, is the reference's lift of the arc's coefficient prefixes.
         rng = random.Random(f"lift-{field.characteristic}")
-        sliced = on_demand = 0
+        t = TruncatedSeries.t_power(field, 1)
+        shapes = set()
         for _ in range(300):
             phi = random_lift_arc(rng, field)
             for steps in (1, 2, 3):
-                got = lift_outcome(blowup_lift, phi, steps)
-                assert got == lift_outcome(reference_lift, phi, steps), (str(phi), steps)
-                if not isinstance(got[0], type):
+                try:
                     chart, lifted = blowup_lift(phi, steps)
-                    chart_component = phi.components[chart.index]
-                    sliced += chart_component.exact and len(chart_component.coeffs) == chart_component.order() + 1
-                    on_demand += not chart_component.exact
-                    # An on-demand component stays on demand: no lift reads a polynomial off a prefix.
-                    assert all(old.exact or not new.exact for new, old in zip(lifted.components, phi.components))
-        assert sliced > 100 and on_demand > 20
+                except EngineError as error:
+                    assert str(error) == f"no run of {steps} blow-ups along {phi}: a center leaves the origin"
+                    assert any(c.coefficient(k) for c in phi.components for k in range(1, steps + 1))
+                    shapes.add("refused")
+                    continue
+                assert chart.index == len(phi.components) - 1
+                assert steps == 1 or not any(chart.translation)
+                assert lifted.components[-1] == phi.components[-1] == t
+                for comp, new, c in zip(phi.components[:-1], lifted.components, chart.translation):
+                    assert new.coefficient(0) == 0
+                    assert comp == t**steps * (new + TruncatedSeries.exact_series(field, [c]))
+                shapes.add("center off the origin" if any(chart.translation) else f"{steps} at the origin")
+                if steps == 1 and all(c.order() >= 2 for c in phi.components[:-1]):
+                    reference_chart, reference = reference_lift(Prefixes.of(phi, 12))
+                    assert reference_chart == chart
+                    assert Prefixes.of(lifted, 11) == reference
+                    shapes.add("reference")
+        assert shapes == {"refused", "center off the origin", "1 at the origin", "2 at the origin", "3 at the origin", "reference"}
 
-    def test_on_demand_components_lift_as_the_reference_does(self, field):
-        # x = t + t^2 is the chart and w / x = 1 - t + t^2 - ... does not terminate, so the
-        # lifted w is -t + t^2 - ..., computed on demand; every later lift divides it again.
-        lifted = arc(field, "t + t^2", "t", variables=("x", "w"))
-        for _ in range(4):
-            assert lift_outcome(blowup_lift, lifted) == lift_outcome(reference_lift, lifted)
-            _, lifted = blowup_lift(lifted)
-            assert type(lifted.components[1]) is series._OnDemandSeries
 
-
-#: The arc and f of a chain whose lifts are exactly zero on demand: at the second blow-up
-#: the lifts of z and of the graph coordinate are the chart component's, up to sign.
+#: The arc and f of a chain whose lifts are exactly zero: at the second blow-up every
+#: component but the graph coordinate's lifts to its center and then to 0.
 ZERO_LIFT_VARIABLES = ("y", "z", "x")
 ZERO_LIFT_ARC = ("t^2", "t^2", "t + t^2")
 ZERO_LIFT_POLY = "(y - z)^2 + ((x - y)^2 - y)^2"
@@ -570,8 +543,7 @@ ZERO_LIFT_POLY = "(y - z)^2 + ((x - y)^2 - y)^2"
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 class TestZeroLifts:
-    """A lift that is exactly zero as an on-demand series is never known to be zero:
-    a chart reads it only to the least order of the arc's other components."""
+    """Lifts that are exactly zero are polynomials like any other: the chain ends."""
 
     def test_the_chain_ends(self, field):
         f = parse_poly(ZERO_LIFT_POLY, ZERO_LIFT_VARIABLES, field)
@@ -579,40 +551,39 @@ class TestZeroLifts:
         with time_limit(1):
             report = nash_sequence(f, phi, max_steps=40)
             assert report.sequence == (2,) * 41 and report.truncated
-            assert report.to_json(field, True) == stepwise_nash_sequence(f, phi, 40).to_json(field, True)
+            assert_chain_matches_stepwise(f, phi, 40)
 
-    def test_a_third_lift_returns(self, field):
+    def test_lifts_become_exactly_zero(self, field):
         lifted = graph_arc(arc(field, *ZERO_LIFT_ARC, variables=ZERO_LIFT_VARIABLES))
-        for _ in range(2):
-            _, lifted = blowup_lift(lifted)
-        zeros = [comp for comp in lifted.components if not comp.exact and not any(prefix(comp))]
-        assert len(zeros) == 2
-        with time_limit(1):
+        for center in ((0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 0)):
             chart, lifted = blowup_lift(lifted)
-        assert chart.index == 0 and lifted.order() == 1
+            assert chart.index == 3 and chart.translation == center
+        assert [comp.is_exactly_zero() for comp in lifted.components] == [True, True, True, False]
 
-    def test_each_lift_reads_at_most_max_steps_coefficients(self, monkeypatch, field):
-        # Three components are lifted at each of the 40 blow-ups, each a quotient on
-        # demand, and the zero lifts never make a read run on: the deepest reads reach
-        # coefficient 39 of the first lifts.
-        quotients = []
 
-        class Kept(series._Quotient):
-            __slots__ = ()
+#: (variables, f, arc, rho) of chains along composed arcs, one of them inside the locus of
+#: f's multiplicity, and of the zero-lift input; rho None is a truncated chain.
+LONG_CHAINS = (
+    (("x", "y"), "y^2 - x^21", ("(t + t^2)^8", "(t + t^2)^84"), 84),
+    (("x", "y"), "y^2 - x^13", ("(t + t^2)^4", "(t + t^2)^26"), 26),
+    (("x", "y", "z"), ZERO_LIFT_POLY, ("s + s^2", "s^2", "s^2"), None),
+    (ZERO_LIFT_VARIABLES, ZERO_LIFT_POLY, ZERO_LIFT_ARC, None),
+)
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                quotients.append(self)
 
-        monkeypatch.setattr(series, "_Quotient", Kept)
-        f = parse_poly(ZERO_LIFT_POLY, ZERO_LIFT_VARIABLES, field)
-        nash_sequence(f, arc(field, *ZERO_LIFT_ARC, variables=ZERO_LIFT_VARIABLES), max_steps=40)
-        assert len(quotients) == 3 * 40 and max(len(q.ints) for q in quotients) == 40
+@pytest.mark.parametrize("variables, poly, texts, rho", LONG_CHAINS, ids=["x21", "x13", "in-locus", "zero-lifts"])
+def test_chains_at_ten_thousand_steps_end_within_a_second(variables, poly, texts, rho):
+    # Every lift is a slice of polynomials, so a chain costs no more than its blow-ups.
+    f = parse_poly(poly, variables, Q)
+    phi = arc(Q, *(text.replace("s", "(2*t + 7*t^2)") for text in texts), variables=variables)
+    with time_limit(1):
+        report = nash_sequence(f, phi, max_steps=10000)
+    assert report.rho == rho and report.truncated == (rho is None)
+    assert len(report.sequence) == (rho + 1 if rho else 10001)
 
 
 def test_trace_is_built_when_first_read(monkeypatch):
-    # The chain records its 4 runs; the 84 NashSteps of the trace wait for a reader,
-    # and then say what the stepwise reference, one blow-up at a time, says.
+    # The chain records its 4 runs; the 84 NashSteps of the trace wait for a reader.
     built = []
     init = NashStep.__init__
     monkeypatch.setattr(NashStep, "__init__", lambda step, *args: built.append(1) or init(step, *args))
@@ -624,8 +595,11 @@ def test_trace_is_built_when_first_read(monkeypatch):
     assert built == []
     trace = report.trace
     assert len(built) == 84 and report.trace is trace
+    # The reference blows up in the chart of the first component of least order, and
+    # reads the same multiplicities.
     reference = stepwise_nash_sequence(f, phi, 100).trace
-    assert [step.to_json(Q) for step in trace] == [step.to_json(Q) for step in reference]
+    assert [step.multiplicity for step in trace] == [step.multiplicity for step in reference]
+    assert {step.chart_variable for step in trace} == {"w"} != {step.chart_variable for step in reference}
 
 
 @pytest.mark.parametrize(
@@ -691,8 +665,8 @@ class TestRunsMatchStepwise:
         assert max(runs) > 1
 
     def test_corpus_phi3_arcs(self, field):
-        # (t + t^2)^a, (t + t^2)^b: once the chart leaves the graph coordinate its
-        # component is not a monomial, the lifts stop terminating, and no run applies.
+        # (t + t^2)^a, (t + t^2)^b: every component has order 1 after the first run, so
+        # the reference's chart leaves the graph coordinate and its lifts stop terminating.
         for name in ("cusp_char0", "e25_char0", "e34_char0"):
             problem = load_problem(name)
             f = parse_poly(problem.poly_text, problem.variables, field)
@@ -717,25 +691,25 @@ class TestRunsMatchStepwise:
                 dropped += len(carried[-1].terms) < len(report.trace[-1].transform.terms)
         assert dropped > 8
 
-    def test_an_on_demand_component_is_refused(self, field):
-        # f does not involve z, but an on-demand z has no finite expansion to certify
-        # the arc on f with: both chains raise the same EngineError.
-        f = parse_poly("y^2 - x^9", ("x", "y", "z"), field)
-        z = parse_series("t^4", field).divide(parse_series("t + t^2", field))
-        phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
-        for max_steps in (8, 40):
-            assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
-            with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
-                nash_sequence(f, phi, max_steps)
-
     def test_monomial_arcs_with_non_unit_leads(self, field):
-        # Leads 2, -3, 1/2 and -2/3 over Q and every unit of F_p: the chain slices and
-        # scales its lifts where the stepwise reference divides.
+        # Leads 2, -3, 1/2 and -2/3 over Q and every unit of F_p: the chain slices its
+        # lifts where the stepwise reference divides.
         rng = random.Random(f"leads-{field.characteristic}")
         for _ in range(40):
             phi, on = random_monomial_arc(rng, field, rng.randint(2, 3))
             if on is not None:
                 assert_chain_matches_stepwise(on, phi, max_steps=60)
+
+    def test_a_component_that_f_does_not_involve(self, field):
+        # f does not involve z, and z = t^3 - t^4 + ... - t^12 is not exactly zero, so the
+        # chain keeps every term of f in z; it lifts z as a slice like any component.
+        f = parse_poly("y^2 - x^9", ("x", "y", "z"), field)
+        z = TruncatedSeries.exact_series(field, [0, 0, 0] + [(-1) ** k for k in range(10)])
+        phi = Arc(("x", "y", "z"), (parse_series("t^2", field), parse_series("t^9", field), z), field)
+        for max_steps in (2, 8, 40):
+            assert_chain_matches_stepwise(f, phi, max_steps=max_steps)
+        report = nash_sequence(f, phi, 40)
+        assert not report.truncated and any(step.center[2] for step in report.trace)
 
     def test_max_steps_ending_inside_a_run(self, monkeypatch, field):
         runs = _spy_runs(monkeypatch)
@@ -746,6 +720,89 @@ class TestRunsMatchStepwise:
         assert max(runs) > 1
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_sequence_does_not_depend_on_the_chart(field):
+    # The chain blows up in the graph chart, the stepwise reference in the chart of the
+    # first component of least order: along an arc whose x has order 1 the two differ
+    # from the first blow-up on, and along an arc inside the locus of f's multiplicity
+    # neither chain drops.  They read the same sequence.
+    rng = random.Random(f"chart-{field.characteristic}")
+    shapes = Counter()
+    for _ in range(40):
+        f, phi, in_locus = random_chain_case(rng, field)
+        chain, stepwise = nash_sequence(f, phi, 30), stepwise_nash_sequence(f, phi, 30)
+        assert chain.to_json(field) == stepwise.to_json(field), f"{f} along {phi}"
+        assert {chart.index for chart, _ in chain.runs} == {len(phi.components)}
+        assert chain.truncated or not in_locus
+        shapes["inside the locus" if in_locus else "truncated" if chain.truncated else "drops"] += 1
+        shapes["charts differ"] += any(chart.index < len(phi.components) for chart, _ in stepwise.runs)
+        shapes["x of order 1"] += phi.components[0].order() == 1
+    assert min(shapes[shape] for shape in ("inside the locus", "drops", "charts differ", "x of order 1")) >= 5, shapes
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_chain_does_not_depend_on_the_order_of_the_variables(field):
+    # The graph chart has no tie to break between components of least order, so listing
+    # the variables of f and of the arc in reverse reverses every center and transform
+    # of the trace and changes nothing else.
+    rng = random.Random(f"variable-order-{field.characteristic}")
+    moved = 0
+    for _ in range(20):
+        f, phi, _ = random_chain_case(rng, field)
+        order, n = phi.variables[::-1], len(phi.variables)
+        reversed_chain = nash_sequence(parse_poly(str(f), order, field), Arc(order, phi.components[::-1], field), 20)
+        chain = nash_sequence(f, phi, 20)
+        assert reversed_chain.to_json(field) == chain.to_json(field)
+        for step, reversed_step in zip(chain.trace, reversed_chain.trace, strict=True):
+            assert step.chart_index == reversed_step.chart_index == n
+            assert reversed_step.center == (*step.center[:n][::-1], step.center[n])
+            assert reversed_step.transform == parse_poly(str(step.transform), order + ("w",), field)
+            moved += any(step.center)
+    assert moved > 10
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_run_is_its_single_blow_ups(field):
+    # `run_length` l along a graph arc: l single blow-ups in the graph chart keep every
+    # center before the last at the origin and the multiplicity m until the last, and the
+    # run's one lift and one transform are the ones they build.  Reparametrizing an arc
+    # by t^n raises its order, so the runs grow.
+    rng = random.Random(f"run-{field.characteristic}")
+    lengths = Counter()
+    for _ in range(40):
+        f, phi, _ = random_chain_case(rng, field)
+        phi = phi.reparametrize(rng.randint(1, 4))
+        poly, lifted = f.extend(phi.variables + ("w",)), graph_arc(phi, "w")
+        m = poly.order_at_origin()
+        steps = run_length(poly, lifted, m, rng.randint(1, 12))
+        run_chart, run_arc = blowup_lift(lifted, steps)
+        run_poly = strict_transform(poly, run_chart, steps)
+        for k in range(steps):
+            chart, lifted = blowup_lift(lifted)
+            poly = strict_transform(poly, chart)
+            if k < steps - 1:
+                assert not any(chart.translation) and poly.order_at_origin() == m
+        assert (chart, lifted, poly) == (run_chart, run_arc, run_poly)
+        lengths["run" if steps > 1 else "single"] += 1
+    assert lengths["run"] >= 10 and lengths["single"] >= 5, lengths
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_chains_blow_up_in_the_graph_chart(name):
+    # Along every arc of every bundled problem the trace blows up in the chart of the
+    # graph coordinate, whose center coordinate stays 0, the first center is the arc's
+    # coefficients at t, and the chain reads the rho the problem expects and the
+    # sequence that the stepwise reference reads in its own charts.
+    problem = load_problem(name)
+    for arc_name, phi in problem.arcs.items():
+        report = nash_sequence(problem.poly, phi, problem.options.max_steps)
+        n = len(phi.components)
+        assert all(step.chart_index == n and step.center[n] == problem.field.zero for step in report.trace)
+        assert report.trace[0].center[:n] == tuple(c.coefficient(1) for c in phi.components)
+        assert str(report.rho) == problem.expects[f"rho {arc_name}"]
+        assert_chain_matches_stepwise(problem.poly, phi, problem.options.max_steps)
+
+
 HALF = Fraction(1, 2)
 
 
@@ -754,14 +811,14 @@ HALF = Fraction(1, 2)
     [
         ("y^2 - 3*x^3", ((3, 2), (9, 3))),
         ("y^2 - 3*x^3", ((3, 4), (9, 6))),
-        # x = -t/2 ties with the graph coordinate w = t, which lifts to the center w = -2.
+        # x = -t/2 ties with the graph coordinate w = t and lifts to the center x = -1/2.
         ("y^2 - 64*x^6", ((-HALF, 1), (1, 3))),
         ("y^2 - 64*x^6", ((-HALF, 2), (1, 6))),
     ],
 )
 def test_chains_with_non_unit_leads_over_q(poly, leads):
-    # The chain slices and scales by 1/3 or -2, the stepwise reference divides; the
-    # same again with a component z that no chart ever picks.
+    # The chain slices, the stepwise reference divides by 3t^2 or -t/2; the same again
+    # with a component z that no chart ever picks.
     f = parse_poly(poly, ("x", "y"), Q)
     components = tuple(TruncatedSeries.t_power(Q, k, c) for c, k in leads)
     phi = Arc(("x", "y"), components, Q)
@@ -769,14 +826,14 @@ def test_chains_with_non_unit_leads_over_q(poly, leads):
     z = TruncatedSeries.exact_series(Q, [0, 0, 0, 0, 5, 1])
     assert_chain_matches_stepwise(f.extend(("x", "y", "z")), Arc(("x", "y", "z"), (*components, z), Q), max_steps=60)
     if leads[0][1] == 1:
-        assert nash_sequence(f, phi).trace[0].center == (0, 0, -2)
+        assert nash_sequence(f, phi).trace[0].center == (-HALF, 0, 0)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 class TestZeroComponents:
     """The chain drops the terms of degree above m_0 in each coordinate along which
-    the arc is exactly zero; the stepwise reference keeps every term.  Their reports,
-    the trace replayed on the whole polynomial included, must agree."""
+    the arc is exactly zero; the stepwise reference keeps every term.  Their
+    sequences must agree."""
 
     @staticmethod
     def compare(field, seed, zero_at_start, cases):
@@ -799,5 +856,5 @@ class TestZeroComponents:
 
     def test_arcs_that_gain_a_zero_component(self, field):
         # Every component is a monomial, so a center leaves the origin exactly when a
-        # component ties with the chart's order, and that component becomes zero.
+        # component has order 1, and that component becomes zero.
         assert self.compare(field, "zero-gained", False, 60) > 10

@@ -343,14 +343,6 @@ class TestSampleArcs:
             grid = len(sample_arcs(poly, budget, seed))
             assert [composed for _, composed in arcs] == [False] * grid + [True] * (length - grid)
 
-    def test_on_demand_parametrization_refused(self):
-        # f does not involve z, but an on-demand z, t^2 / (t + t^2), has no finite
-        # expansion to substitute into f or to compose.
-        z = parse_series("t^2", Q).divide(parse_series("t + t^2", Q))
-        phi = Arc(XYZ, (parse_series("t^2", Q), parse_series("t^3", Q), z), Q)
-        with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
-            sample_arcs(parse_poly("y^2 - x^3", XYZ, Q), 100, 0, phi)
-
 
 #: Surfaces of the contact-walk tests, each with a parametrization,
 #: over Q, F_2 and F_3.

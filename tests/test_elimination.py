@@ -300,13 +300,6 @@ class TestVerifyMainTheorem:
         assert report.ord_d == 2
         assert report.min_r_bar == 2
 
-    def test_on_demand_candidate_is_an_engine_error(self):
-        # y -> t^4 / (t + t^2) = t^3 - t^4 + ... on demand has no finite expansion to
-        # substitute into y^2 - x^3: an engine error, not a refutation.
-        on_demand = Arc(XY, (parse_series("t^2", Q), parse_series("t^4", Q).divide(parse_series("t + t^2", Q))), Q)
-        with pytest.raises(EngineError, match="^an on-demand series has no finite expansion"):
-            verify_presentation(presentation("y^2 - x^3"), {"phi": on_demand}, BUDGET, SEED)
-
     @pytest.mark.parametrize("field", [Q, F2], ids=["tschirnhausen-q", "visible-f2"])
     @pytest.mark.parametrize("base", [("x", "y"), ("y", "x")], ids=["xy", "yx"])
     def test_base_variables_in_any_order(self, field, base):

@@ -527,16 +527,17 @@ class TestCli:
         assert images == []
 
     def test_each_arc_and_series_is_scanned_once(self, monkeypatch):
-        # A seed-1 deep-nash problem.  The chain reads its arc's chart in run_length
-        # and in the lift, and scans it once per iteration; contact scans each named
-        # arc once.  The certificate scans each named arc's leads, and contact reads
-        # them.  No series has its order scanned twice.
+        # A seed-1 deep-nash problem.  The certificate scans each named arc's leads, and
+        # contact reads them.  No series has its order scanned twice: the 6 named
+        # components once, for their leads, and run_length the 2 lifted components of
+        # each of the other 9 iterations, 24 in all.  The graph coordinate's order is
+        # never read: it is the chart.
         text = (
             "name: dn_y2_x21_f0\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
             "arc n1: 1*t^2, -1*t^21\narc n2: 1*t^4, -1*t^42\narc n4: 1*t^8, -1*t^84\n"
             "analyses: nash contact\nmax_steps: 88\n"
         )
-        scans = {"_chart": [], "_order": [], "_leads": []}  # the objects whose read scans, by the attribute it fills
+        scans = {"_order": [], "_leads": []}  # the objects whose read scans, by the attribute it fills
 
         def spied(read, attribute):
             def spy(value):
@@ -546,16 +547,14 @@ class TestCli:
 
             return spy
 
-        monkeypatch.setattr(series.Arc, "chart", spied(series.Arc.chart, "_chart"))
         monkeypatch.setattr(series.Arc, "leads", spied(series.Arc.leads, "_leads"))
         monkeypatch.setattr(series.TruncatedSeries, "order", spied(series.TruncatedSeries.order, "_order"))
         problem = parse_problem(text)
         report = run(problem)
         iterations = sum(len(nash.runs) for nash in report.analyses["nash"].values())
         assert iterations == 12
-        assert len(scans["_chart"]) == iterations + 3
         assert [id(arc) for arc in scans["_leads"]] == [id(arc) for arc in problem.arcs.values()]
-        assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) > 0
+        assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) == 24
 
     @pytest.mark.parametrize("expects, builds", [(False, 1), (True, 2)])
     def test_the_analyses_report_is_built_for_expect_lines_and_output(self, monkeypatch, expects, builds):
@@ -719,7 +718,7 @@ analyses: verify
             (["--json"], "aceb2f24609393d33b44689d6c3534a639873fece0220343e1d8d34b8a6aa6b2"),
             (
                 ["--json", "--trace"],
-                "bd449b5425831600fba2a7bae4f25e04c7ddce3a1e9384c9fb9ac6797239c694",
+                "5d196d1995192008d05538dc8d639ab2cb04b848ea2dcfc6e6c2fa9354dd51f4",
             ),
         ],
     )
@@ -735,12 +734,12 @@ analyses: verify
             (
                 "name: deep_chain\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
                 "arc phi: t^8, t^84\nmax_steps: 100\n",
-                "cce0c50210008fcb87f1482bd51bd33c2df70603a3f4d1c608bed0cb392b861e",
+                "2cc2356a08a873136e82263c0cb28079007c98d2394df4b07f0a77c404f9d08a",
             ),
             (
                 "name: surface_char3\nfield: 3\nvariables: x y z\n"
                 "poly: z^3 - x^4 - y^5\narc phi: t^3, 0, t^4\n",
-                "15bb5a835f5905362093bcb278bfc2307d392e74e342d54f1a1ca1a490145533",
+                "2e217246ff6d842ce556a0a1cde0e06e3adb97802fd3f3cb54b564913716601b",
             ),
         ],
         ids=["y2-x21-84-blowups", "surface-char3"],
@@ -755,8 +754,8 @@ analyses: verify
     @pytest.mark.parametrize(
         "field, poly, arc, digest",
         [
-            (2, "z^2 - x^3 - y^4", "t^2, 0, t^3", "fb6abbcb16ebc19cbe8da27c47544b47e7f9e140f1be69cb948031cec0753feb"),
-            (3, "z^3 - x^4 - y^5", "t^3, 0, t^4", "32fd072d8427699abcd80b9503b6384fde55f7e203cd9ebdc35a8384356a84ce"),
+            (2, "z^2 - x^3 - y^4", "t^2, 0, t^3", "fb53b62be0c7f5ed9da55c45e15812453d7bbcf82ee83f94558f8617f5baaa8f"),
+            (3, "z^3 - x^4 - y^5", "t^3, 0, t^4", "6496c49f46da4b516273e806ee9459d2c5f5713ff15a6bbdbcd69d43b13ae677"),
         ],
         ids=["visible-f2", "visible-f3"],
     )
@@ -774,7 +773,7 @@ analyses: verify
     @pytest.mark.parametrize(
         "command, flag_sets, digest",
         [
-            ("nash", ([], ["--trace"]), "77586d5cf25fd611693c74fb2d2d9146cc1cd8906c103845d1fdb5b7847749c2"),
+            ("nash", ([], ["--trace"]), "f0ac98fc98e68c60c41fba61e34f1be261cf3284b2f0e11edbc635b956488692"),
             ("contact", ([], ["--trace"]), "1f397b9843ab8556bb9163b8e9c2dbe34b8e0dd0a3de4b9901b044946af4c93d"),
             ("ord-d", ([], ["--trace"]), "ccde1a4ad41dadfd46c6fe525cb7ff547f1f75a60a7fea58eaf2e88d77c89368"),
             ("verify", ([],), "5b0993bf1810fb7d1294432d842a35be855f1e23aab3dd814c8a04ecabbe31fb"),
