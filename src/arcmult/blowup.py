@@ -15,13 +15,14 @@ of each component's coefficients, whose dropped constant c_i is the next
 center, and the graph component stays t.  Every lift of a polynomial arc is
 a polynomial.  Both transforms of a point blow-up, the strict one here and
 the weighted one of `rees`, go through `ChartMap.transform`, a map on
-exponents.  Blow-ups that stay at the origin are made a run at a time
-(`run_length`): one slice of the arc and one exponent map of f.  The chain
-carries f modulo x_i^(m_0+1) for each coordinate x_i along which the arc is
-exactly zero, and without the terms of degree too high to set a
-multiplicity in the blow-ups left.  The report keeps one (chart, steps)
-pair per run, from which the trace is replayed on the whole of f, one
-blow-up at a time, when it is read.
+exponents.  Blow-ups are made a run at a time (`run_length`): every center
+of a run is the origin, and the run ends at the blow-up whose lifted point
+leaves it, so a run costs one slice of the arc, one exponent map of f and
+one shift to the next center.  The chain carries f modulo x_i^(m_0+1) for
+each coordinate x_i along which the arc is exactly zero, and without the
+terms of degree too high to set a multiplicity in the blow-ups left.  The
+report keeps one (chart, steps) pair per run, from which the trace is
+replayed on the whole of f, one blow-up at a time, when it is read.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ChartMap:
         Each time e_j grows by |e| - e_j - k while the other exponents stay, so
         all of it is one map e_j -> e_j + steps * (|e| - e_j - k); EngineError
         if it leaves an exponent negative.  `caps` and `bound` go to the
-        recentering `MultiPoly._shift`."""
+        recentering `MultiPoly._shift`, made only off the origin."""
         if poly.variables != self.variables:
             raise VariableMismatch(f"polynomial over {poly.variables}, chart over {self.variables}")
         if poly.order_at_origin() < k:
@@ -77,7 +78,8 @@ class ChartMap:
             terms[tuple(pulled)] = c
         if steps > 1 and any(e[j] < 0 for e in terms):
             raise EngineError(f"{steps} pull-backs of {poly} are not each divisible by {self.exceptional}^{k}")
-        return MultiPoly._of(self.variables, terms, poly.field)._shift(self.translation, caps, bound)
+        transformed = MultiPoly._of(self.variables, terms, poly.field)
+        return transformed._shift(self.translation, caps, bound) if any(self.translation) else transformed
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ class NashReport:
 
     `runs` holds one `(chart, steps)` pair per iteration of the chain: `steps`
     blow-ups in `chart` (`run_length`), from `start`, the whole of f on the
-    graph's ambient space.  `trace`, one NashStep per blow-up, is built when it
-    is first read: it replays every blow-up on `start`, one strict transform
+    graph's ambient space, the last of which moves to the chart's translation.
+    `trace`, one NashStep per blow-up with its own center, is built when it is
+    first read: it replays every blow-up on `start`, one strict transform
     each, and raises EngineError if a replayed order is not the multiplicity
     the chain recorded."""
 
@@ -123,12 +126,13 @@ class NashReport:
         trace = []
         transform = self.start
         for chart, steps in self.runs:
-            for _ in range(steps):
-                transform = strict_transform(transform, chart)
+            origin = ChartMap(chart.variables, chart.index, (transform.field.zero,) * len(chart.variables))
+            for blowup in [origin] * (steps - 1) + [chart]:
+                transform = strict_transform(transform, blowup)
                 m, done = transform.order_at_origin(), len(trace) + 1
                 if m != self.sequence[done]:
                     raise EngineError(f"trace replay reads multiplicity {m} at blow-up {done}, not {self.sequence[done]}")
-                trace.append(NashStep(chart.index, chart.exceptional, chart.translation, m, transform))
+                trace.append(NashStep(chart.index, chart.exceptional, blowup.translation, m, transform))
         return tuple(trace)
 
     def to_json(self, field, include_trace: bool = False) -> dict:
@@ -159,7 +163,8 @@ def graph_arc(arc: Arc, extra_variable: str | None = None) -> Arc:
     name = extra_variable or fresh_variable(arc.variables)
     if name in arc.variables:
         raise EngineError(f"graph variable {name!r} collides with {arc.variables}")
-    t = TruncatedSeries.t_power(arc.field, 1)
+    # the field's shared zero and one, which `_graph_index` compares by identity
+    t = TruncatedSeries(arc.field, (arc.field.zero, arc.field.one))
     return Arc._of(arc.variables + (name,), arc.components + (t,), arc.field)
 
 
@@ -172,29 +177,31 @@ def _graph_index(arc: Arc) -> int:
 
 
 def blowup_lift(arc: Arc, steps: int = 1) -> tuple:
-    """Lift a graph arc (`graph_arc`) through the blow-up of its center, the origin.
+    """Lift a graph arc (`graph_arc`) through a run of `steps` blow-ups at the origin.
 
     The chart is the graph coordinate's, the last component, which is t; an
     arc whose last component is not t raises EngineError.  Each other
-    component x_i = sum a_k t^k lifts to x_i / t less its constant a_1: the
-    slice of its coefficients from t^2.  The constants are the next center,
-    recorded in the ChartMap translation, so the lifted arc is again centered
-    at the origin, and the graph component stays t.
-
-    `steps` > 1 lifts through a run of that many blow-ups (`run_length`): the
-    slice from t^(steps + 1), EngineError unless every coefficient up to
-    t^steps is zero, so that every center of the run is the origin.
+    component x_i = sum a_k t^k lifts to x_i / t^steps less its constant
+    a_steps: the slice of its coefficients from t^(steps + 1).  The constants
+    are the center the run ends at, recorded in the ChartMap translation, so
+    the lifted arc is again centered at the origin, and the graph component
+    stays t.  EngineError if a coefficient below t^steps is nonzero, since
+    then a center inside the run leaves the origin (`run_length`).  A lifted
+    component keeps its order, less `steps`, when the slice starts below it.
     """
     field = arc.field
     j = _graph_index(arc)
     lifted, constants = [], []
     for comp in arc.components[:j]:
-        coeffs = comp.coeffs
-        if steps > 1 and any(coeffs[: steps + 1]):
+        order, coeffs = comp.order(), comp.coeffs
+        if order < steps:
             raise EngineError(f"no run of {steps} blow-ups along {arc}: a center leaves the origin")
         constants.append(coeffs[steps] if steps < len(coeffs) else field.zero)
         rest = coeffs[steps + 1 :]
-        lifted.append(TruncatedSeries(field, (field.zero, *rest)) if rest else TruncatedSeries.zero(field))
+        series = TruncatedSeries(field, (field.zero, *rest) if rest else ())
+        if order > steps:
+            series.__dict__["_order"] = order - steps
+        lifted.append(series)
     chart = ChartMap(arc.variables, j, (*constants, field.zero))
     return chart, Arc._of(arc.variables, (*lifted, arc.components[j]), field)
 
@@ -221,10 +228,10 @@ def strict_transform(poly: MultiPoly, chart: ChartMap, steps: int = 1, caps=None
 def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     """How many blow-ups, at most `limit`, the next iteration of `nash_sequence` makes.
 
-    The chart is the graph coordinate's, x_j = t, as in `blowup_lift`.  While
-    every other component has order above l, its l-th lift is its slice from
-    t^(l + 1) with a zero constant, so every center is the origin.  That
-    bounds the run by ord_i - 1 for each other nonzero component.
+    The chart is the graph coordinate's, x_j = t, as in `blowup_lift`.  The
+    l-th blow-up is centered at the coefficients at t^(l - 1), so the first l
+    are all at the origin while every other component has order at least l.
+    That bounds the run by each ord_i: it ends where the arc leaves the origin.
 
     `multiplicity` is m, the order of `poly`.  After l blow-ups of the run a
     term x^e with r = |e| - e_j has degree |e| + l (r - m), so the order
@@ -238,11 +245,7 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     j = _graph_index(arc)
     if limit < 2:
         return 1
-    steps = limit
-    for comp in arc.components[:j]:
-        order = comp.order()
-        if order != INF:
-            steps = min(steps, order - 1)
+    steps = min([limit] + [comp.order() for comp in arc.components[:j]])
     if steps < 2:
         return 1
     m = multiplicity
@@ -264,8 +267,8 @@ def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS)
     The arc must lie on the hypersurface exactly; the sequence stops at the
     first multiplicity strictly below the initial one, or truncates at
     max_steps (reported, never silent).  Each iteration makes the blow-ups
-    of one run (`run_length`), a single one when no run applies, and records
-    it as one `(chart, steps)` pair.
+    of one run (`run_length`), with one lift and one strict transform, and
+    records it as one `(chart, steps)` pair.
 
     Every blow-up is made in the chart of the graph coordinate (`blowup_lift`),
     which holds the lifted arc's point: each lift of a polynomial arc is a

@@ -74,6 +74,8 @@ class FieldSpec:
             raise EngineError(f"characteristic must be below 2^40, got {p}")
         if p != 0 and not _is_prime(p):
             raise EngineError(f"characteristic must be 0 or prime, got {p}")
+        object.__setattr__(self, "zero", Fraction(0) if p == 0 else 0)
+        object.__setattr__(self, "one", Fraction(1) if p == 0 else 1)
 
     # -- element construction -------------------------------------------------
 
@@ -95,14 +97,6 @@ class FieldSpec:
                 raise FieldMismatch(f"denominator of {value} vanishes mod {p}")
             return (value.numerator % p) * self.inv(value.denominator % p) % p
         raise FieldMismatch(f"cannot coerce {value!r} into F_{p}")
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
     # -- arithmetic ------------------------------------------------------------
 

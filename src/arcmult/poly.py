@@ -246,7 +246,6 @@ class MultiPoly:
         p = field.characteristic
         shifted = self
         moves = None  # under a bound that some term passes, the coordinates that the shift moves
-        rows = {}  # (e, top) -> the (k, binom(e, k)), k <= top, whose binomial is nonzero in the field
         for i, c in enumerate(point):
             if field.is_zero(c):
                 continue
@@ -270,15 +269,12 @@ class MultiPoly:
                     fixed[exps] = a
             if not moving:
                 continue
-            # c = u / d, so c^j = u^j d^(n-j) / d^n: the powers on integers, mod p over F_p.
+            # c = u / d, so c^j = u^j d^(n-j) / d^n: the powers on integers, mod p over F_p,
+            # made only for the rows that read them.
             (u,), d = field.cleared([c])
             n = max(exps[i] for exps, _ in moving)
             top = caps.get(i, n) if caps else n
-            c_powers = [1]
-            for _ in range(n):
-                c_powers.append(c_powers[-1] * u % p if p else c_powers[-1] * u)
-            if d != 1:
-                c_powers = [v * d ** (n - j) for j, v in enumerate(c_powers)]
+            rows = {}  # (e, top) -> the (k, binom(e, k) c^(e-k)), k <= top, whose binomial is nonzero in the field
             power_scale = d**n
             coeffs, scale = field.cleared([a for _, a in moving])
             later = [l for l in moves if l > i] if moves else ()
@@ -292,11 +288,15 @@ class MultiPoly:
                         room += sum([exps[l] for l in later])
                     row = (e, min(row[1], room))
                 if row not in rows:
-                    binoms = (math.comb(e, k) for k in range(row[1] + 1))
-                    rows[row] = [(k, b) for k, b in enumerate(binoms) if not p or b % p]
+                    binoms = ((k, math.comb(e, k)) for k in range(row[1] + 1))
+                    rows[row] = [
+                        (k, b * (pow(u, e - k, p) if p else u ** (e - k) * d ** (n - e + k)))
+                        for k, b in binoms
+                        if not p or b % p
+                    ]
                 for k, b in rows[row]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
-                    raw[key] = raw.get(key, 0) + a * b * c_powers[e - k]
+                    raw[key] = raw.get(key, 0) + a * b
             for key, v in zip(raw, field.uncleared(raw.values(), scale * power_scale)):
                 if key in fixed:  # only a k = 0 key, free of x_i, can meet a fixed term
                     v = field.add(fixed[key], v)

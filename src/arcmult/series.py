@@ -238,7 +238,9 @@ def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
     coeffs = [field.zero] * (degree + 1 if degree >= 0 else 0)
     for exps, coeff in poly.terms.items():
         coeffs[exps[0]] = coeff
-    return TruncatedSeries.exact_series(field, coeffs)
+    series = TruncatedSeries(field, tuple(coeffs))
+    series.__dict__["_order"] = min((exps[0] for exps in poly.terms), default=INF)
+    return series
 
 
 # -- arcs ---------------------------------------------------------------------------------

@@ -97,13 +97,19 @@ class TestBlowupLift:
         assert lifted == arc(Q, "2*t^2", "t^6 + t^8", "0", "t", variables=("x", "y", "z", "w"))
 
     @pytest.mark.parametrize(
-        "texts",
-        [("t^3", "t^9"), ("t^2", "t^5")],
+        "texts, steps",
+        [(("t^3", "t^9"), 4), (("t^2", "t^5"), 3)],
         ids=["center-off-the-origin", "order-below-the-run"],
     )
-    def test_steps_reject_an_arc_without_that_run(self, texts):
+    def test_steps_reject_an_arc_without_that_run(self, texts, steps):
+        # A run ends at the blow-up whose center leaves the origin: x = t^3 allows three.
         with pytest.raises(EngineError, match="a center leaves the origin$"):
-            blowup_lift(graph_arc(arc(Q, *texts)), steps=3)
+            blowup_lift(graph_arc(arc(Q, *texts)), steps=steps)
+
+    def test_a_run_ends_where_its_center_leaves_the_origin(self):
+        chart, lifted = blowup_lift(graph_arc(arc(Q, "t^3", "t^9")), steps=3)
+        assert chart.index == 2 and chart.translation == (1, 0, 0)
+        assert lifted == arc(Q, "0", "t^6", "t", variables=("x", "y", "w"))
 
     @pytest.mark.parametrize("texts", [("t", "t^2"), ("t^2", "2*t"), ("t", "t + t^2")])
     def test_rejects_an_arc_whose_last_component_is_not_t(self, texts):
@@ -325,16 +331,16 @@ class TestNashSequence:
     def test_long_chain_runs_without_field_calls(self, monkeypatch, field):
         # Each lift slices its components' coefficients, with no field arithmetic; the
         # chart transform builds its result without re-coercing each coefficient.  The 84
-        # blow-ups come in runs of 7, 1, 75 and 1, one lift and one chart transform each,
-        # and reading the trace replays each blow-up once more.
+        # blow-ups come in runs of 8 and 76, one lift and one chart transform each, and
+        # reading the trace replays each blow-up once more.
         entered, calls = self.watch_field_calls(monkeypatch)
         f = parse_poly("y^2 - x^21", ("x", "y"), field)
         phi = arc(field, "t^8", "t^84", variables=("x", "y"))
         report = nash_sequence(f, phi, max_steps=100)
-        assert entered.count("transform") == entered.count("lift") == 4
+        assert entered.count("transform") == entered.count("lift") == 2
         report.to_json(field, include_trace=True)
         assert len(report.trace) == 84 and any(any(step.center) for step in report.trace)
-        assert entered.count("transform") == 4 + 84 and entered.count("lift") == 4
+        assert entered.count("transform") == 2 + 84 and entered.count("lift") == 2
         assert calls == []
 
     @pytest.mark.parametrize("field", [Q, prime_field(3)], ids=["Q", "F3"])
@@ -352,7 +358,7 @@ class TestNashSequence:
     def test_each_step_computes_its_order_once(self, monkeypatch):
         # The orders of f and of f on the graph's ambient space, then one per
         # run's strict transform, whose order is the next multiplicity and
-        # divisibility check: 4 runs make the 84 steps.  Each step once
+        # divisibility check: 2 runs make the 84 steps.  Each step once
         # computed it three times, and then once.  Reading the trace replays every
         # blow-up from f on the graph's ambient space, whose order the chain has
         # computed: one more per replayed strict transform, which the replay checks.
@@ -362,9 +368,9 @@ class TestNashSequence:
         order = MultiPoly.order_at_origin
         monkeypatch.setattr(MultiPoly, "order_at_origin", lambda g: computed.append(g._order is None) or order(g))
         report = nash_sequence(f, phi, max_steps=100)
-        assert sum(computed) == 6
+        assert sum(computed) == 4
         report.to_json(Q, include_trace=True)
-        assert sum(computed) == 6 + 84
+        assert sum(computed) == 4 + 84
 
     @pytest.mark.parametrize("field, rho", zip(FIELDS, (999, 1996, 999, 999)), ids=FIELD_IDS)
     def test_a_chain_of_a_thousand_steps_makes_a_few_transforms(self, monkeypatch, field, rho):
@@ -378,15 +384,14 @@ class TestNashSequence:
         assert len(transforms) <= 5
 
     def test_the_chain_carries_few_terms(self):
-        # After the first run x = t ties with the graph coordinate w = t, moves to the
-        # center 1 and is exactly zero from then on, so the shift (x + 1)^N keeps only
-        # x-degrees <= 2.
+        # The first run ends where x = t^8 leaves the origin for the center 1; x is exactly
+        # zero from then on, so the shift (x + 1)^N keeps only x-degrees <= 2.
         # The last run shifts to y = 1 with 16 of the 100 steps left, so it keeps only the
         # terms of degree at most 2 * 17: two of the four.  The trace, which replays every
         # blow-up on the whole polynomial, is not read.
         f = parse_poly("y^2 - x^21", ("x", "y"), Q)
         report, carried = carried_transforms(f, arc(Q, "t^8", "t^84", variables=("x", "y")), 100)
-        assert [len(g.terms) for g in carried] == [2, 4, 4, 2]
+        assert [len(g.terms) for g in carried] == [4, 2]
         assert "trace" not in vars(report)
         for field in FIELDS:
             f = parse_poly("y^2 - x^999", ("x", "y"), field)
@@ -455,14 +460,16 @@ class TestPersistence:
 
 class TestRuns:
     def test_run_length_reads_the_arc_and_the_polynomial(self):
-        # The chart is w = t.  x = t^8 lets 8 - 1 = 7 lifts stay at the origin, whatever
-        # follows its lowest term, and y^2 - x^21 (r = 2 and 21 against m = 2) sets no bound.
+        # The chart is w = t.  x = t^8 lets 8 blow-ups be made at the origin: the first 7
+        # lifts stay there and the 8th leaves it, whatever follows x's lowest term.  And
+        # y^2 - x^21 (r = 2 and 21 against m = 2) sets no bound.
         f = parse_poly("y^2 - x^21", ("x", "y", "w"), Q)
-        assert run_length(f, graph_arc(arc(Q, "t^8", "t^84")), 2, 100) == 7
+        assert run_length(f, graph_arc(arc(Q, "t^8", "t^84")), 2, 100) == 8
         assert run_length(f, graph_arc(arc(Q, "t^8", "t^84")), 2, 4) == 4
-        assert run_length(f, graph_arc(arc(Q, "t^8 + t^9", "t^84")), 2, 100) == 7
-        assert run_length(f, graph_arc(arc(Q, "t^30", "t^6")), 2, 100) == 5
-        assert run_length(f, graph_arc(arc(Q, "t^2", "t^84")), 2, 100) == 1
+        assert run_length(f, graph_arc(arc(Q, "t^8 + t^9", "t^84")), 2, 100) == 8
+        assert run_length(f, graph_arc(arc(Q, "t^30", "t^6")), 2, 100) == 6
+        assert run_length(f, graph_arc(arc(Q, "t^2", "t^84")), 2, 100) == 2
+        assert run_length(f, graph_arc(arc(Q, "t", "t^84")), 2, 100) == 1
         # A term w^21 (r = 0 against m = 2) drops below m at l = (21 - 2) // 2 + 1 = 10.
         g = parse_poly("y^2 - x^21 + w^21", ("x", "y", "w"), Q)
         assert run_length(g, graph_arc(arc(Q, "t^30", "t^84")), 2, 100) == 10
@@ -502,10 +509,12 @@ class TestSliceLifts:
 
     def test_random_arcs(self, field):
         # Each lifted component x' gives back the component as t^steps (x' + c), with c
-        # its center coordinate; a run's centers are all the origin, and the arcs it
-        # refuses have a nonzero coefficient at t^1 ... t^steps.  A single lift whose
-        # reference chart is the graph coordinate, every other component of order 2 or
-        # more, is the reference's lift of the arc's coefficient prefixes.
+        # its center coordinate, the coefficient at t^steps, where the run may leave the
+        # origin; the arcs it refuses have a nonzero coefficient at t^1 ... t^(steps - 1),
+        # a center inside the run.  A lifted component's order, kept from the slice or
+        # scanned, is its first nonzero index.  A single lift whose reference chart is the
+        # graph coordinate, every other component of order 2 or more, is the reference's
+        # lift of the arc's coefficient prefixes.
         rng = random.Random(f"lift-{field.characteristic}")
         t = TruncatedSeries.t_power(field, 1)
         shapes = set()
@@ -516,22 +525,22 @@ class TestSliceLifts:
                     chart, lifted = blowup_lift(phi, steps)
                 except EngineError as error:
                     assert str(error) == f"no run of {steps} blow-ups along {phi}: a center leaves the origin"
-                    assert any(c.coefficient(k) for c in phi.components for k in range(1, steps + 1))
+                    assert any(c.coefficient(k) for c in phi.components for k in range(1, steps))
                     shapes.add("refused")
                     continue
                 assert chart.index == len(phi.components) - 1
-                assert steps == 1 or not any(chart.translation)
                 assert lifted.components[-1] == phi.components[-1] == t
                 for comp, new, c in zip(phi.components[:-1], lifted.components, chart.translation):
-                    assert new.coefficient(0) == 0
+                    assert new.coefficient(0) == 0 and c == comp.coefficient(steps)
                     assert comp == t**steps * (new + TruncatedSeries.exact_series(field, [c]))
-                shapes.add("center off the origin" if any(chart.translation) else f"{steps} at the origin")
+                    assert new.order() == next((k for k, a in enumerate(new.coeffs) if a), INF)
+                shapes.add(f"{steps} {'off' if any(chart.translation) else 'at'} the origin")
                 if steps == 1 and all(c.order() >= 2 for c in phi.components[:-1]):
                     reference_chart, reference = reference_lift(Prefixes.of(phi, 12))
                     assert reference_chart == chart
                     assert Prefixes.of(lifted, 11) == reference
                     shapes.add("reference")
-        assert shapes == {"refused", "center off the origin", "1 at the origin", "2 at the origin", "3 at the origin", "reference"}
+        assert shapes == {"refused", "reference"} | {f"{steps} {where} the origin" for steps in (1, 2, 3) for where in ("at", "off")}
 
 
 #: The arc and f of a chain whose lifts are exactly zero: at the second blow-up every
@@ -583,14 +592,14 @@ def test_chains_at_ten_thousand_steps_end_within_a_second(variables, poly, texts
 
 
 def test_trace_is_built_when_first_read(monkeypatch):
-    # The chain records its 4 runs; the 84 NashSteps of the trace wait for a reader.
+    # The chain records its 2 runs; the 84 NashSteps of the trace wait for a reader.
     built = []
     init = NashStep.__init__
     monkeypatch.setattr(NashStep, "__init__", lambda step, *args: built.append(1) or init(step, *args))
     f = parse_poly("y^2 - x^21", ("x", "y"), Q)
     phi = arc(Q, "t^8", "t^84", variables=("x", "y"))
     report = nash_sequence(f, phi, max_steps=100)
-    assert len(report.runs) == 4 and sum(steps for _, steps in report.runs) == 84
+    assert len(report.runs) == 2 and sum(steps for _, steps in report.runs) == 84
     assert report.to_json(Q) == stepwise_nash_sequence(f, phi, 100).to_json(Q)
     assert built == []
     trace = report.trace
@@ -603,20 +612,27 @@ def test_trace_is_built_when_first_read(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "blow_up", [pytest.param(3, id="inside-the-first-run"), pytest.param(8, id="end-of-the-second-run")]
+    "blow_up, read",
+    [
+        pytest.param(3, 2, id="inside-the-first-run"),
+        pytest.param(8, 2, id="end-of-the-first-run"),
+        pytest.param(84, 1, id="end-of-the-second-run"),
+    ],
 )
-def test_trace_replay_checks_every_blow_up(blow_up):
-    # The runs are 7, 1, 75 and 1 blow-ups long.  The trace replays every blow-up on the
-    # whole polynomial and compares its order with the recorded sequence; a report that
-    # recorded another value, inside a run or at its end, is refused.
+def test_trace_replay_checks_every_blow_up(blow_up, read):
+    # The runs are 8 and 76 blow-ups long, each ending at a center off the origin.  The
+    # trace replays every blow-up on the whole polynomial and compares its order with
+    # the recorded sequence; a report that recorded another value, inside a run or at
+    # its end, is refused.
     f = parse_poly("y^2 - x^21", ("x", "y"), Q)
     report = nash_sequence(f, arc(Q, "t^8", "t^84", variables=("x", "y")), max_steps=100)
     sequence = list(report.sequence)
     sequence[blow_up] = 3
     forged = dataclasses.replace(report, sequence=tuple(sequence))
-    with pytest.raises(EngineError, match=f"^trace replay reads multiplicity 2 at blow-up {blow_up}, not 3$"):
+    with pytest.raises(EngineError, match=f"^trace replay reads multiplicity {read} at blow-up {blow_up}, not 3$"):
         forged.trace
-    assert [steps for _, steps in report.runs] == [7, 1, 75, 1]
+    assert [steps for _, steps in report.runs] == [8, 76]
+    assert [i for i, step in enumerate(report.trace, 1) if any(step.center)] == [8, 84]
 
 
 def carried_transforms(poly, phi, max_steps):
@@ -785,6 +801,69 @@ def test_a_run_is_its_single_blow_ups(field):
         assert (chart, lifted, poly) == (run_chart, run_arc, run_poly)
         lengths["run" if steps > 1 else "single"] += 1
     assert lengths["run"] >= 10 and lengths["single"] >= 5, lengths
+
+
+def off_the_origin_case(rng, field, kind):
+    """(f, arc) of one kind: a curve arc reparametrized by t^n, whose second component
+    often ties with the first; a monomial arc, often with an exactly zero component; or
+    a curve arc composed with a series of order 1 or 2.  f is None when only 0 vanishes."""
+    if kind == "monomial":
+        phi, f = random_monomial_arc(rng, field, rng.randint(2, 3))
+        return f, phi
+    f, phi, _ = random_chain_case(rng, field)
+    if kind == "reparametrized":
+        return f, phi.reparametrize(rng.randint(1, 4))
+    lead = rng.choice(field.units(4))
+    inner = [field.zero] * rng.randint(1, 2) + [lead, field.coerce(rng.randint(-2, 2))]
+    return f, phi.compose(TruncatedSeries.exact_series(field, inner))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_runs_that_end_off_the_origin(field):
+    # Each iteration of the chain taken by hand on the whole of f: a run of `run_length`
+    # blow-ups, one lift and one strict transform, against that many single ones.  The
+    # singles keep every center but the last at the origin and the multiplicity until
+    # the last, and reach the run's center, arc and transform.  The report's runs and
+    # trace are these blow-ups, and the stepwise reference reads the same sequence, rho
+    # and truncation.  The arcs include ties (two nonzero center coordinates), exactly
+    # zero components, composed arcs and max_steps that ends inside a run.
+    rng = random.Random(f"off-the-origin-{field.characteristic}")
+    shapes = Counter()
+    for case in range(90):
+        kind = ("reparametrized", "monomial", "composed")[case % 3]
+        f, phi = off_the_origin_case(rng, field, kind)
+        if f is None:
+            continue
+        max_steps = rng.randint(1, 24)
+        poly, lifted = f.extend(phi.variables + ("w",)), graph_arc(phi, "w")
+        m0 = m = poly.order_at_origin()
+        lengths, centers, sequence = [], [], [m0]
+        while m0 >= 2 and m == m0 and len(sequence) <= max_steps:
+            limit = max_steps + 1 - len(sequence)
+            steps = run_length(poly, lifted, m, limit)
+            shapes["cut inside a run"] += steps == limit < run_length(poly, lifted, m, limit + 100)
+            run_chart, run_arc = blowup_lift(lifted, steps)
+            run_poly = strict_transform(poly, run_chart, steps)
+            for k in range(steps):
+                chart, lifted = blowup_lift(lifted)
+                poly = strict_transform(poly, chart)
+                assert k == steps - 1 or (not any(chart.translation) and poly.order_at_origin() == m)
+                centers.append(chart.translation)
+                sequence.append(poly.order_at_origin())
+            assert (chart, lifted, poly) == (run_chart, run_arc, run_poly)
+            m = sequence[-1]
+            lengths.append(steps)
+            shapes["run ending off the origin"] += steps > 1 and any(chart.translation)
+            shapes["tie"] += sum(1 for c in chart.translation if c) >= 2
+        report = nash_sequence(f, phi, max_steps)
+        if m0 >= 2:
+            assert [steps for _, steps in report.runs] == lengths
+            assert report.sequence == tuple(sequence)
+            assert [step.center for step in report.trace] == centers
+        assert_chain_matches_stepwise(f, phi, max_steps)
+        shapes[kind] += 1
+        shapes["zero component"] += any(c.is_exactly_zero() for c in phi.components)
+    assert min(shapes.values()) >= 5 and len(shapes) == 7, shapes
 
 
 @pytest.mark.parametrize("name", corpus_names())

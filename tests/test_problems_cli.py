@@ -528,9 +528,11 @@ class TestCli:
 
     def test_each_arc_and_series_is_scanned_once(self, monkeypatch):
         # A seed-1 deep-nash problem.  The certificate scans each named arc's leads, and
-        # contact reads them.  No series has its order scanned twice: the 6 named
-        # components once, for their leads, and run_length the 2 lifted components of
-        # each of the other 9 iterations, 24 in all.  The graph coordinate's order is
+        # contact reads them.  No series has its order scanned twice.  The 6 named
+        # components carry the order they were parsed with, and a lifted component keeps
+        # its order less the run's length, unless the run ends at its lowest term: the x
+        # lift of each arc's first run (runs of 2 and 19, 4 and 38, 8 and 76), which is
+        # zero.  run_length scans those 3 and no other.  The graph coordinate's order is
         # never read: it is the chart.
         text = (
             "name: dn_y2_x21_f0\nfield: 0\nvariables: x y\npoly: y^2 - x^21\n"
@@ -552,9 +554,10 @@ class TestCli:
         problem = parse_problem(text)
         report = run(problem)
         iterations = sum(len(nash.runs) for nash in report.analyses["nash"].values())
-        assert iterations == 12
+        assert iterations == 6
         assert [id(arc) for arc in scans["_leads"]] == [id(arc) for arc in problem.arcs.values()]
-        assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) == 24
+        assert len({id(s) for s in scans["_order"]}) == len(scans["_order"]) == 3
+        assert all(s.is_exactly_zero() for s in scans["_order"])
 
     @pytest.mark.parametrize("expects, builds", [(False, 1), (True, 2)])
     def test_the_analyses_report_is_built_for_expect_lines_and_output(self, monkeypatch, expects, builds):
