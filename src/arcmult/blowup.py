@@ -27,19 +27,17 @@ replayed on the whole of f, one blow-up at a time, when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 from .errors import EngineError, VariableMismatch
-from .fields import INF
+from .fields import INF, Record
 from .poly import MultiPoly, Point
 from .series import Arc, TruncatedSeries, certify_on_hypersurface
 
 DEFAULT_MAX_STEPS = 32
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(Record):
     """The j-th affine chart of the blow-up of the origin.
 
     The chart sends x_i -> x_i * x_j for i != j and fixes the exceptional
@@ -50,9 +48,10 @@ class ChartMap:
     always happen at the origin of the current chart.
     """
 
-    variables: tuple
-    index: int
-    translation: Point
+    _fields = ("variables", "index", "translation")
+
+    def __init__(self, variables: tuple, index: int, translation: Point):
+        vars(self).update(variables=variables, index=index, translation=translation)
 
     @property
     def exceptional(self) -> str:
@@ -82,15 +81,16 @@ class ChartMap:
         return transformed._shift(self.translation, caps, bound) if any(self.translation) else transformed
 
 
-@dataclass(frozen=True)
-class NashStep:
+class NashStep(Record):
     """One blow-up of the chain: its chart, center, multiplicity and strict transform."""
 
-    chart_index: int
-    chart_variable: str
-    center: Point
-    multiplicity: int
-    transform: MultiPoly = dataclass_field(repr=False)
+    _fields = ("chart_index", "chart_variable", "center", "multiplicity", "transform")
+
+    def __init__(self, chart_index: int, chart_variable: str, center: Point, multiplicity: int, transform):
+        vars(self).update(
+            chart_index=chart_index, chart_variable=chart_variable, center=center,
+            multiplicity=multiplicity, transform=transform,
+        )
 
     def to_json(self, field) -> dict:
         return {
@@ -102,8 +102,7 @@ class NashStep:
         }
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(Record):
     """The sequence m_0 >= m_1 >= ..., where it first drops, and how we got there.
 
     `runs` holds one `(chart, steps)` pair per iteration of the chain: `steps`
@@ -114,12 +113,12 @@ class NashReport:
     each, and raises EngineError if a replayed order is not the multiplicity
     the chain recorded."""
 
-    sequence: tuple
-    rho: int | None
-    start: MultiPoly = dataclass_field(repr=False)
-    runs: tuple
-    truncated: bool
-    below_threshold: bool = dataclass_field(default=False)
+    _fields = ("sequence", "rho", "start", "runs", "truncated", "below_threshold")
+
+    def __init__(self, sequence: tuple, rho, start: MultiPoly, runs: tuple, truncated: bool, below_threshold=False):
+        vars(self).update(
+            sequence=sequence, rho=rho, start=start, runs=runs, truncated=truncated, below_threshold=below_threshold
+        )
 
     @cached_property
     def trace(self) -> tuple:

@@ -12,25 +12,25 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .fields import INF, format_order
+from .fields import INF, Record, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
 from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
 
 
-@dataclass(frozen=True)
-class ContactResult:
-    """Contact data of one arc: r, nu, r_bar = r/nu, rho = floor(r)."""
+class ContactResult(Record):
+    """Contact data of one arc: r, nu, r_bar = r/nu, rho = floor(r).
 
-    r: object  # Fraction or INF
-    nu: int
-    r_bar: object  # Fraction or INF
-    rho: object  # int or INF
-    generator_orders: tuple  # of (generator index, order or INF)
+    r and r_bar are Fractions or INF, rho an int or INF, and generator_orders
+    a tuple of (generator index, order or INF) pairs."""
+
+    _fields = ("r", "nu", "r_bar", "rho", "generator_orders")
+
+    def __init__(self, r, nu: int, r_bar, rho, generator_orders: tuple):
+        vars(self).update(r=r, nu=nu, r_bar=r_bar, rho=rho, generator_orders=generator_orders)
 
     def to_json(self) -> dict:
         return {

@@ -21,7 +21,6 @@ z^3 - x^4 - y^7 + x*y^4*z^2 (8/3, where an arc on it has r_bar 3/2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .contact import contact_order, draw_key, grid_arc, grid_r_bar, normalized_contact, sample_arcs
@@ -32,39 +31,37 @@ from .errors import (
     NotInSingularLocus,
     ParseError,
 )
-from .fields import INF, FieldSpec, format_order
+from .fields import INF, FieldSpec, Record, format_order
 from .poly import MultiPoly, Powers, origin
 from .rees import ReesAlgebra, presenting_algebra
 from .series import Arc, TruncatedSeries, certify_on_hypersurface, lead_sums
 
 
-@dataclass(frozen=True)
-class MonicPresentation:
+class MonicPresentation(Record):
     """A hypersurface f, monic of degree >= 2 in one fiber variable.
 
     `realizes_multiplicity` says whether the fiber degree equals the order
     of f at the origin; ord_d, and so the theorem verifier, require it.
     """
 
-    base_variables: tuple
-    fiber_variable: str
-    poly: MultiPoly
+    _fields = ("base_variables", "fiber_variable", "poly")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_variables", tuple(self.base_variables))
-        expected = self.base_variables + (self.fiber_variable,)
-        if tuple(sorted(expected)) != tuple(sorted(self.poly.variables)):
+    def __init__(self, base_variables: tuple, fiber_variable: str, poly: MultiPoly):
+        base_variables = tuple(base_variables)
+        expected = base_variables + (fiber_variable,)
+        if tuple(sorted(expected)) != tuple(sorted(poly.variables)):
             raise EngineError(
-                f"presentation variables {expected} do not match polynomial over {self.poly.variables}"
+                f"presentation variables {expected} do not match polynomial over {poly.variables}"
             )
-        degree = self.poly.degree_in(self.fiber_variable)
-        lead = self.poly.coefficients_in(self.fiber_variable).get(degree)
+        degree = poly.degree_in(fiber_variable)
+        lead = poly.coefficients_in(fiber_variable).get(degree)
         if degree < 2:
             raise EngineError(
                 f"monic presentation needs fiber degree >= 2, got {degree}"
             )
-        if lead is None or not lead.is_constant() or lead.constant_value() != self.field.one:
+        if lead is None or not lead.is_constant() or lead.constant_value() != poly.field.one:
             raise EngineError("presentation polynomial is not monic in the fiber variable")
+        vars(self).update(base_variables=base_variables, fiber_variable=fiber_variable, poly=poly)
 
     @property
     def field(self) -> FieldSpec:
@@ -84,11 +81,11 @@ class MonicPresentation:
         return presenting_algebra(self.poly)
 
 
-@dataclass(frozen=True)
-class EliminationResult:
-    algebra: ReesAlgebra
-    ord_d: Fraction
-    method: str  # "Tschirnhausen" | "VisibleIntersection"
+class EliminationResult(Record):
+    _fields = ("algebra", "ord_d", "method")  # method: "Tschirnhausen" | "VisibleIntersection"
+
+    def __init__(self, algebra: ReesAlgebra, ord_d: Fraction, method: str):
+        vars(self).update(algebra=algebra, ord_d=ord_d, method=method)
 
     def to_json(self) -> dict:
         return {
@@ -310,19 +307,24 @@ def minimizing_arc(result: EliminationResult) -> Arc:
 # -- the end-to-end verifier ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Sampled verdict for min(normalized contact orders) = ord_d."""
+class TheoremReport(Record):
+    """Sampled verdict for min(normalized contact orders) = ord_d; `verdict` is
+    PASS, FAIL or INCONCLUSIVE."""
 
-    ord_d: Fraction
-    method: str
-    arcs_checked: int
-    min_r_bar: object
-    lower_bound_holds: bool
-    witness_name: str | None
-    witness_matches_projection: bool | None
-    verdict: str  # PASS | FAIL | INCONCLUSIVE
-    details: dict
+    _fields = (
+        "ord_d", "method", "arcs_checked", "min_r_bar", "lower_bound_holds",
+        "witness_name", "witness_matches_projection", "verdict", "details",
+    )
+
+    def __init__(
+        self, ord_d: Fraction, method: str, arcs_checked: int, min_r_bar, lower_bound_holds: bool,
+        witness_name: str | None, witness_matches_projection: bool | None, verdict: str, details: dict,
+    ):
+        vars(self).update(
+            ord_d=ord_d, method=method, arcs_checked=arcs_checked, min_r_bar=min_r_bar,
+            lower_bound_holds=lower_bound_holds, witness_name=witness_name,
+            witness_matches_projection=witness_matches_projection, verdict=verdict, details=details,
+        )
 
     def to_json(self) -> dict:
         data = {

@@ -9,7 +9,6 @@ through it so reductions mod p happen exactly once per operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EngineError, FieldMismatch
@@ -62,20 +61,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """A value class: `==`, `hash` and `repr` read the fields that `_fields` names.
+
+    `__init__` writes each field once, through `__dict__`; assigning or
+    deleting an attribute raises AttributeError, unless a class says it is
+    mutable.  These are plain methods, not generated ones, since every CLI
+    run pays for what its imports build."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Record):
     """A perfect coefficient field: Q (characteristic 0) or F_p (p prime)."""
 
-    characteristic: int = 0
+    _fields = ("characteristic",)
 
-    def __post_init__(self):
-        p = self.characteristic
+    def __init__(self, characteristic: int = 0):
+        p = characteristic
         if p >= MAX_CHARACTERISTIC:
             raise EngineError(f"characteristic must be below 2^40, got {p}")
         if p != 0 and not _is_prime(p):
             raise EngineError(f"characteristic must be 0 or prime, got {p}")
-        object.__setattr__(self, "zero", Fraction(0) if p == 0 else 0)
-        object.__setattr__(self, "one", Fraction(1) if p == 0 else 1)
+        vars(self).update(characteristic=p, zero=Fraction(0) if p == 0 else 0, one=Fraction(1) if p == 0 else 1)
 
     # -- element construction -------------------------------------------------
 

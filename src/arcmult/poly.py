@@ -162,6 +162,10 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise EngineError("negative polynomial power")
+        if len(self.terms) == 1:  # (c x^e)^n = c^n x^(n e) in one step, as the parser reads t^84
+            [(e, c)] = self.terms.items()
+            p = self.field.characteristic
+            return self._of(self.variables, {tuple(n * i for i in e): pow(c, n, p) if p else c**n}, self.field)
         one = MultiPoly.constant(self.field.one, self.variables, self.field)
         return Powers((self,), one).power(0, n)
 

@@ -9,7 +9,6 @@ with the same seed are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from . import __version__
@@ -17,7 +16,7 @@ from .blowup import DEFAULT_MAX_STEPS, nash_sequence
 from .contact import normalized_contact
 from .elimination import MonicPresentation, ord_d, verify_main_theorem
 from .errors import EngineError, ParseError
-from .fields import INF, FieldSpec, format_order
+from .fields import INF, FieldSpec, Record, format_order
 from .poly import MAX_LITERAL_DIGITS, MultiPoly, parse_poly
 from .rees import presenting_algebra
 from .series import Arc, certify_on_hypersurface, parse_series
@@ -29,17 +28,17 @@ MAX_OPTION = 10_000
 OPTION_MINIMUM = {"max_steps": 0, "budget": 0, "seed": None}
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(Record):
     """Run options, set by the problem-file keys and command-line flags of the same names."""
 
-    max_steps: int = DEFAULT_MAX_STEPS
-    budget: int = 100
-    seed: int = 0
+    _fields = ("max_steps", "budget", "seed")
+
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS, budget: int = 100, seed: int = 0):
+        vars(self).update(max_steps=max_steps, budget=budget, seed=seed)
 
     def overridden(self, values) -> "Options":
         """A copy with each option that `values` maps to other than None; other keys are ignored."""
-        return replace(self, **{k: values[k] for k in OPTION_MINIMUM if values.get(k) is not None})
+        return Options(**vars(self) | {k: values[k] for k in OPTION_MINIMUM if values.get(k) is not None})
 
 
 def option_value(key: str, text: str) -> int:
@@ -78,24 +77,23 @@ _EXPECT = {
 }
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     """A parsed problem; equality ignores the text echoes and comments."""
 
-    name: str
-    field: FieldSpec
-    variables: tuple
-    poly_text: str = dataclass_field(compare=False)
-    poly: MultiPoly
-    fiber: str | None
-    arc_texts: dict = dataclass_field(compare=False)
-    arcs: dict
-    parametrization_text: str | None = dataclass_field(compare=False)
-    parametrization: Arc | None
-    analyses: tuple
-    options: Options
-    expects: dict
-    comments: tuple = dataclass_field(default=(), compare=False)
+    _fields = ("name", "field", "variables", "poly", "fiber", "arcs", "parametrization", "analyses", "options",
+               "expects")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(
+        self, name: str, field: FieldSpec, variables: tuple, poly_text: str, poly: MultiPoly, fiber: str | None,
+        arc_texts: dict, arcs: dict, parametrization_text: str | None, parametrization: Arc | None,
+        analyses: tuple, options: Options, expects: dict, comments: tuple = (),
+    ):
+        vars(self).update(
+            name=name, field=field, variables=variables, poly_text=poly_text, poly=poly, fiber=fiber,
+            arc_texts=arc_texts, arcs=arcs, parametrization_text=parametrization_text,
+            parametrization=parametrization, analyses=analyses, options=options, expects=expects, comments=comments,
+        )
 
     def render(self) -> str:
         """Problem-file text that `parse_problem` reads back to an equal ProblemFile."""
@@ -263,12 +261,12 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
 # -- running ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    problem: ProblemFile
-    analyses: dict
-    expectations: list
-    verdict: str
+class Report(Record):
+    _fields = ("problem", "analyses", "expectations", "verdict")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(self, problem: ProblemFile, analyses: dict, expectations: list, verdict: str):
+        vars(self).update(problem=problem, analyses=analyses, expectations=expectations, verdict=verdict)
 
     def to_json(self, include_trace: bool = False) -> dict:
         problem = {

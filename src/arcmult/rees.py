@@ -10,8 +10,8 @@ are checked at observer level only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import (
     EngineError,
@@ -19,20 +19,20 @@ from .errors import (
     NotPermissible,
     VariableMismatch,
 )
-from .fields import FieldSpec, ensure_same_field
+from .fields import FieldSpec, Record, ensure_same_field
 from .poly import MultiPoly, Point, check_point
 
 
-def _generator_key(poly: MultiPoly, weight: int):
-    low = min((sum(e) for e in poly.terms), default=0)
-    return (weight, low, str(poly))
+def _rank(generator) -> tuple:
+    poly, weight = generator
+    return weight, poly.order_at_origin()
 
 
-@dataclass(frozen=True)
-class ReesAlgebra:
-    variables: tuple
-    generators: tuple  # of (MultiPoly, weight >= 1) pairs
-    field: FieldSpec
+class ReesAlgebra(Record):
+    _fields = ("variables", "generators", "field")  # generators: (MultiPoly, weight >= 1) pairs
+
+    def __init__(self, variables: tuple, generators: tuple, field: FieldSpec):
+        vars(self).update(variables=variables, generators=generators, field=field)
 
     @classmethod
     def of(cls, variables, generators, field: FieldSpec) -> "ReesAlgebra":
@@ -53,8 +53,11 @@ class ReesAlgebra:
                 continue
             seen.add(key)
             kept.append(key)
-        kept.sort(key=lambda g: _generator_key(*g))
-        return cls(variables, tuple(kept), field)
+        ordered = []  # by (weight, order at the origin), ties by text: only tied generators are formatted
+        for _, run in groupby(sorted(kept, key=_rank), _rank):
+            run = list(run)
+            ordered += sorted(run, key=lambda g: str(g[0])) if len(run) > 1 else run
+        return cls(variables, tuple(ordered), field)
 
     # -- basic facts -----------------------------------------------------------------
 

@@ -14,23 +14,23 @@ zero constant term (arcs are stored recentered at the current chart origin).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
 from operator import mul
 
 from .errors import ArcNotOnVariety, EngineError, InvalidArc, VariableMismatch
-from .fields import INF, FieldSpec, ensure_same_field, format_terms
+from .fields import INF, FieldSpec, Record, ensure_same_field, format_terms
 from .poly import MultiPoly, Powers, parse_poly
 
 #: `TruncatedSeries._order` and `Arc._leads` before their first read.
 _UNREAD = object()
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    field: FieldSpec
-    coeffs: tuple
+class TruncatedSeries(Record):
+    _fields = ("field", "coeffs")
     _order = _UNREAD  # not a field: `order` fills it on the first read
+
+    def __init__(self, field: FieldSpec, coeffs: tuple):
+        vars(self).update(field=field, coeffs=coeffs)
 
     # -- constructors ------------------------------------------------------------
 
@@ -246,41 +246,34 @@ def parse_series(text: str, field: FieldSpec) -> TruncatedSeries:
 # -- arcs ---------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """An assignment of a series (zero constant term) to each ambient variable."""
 
-    variables: tuple
-    components: tuple
-    field: FieldSpec = dataclass_field(default=None)
+    _fields = ("variables", "components", "field")
     _leads = _UNREAD  # not a field: `leads` fills it on the first read
     _certified = None  # not a field: the polynomial `certify_on_hypersurface` last certified it on
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.field is None:
-            if not self.components:
+    def __init__(self, variables: tuple, components: tuple, field: FieldSpec = None):
+        variables, components = tuple(variables), tuple(components)
+        if field is None:
+            if not components:
                 raise InvalidArc("arc needs at least one component")
-            object.__setattr__(self, "field", self.components[0].field)
-        if len(self.variables) != len(self.components):
-            raise VariableMismatch(
-                f"{len(self.components)} components for variables {self.variables}"
-            )
-        for comp in self.components:
-            ensure_same_field(comp.field, self.field)
-            if not self.field.is_zero(comp.coefficient(0)):
+            field = components[0].field
+        if len(variables) != len(components):
+            raise VariableMismatch(f"{len(components)} components for variables {variables}")
+        for comp in components:
+            ensure_same_field(comp.field, field)
+            if not field.is_zero(comp.coefficient(0)):
                 raise InvalidArc("arc components must have zero constant term")
-        if all(comp.is_exactly_zero() for comp in self.components):
+        if all(comp.is_exactly_zero() for comp in components):
             raise InvalidArc("arc must have at least one nonzero component")
+        vars(self).update(variables=variables, components=components, field=field)
 
     @classmethod
     def _of(cls, variables: tuple, components: tuple, field: FieldSpec) -> "Arc":
         # Internal: components are series over field with zero constant term, not all exactly zero.
         arc = cls.__new__(cls)
-        object.__setattr__(arc, "variables", variables)
-        object.__setattr__(arc, "components", components)
-        object.__setattr__(arc, "field", field)
+        vars(arc).update(variables=variables, components=components, field=field)
         return arc
 
     def component(self, name: str) -> TruncatedSeries:

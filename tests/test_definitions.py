@@ -58,3 +58,19 @@ def test_every_definition_is_used_in_the_package():
 
 def test_every_exception_is_still_defined_and_uncalled():
     assert {name for name in UNCALLED if name in _unused_definitions()} == set(UNCALLED)
+
+
+
+def test_no_module_generates_code_at_import():
+    # Every CLI run pays for its imports, so records are plain classes: no module
+    # imports dataclasses, whose decorator compiles methods, nor calls exec or eval.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name} imports {a.name}" for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append(f"{path.name} imports from {node.module}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval"):
+                found.append(f"{path.name} calls {node.func.id}")
+    assert found == []

@@ -165,17 +165,38 @@ def test_product_matches_term_by_term_reference(field):
                 assert f * g == reference_product(f, g), f"{f} times {g}"
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def one_term_bases(field):
+    """c x^e in three variables, c = +-1, +-2 and over Q 1/3, e = 0 among the exponents."""
+    coefficients = (1, -1, 2, -2) + ((Fraction(1, 3),) if field.characteristic == 0 else ())
+    exponents = ((0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 2))
+    return [MultiPoly(("x", "y", "z"), {e: c}, field) for c in coefficients for e in exponents]
+
+
+@pytest.mark.parametrize("field", (*FIELDS, prime_field(5)), ids=(*FIELD_IDS, "F5"))
 def test_power_matches_repeated_products(field):
+    # Random bases take the repeated squaring; one-term bases, c^n x^(n e), do not.
     rng = random.Random(f"power-{field.characteristic}")
+    bases = []
     for _ in range(4):
         f = random_poly(rng, field)
         if field.characteristic == 0:
             f = f.scale(Fraction(1, 3))
-        expected = MultiPoly.constant(1, XY, field)
+        bases.append(f)
+    for f in bases + one_term_bases(field):
+        expected = MultiPoly.constant(1, f.variables, field)
         for n in range(13):
-            assert f**n == expected, f"({f})^{n}"
+            power = f**n
+            assert power == expected, f"({f})^{n}"
+            assert_well_formed(power)
             expected = expected * f
+
+
+@pytest.mark.parametrize("field", (*FIELDS, prime_field(5)), ids=(*FIELD_IDS, "F5"))
+def test_power_caps_are_checked_before_a_power_is_built(field, monkeypatch):
+    assert P("x^1000", field=field).terms == {(1000, 0): field.one}
+    monkeypatch.setattr(MultiPoly, "__pow__", lambda *args: pytest.fail("a power was built"))
+    with pytest.raises(ParseError, match="power of total degree above 1000"):
+        P("x^1001", field=field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

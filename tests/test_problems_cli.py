@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -288,7 +287,7 @@ class TestCli:
             main(["verify", path, "--seed", "abc"])
         assert exit_info.value.code == 2
 
-    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Options)])
+    @pytest.mark.parametrize("key", Options._fields)
     @pytest.mark.parametrize("command", ["verify", "corpus"])
     def test_every_option_has_a_flag(self, tmp_path, capsys, command, key):
         flag = "--" + key.replace("_", "-")

@@ -199,3 +199,20 @@ def test_parse_and_render_round_trip():
     parsed = parse_rees(text, XY, Q)
     assert parsed == algebra([("x^2", 1), ("y^2 - x^3", 2)])
     assert parse_rees(str(parsed), XY, Q) == parsed
+
+
+@pytest.mark.parametrize("field", (Q, F2, F3, prime_field(5)), ids=("Q", "F2", "F3", "F5"))
+def test_generator_order_matches_the_formatted_key(field):
+    # `of` formats only the generators tied on (weight, order at the origin); the order
+    # is the one of the key (weight, lowest degree, text) over all of them.
+    rng = random.Random(f"generator-order-{field.characteristic}")
+    tied = 0
+    for _ in range(100):
+        count = rng.randint(2, 8)
+        generators = [(random_poly(rng, field, max_degree=2), rng.choice((0, 1, 1, 2))) for _ in range(count)]
+        generators += rng.sample(generators, 2)  # repeats, which `of` drops
+        kept = [g for g in dict.fromkeys(generators) if not g[0].is_zero() and g[1] >= 1]
+        key = {g: (g[1], min(sum(e) for e in g[0].terms), str(g[0])) for g in kept}
+        tied += len({k[:2] for k in key.values()}) < len(kept)
+        assert ReesAlgebra.of(XY, generators, field).generators == tuple(sorted(kept, key=key.get))
+    assert tied >= 30, "too few algebras with tied generators"
