@@ -290,9 +290,9 @@ def nash_sequence(poly: MultiPoly, arc: Arc, max_steps: int = DEFAULT_MAX_STEPS)
     lies on x_j = 0.  So such a term never sets an order nor binds
     `run_length`, and one kept a while longer does no harm.  Terms are made
     only by a shift to a center off the origin (at the origin a transform is
-    an injective map on exponents), so that shift drops them and does not
-    build them (`MultiPoly._shift`'s `bound`).  Along a composed arc the
-    whole transform grows at every such shift; the carried one does not.
+    an injective map on exponents), so that shift drops them from its
+    result (`MultiPoly._shift`'s `bound`).  Along a composed arc the whole
+    transform grows at every such shift; the carried one does not.
     """
     if poly.is_zero():
         raise EngineError("hypersurface polynomial must be nonzero")

@@ -242,28 +242,13 @@ class MultiPoly:
         # Internal: `translate` by a point whose coordinates are already field elements.
         # `caps` maps a coordinate to a degree: its shift builds only the terms of at most
         # that degree in it, as `nash_sequence` works modulo a power of that coordinate.
-        # `bound` caps the total degree of a shift that moves a coordinate: a term's degree
-        # in the coordinates that no later shift lowers only grows, so a term past it is
-        # neither kept nor built.  A shift raises no degree, so a bound that no term passes
-        # is left alone.
+        # `bound` drops the terms of total degree above it from the result.
         field = self.field
         p = field.characteristic
         shifted = self
-        moves = None  # under a bound that some term passes, the coordinates that the shift moves
         for i, c in enumerate(point):
             if field.is_zero(c):
                 continue
-            if moves is None and bound < INF:
-                moves = ()
-                if max(map(sum, self.terms), default=0) > bound:
-                    moves = [l for l in range(i, len(point)) if not field.is_zero(point[l])]
-                    terms = {
-                        e: a
-                        for e, a in self.terms.items()
-                        if sum(e) - sum([e[l] for l in moves]) <= bound
-                    }
-                    if len(terms) < len(self.terms):
-                        shifted = MultiPoly._of(self.variables, terms, field)
             fixed = {}
             moving = []
             for exps, a in shifted.terms.items():
@@ -278,27 +263,20 @@ class MultiPoly:
             (u,), d = field.cleared([c])
             n = max(exps[i] for exps, _ in moving)
             top = caps.get(i, n) if caps else n
-            rows = {}  # (e, top) -> the (k, binom(e, k) c^(e-k)), k <= top, whose binomial is nonzero in the field
+            rows = {}  # e -> the (k, binom(e, k) c^(e-k)), k <= top, whose binomial is nonzero in the field
             power_scale = d**n
             coeffs, scale = field.cleared([a for _, a in moving])
-            later = [l for l in moves if l > i] if moves else ()
             raw = {}
             for (exps, _), a in zip(moving, coeffs):
                 e = exps[i]
-                row = (e, min(e, top))
-                if moves:  # x_i^k past the room its settled degree leaves is never kept
-                    room = bound - sum(exps) + e
-                    if later:
-                        room += sum([exps[l] for l in later])
-                    row = (e, min(row[1], room))
-                if row not in rows:
-                    binoms = ((k, math.comb(e, k)) for k in range(row[1] + 1))
-                    rows[row] = [
+                if e not in rows:
+                    binoms = ((k, math.comb(e, k)) for k in range(min(e, top) + 1))
+                    rows[e] = [
                         (k, b * (pow(u, e - k, p) if p else u ** (e - k) * d ** (n - e + k)))
                         for k, b in binoms
                         if not p or b % p
                     ]
-                for k, b in rows[row]:
+                for k, b in rows[e]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     raw[key] = raw.get(key, 0) + a * b
             for key, v in zip(raw, field.uncleared(raw.values(), scale * power_scale)):
@@ -309,6 +287,8 @@ class MultiPoly:
                 else:
                     fixed.pop(key, None)
             shifted = MultiPoly._of(self.variables, fixed, field)
+        if bound < INF:
+            shifted = MultiPoly._of(self.variables, {e: a for e, a in shifted.terms.items() if sum(e) <= bound}, field)
         return shifted
 
     def evaluate(self, point):

@@ -264,10 +264,13 @@ def test_sparse_taylor_shift_matches_the_dense_reference(field):
 def test_a_degree_bound_keeps_the_low_terms_of_the_whole_shift(field):
     # `nash_sequence` shifts with a total-degree bound: the result is the whole shift's
     # terms of degree at most the bound, also when a later coordinate's shift lowers
-    # the degree of a term that an earlier one built.
+    # the degree of a term that an earlier one built.  It passes `caps` too: each capped
+    # coordinate that the point moves keeps the terms of at most that degree in it, and
+    # a capped coordinate that the point does not move keeps every term.
     rng = random.Random(f"bounded-shift-{field.characteristic}")
+    cap_rng = random.Random(f"capped-shift-{field.characteristic}")
     units = field.units(4)
-    lowered = 0
+    lowered = capped = 0
     for width in (2, 3, 4):
         variables = ("x", "y", "z", "w")[:width]
         for _ in range(30):
@@ -279,7 +282,14 @@ def test_a_degree_bound_keeps_the_low_terms_of_the_whole_shift(field):
             low = {e: c for e, c in whole.terms.items() if sum(e) <= bound}
             assert f._shift(point, None, bound).terms == low, f"{f} at {point} to degree {bound}"
             lowered += any(sum(e) > bound for e in f.terms) and bool(low)
+            caps = {i: cap_rng.randint(0, 4) for i in cap_rng.sample(range(width), cap_rng.randint(1, width))}
+            kept = {
+                e: c for e, c in low.items() if all(e[i] <= cap for i, cap in caps.items() if i in moved)
+            }
+            assert f._shift(point, caps, bound).terms == kept, f"{f} at {point} to degree {bound} under {caps}"
+            capped += len(kept) < len(low)
     assert lowered > 20
+    assert capped > 15
 
 
 @pytest.mark.parametrize("field", SHIFT_FIELDS, ids=SHIFT_IDS)

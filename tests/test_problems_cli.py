@@ -48,14 +48,15 @@ arc a: t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6
 analyses: nash
 """
 
-# ROADMAP item 8(d)'s slow quotient: (t^2, t^3) composed with 2t + 7t^2, whose lifts divide
-# by a chart component with lead 4 and do not terminate.
+# ROADMAP item 8(d)'s former slow quotient: (t^2, t^3) composed with 2t + 7t^2, whose lifts
+# once divided by a chart component with lead 4.  In the graph chart each lift is a slice
+# of the arc's coefficients.
 COMPOSED_ARC_PROBLEM = CUSP_ARC_PROBLEM.replace(
     "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(2*t + 7*t^2)^2, (2*t + 7*t^2)^3"
 )
 
-# y^2 - x^21 along ((t + t^2)^8, (t + t^2)^84): a chain of 84 blow-ups whose lifts do not
-# terminate, and whose shifts to centers off the origin grow the whole transform.
+# y^2 - x^21 along ((t + t^2)^8, (t + t^2)^84): a chain of 84 blow-ups whose lifts are
+# coefficient slices, and whose shifts to centers off the origin grow the whole transform.
 LONG_COMPOSED_PROBLEM = CUSP_ARC_PROBLEM.replace("y^2 - x^3", "y^2 - x^21").replace(
     "t^2 + 2*t^3 + t^4, t^3 + 3*t^4 + 3*t^5 + t^6", "(t + t^2)^8, (t + t^2)^84"
 )
@@ -392,9 +393,9 @@ class TestCli:
         ids=["node", "cusp", "composed-lead-4"],
     )
     def test_max_steps_does_not_size_the_division(self, tmp_path, capsys, text, sequence):
-        # A lift whose quotient does not terminate is computed only as far as the chain
-        # reads it, so the largest max_steps allowed still answers at once, with the same
-        # text.
+        # A lift is a slice of the arc's coefficients, and the chain ends where the
+        # multiplicity drops, so the largest max_steps allowed still answers at once, with
+        # the same text.
         path = self.write(tmp_path, text)
         assert main(["nash", path]) == 0
         expected = capsys.readouterr().out
@@ -413,8 +414,8 @@ class TestCli:
         assert f"[{','.join(['2'] * 33)}] truncated" in capsys.readouterr().out
 
     def test_a_long_chain_reads_its_lifts_to_the_end(self, tmp_path, capsys):
-        # Blow-up 84 reads a lift made at blow-up 1: a lift computes every coefficient
-        # that is read, with no precision to run out of.
+        # Blow-up 84 reads what the lifts since blow-up 1 left of the arc: each lift is a
+        # slice of the coefficients, so every one that is read is exact.
         path = self.write(tmp_path, LONG_COMPOSED_PROBLEM)
         with time_limit(1):
             assert main(["nash", path, "--max-steps", "100"]) == 0
