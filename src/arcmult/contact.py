@@ -18,7 +18,7 @@ from .errors import ParseError
 from .fields import INF, Record, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
+from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
 
 
 class ContactResult(Record):
@@ -51,7 +51,7 @@ def _lead_orders(algebra: ReesAlgebra, pattern, leads, monomial=True) -> dict:
     as the least degree with a nonzero sum (INF when none is), and on any
     other those whose initial form, the sum at the least degree L(g), does
     not vanish.  The one leading-term rule of the contact walk: `contact_order`
-    reads it on an `Arc`, `grid_r_bar` on a grid entry of `sample_arcs`.
+    reads it on an `Arc`, and `grid_r_bars` applies it per pattern to grid entries.
     """
     p = algebra.field.characteristic
     orders = {}
@@ -80,22 +80,21 @@ def _generator_orders(algebra: ReesAlgebra, arc: Arc):
     sorted (index, order) pairs.
 
     The orders that the arc's `Arc.leads` decide are read by
-    `_lead_orders`: on a monomial arc, every one.  A grid entry (pattern,
-    leads) of `sample_arcs` is read by the same rule through `grid_r_bar`,
-    with no arc built: `verify_main_theorem` builds only a grid arc that is
-    its witness (7,167 grid arcs of a width-14 F_2 input in about 0.5 s per
-    run, against 0.9 s when each was built and walked here).  Every other
+    `_lead_orders`: on a monomial arc, every one.  An undecided generator
+    that is f.normalized(), for the f that `certify_on_hypersurface` recorded
+    on the arc, reads INF: the certificate found f's image zero, so along
+    phi3 of a bundled problem f's image is built once per run.  Every other
     generator is evaluated on one power cache of the arc, built at the first
     need.
     """
     ensure_arc_ring(algebra, arc, "algebra")
     orders = _lead_orders(algebra, *arc.leads())
-    powers = None
+    powers = top = None
     for i, (poly, _) in enumerate(algebra.generators):
         if i not in orders:
-            if powers is None:
-                powers = arc.powers()
-            orders[i] = arc_image(poly, arc, powers).order()
+            if powers is None:  # f, when the arc is certified on it, maps to 0
+                powers, top = arc.powers(), arc._certified and arc._certified.normalized()
+            orders[i] = INF if poly == top else arc_image(poly, arc, powers).order()
     return _least_ratio(algebra, orders), tuple(sorted(orders.items()))
 
 
@@ -105,20 +104,52 @@ def contact_order(algebra: ReesAlgebra, arc: Arc):
 
 
 def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
-    best, orders = _generator_orders(algebra, arc)
-    nu = arc.order()
-    if best == INF:
-        return ContactResult(INF, nu, INF, INF, orders)
-    return ContactResult(best, nu, best / nu, math.floor(best), orders)
+    """r, nu, r_bar and rho, recorded on the arc: a second call with the same algebra object is a read."""
+    if arc._contact is None or arc._contact[0] is not algebra:
+        best, orders = _generator_orders(algebra, arc)
+        nu, rho = arc.order(), INF if best == INF else math.floor(best)
+        arc.__dict__["_contact"] = algebra, ContactResult(best, nu, INF if best == INF else best / nu, rho, orders)
+    return arc._contact[1]
 
 
-def grid_r_bar(algebra: ReesAlgebra, entry):
-    """r_bar = r / nu along the monomial arc of a grid entry (pattern, leads) of
-    `sample_arcs`, read by `_lead_orders` without building the arc: nu is the
-    least exponent of the pattern.  INF when the arc lies in the singular locus."""
-    pattern, leads = entry
-    r = _least_ratio(algebra, _lead_orders(algebra, pattern, leads))
-    return INF if r == INF else r / min(a for a in pattern if a is not None)
+def grid_r_bars(algebra: ReesAlgebra, entries) -> list:
+    """r_bar along the monomial arc of each grid entry (pattern, leads) of `sample_arcs`, as
+    `_lead_orders` reads it on the built arc, through one plan per pattern: each generator's
+    kept terms in degree classes, summed at the entry's units, integers (`FieldSpec.units`)."""
+    field, plans, r_bars = algebra.field, {}, []
+    generators = [_cleared_terms(poly.terms.items(), field) for poly, _ in algebra.generators]
+    for pattern, leads in entries:
+        if pattern not in plans:
+            plans[pattern] = plan = []
+            for terms in generators:
+                classes = {}
+                for exps, member in terms:
+                    if (degree := _term_degree(exps, pattern)) is not None:
+                        classes.setdefault(degree, []).append(member)
+                plan.append(sorted(classes.items()))
+        units = [None if u is None else u.numerator for u in leads]
+        r = _least_ratio(algebra, {
+            i: next((d for d, members in classes if _class_sum(members, units, field.characteristic)), INF)
+            for i, classes in enumerate(plans[pattern])
+        })
+        r_bars.append(INF if r == INF else r / min(a for a in pattern if a is not None))
+    return r_bars
+
+
+def _cleared_terms(terms, field) -> list:
+    """(exponents, (c, pairs)) per term: c on integers, one scale for all, pairs its nonzero (index, exponent)s."""
+    ints = field.cleared([c for _, c in terms])[0]
+    return [(exps, (c, [(i, e) for i, e in enumerate(exps) if e])) for (exps, _), c in zip(terms, ints)]
+
+
+def _class_sum(members, units, p) -> int:
+    """The sum of c * prod units[i]^e over the (c, pairs) members of a degree class, mod p when p > 0."""
+    total = 0
+    for c, pairs in members:
+        for i, e in pairs:
+            c *= units[i] ** e
+        total += c
+    return total % p if p else total
 
 
 #: Largest exponent of a monomial grid arc, and largest degree of a random
@@ -149,31 +180,9 @@ def grid_arc(variables, field, entry) -> Arc:
     )
 
 
-def _vanishes_on_monomial_arc(terms, field, assignment) -> bool:
-    """Whether f, given by its (exponents, coefficient) `terms`, maps to exactly
-    zero along the monomial arc of a grid assignment: whether every one of
-    its `lead_sums` vanishes.  This is arc_substitute(f, arc).is_exactly_zero()
-    without series products.
-    """
-    pattern, leads = _grid_entry(assignment)
-    return not any(num for num, _ in lead_sums(terms, pattern, leads, field.characteristic).values())
-
-
-def _every_degree_twice(degrees: list) -> bool:
-    """Whether every degree in the list `degrees`, which it sorts, occurs at least
-    twice: no power of t has only one term.  Sorted, a degree occurs once
-    exactly when it differs from each of its neighbours."""
-    degrees.sort()
-    last = len(degrees) - 1
-    if last < 1:
-        return last < 0
-    if degrees[0] != degrees[1] or degrees[last] != degrees[last - 1]:
-        return False
-    for i in range(1, last):
-        d = degrees[i]
-        if d != degrees[i - 1] and d != degrees[i + 1]:
-            return False
-    return True
+def _every_degree_twice(classes: dict) -> bool:
+    """Whether every t-degree in `classes`, {degree: kept terms}, is reached by two terms or more."""
+    return all(len(members) > 1 for members in classes.values())
 
 
 def _vanishing_grid(terms, field, width: int) -> list:
@@ -193,7 +202,8 @@ def _vanishing_grid(terms, field, width: int) -> list:
     last exponent e.  A last exponent a gives the first kept term's degree to
     another only when their (d, e) are equal (every a) or a = (d' - d) / (e - e').
     Only None and those a are checked, units are tried only where every power
-    is reached twice, and admitted assignments are sorted into the grid order.
+    is reached twice, on the kept terms' degree classes (`_vanishing_units`),
+    and admitted assignments are sorted into the grid order.
     """
     units = field.units(6)
     bound = EXPONENT_BOUND
@@ -204,12 +214,15 @@ def _vanishing_grid(terms, field, width: int) -> list:
     if not width:
         return []
     exponents = [None, *range(1, bound + 1)]
-    sparse = [([(i, e) for i, e in enumerate(exps[:-1]) if e], exps[-1]) for exps, _ in terms]
+    sparse = [([(i, e) for i, e in enumerate(x[:-1]) if e], x[-1], m) for x, m in _cleared_terms(terms, field)]
+    # (index in choices, choice) per exponent, choices = [None] + [(u, a) for a in 1..bound for u in units]
+    options = {a: [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)] for a in exponents[1:]}
+    options[None] = [(0, None)]
     admitted = []
     zero_prefix = (None,) * (width - 1)
     for prefix in itertools.product(exponents, repeat=width - 1):
-        kept = []  # (d, e) of each term the prefix keeps
-        for pairs, e in sparse:
+        kept, members = [], []  # (partial degree d, last exponent e) and class member of each term kept
+        for pairs, e, member in sparse:
             d = 0
             for i, ei in pairs:
                 if (a := prefix[i]) is None:
@@ -217,6 +230,7 @@ def _vanishing_grid(terms, field, width: int) -> list:
                 d += a * ei
             else:
                 kept.append((d, e))
+                members.append(member)
         lasts = exponents
         if kept and kept[0] not in kept[1:]:
             d0, e0 = kept[0]
@@ -225,22 +239,26 @@ def _vanishing_grid(terms, field, width: int) -> list:
         for last in lasts:
             if last is None and prefix == zero_prefix:
                 continue
-            if not _every_degree_twice([d + (last or 0) * e for d, e in kept if last or not e]):
-                continue
-            pattern = (*prefix, last)
-            # (index in choices, choice) per variable, where
-            # choices = [None] + [(u, a) for a in 1..bound for u in units].
-            options = [
-                [(0, None)] if a is None
-                else [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)]
-                for a in pattern
-            ]
-            for indexed in itertools.product(*options):
-                index, assignment = zip(*indexed)
-                if _vanishes_on_monomial_arc(terms, field, assignment):
-                    admitted.append((index, assignment))
+            classes = {}
+            for (d, e), member in zip(kept, members):
+                if last or not e:
+                    classes.setdefault(d + (last or 0) * e, []).append(member)
+            if _every_degree_twice(classes):
+                admitted += _vanishing_units(classes, [options[a] for a in (*prefix, last)], field.characteristic)
     admitted.sort(key=lambda pair: pair[0])
     return [assignment for _, assignment in admitted]
+
+
+def _vanishing_units(classes, choices, p) -> list:
+    """(index, assignment) for each pick of one (index, choice) per variable from `choices` at
+    which every degree class of f's kept terms, {degree: members}, sums to 0; one call per pattern."""
+    admitted = []
+    for indexed in itertools.product(*choices):
+        index, assignment = zip(*indexed)
+        units = [None if choice is None else choice[0].numerator for choice in assignment]
+        if not any(_class_sum(members, units, p) for members in classes.values()):
+            admitted.append((index, assignment))
+    return admitted
 
 
 def _separates(parametrization: Arc) -> bool:
@@ -290,11 +308,10 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     entry per arc: (grid, None) for the monomial grid arc x_i -> u_i t^(a_i),
     where grid is its (pattern, leads) pair of exponents a_i and units u_i,
     None for x_i -> 0 (the first two items of its `Arc.leads`, which
-    `grid_arc` builds it from and `grid_r_bar` reads its r_bar from), and
+    `grid_arc` builds it from and `grid_r_bars` reads r_bar from), and
     (None, index) for the arc phi o s composed through the parametrization
     phi, where the integer index names s (`draw_key`).  No arc is built
-    here through a separating phi, and `verify_main_theorem` builds only its
-    witness: a width-14 F_2 input has 7,167 grid entries.
+    here through a separating phi.
 
     Monomial grid arcs are admitted by exponent arithmetic.  The
     parametrization is checked once: f(phi) must be exactly zero
@@ -310,10 +327,11 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     When phi separates (`_separates`), distinct indices give distinct arcs,
     and phi o s is a monomial arc only when phi is monomial and s is a
     monomial c t^k, the index d * V^(k-1) with c the value of digit d (its
-    degree exceeds its order otherwise).  So nothing is composed: such an
-    arc, x_i -> u_i c^(a_i) t^(k a_i) for phi's x_i -> u_i t^(a_i), is
-    dropped when its (pattern, leads) is a grid entry's, a t^n that was
-    drawn is dropped, and every other index is admitted.  Through any other
+    degree exceeds its order otherwise).  So nothing is composed: an index
+    of such an s is checked (`new`), and dropped when its arc
+    x_i -> u_i c^(a_i) t^(k a_i), for phi's x_i -> u_i t^(a_i), has a grid
+    entry's (pattern, leads); a t^n that was drawn is dropped, and every
+    other index is admitted with no check.  Through any other
     phi each index is decoded and composed, and compared by its (pattern,
     leads) when monomial, the grid's key, and by its components otherwise.
     """
@@ -349,15 +367,14 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     monomials = {d * width ** (k - 1): (k, c) for k in places for d, c in enumerate(values) if d}
 
     def new(index) -> bool:
-        if index not in monomials:
-            return True
+        # index names the monomial c t^k: phi o c t^k is new unless it is a grid arc
         k, c = monomials[index]
         return (
             tuple(None if a is None else k * a for a in pattern),
             tuple(None if u is None else field.mul(u, field.coerce(c**a)) for a, u in zip(pattern, leads)),
         ) not in seen
 
-    arcs.extend((None, index) for index in drawn if new(index))
+    arcs.extend((None, index) for index in drawn if index not in monomials or new(index))
     drawn = set(drawn)  # a t^n that was drawn is not admitted twice
-    arcs.extend((None, index) for index in t_powers if index not in drawn and new(index))
+    arcs.extend((None, index) for index in t_powers if index not in drawn and (index not in monomials or new(index)))
     return arcs

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .contact import contact_order, draw_key, grid_arc, grid_r_bar, normalized_contact, sample_arcs
+from .contact import contact_order, draw_key, grid_arc, grid_r_bars, normalized_contact, sample_arcs
 from .errors import (
     CharDividesDegree,
     EngineError,
@@ -45,6 +45,7 @@ class MonicPresentation(Record):
     """
 
     _fields = ("base_variables", "fiber_variable", "poly")
+    _algebra = None  # not a field: `presenting_algebra` fills it on the first call
 
     def __init__(self, base_variables: tuple, fiber_variable: str, poly: MultiPoly):
         base_variables = tuple(base_variables)
@@ -76,9 +77,12 @@ class MonicPresentation(Record):
         """True when the fiber degree equals the order at the origin."""
         return self.poly.order_at_origin() == self.degree
 
-    def presenting_algebra(self) -> ReesAlgebra:
-        """`rees.presenting_algebra` of the polynomial; bench/kernels.py calls it."""
-        return presenting_algebra(self.poly)
+    def presenting_algebra(self, algebra: ReesAlgebra | None = None) -> ReesAlgebra:
+        """`rees.presenting_algebra` of the polynomial, kept from the first call, which
+        `problems.run` makes with the algebra it built for the same polynomial object."""
+        if self._algebra is None:
+            self.__dict__["_algebra"] = algebra or presenting_algebra(self.poly)
+        return self._algebra
 
 
 class EliminationResult(Record):
@@ -177,13 +181,14 @@ def _weighted_products(generators, max_weight: int) -> list:
 def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     """Constructive trace of the algebra on the coordinate subspace.
 
-    Differential closure first, then per-weight k-linear elimination of the
-    bad monomials, those containing an eliminated variable, over the pool of
-    generator products; a pool above POOL_CAP products is refused before any
-    is built.  The result is a subalgebra of the elimination algebra,
-    diff-closed over the remaining variables, so its order is an upper
-    bound, shown equal only on the bundled corpus and strictly higher on
-    the two F_3 inputs of the module docstring.
+    Differential closure first, unless the algebra is `closed`, then
+    per-weight k-linear elimination of the bad monomials, those containing
+    an eliminated variable, over the pool of generator products; a pool
+    above POOL_CAP products is refused before any is built.  The result is
+    a subalgebra of the elimination algebra, diff-closed over the remaining
+    variables, so its order is an upper bound, shown equal only on the
+    bundled corpus and strictly higher on the two F_3 inputs of the module
+    docstring.
 
     Each weight keeps an echelon basis of the bad parts met so far, keyed by
     leading bad monomial.  A product whose bad part reduces to zero against
@@ -192,7 +197,7 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
     away, the one a nullspace of the matrix of bad parts would give.
     """
     eliminated = set(eliminated)
-    closed = algebra.diff_closure()
+    closed = algebra if algebra.closed else algebra.diff_closure()
     remaining = tuple(v for v in algebra.variables if v not in eliminated)
     if not remaining:
         raise EngineError("cannot eliminate every ambient variable")
@@ -253,9 +258,8 @@ def ord_d(presentation: MonicPresentation) -> EliminationResult:
         algebra = coefficient_algebra(reduced)
         method = "Tschirnhausen"
     else:
-        # R[f W^m] unclosed: visible_elimination closes it.
-        generator = ReesAlgebra.of(presentation.poly.variables, [(presentation.poly, m)], field)
-        algebra = visible_elimination(generator, {presentation.fiber_variable})
+        # m is the order of f, so the presenting algebra is the closure of R[f W^m].
+        algebra = visible_elimination(presentation.presenting_algebra(), {presentation.fiber_variable})
         method = "VisibleIntersection"
     if not algebra.generators:
         # Nothing survives elimination (f = z^m): the whole hypersurface has
@@ -365,23 +369,23 @@ def verify_main_theorem(
 
     Every arc checked lies on f (a certified candidate, a grid arc, or an arc
     through the certified parametrization), so f W^m, which `diff_closure`
-    keeps as (f.normalized(), m), maps to 0 and never attains r: arcs are
-    evaluated on G without it, on the derivatives of f.
+    keeps as (f.normalized(), m), maps to 0 and never attains r.  A
+    candidate's r_bar is its `normalized_contact` on G, a read when `run`'s
+    contact analysis recorded it there, where f reads INF from the
+    certificate or the leading terms; every other arc is evaluated on G
+    without f, on the derivatives of f.
 
-    Candidates are evaluated one by one.  Grid arcs, the (grid, None)
-    entries of `sample_arcs`, stay exponent patterns: `grid_r_bar` reads each
-    one's r_bar from its lead sums, and only a grid arc that is the witness
-    is built (`grid_arc`), for its string and base projection.  Over F_2,
-    x0^2 + ... + x13^2 + x1*x2*x3 with fiber x0 has 7,167 grid arcs; reading
-    them, not building and walking each, took a run of the problem from
-    about 0.9 to 0.5 s (in-process, Python 3.11.7, 2 shared cores).  The
-    arcs composed through the parametrization, the (None, index) entries
-    after the grid, are counted and named like any other but neither built
-    nor evaluated: G(phi o s) = G(phi) o s, so r(phi o s) = r(phi) * ord(s)
-    and nu(phi o s) = nu(phi) * ord(s), and every one has the r_bar of phi,
-    which one contact order on phi gives.  They are compared as one group,
-    named by its first index, and its first arc is built, from the series
-    that `draw_key` decodes, only when the group holds the witness.
+    Grid arcs, the (grid, None) entries of `sample_arcs`, stay exponent
+    patterns: `grid_r_bars` reads their r_bars through one plan per pattern,
+    and only a grid arc that is the witness is built (`grid_arc`), for its
+    string and base projection.  The arcs composed through the
+    parametrization, the (None, index) entries after the grid, are counted
+    and named like any other but neither built nor evaluated: G(phi o s) =
+    G(phi) o s, so r(phi o s) = r(phi) * ord(s) and nu(phi o s) = nu(phi) *
+    ord(s), and every one has the r_bar of phi, which one contact order on
+    phi gives.  They are compared as one group, named by its first index,
+    and its first arc is built, from the series that `draw_key` decodes,
+    only when the group holds the witness.
     """
     poly = presentation.poly
     top = (poly.normalized(), poly.order_at_origin())
@@ -392,15 +396,12 @@ def verify_main_theorem(
     sampled = sample_arcs(poly, budget, seed, parametrization)
     grid = next((i for i, (entry, _) in enumerate(sampled) if entry is None), len(sampled))
 
-    def r_bar_of(arc):
-        r = contact_order(derivatives, arc)
-        return INF if r == INF else r / arc.order()
-
     # r_bar of each candidate, each grid arc and, as one, the composed arcs.
-    composed = [] if grid == len(sampled) else [r_bar_of(parametrization)]
+    r = contact_order(derivatives, parametrization) if grid < len(sampled) else None
+    composed = [] if r is None else [INF if r == INF else r / parametrization.order()]
     r_bars = [
-        *(r_bar_of(arc) for arc in candidates.values()),
-        *(grid_r_bar(derivatives, entry) for entry, _ in sampled[:grid]),
+        *(normalized_contact(algebra, arc).r_bar for arc in candidates.values()),
+        *grid_r_bars(derivatives, [entry for entry, _ in sampled[:grid]]),
         *composed,
     ]
     min_r_bar = min(r_bars, default=INF)

@@ -264,11 +264,14 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
 class Report(Record):
     _fields = ("problem", "analyses", "expectations", "verdict")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+    _rendered = None  # not a field: `run`'s no-trace `_analyses_json`, which the first `to_json` takes over
 
     def __init__(self, problem: ProblemFile, analyses: dict, expectations: list, verdict: str):
         vars(self).update(problem=problem, analyses=analyses, expectations=expectations, verdict=verdict)
 
     def to_json(self, include_trace: bool = False) -> dict:
+        """The report as JSON data; no dict it returns is shared with a later call's."""
+        rendered = None if include_trace else self.__dict__.pop("_rendered", None)
         problem = {
             "name": self.problem.name,
             "field": self.problem.field.characteristic,
@@ -283,7 +286,7 @@ class Report(Record):
         return {
             "engine": {"name": "arcmult", "version": __version__},
             "problem": problem,
-            "analyses": _analyses_json(self.problem.field, self.analyses, include_trace),
+            "analyses": rendered or _analyses_json(self.problem.field, self.analyses, include_trace),
             "expectations": self.expectations,
             "verdict": self.verdict,
         }
@@ -322,8 +325,8 @@ def run(problem: ProblemFile) -> Report:
             name: nash_sequence(problem.poly, arc, problem.options.max_steps)
             for name, arc in problem.arcs.items()
         }
-    if "contact" in problem.analyses or "verify" in problem.analyses:
-        algebra = presenting_algebra(problem.poly)
+    needs_g = "contact" in problem.analyses or "verify" in problem.analyses
+    algebra = presenting_algebra(problem.poly) if needs_g else None
     if "contact" in problem.analyses:
         analyses["contact"] = {}
         for name, arc in problem.arcs.items():
@@ -331,6 +334,8 @@ def run(problem: ProblemFile) -> Report:
             analyses["contact"][name] = normalized_contact(algebra, arc)
     if "ord_d" in problem.analyses or "verify" in problem.analyses:
         presentation = presentation_of(problem)
+        if algebra is not None:
+            presentation.presenting_algebra(algebra)  # ord_d's visible route reads G: no second closure
         elimination = ord_d(presentation)
     if "ord_d" in problem.analyses:
         analyses["ord_d"] = elimination
@@ -344,13 +349,13 @@ def run(problem: ProblemFile) -> Report:
             problem.options.seed,
             parametrization=problem.parametrization,
         )
-    expectations = []
-    if problem.expects:
-        expectations = _check_expectations(problem.expects, _analyses_json(problem.field, analyses))
+    rendered = _analyses_json(problem.field, analyses) if problem.expects else None
+    expectations = _check_expectations(problem.expects, rendered)
     failed = any(not e["match"] for e in expectations)
     verify_failed = "verify" in analyses and analyses["verify"].verdict != "PASS"
-    verdict = "FAIL" if failed or verify_failed else "PASS"
-    return Report(problem, analyses, expectations, verdict)
+    report = Report(problem, analyses, expectations, "FAIL" if failed or verify_failed else "PASS")
+    report._rendered = rendered
+    return report
 
 
 def _check_expectations(expects: dict, reports: dict) -> list:

@@ -30,6 +30,7 @@ def _rank(generator) -> tuple:
 
 class ReesAlgebra(Record):
     _fields = ("variables", "generators", "field")  # generators: (MultiPoly, weight >= 1) pairs
+    closed = False  # not a field: true on a `diff_closure` result
 
     def __init__(self, variables: tuple, generators: tuple, field: FieldSpec):
         vars(self).update(variables=variables, generators=generators, field=field)
@@ -71,19 +72,19 @@ class ReesAlgebra(Record):
             raise EngineError("Rees algebra with empty generator list has no observers")
 
     def sing_member(self, point: Point) -> bool:
-        """Point of Sing: every generator has local order >= its weight."""
+        """Point of Sing: every generator has local order >= its weight (each order kept for `ord_at`)."""
         if self.is_trivial:
             return False
         self._require_generators()
         point = check_point(point, self.variables, self.field)
-        return all(g.order_at(point) >= w for g, w in self.generators)
+        self.__dict__["_orders"] = [(g.order_at(point), w) for g, w in self.generators]
+        return all(o >= w for o, w in self._orders)
 
     def ord_at(self, point: Point) -> Fraction:
         """Hironaka order: min over generators of order/weight (on Sing only)."""
         if not self.sing_member(point):
             raise NotInSingularLocus(f"point {point} is not in Sing")
-        point = check_point(point, self.variables, self.field)
-        return min(Fraction(g.order_at(point)) / w for g, w in self.generators)
+        return min(Fraction(o) / w for o, w in self._orders)
 
     # -- algebra operations -----------------------------------------------------------
 
@@ -92,7 +93,7 @@ class ReesAlgebra(Record):
 
         Adds hasse_derivative(f_i, a) with weight n_i - |a| for every
         multi-index 1 <= |a| < n_i; generators are scalar-normalized so a
-        second application is a set-level fixed point.
+        second application is a set-level fixed point, which `closed` marks.
         """
         gens = []
         for poly, weight in self.generators:
@@ -104,7 +105,9 @@ class ReesAlgebra(Record):
                 derived = poly.hasse_derivative(alpha)
                 if not derived.is_zero():
                     gens.append((derived.normalized(), weight - sum(alpha)))
-        return ReesAlgebra.of(self.variables, gens, self.field)
+        closure = ReesAlgebra.of(self.variables, gens, self.field)
+        closure.__dict__["closed"] = True
+        return closure
 
     def weighted_transform(self, chart, center: Point) -> "ReesAlgebra":
         """Transform under a point blow-up chart: pull back, divide by e^weight.

@@ -252,6 +252,7 @@ class Arc(Record):
     _fields = ("variables", "components", "field")
     _leads = _UNREAD  # not a field: `leads` fills it on the first read
     _certified = None  # not a field: the polynomial `certify_on_hypersurface` last certified it on
+    _contact = None  # not a field: (algebra, result) of the last `contact.normalized_contact` on it
 
     def __init__(self, variables: tuple, components: tuple, field: FieldSpec = None):
         variables, components = tuple(variables), tuple(components)

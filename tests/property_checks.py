@@ -59,7 +59,7 @@ from arcmult.contact import (
     contact_order,
     draw_key,
     grid_arc,
-    grid_r_bar,
+    grid_r_bars,
     sample_arcs,
 )
 from arcmult.elimination import MonicPresentation, TheoremReport, minimizing_arc, ord_d, verify_main_theorem
@@ -79,6 +79,7 @@ from arcmult.series import (
     arc_image,
     arc_substitute,
     certify_on_hypersurface,
+    lead_sums,
 )
 
 
@@ -186,6 +187,16 @@ def reference_grid(field, width, exponent_bound):
     for assignment in itertools.product(choices, repeat=width):
         if any(c is not None for c in assignment):
             yield assignment
+
+
+def reference_vanishes(terms, field, assignment) -> bool:
+    """Whether f, given by its (exponents, coefficient) `terms`, maps to exactly
+    zero along the monomial arc of a grid assignment: whether every one of its
+    `lead_sums` vanishes, one assignment at a time, where the sampler tests
+    the unit tuples of an exponent pattern on its degree classes."""
+    pattern = tuple(None if choice is None else choice[1] for choice in assignment)
+    leads = tuple(None if choice is None else choice[0] for choice in assignment)
+    return not any(num for num, _ in lead_sums(terms, pattern, leads, field.characteristic).values())
 
 
 def reference_feasible_patterns(terms, field, width, exponent_bound):
@@ -946,7 +957,7 @@ def check_grid_r_bar(rng, field, width):
     """For every grid entry (pattern, leads) of `sample_arcs` on a random
     product f of two polynomials without constant term in `width` variables
     (a square half the time), the r_bar that `verify_main_theorem`
-    reads, `grid_r_bar` on the derivatives of f, is contact_order / arc.order()
+    reads, `grid_r_bars` on the derivatives of f, is contact_order / arc.order()
     on the arc that `grid_arc` builds from the entry, INF included, and both
     are the least ord_t(phi(g))/w of every generator's full image
     (`reference_generator_orders`) over the least t-order of the entry's
@@ -967,11 +978,11 @@ def check_grid_r_bar(rng, field, width):
     f = p * (p if rng.random() < 0.5 else factor())
     derivatives = derivatives_of(f)
     grid_entries = [grid for grid, _ in sample_arcs(f, 0, 0)]
-    for grid in grid_entries:
+    for grid, r_bar in zip(grid_entries, grid_r_bars(derivatives, grid_entries), strict=True):
         arc = grid_arc(variables, field, grid)
         r = contact_order(derivatives, arc)
         expected = INF if r == INF else r / arc.order()
-        assert grid_r_bar(derivatives, grid) == expected, (str(f), str(arc))
+        assert r_bar == expected, (str(f), str(arc))
         reference, _ = reference_generator_orders(derivatives, arc)
         nu = min(c.order() for c in arc.components)
         assert expected == (INF if reference == INF else reference / nu), (str(f), str(arc))

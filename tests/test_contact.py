@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -18,6 +19,7 @@ from property_checks import (
     reference_grid,
     reference_sample_arcs,
     reference_unit_choice,
+    reference_vanishes,
     reference_verify,
     sampled_arcs,
 )
@@ -29,12 +31,11 @@ from arcmult.contact import (
     _generator_orders,
     _grid_entry,
     _separates,
-    _vanishes_on_monomial_arc,
     _vanishing_grid,
     contact_order,
     draw_key,
     grid_arc,
-    grid_r_bar,
+    grid_r_bars,
     normalized_contact,
     sample_arcs,
 )
@@ -56,7 +57,7 @@ from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import parse_poly
 from arcmult.problems import MAX_OPTION, presentation_of
 from arcmult.rees import presenting_algebra
-from arcmult.series import Arc, TruncatedSeries, arc_substitute, parse_series
+from arcmult.series import Arc, TruncatedSeries, arc_substitute, certify_on_hypersurface, parse_series
 
 Q = RATIONALS
 F2 = prime_field(2)
@@ -201,17 +202,19 @@ XYZUV = ("x", "y", "z", "u", "v")
 
 
 def _grid_with_tries(monkeypatch, terms, field, width):
-    """`_vanishing_grid`'s list, and {pattern: unit tuples tried} for each exponent pattern it tries."""
+    """`_vanishing_grid`'s list, and {pattern: unit tuples tried} for each exponent pattern it tries:
+    `_vanishing_units` tries every tuple of its per-variable choices."""
     tried = Counter()
-    rule = contact._vanishes_on_monomial_arc
+    rule = contact._vanishing_units
 
-    def counted(terms, field, assignment):
-        tried[tuple(None if choice is None else choice[1] for choice in assignment)] += 1
-        return rule(terms, field, assignment)
+    def counted(classes, choices, p):
+        pattern = tuple(None if options[0][1] is None else options[0][1][1] for options in choices)
+        tried[pattern] += math.prod(map(len, choices))
+        return rule(classes, choices, p)
 
-    monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", counted)
+    monkeypatch.setattr(contact, "_vanishing_units", counted)
     grid = _vanishing_grid(terms, field, width)
-    monkeypatch.setattr(contact, "_vanishes_on_monomial_arc", rule)
+    monkeypatch.setattr(contact, "_vanishing_units", rule)
     return grid, dict(tried)
 
 
@@ -224,13 +227,14 @@ class TestSampleArcs:
     def test_exponent_rule_matches_substitution_on_the_grid(self, constraint):
         field, variables = constraint.field, constraint.variables
         terms = list(constraint.terms.items())
+        grid = set(_vanishing_grid(terms, field, len(variables)))
         admitted = 0
         for assignment in reference_grid(field, len(variables), EXPONENT_BOUND):
-            by_rule = _vanishes_on_monomial_arc(terms, field, assignment)
+            by_rule = assignment in grid
             monomial = grid_arc(variables, field, _grid_entry(assignment))
             assert by_rule == arc_substitute(constraint, monomial).is_exactly_zero(), monomial
             admitted += by_rule
-        assert admitted > 0
+        assert admitted == len(grid) > 0
 
     def test_pattern_first_grid_matches_the_full_grid(self, monkeypatch):
         # The shapes whose terms cancel along some monomial arcs, the edge
@@ -253,7 +257,7 @@ class TestSampleArcs:
             expected = [
                 assignment
                 for assignment in reference_grid(field, width, EXPONENT_BOUND)
-                if _vanishes_on_monomial_arc(terms, field, assignment)
+                if reference_vanishes(terms, field, assignment)
             ]
             grid, tried = _grid_with_tries(monkeypatch, terms, field, width)
             assert grid == expected, (str(constraint), field.characteristic)
@@ -432,7 +436,26 @@ class TestContactWalk:
             derivatives = derivatives_of(poly)
             built = grid_arc(XYZ, field, coerced)
             assert built.components == arc(field, "0", "t", "t^2", variables=XYZ).components
-            assert grid_r_bar(derivatives, coerced) == contact_order(derivatives, built) / built.order() == expected
+            assert grid_r_bars(derivatives, [coerced]) == [contact_order(derivatives, built) / built.order()]
+            assert grid_r_bars(derivatives, [coerced]) == [expected]
+
+    def test_grid_r_bars_place_terms_once_per_pattern(self, monkeypatch):
+        # Over Q an exponent pattern of the grid of z^2 - x^3 - y^4 carries several
+        # unit tuples: the derivatives' terms are placed by degree once per pattern,
+        # and each entry reads the r_bar of its built arc.
+        poly = SURFACES["z2_x3_y4_f0"]
+        derivatives = derivatives_of(poly)
+        entries = [grid for grid, _ in sample_arcs(poly, 0, 0)]
+        placed = []
+        term_degree = contact._term_degree
+        monkeypatch.setattr(contact, "_term_degree", lambda *args: placed.append(args) or term_degree(*args))
+        r_bars = grid_r_bars(derivatives, entries)
+        patterns = {pattern for pattern, _ in entries}
+        assert len(entries) > 2 * len(patterns)
+        assert len(placed) == len(patterns) * sum(len(g.terms) for g, _ in derivatives.generators)
+        for entry, r_bar in zip(entries, r_bars, strict=True):
+            built = grid_arc(XYZ, Q, entry)
+            assert r_bar == contact_order(derivatives, built) / built.order()
 
     @pytest.mark.parametrize(
         "weighted, components, r",
@@ -524,6 +547,40 @@ class TestContactWalk:
         images.clear()
         _generator_orders(g, on_cusp)
         assert [poly for poly, *_ in images] == [f]
+
+    def test_a_certified_arc_reads_f_from_its_certificate(self, monkeypatch):
+        # Certified on f, the arc above reads INF for f's generator with no image built.
+        # The certificate is not read for another polynomial: along the same arc
+        # y^2 - x^3 + x^4 has a vanishing initial form too, and its image, t^8 + ...,
+        # is built.  An arc certified on nothing builds f's image, as above.
+        images = []
+        arc_image = contact.arc_image
+        monkeypatch.setattr(contact, "arc_image", lambda *args: images.append(args) or arc_image(*args))
+        f = parse_poly("y^2 - x^3", XY, Q)
+        on_cusp = arc(Q, "t^2 + 2*t^3 + t^4", "t^3 + 3*t^4 + 3*t^5 + t^6")
+        certify_on_hypersurface(f, on_cusp, None)
+        r, orders = _generator_orders(presenting_algebra(f), on_cusp)
+        assert (r, images) == (3, []) and INF in dict(orders).values()
+        other = algebra([("y^2 - x^3 + x^4", 2)])
+        assert _generator_orders(other, on_cusp) == (4, ((0, 8),))
+        assert [poly for poly, *_ in images] == [other.generators[0][0]]
+
+    def test_a_contact_result_is_read_only_for_its_algebra_object(self, monkeypatch):
+        # normalized_contact records its result on the arc for the algebra object it
+        # walked: the same object again walks nothing, and any other object, even an
+        # equal one, is walked.
+        walks = []
+        walk = contact._generator_orders
+        monkeypatch.setattr(contact, "_generator_orders", lambda g, along: walks.append(g) or walk(g, along))
+        cusp = arc(Q, "t^2", "t^3")
+        g = presenting_algebra(parse_poly("y^2 - x^3", XY, Q))
+        first = normalized_contact(g, cusp)
+        assert normalized_contact(g, cusp) is first and walks == [g]
+        line = algebra([("x", 1)])
+        assert (normalized_contact(line, cusp).r, first.r) == (2, 3)
+        equal = presenting_algebra(parse_poly("y^2 - x^3", XY, Q))
+        assert normalized_contact(equal, cusp) == first and walks == [g, line, equal]
+        assert normalized_contact(g, cusp) == first and walks == [g, line, equal, g]
 
     def test_arc_over_other_variables_rejected(self):
         # No image is built here, so the variables are checked up front.
@@ -654,9 +711,16 @@ class TestComposedPool:
         presentation, candidates, _, seed, phi = _verify_inputs("cusp_char0")
         algebra = presenting_algebra(presentation.poly)
         calls, reads = [], []
-        evaluate, read = elimination.contact_order, elimination.grid_r_bar
+        evaluate, walk, read = elimination.contact_order, elimination.normalized_contact, elimination.grid_r_bars
         monkeypatch.setattr(elimination, "contact_order", lambda *args: calls.append(args) or evaluate(*args))
-        monkeypatch.setattr(elimination, "grid_r_bar", lambda *args: reads.append(args) or read(*args))
+
+        def walked(g, arc):  # on G; minimizing_arc's check on the base algebra is not counted
+            if g is algebra:
+                calls.append(arc)
+            return walk(g, arc)
+
+        monkeypatch.setattr(elimination, "normalized_contact", walked)
+        monkeypatch.setattr(elimination, "grid_r_bars", lambda g, entries: reads.extend(entries) or read(g, entries))
         counts = []
         for budget in (100, 1000):
             calls.clear()
@@ -664,8 +728,8 @@ class TestComposedPool:
             report = verify_main_theorem(presentation, ord_d(presentation), algebra, candidates, budget, seed, phi)
             assert report.verdict == "PASS"
             counts.append((len(calls), len(reads)))
-        # Contact orders: each candidate, phi once, and the witness's projection;
-        # each grid arc's r_bar is read from its entry.
+        # Contact orders: each candidate's on G (`normalized_contact`), phi once, and
+        # the witness's projection; each grid arc's r_bar is read from its entry.
         grid = len(sample_arcs(presentation.poly, 0, seed))
         assert counts == [(len(candidates) + 2, grid)] * 2
 

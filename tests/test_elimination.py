@@ -10,7 +10,7 @@ from property_checks import (
     verify_presentation,
 )
 
-from arcmult import series
+from arcmult import rees, series
 from arcmult.contact import normalized_contact
 from arcmult.corpus import load_problem
 from arcmult.elimination import (
@@ -73,6 +73,37 @@ class TestMonicPresentation:
             verify_presentation(p, {}, BUDGET, SEED)
 
 
+class TestPresentingAlgebra:
+    def test_built_once_per_presentation(self, monkeypatch):
+        # The first call builds G or keeps the one handed in; later calls read it.  Another
+        # presentation object of the same polynomial keeps its own.
+        built = []
+        monkeypatch.setattr(
+            "arcmult.elimination.presenting_algebra", lambda poly: built.append(poly) or presenting_algebra(poly)
+        )
+        first = presentation("y^2 - x^3", F2)
+        g = first.presenting_algebra()
+        assert first.presenting_algebra() is g and built == [first.poly]
+        handed = presenting_algebra(first.poly)
+        second = MonicPresentation(first.base_variables, first.fiber_variable, first.poly)
+        assert second.presenting_algebra(handed) is handed and second.presenting_algebra() is handed
+        assert second.presenting_algebra(g) is handed and len(built) == 1
+        third = presentation("y^2 - x^3", F2)
+        assert third.presenting_algebra() == g and len(built) == 2
+
+    def test_visible_route_reads_the_presentations_algebra(self, monkeypatch):
+        # ord_d eliminates on the presentation's G, closing only the route's result.
+        p = presentation("y^2 - x^3", F2)
+        g = p.presenting_algebra()
+        closures = []
+        diff_closure = rees.ReesAlgebra.diff_closure
+        monkeypatch.setattr(rees.ReesAlgebra, "diff_closure", lambda a: closures.append(a) or diff_closure(a))
+        result = ord_d(p)
+        assert result.method == "VisibleIntersection" and result.ord_d == Fraction(2)
+        assert len(closures) == 1 and closures[0] is not g
+        assert result == ord_d(presentation("y^2 - x^3", F2))
+
+
 class TestTschirnhausen:
     def test_completes_the_square(self):
         p = presentation("x^2 + 2*s*x + s^3", base=("s",), fiber="x")
@@ -123,6 +154,23 @@ class TestVisibleElimination:
         expected = from_weighted(("y",), [("y^3", 2)], Q)
         points = [(Fraction(c),) for c in (0, 1, -1, 2, -2)]
         assert observers_agree(eliminated, expected, points)
+
+    @pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+    def test_an_unclosed_algebra_is_closed_first(self, monkeypatch, field):
+        # A closure says it is closed, and the route eliminates on it with no second
+        # closure; an algebra that is not closed is closed first, and gives the same result.
+        for text, weight in (("y^2 - x^3", 2), ("y^3 - x^4 + x^2*y^2", 3)):
+            unclosed = from_weighted(XY, [(text, weight)], field)
+            closed = unclosed.diff_closure()
+            assert closed.closed and not unclosed.closed
+            closures = []
+            diff_closure = rees.ReesAlgebra.diff_closure
+            monkeypatch.setattr(rees.ReesAlgebra, "diff_closure", lambda g: closures.append(g) or diff_closure(g))
+            on_closed = visible_elimination(closed, {"y"})
+            assert len(closures) == 1  # the result's closure only
+            assert visible_elimination(unclosed, {"y"}) == on_closed and on_closed.generators, (text, field)
+            assert closures[1] is unclosed and len(closures) == 3
+            monkeypatch.undo()
 
     def test_agrees_with_coefficient_route_when_both_apply(self):
         # Where p does not divide m both routes apply and give one order at the

@@ -9,7 +9,7 @@ from property_checks import from_weighted, observers_agree, odot, parse_rees, ra
 from arcmult.blowup import ChartMap
 from arcmult.errors import NotInSingularLocus, NotPermissible
 from arcmult.fields import RATIONALS, prime_field
-from arcmult.poly import parse_poly
+from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
 
 Q = RATIONALS
@@ -59,6 +59,18 @@ class TestOrdAt:
     def test_outside_singular_locus_raises(self):
         with pytest.raises(NotInSingularLocus):
             algebra(REFERENCE_CHAR0).ord_at((1, 1))
+
+    def test_each_generator_is_translated_once(self, monkeypatch):
+        # sing_member keeps the orders that ord_at then reads, at each point asked.
+        e = algebra([("y", 1), ("x^2", 1), ("y^2 - x^3", 2)])
+        translated = []
+        order_at = MultiPoly.order_at
+        monkeypatch.setattr(MultiPoly, "order_at", lambda g, point: translated.append(point) or order_at(g, point))
+        assert e.ord_at((0, 0)) == 1 and translated == [(0, 0)] * 3
+        with pytest.raises(NotInSingularLocus):
+            e.ord_at((1, 0))
+        assert algebra([("y^2", 1), ("(x - 1)^3", 1)]).ord_at((1, 0)) == 2
+        assert translated == [(0, 0)] * 3 + [(1, 0)] * 5
 
 
 class TestOdot:
@@ -121,7 +133,10 @@ class TestDiffClosure:
                 for _ in range(rng.randint(1, 3))
             ]
             g = ReesAlgebra.of(variables, generators, field)
-            assert g.diff_closure() == _box_closure(g), str(g)
+            closure = g.diff_closure()
+            assert closure == _box_closure(g), str(g)
+            # `closed` lets visible_elimination skip a second closure: it is a fixed point.
+            assert closure.closed and not g.closed and closure.diff_closure() == closure, str(g)
 
     def test_high_multiplicity_closure_is_fast(self):
         f = parse_poly("z^120 - x^121 - y^123", ("x", "y", "z"), Q)
