@@ -18,7 +18,7 @@ from .errors import ParseError
 from .fields import INF, Record, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, _term_degree, arc_image, certify_on_hypersurface, ensure_arc_ring, lead_sums
+from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, degree_along, ensure_arc_ring, lead_sums
 
 
 class ContactResult(Record):
@@ -53,10 +53,9 @@ def _lead_orders(algebra: ReesAlgebra, pattern, leads, monomial=True) -> dict:
     not vanish.  The one leading-term rule of the contact walk: `contact_order`
     reads it on an `Arc`, and `grid_r_bars` applies it per pattern to grid entries.
     """
-    p = algebra.field.characteristic
     orders = {}
     for i, (poly, _) in enumerate(algebra.generators):
-        sums = lead_sums(poly.terms.items(), pattern, leads, p)
+        sums = lead_sums(poly, pattern, leads)
         low = min((d for d, (num, _) in sums.items() if num), default=INF)
         if monomial or low == min(sums, default=INF):
             orders[i] = low
@@ -115,16 +114,17 @@ def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
 def grid_r_bars(algebra: ReesAlgebra, entries) -> list:
     """r_bar along the monomial arc of each grid entry (pattern, leads) of `sample_arcs`, as
     `_lead_orders` reads it on the built arc, through one plan per pattern: each generator's
-    kept terms in degree classes, summed at the entry's units, integers (`FieldSpec.units`)."""
+    kept terms in degree classes, placed by `degree_along` and summed at the entry's units,
+    integers (`FieldSpec.units`)."""
     field, plans, r_bars = algebra.field, {}, []
-    generators = [_cleared_terms(poly.terms.items(), field) for poly, _ in algebra.generators]
+    generators = [_cleared_terms(poly) for poly, _ in algebra.generators]
     for pattern, leads in entries:
         if pattern not in plans:
             plans[pattern] = plan = []
             for terms in generators:
                 classes = {}
-                for exps, member in terms:
-                    if (degree := _term_degree(exps, pattern)) is not None:
+                for member in terms:
+                    if (degree := degree_along(member[1], pattern)) is not None:
                         classes.setdefault(degree, []).append(member)
                 plan.append(sorted(classes.items()))
         units = [None if u is None else u.numerator for u in leads]
@@ -136,10 +136,11 @@ def grid_r_bars(algebra: ReesAlgebra, entries) -> list:
     return r_bars
 
 
-def _cleared_terms(terms, field) -> list:
-    """(exponents, (c, pairs)) per term: c on integers, one scale for all, pairs its nonzero (index, exponent)s."""
-    ints = field.cleared([c for _, c in terms])[0]
-    return [(exps, (c, [(i, e) for i, e in enumerate(exps) if e])) for (exps, _), c in zip(terms, ints)]
+def _cleared_terms(poly: MultiPoly) -> list:
+    """(c, pairs) per term of the sparse view: c on integers, one scale for all."""
+    view = poly.sparse_terms()
+    ints = poly.field.cleared([c for _, c in view])[0]
+    return [(c, pairs) for (pairs, _), c in zip(view, ints)]
 
 
 def _class_sum(members, units, p) -> int:
@@ -185,7 +186,7 @@ def _every_degree_twice(classes: dict) -> bool:
     return all(len(members) > 1 for members in classes.values())
 
 
-def _vanishing_grid(terms, field, width: int) -> list:
+def _vanishing_grid(poly: MultiPoly) -> list:
     """Monomial grid assignments on which f vanishes, in grid order.
 
     An assignment gives each variable (u, a), for x_i -> u t^a, or None, for
@@ -198,13 +199,15 @@ def _vanishing_grid(terms, field, width: int) -> list:
     maps to a nonzero multiple of one power of t, so a power that only one
     term reaches cannot cancel, whatever the units.  The last exponent is
     solved, not scanned: for each prefix of the other exponents, a term it
-    keeps has partial degree d, summed over its nonzero exponents alone, and
-    last exponent e.  A last exponent a gives the first kept term's degree to
-    another only when their (d, e) are equal (every a) or a = (d' - d) / (e - e').
+    keeps has partial degree d, placed by `degree_along` with the last
+    exponent's a = 0, and last exponent e.  A last exponent a gives the
+    first kept term's degree to another only when their (d, e) are equal
+    (every a) or a = (d' - d) / (e - e').
     Only None and those a are checked, units are tried only where every power
     is reached twice, on the kept terms' degree classes (`_vanishing_units`),
     and admitted assignments are sorted into the grid order.
     """
+    field, width = poly.field, len(poly.variables)
     units = field.units(6)
     bound = EXPONENT_BOUND
     while bound > 1 and (1 + len(units) * bound) ** width > GRID_CAP:
@@ -214,7 +217,7 @@ def _vanishing_grid(terms, field, width: int) -> list:
     if not width:
         return []
     exponents = [None, *range(1, bound + 1)]
-    sparse = [([(i, e) for i, e in enumerate(x[:-1]) if e], x[-1], m) for x, m in _cleared_terms(terms, field)]
+    sparse = [(x[-1], member) for x, member in zip(poly.terms, _cleared_terms(poly))]
     # (index in choices, choice) per exponent, choices = [None] + [(u, a) for a in 1..bound for u in units]
     options = {a: [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)] for a in exponents[1:]}
     options[None] = [(0, None)]
@@ -222,13 +225,9 @@ def _vanishing_grid(terms, field, width: int) -> list:
     zero_prefix = (None,) * (width - 1)
     for prefix in itertools.product(exponents, repeat=width - 1):
         kept, members = [], []  # (partial degree d, last exponent e) and class member of each term kept
-        for pairs, e, member in sparse:
-            d = 0
-            for i, ei in pairs:
-                if (a := prefix[i]) is None:
-                    break
-                d += a * ei
-            else:
+        partial = prefix + (0,)
+        for e, member in sparse:
+            if (d := degree_along(member[1], partial)) is not None:
                 kept.append((d, e))
                 members.append(member)
         lasts = exponents
@@ -336,9 +335,8 @@ def sample_arcs(poly: MultiPoly, budget: int, seed: int, parametrization: Arc | 
     leads) when monomial, the grid's key, and by its components otherwise.
     """
     field = poly.field
-    terms = list(poly.terms.items())
     # Distinct assignments give distinct arcs: the grid needs no dedup.
-    arcs = [(_grid_entry(assignment), None) for assignment in _vanishing_grid(terms, field, len(poly.variables))]
+    arcs = [(_grid_entry(assignment), None) for assignment in _vanishing_grid(poly)]
     if parametrization is None:
         return arcs
 

@@ -291,9 +291,8 @@ def minimizing_arc(result: EliminationResult) -> Arc:
     weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
     pattern = (weight,) * len(algebra.variables)
     low = weight * poly.order_at_origin()
-    terms, p = poly.terms.items(), field.characteristic
     candidates = itertools.product(field.units(6), repeat=len(pattern))
-    chosen = next((u for u in candidates if lead_sums(terms, pattern, u, p)[low][0]), None)
+    chosen = next((u for u in candidates if lead_sums(poly, pattern, u)[low][0]), None)
     if chosen is None:
         raise NoRationalUnit(
             "no unit tuple over the base field avoids the initial form's zero set"

@@ -1,10 +1,12 @@
 """Exact multivariate polynomial arithmetic over Q or F_p.
 
 Polynomials are sparse maps from dense exponent tuples to nonzero field
-elements, aligned with an ordered variable list.  Everything here is exact:
-order at a point is computed by translating the point to the origin, and
-derivatives are divided-power (Hasse) derivatives, which stay correct in
-positive characteristic where iterated partials can vanish.
+elements, aligned with an ordered variable list, with one sparse view of
+the terms (`MultiPoly.sparse_terms`) that every walk over the variables a
+term uses reads.  Everything here is exact: order at a point is computed by
+translating the point to the origin, and derivatives are divided-power
+(Hasse) derivatives, which stay correct in positive characteristic where
+iterated partials can vanish.
 
 Values are immutable after construction; all operations return new objects.
 """
@@ -35,7 +37,7 @@ def check_point(point, variables, field: FieldSpec) -> Point:
 class MultiPoly:
     """Sparse exact polynomial in an ordered tuple of variables."""
 
-    __slots__ = ("variables", "terms", "field", "_hash", "_order")
+    __slots__ = ("variables", "terms", "field", "_hash", "_order", "_sparse")
 
     def __init__(self, variables, terms, field: FieldSpec):
         self.variables = tuple(variables)
@@ -51,8 +53,7 @@ class MultiPoly:
                 clean[tuple(exps)] = value
         self.terms = clean
         self.field = field
-        self._hash = None
-        self._order = None
+        self._hash = self._order = self._sparse = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -63,8 +64,7 @@ class MultiPoly:
         poly.variables = variables
         poly.terms = terms
         poly.field = field
-        poly._hash = None
-        poly._order = None
+        poly._hash = poly._order = poly._sparse = None
         return poly
 
     @classmethod
@@ -113,6 +113,14 @@ class MultiPoly:
             self._order = min((sum(e) for e in self.terms), default=INF)
         return self._order
 
+    def sparse_terms(self) -> tuple:
+        """(pairs, coefficient) per term in the order of `terms`, pairs its nonzero (index, exponent)s;
+        kept from the first read, as `order_at_origin` is.  The lead sums, the sampler's grid, the
+        images and the Hasse derivatives walk it."""
+        if self._sparse is None:
+            self._sparse = tuple((tuple((i, e) for i, e in enumerate(x) if e), c) for x, c in self.terms.items())
+        return self._sparse
+
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -130,19 +138,11 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        field = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = field.add(terms.get(e, field.zero), c)
-            if field.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return self._new(terms)
+        return self._of(self.variables, _sum_terms(self.field, (self.terms, other.terms)), self.field)
 
     def __neg__(self):
         field = self.field
-        return self._new({e: field.neg(c) for e, c in self.terms.items()})
+        return self._of(self.variables, {e: field.neg(c) for e, c in self.terms.items()}, field)
 
     def __sub__(self, other):
         return self + (-other)
@@ -174,7 +174,7 @@ class MultiPoly:
         value = field.coerce(value)
         if field.is_zero(value):
             return self.zero(self.variables, field)
-        return self._new({e: field.mul(c, value) for e, c in self.terms.items()})
+        return self._of(self.variables, {e: field.mul(c, value) for e, c in self.terms.items()}, field)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -213,27 +213,27 @@ class MultiPoly:
                 images.append(values[name])
             else:
                 images.append(MultiPoly.variable(name, target.variables, self.field))
-        one = MultiPoly.constant(self.field.one, target.variables, self.field)
-        return self.image(Powers(images, one), MultiPoly.zero(target.variables, self.field))
+        return self.image(Powers(images, MultiPoly.constant(self.field.one, target.variables, self.field)))
 
-    def image(self, powers: "Powers", zero):
-        """f under the ring map sending variable i to powers.images[i], summed from `zero`.
+    def image(self, powers: "Powers") -> "MultiPoly":
+        """f under the ring map sending variable i to the polynomial powers.images[i].
 
-        Each term starts from its coefficient times powers.one, the shortest factor to scale."""
-        total = zero
-        for exps, coeff in self.terms.items():
-            term = powers.one.scale(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers.power(i, e)
-            total = total + term
-        return total
+        Each term of the view starts from its coefficient times powers.one, the
+        shortest factor to scale, and the terms are merged in one `_sum_terms`."""
+        one = powers.one
+        parts = []
+        for pairs, coeff in self.sparse_terms():
+            term = one.scale(coeff)
+            for i, e in pairs:
+                term = term * powers.power(i, e)
+            parts.append(term.terms)
+        return MultiPoly._of(one.variables, _sum_terms(self.field, parts), self.field)
 
     def translate(self, point) -> "MultiPoly":
         """f(x + p), by a Taylor shift per coordinate: x_i^e -> sum_k binom(e, k) p_i^(e-k) x_i^k.
 
         Terms free of x_i are fixed by the shift and kept as they are.  The others are
-        expanded; binomials vanishing mod p drop out, as in `hasse_derivative`, and the
+        expanded; binomials vanishing mod p drop out, as in `hasse_derivatives`, and the
         sums are taken in ints through `FieldSpec.cleared`, as in `__mul__`.  They are
         then merged into the fixed terms, and sums that vanish are dropped."""
         return self._shift(check_point(point, self.variables, self.field))
@@ -304,35 +304,34 @@ class MultiPoly:
 
     # -- divided-power derivatives ---------------------------------------------------
 
-    def hasse_derivative(self, alpha) -> "MultiPoly":
-        """Divided-power derivative: sends x^m to binom(m, alpha) x^(m-alpha)."""
-        alpha = tuple(alpha)
-        if len(alpha) != len(self.variables):
-            raise VariableMismatch(
-                f"multi-index {alpha} has wrong length for {self.variables}"
-            )
-        field = self.field
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if any(e < a for e, a in zip(exps, alpha)):
-                continue
-            scale = 1
-            for e, a in zip(exps, alpha):
-                scale *= math.comb(e, a)
-            value = field.mul(coeff, field.coerce(scale))
-            if not field.is_zero(value):  # binomials vanish mod p
-                # e -> e - alpha is injective: no two terms merge.
-                terms[tuple(e - a for e, a in zip(exps, alpha))] = value
-        return MultiPoly._of(self.variables, terms, field)
+    def hasse_derivatives(self, order: int) -> dict:
+        """{alpha: D^alpha f} for each multi-index 1 <= |alpha| < order with a nonzero
+        divided-power derivative, in one walk over the sparse view: c x^e adds
+        prod_i binom(e_i, alpha_i) c x^(e - alpha) to D^alpha f for each alpha <= e on its
+        nonzero exponents.  Binomials that vanish mod p drop out, no two terms of one
+        derivative merge, and the products are taken in ints, as in `__mul__`."""
+        field, top, p = self.field, order - 1, self.field.characteristic
+        ints, scale = field.cleared(list(self.terms.values()))
+        derived = {}  # alpha -> {e - alpha: int}
+        for exps, (pairs, _), c in zip(self.terms, self.sparse_terms(), ints):
+            below = [((0,) * len(exps), c, top)]  # (alpha, binom(e, alpha) c, top - |alpha|)
+            for i, e in pairs:
+                row = [(a, math.comb(e, a)) for a in range(min(e, top) + 1)]
+                below = [(alpha[:i] + (a,) + alpha[i + 1 :], value * b, left - a)
+                         for alpha, value, left in below for a, b in row if a <= left and (not p or b % p)]
+            for alpha, value, left in below[1:]:  # below[0] is alpha = 0
+                derived.setdefault(alpha, {})[tuple(e - a for e, a in zip(exps, alpha))] = value
+        return {
+            alpha: MultiPoly._of(self.variables, dict(zip(terms, field.uncleared(terms.values(), scale))), field)
+            for alpha, terms in derived.items()
+        }
 
     # -- variable bookkeeping -----------------------------------------------------------
 
     def restrict(self, variables) -> "MultiPoly":
         """Reinterpret over a sub-tuple of variables (the rest must not occur)."""
         variables = tuple(variables)
-        keep = []
-        for name in variables:
-            keep.append(self._index(name))
+        keep = [self._index(name) for name in variables]
         drop = [i for i in range(len(self.variables)) if i not in keep]
         terms = {}
         for exps, coeff in self.terms.items():
@@ -384,6 +383,22 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _sum_terms(field: FieldSpec, parts) -> dict:
+    """The term map of a sum of term maps, merged in order, sums that vanish dropped: the one
+    sum rule, of `MultiPoly.__add__`, `MultiPoly.image` and the parser, one pass for n summands."""
+    terms = {}
+    for part in parts:
+        if not terms:  # the sum so far is zero
+            terms = dict(part)
+            continue
+        for e, c in part.items():
+            if field.is_zero(s := field.add(terms.get(e, field.zero), c)):
+                del terms[e]
+            else:
+                terms[e] = s
+    return terms
 
 
 class Powers:
@@ -459,7 +474,7 @@ MAX_TERMS = 1000
 
 def _height_bits(poly: MultiPoly) -> int:
     # Parsed coefficients are integers, and |coefficients of a*b| <= |a|_1 * |b|_1.
-    return int(sum(abs(c) for c in poly.terms.values())).bit_length()
+    return sum(abs(c.numerator) for c in poly.terms.values()).bit_length()
 
 
 def _check_size(kind: str, poly: MultiPoly, degree: int, bits: int, terms: int, column: int):
@@ -516,22 +531,17 @@ class _PolyParser:
         return poly
 
     def expression(self) -> MultiPoly:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.take()
-            negate = value == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
+        """A sum, its summands merged into one term map by `_sum_terms`."""
+        summands, sign = [], "+"
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
-                poly = poly - rhs if value == "-" else poly + rhs
-            else:
-                return poly
+                sign = value
+            elif summands:
+                return MultiPoly._of(self.variables, _sum_terms(self.field, summands), self.field)
+            summand = self.term()
+            summands.append((-summand if sign == "-" else summand).terms)
 
     def term(self) -> MultiPoly:
         poly = self.factor()

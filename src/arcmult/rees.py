@@ -91,20 +91,17 @@ class ReesAlgebra(Record):
     def diff_closure(self) -> "ReesAlgebra":
         """Differential closure via divided-power derivatives.
 
-        Adds hasse_derivative(f_i, a) with weight n_i - |a| for every
-        multi-index 1 <= |a| < n_i; generators are scalar-normalized so a
-        second application is a set-level fixed point, which `closed` marks.
+        Adds D^a f_i with weight n_i - |a| for every multi-index 1 <= |a| < n_i
+        whose derivative is nonzero, all of one generator's derivatives in one
+        walk over its sparse view (`MultiPoly.hasse_derivatives`): each term
+        c x^e reaches only the a <= e on its nonzero exponents.  Generators are
+        scalar-normalized so a second application is a set-level fixed point,
+        which `closed` marks.
         """
         gens = []
         for poly, weight in self.generators:
             gens.append((poly.normalized(), weight))
-            # The derivative by alpha is zero unless alpha <= e for some term
-            # exponent e: enumerate those, not every alpha with |alpha| < weight.
-            alphas = {a for e in poly.terms for a in _indices_below(e, weight - 1) if any(a)}
-            for alpha in alphas:
-                derived = poly.hasse_derivative(alpha)
-                if not derived.is_zero():
-                    gens.append((derived.normalized(), weight - sum(alpha)))
+            gens += [(d.normalized(), weight - sum(a)) for a, d in poly.hasse_derivatives(weight).items()]
         closure = ReesAlgebra.of(self.variables, gens, self.field)
         closure.__dict__["closed"] = True
         return closure
@@ -145,12 +142,3 @@ def presenting_algebra(poly: MultiPoly) -> ReesAlgebra:
         raise EngineError("polynomial is zero")
     return ReesAlgebra.of(poly.variables, [(poly, poly.order_at_origin())], poly.field).diff_closure()
 
-
-def _indices_below(exps, budget: int):
-    """Exponent tuples alpha <= exps entry by entry with |alpha| <= budget."""
-    if not exps:
-        yield ()
-        return
-    for head in range(min(exps[0], budget) + 1):
-        for rest in _indices_below(exps[1:], budget - head):
-            yield (head,) + rest

@@ -133,8 +133,8 @@ class TruncatedSeries(Record):
             return TruncatedSeries._of(field, _spread(field, scaled, len(inner.coeffs) - 1))
         if powers is None:
             powers = _powers((inner,), field)
-        terms = (((k,), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c))
-        return _image(field, terms, powers).series(field)
+        view = [(((0, k),) if k else (), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c)]
+        return _image(field, view, powers).series(field)
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
@@ -207,16 +207,16 @@ def _convolve(a, b):
     return raw
 
 
-def _image(field: FieldSpec, terms, powers: Powers) -> ClearedSeries:
-    """The sum of c * prod_i images[i]^(e_i) over `terms`, pairs (e, c) with c nonzero.
+def _image(field: FieldSpec, view, powers: Powers) -> ClearedSeries:
+    """The sum of c * prod_i images[i]^(e_i) over a sparse view (`MultiPoly.sparse_terms`):
+    (pairs, c) per term, pairs its nonzero (i, e_i), c nonzero.
 
     `powers` caches the images as ClearedSeries.  Every term is summed at one
     common scale."""
-    terms = list(terms)
-    coeffs, scale = field.cleared([c for _, c in terms])
+    coeffs, scale = field.cleared([c for _, c in view])
     products = []
-    for exps, _ in terms:
-        factors = [powers.power(i, e) for i, e in enumerate(exps) if e]
+    for pairs, _ in view:
+        factors = [powers.power(i, e) for i, e in pairs]
         products.append(reduce(mul, factors) if factors else powers.one)
     common = math.lcm(*(term.scale for term in products))
     raw = [0] * max([0] + [len(term.ints) for term in products])
@@ -343,7 +343,7 @@ def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> Cleare
     ensure_arc_ring(poly, arc, "polynomial")
     if powers is None:
         powers = arc.powers()
-    return _image(arc.field, poly.terms.items(), powers)
+    return _image(arc.field, poly.sparse_terms(), powers)
 
 
 def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
@@ -357,7 +357,7 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
     field = arc.field
-    sums = lead_sums(poly.terms.items(), pattern, leads, field.characteristic)
+    sums = lead_sums(poly, pattern, leads)
     nonzero = {degree: (num, den) for degree, (num, den) in sums.items() if num}
     if not nonzero:
         return TruncatedSeries.zero(field)
@@ -367,20 +367,22 @@ def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     return TruncatedSeries(field, tuple(values))
 
 
-def _term_degree(exps, pattern):
-    """The t-degree <a, e> of x^e along x_i -> u_i t^(a_i), or None when it uses an x_i -> 0."""
+def degree_along(pairs, pattern):
+    """The t-degree <a, e> of the term whose nonzero (i, e_i) are `pairs` (`MultiPoly.sparse_terms`)
+    along x_i -> u_i t^(a_i), or None when it uses an x_i -> 0: the one rule that places a term."""
     degree = 0
-    for a, e in zip(pattern, exps):
-        if e:
-            if a is None:
-                return None
-            degree += a * e
+    for i, e in pairs:
+        a = pattern[i]
+        if a is None:
+            return None
+        degree += a * e
     return degree
 
 
-def lead_sums(terms, pattern, leads, p) -> dict:
+def lead_sums(poly: MultiPoly, pattern, leads) -> dict:
     """{d: (num, den)}: the sum of c * prod lead_i^(e_i) over the terms c x^e of
-    t-degree d, as a cleared fraction, num reduced mod p when p > 0.
+    t-degree d, as a cleared fraction, num reduced mod p when p > 0; one pass
+    over the sparse view, each term placed by `degree_along`.
 
     Along an arc with component t-orders `pattern` (None for a zero
     component) and lowest coefficients `leads`, a term c x^e maps to t-order
@@ -391,16 +393,17 @@ def lead_sums(terms, pattern, leads, p) -> dict:
     (`Arc.leads`) they are the whole image: ord_t(f(arc)) is the least d
     with a nonzero num, and f maps to exactly zero when every num vanishes.
     """
+    p = poly.field.characteristic
     sums = {}
-    for exps, coeff in terms:
-        degree = _term_degree(exps, pattern)
+    for pairs, coeff in poly.sparse_terms():
+        degree = degree_along(pairs, pattern)
         if degree is None:
             continue
         n, d = coeff.numerator, coeff.denominator
-        for lead, e in zip(leads, exps):
-            if e:
-                n *= pow(lead.numerator, e, p or None)
-                d *= lead.denominator ** e
+        for i, e in pairs:
+            lead = leads[i]
+            n *= pow(lead.numerator, e, p or None)
+            d *= lead.denominator ** e
         num, den = sums.get(degree, (0, 1))
         sums[degree] = num * d + n * den, den * d
     return {degree: (num % p if p else num, den) for degree, (num, den) in sums.items()}

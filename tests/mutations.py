@@ -232,6 +232,38 @@ MUTATIONS = {
         "            fixed = {}",
         [SHIFT_TEST],
     ),
+    # The sparse view lists a term's nonzero exponents only: a zero one would place a
+    # term that does not use a zero component as if it did.
+    "sparse-view-keeps-zero-exponents": (
+        "poly.py",
+        "for i, e in enumerate(x) if e)",
+        "for i, e in enumerate(x))",
+        [
+            "tests/test_poly.py::TestSparseView::test_each_term_lists_its_nonzero_exponents",
+            "tests/test_series.py::test_lead_sums_of_the_view_match_the_dense_reference",
+        ],
+    ),
+    # The closure takes the derivatives by 1 <= |alpha| < weight, never |alpha| = weight.
+    "closure-takes-alpha-up-to-the-weight": (
+        "poly.py",
+        "field, top, p = self.field, order - 1, self.field.characteristic",
+        "field, top, p = self.field, order, self.field.characteristic",
+        ["tests/test_poly.py::TestHasseDerivative::test_one_walk_matches_the_reference_per_multi_index"],
+    ),
+    # A binomial that vanishes mod p drops its term out of the derivative.
+    "vanishing-binomial-kept": (
+        "poly.py",
+        "if a <= left and (not p or b % p)]",
+        "if a <= left]",
+        ["tests/test_poly.py::TestHasseDerivative::test_one_walk_matches_the_reference_per_multi_index"],
+    ),
+    # Each generator's lead sums are read from its own view.
+    "lead-sums-read-another-generators-view": (
+        "contact.py",
+        "sums = lead_sums(poly, pattern, leads)",
+        "sums = lead_sums(algebra.generators[0][0], pattern, leads)",
+        ["tests/test_contact.py::TestContactWalk::test_lead_orders_read_each_generators_own_view"],
+    ),
 }
 
 

@@ -5,6 +5,11 @@ routes that no run of the engine takes: `from_weighted` and `parse_rees`
 build algebras from text, `odot` joins two, `observers_agree` compares
 them at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
+`reference_lead_sums` sums leading terms over the dense exponent tuples,
+`reference_vanishes` tests one grid assignment by them,
+`reference_hasse_derivative` takes one divided-power derivative over the
+dense exponent tuples, `reference_ring_map` folds a polynomial's image
+through the images' own products and sums,
 `reference_feasible_patterns` scans its exponent patterns for the ones that need unit tries,
 `ring_map_translate` shifts a polynomial through the ring map,
 `reference_shift` shifts it by the dense Taylor shift,
@@ -79,7 +84,6 @@ from arcmult.series import (
     arc_image,
     arc_substitute,
     certify_on_hypersurface,
-    lead_sums,
 )
 
 
@@ -189,14 +193,59 @@ def reference_grid(field, width, exponent_bound):
             yield assignment
 
 
+def reference_lead_sums(terms, pattern, leads, p) -> dict:
+    """`series.lead_sums` over the (exponents, coefficient) `terms`, walking each
+    dense exponent tuple, where the engine walks the polynomial's sparse view."""
+    sums = {}
+    for exps, coeff in terms:
+        if any(e and a is None for a, e in zip(pattern, exps)):
+            continue
+        degree = sum(a * e for a, e in zip(pattern, exps) if e)
+        n, d = coeff.numerator, coeff.denominator
+        for lead, e in zip(leads, exps):
+            if e:
+                n *= pow(lead.numerator, e, p or None)
+                d *= lead.denominator ** e
+        num, den = sums.get(degree, (0, 1))
+        sums[degree] = num * d + n * den, den * d
+    return {degree: (num % p if p else num, den) for degree, (num, den) in sums.items()}
+
+
 def reference_vanishes(terms, field, assignment) -> bool:
     """Whether f, given by its (exponents, coefficient) `terms`, maps to exactly
     zero along the monomial arc of a grid assignment: whether every one of its
-    `lead_sums` vanishes, one assignment at a time, where the sampler tests
-    the unit tuples of an exponent pattern on its degree classes."""
+    `reference_lead_sums` vanishes, one assignment at a time, where the sampler
+    tests the unit tuples of an exponent pattern on its degree classes."""
     pattern = tuple(None if choice is None else choice[1] for choice in assignment)
     leads = tuple(None if choice is None else choice[0] for choice in assignment)
-    return not any(num for num, _ in lead_sums(terms, pattern, leads, field.characteristic).values())
+    return not any(num for num, _ in reference_lead_sums(terms, pattern, leads, field.characteristic).values())
+
+
+def reference_hasse_derivative(poly, alpha):
+    """The divided-power derivative D^alpha f for one multi-index, walking every
+    term's dense exponent tuple: x^e -> binom(e, alpha) x^(e - alpha), where
+    `MultiPoly.hasse_derivatives` takes every alpha in one walk over the view."""
+    field, terms = poly.field, {}
+    for exps, coeff in poly.terms.items():
+        if any(e < a for e, a in zip(exps, alpha)):
+            continue
+        value = field.mul(coeff, field.coerce(math.prod(math.comb(e, a) for e, a in zip(exps, alpha))))
+        if not field.is_zero(value):  # binomials vanish mod p
+            terms[tuple(e - a for e, a in zip(exps, alpha))] = value
+    return MultiPoly(poly.variables, terms, field)
+
+
+def reference_ring_map(poly, images, one, zero):
+    """f under the ring map sending variable i to images[i] (polynomials or series),
+    each term folded from `one` and `zero` by the images' own products and sums."""
+    total = zero
+    for exps, coeff in poly.terms.items():
+        term = one.scale(coeff)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
 
 
 def reference_feasible_patterns(terms, field, width, exponent_bound):
@@ -700,20 +749,27 @@ def random_multi_index(rng, width=2, max_total=3):
     return (head, total - head) if width == 2 else (total,)
 
 
+def _hasse(poly, alpha):
+    """D^alpha f read from `MultiPoly.hasse_derivatives`, f itself at alpha = 0."""
+    if not any(alpha):
+        return poly
+    return poly.hasse_derivatives(sum(alpha) + 1).get(alpha, MultiPoly.zero(poly.variables, poly.field))
+
+
 def check_hasse_leibniz(rng):
-    """hasse(a)(f*g) = sum over b+c=a of hasse(b)(f) * hasse(c)(g)."""
+    """hasse(a)(f*g) = sum over b+c=a of hasse(b)(f) * hasse(c)(g), for the one-walk derivatives."""
     field = random_field(rng)
     f = random_poly(rng, field)
     g = random_poly(rng, field)
     alpha = random_multi_index(rng)
-    left = (f * g).hasse_derivative(alpha)
+    left = _hasse(f * g, alpha)
     assert_well_formed(left)
     right = MultiPoly.zero(XY, field)
     for b0 in range(alpha[0] + 1):
         for b1 in range(alpha[1] + 1):
             beta = (b0, b1)
             gamma = (alpha[0] - b0, alpha[1] - b1)
-            df, dg = f.hasse_derivative(beta), g.hasse_derivative(gamma)
+            df, dg = _hasse(f, beta), _hasse(g, gamma)
             assert_well_formed(df)
             assert_well_formed(dg)
             right = right + df * dg

@@ -13,10 +13,12 @@ from property_checks import (
     from_weighted,
     horner_compose,
     integral_invariance_check,
+    random_monomial_arc,
     random_poly,
     reference_feasible_patterns,
     reference_generator_orders,
     reference_grid,
+    reference_lead_sums,
     reference_sample_arcs,
     reference_unit_choice,
     reference_vanishes,
@@ -30,6 +32,7 @@ from arcmult.contact import (
     EXPONENT_BOUND,
     _generator_orders,
     _grid_entry,
+    _lead_orders,
     _separates,
     _vanishing_grid,
     contact_order,
@@ -201,7 +204,7 @@ GRID_EDGE_SHAPES = {
 XYZUV = ("x", "y", "z", "u", "v")
 
 
-def _grid_with_tries(monkeypatch, terms, field, width):
+def _grid_with_tries(monkeypatch, constraint):
     """`_vanishing_grid`'s list, and {pattern: unit tuples tried} for each exponent pattern it tries:
     `_vanishing_units` tries every tuple of its per-variable choices."""
     tried = Counter()
@@ -213,7 +216,7 @@ def _grid_with_tries(monkeypatch, terms, field, width):
         return rule(classes, choices, p)
 
     monkeypatch.setattr(contact, "_vanishing_units", counted)
-    grid = _vanishing_grid(terms, field, width)
+    grid = _vanishing_grid(constraint)
     monkeypatch.setattr(contact, "_vanishing_units", rule)
     return grid, dict(tried)
 
@@ -226,8 +229,7 @@ class TestSampleArcs:
     )
     def test_exponent_rule_matches_substitution_on_the_grid(self, constraint):
         field, variables = constraint.field, constraint.variables
-        terms = list(constraint.terms.items())
-        grid = set(_vanishing_grid(terms, field, len(variables)))
+        grid = set(_vanishing_grid(constraint))
         admitted = 0
         for assignment in reference_grid(field, len(variables), EXPONENT_BOUND):
             by_rule = assignment in grid
@@ -259,7 +261,7 @@ class TestSampleArcs:
                 for assignment in reference_grid(field, width, EXPONENT_BOUND)
                 if reference_vanishes(terms, field, assignment)
             ]
-            grid, tried = _grid_with_tries(monkeypatch, terms, field, width)
+            grid, tried = _grid_with_tries(monkeypatch, constraint)
             assert grid == expected, (str(constraint), field.characteristic)
             units = len(field.units(6))
             feasible = {
@@ -280,7 +282,7 @@ class TestSampleArcs:
             for assignment in reference_grid(field, 3, EXPONENT_BOUND)
             if any(e and choice is None for e, choice in zip(exps, assignment))
         ]
-        assert _vanishing_grid(list(constraint.terms.items()), field, 3) == killing
+        assert _vanishing_grid(constraint) == killing
 
     def test_filter_runs_on_few_of_the_box_patterns(self, monkeypatch):
         # Over F_3 the box is {None, 1..8}^3, 729 patterns, and scanning it
@@ -294,7 +296,7 @@ class TestSampleArcs:
         check = contact._every_degree_twice
         monkeypatch.setattr(contact, "_every_degree_twice", lambda degrees: counts.append(1) or check(degrees))
         constraint = parse_poly("z^3 - x^4 - y^5", XYZ, F3)
-        assert _vanishing_grid(list(constraint.terms.items()), F3, 3)
+        assert _vanishing_grid(constraint)
         assert len(counts) == 107
 
     @pytest.mark.parametrize(
@@ -306,7 +308,7 @@ class TestSampleArcs:
     )
     def test_grid_tries_units_only_on_feasible_patterns(self, monkeypatch, text, field, calls):
         constraint = parse_poly(text, XYZ, field)
-        _, tried = _grid_with_tries(monkeypatch, list(constraint.terms.items()), field, 3)
+        _, tried = _grid_with_tries(monkeypatch, constraint)
         assert sum(tried.values()) == calls
         assert sample_arcs(constraint, 0, 0)
 
@@ -416,6 +418,23 @@ class TestContactWalk:
         for sampled in arcs:
             _assert_orders_match_reference(algebra, sampled)
 
+    @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["q", "f2", "f3", "f5"])
+    def test_lead_orders_read_each_generators_own_view(self, field):
+        # Along monomial arcs, zero components among them, every generator of an algebra
+        # of several gets the least degree of its own dense reference lead sums.
+        rng = random.Random(f"lead-orders-{field.characteristic}")
+        for _ in range(100):
+            weighted = [(random_poly(rng, field, XYZ, nonzero=True), rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+            g = algebra(weighted, field, XYZ)
+            along, _ = random_monomial_arc(rng, field, 3)
+            pattern, leads, monomial = along.leads()
+            assert monomial
+            expected = {}
+            for i, (poly, _) in enumerate(g.generators):
+                sums = reference_lead_sums(poly.terms.items(), pattern, leads, field.characteristic)
+                expected[i] = min((d for d, (num, _) in sums.items() if num), default=INF)
+            assert _lead_orders(g, pattern, leads) == expected, (str(g), str(along))
+
     def test_arc_inside_the_locus_is_infinite_over_f2(self):
         # Over F_2 every generator of z^2 - x^3 - y^4 vanishes along (0, t, t^2),
         # which the grid samples; over Q the derivative 2z does not.
@@ -442,17 +461,20 @@ class TestContactWalk:
     def test_grid_r_bars_place_terms_once_per_pattern(self, monkeypatch):
         # Over Q an exponent pattern of the grid of z^2 - x^3 - y^4 carries several
         # unit tuples: the derivatives' terms are placed by degree once per pattern,
-        # and each entry reads the r_bar of its built arc.
+        # and each entry reads the r_bar of its built arc.  A placement is one
+        # `degree_along` call on a term's pairs from the generator's sparse view.
         poly = SURFACES["z2_x3_y4_f0"]
         derivatives = derivatives_of(poly)
         entries = [grid for grid, _ in sample_arcs(poly, 0, 0)]
+        views = {pairs for g, _ in derivatives.generators for pairs, _ in g.sparse_terms()}
         placed = []
-        term_degree = contact._term_degree
-        monkeypatch.setattr(contact, "_term_degree", lambda *args: placed.append(args) or term_degree(*args))
+        degree_along = contact.degree_along
+        monkeypatch.setattr(contact, "degree_along", lambda *args: placed.append(args) or degree_along(*args))
         r_bars = grid_r_bars(derivatives, entries)
         patterns = {pattern for pattern, _ in entries}
         assert len(entries) > 2 * len(patterns)
         assert len(placed) == len(patterns) * sum(len(g.terms) for g, _ in derivatives.generators)
+        assert {pairs for pairs, _ in placed} == views
         for entry, r_bar in zip(entries, r_bars, strict=True):
             built = grid_arc(XYZ, Q, entry)
             assert r_bar == contact_order(derivatives, built) / built.order()

@@ -1,9 +1,18 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from property_checks import assert_well_formed, random_point, random_poly, reference_shift, ring_map_translate
+from property_checks import (
+    assert_well_formed,
+    random_point,
+    random_poly,
+    reference_hasse_derivative,
+    reference_shift,
+    ring_map_translate,
+    time_limit,
+)
 
 from arcmult.errors import ParseError, VariableMismatch
 from arcmult.fields import INF, RATIONALS, prime_field
@@ -40,27 +49,71 @@ class TestOrderAt:
             P("x").order_at((1, 2, 3))
 
 
+XYZW = ("x", "y", "z", "w")
+
+
 class TestHasseDerivative:
     def test_first_derivative(self):
-        assert P("x^3").hasse_derivative((1, 0)) == P("3*x^2")
+        assert P("x^3").hasse_derivatives(2) == {(1, 0): P("3*x^2")}
 
     def test_char2_first_derivative_vanishes(self):
         f2 = prime_field(2)
-        assert P("y^2", field=f2).hasse_derivative((0, 1)).is_zero()
+        assert P("y^2", field=f2).hasse_derivatives(2) == {}
 
     def test_char2_divided_second_derivative(self):
         f2 = prime_field(2)
-        assert P("y^2", field=f2).hasse_derivative((0, 2)) == P("1", field=f2)
+        assert P("y^2", field=f2).hasse_derivatives(3) == {(0, 2): P("1", field=f2)}
 
     def test_matches_scaled_partials_over_q(self):
         # a! * hasse(a) equals the iterated partial derivative
         f = P("x^3*y^2 - 2*x*y + 7")
-        once = f.hasse_derivative((1, 0))
-        twice = f.hasse_derivative((2, 0))
-        d1 = P("3*x^2*y^2 - 2*y")
-        assert once == d1
+        derivatives = f.hasse_derivatives(3)
+        assert derivatives[(1, 0)] == P("3*x^2*y^2 - 2*y")
         # second iterated partial = 6xy^2; 2! * hasse = 2*(3xy^2)
-        assert twice.scale(2) == P("6*x*y^2")
+        assert derivatives[(2, 0)].scale(2) == P("6*x*y^2")
+
+    @pytest.mark.parametrize("field", FIELDS + (prime_field(5),), ids=FIELD_IDS + ("F5",))
+    def test_one_walk_matches_the_reference_per_multi_index(self, field):
+        # Every multi-index 1 <= |alpha| < order whose derivative is nonzero, and no
+        # other: over F_p exponents up to 6 make binomials vanish mod p.
+        rng = random.Random(f"hasse-derivatives-{field.characteristic}")
+        for _ in range(80):
+            variables = XYZW[: rng.randint(1, 4)]
+            poly = random_poly(rng, field, variables, max_degree=6, max_terms=5)
+            order = rng.randint(1, 6)
+            expected = {}
+            for alpha in itertools.product(range(order), repeat=len(variables)):
+                if 1 <= sum(alpha) < order:
+                    derived = reference_hasse_derivative(poly, alpha)
+                    if not derived.is_zero():
+                        expected[alpha] = derived
+            derivatives = poly.hasse_derivatives(order)
+            for derived in derivatives.values():
+                assert_well_formed(derived)
+            assert derivatives == expected, (str(poly), order)
+
+
+class TestSparseView:
+    @pytest.mark.parametrize("field", FIELDS + (prime_field(5),), ids=FIELD_IDS + ("F5",))
+    def test_each_term_lists_its_nonzero_exponents(self, field):
+        rng = random.Random(f"sparse-view-{field.characteristic}")
+        for _ in range(100):
+            poly = random_poly(rng, field, XYZW[: rng.randint(1, 4)], max_degree=3, max_terms=5)
+            view = poly.sparse_terms()
+            assert view is poly.sparse_terms()  # kept from the first read
+            assert len(view) == len(poly.terms)
+            for (exps, coeff), (pairs, c) in zip(poly.terms.items(), view, strict=True):
+                assert c == coeff
+                assert [i for i, _ in pairs] == [i for i in range(len(exps)) if exps[i] > 0], str(poly)
+                assert all(exps[i] == e for i, e in pairs)
+
+    def test_each_polynomial_reads_its_own_view(self):
+        # A view read before a scale, a negation or a sum is never the result's.
+        f = P("x^2 + 3*y")
+        assert dict(f.sparse_terms()) == {((0, 2),): 1, ((1, 1),): 3}
+        assert dict(f.scale(2).sparse_terms()) == {((0, 2),): 2, ((1, 1),): 6}
+        assert dict((-f).sparse_terms()) == {((0, 2),): -1, ((1, 1),): -3}
+        assert dict((f + P("y")).sparse_terms()) == {((0, 2),): 1, ((1, 1),): 4}
 
 
 class TestTranslateSubstitute:
@@ -348,3 +401,22 @@ class TestParser:
     def test_integer_coefficients_reduce_mod_p(self):
         f3 = prime_field(3)
         assert P("3*x + 4*y", field=f3) == P("y", field=f3)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("x - x", "0"), ("x - x + y", "y"), ("-x + x + x", "x"), ("x + y - (x + y) + 2*x", "2*x")],
+    )
+    def test_sums_cancel_and_refill(self, text, expected):
+        assert P(text) == P(expected)
+
+    def test_a_long_sum_parses_in_linear_time(self):
+        # 16,000 summands (227 KB), each a new monomial, are merged into one term map
+        # once, not copied into a growing sum once per summand.
+        monomials = [(i, j) for i in range(179) for j in range(179 - i)][:16000]
+        summands = [f"{k % 7 + 1}*x^{i}*y^{j}" for k, (i, j) in enumerate(monomials)]
+        with time_limit(5):
+            poly = P(" - ".join(summands))
+        assert len(poly.terms) == 16000
+        assert poly.terms[(0, 0)] == 1 and poly.terms[monomials[-1]] == -(15999 % 7 + 1)
+        head = " + ".join(summands[:2000])
+        assert P(f"({head}) - ({head})").is_zero()

@@ -3,12 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from property_checks import XY, horner_compose, padded_quotient, random_poly
+from property_checks import (
+    XY,
+    horner_compose,
+    padded_quotient,
+    random_poly,
+    reference_lead_sums,
+    reference_ring_map,
+)
 
 from arcmult.errors import ArcNotOnVariety, EngineError, InvalidArc
 from arcmult import series
 from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
-from arcmult.poly import Powers, parse_poly
+from arcmult.poly import parse_poly
 from arcmult.rees import presenting_algebra
 from arcmult.series import (
     Arc,
@@ -16,6 +23,7 @@ from arcmult.series import (
     arc_image,
     arc_substitute,
     certify_on_hypersurface,
+    lead_sums,
     parse_series,
 )
 
@@ -287,7 +295,7 @@ FIELDS = pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3",
 
 @FIELDS
 def test_arc_substitute_matches_the_generic_ring_map(field):
-    # The integer kernel against MultiPoly.image over TruncatedSeries products and sums.
+    # The integer kernel against the ring map folded by TruncatedSeries products and sums.
     rng = random.Random(f"cleared-image-{field.characteristic}")
     outcomes = set()
     for _ in range(400):
@@ -299,11 +307,30 @@ def test_arc_substitute_matches_the_generic_ring_map(field):
         if field.characteristic == 0:
             f = f + random_poly(rng, field).scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
         one = TruncatedSeries.t_power(field, 0)
-        expected = f.image(Powers(phi.components, one), TruncatedSeries.zero(field))
+        expected = reference_ring_map(f, phi.components, one, TruncatedSeries.zero(field))
         image = arc_substitute(f, phi)
         assert described(image) == described(expected), f"{f} along {phi}"
         outcomes.add(image.is_exactly_zero())
     assert outcomes == {True, False}
+
+
+#: Nonzero leads of a component: over Q some are not integers.
+LEADS = {0: (1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)), 2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
+
+
+@FIELDS
+def test_lead_sums_of_the_view_match_the_dense_reference(field):
+    # Patterns with zero components (None), whose terms drop out, in 1-4 variables:
+    # the sums read from the sparse view equal the dense loop's, fraction for fraction.
+    rng = random.Random(f"lead-sums-{field.characteristic}")
+    for _ in range(300):
+        variables = ("x", "y", "z", "w")[: rng.randint(1, 4)]
+        poly = random_poly(rng, field, variables, max_degree=4, max_terms=6)
+        pattern = tuple(None if rng.random() < 0.3 else rng.randint(1, 4) for _ in variables)
+        choices = LEADS[field.characteristic]
+        leads = tuple(None if a is None else field.coerce(rng.choice(choices)) for a in pattern)
+        expected = reference_lead_sums(poly.terms.items(), pattern, leads, field.characteristic)
+        assert lead_sums(poly, pattern, leads) == expected, (str(poly), pattern, leads)
 
 
 @FIELDS

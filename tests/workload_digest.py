@@ -5,9 +5,11 @@ case is built as the benchmark builds it and run.  One digest hashes each
 ``json.dumps(report.to_json(), sort_keys=True)``, or ``"<case>: <error
 class>"`` when the engine raises, and a newline; the other hashes the same
 with ``to_json(include_trace=True)``, so a fault that only a trace reads
-moves only the second.  Run from the repository root:
+moves only the second.  The checkout's ``src/`` goes first on ``sys.path``,
+as ``bench/run.py`` puts it, so the digests are always of the checkout,
+never of an older installed ``arcmult``.  Run from the repository root:
 
-    PYTHONPATH=src python tests/workload_digest.py
+    python tests/workload_digest.py
 
 CI compares both lines with pinned values under two hash seeds, so any
 change to a default report or a trace over these 123 cases shows.
@@ -20,7 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from arcmult.corpus import corpus_names  # noqa: E402
