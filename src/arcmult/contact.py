@@ -4,7 +4,9 @@ The order of contact r is the t-order of the image of the presenting Rees
 algebra along the arc: min over generators of ord_t(phi(f_i)) / n_i.  Its
 normalization r / nu_t(phi) is the quantity whose infimum over arcs the
 theorem verifier compares against the elimination order, and its integral
-part is the persistence computed independently by the blow-up oracle.
+part is the persistence computed independently by the blow-up oracle.  The
+contact walk, `grid_r_bars` and the sampler's grid read orders and zeros from
+the degree classes of one cleared view per polynomial (`series.degree_classes`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import ParseError
 from .fields import INF, Record, format_order
 from .poly import MultiPoly
 from .rees import ReesAlgebra
-from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, degree_along, ensure_arc_ring, lead_sums
+from .series import Arc, TruncatedSeries, arc_image, certify_on_hypersurface, class_sum, cleared_leads, degree_along
+from .series import degree_classes, ensure_arc_ring
 
 
 class ContactResult(Record):
@@ -45,21 +48,25 @@ class ContactResult(Record):
 
 
 def _lead_orders(algebra: ReesAlgebra, pattern, leads, monomial=True) -> dict:
-    """{index: ord_t(phi(g))} for the generators g whose order the `lead_sums`
-    decide along an arc with component t-orders `pattern` and lowest
-    coefficients `leads` (`Arc.leads`): on a monomial arc every generator's,
-    as the least degree with a nonzero sum (INF when none is), and on any
-    other those whose initial form, the sum at the least degree L(g), does
-    not vanish.  The one leading-term rule of the contact walk: `contact_order`
-    reads it on an `Arc`, and `grid_r_bars` applies it per pattern to grid entries.
-    """
-    orders = {}
+    """{index: ord_t(phi(g))} for the generators g whose order the lead sums decide along an arc with
+    t-orders `pattern` and lowest coefficients `leads` (`Arc.leads`): on a monomial arc every one, the
+    least degree with a nonzero sum (INF if none), and on any other those whose least class, the initial
+    form, does not vanish; the `degree_classes` at the `cleared_leads` by `_least_nonzero`, as in `grid_r_bars`."""
+    units, p, orders = cleared_leads(pattern, leads)[0], algebra.field.characteristic, {}
     for i, (poly, _) in enumerate(algebra.generators):
-        sums = lead_sums(poly, pattern, leads)
-        low = min((d for d, (num, _) in sums.items() if num), default=INF)
-        if monomial or low == min(sums, default=INF):
+        classes = degree_classes(poly, pattern)
+        low = _least_nonzero(classes, units, p)
+        if monomial or low == (classes[0][0] if classes else INF):
             orders[i] = low
     return orders
+
+
+def _least_nonzero(classes, units, p):
+    """The least degree of sorted `degree_classes` with a nonzero `class_sum` at the units, else INF."""
+    for degree, members in classes:
+        if class_sum(members, units, p):
+            return degree
+    return INF
 
 
 def _least_ratio(algebra: ReesAlgebra, orders: dict):
@@ -113,44 +120,16 @@ def normalized_contact(algebra: ReesAlgebra, arc: Arc) -> ContactResult:
 
 def grid_r_bars(algebra: ReesAlgebra, entries) -> list:
     """r_bar along the monomial arc of each grid entry (pattern, leads) of `sample_arcs`, as
-    `_lead_orders` reads it on the built arc, through one plan per pattern: each generator's
-    kept terms in degree classes, placed by `degree_along` and summed at the entry's units,
-    integers (`FieldSpec.units`)."""
-    field, plans, r_bars = algebra.field, {}, []
-    generators = [_cleared_terms(poly) for poly, _ in algebra.generators]
+    `_lead_orders` reads it on the built arc: each generator's `degree_classes` are built
+    once per exponent pattern and summed at each entry's `cleared_leads` by `_least_nonzero`."""
+    p, plans, r_bars = algebra.field.characteristic, {}, []
     for pattern, leads in entries:
         if pattern not in plans:
-            plans[pattern] = plan = []
-            for terms in generators:
-                classes = {}
-                for member in terms:
-                    if (degree := degree_along(member[1], pattern)) is not None:
-                        classes.setdefault(degree, []).append(member)
-                plan.append(sorted(classes.items()))
-        units = [None if u is None else u.numerator for u in leads]
-        r = _least_ratio(algebra, {
-            i: next((d for d, members in classes if _class_sum(members, units, field.characteristic)), INF)
-            for i, classes in enumerate(plans[pattern])
-        })
+            plans[pattern] = [degree_classes(poly, pattern) for poly, _ in algebra.generators]
+        units, _ = cleared_leads(pattern, leads)
+        r = _least_ratio(algebra, {i: _least_nonzero(classes, units, p) for i, classes in enumerate(plans[pattern])})
         r_bars.append(INF if r == INF else r / min(a for a in pattern if a is not None))
     return r_bars
-
-
-def _cleared_terms(poly: MultiPoly) -> list:
-    """(c, pairs) per term of the sparse view: c on integers, one scale for all."""
-    view = poly.sparse_terms()
-    ints = poly.field.cleared([c for _, c in view])[0]
-    return [(c, pairs) for (pairs, _), c in zip(view, ints)]
-
-
-def _class_sum(members, units, p) -> int:
-    """The sum of c * prod units[i]^e over the (c, pairs) members of a degree class, mod p when p > 0."""
-    total = 0
-    for c, pairs in members:
-        for i, e in pairs:
-            c *= units[i] ** e
-        total += c
-    return total % p if p else total
 
 
 #: Largest exponent of a monomial grid arc, and largest degree of a random
@@ -217,7 +196,7 @@ def _vanishing_grid(poly: MultiPoly) -> list:
     if not width:
         return []
     exponents = [None, *range(1, bound + 1)]
-    sparse = [(x[-1], member) for x, member in zip(poly.terms, _cleared_terms(poly))]
+    sparse = [(x[-1], member) for x, member in zip(poly.terms, poly.cleared_view()[1])]
     # (index in choices, choice) per exponent, choices = [None] + [(u, a) for a in 1..bound for u in units]
     options = {a: [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)] for a in exponents[1:]}
     options[None] = [(0, None)]
@@ -249,13 +228,13 @@ def _vanishing_grid(poly: MultiPoly) -> list:
 
 
 def _vanishing_units(classes, choices, p) -> list:
-    """(index, assignment) for each pick of one (index, choice) per variable from `choices` at
-    which every degree class of f's kept terms, {degree: members}, sums to 0; one call per pattern."""
+    """(index, assignment) for each pick of one (index, choice) per variable from `choices` at which
+    every degree class of f's kept terms, {degree: members}, has `class_sum` 0; one call per pattern."""
     admitted = []
     for indexed in itertools.product(*choices):
         index, assignment = zip(*indexed)
         units = [None if choice is None else choice[0].numerator for choice in assignment]
-        if not any(_class_sum(members, units, p) for members in classes.values()):
+        if not any(class_sum(members, units, p) for members in classes.values()):
             admitted.append((index, assignment))
     return admitted
 

@@ -34,7 +34,7 @@ from .errors import (
 from .fields import INF, FieldSpec, Record, format_order
 from .poly import MultiPoly, Powers, origin
 from .rees import ReesAlgebra, presenting_algebra
-from .series import Arc, TruncatedSeries, certify_on_hypersurface, lead_sums
+from .series import Arc, TruncatedSeries, certify_on_hypersurface, class_sum, cleared_leads, degree_classes
 
 
 class MonicPresentation(Record):
@@ -274,8 +274,8 @@ def minimizing_arc(result: EliminationResult) -> Arc:
 
     Picks a generator g W^l with ord(g)/l = ord_d, sets alpha = l (clearing
     the denominator) and searches small field units u with the initial form
-    of g nonvanishing at u; the arc is y_i -> u_i t^alpha.  Along it the
-    `lead_sums` sum at t-degree alpha * ord(g) is that initial form at u.
+    of g nonvanishing at u; the arc is y_i -> u_i t^alpha.  The least of g's
+    `degree_classes`, built once, is that initial form: each u is tried by its `class_sum`.
     """
     algebra = result.algebra
     field = algebra.field
@@ -290,9 +290,9 @@ def minimizing_arc(result: EliminationResult) -> Arc:
         raise EngineError("no generator achieves ord_d; inconsistent result")
     weight, poly = min(achievers, key=lambda pair: (pair[0], str(pair[1])))
     pattern = (weight,) * len(algebra.variables)
-    low = weight * poly.order_at_origin()
+    form = degree_classes(poly, pattern)[0][1]  # the terms of g's initial form
     candidates = itertools.product(field.units(6), repeat=len(pattern))
-    chosen = next((u for u in candidates if lead_sums(poly, pattern, u)[low][0]), None)
+    chosen = next((u for u in candidates if class_sum(form, cleared_leads(pattern, u)[0], field.characteristic)), None)
     if chosen is None:
         raise NoRationalUnit(
             "no unit tuple over the base field avoids the initial form's zero set"

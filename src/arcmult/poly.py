@@ -1,9 +1,9 @@
 """Exact multivariate polynomial arithmetic over Q or F_p.
 
 Polynomials are sparse maps from dense exponent tuples to nonzero field
-elements, aligned with an ordered variable list, with one sparse view of
-the terms (`MultiPoly.sparse_terms`) that every walk over the variables a
-term uses reads.  Everything here is exact: order at a point is computed by
+elements, aligned with an ordered variable list, with one sparse view of the terms
+(`MultiPoly.sparse_terms`, on integers `MultiPoly.cleared_view`) that every walk over
+the variables a term uses reads.  Everything here is exact: order at a point is computed by
 translating the point to the origin, and derivatives are divided-power
 (Hasse) derivatives, which stay correct in positive characteristic where
 iterated partials can vanish.
@@ -37,7 +37,7 @@ def check_point(point, variables, field: FieldSpec) -> Point:
 class MultiPoly:
     """Sparse exact polynomial in an ordered tuple of variables."""
 
-    __slots__ = ("variables", "terms", "field", "_hash", "_order", "_sparse")
+    __slots__ = ("variables", "terms", "field", "_hash", "_order", "_sparse", "_cleared")
 
     def __init__(self, variables, terms, field: FieldSpec):
         self.variables = tuple(variables)
@@ -53,7 +53,7 @@ class MultiPoly:
                 clean[tuple(exps)] = value
         self.terms = clean
         self.field = field
-        self._hash = self._order = self._sparse = None
+        self._hash = self._order = self._sparse = self._cleared = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -64,7 +64,7 @@ class MultiPoly:
         poly.variables = variables
         poly.terms = terms
         poly.field = field
-        poly._hash = poly._order = poly._sparse = None
+        poly._hash = poly._order = poly._sparse = poly._cleared = None
         return poly
 
     @classmethod
@@ -115,11 +115,19 @@ class MultiPoly:
 
     def sparse_terms(self) -> tuple:
         """(pairs, coefficient) per term in the order of `terms`, pairs its nonzero (index, exponent)s;
-        kept from the first read, as `order_at_origin` is.  The lead sums, the sampler's grid, the
-        images and the Hasse derivatives walk it."""
+        kept from the first read, as `order_at_origin` is.  `image` walks it, and
+        `cleared_view` clears it."""
         if self._sparse is None:
             self._sparse = tuple((tuple((i, e) for i, e in enumerate(x) if e), c) for x, c in self.terms.items())
         return self._sparse
+
+    def cleared_view(self) -> tuple:
+        """(scale, members): the sparse view on integers, a member (c, pairs) per term, its coefficient
+        c / scale; kept from the first read.  Lead sums, arc images and Hasse derivatives read it."""
+        if self._cleared is None:
+            ints, scale = self.field.cleared([c for _, c in self.sparse_terms()])
+            self._cleared = scale, tuple(zip(ints, [pairs for pairs, _ in self._sparse]))
+        return self._cleared
 
     def _index(self, name: str) -> int:
         try:
@@ -306,14 +314,14 @@ class MultiPoly:
 
     def hasse_derivatives(self, order: int) -> dict:
         """{alpha: D^alpha f} for each multi-index 1 <= |alpha| < order with a nonzero
-        divided-power derivative, in one walk over the sparse view: c x^e adds
-        prod_i binom(e_i, alpha_i) c x^(e - alpha) to D^alpha f for each alpha <= e on its
-        nonzero exponents.  Binomials that vanish mod p drop out, no two terms of one
+        divided-power derivative, in one walk over the kept cleared view (`cleared_view`):
+        c x^e adds prod_i binom(e_i, alpha_i) c x^(e - alpha) to D^alpha f for each alpha <= e
+        on its nonzero exponents.  Binomials that vanish mod p drop out, no two terms of one
         derivative merge, and the products are taken in ints, as in `__mul__`."""
         field, top, p = self.field, order - 1, self.field.characteristic
-        ints, scale = field.cleared(list(self.terms.values()))
+        scale, members = self.cleared_view()
         derived = {}  # alpha -> {e - alpha: int}
-        for exps, (pairs, _), c in zip(self.terms, self.sparse_terms(), ints):
+        for exps, (c, pairs) in zip(self.terms, members):
             below = [((0,) * len(exps), c, top)]  # (alpha, binom(e, alpha) c, top - |alpha|)
             for i, e in pairs:
                 row = [(a, math.comb(e, a)) for a in range(min(e, top) + 1)]

@@ -67,24 +67,25 @@ class ReesAlgebra(Record):
         """True when the singular locus is empty because a generator is a unit."""
         return any(g.is_constant() for g, _ in self.generators)
 
-    def _require_generators(self):
+    def _orders_on_sing(self, point: Point):
+        """(local order, weight) per generator, each translated once; None off Sing."""
+        if self.is_trivial:
+            return None
         if not self.generators:
             raise EngineError("Rees algebra with empty generator list has no observers")
+        point = check_point(point, self.variables, self.field)
+        orders = [(g.order_at(point), w) for g, w in self.generators]
+        return orders if all(o >= w for o, w in orders) else None
 
     def sing_member(self, point: Point) -> bool:
-        """Point of Sing: every generator has local order >= its weight (each order kept for `ord_at`)."""
-        if self.is_trivial:
-            return False
-        self._require_generators()
-        point = check_point(point, self.variables, self.field)
-        self.__dict__["_orders"] = [(g.order_at(point), w) for g, w in self.generators]
-        return all(o >= w for o, w in self._orders)
+        """Point of Sing: every generator has local order >= its weight."""
+        return self._orders_on_sing(point) is not None
 
     def ord_at(self, point: Point) -> Fraction:
         """Hironaka order: min over generators of order/weight (on Sing only)."""
-        if not self.sing_member(point):
+        if (orders := self._orders_on_sing(point)) is None:
             raise NotInSingularLocus(f"point {point} is not in Sing")
-        return min(Fraction(o) / w for o, w in self._orders)
+        return min(Fraction(o) / w for o, w in orders)
 
     # -- algebra operations -----------------------------------------------------------
 
@@ -110,18 +111,12 @@ class ReesAlgebra(Record):
         """Transform under a point blow-up chart: pull back, divide by e^weight.
 
         Divisibility of each pullback by the exceptional coordinate to the
-        weight power is exactly permissibility of the center; failure raises
-        NotPermissible.
+        weight power is exactly permissibility of the center, its membership
+        of Sing (`sing_member`); failure raises NotPermissible.
         """
-        center = check_point(center, self.variables, self.field)
-        gens = []
-        for poly, weight in self.generators:
-            shifted = poly.translate(center)
-            if shifted.order_at_origin() < weight:
-                raise NotPermissible(
-                    f"center {center} is not in Sing: {poly} W^{weight} does not transform"
-                )
-            gens.append((chart.transform(shifted, weight), weight))
+        if not self.sing_member(center):
+            raise NotPermissible(f"center {center} is not in Sing of {self}: it does not transform")
+        gens = [(chart.transform(poly.translate(center), weight), weight) for poly, weight in self.generators]
         return ReesAlgebra.of(self.variables, gens, self.field)
 
     # -- display ----------------------------------------------------------------------

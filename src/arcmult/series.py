@@ -9,6 +9,11 @@ lift is a slice of each component's coefficients (`blowup.blowup_lift`).
 
 An Arc assigns one series to each ambient variable; components always have
 zero constant term (arcs are stored recentered at the current chart origin).
+
+Leading terms along an arc have one rule on integers: a polynomial's kept cleared view
+is grouped into `degree_classes` along the arc's exponent pattern, each summed by
+`class_sum` at integer units, leads cleared by t -> b t (`cleared_leads`); `arc_substitute`,
+the contact walk, the grid and `minimizing_arc` read these sums.
 """
 
 from __future__ import annotations
@@ -133,8 +138,9 @@ class TruncatedSeries(Record):
             return TruncatedSeries._of(field, _spread(field, scaled, len(inner.coeffs) - 1))
         if powers is None:
             powers = _powers((inner,), field)
-        view = [(((0, k),) if k else (), c) for k, c in enumerate(self.coeffs) if not field.is_zero(c)]
-        return _image(field, view, powers).series(field)
+        ints, scale = field.cleared(self.coeffs)
+        members = [(c, ((0, k),) if k else ()) for k, c in enumerate(ints) if c]
+        return _image(field, scale, members, powers).series(field)
 
     def reparametrize(self, n: int) -> "TruncatedSeries":
         """Substitute t -> t^n (n >= 1): every exponent is multiplied by n."""
@@ -207,20 +213,19 @@ def _convolve(a, b):
     return raw
 
 
-def _image(field: FieldSpec, view, powers: Powers) -> ClearedSeries:
-    """The sum of c * prod_i images[i]^(e_i) over a sparse view (`MultiPoly.sparse_terms`):
-    (pairs, c) per term, pairs its nonzero (i, e_i), c nonzero.
+def _image(field: FieldSpec, scale, members, powers: Powers) -> ClearedSeries:
+    """The sum of c / scale * prod_i images[i]^(e_i) over a cleared view (`MultiPoly.cleared_view`):
+    a member (c, pairs) per term, pairs its nonzero (i, e_i), c a nonzero integer.
 
     `powers` caches the images as ClearedSeries.  Every term is summed at one
     common scale."""
-    coeffs, scale = field.cleared([c for _, c in view])
     products = []
-    for pairs, _ in view:
+    for _, pairs in members:
         factors = [powers.power(i, e) for i, e in pairs]
         products.append(reduce(mul, factors) if factors else powers.one)
     common = math.lcm(*(term.scale for term in products))
     raw = [0] * max([0] + [len(term.ints) for term in products])
-    for c, term in zip(coeffs, products):
+    for (c, _), term in zip(members, products):
         c *= common // term.scale
         for k, v in enumerate(term.ints):
             if v:
@@ -289,7 +294,7 @@ class Arc(Record):
         return order
 
     def leads(self) -> tuple:
-        """(pattern, leads, monomial) for `lead_sums`: each component's t-order and
+        """(pattern, leads, monomial) for the lead sums: each component's t-order and
         lowest coefficient, None for a zero component, and whether every component is
         zero or one term c t^k, so that the sums are the whole image.  Scanned on the
         first read and kept."""
@@ -343,27 +348,28 @@ def arc_image(poly: MultiPoly, arc: Arc, powers: Powers | None = None) -> Cleare
     ensure_arc_ring(poly, arc, "polynomial")
     if powers is None:
         powers = arc.powers()
-    return _image(arc.field, poly.sparse_terms(), powers)
+    return _image(arc.field, *poly.cleared_view(), powers)
 
 
 def arc_substitute(poly: MultiPoly, arc: Arc) -> TruncatedSeries:
     """Evaluate a polynomial along an arc: phi(f) in K[[t]].
 
-    Along a monomial arc (`Arc.leads`) the image is read whole from the
-    `lead_sums`, with no series product, up to the last degree whose sum is
-    nonzero; any other arc is evaluated by `arc_image`."""
+    Along a monomial arc x_i -> lead_i t^(a_i) (`Arc.leads`) the image is read whole from
+    the lead sums, with no series product: the coefficient of t^d is s_d / (scale * b^d),
+    s_d the `class_sum` of f's degree-d class at the `cleared_leads` and scale that of
+    f's cleared view, up to the last nonzero s_d; any other arc is evaluated by `arc_image`."""
     pattern, leads, monomial = arc.leads()
     if not monomial:
         return arc_image(poly, arc).series(arc.field)
     ensure_arc_ring(poly, arc, "polynomial")
     field = arc.field
-    sums = lead_sums(poly, pattern, leads)
-    nonzero = {degree: (num, den) for degree, (num, den) in sums.items() if num}
-    if not nonzero:
-        return TruncatedSeries.zero(field)
-    values = [field.zero] * (max(nonzero) + 1)
-    for degree, (num, den) in nonzero.items():
-        values[degree] = field.uncleared([num], den)[0]
+    units, b = cleared_leads(pattern, leads)
+    scale, p = poly.cleared_view()[0], field.characteristic
+    sums = [(degree, class_sum(members, units, p)) for degree, members in degree_classes(poly, pattern)]
+    nonzero = [(degree, total) for degree, total in sums if total]  # by increasing degree
+    values = [field.zero] * (nonzero[-1][0] + 1 if nonzero else 0)
+    for degree, total in nonzero:
+        values[degree] = field.uncleared([total], scale * b**degree)[0]
     return TruncatedSeries(field, tuple(values))
 
 
@@ -379,34 +385,30 @@ def degree_along(pairs, pattern):
     return degree
 
 
-def lead_sums(poly: MultiPoly, pattern, leads) -> dict:
-    """{d: (num, den)}: the sum of c * prod lead_i^(e_i) over the terms c x^e of
-    t-degree d, as a cleared fraction, num reduced mod p when p > 0; one pass
-    over the sparse view, each term placed by `degree_along`.
+def degree_classes(poly: MultiPoly, pattern) -> list:
+    """[(d, members)] by increasing d: the members (c, pairs) of f's cleared view by t-degree (`degree_along`)."""
+    classes = {}
+    for member in poly.cleared_view()[1]:
+        if (degree := degree_along(member[1], pattern)) is not None:
+            classes.setdefault(degree, []).append(member)
+    return sorted(classes.items())
 
-    Along an arc with component t-orders `pattern` (None for a zero
-    component) and lowest coefficients `leads`, a term c x^e maps to t-order
-    at least d = <e, pattern>, with that product as its coefficient there, or
-    to 0 when it uses a zero component.  At L = min d the sum is the initial
-    form at the leads: ord_t(f(arc)) = L when its num is nonzero, else at
-    least L + 1.  Along a monomial arc x_i -> lead_i t^(pattern_i)
-    (`Arc.leads`) they are the whole image: ord_t(f(arc)) is the least d
-    with a nonzero num, and f maps to exactly zero when every num vanishes.
-    """
-    p = poly.field.characteristic
-    sums = {}
-    for pairs, coeff in poly.sparse_terms():
-        degree = degree_along(pairs, pattern)
-        if degree is None:
-            continue
-        n, d = coeff.numerator, coeff.denominator
+
+def cleared_leads(pattern, leads) -> tuple:
+    """(units, b): units_i = lead_i * b^(a_i), the leads after t -> b t for b the lcm of their
+    denominators, integers as a_i >= 1 (None for a zero component; b = 1 over F_p)."""
+    b = math.lcm(*[u.denominator for u in leads if u is not None])
+    return [None if u is None else u.numerator * b**a // u.denominator for a, u in zip(pattern, leads)], b
+
+
+def class_sum(members, units, p) -> int:
+    """The sum of c * prod units[i]^(e_i) over a degree class's members (c, pairs), mod p if p > 0."""
+    total = 0
+    for c, pairs in members:
         for i, e in pairs:
-            lead = leads[i]
-            n *= pow(lead.numerator, e, p or None)
-            d *= lead.denominator ** e
-        num, den = sums.get(degree, (0, 1))
-        sums[degree] = num * d + n * den, den * d
-    return {degree: (num % p if p else num, den) for degree, (num, den) in sums.items()}
+            c *= units[i] ** e
+        total += c
+    return total % p if p else total
 
 
 def certify_on_hypersurface(poly: MultiPoly, arc: Arc, name: str | None) -> None:

@@ -194,8 +194,10 @@ def reference_grid(field, width, exponent_bound):
 
 
 def reference_lead_sums(terms, pattern, leads, p) -> dict:
-    """`series.lead_sums` over the (exponents, coefficient) `terms`, walking each
-    dense exponent tuple, where the engine walks the polynomial's sparse view."""
+    """{d: (num, den)}, the sums that `series.class_sum` gives on integers as
+    s_d / (scale * b^d), over the (exponents, coefficient) `terms`, as fractions
+    on each dense exponent tuple, where the engine sums degree classes of the
+    polynomial's cleared view."""
     sums = {}
     for exps, coeff in terms:
         if any(e and a is None for a, e in zip(pattern, exps)):
@@ -385,8 +387,8 @@ def reference_unit_choice(elimination):
 
     The generator is the achieving one of least weight, as there; its
     lowest-degree homogeneous part is built from its terms and evaluated with
-    `MultiPoly.evaluate`, a route the engine, which reads it from
-    `series.lead_sums`, does not take.  units is the first `field.units(6)`
+    `MultiPoly.evaluate`, a route the engine, which sums its least degree
+    class (`series.class_sum`), does not take.  units is the first `field.units(6)`
     tuple where that part is nonzero, or None when there is none."""
     algebra = elimination.algebra
     field = algebra.field
@@ -966,7 +968,7 @@ def _outcome(call):
 
 
 def check_monomial_leads(rng):
-    """Along a monomial arc, `lead_sums` are the whole image: `arc_substitute`
+    """Along a monomial arc, the lead sums are the whole image: `arc_substitute`
     equals the image that `arc_image` builds, and `_generator_orders` (INF
     included) and `certify_on_hypersurface` agree with it, on polynomials on
     and off the arc.  On a mismatched ring the

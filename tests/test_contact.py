@@ -26,7 +26,7 @@ from property_checks import (
     sampled_arcs,
 )
 
-from arcmult import contact, elimination
+from arcmult import contact, elimination, series
 from arcmult.contact import (
     DEGREE_BOUND,
     EXPONENT_BOUND,
@@ -462,14 +462,15 @@ class TestContactWalk:
         # Over Q an exponent pattern of the grid of z^2 - x^3 - y^4 carries several
         # unit tuples: the derivatives' terms are placed by degree once per pattern,
         # and each entry reads the r_bar of its built arc.  A placement is one
-        # `degree_along` call on a term's pairs from the generator's sparse view.
+        # `degree_along` call, made by `series.degree_classes`, on a term's pairs
+        # from the generator's sparse view.
         poly = SURFACES["z2_x3_y4_f0"]
         derivatives = derivatives_of(poly)
         entries = [grid for grid, _ in sample_arcs(poly, 0, 0)]
         views = {pairs for g, _ in derivatives.generators for pairs, _ in g.sparse_terms()}
         placed = []
-        degree_along = contact.degree_along
-        monkeypatch.setattr(contact, "degree_along", lambda *args: placed.append(args) or degree_along(*args))
+        degree_along = series.degree_along
+        monkeypatch.setattr(series, "degree_along", lambda *args: placed.append(args) or degree_along(*args))
         r_bars = grid_r_bars(derivatives, entries)
         patterns = {pattern for pattern, _ in entries}
         assert len(entries) > 2 * len(patterns)
@@ -492,8 +493,11 @@ class TestContactWalk:
             # y - x gives 3, and y^3 - x^3 W^2 (L = 3), whose image is
             # 3t^5 + ..., gives 5/2.
             ([("y - x", 1), ("y^3 - x^3", 2)], ("t", "t + t^3"), Fraction(5, 2)),
+            # y^2 - x^3 + x^4 along (t^2, t^3 + t^4): the class of t^6 cancels and the
+            # class of t^8 does not, but the image is 2t^7 + 2t^8, so r is 7.
+            ([("y^2 - x^3 + x^4", 1)], ("t^2", "t^3 + t^4"), 7),
         ],
-        ids=["not-attained", "exact-zero", "cancels-above-r", "cancels-sets-r"],
+        ids=["not-attained", "exact-zero", "cancels-above-r", "cancels-sets-r", "higher-class-not-read"],
     )
     def test_lowest_terms_cancel(self, weighted, components, r):
         assert _assert_orders_match_reference(algebra(weighted), arc(Q, *components)) == r
@@ -638,7 +642,7 @@ def _verify_inputs(name):
 
 class TestMinimizingArcUnits:
     """minimizing_arc reads the achieving generator's initial form at each unit
-    tuple from `lead_sums`; the reference evaluates it as a polynomial."""
+    tuple from its least degree class; the reference evaluates it as a polynomial."""
 
     @pytest.mark.parametrize("name", [*corpus_names(), *ORDER_SURFACES])
     def test_first_unit_tuple_off_the_initial_form(self, name):
@@ -657,6 +661,25 @@ class TestMinimizingArcUnits:
         weighted = from_weighted(XY, [("x^2 - y^2", 2)], Q)
         built = minimizing_arc(EliminationResult(weighted, Fraction(1), "Tschirnhausen"))
         assert built.components == (parse_series("t^2", Q), parse_series("2*t^2", Q))
+
+    @pytest.mark.parametrize(
+        "field, text", [(Q, "x^2 - y^2"), (F3, "x^2 + x*y + y^2"), (F5, "x^2 - y^2")], ids=["q", "f3", "f5"]
+    )
+    def test_terms_placed_once_whatever_the_tuples_tried(self, field, text, monkeypatch):
+        # The initial form vanishes at the first unit tuple, so several are tried: the
+        # generator's terms are placed in degree classes once for the search and once
+        # more by the contact check of the built arc, never once per tuple.
+        weighted = from_weighted(XY, [(text, 2)], field)
+        (poly, _), = weighted.generators
+        tried = []
+        cleared_leads = series.cleared_leads
+        monkeypatch.setattr(elimination, "cleared_leads", lambda *args: tried.append(args) or cleared_leads(*args))
+        placed = []
+        degree_along = series.degree_along
+        monkeypatch.setattr(series, "degree_along", lambda *args: placed.append(args) or degree_along(*args))
+        minimizing_arc(EliminationResult(weighted, Fraction(1), "Tschirnhausen"))
+        assert len(tried) > 1
+        assert len(placed) == 2 * len(poly.terms)
 
 
 class TestComposedPool:

@@ -15,8 +15,9 @@ from property_checks import (
 )
 
 from arcmult.errors import ParseError, VariableMismatch
-from arcmult.fields import INF, RATIONALS, prime_field
+from arcmult.fields import INF, RATIONALS, FieldSpec, prime_field
 from arcmult.poly import MultiPoly, origin, parse_poly
+from arcmult.series import Arc, TruncatedSeries, arc_image, arc_substitute, parse_series
 
 XY = ("x", "y")
 FIELDS = (RATIONALS, prime_field(2), prime_field(3))
@@ -114,6 +115,25 @@ class TestSparseView:
         assert dict(f.scale(2).sparse_terms()) == {((0, 2),): 2, ((1, 1),): 6}
         assert dict((-f).sparse_terms()) == {((0, 2),): -1, ((1, 1),): -3}
         assert dict((f + P("y")).sparse_terms()) == {((0, 2),): 1, ((1, 1),): 4}
+
+    def test_the_cleared_view_is_built_once(self, monkeypatch):
+        # The lead sums, the arc images and the Hasse derivatives all read one cleared
+        # view, made by one `FieldSpec.cleared` call on the polynomial's coefficients.
+        f = P("x^2 + 3*y - x*y^2").scale(Fraction(1, 6))
+        coefficients = list(f.terms.values())
+        calls = []
+        cleared = FieldSpec.cleared
+        monkeypatch.setattr(FieldSpec, "cleared", lambda field, values: calls.append(list(values)) or cleared(field, values))
+        scale, members = f.cleared_view()
+        assert f.cleared_view() == (scale, members)
+        along = Arc(("x", "y"), (parse_series("t + t^2", RATIONALS), parse_series("2*t", RATIONALS)))
+        arc_image(f, along)
+        leads = (TruncatedSeries.t_power(RATIONALS, 1, Fraction(1, 2)), TruncatedSeries.t_power(RATIONALS, 2, Fraction(3)))
+        arc_substitute(f, Arc(("x", "y"), leads))
+        f.hasse_derivatives(3)
+        assert calls.count(coefficients) == 1
+        assert [Fraction(c, scale) for c, _ in members] == coefficients
+        assert [pairs for _, pairs in members] == [pairs for pairs, _ in f.sparse_terms()]
 
 
 class TestTranslateSubstitute:

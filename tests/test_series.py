@@ -23,7 +23,9 @@ from arcmult.series import (
     arc_image,
     arc_substitute,
     certify_on_hypersurface,
-    lead_sums,
+    class_sum,
+    cleared_leads,
+    degree_classes,
     parse_series,
 )
 
@@ -315,13 +317,20 @@ def test_arc_substitute_matches_the_generic_ring_map(field):
 
 
 #: Nonzero leads of a component: over Q some are not integers.
-LEADS = {0: (1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)), 2: (1,), 3: (1, 2), 5: (1, 2, 3, 4)}
+LEADS = {
+    0: (1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(3, 7)),
+    2: (1,),
+    3: (1, 2),
+    5: (1, 2, 3, 4),
+}
 
 
 @FIELDS
 def test_lead_sums_of_the_view_match_the_dense_reference(field):
-    # Patterns with zero components (None), whose terms drop out, in 1-4 variables:
-    # the sums read from the sparse view equal the dense loop's, fraction for fraction.
+    # Patterns with zero components (None), whose terms drop out, in 1-4 variables, and
+    # over Q leads with denominators 2, 3, 4 and 7: each integer `class_sum` of a degree
+    # class at the `cleared_leads`, read as sum / (scale * b^d), equals the dense loop's
+    # fraction, zeros included.
     rng = random.Random(f"lead-sums-{field.characteristic}")
     for _ in range(300):
         variables = ("x", "y", "z", "w")[: rng.randint(1, 4)]
@@ -330,7 +339,14 @@ def test_lead_sums_of_the_view_match_the_dense_reference(field):
         choices = LEADS[field.characteristic]
         leads = tuple(None if a is None else field.coerce(rng.choice(choices)) for a in pattern)
         expected = reference_lead_sums(poly.terms.items(), pattern, leads, field.characteristic)
-        assert lead_sums(poly, pattern, leads) == expected, (str(poly), pattern, leads)
+        units, b = cleared_leads(pattern, leads)
+        scale = poly.cleared_view()[0]
+        sums = {d: class_sum(members, units, field.characteristic) for d, members in degree_classes(poly, pattern)}
+        assert sums.keys() == expected.keys(), (str(poly), pattern, leads)
+        for degree, total in sums.items():
+            num, den = expected[degree]
+            assert (total == 0) == (num == 0), (str(poly), pattern, leads, degree)
+            assert Fraction(total, scale * b**degree) == Fraction(num, den), (str(poly), pattern, leads, degree)
 
 
 @FIELDS
