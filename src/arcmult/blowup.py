@@ -92,11 +92,11 @@ class NashStep(Record):
             multiplicity=multiplicity, transform=transform,
         )
 
-    def to_json(self, field) -> dict:
+    def to_json(self) -> dict:
         return {
             "chart": self.chart_variable,
             "chart_index": self.chart_index,
-            "center": [field.element_str(c) for c in self.center],
+            "center": [str(c) for c in self.center],
             "multiplicity": self.multiplicity,
             "transform": str(self.transform),
         }
@@ -134,7 +134,7 @@ class NashReport(Record):
                 trace.append(NashStep(chart.index, chart.exceptional, blowup.translation, m, transform))
         return tuple(trace)
 
-    def to_json(self, field, include_trace: bool = False) -> dict:
+    def to_json(self, include_trace: bool = False) -> dict:
         data = {
             "sequence": list(self.sequence),
             "rho": self.rho,
@@ -143,7 +143,7 @@ class NashReport(Record):
         if self.below_threshold:
             data["note"] = "already below threshold: initial multiplicity is 1"
         if include_trace:
-            data["trace"] = [step.to_json(field) for step in self.trace]
+            data["trace"] = [step.to_json() for step in self.trace]
         return data
 
 
@@ -242,8 +242,6 @@ def run_length(poly: MultiPoly, arc: Arc, multiplicity: int, limit: int) -> int:
     if the arc's last component is not t.
     """
     j = _graph_index(arc)
-    if limit < 2:
-        return 1
     steps = min([limit] + [comp.order() for comp in arc.components[:j]])
     if steps < 2:
         return 1

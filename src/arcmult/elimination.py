@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .fields import INF, FieldSpec, Record, format_order
-from .poly import MultiPoly, Powers, origin
+from .poly import MultiPoly, Powers, _add_into, origin
 from .rees import ReesAlgebra, presenting_algebra
 from .series import Arc, TruncatedSeries, certify_on_hypersurface, class_sum, cleared_leads, degree_classes
 
@@ -228,14 +228,9 @@ def visible_elimination(algebra: ReesAlgebra, eliminated) -> ReesAlgebra:
                 scaled = ({e: field.mul(c, inverse) for e, c in part.items()} for part in (good, bad))
                 pivots[weight, lead] = tuple(scaled)
                 break
-            factor = bad[lead]
+            factor = field.neg(bad[lead])
             for part, pivot_part in zip((good, bad), pivot):
-                for e, c in pivot_part.items():
-                    value = field.sub(part.get(e, field.zero), field.mul(factor, c))
-                    if field.is_zero(value):
-                        del part[e]
-                    else:
-                        part[e] = value
+                _add_into(field, part, ((e, field.mul(factor, c)) for e, c in pivot_part.items()))
         else:
             if good:
                 found.append((MultiPoly._of(algebra.variables, good, field).restrict(remaining), weight))
@@ -368,11 +363,12 @@ def verify_main_theorem(
 
     Every arc checked lies on f (a certified candidate, a grid arc, or an arc
     through the certified parametrization), so f W^m, which `diff_closure`
-    keeps as (f.normalized(), m), maps to 0 and never attains r.  A
-    candidate's r_bar is its `normalized_contact` on G, a read when `run`'s
-    contact analysis recorded it there, where f reads INF from the
-    certificate or the leading terms; every other arc is evaluated on G
-    without f, on the derivatives of f.
+    keeps as (f.normalized(), m), maps to 0 and never attains r.  Every arc
+    is evaluated on G, where f reads INF: from the leading terms, which
+    vanish on a grid arc, or from the certificate recorded on a candidate
+    or on the parametrization.  A candidate's r_bar is its
+    `normalized_contact` on G, a read when `run`'s contact analysis
+    recorded it there.
 
     Grid arcs, the (grid, None) entries of `sample_arcs`, stay exponent
     patterns: `grid_r_bars` reads their r_bars through one plan per pattern,
@@ -387,8 +383,6 @@ def verify_main_theorem(
     only when the group holds the witness.
     """
     poly = presentation.poly
-    top = (poly.normalized(), poly.order_at_origin())
-    derivatives = ReesAlgebra(algebra.variables, tuple(g for g in algebra.generators if g != top), algebra.field)
 
     for name, arc in candidates.items():
         certify_on_hypersurface(poly, arc, f"candidate {name}")
@@ -396,11 +390,11 @@ def verify_main_theorem(
     grid = next((i for i, (entry, _) in enumerate(sampled) if entry is None), len(sampled))
 
     # r_bar of each candidate, each grid arc and, as one, the composed arcs.
-    r = contact_order(derivatives, parametrization) if grid < len(sampled) else None
+    r = contact_order(algebra, parametrization) if grid < len(sampled) else None
     composed = [] if r is None else [INF if r == INF else r / parametrization.order()]
     r_bars = [
         *(normalized_contact(algebra, arc).r_bar for arc in candidates.values()),
-        *grid_r_bars(derivatives, [entry for entry, _ in sampled[:grid]]),
+        *grid_r_bars(algebra, [entry for entry, _ in sampled[:grid]]),
         *composed,
     ]
     min_r_bar = min(r_bars, default=INF)

@@ -36,11 +36,11 @@ def format_terms(field, terms) -> str:
         negative = field.characteristic == 0 and coeff < 0
         magnitude = -coeff if negative else coeff
         if not factor:
-            body = field.element_str(magnitude)
+            body = str(magnitude)
         elif magnitude == field.one:
             body = factor
         else:
-            body = f"{field.element_str(magnitude)}*{factor}"
+            body = f"{magnitude}*{factor}"
         sign = ("- " if negative else "+ ") if parts else ("-" if negative else "")
         parts.append(sign + body)
     return " ".join(parts)
@@ -133,10 +133,6 @@ class FieldSpec(Record):
         p = self.characteristic
         return a + b if p == 0 else (a + b) % p
 
-    def sub(self, a, b):
-        p = self.characteristic
-        return a - b if p == 0 else (a - b) % p
-
     def neg(self, a):
         p = self.characteristic
         return -a if p == 0 else (-a) % p
@@ -172,9 +168,6 @@ class FieldSpec(Record):
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def element_str(self, a) -> str:
-        return str(a)
 
     # -- small deterministic pools (search / sampling) --------------------------
 

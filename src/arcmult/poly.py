@@ -83,9 +83,6 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: field.one}, field)
 
-    def _new(self, terms):
-        return MultiPoly(self.variables, terms, self.field)
-
     # -- basic queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -165,7 +162,7 @@ class MultiPoly:
             for e2, y in zip(other.terms, b):
                 e = tuple(i + j for i, j in zip(e1, e2))
                 raw[e] = raw.get(e, 0) + x * y
-        return self._new(dict(zip(raw, field.uncleared(raw.values(), da * db))))
+        return self._of(self.variables, {e: c for e, c in zip(raw, field.uncleared(raw.values(), da * db)) if c}, field)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,7 +240,7 @@ class MultiPoly:
         Terms free of x_i are fixed by the shift and kept as they are.  The others are
         expanded; binomials vanishing mod p drop out, as in `hasse_derivatives`, and the
         sums are taken in ints through `FieldSpec.cleared`, as in `__mul__`.  They are
-        then merged into the fixed terms, and sums that vanish are dropped."""
+        then merged into the fixed terms by `_add_into`, which drops the sums that vanish."""
         return self._shift(check_point(point, self.variables, self.field))
 
     def _shift(self, point, caps=None, bound=INF) -> "MultiPoly":
@@ -287,13 +284,8 @@ class MultiPoly:
                 for k, b in rows[e]:
                     key = exps[:i] + (k,) + exps[i + 1 :]
                     raw[key] = raw.get(key, 0) + a * b
-            for key, v in zip(raw, field.uncleared(raw.values(), scale * power_scale)):
-                if key in fixed:  # only a k = 0 key, free of x_i, can meet a fixed term
-                    v = field.add(fixed[key], v)
-                if v:
-                    fixed[key] = v
-                else:
-                    fixed.pop(key, None)
+            # Only a k = 0 key, free of x_i, can meet a fixed term.
+            _add_into(field, fixed, zip(raw, field.uncleared(raw.values(), scale * power_scale)))
             shifted = MultiPoly._of(self.variables, fixed, field)
         if bound < INF:
             shifted = MultiPoly._of(self.variables, {e: a for e, a in shifted.terms.items() if sum(e) <= bound}, field)
@@ -371,7 +363,7 @@ class MultiPoly:
             k = exps[i]
             rest = exps[:i] + (0,) + exps[i + 1 :]
             buckets.setdefault(k, {})[rest] = coeff
-        return {k: self._new(t) for k, t in buckets.items()}
+        return {k: self._of(self.variables, t, self.field) for k, t in buckets.items()}
 
     def normalized(self) -> "MultiPoly":
         """Scale so the coefficient of the minimal term (deglex) is one."""
@@ -393,19 +385,26 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def _add_into(field: FieldSpec, terms: dict, pairs) -> dict:
+    """Add (exponents, coefficient) pairs into the term map `terms` in place and return it: the one
+    sum rule, `field.add` only on a key already present, a sum that vanishes dropped.  `_sum_terms`,
+    the Taylor shift's merge and the visible route's pivot reduction read it."""
+    for e, c in pairs:
+        if e in terms:
+            c = field.add(terms[e], c)
+        if c:
+            terms[e] = c
+        else:
+            terms.pop(e, None)
+    return terms
+
+
 def _sum_terms(field: FieldSpec, parts) -> dict:
-    """The term map of a sum of term maps, merged in order, sums that vanish dropped: the one
-    sum rule, of `MultiPoly.__add__`, `MultiPoly.image` and the parser, one pass for n summands."""
+    """The term map of a sum of term maps, merged in order by `_add_into`, the first copied:
+    the sum of `MultiPoly.__add__`, `MultiPoly.image` and the parser, one pass for n summands."""
     terms = {}
     for part in parts:
-        if not terms:  # the sum so far is zero
-            terms = dict(part)
-            continue
-        for e, c in part.items():
-            if field.is_zero(s := field.add(terms.get(e, field.zero), c)):
-                del terms[e]
-            else:
-                terms[e] = s
+        terms = _add_into(field, terms, part.items()) if terms else dict(part)
     return terms
 
 

@@ -286,18 +286,18 @@ class Report(Record):
         return {
             "engine": {"name": "arcmult", "version": __version__},
             "problem": problem,
-            "analyses": rendered or _analyses_json(self.problem.field, self.analyses, include_trace),
+            "analyses": rendered or _analyses_json(self.analyses, include_trace),
             "expectations": self.expectations,
             "verdict": self.verdict,
         }
 
 
-def _analyses_json(field, analyses: dict, include_trace: bool = False) -> dict:
+def _analyses_json(analyses: dict, include_trace: bool = False) -> dict:
     """The report of each analysis that ran, as `Report.to_json` writes it."""
     data = {}
     for key, value in analyses.items():
         if key == "nash":
-            data[key] = {arc: report.to_json(field, include_trace) for arc, report in value.items()}
+            data[key] = {arc: report.to_json(include_trace) for arc, report in value.items()}
         elif key == "contact":
             data[key] = {arc: result.to_json() for arc, result in value.items()}
         else:
@@ -349,7 +349,7 @@ def run(problem: ProblemFile) -> Report:
             problem.options.seed,
             parametrization=problem.parametrization,
         )
-    rendered = _analyses_json(problem.field, analyses) if problem.expects else None
+    rendered = _analyses_json(analyses) if problem.expects else None
     expectations = _check_expectations(problem.expects, rendered)
     failed = any(not e["match"] for e in expectations)
     verify_failed = "verify" in analyses and analyses["verify"].verdict != "PASS"

@@ -7,7 +7,9 @@ script copies the repository's `src/`, `tests/`, `bench/` and
 read the copy, replaces the snippet (which must occur exactly once, so a
 refactor that moves it has to update the entry), and runs only those tests
 there in a subprocess.  An entry is killed when pytest reports failing
-tests (exit code 1), survived when they pass, and an error otherwise.  The
+tests (exit code 1), survived when they pass, and an error otherwise, also
+when the run takes more than TIMEOUT seconds (a mutation can make a loop
+that never ends, such as a reduction whose lead never cancels).  The
 tests of every entry first run once on an unmutated copy, where they must
 pass.  Run from the repository root:
 
@@ -34,6 +36,9 @@ SHIFT_TEST = "tests/test_poly.py::test_a_degree_bound_keeps_the_low_terms_of_the
 RUNS_TEST = "tests/test_blowup.py::test_runs_that_end_off_the_origin"
 RECORD_TEST = "tests/test_fields.py::test_records_keep_value_semantics"
 LEAD_SUMS_TEST = "tests/test_series.py::test_lead_sums_of_the_view_match_the_dense_reference"
+
+#: Seconds one pytest run may take.
+TIMEOUT = 120
 
 #: name -> (module, snippet, replacement, test ids that must fail)
 MUTATIONS = {
@@ -294,6 +299,27 @@ MUTATIONS = {
         "        if True:\n",
         ["tests/test_poly.py::TestSparseView::test_the_cleared_view_is_built_once"],
     ),
+    # The one sum rule drops a sum that vanishes.
+    "sum-rule-keeps-a-vanished-sum": (
+        "poly.py",
+        "            terms.pop(e, None)",
+        "            terms[e] = c",
+        ["tests/test_poly.py::test_taylor_shift_matches_the_ring_map"],
+    ),
+    # The Taylor shift adds its moved terms to the fixed ones.
+    "shift-overwrites-the-fixed-terms": (
+        "poly.py",
+        "_add_into(field, fixed, zip(raw, field.uncleared(raw.values(), scale * power_scale)))",
+        "fixed.update(zip(raw, field.uncleared(raw.values(), scale * power_scale)))",
+        ["tests/test_poly.py::TestTranslateSubstitute::test_translation_composition"],
+    ),
+    # A new pivot of the visible route scales its good part with its bad part.
+    "pivot-keeps-its-good-part-unscaled": (
+        "elimination.py",
+        "pivots[weight, lead] = tuple(scaled)",
+        "pivots[weight, lead] = (good, tuple(scaled)[1])",
+        ["tests/test_elimination.py::TestVisibleElimination::test_same_generators_as_the_dense_nullspace"],
+    ),
 }
 
 
@@ -314,12 +340,17 @@ def _copy(mutation=None) -> tempfile.TemporaryDirectory:
     return workdir
 
 
-def _pytest(workdir, tests) -> int:
-    """pytest's exit code for the tests, run in the copy in `workdir` on its src/."""
+def _pytest(workdir, tests) -> str:
+    """The outcome of the tests, run in the copy in `workdir` on its src/: "passed", "failed" or an error."""
     env = dict(os.environ, PYTHONPATH=str(Path(workdir.name) / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    outcome = subprocess.run(command, cwd=workdir.name, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return outcome.returncode
+    try:
+        outcome = subprocess.run(
+            command, cwd=workdir.name, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT
+        )
+    except subprocess.TimeoutExpired:
+        return f"error: timed out after {TIMEOUT} s"
+    return {0: "passed", 1: "failed"}.get(outcome.returncode, f"error: pytest exit {outcome.returncode}")
 
 
 def main(names) -> int:
@@ -332,11 +363,11 @@ def main(names) -> int:
     tests = sorted({test for name in chosen for test in MUTATIONS[name][3]})
     workdir = _copy()
     try:
-        code = _pytest(workdir, tests)
+        outcome = _pytest(workdir, tests)
     finally:
         workdir.cleanup()
-    if code != 0:
-        print(f"the tests fail on the unmutated source (pytest exit {code})")
+    if outcome != "passed":
+        print(f"the tests do not pass on the unmutated source ({outcome})")
         return 1
     outcomes = {}
     for name in chosen:
@@ -346,10 +377,10 @@ def main(names) -> int:
             outcomes[name] = f"error: {error}"
         else:
             try:
-                code = _pytest(workdir, MUTATIONS[name][3])
+                outcome = _pytest(workdir, MUTATIONS[name][3])
             finally:
                 workdir.cleanup()
-            outcomes[name] = {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exit {code}")
+            outcomes[name] = {"passed": "SURVIVED", "failed": "killed"}.get(outcome, outcome)
         print(f"{outcomes[name]:>9}  {name}", flush=True)
     killed = sum(outcome == "killed" for outcome in outcomes.values())
     print(f"{killed} of {len(outcomes)} killed in {time.perf_counter() - started:.1f} s")

@@ -350,7 +350,7 @@ def padded_quotient(field, a, b, n):
         for j, c in terms:
             if j > k:
                 break
-            acc = field.sub(acc, field.mul(q[k - j], c))
+            acc = field.add(acc, field.neg(field.mul(q[k - j], c)))
         q.append(field.mul(acc, inverse))
     return q
 
@@ -427,7 +427,7 @@ def _nullspace(matrix, field):
             if r != row_index and not field.is_zero(rows[r][col]):
                 factor = rows[r][col]
                 rows[r] = [
-                    field.sub(v, field.mul(factor, w))
+                    field.add(v, field.neg(field.mul(factor, w)))
                     for v, w in zip(rows[r], rows[row_index])
                 ]
         pivots[col] = row_index
@@ -605,7 +605,7 @@ def assert_chain_matches_stepwise(poly, arc, max_steps=DEFAULT_MAX_STEPS):
 
     def outcome(chain):
         try:
-            return chain(poly, arc, max_steps).to_json(arc.field)
+            return chain(poly, arc, max_steps).to_json()
         except EngineError as error:
             return type(error), str(error)
 

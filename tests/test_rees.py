@@ -69,7 +69,7 @@ class TestOrdAt:
             algebra(REFERENCE_CHAR0).ord_at((1, 1))
 
     def test_each_generator_is_translated_once(self, monkeypatch):
-        # sing_member keeps the orders that ord_at then reads, at each point asked.
+        # ord_at reads _orders_on_sing, which translates each generator once per point asked.
         e = algebra([("y", 1), ("x^2", 1), ("y^2 - x^3", 2)])
         translated = []
         order_at = MultiPoly.order_at
