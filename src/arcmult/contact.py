@@ -6,7 +6,8 @@ normalization r / nu_t(phi) is the quantity whose infimum over arcs the
 theorem verifier compares against the elimination order, and its integral
 part is the persistence computed independently by the blow-up oracle.  The
 contact walk, `grid_r_bars` and the sampler's grid read orders and zeros from
-the degree classes of one cleared view per polynomial (`series.degree_classes`).
+the degree classes of one cleared view per polynomial (`series.degree_classes`);
+the grid solves the last two exponents of each pattern on lines (`_line_points`).
 """
 
 from __future__ import annotations
@@ -162,7 +163,31 @@ def grid_arc(variables, field, entry) -> Arc:
 
 def _every_degree_twice(classes: dict) -> bool:
     """Whether every t-degree in `classes`, {degree: kept terms}, is reached by two terms or more."""
-    return all(len(members) > 1 for members in classes.values())
+    return 1 not in map(len, classes.values())
+
+
+def _solved_exponents(rows, values) -> list:
+    """The exponents a of `values` (None or 1..bound) at which the first of `rows`, [(d, e)] for degrees
+    d + a e, can share its degree: every a when another row equals it, else None and a = (d' - d) / (e - e')."""
+    if rows and rows[0] not in rows[1:]:
+        d0, e0 = rows[0]
+        solved = {(d - d0) // (e0 - e) for d, e in rows[1:] if e != e0 and (d - d0) % (e0 - e) == 0}
+        return [a for a in values if a is None or a in solved]
+    return values
+
+
+def _line_points(cp: int, cq: int, r: int, bound: int) -> list:
+    """The points (a, b) of [1, bound]^2 on the line cp a + cq b = r: all when cp = cq = r = 0.  Divided by
+    gcd(cp, cq), a runs through r cp^-1 mod |cq|, and b follows; a zero coefficient leaves its exponent free."""
+    g = math.gcd(cp, cq)
+    if not g or r % g:
+        return [] if r else list(itertools.product(range(1, bound + 1), repeat=2))
+    cp, cq, r = cp // g, cq // g, r // g
+    if not cq:
+        return [(a, b) for b, a in _line_points(cq, cp, r, bound)]
+    m = abs(cq)
+    first = r * pow(cp, -1, m) % m or m
+    return [(a, b) for a in range(first, bound + 1, m) if 1 <= (b := (r - cp * a) // cq) <= bound]
 
 
 def _vanishing_grid(poly: MultiPoly) -> list:
@@ -176,15 +201,14 @@ def _vanishing_grid(poly: MultiPoly) -> list:
 
     The exponent pattern decides most assignments alone: each surviving term
     maps to a nonzero multiple of one power of t, so a power that only one
-    term reaches cannot cancel, whatever the units.  The last exponent is
-    solved, not scanned: for each prefix of the other exponents, a term it
-    keeps has partial degree d, placed by `degree_along` with the last
-    exponent's a = 0, and last exponent e.  A last exponent a gives the
-    first kept term's degree to another only when their (d, e) are equal
-    (every a) or a = (d' - d) / (e - e').
-    Only None and those a are checked, units are tried only where every power
-    is reached twice, on the kept terms' degree classes (`_vanishing_units`),
-    and admitted assignments are sorted into the grid order.
+    term reaches cannot cancel, whatever the units.  The last two exponents
+    (a, b) are solved, not scanned: for each prefix of the others, a kept term
+    has partial degree d (`degree_along` at a = b = 0) and last exponents
+    (e, f), and the first kept term shares its degree only at the a or b that
+    `_solved_exponents` gives when the other is None, or on the lines
+    (e0 - e) a + (f0 - f) b = d - d0 (`_line_points`).  Units are tried there
+    only where every power is reached twice, on the kept terms' degree classes
+    (`_vanishing_units`), and admitted assignments are sorted into grid order.
     """
     field, width = poly.field, len(poly.variables)
     units = field.units(6)
@@ -196,44 +220,44 @@ def _vanishing_grid(poly: MultiPoly) -> list:
     if not width:
         return []
     exponents = [None, *range(1, bound + 1)]
-    sparse = [(x[-1], member) for x, member in zip(poly.terms, poly.cleared_view()[1])]
-    # (index in choices, choice) per exponent, choices = [None] + [(u, a) for a in 1..bound for u in units]
-    options = {a: [(1 + (a - 1) * len(units) + k, (u, a)) for k, u in enumerate(units)] for a in exponents[1:]}
-    options[None] = [(0, None)]
+    sparse = [(x[-2] if width > 1 else 0, x[-1], member) for x, member in zip(poly.terms, poly.cleared_view()[1])]
+    # (index, choice, integer unit) per exponent, the index in [None] + [(u, a) for a in 1..bound for u in units]
+    options = {a: [(1 + (a - 1) * len(units) + k, (u, a), u.numerator) for k, u in enumerate(units)] for a in exponents[1:]}
+    options[None] = [(0, None, None)]
     admitted = []
-    zero_prefix = (None,) * (width - 1)
-    for prefix in itertools.product(exponents, repeat=width - 1):
-        kept, members = [], []  # (partial degree d, last exponent e) and class member of each term kept
-        partial = prefix + (0,)
-        for e, member in sparse:
+    for prefix in itertools.product(exponents, repeat=max(width - 2, 0)):
+        kept, groups = [], {}  # (partial degree d, last two exponents e, f) of each kept term, and its members
+        partial = prefix + (0, 0)
+        for e, f, member in sparse:
             if (d := degree_along(member[1], partial)) is not None:
-                kept.append((d, e))
-                members.append(member)
-        lasts = exponents
-        if kept and kept[0] not in kept[1:]:
-            d0, e0 = kept[0]
-            solved = {(d - d0) // (e0 - e) for d, e in kept[1:] if e != e0 and (d - d0) % (e0 - e) == 0}
-            lasts = [a for a in exponents if a is None or a in solved]
-        for last in lasts:
-            if last is None and prefix == zero_prefix:
-                continue
-            classes = {}
-            for (d, e), member in zip(kept, members):
-                if last or not e:
-                    classes.setdefault(d + (last or 0) * e, []).append(member)
+                kept.append((d, e, f))
+                groups.setdefault((d, e, f), []).append(member)
+        rows = [(d, f) for d, e, f in kept if not e]  # kept by a -> 0; b -> 0 after an all-None prefix is skipped
+        pairs = [(None, b) for b in _solved_exponents(rows, exponents) if b or any(prefix)]
+        if width > 1:
+            pairs += [(a, None) for a in _solved_exponents([(d, e) for d, e, f in kept if not f], exponents[1:])]
+            if kept and kept[0] not in kept[1:]:
+                d0, e0, f0 = kept[0]
+                pairs += {point for d, e, f in set(kept[1:]) for point in _line_points(e0 - e, f0 - f, d - d0, bound)}
+            else:  # the first term ties everywhere, or no term is kept
+                pairs += itertools.product(exponents[1:], repeat=2)
+        for a, b in pairs:
+            classes, na, nb = {}, a or 0, b or 0
+            for (d, e, f), members in groups.items():
+                if (na or not e) and (nb or not f):
+                    classes.setdefault(d + na * e + nb * f, []).extend(members)
             if _every_degree_twice(classes):
-                admitted += _vanishing_units(classes, [options[a] for a in (*prefix, last)], field.characteristic)
+                admitted += _vanishing_units(classes, [options[c] for c in (*prefix, a, b)][-width:], field.characteristic)
     admitted.sort(key=lambda pair: pair[0])
     return [assignment for _, assignment in admitted]
 
 
 def _vanishing_units(classes, choices, p) -> list:
-    """(index, assignment) for each pick of one (index, choice) per variable from `choices` at which
-    every degree class of f's kept terms, {degree: members}, has `class_sum` 0; one call per pattern."""
+    """(index, assignment) for each pick of one (index, choice, integer unit) per variable from `choices`
+    at which every degree class of f's kept terms, {degree: members}, has `class_sum` 0; one call per pattern."""
     admitted = []
     for indexed in itertools.product(*choices):
-        index, assignment = zip(*indexed)
-        units = [None if choice is None else choice[0].numerator for choice in assignment]
+        index, assignment, units = zip(*indexed)
         if not any(class_sum(members, units, p) for members in classes.values()):
             admitted.append((index, assignment))
     return admitted

@@ -149,13 +149,13 @@ class FieldSpec(Record):
 
     def cleared(self, values):
         """(integers, scale) with values = integers / scale: over Q the lcm of the
-        denominators clears them once; over F_p the values themselves and 1."""
+        denominators clears them once, read with the numerators in one pass of
+        `as_integer_ratio`; over F_p the values themselves and 1."""
         if self.characteristic:
             return values, 1
-        scale = math.lcm(*(c.denominator for c in values))
-        if scale == 1:
-            return [c.numerator for c in values], 1
-        return [c.numerator * (scale // c.denominator) for c in values], scale
+        ratios = [c.as_integer_ratio() for c in values]
+        scale = math.lcm(*[d for _, d in ratios])
+        return [n * (scale // d) for n, d in ratios], scale
 
     def uncleared(self, integers, scale) -> list:
         """The field elements integers / scale, for scale a product of scales from `cleared`."""

@@ -36,6 +36,7 @@ SHIFT_TEST = "tests/test_poly.py::test_a_degree_bound_keeps_the_low_terms_of_the
 RUNS_TEST = "tests/test_blowup.py::test_runs_that_end_off_the_origin"
 RECORD_TEST = "tests/test_fields.py::test_records_keep_value_semantics"
 LEAD_SUMS_TEST = "tests/test_series.py::test_lead_sums_of_the_view_match_the_dense_reference"
+LINE_TEST = "tests/test_contact.py::TestSampleArcs::test_line_solve_matches_brute_force"
 
 #: Seconds one pytest run may take.
 TIMEOUT = 120
@@ -107,6 +108,34 @@ MUTATIONS = {
         "if not any(class_sum(members, units, p) for members in classes.values()):",
         "if not any(class_sum(members, units, p) for members in list(classes.values())[1:]):",
         ["tests/test_contact.py::TestSampleArcs::test_pattern_first_grid_matches_the_full_grid"],
+    ),
+    # The grid's line solve divides the line by the gcd of its coefficients before it inverts one.
+    "line-solve-skips-the-gcd": (
+        "contact.py",
+        "    cp, cq, r = cp // g, cq // g, r // g\n",
+        "",
+        [LINE_TEST],
+    ),
+    # The line's progression keeps only exponents b in 1..bound.
+    "line-solve-accepts-b-zero": (
+        "contact.py",
+        "if 1 <= (b := (r - cp * a) // cq) <= bound]",
+        "if 0 <= (b := (r - cp * a) // cq) <= bound]",
+        [LINE_TEST],
+    ),
+    # The grid checks the patterns whose last two exponents are both nonzero.
+    "grid-skips-both-last-exponents-nonzero": (
+        "contact.py",
+        "            if kept and kept[0] not in kept[1:]:\n"
+        "                d0, e0, f0 = kept[0]\n"
+        "                pairs += {point for d, e, f in set(kept[1:]) for point in _line_points(e0 - e, f0 - f, d - d0, bound)}\n"
+        "            else:  # the first term ties everywhere, or no term is kept\n"
+        "                pairs += itertools.product(exponents[1:], repeat=2)\n",
+        "",
+        [
+            "tests/test_contact.py::TestSampleArcs::test_filter_runs_on_few_of_the_box_patterns",
+            "tests/test_contact.py::TestSampleArcs::test_pattern_first_grid_matches_the_full_grid",
+        ],
     ),
     # A run of blow-ups replays its first steps - 1 blow-ups at the origin.
     "run-replayed-with-its-center-at-every-blow-up": (

@@ -258,7 +258,7 @@ def reference_feasible_patterns(terms, field, width, exponent_bound):
     feasible when every t-degree that a term of `terms` reaches along it is
     reached by two or more terms; a term using a None variable reaches none.
     Every pattern of the box gets its own count, a route the sampler, which
-    solves the last exponent, does not take."""
+    solves the last two exponents, does not take."""
     _, bound = _grid_box(field, width, exponent_bound)
     for pattern in itertools.product([None, *range(1, bound + 1)], repeat=width):
         if all(a is None for a in pattern):

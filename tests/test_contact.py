@@ -191,15 +191,32 @@ GRID_CANCELLING_SHAPES = (
 )
 
 
-#: Shapes at the edges of the last-exponent solve: one term (every pattern that
-#: kills it is feasible), ties of terms with the same z exponent and the same
-#: degree in x, y (they tie whatever z's exponent), and a term, z^3, that only
-#: z -> 0 kills.
+#: Shapes at the edges of the solve of the last two exponents (a, b), those of
+#: y and z (of x and y in width 2), where the first kept term ties with another
+#: on the line (e0 - e) a + (f0 - f) b = d - d0: one term (every pattern that
+#: kills it is feasible); ties of terms with the same z exponent and the same
+#: degree in x, y (a zero coefficient of b: b is free); a term, z^3, that only
+#: z -> 0 kills; the same y exponent (a is free); a gcd, 2, that does not divide
+#: an odd x exponent; negative coefficients; the same y and z exponents and
+#: partial degrees that differ (both coefficients 0: no tie); and a width-2 line.
 GRID_EDGE_SHAPES = {
     "one-term": "x*y^2*z",
     "tie-square": "x^2*z - y^2*z",
     "tie-linear": "x*z + y*z",
     "last-only-kills": "x^2 - y^2 + z^3",
+    "free-y": "y*z^2 - x^2*y",
+    "gcd-misses": "z^2 - x*y^2",
+    "negative": "x*y - z^3",
+    "same-last-two": "x*y*z - y*z",
+    "width-two": "x^3*y - y^4",
+}
+#: Shapes of the solve in the widths those cannot reach: one variable, whose
+#: exponent is solved alone, and two terms of four variables with the same z
+#: and u exponents, whose partial degrees are equal exactly where x and y have
+#: the same exponent (a tie everywhere) and differ elsewhere (no tie).
+GRID_WIDTH_SHAPES = {
+    "width-one": (("x",), "x^3 - x^5"),
+    "width-four": (("x", "y", "z", "u"), "x*z*u - y*z*u"),
 }
 XYZUV = ("x", "y", "z", "u", "v")
 
@@ -270,6 +287,32 @@ class TestSampleArcs:
             }
             assert tried == feasible, (str(constraint), field.characteristic)
 
+    @pytest.mark.parametrize("variables, text", GRID_WIDTH_SHAPES.values(), ids=list(GRID_WIDTH_SHAPES))
+    def test_solve_matches_the_full_grid_in_widths_one_and_four(self, monkeypatch, variables, text):
+        # As for the shapes above: the full grid's vanishing assignments, in its
+        # order, with units tried on exactly the feasible patterns of the box.
+        for field in (Q, F2, F3, F5):
+            constraint, width = parse_poly(text, variables, field), len(variables)
+            terms = list(constraint.terms.items())
+            grid, tried = _grid_with_tries(monkeypatch, constraint)
+            box = reference_grid(field, width, EXPONENT_BOUND)
+            assert grid == [assignment for assignment in box if reference_vanishes(terms, field, assignment)]
+            units = len(field.units(6))
+            feasible = reference_feasible_patterns(terms, field, width, EXPONENT_BOUND)
+            assert tried == {pattern: units ** sum(a is not None for a in pattern) for pattern in feasible}
+
+    def test_line_solve_matches_brute_force(self):
+        # The closed form (gcd, one modular inverse, a progression) gives exactly
+        # the points of [1, B]^2 on cp a + cq b = r, each once: seeded lines with
+        # zero and negative coefficients, at every bound the grid can use.
+        rng = random.Random("line-solve")
+        lines = [(0, 0, 0), (0, 0, 3), (0, -2, -4), (3, 0, 6), (2, 4, 3), (-4, 6, 2), (1, -3, 0)]
+        lines += [(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-40, 40)) for _ in range(500)]
+        for (cp, cq, r), bound in itertools.product(lines, range(1, EXPONENT_BOUND + 1)):
+            points = contact._line_points(cp, cq, r, bound)
+            box = itertools.product(range(1, bound + 1), repeat=2)
+            assert sorted(points) == [(a, b) for a, b in box if cp * a + cq * b == r], (cp, cq, r, bound)
+
     @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
     @pytest.mark.parametrize("text", ["x*y^2", "z^3", "x^2*y*z^4"])
     def test_one_term_vanishes_where_a_variable_of_it_is_zero(self, field, text):
@@ -286,18 +329,18 @@ class TestSampleArcs:
 
     def test_filter_runs_on_few_of_the_box_patterns(self, monkeypatch):
         # Over F_3 the box is {None, 1..8}^3, 729 patterns, and scanning it
-        # counts degrees on the 728 that are not all None.  Solving z's
-        # exponent counts them on 107: for each of the 80 prefixes (x, y)
-        # other than (None, None), once with z -> 0, and 27 times with the z
-        # exponent that gives z^3, the first term, the degree of x^4
-        # (x = 3 or 6, 18 prefixes: z = 4 or 8) or of y^5 (y = 3, 9 prefixes:
-        # z = 5).
+        # counts degrees on the 728 that are not all None.  Solving the
+        # exponents (y, z) counts them on 36: at (3, 5), where y^5 meets z^3,
+        # for each of the 9 exponents of x; at (None, None) for the 8 that
+        # keep x^4, alone there; where x^4 meets z^3, at z = 4x/3 (x = 3 or 6)
+        # with y -> 0 and with each of the 8 y (18 patterns); and where x^4
+        # meets y^5, at y = 4x/5 (x = 5) with z -> 0.
         counts = []
         check = contact._every_degree_twice
         monkeypatch.setattr(contact, "_every_degree_twice", lambda degrees: counts.append(1) or check(degrees))
         constraint = parse_poly("z^3 - x^4 - y^5", XYZ, F3)
         assert _vanishing_grid(constraint)
-        assert len(counts) == 107
+        assert len(counts) == 36
 
     @pytest.mark.parametrize(
         "text, field, calls",
