@@ -13,9 +13,8 @@ the lifted arc's point, and the multiplicity there does not depend on the
 chart that computes it.  A lift there is x_i -> (x_i - c_i t) / t: a slice
 of each component's coefficients, whose dropped constant c_i is the next
 center, and the graph component stays t.  Every lift of a polynomial arc is
-a polynomial.  Both transforms of a point blow-up, the strict one here and
-the weighted one of `rees`, go through `ChartMap.transform`, a map on
-exponents.  Blow-ups are made a run at a time (`run_length`): every center
+a polynomial.  The strict transform goes through `ChartMap.transform`, a
+map on exponents.  Blow-ups are made a run at a time (`run_length`): every center
 of a run is the origin, and the run ends at the blow-up whose lifted point
 leaves it, so a run costs one slice of the arc, one exponent map of f and
 one shift to the next center.  The chain carries f modulo x_i^(m_0+1) for

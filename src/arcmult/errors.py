@@ -39,10 +39,6 @@ class NotInSingularLocus(EngineError):
     """Order of a Rees algebra requested at a point outside its singular locus."""
 
 
-class NotPermissible(EngineError):
-    """Weighted transform at a center not contained in the singular locus."""
-
-
 class ArcNotOnVariety(EngineError):
     """An arc required to lie on the hypersurface does not."""
 

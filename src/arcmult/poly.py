@@ -291,13 +291,6 @@ class MultiPoly:
             shifted = MultiPoly._of(self.variables, {e: a for e, a in shifted.terms.items() if sum(e) <= bound}, field)
         return shifted
 
-    def evaluate(self, point):
-        point = check_point(point, self.variables, self.field)
-        values = {
-            name: MultiPoly.constant(c, (), self.field) for name, c in zip(self.variables, point)
-        }
-        return self.substitute(values).constant_value()
-
     def order_at(self, point):
         """Order of f in the local ring at a rational point; INF iff f = 0."""
         return self.translate(point).order_at_origin()

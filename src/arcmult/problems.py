@@ -78,7 +78,7 @@ _EXPECT = {
 
 
 class ProblemFile(Record):
-    """A parsed problem; equality ignores the text echoes and comments."""
+    """A parsed problem; equality ignores the text echoes."""
 
     _fields = ("name", "field", "variables", "poly", "fiber", "arcs", "parametrization", "analyses", "options",
                "expects")
@@ -87,32 +87,13 @@ class ProblemFile(Record):
     def __init__(
         self, name: str, field: FieldSpec, variables: tuple, poly_text: str, poly: MultiPoly, fiber: str | None,
         arc_texts: dict, arcs: dict, parametrization_text: str | None, parametrization: Arc | None,
-        analyses: tuple, options: Options, expects: dict, comments: tuple = (),
+        analyses: tuple, options: Options, expects: dict,
     ):
         vars(self).update(
             name=name, field=field, variables=variables, poly_text=poly_text, poly=poly, fiber=fiber,
             arc_texts=arc_texts, arcs=arcs, parametrization_text=parametrization_text,
-            parametrization=parametrization, analyses=analyses, options=options, expects=expects, comments=comments,
+            parametrization=parametrization, analyses=analyses, options=options, expects=expects,
         )
-
-    def render(self) -> str:
-        """Problem-file text that `parse_problem` reads back to an equal ProblemFile."""
-        lines = list(self.comments)
-        lines.append(f"name: {self.name}")
-        lines.append(f"field: {self.field.characteristic}")
-        lines.append("variables: " + " ".join(self.variables))
-        lines.append(f"poly: {self.poly_text}")
-        if self.fiber is not None:
-            lines.append(f"fiber: {self.fiber}")
-        for arc_name, text in self.arc_texts.items():
-            lines.append(f"arc {arc_name}: {text}")
-        if self.parametrization_text is not None:
-            lines.append(f"parametrization: {self.parametrization_text}")
-        lines.append("analyses: " + " ".join(self.analyses))
-        lines.extend(f"{key}: {value}" for key, value in vars(self.options).items())
-        for key, value in self.expects.items():
-            lines.append(f"expect {key}: {value}")
-        return "\n".join(lines) + "\n"
 
 
 def _parse_arc(text: str, variables, field: FieldSpec, line_number: int) -> Arc:
@@ -149,13 +130,9 @@ def _check_expect_line(words, value: str, line_number: int) -> None:
 def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
     """Parse the structured-text problem format; errors carry line numbers."""
     entries = []
-    comments = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line)
+        if not line or line.startswith("#"):
             continue
         if ":" not in line:
             raise ParseError(f"expected 'key: value', got {line!r}", line=line_number)
@@ -254,7 +231,6 @@ def parse_problem(text: str, name_hint: str = "problem") -> ProblemFile:
         analyses=analyses,
         options=options,
         expects=dict(expects),
-        comments=tuple(comments),
     )
 
 

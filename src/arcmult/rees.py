@@ -2,8 +2,8 @@
 
 An algebra R[f_1 W^{n_1}, ..., f_r W^{n_r}] is stored extensionally by its
 generators; the graded pieces are never materialized.  The observers the
-rest of the engine relies on (singular-locus membership, order at a point,
-contact order along an arc) all factor through generators, and integral
+rest of the engine relies on (the order at a point of the singular locus,
+the contact order along an arc) factor through generators, and integral
 closure is deliberately not computed: "up to integral closure" statements
 are checked at observer level only.
 """
@@ -13,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import (
-    EngineError,
-    NotInSingularLocus,
-    NotPermissible,
-    VariableMismatch,
-)
+from .errors import EngineError, NotInSingularLocus, VariableMismatch
 from .fields import FieldSpec, Record, ensure_same_field
 from .poly import MultiPoly, Point, check_point
 
@@ -67,25 +62,21 @@ class ReesAlgebra(Record):
         """True when the singular locus is empty because a generator is a unit."""
         return any(g.is_constant() for g, _ in self.generators)
 
-    def _orders_on_sing(self, point: Point):
-        """(local order, weight) per generator, each translated once; None off Sing."""
-        if self.is_trivial:
-            return None
-        if not self.generators:
-            raise EngineError("Rees algebra with empty generator list has no observers")
-        point = check_point(point, self.variables, self.field)
-        orders = [(g.order_at(point), w) for g, w in self.generators]
-        return orders if all(o >= w for o, w in orders) else None
-
-    def sing_member(self, point: Point) -> bool:
-        """Point of Sing: every generator has local order >= its weight."""
-        return self._orders_on_sing(point) is not None
-
     def ord_at(self, point: Point) -> Fraction:
-        """Hironaka order: min over generators of order/weight (on Sing only)."""
-        if (orders := self._orders_on_sing(point)) is None:
-            raise NotInSingularLocus(f"point {point} is not in Sing")
-        return min(Fraction(o) / w for o, w in orders)
+        """Hironaka order at a point of Sing: min over generators of order/weight.
+
+        Sing is where every generator's local order reaches its weight, so it is
+        empty when a generator is a unit.  Each generator is translated to the
+        point once; a point off Sing raises NotInSingularLocus.
+        """
+        if not self.is_trivial:
+            if not self.generators:
+                raise EngineError("Rees algebra with empty generator list has no observers")
+            at = check_point(point, self.variables, self.field)
+            orders = [(g.order_at(at), w) for g, w in self.generators]
+            if all(o >= w for o, w in orders):
+                return min(Fraction(o) / w for o, w in orders)
+        raise NotInSingularLocus(f"point {point} is not in Sing")
 
     # -- algebra operations -----------------------------------------------------------
 
@@ -106,18 +97,6 @@ class ReesAlgebra(Record):
         closure = ReesAlgebra.of(self.variables, gens, self.field)
         closure.__dict__["closed"] = True
         return closure
-
-    def weighted_transform(self, chart, center: Point) -> "ReesAlgebra":
-        """Transform under a point blow-up chart: pull back, divide by e^weight.
-
-        Divisibility of each pullback by the exceptional coordinate to the
-        weight power is exactly permissibility of the center, its membership
-        of Sing (`sing_member`); failure raises NotPermissible.
-        """
-        if not self.sing_member(center):
-            raise NotPermissible(f"center {center} is not in Sing of {self}: it does not transform")
-        gens = [(chart.transform(poly.translate(center), weight), weight) for poly, weight in self.generators]
-        return ReesAlgebra.of(self.variables, gens, self.field)
 
     # -- display ----------------------------------------------------------------------
 

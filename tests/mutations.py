@@ -87,6 +87,18 @@ MUTATIONS = {
         'self.__dict__.get("_rendered")',
         ["tests/test_problems_cli.py::TestCli::test_to_json_returns_no_dict_that_a_later_call_shares"],
     ),
+    # ord_at raises off Sing: every generator's order must reach its weight.
+    "ord-at-accepts-points-off-sing": (
+        "rees.py",
+        "if all(o >= w for o, w in orders):",
+        "if True:",
+        [
+            "tests/test_rees.py::TestOrdAt::test_outside_singular_locus_raises",
+            "tests/test_rees.py::TestOrdAt::test_sing_is_where_every_generator_reaches_its_weight",
+            "tests/test_rees.py::TestSingMember",
+            "tests/test_rees.py::TestOdot::test_intersection_law",
+        ],
+    ),
     # ord_at reads the orders that its Sing check computed.
     "ord-at-translates-again": (
         "rees.py",

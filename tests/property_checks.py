@@ -2,8 +2,9 @@
 
 The helpers build and compare Rees algebras and derive invariants by
 routes that no run of the engine takes: `from_weighted` and `parse_rees`
-build algebras from text, `odot` joins two, `observers_agree` compares
-them at points, `integral_invariance_check` adjoins an integral element,
+build algebras from text, `odot` joins two, `order_on_sing` reads
+`ord_at` with None off Sing, `observers_agree` compares two algebras by
+it at points, `integral_invariance_check` adjoins an integral element,
 `reference_grid` lists the whole monomial arc grid,
 `reference_lead_sums` sums leading terms over the dense exponent tuples,
 `reference_vanishes` tests one grid assignment by them,
@@ -12,6 +13,7 @@ dense exponent tuples, `reference_ring_map` folds a polynomial's image
 through the images' own products and sums,
 `reference_feasible_patterns` scans its exponent patterns for the ones that need unit tries,
 `ring_map_translate` shifts a polynomial through the ring map,
+`evaluate` evaluates it at a point through the ring map,
 `reference_shift` shifts it by the dense Taylor shift,
 `horner_compose` composes two series by Horner's rule,
 `padded_quotient` divides two coefficient lists by the schoolbook recurrence,
@@ -24,6 +26,7 @@ through the images' own products and sums,
 blow-up in the chart of its first component of least order,
 `stepwise_nash_sequence` makes one blow-up per iteration of the chain in that chart,
 `persistence_oracle` counts blow-ups to the first multiplicity drop,
+`render` writes a parsed problem back as problem-file text,
 `verify_presentation` calls `verify_main_theorem` with the `ord_d` and
 presenting algebra it takes, `derivatives_of` drops f W^m from f's
 presenting algebra, as `verify_main_theorem` does, `sampled_arcs` builds the entries of
@@ -72,11 +75,12 @@ from arcmult.errors import (
     ArcNotOnVariety,
     EngineError,
     FieldMismatch,
+    NotInSingularLocus,
     ParseError,
     VariableMismatch,
 )
 from arcmult.fields import INF, RATIONALS, ensure_same_field, prime_field
-from arcmult.poly import MultiPoly, parse_poly
+from arcmult.poly import MultiPoly, check_point, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
 from arcmult.series import (
     Arc,
@@ -130,15 +134,17 @@ def odot(a, b):
     return ReesAlgebra.of(a.variables, a.generators + b.generators, a.field)
 
 
+def order_on_sing(algebra, point):
+    """`algebra.ord_at(point)`, or None off Sing, where it raises NotInSingularLocus."""
+    try:
+        return algebra.ord_at(point)
+    except NotInSingularLocus:
+        return None
+
+
 def observers_agree(a, b, points):
-    """Same sing_member everywhere and same ord_at on the common singular locus."""
-    for point in points:
-        in_a = a.sing_member(point)
-        if in_a != b.sing_member(point):
-            return False
-        if in_a and a.ord_at(point) != b.ord_at(point):
-            return False
-    return True
+    """Same Sing and the same ord_at on it, at every point."""
+    return all(order_on_sing(a, point) == order_on_sing(b, point) for point in points)
 
 
 def integral_invariance_check(algebra, extra, relation, arcs):
@@ -284,6 +290,14 @@ def ring_map_translate(poly, point):
     )
 
 
+def evaluate(poly, point):
+    """f(p) through the ring map x_i -> p_i (`substitute`), a route `translate` does not take."""
+    point = check_point(point, poly.variables, poly.field)
+    return poly.substitute(
+        {name: MultiPoly.constant(c, (), poly.field) for name, c in zip(poly.variables, point)}
+    ).constant_value()
+
+
 def reference_shift(poly, point):
     """f(x + p) by the dense Taylor shift: per coordinate, every term is cleared and
     expanded, the fixed ones too, and the polynomial is rebuilt from the sums.
@@ -387,7 +401,7 @@ def reference_unit_choice(elimination):
 
     The generator is the achieving one of least weight, as there; its
     lowest-degree homogeneous part is built from its terms and evaluated with
-    `MultiPoly.evaluate`, a route the engine, which sums its least degree
+    `evaluate`, a route the engine, which sums its least degree
     class (`series.class_sum`), does not take.  units is the first `field.units(6)`
     tuple where that part is nonzero, or None when there is none."""
     algebra = elimination.algebra
@@ -401,7 +415,7 @@ def reference_unit_choice(elimination):
     low = poly.order_at_origin()
     initial = MultiPoly(poly.variables, {e: c for e, c in poly.terms.items() if sum(e) == low}, field)
     candidates = itertools.product(field.units(6), repeat=len(poly.variables))
-    return weight, next((u for u in candidates if not field.is_zero(initial.evaluate(u))), None)
+    return weight, next((u for u in candidates if not field.is_zero(evaluate(initial, u))), None)
 
 
 def _nullspace(matrix, field):
@@ -620,6 +634,23 @@ def persistence_oracle(poly, arc, max_steps=DEFAULT_MAX_STEPS):
             f"no multiplicity drop within {max_steps} blow-ups; raise max_steps"
         )
     return report.rho
+
+
+def render(problem):
+    """Problem-file text that `parse_problem` reads back to an equal ProblemFile: every
+    key in the format's order, the polynomial and arcs as written, all run options."""
+    lines = [f"name: {problem.name}", f"field: {problem.field.characteristic}"]
+    lines.append("variables: " + " ".join(problem.variables))
+    lines.append(f"poly: {problem.poly_text}")
+    if problem.fiber is not None:
+        lines.append(f"fiber: {problem.fiber}")
+    lines += [f"arc {name}: {text}" for name, text in problem.arc_texts.items()]
+    if problem.parametrization_text is not None:
+        lines.append(f"parametrization: {problem.parametrization_text}")
+    lines.append("analyses: " + " ".join(problem.analyses))
+    lines += [f"{key}: {value}" for key, value in vars(problem.options).items()]
+    lines += [f"expect {key}: {value}" for key, value in problem.expects.items()]
+    return "\n".join(lines) + "\n"
 
 
 def verify_presentation(presentation, candidates, budget, seed, **options):

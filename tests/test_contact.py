@@ -257,11 +257,11 @@ class TestSampleArcs:
 
     def test_pattern_first_grid_matches_the_full_grid(self, monkeypatch):
         # The shapes whose terms cancel along some monomial arcs, the edge
-        # shapes of the last-exponent solve, then two random polynomials in
-        # each of 1-5 variables over each field: the sampler's grid must
-        # admit exactly the full grid's vanishing assignments, in the full
-        # grid's order, and try units on exactly the patterns that scanning
-        # the whole box finds feasible.
+        # shapes of the solve of the last two exponents, then two random
+        # polynomials in each of 1-5 variables over each field: the sampler's
+        # grid must admit exactly the full grid's vanishing assignments, in
+        # the full grid's order, and try units on exactly the patterns that
+        # scanning the whole box finds feasible.
         constraints = [
             parse_poly(text, XYZ if "z" in text else XY, field)
             for text in GRID_CANCELLING_SHAPES + tuple(GRID_EDGE_SHAPES.values())

@@ -161,7 +161,7 @@ VALUE_CASES = [
             "parametrization": parse_series("t", Q), "analyses": ("contact",), "options": Options(seed=1),
             "expects": {"verify": "PASS"},
         },
-        {"poly_text": "y^2-x^3", "arc_texts": {}, "parametrization_text": "t", "comments": ("# a cusp",)},
+        {"poly_text": "y^2-x^3", "arc_texts": {}, "parametrization_text": "t"},
     ),
     (
         Report,

@@ -4,7 +4,7 @@ import time
 from importlib import resources
 
 import pytest
-from property_checks import time_limit
+from property_checks import render, time_limit
 
 from arcmult import contact, elimination, problems, rees, series
 from arcmult.cli import main
@@ -104,13 +104,13 @@ class TestProblemFormat:
 
     def test_round_trip_through_render(self):
         problem = parse_problem(CUSP_PROBLEM)
-        again = parse_problem(problem.render())
+        again = parse_problem(render(problem))
         assert again == problem
 
     def test_bundled_problems_round_trip(self):
         for name in corpus_names():
             problem = load_problem(name)
-            assert parse_problem(problem.render(), name_hint=name) == problem
+            assert parse_problem(render(problem), name_hint=name) == problem
 
     def test_malformed_poly_reports_line(self):
         bad = CUSP_PROBLEM.replace("y^2 - x^3", "y^^2")
@@ -177,6 +177,13 @@ class TestProblemFormat:
         respaced = "# a comment\n" + CUSP_PROBLEM.replace("y^2 - x^3", "y^2-x^3")
         assert parse_problem(respaced) == problem
         assert parse_problem(CUSP_PROBLEM + "seed: 9\n") != problem
+
+    def test_comment_lines_are_skipped_wherever_they_stand(self):
+        # A line whose first non-blank character is # is no entry, before the
+        # first key, between two keys or after the last, indented or not.
+        lines = CUSP_PROBLEM.splitlines()
+        commented = ["# a cusp", *lines[:3], "   # indented: poly follows", *lines[3:], "#", ""]
+        assert parse_problem("\n".join(commented)) == parse_problem(CUSP_PROBLEM)
 
     def test_rationals_serialized_in_lowest_terms(self):
         problem = parse_problem(CUSP_PROBLEM)

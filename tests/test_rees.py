@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 from property_checks import (
+    evaluate,
     from_weighted,
     observers_agree,
     odot,
+    order_on_sing,
     parse_rees,
     random_poly,
     reference_hasse_derivative,
 )
 
-from arcmult.blowup import ChartMap
-from arcmult.errors import NotInSingularLocus, NotPermissible
-from arcmult.fields import RATIONALS, prime_field
+from arcmult.errors import EngineError, NotInSingularLocus
+from arcmult.fields import INF, RATIONALS, prime_field
 from arcmult.poly import MultiPoly, parse_poly
 from arcmult.rees import ReesAlgebra, presenting_algebra
 
@@ -39,16 +40,17 @@ CUSP = [("y^2 - x^3", 2)]
 
 
 class TestSingMember:
+    # A point is in Sing exactly where ord_at answers rather than raising.
     def test_origin_is_singular(self):
-        assert algebra(REFERENCE_CHAR0).sing_member((0, 0))
+        assert order_on_sing(algebra(REFERENCE_CHAR0), (0, 0)) == 1
 
     def test_smooth_point_is_not(self):
-        assert not algebra(REFERENCE_CHAR0).sing_member((1, 1))
+        assert order_on_sing(algebra(REFERENCE_CHAR0), (1, 1)) is None
 
     def test_single_coordinate(self):
         one_var = from_weighted(("x",), [("x", 1)], Q)
-        assert one_var.sing_member((0,))
-        assert not one_var.sing_member((1,))
+        assert order_on_sing(one_var, (0,)) == 1
+        assert order_on_sing(one_var, (1,)) is None
 
 
 class TestOrdAt:
@@ -69,7 +71,7 @@ class TestOrdAt:
             algebra(REFERENCE_CHAR0).ord_at((1, 1))
 
     def test_each_generator_is_translated_once(self, monkeypatch):
-        # ord_at reads _orders_on_sing, which translates each generator once per point asked.
+        # ord_at translates each generator once per point asked, for its Sing check and its value.
         e = algebra([("y", 1), ("x^2", 1), ("y^2 - x^3", 2)])
         translated = []
         order_at = MultiPoly.order_at
@@ -80,6 +82,45 @@ class TestOrdAt:
         assert algebra([("y^2", 1), ("(x - 1)^3", 1)]).ord_at((1, 0)) == 2
         assert translated == [(0, 0)] * 3 + [(1, 0)] * 5
 
+    def test_trivial_algebra_raises_before_any_translation(self, monkeypatch):
+        # A unit generator empties Sing, so no point needs a generator's local order.
+        translated = []
+        monkeypatch.setattr(MultiPoly, "order_at", lambda g, point: translated.append(point))
+        with pytest.raises(NotInSingularLocus):
+            algebra([("x", 1), ("1", 2)]).ord_at((0, 0))
+        assert translated == []
+
+    def test_empty_generator_list_has_no_observers(self):
+        with pytest.raises(EngineError, match="empty generator list"):
+            ReesAlgebra.of(XY, [], Q).ord_at((0, 0))
+
+    @pytest.mark.parametrize("field", (Q, F2, F3, F5), ids=("Q", "F2", "F3", "F5"))
+    def test_sing_is_where_every_generator_reaches_its_weight(self, field):
+        # The local order of g at p read from its Taylor coefficients, the Hasse
+        # derivatives evaluated at p, a route that ord_at, which translates g, does
+        # not take: ord_at answers min(order / weight) exactly where every order
+        # reaches its weight, and raises elsewhere.
+        rng = random.Random(f"ord-at-sing-{field.characteristic}")
+        points = grid(field, span=(0, 1, -1))
+        answered = raised = 0
+        for _ in range(25):
+            generators = [
+                (random_poly(rng, field, max_degree=2, nonzero=True), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+            ]
+            rees = ReesAlgebra.of(XY, generators, field)
+            if rees.is_trivial:
+                continue
+            for point in points:
+                orders = [(_taylor_order(g, point), w) for g, w in rees.generators]
+                if all(o >= w for o, w in orders):
+                    assert rees.ord_at(point) == min(Fraction(o) / w for o, w in orders), (rees, point)
+                    answered += 1
+                else:
+                    with pytest.raises(NotInSingularLocus):
+                        rees.ord_at(point)
+                    raised += 1
+        assert answered >= 10 and raised >= 10, (answered, raised)
+
 
 class TestOdot:
     def test_concatenates_generators(self):
@@ -89,12 +130,11 @@ class TestOdot:
     def test_intersection_law(self):
         a, b = algebra([("x", 1)]), algebra([("y^2 - x^3", 2)])
         joined = odot(a, b)
-        assert joined.sing_member((0, 0))
-        assert not joined.sing_member((1, 0))
+        assert order_on_sing(joined, (0, 0)) == 1
+        assert order_on_sing(joined, (1, 0)) is None
         for point in grid(Q):
-            assert joined.sing_member(point) == (
-                a.sing_member(point) and b.sing_member(point)
-            )
+            in_both = order_on_sing(a, point) is not None and order_on_sing(b, point) is not None
+            assert (order_on_sing(joined, point) is not None) == in_both
 
     def test_idempotent_for_observers(self):
         g = algebra(CUSP)
@@ -172,50 +212,23 @@ def _box_closure(g):
     return ReesAlgebra.of(g.variables, gens, g.field)
 
 
+def _taylor_order(poly, point):
+    """Least |alpha| with D^alpha f (p) nonzero, INF when f = 0."""
+    for total in range(poly.total_degree() + 1):
+        for head in range(total + 1):
+            if not poly.field.is_zero(evaluate(reference_hasse_derivative(poly, (head, total - head)), point)):
+                return total
+    return INF
+
+
 def _alarm(signum, frame):
     raise TimeoutError("closure took over 5 s")
-
-
-class TestWeightedTransform:
-    def x_chart(self, variables=XY):
-        return ChartMap(variables, 0, (Fraction(0),) * len(variables))
-
-    def test_cusp_x_chart(self):
-        g = algebra(CUSP)
-        transformed = g.weighted_transform(self.x_chart(), (0, 0))
-        assert transformed == algebra([("y^2 - x", 2)])
-
-    def test_closure_x_chart(self):
-        g = algebra(REFERENCE_CHAR0)
-        transformed = g.weighted_transform(self.x_chart(), (0, 0))
-        assert transformed == algebra([("y", 1), ("x", 1), ("x", 2)])
-
-    def test_not_permissible_outside_sing(self):
-        g = algebra(REFERENCE_CHAR0)
-        with pytest.raises(NotPermissible):
-            g.weighted_transform(self.x_chart(), (1, 1))
-
-    def test_degenerate_line_chart_flags_trivial(self):
-        line = from_weighted(("x",), [("x", 1)], Q)
-        chart = ChartMap(("x",), 0, (Fraction(0),))
-        transformed = line.weighted_transform(chart, (0,))
-        assert transformed.is_trivial
-        assert not transformed.sing_member((0,))
-
-    def test_errors_exactly_when_center_not_singular(self):
-        g = algebra(CUSP)
-        for point in grid(Q):
-            if g.sing_member(point):
-                g.weighted_transform(self.x_chart(), point)
-            else:
-                with pytest.raises(NotPermissible):
-                    g.weighted_transform(self.x_chart(), point)
 
 
 def test_trivial_algebra_from_unit_generator():
     g = algebra([("1", 2)])
     assert g.is_trivial
-    assert not g.sing_member((0, 0))
+    assert order_on_sing(g, (0, 0)) is None
 
 
 def test_parse_and_render_round_trip():
